@@ -48,15 +48,24 @@ func main() {
 		return
 	}
 	if *benchJSON != "" {
-		writeBenchJSON(*benchJSON)
+		// The host suite: recorded pre-optimization baseline plus the
+		// current tree's host numbers.
+		writeJSON(*benchJSON, bench.NewReport(), nil)
 		return
 	}
 	if *bench8JSON != "" {
-		writeBench8JSON(*bench8JSON)
+		// Frame format and disk tier: cache-hit cost, binary-versus-JSON
+		// codec comparisons, cold-versus-warm restart latency.
+		rep, err := bench.NewBench8Report()
+		writeJSON(*bench8JSON, rep, err)
 		return
 	}
 	if *bench9JSON != "" {
-		writeBench9JSON(*bench9JSON)
+		// The virtual-time scheduler comparison.  Unlike the host benchmarks
+		// the output is bit-deterministic, so CI diffs the regenerated
+		// document against the committed one.
+		rep, err := bench.NewBench9Report()
+		writeJSON(*bench9JSON, rep, err)
 		return
 	}
 	if *calibrate != "" {
@@ -103,56 +112,9 @@ func main() {
 	}
 }
 
-// writeBenchJSON runs the internal/bench suite and writes the report —
-// recorded pre-optimization baseline plus the current tree's host numbers —
-// as indented JSON.
-func writeBenchJSON(path string) {
-	rep := bench.NewReport()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// writeBench8JSON runs the frame-format and disk-tier measurements —
-// cache-hit cost, binary-versus-JSON codec comparisons, cold-versus-warm
-// restart latency — as indented JSON.
-func writeBench8JSON(path string) {
-	rep, err := bench.NewBench8Report()
-	if err != nil {
-		fatal(err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// writeBench9JSON runs the virtual-time scheduler comparison — per-class
-// latency under fcfs, priority, and sjf, plus the label-inverted variant —
-// as indented JSON.  Unlike the host benchmarks the output is
-// bit-deterministic, so CI diffs the regenerated document against the
-// committed one.
-func writeBench9JSON(path string) {
-	rep, err := bench.NewBench9Report()
+// writeJSON writes a benchmark report as indented JSON plus a newline: to
+// standard output when path is "-", otherwise to the file, announcing it.
+func writeJSON(path string, rep any, err error) {
 	if err != nil {
 		fatal(err)
 	}
@@ -179,29 +141,13 @@ func writeBench9JSON(path string) {
 // canonical JSON for `agcmd -cost-oracle roofline:<file>`.
 func writeBench10JSON(path, calibOut string) {
 	rep, err := bench.NewBench10Report()
-	if err != nil {
-		fatal(err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-	} else {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
+	writeJSON(path, rep, err)
 	if calibOut != "" {
 		raw, err := rep.Host.Calib.CanonicalJSON()
 		if err != nil {
 			fatal(err)
 		}
-		raw = append(raw, '\n')
-		if err := os.WriteFile(calibOut, raw, 0o644); err != nil {
+		if err := os.WriteFile(calibOut, append(raw, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", calibOut)

@@ -7,7 +7,7 @@
 // Endpoints:
 //
 //	POST /v1/run         {"config": {...canonical config...}, "steps": 2,
-//	                      "priority": "high|normal|low", "timeout_ms": 5000}
+//	                      "slo": "interactive|batch", "timeout_ms": 5000}
 //	GET  /v1/cache/{key} cached response body for a job key, or 404
 //	GET  /healthz        liveness: "ok" while the process is up
 //	GET  /readyz         readiness: "ready" while routable, 503 while draining
@@ -71,7 +71,7 @@ func main() {
 	backendID := flag.String("backend-id", "", "cluster member ID stamped on responses as X-Agcmd-Backend (empty = omit)")
 	cacheDir := flag.String("cache-dir", "", "disk cache tier directory: finished runs persist here and survive restarts (empty = memory only)")
 	cacheDiskBytes := flag.Int64("cache-disk-bytes", 0, "disk cache tier byte budget (0 = default 256 MiB)")
-	scheduler := flag.String("scheduler", "fcfs", "admission scheduling policy: fcfs, priority or sjf")
+	scheduler := flag.String("scheduler", "fcfs", "admission scheduling policy: fcfs (arrival order), priority (interactive before batch) or sjf (cheapest predicted job first)")
 	costOracle := flag.String("cost-oracle", "linear", "sjf job-cost oracle: linear, roofline, or roofline:<calib.json>")
 	flag.Parse()
 

@@ -1,7 +1,7 @@
 // Command agcmgw is the fault-tolerant gateway daemon: an HTTP front end
 // over internal/gateway that routes simulation requests across N agcmd
 // backends with health probing, per-backend circuit breakers, budgeted
-// retries, hedging for high-priority jobs, and degraded serves from any
+// retries, hedging for interactive jobs, and degraded serves from any
 // backend's result cache.
 //
 //	agcmgw -addr :8090 -backends http://h1:8080,http://h2:8080 -policy key-affinity
@@ -48,7 +48,7 @@ func main() {
 	backoffBase := flag.Duration("backoff-base", 25*time.Millisecond, "base retry backoff")
 	backoffCap := flag.Duration("backoff-cap", time.Second, "retry backoff ceiling")
 	attemptTimeout := flag.Duration("attempt-timeout", 60*time.Second, "per-attempt budget")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge high-priority requests after this delay until a latency p95 exists (0 = hedging off)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge interactive requests after this delay until a latency p95 exists (0 = hedging off)")
 	seed := flag.Int64("seed", 1, "deterministic backoff-jitter seed")
 	events := flag.String("events", "stderr", `event-log destination: "stderr", "none", or a file path`)
 	flag.Parse()

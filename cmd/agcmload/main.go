@@ -510,8 +510,8 @@ func main() {
 					if !deadline.IsZero() && time.Now().After(deadline) {
 						return
 					}
-					// Legacy bodies carry no priority or slo field, so the
-					// server classes every one of them batch.
+					// Legacy bodies carry no slo field, so the server classes
+					// every one of them batch.
 					is.issue(i, "batch", workload.PoolBody(seq[i], *steps))
 				}
 			}()

@@ -30,6 +30,13 @@ func TestGatewayScopeFixtures(t *testing.T) {
 	analysistest.Run(t, analysis.Nondeterm, "./testdata/src/gateway")
 }
 
+// TestMetricsScopeFixtures pins internal/metrics to the map-order-only
+// level: an unsorted label emission is flagged, the sorted-keys idiom and the
+// wall clock are not.
+func TestMetricsScopeFixtures(t *testing.T) {
+	analysistest.Run(t, analysis.Nondeterm, "./testdata/src/metrics")
+}
+
 func TestCommtagFixtures(t *testing.T) {
 	analysistest.Run(t, analysis.Commtag, "./testdata/src/commtag")
 }

@@ -90,6 +90,9 @@ var nondetermScope = map[string]determinismLevel{
 	// /metrics scrapes, event classifications, and backend rankings must not
 	// depend on map iteration order; covers internal/gateway/chaostest too.
 	"gateway": levelMapOrder,
+	// The metrics registry renders every byte of both daemons' /metrics:
+	// label values must be emitted sorted, never in map order.
+	"metrics": levelMapOrder,
 }
 
 // nondetermLevel returns the determinism level the package with the given

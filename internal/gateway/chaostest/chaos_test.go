@@ -212,7 +212,7 @@ func TestGatewayUnderChaos(t *testing.T) {
 	// Retry volume must respect the budget: ratio per accepted request plus
 	// the burst the bucket started with.
 	maxRetries := uint64(retryRatio*float64(total)) + retryBurst
-	if got := g.Metrics().Retries(); got > maxRetries {
+	if got := g.Metrics().Retries.Get(); got > maxRetries {
 		t.Fatalf("retries = %d, want <= %d (budget bound)", got, maxRetries)
 	}
 

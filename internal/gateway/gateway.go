@@ -14,7 +14,7 @@
 // token-bucket retry budget so retries cannot amplify an outage.  Retries
 // are safe by construction: agcmd runs are bit-deterministic and
 // content-addressed, so replaying a request can only produce the same
-// bytes.  High-priority requests may be hedged — a second shard raced after
+// bytes.  Interactive requests may be hedged — a second shard raced after
 // a latency-percentile delay, loser canceled via context.  When no backend
 // can take a key, the gateway degrades gracefully: it serves the cached
 // result from any backend's /v1/cache/{key} address before shedding.
@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"agcm/internal/core"
 	"agcm/internal/server"
 )
 
@@ -76,7 +75,7 @@ type Options struct {
 	BackoffCap  time.Duration
 	// AttemptTimeout bounds one proxied attempt (default 60s).
 	AttemptTimeout time.Duration
-	// HedgeDelay enables hedging for high-priority requests when positive:
+	// HedgeDelay enables hedging for interactive requests when positive:
 	// it is the delay before racing a second shard until enough latency
 	// samples exist to use the observed p95 instead (0 disables hedging).
 	HedgeDelay time.Duration
@@ -145,7 +144,7 @@ type Gateway struct {
 	policy   policy
 	budget   *retryBudget
 	backoff  *backoff
-	metrics  *metrics
+	metrics  *gatewayMetrics
 	client   *http.Client
 	events   *eventLog
 	lat      *latencyRing
@@ -178,7 +177,6 @@ func New(opt Options) (*Gateway, error) {
 		policy:     pol,
 		budget:     newRetryBudget(opt.RetryRatio, opt.RetryBurst),
 		backoff:    newBackoff(opt.BackoffBase, opt.BackoffCap, opt.Seed),
-		metrics:    newGatewayMetrics(),
 		client:     &http.Client{Transport: opt.Transport},
 		events:     &eventLog{w: opt.Events},
 		lat:        &latencyRing{},
@@ -200,11 +198,13 @@ func New(opt Options) (*Gateway, error) {
 		br := newBreaker(opt.FailThreshold, opt.OpenFor, nil)
 		backendID := id
 		br.onTransition = func(from, to BreakerState) {
-			g.metrics.IncBreakerTransition(backendID, from.String()+"->"+to.String())
-			g.events.Emit("breaker", backendID, from.String()+"->"+to.String())
+			transition := from.String() + "->" + to.String()
+			g.metrics.BreakerTransitions.Inc(backendID, transition)
+			g.events.Emit("breaker", backendID, transition)
 		}
 		g.backends = append(g.backends, newBackend(id, id, br))
 	}
+	g.metrics = newGatewayMetrics(g.backends, g.budget.Tokens)
 	if opt.ProbeInterval > 0 {
 		g.stopped.Add(1)
 		go g.prober()
@@ -239,7 +239,7 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 // Metrics exposes the counter set for tests and embedding daemons.
-func (g *Gateway) Metrics() *metrics { return g.metrics }
+func (g *Gateway) Metrics() *gatewayMetrics { return g.metrics }
 
 // eventLog serializes structured events as JSON lines.
 type eventLog struct {
@@ -299,7 +299,7 @@ func (r *latencyRing) P95() float64 {
 	return buf[int(0.95*float64(k-1))]
 }
 
-// hedgeDelay is how long a high-priority request waits on its primary shard
+// hedgeDelay is how long an interactive request waits on its primary shard
 // before racing a second one: the observed p95 once enough samples exist,
 // the configured floor before that.
 func (g *Gateway) hedgeDelay() time.Duration {
@@ -327,21 +327,6 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// request mirrors the backend's POST /v1/run body: the gateway validates
-// up front so garbage is rejected at the edge and the job key (the routing
-// and cache address) exists before any backend is touched.
-type request struct {
-	Config    json.RawMessage `json:"config"`
-	Steps     int             `json:"steps"`
-	Priority  string          `json:"priority"`
-	TimeoutMS int             `json:"timeout_ms"`
-	// SLO is the request's service-level class ("interactive" or "batch");
-	// empty derives it from priority, exactly as the backend does.  The
-	// gateway's hedging keys on the resolved class: only interactive
-	// requests are worth a second shard.
-	SLO string `json:"slo"`
 }
 
 // attemptResult is the outcome of one proxied attempt (or of the degraded
@@ -372,70 +357,29 @@ func (a *attemptResult) relayable() bool {
 
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.metrics.IncRequest("rejected")
+		g.metrics.Requests.Inc("rejected")
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody("POST only"))
 		return
 	}
 	raw, err := io.ReadAll(io.LimitReader(r.Body, g.opt.MaxBodyBytes))
 	if err != nil {
-		g.metrics.IncRequest("rejected")
+		g.metrics.Requests.Inc("rejected")
 		writeJSON(w, http.StatusBadRequest, errorBody("reading body: "+err.Error()))
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var req request
-	if err := dec.Decode(&req); err != nil {
-		g.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody("bad request: "+err.Error()))
-		return
-	}
-	if len(req.Config) == 0 {
-		g.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody("missing config"))
-		return
-	}
-	cfg, err := core.ConfigFromCanonicalJSON(req.Config)
+	// Validate up front: garbage is rejected at the edge, and the job key
+	// (the routing and cache address) exists before any backend is touched.
+	req, err := server.DecodeRequest(bytes.NewReader(raw), r.Header)
 	if err != nil {
-		g.metrics.IncRequest("rejected")
+		g.metrics.Requests.Inc("rejected")
 		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
-	steps := req.Steps
-	if steps == 0 {
-		steps = 1
-	}
-	if steps < 0 {
-		g.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Sprintf("steps %d out of range", steps)))
-		return
-	}
-	prio, ok := server.PriorityByName(req.Priority)
-	if !ok {
-		g.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Sprintf("unknown priority %q", req.Priority)))
-		return
-	}
-	slo := req.SLO
-	if slo == "" {
-		slo = r.Header.Get(server.SLOHeader)
-	}
-	class, ok := server.ClassByName(slo, prio)
-	if !ok {
-		g.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Sprintf("unknown slo class %q", slo)))
-		return
-	}
-	key, err := server.JobKeyFor(cfg, steps)
-	if err != nil {
-		g.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-		return
-	}
-	g.metrics.IncClassRequest(class.String())
+	key, class := req.Key, req.Class
+	g.metrics.ClassRequests.Inc(class.String())
 
 	g.budget.Deposit()
-	res, attempts := g.proxyWithRetries(r.Context(), key, prio, class, raw)
+	res, attempts := g.proxyWithRetries(r.Context(), key, class, raw)
 	if res != nil && res.relayable() {
 		g.relay(w, res, attempts, "")
 		label := "ok"
@@ -445,7 +389,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		case res.status >= 400:
 			label = "rejected"
 		}
-		g.metrics.IncRequest(label)
+		g.metrics.Requests.Inc(label)
 		return
 	}
 
@@ -454,14 +398,14 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	// answer.
 	if peek := g.degradedPeek(r.Context(), key); peek != nil {
 		g.events.Emit("degraded", "", key)
-		g.metrics.IncRequest("degraded")
+		g.metrics.Requests.Inc("degraded")
 		g.relay(w, peek, attempts, "degraded")
 		return
 	}
 
 	// Shed.  Relay a backend's own 429/503 verbatim (its Retry-After is the
 	// best available estimate); otherwise synthesize a 503.
-	g.metrics.IncRequest("shed")
+	g.metrics.Requests.Inc("shed")
 	if res != nil && res.err == nil && !res.canceled {
 		g.relay(w, res, attempts, "")
 		return
@@ -494,18 +438,18 @@ func (g *Gateway) relay(w http.ResponseWriter, res *attemptResult, attempts int,
 // attempt, classify, and either relay, retry elsewhere (budget and backoff
 // permitting), or give up.  It returns the last result (nil if no attempt
 // ran) and the attempt count.
-func (g *Gateway) proxyWithRetries(ctx context.Context, key string, prio server.Priority, class server.SLOClass, body []byte) (*attemptResult, int) {
+func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server.SLOClass, body []byte) (*attemptResult, int) {
 	var last *attemptResult
 	attempts := 0
 	lastIdx := -1
 	for retry := 0; retry <= g.opt.RetryMax; retry++ {
 		if retry > 0 {
 			if !g.budget.Take() {
-				g.metrics.IncRetryExhausted()
+				g.metrics.RetryExhausted.Inc()
 				g.events.Emit("retry_budget_exhausted", "", key)
 				break
 			}
-			g.metrics.IncRetry()
+			g.metrics.Retries.Inc()
 			select {
 			case <-time.After(g.backoff.Delay(retry)):
 			case <-ctx.Done():
@@ -514,9 +458,7 @@ func (g *Gateway) proxyWithRetries(ctx context.Context, key string, prio server.
 		}
 		var res *attemptResult
 		var idx int
-		// Only interactive requests hedge: with no explicit slo field the
-		// class derives from priority (high → interactive), so defaulted
-		// traffic hedges exactly as it did before SLO classes existed.
+		// Only interactive requests are worth a second shard.
 		if retry == 0 && class == server.Interactive && g.opt.HedgeDelay > 0 {
 			res, idx = g.hedged(ctx, key, class, body)
 		} else {
@@ -602,16 +544,16 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class ser
 		// The gateway abandoning the attempt (hedge loser, client gone) says
 		// nothing about the backend; everything else is a transport failure.
 		if ctx.Err() == context.Canceled {
-			g.metrics.IncBackendCanceled(b.id)
+			g.metrics.BackendCanceled.Inc(b.id)
 			b.breaker.Forgive(probe)
 			return &attemptResult{err: err, canceled: true}
 		}
-		g.metrics.IncBackendError(b.id)
+		g.metrics.BackendErrors.Inc(b.id)
 		b.breaker.Record(false, probe)
 		return &attemptResult{err: err}
 	}
 
-	g.metrics.IncBackendResponse(b.id, resp.StatusCode)
+	g.metrics.BackendResponses.Inc(b.id, strconv.Itoa(resp.StatusCode))
 	res := &attemptResult{status: resp.StatusCode, header: resp.Header, body: raw}
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
@@ -645,7 +587,7 @@ func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// hedged races two shards for a high-priority request: the policy's primary
+// hedged races two shards for an interactive request: the policy's primary
 // immediately, and — if it has not answered within the hedge delay — the
 // next-ranked backend, budget permitting.  The first full response wins and
 // the loser is canceled via context.  Returns the winning result and its
@@ -692,7 +634,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 		out := <-ch
 		return out.res, out.idx
 	}
-	g.metrics.IncHedge("launched")
+	g.metrics.Hedges.Inc("launched")
 	g.events.Emit("hedge", b2.id, key)
 	g.stopped.Add(1)
 	go func() {
@@ -704,7 +646,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 	out := <-ch
 	hcancel() // the loser's attempt sees context.Canceled and is forgiven
 	if out.idx == idx2 {
-		g.metrics.IncHedge("won")
+		g.metrics.Hedges.Inc("won")
 	}
 	// Reap the loser off the buffered channel; completed-but-discarded
 	// responses count as lost hedges (they appear in the backend's own
@@ -717,7 +659,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 		select {
 		case lost := <-ch:
 			if lost.res != nil && !lost.res.canceled && lost.res.err == nil {
-				g.metrics.IncHedge("lost")
+				g.metrics.Hedges.Inc("lost")
 			}
 		case <-g.stop:
 			// Close is joining us; the loser is being canceled via rootCtx
@@ -802,7 +744,11 @@ func (g *Gateway) probeOne(b *backend) {
 		// and its verdict says nothing about the backend.
 		return
 	}
-	g.metrics.IncProbe(ok)
+	verdict := "fail"
+	if ok {
+		verdict = "ok"
+	}
+	g.metrics.Probes.Inc(verdict)
 	if prev := b.ready.Swap(ok); prev != ok {
 		if ok {
 			g.events.Emit("readmit", b.id, "readyz ok")
@@ -846,17 +792,5 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	gs := gatewayGauges{BudgetTokens: g.budget.Tokens()}
-	ids := make([]backendGauges, 0, len(g.backends))
-	for _, b := range g.backends {
-		ids = append(ids, backendGauges{
-			ID:       b.id,
-			State:    b.breaker.State(),
-			Ready:    b.ready.Load(),
-			Inflight: int(b.inflight.Load()),
-		})
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].ID < ids[j].ID })
-	gs.Backends = ids
-	g.metrics.WriteText(w, gs)
+	g.metrics.reg.WriteText(w)
 }

@@ -1,18 +1,18 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"agcm/internal/core"
 	"agcm/internal/server"
 )
 
@@ -129,8 +129,8 @@ func TestRetryMasksBackendFailure(t *testing.T) {
 	if got := h.Get("X-Agcmgw-Attempts"); got != "2" {
 		t.Errorf("X-Agcmgw-Attempts = %q, want 2", got)
 	}
-	if g.metrics.Retries() != 1 {
-		t.Errorf("retries = %d, want 1", g.metrics.Retries())
+	if g.metrics.Retries.Get() != 1 {
+		t.Errorf("retries = %d, want 1", g.metrics.Retries.Get())
 	}
 	if bad.runs.Load() != 1 || good.runs.Load() != 1 {
 		t.Errorf("backend runs = %d/%d, want 1/1", bad.runs.Load(), good.runs.Load())
@@ -196,7 +196,7 @@ func TestBreakerOpensEjectsAndRecovers(t *testing.T) {
 			t.Fatalf("request during recovery: status %d", st)
 		}
 	}
-	if n := g.metrics.BreakerTransitions(); n < 3 {
+	if n := g.metrics.BreakerTransitions.Total(); n < 3 {
 		t.Errorf("breaker transitions = %d, want >= 3 (trip, probe, close)", n)
 	}
 }
@@ -262,11 +262,11 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	}
 	// Budget bound: burst (3) + deposits (n × 0.1 = 2) = 5 retries max.
 	maxRetries := uint64(3 + n/10)
-	if got := g.metrics.Retries(); got > maxRetries {
+	if got := g.metrics.Retries.Get(); got > maxRetries {
 		t.Fatalf("retries = %d, want <= %d (budget must bound amplification)", got, maxRetries)
 	}
-	if g.metrics.Request("shed") != n {
-		t.Errorf("shed = %d, want %d", g.metrics.Request("shed"), n)
+	if g.metrics.Requests.Get("shed") != n {
+		t.Errorf("shed = %d, want %d", g.metrics.Requests.Get("shed"), n)
 	}
 	attempts := b1.runs.Load() + b2.runs.Load()
 	if attempts > int64(n)+int64(maxRetries) {
@@ -297,12 +297,12 @@ func TestDegradedServeFromAnyCache(t *testing.T) {
 	if string(body) != cached {
 		t.Errorf("degraded body %q, want the cached bytes", body)
 	}
-	if g.metrics.Request("degraded") != 1 {
-		t.Errorf("degraded counter = %d, want 1", g.metrics.Request("degraded"))
+	if g.metrics.Requests.Get("degraded") != 1 {
+		t.Errorf("degraded counter = %d, want 1", g.metrics.Requests.Get("degraded"))
 	}
 }
 
-// TestHedgingRacesSecondShard: a high-priority request on a slow primary is
+// TestHedgingRacesSecondShard: an interactive request on a slow primary is
 // hedged onto the next shard after the hedge delay, and the faster response
 // wins.
 func TestHedgingRacesSecondShard(t *testing.T) {
@@ -331,7 +331,7 @@ func TestHedgingRacesSecondShard(t *testing.T) {
 	body := ""
 	for px := 1; px <= 16; px++ {
 		cand := fmt.Sprintf(`{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon",`+
-			`"mesh_py":1,"mesh_px":%d,"filter":"fft"},"steps":1,"priority":"high"}`, px)
+			`"mesh_py":1,"mesh_px":%d,"filter":"fft"},"steps":1,"slo":"interactive"}`, px)
 		key := keyForBody(t, cand)
 		if g.policy.Order(key, g.backends)[0] == slowIdx {
 			body = cand
@@ -349,28 +349,20 @@ func TestHedgingRacesSecondShard(t *testing.T) {
 	if string(raw) != fastBody {
 		t.Fatalf("winner body %q, want the hedged shard's %q", raw, fastBody)
 	}
-	if g.metrics.Hedge("launched") != 1 || g.metrics.Hedge("won") != 1 {
+	if g.metrics.Hedges.Get("launched") != 1 || g.metrics.Hedges.Get("won") != 1 {
 		t.Errorf("hedges launched/won = %d/%d, want 1/1",
-			g.metrics.Hedge("launched"), g.metrics.Hedge("won"))
+			g.metrics.Hedges.Get("launched"), g.metrics.Hedges.Get("won"))
 	}
 }
 
 // keyForBody computes the job key the way the gateway does.
 func keyForBody(t *testing.T, body string) string {
 	t.Helper()
-	var req request
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := core.ConfigFromCanonicalJSON(req.Config)
+	req, err := server.DecodeRequest(strings.NewReader(body), http.Header{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := server.JobKeyFor(cfg, req.Steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
+	return req.Key
 }
 
 // TestProbeEjectionAndReadmission: the active prober flips a backend's
@@ -413,64 +405,148 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsGarbageAtTheEdge: invalid requests never reach a
-// backend.
+// TestGatewayRejectsGarbageAtTheEdge: both daemon edges run the one shared
+// decoder, so every malformed body is a 400 at agcmd and at agcmgw, counted
+// as rejected, and through the gateway it never reaches a backend.
 func TestGatewayRejectsGarbageAtTheEdge(t *testing.T) {
+	const cfg = `{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon","mesh_py":1,"mesh_px":1}`
+	cases := []struct{ name, body string }{
+		{"syntax", `{`},
+		{"missing config", `{"steps":1}`},
+		{"bad machine", `{"config":{"machine":"nope","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1}}`},
+		{"negative steps", cfg + `,"steps":-2}`},
+		{"unknown field", cfg + `,"stepz":1}`},
+		{"retired priority field", cfg + `,"priority":"high"}`},
+		{"unknown slo class", cfg + `,"slo":"bulk"}`},
+		{"trailing object", cfg + `,"steps":1}{"steps":99} garbage`},
+		{"trailing brace", cfg + `,"steps":1}}`},
+	}
+
+	srv, err := server.New(server.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	agcmd := httptest.NewServer(srv.Handler())
+	defer agcmd.Close()
 	b := newStubBackend(ok200(`{"ok":true}` + "\n"))
 	defer b.ts.Close()
 	g := newTestGateway(t, Options{}, b)
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
+	agcmgw := httptest.NewServer(g.Handler())
+	defer agcmgw.Close()
 
-	for i, c := range []string{
-		`{`,
-		`{"steps":1}`,
-		`{"config":{"machine":"nope","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1}}`,
-		`{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon","mesh_py":1,"mesh_px":1},"steps":-2}`,
-		`{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon","mesh_py":1,"mesh_px":1},"priority":"zz"}`,
-	} {
-		if st, _, _ := postGW(t, ts.URL, c); st != http.StatusBadRequest {
-			t.Errorf("case %d: status %d, want 400", i, st)
+	for _, tc := range cases {
+		for edge, url := range map[string]string{"agcmd": agcmd.URL, "agcmgw": agcmgw.URL} {
+			if st, _, raw := postGW(t, url, tc.body); st != http.StatusBadRequest {
+				t.Errorf("%s at %s: status %d, want 400: %s", tc.name, edge, st, raw)
+			}
 		}
 	}
-	if b.runs.Load() != 0 {
-		t.Errorf("garbage reached a backend")
+	if srv.Runs() != 0 || b.runs.Load() != 0 {
+		t.Errorf("garbage ran a simulation or reached a backend")
 	}
-	if g.metrics.Request("rejected") != 5 {
-		t.Errorf("rejected = %d, want 5", g.metrics.Request("rejected"))
+	if got := g.metrics.Requests.Get("rejected"); got != uint64(len(cases)) {
+		t.Errorf("gateway rejected = %d, want %d", got, len(cases))
+	}
+	resp, err := http.Get(agcmd.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("agcmd_requests_total{result=\"rejected\"} %d\n", len(cases)); !strings.Contains(string(raw), want) {
+		t.Errorf("agcmd /metrics lacks %q:\n%s", want, raw)
+	}
+}
+
+// fixedBackends builds three backends in distinct states — a open, not ready,
+// one request in flight; b closed and idle; c half-open with two in flight —
+// given out of ID order, since emission must sort them.
+func fixedBackends() []*backend {
+	now := time.Unix(0, 0)
+	clock := func() time.Time { return now }
+	a := newBackend("http://a", "http://a", newBreaker(1, time.Hour, clock))
+	a.breaker.Record(false, false)
+	a.ready.Store(false)
+	a.inflight.Add(1)
+	c := newBackend("http://c", "http://c", newBreaker(1, 0, clock))
+	c.breaker.Record(false, false) // openFor 0: open decays to half-open at once
+	c.inflight.Add(2)
+	return []*backend{c, a, newBackend("http://b", "http://b", newBreaker(1, time.Hour, clock))}
+}
+
+// scriptMetrics replays the fixed event sequence behind testdata/metrics.golden.
+func scriptMetrics(m *gatewayMetrics) {
+	for _, r := range []string{"ok", "ok", "rejected", "shed", "ok", "degraded", "error"} {
+		m.Requests.Inc(r)
+	}
+	for _, r := range [][2]string{
+		{"http://a", "200"}, {"http://b", "200"}, {"http://a", "503"},
+		{"http://b", "429"}, {"http://a", "200"}, {"http://c", "400"},
+	} {
+		m.BackendResponses.Inc(r[0], r[1])
+	}
+	m.BackendErrors.Inc("http://a")
+	m.BackendCanceled.Inc("http://b")
+	for _, tr := range [][2]string{
+		{"http://a", "closed->open"}, {"http://c", "closed->open"},
+		{"http://c", "open->half-open"}, {"http://a", "closed->open"},
+	} {
+		m.BreakerTransitions.Inc(tr[0], tr[1])
+	}
+	m.Retries.Inc()
+	m.Retries.Inc()
+	m.RetryExhausted.Inc()
+	for _, h := range []string{"launched", "won", "launched", "lost"} {
+		m.Hedges.Inc(h)
+	}
+	for _, v := range []string{"ok", "fail", "ok"} {
+		m.Probes.Inc(v)
+	}
+	for _, c := range []string{"interactive", "batch", "batch"} {
+		m.ClassRequests.Inc(c)
+	}
+}
+
+// TestMetricsGolden pins agcmgw's /metrics exposition byte for byte.  The
+// golden file was generated by the hand-unrolled emitter this package had
+// before internal/metrics, from the same event sequence.
+func TestMetricsGolden(t *testing.T) {
+	var got bytes.Buffer
+	got.WriteString("## scrape: three backends\n")
+	m := newGatewayMetrics(fixedBackends(), func() float64 { return 7.5 })
+	scriptMetrics(m)
+	m.reg.WriteText(&got)
+	got.WriteString("## scrape: fresh gateway\n")
+	fresh := []*backend{newBackend("http://a", "http://a", newBreaker(3, time.Second, nil))}
+	newGatewayMetrics(fresh, func() float64 { return 1e6 }).reg.WriteText(&got)
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/metrics exposition drifted from testdata/metrics.golden:\n%s", got.Bytes())
 	}
 }
 
 // TestMetricsDeterministicEmission: two scrapes of identical state are
 // byte-identical (sorted labels, fixed family order).
 func TestMetricsDeterministicEmission(t *testing.T) {
-	m := newGatewayMetrics()
-	m.IncRequest("ok")
-	m.IncRequest("shed")
-	m.IncBackendResponse("http://b", 200)
-	m.IncBackendResponse("http://a", 503)
-	m.IncBackendError("http://a")
-	m.IncBreakerTransition("http://a", "closed->open")
-	m.IncRetry()
-	m.IncHedge("launched")
-	m.IncProbe(true)
-	g := gatewayGauges{
-		Backends: []backendGauges{
-			{ID: "http://a", State: BreakerOpen, Ready: false, Inflight: 1},
-			{ID: "http://b", State: BreakerClosed, Ready: true, Inflight: 0},
-		},
-		BudgetTokens: 7.5,
-	}
+	m := newGatewayMetrics(fixedBackends(), func() float64 { return 7.5 })
+	scriptMetrics(m)
 	var buf1, buf2 strings.Builder
-	m.WriteText(&buf1, g)
-	m.WriteText(&buf2, g)
+	m.reg.WriteText(&buf1)
+	m.reg.WriteText(&buf2)
 	if buf1.String() != buf2.String() {
 		t.Fatal("two scrapes of identical state differ")
 	}
 	for _, want := range []string{
-		`agcmgw_requests_total{result="ok"} 1`,
+		`agcmgw_requests_total{result="ok"} 3`,
 		`agcmgw_backend_responses_total{backend="http://a",code="503"} 1`,
-		`agcmgw_breaker_transitions_total{backend="http://a",transition="closed->open"} 1`,
+		`agcmgw_breaker_transitions_total{backend="http://a",transition="closed->open"} 2`,
 		`agcmgw_backend_state{backend="http://a"} 1`,
 		`agcmgw_retry_budget_tokens 7.5`,
 	} {
@@ -525,7 +601,7 @@ func TestCloseCancelsInflightHedgeAttempts(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon",` +
-		`"mesh_py":1,"mesh_px":1,"filter":"fft"},"steps":1,"priority":"high"}`
+		`"mesh_py":1,"mesh_px":1,"filter":"fft"},"steps":1,"slo":"interactive"}`
 	clientDone := make(chan struct{})
 	go func() {
 		defer close(clientDone)
@@ -545,10 +621,10 @@ func TestCloseCancelsInflightHedgeAttempts(t *testing.T) {
 	// Wait until the hedge is launched and both attempts are parked on the
 	// backends.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.metrics.Hedge("launched") < 1 || reqN.Load() < 2 {
+	for g.metrics.Hedges.Get("launched") < 1 || reqN.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("hedge never got in flight: launched=%d backends hit=%d",
-				g.metrics.Hedge("launched"), reqN.Load())
+				g.metrics.Hedges.Get("launched"), reqN.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

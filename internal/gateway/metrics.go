@@ -1,344 +1,83 @@
 package gateway
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"sync"
+
+	"agcm/internal/metrics"
 )
 
-// metrics holds the gateway's counters.  One mutex guards everything, as in
-// internal/server: increments are cheap next to proxied simulations, and a
-// single lock makes each /metrics scrape an internally consistent snapshot.
-// Emission is sorted everywhere so two scrapes of identical state are
-// byte-identical.
-type metrics struct {
-	mu sync.Mutex
-	// requests by client-edge outcome: ok, degraded, rejected, shed, error.
-	requests map[string]uint64
-	// backendResponses counts responses fully received from each backend by
+// gatewayMetrics declares agcmgw's metric families, in /metrics order.  The
+// fields are exported because the chaos suites read them through
+// Gateway.Metrics.
+type gatewayMetrics struct {
+	reg *metrics.Registry
+	// Requests by client-edge outcome: ok, degraded, rejected, shed, error.
+	Requests *metrics.Counter
+	// BackendResponses counts responses fully received from each backend by
 	// status code — including hedge losers whose responses were read and
 	// discarded, so these reconcile against the backends' own counters.
-	backendResponses map[string]map[string]uint64
-	// backendErrors counts transport-level failures (dial, reset, timeout).
-	backendErrors map[string]uint64
-	// backendCanceled counts attempts the gateway abandoned before reading a
+	BackendResponses *metrics.Counter
+	// BackendErrors counts transport-level failures (dial, reset, timeout).
+	BackendErrors *metrics.Counter
+	// BackendCanceled counts attempts the gateway abandoned before reading a
 	// response (hedge losers, client disconnects).  The backend may or may
 	// not have counted these — reconciliation treats them as slack.
-	backendCanceled map[string]uint64
-	// breakerTransitions counts state changes per backend, labeled
+	BackendCanceled *metrics.Counter
+	// BreakerTransitions counts state changes per backend, labeled
 	// "from->to".
-	breakerTransitions map[string]map[string]uint64
-	retries            uint64
-	retryExhausted     uint64
-	hedges             map[string]uint64 // launched, won, lost
-	probes             map[string]uint64 // ok, fail
-	// classRequests counts validated client requests by SLO class; it
+	BreakerTransitions *metrics.Counter
+	Retries            *metrics.Counter
+	RetryExhausted     *metrics.Counter
+	Hedges             *metrics.Counter // launched, won, lost
+	Probes             *metrics.Counter // ok, fail
+	// ClassRequests counts validated client requests by SLO class; it
 	// reconciles against the backends' agcmd_class_requests_total the same
 	// way the edge ledger does (hedge losers are extra backend-side counts).
-	classRequests map[string]uint64
+	ClassRequests *metrics.Counter
 }
 
-func newGatewayMetrics() *metrics {
-	return &metrics{
-		requests:           make(map[string]uint64),
-		backendResponses:   make(map[string]map[string]uint64),
-		backendErrors:      make(map[string]uint64),
-		backendCanceled:    make(map[string]uint64),
-		breakerTransitions: make(map[string]map[string]uint64),
-		hedges:             make(map[string]uint64),
-		probes:             make(map[string]uint64),
-		classRequests:      make(map[string]uint64),
-	}
-}
-
-// IncClassRequest counts one validated client request in its SLO class.
-func (m *metrics) IncClassRequest(class string) {
-	m.mu.Lock()
-	m.classRequests[class]++
-	m.mu.Unlock()
-}
-
-// ClassRequests returns one class's validated-request count (test hook).
-func (m *metrics) ClassRequests(class string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.classRequests[class]
-}
-
-func (m *metrics) IncRequest(result string) {
-	m.mu.Lock()
-	m.requests[result]++
-	m.mu.Unlock()
-}
-
-// Request returns one client-edge outcome count (test hook).
-func (m *metrics) Request(result string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests[result]
-}
-
-func (m *metrics) IncBackendResponse(backend string, code int) {
-	m.mu.Lock()
-	byCode := m.backendResponses[backend]
-	if byCode == nil {
-		byCode = make(map[string]uint64)
-		m.backendResponses[backend] = byCode
-	}
-	byCode[strconv.Itoa(code)]++
-	m.mu.Unlock()
-}
-
-// BackendResponses returns one backend×code count (test and reconcile hook).
-func (m *metrics) BackendResponses(backend string, code int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.backendResponses[backend][strconv.Itoa(code)]
-}
-
-func (m *metrics) IncBackendError(backend string) {
-	m.mu.Lock()
-	m.backendErrors[backend]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) IncBackendCanceled(backend string) {
-	m.mu.Lock()
-	m.backendCanceled[backend]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) IncBreakerTransition(backend, transition string) {
-	m.mu.Lock()
-	byTrans := m.breakerTransitions[backend]
-	if byTrans == nil {
-		byTrans = make(map[string]uint64)
-		m.breakerTransitions[backend] = byTrans
-	}
-	byTrans[transition]++
-	m.mu.Unlock()
-}
-
-// BreakerTransitions returns the total transition count (test hook).
-func (m *metrics) BreakerTransitions() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n uint64
-	backends := make([]string, 0, len(m.breakerTransitions))
-	for b := range m.breakerTransitions {
-		backends = append(backends, b)
-	}
-	sort.Strings(backends)
-	for _, b := range backends {
-		byTrans := m.breakerTransitions[b]
-		labels := make([]string, 0, len(byTrans))
-		for t := range byTrans {
-			labels = append(labels, t)
-		}
-		sort.Strings(labels)
-		for _, t := range labels {
-			n += byTrans[t]
+// newGatewayMetrics registers the families; the per-backend gauges read the
+// given backends (emitted sorted by ID) and budgetTokens at scrape time.
+func newGatewayMetrics(backends []*backend, budgetTokens func() float64) *gatewayMetrics {
+	sorted := append([]*backend(nil), backends...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].id < sorted[j].id })
+	perBackend := func(read func(*backend) int64) func(emit func(string, int64)) {
+		return func(emit func(string, int64)) {
+			for _, b := range sorted {
+				emit(b.id, read(b))
+			}
 		}
 	}
-	return n
-}
-
-func (m *metrics) IncRetry()          { m.mu.Lock(); m.retries++; m.mu.Unlock() }
-func (m *metrics) IncRetryExhausted() { m.mu.Lock(); m.retryExhausted++; m.mu.Unlock() }
-
-// Retries returns the retry count (test hook).
-func (m *metrics) Retries() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries
-}
-
-func (m *metrics) IncHedge(result string) {
-	m.mu.Lock()
-	m.hedges[result]++
-	m.mu.Unlock()
-}
-
-// Hedge returns one hedge outcome count (test hook).
-func (m *metrics) Hedge(result string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hedges[result]
-}
-
-func (m *metrics) IncProbe(ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.probes["ok"]++
-	} else {
-		m.probes["fail"]++
-	}
-	m.mu.Unlock()
-}
-
-// backendGauges is one backend's point-in-time state for a scrape.
-type backendGauges struct {
-	ID       string
-	State    BreakerState
-	Ready    bool
-	Inflight int
-}
-
-// gatewayGauges is the point-in-time state the gateway contributes to a
-// scrape.  Backends must arrive sorted by ID.
-type gatewayGauges struct {
-	Backends     []backendGauges
-	BudgetTokens float64
-}
-
-// WriteText renders the Prometheus text exposition in a fixed family order
-// with sorted label values.
-func (m *metrics) WriteText(w io.Writer, g gatewayGauges) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP agcmgw_requests_total Client requests by outcome.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_requests_total counter\n")
-	results := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		results = append(results, k)
-	}
-	sort.Strings(results)
-	for _, k := range results {
-		fmt.Fprintf(w, "agcmgw_requests_total{result=%q} %d\n", k, m.requests[k])
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_backend_responses_total Responses fully received from each backend by status code (hedge losers included).\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_backend_responses_total counter\n")
-	backends := make([]string, 0, len(m.backendResponses))
-	for b := range m.backendResponses {
-		backends = append(backends, b)
-	}
-	sort.Strings(backends)
-	for _, b := range backends {
-		byCode := m.backendResponses[b]
-		codes := make([]string, 0, len(byCode))
-		for c := range byCode {
-			codes = append(codes, c)
-		}
-		sort.Strings(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "agcmgw_backend_responses_total{backend=%q,code=%q} %d\n", b, c, byCode[c])
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_backend_transport_errors_total Attempts that failed at the transport level per backend.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_backend_transport_errors_total counter\n")
-	errBackends := make([]string, 0, len(m.backendErrors))
-	for b := range m.backendErrors {
-		errBackends = append(errBackends, b)
-	}
-	sort.Strings(errBackends)
-	for _, b := range errBackends {
-		fmt.Fprintf(w, "agcmgw_backend_transport_errors_total{backend=%q} %d\n", b, m.backendErrors[b])
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_backend_canceled_total Attempts abandoned before a response was read per backend.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_backend_canceled_total counter\n")
-	cancBackends := make([]string, 0, len(m.backendCanceled))
-	for b := range m.backendCanceled {
-		cancBackends = append(cancBackends, b)
-	}
-	sort.Strings(cancBackends)
-	for _, b := range cancBackends {
-		fmt.Fprintf(w, "agcmgw_backend_canceled_total{backend=%q} %d\n", b, m.backendCanceled[b])
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_breaker_transitions_total Circuit-breaker state changes per backend.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_breaker_transitions_total counter\n")
-	transBackends := make([]string, 0, len(m.breakerTransitions))
-	for b := range m.breakerTransitions {
-		transBackends = append(transBackends, b)
-	}
-	sort.Strings(transBackends)
-	for _, b := range transBackends {
-		byTrans := m.breakerTransitions[b]
-		labels := make([]string, 0, len(byTrans))
-		for t := range byTrans {
-			labels = append(labels, t)
-		}
-		sort.Strings(labels)
-		for _, t := range labels {
-			fmt.Fprintf(w, "agcmgw_breaker_transitions_total{backend=%q,transition=%q} %d\n", b, t, byTrans[t])
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_retries_total Attempt retries (failovers and backend-saturation retries).\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_retries_total counter\n")
-	fmt.Fprintf(w, "agcmgw_retries_total %d\n", m.retries)
-	fmt.Fprintf(w, "# HELP agcmgw_retry_budget_exhausted_total Retries refused because the token-bucket budget was dry.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_retry_budget_exhausted_total counter\n")
-	fmt.Fprintf(w, "agcmgw_retry_budget_exhausted_total %d\n", m.retryExhausted)
-
-	fmt.Fprintf(w, "# HELP agcmgw_hedges_total Hedged attempts by outcome.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_hedges_total counter\n")
-	hedgeResults := make([]string, 0, len(m.hedges))
-	for k := range m.hedges {
-		hedgeResults = append(hedgeResults, k)
-	}
-	sort.Strings(hedgeResults)
-	for _, k := range hedgeResults {
-		fmt.Fprintf(w, "agcmgw_hedges_total{result=%q} %d\n", k, m.hedges[k])
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_probes_total Active health probes by verdict.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_probes_total counter\n")
-	probeResults := make([]string, 0, len(m.probes))
-	for k := range m.probes {
-		probeResults = append(probeResults, k)
-	}
-	sort.Strings(probeResults)
-	for _, k := range probeResults {
-		fmt.Fprintf(w, "agcmgw_probes_total{verdict=%q} %d\n", k, m.probes[k])
-	}
-
-	fmt.Fprintf(w, "# HELP agcmgw_backend_state Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_backend_state gauge\n")
-	for _, b := range g.Backends {
-		v := 0
-		switch b.State {
-		case BreakerOpen:
-			v = 1
-		case BreakerHalfOpen:
-			v = 2
-		}
-		fmt.Fprintf(w, "agcmgw_backend_state{backend=%q} %d\n", b.ID, v)
-	}
-	fmt.Fprintf(w, "# HELP agcmgw_backend_ready Latest /readyz probe verdict per backend.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_backend_ready gauge\n")
-	for _, b := range g.Backends {
-		v := 0
-		if b.Ready {
-			v = 1
-		}
-		fmt.Fprintf(w, "agcmgw_backend_ready{backend=%q} %d\n", b.ID, v)
-	}
-	fmt.Fprintf(w, "# HELP agcmgw_backend_inflight Requests currently in flight per backend.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_backend_inflight gauge\n")
-	for _, b := range g.Backends {
-		fmt.Fprintf(w, "agcmgw_backend_inflight{backend=%q} %d\n", b.ID, b.Inflight)
-	}
-	fmt.Fprintf(w, "# HELP agcmgw_retry_budget_tokens Retry-budget tokens currently available.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_retry_budget_tokens gauge\n")
-	fmt.Fprintf(w, "agcmgw_retry_budget_tokens %s\n", strconv.FormatFloat(g.BudgetTokens, 'g', -1, 64))
-
+	r := metrics.New()
+	m := &gatewayMetrics{reg: r}
+	m.Requests = r.Counter("agcmgw_requests_total", "Client requests by outcome.", "result")
+	m.BackendResponses = r.Counter("agcmgw_backend_responses_total",
+		"Responses fully received from each backend by status code (hedge losers included).", "backend", "code")
+	m.BackendErrors = r.Counter("agcmgw_backend_transport_errors_total",
+		"Attempts that failed at the transport level per backend.", "backend")
+	m.BackendCanceled = r.Counter("agcmgw_backend_canceled_total",
+		"Attempts abandoned before a response was read per backend.", "backend")
+	m.BreakerTransitions = r.Counter("agcmgw_breaker_transitions_total",
+		"Circuit-breaker state changes per backend.", "backend", "transition")
+	m.Retries = r.Counter("agcmgw_retries_total", "Attempt retries (failovers and backend-saturation retries).")
+	m.RetryExhausted = r.Counter("agcmgw_retry_budget_exhausted_total",
+		"Retries refused because the token-bucket budget was dry.")
+	m.Hedges = r.Counter("agcmgw_hedges_total", "Hedged attempts by outcome.", "result")
+	m.Probes = r.Counter("agcmgw_probes_total", "Active health probes by verdict.", "verdict")
+	r.IntVecFunc("agcmgw_backend_state", "Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).",
+		"gauge", "backend", perBackend(func(b *backend) int64 { return int64(b.breaker.State()) }))
+	r.IntVecFunc("agcmgw_backend_ready", "Latest /readyz probe verdict per backend.",
+		"gauge", "backend", perBackend(func(b *backend) int64 {
+			if b.ready.Load() {
+				return 1
+			}
+			return 0
+		}))
+	r.IntVecFunc("agcmgw_backend_inflight", "Requests currently in flight per backend.",
+		"gauge", "backend", perBackend(func(b *backend) int64 { return b.inflight.Load() }))
+	r.FloatFunc("agcmgw_retry_budget_tokens", "Retry-budget tokens currently available.", budgetTokens)
 	// Appended after the historical layout so pre-SLO scrapes keep their
 	// exact byte prefix.
-	fmt.Fprintf(w, "# HELP agcmgw_class_requests_total Validated client requests by SLO class.\n")
-	fmt.Fprintf(w, "# TYPE agcmgw_class_requests_total counter\n")
-	classes := make([]string, 0, len(m.classRequests))
-	for k := range m.classRequests {
-		classes = append(classes, k)
-	}
-	sort.Strings(classes)
-	for _, k := range classes {
-		fmt.Fprintf(w, "agcmgw_class_requests_total{class=%q} %d\n", k, m.classRequests[k])
-	}
+	m.ClassRequests = r.Counter("agcmgw_class_requests_total", "Validated client requests by SLO class.", "class")
+	return m
 }

@@ -16,14 +16,11 @@ import (
 // every backend attempt, only interactive traffic hedges, and the per-class
 // edge counters track validated requests.
 
-// sloReqJSON builds a /v1/run body with explicit priority and slo fields
-// (either may be empty to omit it).
-func sloReqJSON(px int, prio, slo string) string {
+// sloReqJSON builds a /v1/run body with an explicit slo field (empty omits
+// it).
+func sloReqJSON(px int, slo string) string {
 	b := fmt.Sprintf(`{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon",`+
 		`"mesh_py":1,"mesh_px":%d,"filter":"fft"},"steps":1`, px)
-	if prio != "" {
-		b += fmt.Sprintf(`,"priority":%q`, prio)
-	}
 	if slo != "" {
 		b += fmt.Sprintf(`,"slo":%q`, slo)
 	}
@@ -42,28 +39,23 @@ func TestSLOHeaderStampedOnBackendAttempts(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		prio, slo string
-		want      string
-	}{
-		{"", "", "batch"},
-		{"high", "", "interactive"},
-		{"low", "interactive", "interactive"},
-		{"high", "batch", "batch"},
-	}
-	for _, tc := range cases {
-		st, _, raw := postGW(t, ts.URL, sloReqJSON(1, tc.prio, tc.slo))
+	for _, tc := range []struct{ slo, want string }{
+		{"", "batch"},
+		{"interactive", "interactive"},
+		{"batch", "batch"},
+	} {
+		st, _, raw := postGW(t, ts.URL, sloReqJSON(1, tc.slo))
 		if st != 200 {
-			t.Fatalf("prio=%q slo=%q: status %d: %s", tc.prio, tc.slo, st, raw)
+			t.Fatalf("slo=%q: status %d: %s", tc.slo, st, raw)
 		}
 		if got := lastSLO.Load(); got == nil || *got != tc.want {
-			t.Fatalf("prio=%q slo=%q: backend saw %v, want %q", tc.prio, tc.slo, got, tc.want)
+			t.Fatalf("slo=%q: backend saw %v, want %q", tc.slo, got, tc.want)
 		}
 	}
-	if got := g.metrics.ClassRequests("interactive"); got != 2 {
-		t.Errorf("interactive class requests = %d, want 2", got)
+	if got := g.metrics.ClassRequests.Get("interactive"); got != 1 {
+		t.Errorf("interactive class requests = %d, want 1", got)
 	}
-	if got := g.metrics.ClassRequests("batch"); got != 2 {
+	if got := g.metrics.ClassRequests.Get("batch"); got != 2 {
 		t.Errorf("batch class requests = %d, want 2", got)
 	}
 }
@@ -83,7 +75,7 @@ func TestSLOHeaderFallbackAtEdge(t *testing.T) {
 	defer ts.Close()
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run",
-		strings.NewReader(sloReqJSON(1, "low", "")))
+		strings.NewReader(sloReqJSON(1, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +101,7 @@ func TestUnknownSLORejectedAtEdge(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
-	st, _, raw := postGW(t, ts.URL, sloReqJSON(1, "", "bulk"))
+	st, _, raw := postGW(t, ts.URL, sloReqJSON(1, "bulk"))
 	if st != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", st, raw)
 	}
@@ -120,8 +112,7 @@ func TestUnknownSLORejectedAtEdge(t *testing.T) {
 
 func TestOnlyInteractiveHedges(t *testing.T) {
 	// Two backends, hedging enabled, a slow deterministic primary.  A batch
-	// request — even at high priority — must wait out the primary alone; an
-	// explicit interactive one at low priority must hedge.
+	// request must wait out the primary alone; an interactive one must hedge.
 	slowBody := `{"who":"slow"}` + "\n"
 	fastBody := `{"who":"fast"}` + "\n"
 	slow := newStubBackend(func(w http.ResponseWriter, r *http.Request) {
@@ -141,7 +132,7 @@ func TestOnlyInteractiveHedges(t *testing.T) {
 	}
 	px := 0
 	for cand := 1; cand <= 16; cand++ {
-		key := keyForBody(t, sloReqJSON(cand, "high", "batch"))
+		key := keyForBody(t, sloReqJSON(cand, "batch"))
 		if g.policy.Order(key, g.backends)[0] == slowIdx {
 			px = cand
 			break
@@ -151,22 +142,22 @@ func TestOnlyInteractiveHedges(t *testing.T) {
 		t.Fatal("no candidate key ranked the slow backend first")
 	}
 
-	st, _, raw := postGW(t, ts.URL, sloReqJSON(px, "high", "batch"))
+	st, _, raw := postGW(t, ts.URL, sloReqJSON(px, "batch"))
 	if st != 200 || string(raw) != slowBody {
 		t.Fatalf("batch request got %d %q, want the primary's answer", st, raw)
 	}
-	if g.metrics.Hedge("launched") != 0 {
-		t.Fatalf("batch request hedged: %d launched", g.metrics.Hedge("launched"))
+	if g.metrics.Hedges.Get("launched") != 0 {
+		t.Fatalf("batch request hedged: %d launched", g.metrics.Hedges.Get("launched"))
 	}
 
-	st, _, raw = postGW(t, ts.URL, sloReqJSON(px, "low", "interactive"))
+	st, _, raw = postGW(t, ts.URL, sloReqJSON(px, "interactive"))
 	if st != 200 {
 		t.Fatalf("interactive request status %d: %s", st, raw)
 	}
 	if string(raw) != fastBody {
 		t.Fatalf("interactive winner %q, want the hedged shard's %q", raw, fastBody)
 	}
-	if g.metrics.Hedge("launched") != 1 {
-		t.Fatalf("interactive request did not hedge: %d launched", g.metrics.Hedge("launched"))
+	if g.metrics.Hedges.Get("launched") != 1 {
+		t.Fatalf("interactive request did not hedge: %d launched", g.metrics.Hedges.Get("launched"))
 	}
 }

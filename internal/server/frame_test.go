@@ -135,7 +135,7 @@ func TestDiskTierWarmRestart(t *testing.T) {
 	if runs := s2.Runs(); runs != 0 {
 		t.Fatalf("Runs() = %d after restart, want 0 (disk must answer)", runs)
 	}
-	if got := s2.metrics.Request("disk_hit"); got != 1 {
+	if got := s2.metrics.requests.Get("disk_hit"); got != 1 {
 		t.Fatalf("disk_hit = %d, want 1", got)
 	}
 

@@ -1,293 +1,118 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
 	"sync"
+
+	"agcm/internal/metrics"
 )
 
-// jobBuckets are the latency histogram's upper bounds in seconds.  Fixed at
-// compile time so the /metrics emission order never depends on runtime
-// state.
+// jobBuckets are the latency histograms' upper bounds in seconds.
 var jobBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60}
 
-// metrics holds the daemon's counters and the job-latency histogram.  One
-// mutex guards everything: increments are nanoseconds against simulation
-// runs that take milliseconds to minutes, and a single lock makes every
-// /metrics scrape an internally consistent snapshot.
-type metrics struct {
-	mu       sync.Mutex
-	requests map[string]uint64 // by result label: hit, miss, coalesced, shed, ...
-	runs     uint64            // simulations actually executed
-	runErrs  uint64            // runs that returned an error (timeouts included)
-	buckets  []uint64          // one count per jobBuckets bound, cumulative on emit
-	overflow uint64            // beyond the last bound (the +Inf bucket's share)
-	sum      float64
-	count    uint64
-
-	// Per-SLO-class accounting.  classRequests counts every validated
-	// request by class (hits, coalesced joins and sheds included, so a load
-	// client's per-class ledger reconciles exactly); classJobs holds the
-	// executed-job latency histogram plus the wait/exec sums the fairness
-	// gauge is derived from.
-	classRequests map[string]uint64
-	classJobs     map[string]*classHist
+// probes are the scrape-time reads into the rest of the server; tests
+// substitute constants.
+type probes struct {
+	queueDepth, inflight, cacheEntries, cacheEvicted func() int64
+	draining                                         func() bool
+	// scheduler is the admission policy's name, emitted as an info metric.
+	scheduler string
+	// disk is nil when the disk tier is off: its families are then not
+	// registered, so a daemon without a cache directory scrapes exactly as
+	// it did before the tier existed.
+	disk *diskProbes
 }
 
-// classHist is one SLO class's executed-job accounting: a latency histogram
-// over jobBuckets (queue wait + execution) and the wait/exec sums behind the
-// slowdown gauge.
-type classHist struct {
-	buckets  []uint64
-	overflow uint64
-	sum      float64
-	count    uint64
-	waitSum  float64
-	execSum  float64
+type diskProbes struct{ entries, bytes, evicted, corrupt func() int64 }
+
+// serverMetrics declares agcmd's metric families, in /metrics order.
+type serverMetrics struct {
+	reg *metrics.Registry
+	// requests counts by result label: hit, miss, coalesced, shed, ...
+	requests *metrics.Counter
+	runs     *metrics.Counter // simulations actually executed
+	runErrs  *metrics.Counter // runs that returned an error (timeouts included)
+	// jobSeconds is the execution-latency histogram.
+	jobSeconds *metrics.Histogram
+	// classRequests counts every validated request by SLO class — hits,
+	// coalesced joins and sheds included, so a load client's per-class
+	// ledger reconciles exactly.  classJobSeconds is the executed-job
+	// latency (queue wait + execution) by class.
+	classRequests   *metrics.Counter
+	classJobSeconds *metrics.Histogram
+
+	// slowMu guards the per-class wait and execution sums behind the
+	// agcmd_max_class_slowdown gauge.
+	slowMu     sync.Mutex
+	wait, exec [numClasses]float64
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		requests:      make(map[string]uint64),
-		buckets:       make([]uint64, len(jobBuckets)),
-		classRequests: make(map[string]uint64),
-		classJobs:     make(map[string]*classHist),
-	}
-}
-
-// IncRequest counts one request with the given outcome label.
-func (m *metrics) IncRequest(result string) {
-	m.mu.Lock()
-	m.requests[result]++
-	m.mu.Unlock()
-}
-
-// Request returns the count for one outcome label (test and reconcile hook).
-func (m *metrics) Request(result string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests[result]
-}
-
-// IncRun counts one executed simulation; failed reports whether it errored.
-func (m *metrics) IncRun(failed bool) {
-	m.mu.Lock()
-	m.runs++
-	if failed {
-		m.runErrs++
-	}
-	m.mu.Unlock()
-}
-
-// IncClass counts one validated request in its SLO class.
-func (m *metrics) IncClass(class string) {
-	m.mu.Lock()
-	m.classRequests[class]++
-	m.mu.Unlock()
-}
-
-// ClassRequests returns one class's validated-request count (reconcile hook).
-func (m *metrics) ClassRequests(class string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.classRequests[class]
-}
-
-// ObserveClassJob records one executed job's queue wait and execution time
-// against its SLO class; the histogram observes their sum (the job's
-// end-to-end latency inside the daemon).
-func (m *metrics) ObserveClassJob(class string, waitSeconds, execSeconds float64) {
-	m.mu.Lock()
-	h := m.classJobs[class]
-	if h == nil {
-		h = &classHist{buckets: make([]uint64, len(jobBuckets))}
-		m.classJobs[class] = h
-	}
-	total := waitSeconds + execSeconds
-	placed := false
-	for i, b := range jobBuckets {
-		if total <= b {
-			h.buckets[i]++
-			placed = true
-			break
+func newMetrics(p probes) *serverMetrics {
+	r := metrics.New()
+	m := &serverMetrics{reg: r}
+	m.requests = r.Counter("agcmd_requests_total", "Simulation requests by outcome.", "result")
+	m.runs = r.Counter("agcmd_runs_total", "Simulations executed (cache misses that reached a worker).")
+	m.runErrs = r.Counter("agcmd_run_errors_total", "Executed simulations that returned an error.")
+	r.IntFunc("agcmd_queue_depth", "Jobs admitted but not yet running.", "gauge", p.queueDepth)
+	r.IntFunc("agcmd_inflight_jobs", "Jobs currently executing on workers.", "gauge", p.inflight)
+	r.IntFunc("agcmd_cache_entries", "Result-cache entries resident.", "gauge", p.cacheEntries)
+	r.IntFunc("agcmd_cache_evictions_total", "Result-cache LRU evictions.", "counter", p.cacheEvicted)
+	r.IntFunc("agcmd_draining", "Whether the daemon is draining (1) or serving (0).", "gauge", func() int64 {
+		if p.draining() {
+			return 1
 		}
+		return 0
+	})
+	if p.disk != nil {
+		r.IntFunc("agcmd_disk_cache_entries", "Disk-tier frames resident.", "gauge", p.disk.entries)
+		r.IntFunc("agcmd_disk_cache_bytes", "Disk-tier bytes resident.", "gauge", p.disk.bytes)
+		r.IntFunc("agcmd_disk_cache_evictions_total", "Disk-tier budget evictions.", "counter", p.disk.evicted)
+		r.IntFunc("agcmd_disk_cache_corrupt_total", "Disk-tier frames dropped for failing validation.", "counter", p.disk.corrupt)
 	}
-	if !placed {
-		h.overflow++
-	}
-	h.sum += total
-	h.count++
-	h.waitSum += waitSeconds
-	h.execSum += execSeconds
-	m.mu.Unlock()
-}
-
-// ObserveJob records one job's execution latency in seconds.
-func (m *metrics) ObserveJob(seconds float64) {
-	m.mu.Lock()
-	placed := false
-	for i, b := range jobBuckets {
-		if seconds <= b {
-			m.buckets[i]++
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		m.overflow++
-	}
-	m.sum += seconds
-	m.count++
-	m.mu.Unlock()
-}
-
-// gauges is the point-in-time state the server contributes to a scrape.
-type gauges struct {
-	QueueDepth   int
-	Inflight     int
-	CacheEntries int
-	CacheEvicted uint64
-	Draining     bool
-	// Scheduler is the admission policy's name, emitted as an info metric.
-	Scheduler string
-
-	// Disk-tier state; emitted only when DiskEnabled, so a daemon without
-	// a cache directory scrapes exactly as before.
-	DiskEnabled bool
-	DiskEntries int
-	DiskBytes   int64
-	DiskEvicted uint64
-	DiskCorrupt uint64
-}
-
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteText renders the Prometheus text exposition.  Families appear in a
-// fixed order and the label values of each family are emitted sorted, so
-// two scrapes of identical state are byte-identical.
-func (m *metrics) WriteText(w io.Writer, g gauges) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP agcmd_requests_total Simulation requests by outcome.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_requests_total counter\n")
-	labels := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		labels = append(labels, k)
-	}
-	sort.Strings(labels)
-	for _, k := range labels {
-		fmt.Fprintf(w, "agcmd_requests_total{result=%q} %d\n", k, m.requests[k])
-	}
-
-	fmt.Fprintf(w, "# HELP agcmd_runs_total Simulations executed (cache misses that reached a worker).\n")
-	fmt.Fprintf(w, "# TYPE agcmd_runs_total counter\n")
-	fmt.Fprintf(w, "agcmd_runs_total %d\n", m.runs)
-	fmt.Fprintf(w, "# HELP agcmd_run_errors_total Executed simulations that returned an error.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_run_errors_total counter\n")
-	fmt.Fprintf(w, "agcmd_run_errors_total %d\n", m.runErrs)
-
-	fmt.Fprintf(w, "# HELP agcmd_queue_depth Jobs admitted but not yet running.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_queue_depth gauge\n")
-	fmt.Fprintf(w, "agcmd_queue_depth %d\n", g.QueueDepth)
-	fmt.Fprintf(w, "# HELP agcmd_inflight_jobs Jobs currently executing on workers.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_inflight_jobs gauge\n")
-	fmt.Fprintf(w, "agcmd_inflight_jobs %d\n", g.Inflight)
-	fmt.Fprintf(w, "# HELP agcmd_cache_entries Result-cache entries resident.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_cache_entries gauge\n")
-	fmt.Fprintf(w, "agcmd_cache_entries %d\n", g.CacheEntries)
-	fmt.Fprintf(w, "# HELP agcmd_cache_evictions_total Result-cache LRU evictions.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "agcmd_cache_evictions_total %d\n", g.CacheEvicted)
-	drain := 0
-	if g.Draining {
-		drain = 1
-	}
-	fmt.Fprintf(w, "# HELP agcmd_draining Whether the daemon is draining (1) or serving (0).\n")
-	fmt.Fprintf(w, "# TYPE agcmd_draining gauge\n")
-	fmt.Fprintf(w, "agcmd_draining %d\n", drain)
-	if g.DiskEnabled {
-		fmt.Fprintf(w, "# HELP agcmd_disk_cache_entries Disk-tier frames resident.\n")
-		fmt.Fprintf(w, "# TYPE agcmd_disk_cache_entries gauge\n")
-		fmt.Fprintf(w, "agcmd_disk_cache_entries %d\n", g.DiskEntries)
-		fmt.Fprintf(w, "# HELP agcmd_disk_cache_bytes Disk-tier bytes resident.\n")
-		fmt.Fprintf(w, "# TYPE agcmd_disk_cache_bytes gauge\n")
-		fmt.Fprintf(w, "agcmd_disk_cache_bytes %d\n", g.DiskBytes)
-		fmt.Fprintf(w, "# HELP agcmd_disk_cache_evictions_total Disk-tier budget evictions.\n")
-		fmt.Fprintf(w, "# TYPE agcmd_disk_cache_evictions_total counter\n")
-		fmt.Fprintf(w, "agcmd_disk_cache_evictions_total %d\n", g.DiskEvicted)
-		fmt.Fprintf(w, "# HELP agcmd_disk_cache_corrupt_total Disk-tier frames dropped for failing validation.\n")
-		fmt.Fprintf(w, "# TYPE agcmd_disk_cache_corrupt_total counter\n")
-		fmt.Fprintf(w, "agcmd_disk_cache_corrupt_total %d\n", g.DiskCorrupt)
-	}
-
-	fmt.Fprintf(w, "# HELP agcmd_job_seconds Simulation execution latency.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_job_seconds histogram\n")
-	cum := uint64(0)
-	for i, b := range jobBuckets {
-		cum += m.buckets[i]
-		fmt.Fprintf(w, "agcmd_job_seconds_bucket{le=%q} %d\n", fmtFloat(b), cum)
-	}
-	fmt.Fprintf(w, "agcmd_job_seconds_bucket{le=\"+Inf\"} %d\n", m.count)
-	fmt.Fprintf(w, "agcmd_job_seconds_sum %s\n", fmtFloat(m.sum))
-	fmt.Fprintf(w, "agcmd_job_seconds_count %d\n", m.count)
-
+	m.jobSeconds = r.Histogram("agcmd_job_seconds", "Simulation execution latency.", jobBuckets)
 	// Per-class families are appended after the historical layout so a
 	// scrape of a daemon that never saw an SLO-classed request still starts
 	// with exactly the bytes it always produced.
-	fmt.Fprintf(w, "# HELP agcmd_scheduler_info Admission scheduler policy (always 1).\n")
-	fmt.Fprintf(w, "# TYPE agcmd_scheduler_info gauge\n")
-	fmt.Fprintf(w, "agcmd_scheduler_info{scheduler=%q} 1\n", g.Scheduler)
-	fmt.Fprintf(w, "# HELP agcmd_class_requests_total Validated requests by SLO class.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_class_requests_total counter\n")
-	classes := make([]string, 0, len(m.classRequests))
-	for k := range m.classRequests {
-		classes = append(classes, k)
-	}
-	sort.Strings(classes)
-	for _, k := range classes {
-		fmt.Fprintf(w, "agcmd_class_requests_total{class=%q} %d\n", k, m.classRequests[k])
-	}
-	fmt.Fprintf(w, "# HELP agcmd_class_job_seconds Executed-job latency (queue wait + execution) by SLO class.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_class_job_seconds histogram\n")
-	jobClasses := make([]string, 0, len(m.classJobs))
-	for k := range m.classJobs {
-		jobClasses = append(jobClasses, k)
-	}
-	sort.Strings(jobClasses)
-	maxSlowdown := 0.0
-	for _, k := range jobClasses {
-		h := m.classJobs[k]
-		cum := uint64(0)
-		for i, b := range jobBuckets {
-			cum += h.buckets[i]
-			fmt.Fprintf(w, "agcmd_class_job_seconds_bucket{class=%q,le=%q} %d\n", k, fmtFloat(b), cum)
-		}
-		fmt.Fprintf(w, "agcmd_class_job_seconds_bucket{class=%q,le=\"+Inf\"} %d\n", k, h.count)
-		fmt.Fprintf(w, "agcmd_class_job_seconds_sum{class=%q} %s\n", k, fmtFloat(h.sum))
-		fmt.Fprintf(w, "agcmd_class_job_seconds_count{class=%q} %d\n", k, h.count)
-		if h.execSum > 0 {
-			if s := (h.waitSum + h.execSum) / h.execSum; s > maxSlowdown {
-				maxSlowdown = s
+	r.IntVecFunc("agcmd_scheduler_info", "Admission scheduler policy (always 1).", "gauge", "scheduler",
+		func(emit func(string, int64)) { emit(p.scheduler, 1) })
+	m.classRequests = r.Counter("agcmd_class_requests_total", "Validated requests by SLO class.", "class")
+	m.classJobSeconds = r.Histogram("agcmd_class_job_seconds",
+		"Executed-job latency (queue wait + execution) by SLO class.", jobBuckets, "class")
+	r.FloatFunc("agcmd_max_class_slowdown", "Max over classes of (wait+exec)/exec — the fairness metric.", m.maxClassSlowdown)
+	return m
+}
+
+// observeJob records one executed job: its execution time, and against its
+// SLO class the end-to-end latency inside the daemon (queue wait plus
+// execution) and the two sums the slowdown gauge divides.
+func (m *serverMetrics) observeJob(class SLOClass, waitSeconds, execSeconds float64) {
+	m.jobSeconds.Observe(execSeconds)
+	m.classJobSeconds.Observe(waitSeconds+execSeconds, class.String())
+	m.slowMu.Lock()
+	m.wait[class] += waitSeconds
+	m.exec[class] += execSeconds
+	m.slowMu.Unlock()
+}
+
+func (m *serverMetrics) maxClassSlowdown() float64 {
+	m.slowMu.Lock()
+	defer m.slowMu.Unlock()
+	worst := 0.0
+	for c, exec := range m.exec {
+		if exec > 0 {
+			if s := (m.wait[c] + exec) / exec; s > worst {
+				worst = s
 			}
 		}
 	}
-	fmt.Fprintf(w, "# HELP agcmd_max_class_slowdown Max over classes of (wait+exec)/exec — the fairness metric.\n")
-	fmt.Fprintf(w, "# TYPE agcmd_max_class_slowdown gauge\n")
-	fmt.Fprintf(w, "agcmd_max_class_slowdown %s\n", fmtFloat(maxSlowdown))
+	return worst
 }
 
 // AvgJobSeconds returns the mean observed job latency (0 before any job):
 // the admission layer's input for the Retry-After estimate.
-func (m *metrics) AvgJobSeconds() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.count == 0 {
+func (m *serverMetrics) AvgJobSeconds() float64 {
+	count, sum := m.jobSeconds.Snapshot()
+	if count == 0 {
 		return 0
 	}
-	return m.sum / float64(m.count)
+	return sum / float64(count)
 }

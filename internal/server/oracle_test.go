@@ -48,7 +48,7 @@ func TestSJFCostZeroSentinelIsFCFS(t *testing.T) {
 	defer s.Close()
 	costs := []float64{4, 0, 9, 0, 1, 0}
 	for i, c := range costs {
-		if !s.Push(schedJob(uint64(i+1), Batch, Normal, c)) {
+		if !s.Push(schedJob(uint64(i+1), Batch, c)) {
 			t.Fatalf("push %d shed", i+1)
 		}
 	}

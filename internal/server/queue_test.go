@@ -1,63 +1,47 @@
 package server
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-func namedJob(name string, p Priority) *Job {
-	return &Job{Key: name, Priority: p}
+// The bounded-queue contract, driven through the default (fcfs) policy.
+
+func namedJob(name string, seq uint64) *Job {
+	return &Job{Request: &Request{Key: name}, Seq: seq}
 }
 
-func TestQueuePriorityOrder(t *testing.T) {
-	q := newQueue(16)
-	for i, p := range []Priority{Low, Normal, High, Normal, High, Low} {
-		if !q.Push(namedJob(fmt.Sprintf("%s-%d", p, i), p)) {
-			t.Fatalf("push %d failed", i)
-		}
+func newQueue(t *testing.T, capacity int) *Scheduler {
+	t.Helper()
+	q, err := NewScheduler("", capacity)
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.Close()
-	want := []string{"high-2", "high-4", "normal-1", "normal-3", "low-0", "low-5"}
-	for i, w := range want {
-		j, ok := q.Pop()
-		if !ok {
-			t.Fatalf("pop %d: queue ended early", i)
-		}
-		if j.Key != w {
-			t.Errorf("pop %d = %s, want %s", i, j.Key, w)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("pop after drain should report closed")
-	}
+	return q
 }
 
 func TestQueueShedsWhenFull(t *testing.T) {
-	q := newQueue(2)
-	if !q.Push(namedJob("a", Normal)) || !q.Push(namedJob("b", High)) {
+	q := newQueue(t, 2)
+	if !q.Push(namedJob("a", 1)) || !q.Push(namedJob("b", 2)) {
 		t.Fatal("pushes within capacity failed")
 	}
-	// Capacity is shared across classes: even High is shed once full.
-	if q.Push(namedJob("c", High)) {
+	if q.Push(namedJob("c", 3)) {
 		t.Error("push beyond capacity succeeded")
 	}
 	if d := q.Depth(); d != 2 {
 		t.Errorf("depth = %d, want 2", d)
 	}
-	if j, ok := q.Pop(); !ok || j.Key != "b" {
-		t.Errorf("pop = %v, want b", j)
+	if j, ok := q.Pop(); !ok || j.Key != "a" {
+		t.Errorf("pop = %v, want a", j)
 	}
 	// A slot freed: admission works again.
-	if !q.Push(namedJob("d", Low)) {
+	if !q.Push(namedJob("d", 4)) {
 		t.Error("push after pop failed")
 	}
 }
 
 func TestQueueCloseStopsAdmissionKeepsDraining(t *testing.T) {
-	q := newQueue(4)
-	q.Push(namedJob("a", Normal))
+	q := newQueue(t, 4)
+	q.Push(namedJob("a", 1))
 	q.Close()
-	if q.Push(namedJob("b", Normal)) {
+	if q.Push(namedJob("b", 2)) {
 		t.Error("push after close succeeded")
 	}
 	if j, ok := q.Pop(); !ok || j.Key != "a" {
@@ -69,7 +53,7 @@ func TestQueueCloseStopsAdmissionKeepsDraining(t *testing.T) {
 }
 
 func TestQueuePopBlocksUntilPush(t *testing.T) {
-	q := newQueue(4)
+	q := newQueue(t, 4)
 	got := make(chan string, 1)
 	go func() {
 		j, ok := q.Pop()
@@ -79,34 +63,8 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 		}
 		got <- j.Key
 	}()
-	q.Push(namedJob("wake", Normal))
+	q.Push(namedJob("wake", 1))
 	if k := <-got; k != "wake" {
 		t.Fatalf("pop woke with %q", k)
-	}
-}
-
-func TestPriorityByName(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Priority
-		ok   bool
-	}{
-		{"", Normal, true},
-		{"high", High, true},
-		{"normal", Normal, true},
-		{"low", Low, true},
-		{"urgent", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := PriorityByName(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("PriorityByName(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
-		}
-	}
-	for _, p := range []Priority{High, Normal, Low} {
-		back, ok := PriorityByName(p.String())
-		if !ok || back != p {
-			t.Errorf("%v does not round-trip through its name", p)
-		}
 	}
 }

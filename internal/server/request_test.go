@@ -1,0 +1,62 @@
+package server
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"net/http"
+	"strconv"
+	"testing"
+)
+
+// FuzzDecodeRequest: the one /v1/run decoder never panics on outside bytes,
+// and whatever it accepts is self-consistent — the key is JobKeyFor of the
+// decoded config, which is still sha256(ConfigKey ":" steps), and the
+// canonical form re-decodes to the same key and class.
+func FuzzDecodeRequest(f *testing.F) {
+	const cfg = `{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon","mesh_py":1,"mesh_px":1,"filter":"fft"}`
+	for _, seed := range []struct{ body, header string }{
+		{cfg + `,"steps":2,"slo":"interactive","timeout_ms":5000}`, ""}, // valid
+		{cfg + `}`, "interactive"},                                      // header-only class
+		{cfg + `,"stepz":1}`, ""},                                       // unknown field
+		{cfg + `,"priority":"high"}`, ""},                               // the retired field
+		{cfg + `,"steps":1}{"steps":99} garbage`, ""},                   // trailing data
+		{cfg + `,"steps":9223372036854775807}`, ""},                     // huge steps
+		{cfg + `,"timeout_ms":-5}`, ""},                                 // negative timeout
+		{cfg + `,"slo":"bulk"}`, "batch"},                               // bad slo
+		{`{"steps":1}`, ""},                                             // missing config
+	} {
+		f.Add([]byte(seed.body), seed.header)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, header string) {
+		h := http.Header{}
+		h.Set(SLOHeader, header)
+		req, err := DecodeRequest(bytes.NewReader(body), h)
+		if err != nil {
+			return
+		}
+		if req.Steps < 1 {
+			t.Fatalf("accepted steps %d", req.Steps)
+		}
+		key, err := JobKeyFor(req.Config, req.Steps)
+		if err != nil || key != req.Key {
+			t.Fatalf("key %q, JobKeyFor gives %q (%v)", req.Key, key, err)
+		}
+		ck, err := req.Config.ConfigKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256([]byte(ck + ":" + strconv.Itoa(req.Steps))); hex.EncodeToString(sum[:]) != key {
+			t.Fatalf("key %q is not sha256(ConfigKey:steps)", key)
+		}
+		again := []byte(fmt.Sprintf(`{"config":%s,"steps":%d,"slo":%q}`, req.Canonical, req.Steps, req.Class))
+		back, err := DecodeRequest(bytes.NewReader(again), http.Header{})
+		if err != nil {
+			t.Fatalf("canonical form %s rejected: %v", again, err)
+		}
+		if back.Key != req.Key || back.Class != req.Class {
+			t.Fatalf("re-decode moved (%s, %v) to (%s, %v)", req.Key, req.Class, back.Key, back.Class)
+		}
+	})
+}

@@ -1,15 +1,12 @@
 package server
 
-// The scheduler seam: the admission queue behind POST /v1/run is a
-// pluggable policy.  All schedulers share the contract of the original
-// queue — bounded, non-blocking Push that sheds at the door, blocking Pop,
-// Close-then-drain — and differ only in which admitted job a freed worker
-// receives next:
+// The admission queue behind POST /v1/run: one bounded heap, three
+// orderings.  Every policy shares the contract — bounded, non-blocking Push
+// that sheds at the door, blocking Pop, Close-then-drain — and differs only
+// in which admitted job a freed worker receives next:
 //
-//   fcfs      admission-priority bands, FIFO within (the historical
-//             behavior, and still the default),
-//   priority  SLO class first (interactive before batch), then admission
-//             priority, then arrival,
+//   fcfs      arrival order (the default),
+//   priority  SLO class first (interactive before batch), then arrival,
 //   sjf       cheapest predicted job first (the configured core.CostOracle;
 //             the linear PredictCost by default, the calibrated roofline
 //             model under `-cost-oracle roofline`), arrival breaks ties.
@@ -23,21 +20,25 @@ package server
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"sync"
+	"time"
+
+	"agcm/internal/core"
 )
 
-// SLOClass is a request's service-level class, orthogonal to admission
-// Priority: Priority says who wins a seat in the queue under the fcfs
-// policy, SLOClass says what the client's latency expectation is — which
-// class-aware schedulers exploit and per-class metrics report.
+// SLOClass is a request's service-level class — the serving stack's one
+// admission vocabulary.  It says what the client's latency expectation is:
+// the priority scheduler orders by it, the gateway hedges on it, and the
+// per-class metrics report it.  It never affects results.
 type SLOClass int
 
 const (
 	// Interactive is latency-sensitive traffic: operator probes, live
 	// sweeps.  Only interactive requests are hedged by the gateway.
 	Interactive SLOClass = iota
-	// Batch is throughput traffic that tolerates queueing.
+	// Batch is throughput traffic that tolerates queueing, and the default.
 	Batch
 	numClasses
 )
@@ -53,74 +54,77 @@ func (c SLOClass) String() string {
 	return "invalid"
 }
 
-// ClassByName parses a request's slo field.  The empty string derives the
-// class from the admission priority — high-priority requests are
-// interactive, everything else batch — which preserves the serving stack's
-// pre-SLO behavior exactly (hedging used to key on priority alone).
-func ClassByName(name string, prio Priority) (SLOClass, bool) {
+// ClassByName parses a request's slo field; the empty string is Batch.
+func ClassByName(name string) (SLOClass, bool) {
 	switch name {
-	case "":
-		if prio == High {
-			return Interactive, true
-		}
+	case "", "batch":
 		return Batch, true
 	case "interactive":
 		return Interactive, true
-	case "batch":
-		return Batch, true
 	}
 	return 0, false
 }
 
-// Scheduler is the admission queue's policy seam.  Implementations must be
-// safe for concurrent use; Push must never block (a full or closed
-// scheduler sheds), Pop blocks until a job or close-and-drained, and Close
-// stops admission while Pop keeps draining accepted jobs.
-type Scheduler interface {
-	// Name is the policy name reported in /metrics.
-	Name() string
-	// Push admits a job, or reports false when full or closed.
-	Push(*Job) bool
-	// Pop blocks for the next job under the policy's order and reports
-	// false once the scheduler is closed and drained.
-	Pop() (*Job, bool)
-	// Close stops admission; accepted jobs still drain through Pop.
-	Close()
-	// Depth returns the number of queued (not yet popped) jobs.
-	Depth() int
+// Runner executes one simulation; the production runner is core.RunContext,
+// tests substitute counters and blockers.
+type Runner func(ctx context.Context, cfg core.Config, steps int) (*core.Report, error)
+
+// Job is one admitted simulation request on its way through the worker pool.
+type Job struct {
+	// Request is the decoded request: the key, config, canonical bytes and
+	// step count a worker runs, and the SLO class the priority scheduler
+	// orders by and the per-class metrics are labeled with.
+	*Request
+	// Timeout bounds the run's execution once a worker picks it up; the
+	// worker threads it into core.RunContext as a context deadline.
+	Timeout time.Duration
+	// Cost is the machine cost model's predicted run time
+	// (core.PredictCost) — the sjf scheduler's oracle.
+	Cost float64
+	// Seq is the admission sequence number; every policy uses it as the
+	// final tie-break, so scheduling is deterministic for a fixed arrival
+	// order.
+	Seq uint64
+
+	flight *flight
+	// enqueued is when the job entered the scheduler; the worker derives
+	// queue-wait time (and the fairness metric's slowdown) from it.
+	enqueued time.Time
 }
 
 // SchedulerNames lists the available policies, default first.
 func SchedulerNames() []string { return []string{"fcfs", "priority", "sjf"} }
 
 // NewScheduler builds the named scheduling policy over a bounded queue.
-// The empty name is fcfs, the historical default.
-func NewScheduler(name string, capacity int) (Scheduler, error) {
+// The empty name is fcfs, the default.
+func NewScheduler(name string, capacity int) (*Scheduler, error) {
+	s := &Scheduler{name: name, cap: capacity}
 	switch name {
 	case "", "fcfs":
-		return newQueue(capacity), nil
+		s.name = "fcfs"
+		s.pq.less = func(a, b *Job) bool { return a.Seq < b.Seq }
 	case "priority":
-		return newHeapSched("priority", capacity, func(a, b *Job) bool {
+		s.pq.less = func(a, b *Job) bool {
 			if a.Class != b.Class {
 				return a.Class < b.Class
 			}
-			if a.Priority != b.Priority {
-				return a.Priority < b.Priority
-			}
 			return a.Seq < b.Seq
-		}), nil
+		}
 	case "sjf":
-		return newHeapSched("sjf", capacity, func(a, b *Job) bool {
+		s.pq.less = func(a, b *Job) bool {
 			if a.Cost != b.Cost {
 				return a.Cost < b.Cost
 			}
 			return a.Seq < b.Seq
-		}), nil
+		}
+	default:
+		return nil, fmt.Errorf("server: unknown scheduler %q (fcfs, priority, sjf)", name)
 	}
-	return nil, fmt.Errorf("server: unknown scheduler %q (fcfs, priority, sjf)", name)
+	s.cond = sync.NewCond(&s.mu)
+	return s, nil
 }
 
-// jobPQ is the heap under a heapSched; less must be a strict total order
+// jobPQ is the heap under a Scheduler; less must be a strict total order
 // (every policy tie-breaks on the admission sequence number, which is
 // unique), so Pop order is deterministic for any fixed Push order.
 type jobPQ struct {
@@ -141,9 +145,12 @@ func (pq *jobPQ) Pop() any {
 	return x
 }
 
-// heapSched is a bounded priority-queue scheduler with the same
-// shed/drain contract as the fcfs queue.
-type heapSched struct {
+// Scheduler is the bounded admission queue in front of the worker pool,
+// safe for concurrent use.  Push never blocks: when the queue is full the
+// request is shed at the door (the HTTP layer turns that into 429 +
+// Retry-After), which keeps queueing delay bounded instead of letting
+// latency grow without limit.
+type Scheduler struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	name   string
@@ -152,49 +159,49 @@ type heapSched struct {
 	closed bool
 }
 
-func newHeapSched(name string, capacity int, less func(a, b *Job) bool) *heapSched {
-	h := &heapSched{name: name, cap: capacity, pq: jobPQ{less: less}}
-	h.cond = sync.NewCond(&h.mu)
-	return h
-}
+// Name is the policy name reported in /metrics.
+func (s *Scheduler) Name() string { return s.name }
 
-func (h *heapSched) Name() string { return h.name }
-
-func (h *heapSched) Push(j *Job) bool {
-	h.mu.Lock()
-	if h.closed || len(h.pq.jobs) >= h.cap {
-		h.mu.Unlock()
+// Push admits a job, or reports false when the queue is full or closed.
+func (s *Scheduler) Push(j *Job) bool {
+	s.mu.Lock()
+	if s.closed || len(s.pq.jobs) >= s.cap {
+		s.mu.Unlock()
 		return false
 	}
-	heap.Push(&h.pq, j)
-	h.mu.Unlock()
-	h.cond.Signal()
+	heap.Push(&s.pq, j)
+	s.mu.Unlock()
+	s.cond.Signal()
 	return true
 }
 
-func (h *heapSched) Pop() (*Job, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// Pop blocks for the next job under the policy's order and reports false
+// once the scheduler is closed and drained.
+func (s *Scheduler) Pop() (*Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		if len(h.pq.jobs) > 0 {
-			return heap.Pop(&h.pq).(*Job), true
+		if len(s.pq.jobs) > 0 {
+			return heap.Pop(&s.pq).(*Job), true
 		}
-		if h.closed {
+		if s.closed {
 			return nil, false
 		}
-		h.cond.Wait()
+		s.cond.Wait()
 	}
 }
 
-func (h *heapSched) Close() {
-	h.mu.Lock()
-	h.closed = true
-	h.mu.Unlock()
-	h.cond.Broadcast()
+// Close stops admission; Pop keeps draining what was already accepted.
+func (s *Scheduler) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
-func (h *heapSched) Depth() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.pq.jobs)
+// Depth returns the number of queued (not yet running) jobs.
+func (s *Scheduler) Depth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pq.jobs)
 }

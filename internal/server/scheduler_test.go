@@ -10,18 +10,16 @@ import (
 // -race in CI: the schedulers are the only concurrency seam between the HTTP
 // handlers and the worker pool.
 
-func schedJob(seq uint64, class SLOClass, prio Priority, cost float64) *Job {
+func schedJob(seq uint64, class SLOClass, cost float64) *Job {
 	return &Job{
-		Key:      "k",
+		Request:  &Request{Key: "k", Class: class},
 		Seq:      seq,
-		Class:    class,
-		Priority: prio,
 		Cost:     cost,
 		enqueued: time.Now(),
 	}
 }
 
-func popAll(t *testing.T, s Scheduler, n int) []*Job {
+func popAll(t *testing.T, s *Scheduler, n int) []*Job {
 	t.Helper()
 	out := make([]*Job, 0, n)
 	for i := 0; i < n; i++ {
@@ -59,14 +57,13 @@ func TestFCFSPreservesArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Same priority throughout: fcfs must be pure FIFO regardless of class
-	// or cost.
+	// fcfs must be pure FIFO regardless of class or cost.
 	for i := uint64(1); i <= 8; i++ {
 		class := Interactive
 		if i%2 == 0 {
 			class = Batch
 		}
-		if !s.Push(schedJob(i, class, Normal, float64(100-i))) {
+		if !s.Push(schedJob(i, class, float64(100-i))) {
 			t.Fatalf("push %d shed", i)
 		}
 	}
@@ -87,11 +84,11 @@ func TestPriorityNeverInvertsClasses(t *testing.T) {
 	// point of view): every interactive job must pop before every batch job,
 	// and within a class arrival order holds.
 	jobs := []*Job{
-		schedJob(1, Batch, Normal, 5),
-		schedJob(2, Interactive, Normal, 50),
-		schedJob(3, Batch, High, 1),
-		schedJob(4, Interactive, Low, 50),
-		schedJob(5, Interactive, Normal, 9),
+		schedJob(1, Batch, 5),
+		schedJob(2, Interactive, 50),
+		schedJob(3, Batch, 1),
+		schedJob(4, Interactive, 50),
+		schedJob(5, Interactive, 9),
 	}
 	for _, j := range jobs {
 		if !s.Push(j) {
@@ -99,10 +96,9 @@ func TestPriorityNeverInvertsClasses(t *testing.T) {
 		}
 	}
 	got := popAll(t, s, len(jobs))
-	// Interactive before batch always; within a class admission priority,
-	// then arrival: interactive normal-2, normal-5, low-4; batch high-3,
-	// normal-1.  Cost never matters to this policy.
-	want := []uint64{2, 5, 4, 3, 1}
+	// Interactive before batch always; within a class, arrival.  Cost never
+	// matters to this policy.
+	want := []uint64{2, 4, 5, 1, 3}
 	for i, j := range got {
 		if j.Seq != want[i] {
 			seqs := make([]uint64, len(got))
@@ -122,7 +118,7 @@ func TestSJFDeterministicUnderCostTies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := uint64(1); i <= 6; i++ {
-			if !s.Push(schedJob(i, Batch, Normal, 7.5)) {
+			if !s.Push(schedJob(i, Batch, 7.5)) {
 				t.Fatalf("push %d shed", i)
 			}
 		}
@@ -143,7 +139,7 @@ func TestSJFOrdersByCost(t *testing.T) {
 	defer s.Close()
 	costs := []float64{9, 1, 4, 16, 0.5}
 	for i, c := range costs {
-		if !s.Push(schedJob(uint64(i+1), Batch, Normal, c)) {
+		if !s.Push(schedJob(uint64(i+1), Batch, c)) {
 			t.Fatalf("push %d shed", i+1)
 		}
 	}
@@ -162,17 +158,17 @@ func TestSchedulerShedsAtCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Push(schedJob(1, Batch, Normal, 1)) || !s.Push(schedJob(2, Batch, Normal, 1)) {
+		if !s.Push(schedJob(1, Batch, 1)) || !s.Push(schedJob(2, Batch, 1)) {
 			t.Fatalf("%s shed under capacity", name)
 		}
-		if s.Push(schedJob(3, Batch, Normal, 1)) {
+		if s.Push(schedJob(3, Batch, 1)) {
 			t.Fatalf("%s accepted past capacity", name)
 		}
 		if s.Depth() != 2 {
 			t.Fatalf("%s depth %d, want 2", name, s.Depth())
 		}
 		s.Close()
-		if s.Push(schedJob(4, Batch, Normal, 1)) {
+		if s.Push(schedJob(4, Batch, 1)) {
 			t.Fatalf("%s accepted after close", name)
 		}
 	}
@@ -197,7 +193,7 @@ func TestSchedulerDrainCompletesAcceptedJobs(t *testing.T) {
 					defer pushWG.Done()
 					for i := 0; i < perPusher; i++ {
 						seq := uint64(p*perPusher + i + 1)
-						if s.Push(schedJob(seq, SLOClass(i%2), Priority(i%3), float64(i))) {
+						if s.Push(schedJob(seq, SLOClass(i%2), float64(i))) {
 							accepted.Store(seq, true)
 						}
 					}
@@ -246,23 +242,20 @@ func TestSchedulerDrainCompletesAcceptedJobs(t *testing.T) {
 func TestClassByName(t *testing.T) {
 	cases := []struct {
 		name  string
-		prio  Priority
 		want  SLOClass
 		valid bool
 	}{
-		{"", High, Interactive, true},
-		{"", Normal, Batch, true},
-		{"", Low, Batch, true},
-		{"interactive", Low, Interactive, true},
-		{"batch", High, Batch, true},
-		{"bulk", Normal, 0, false},
-		{"INTERACTIVE", Normal, 0, false},
+		{"", Batch, true},
+		{"interactive", Interactive, true},
+		{"batch", Batch, true},
+		{"bulk", 0, false},
+		{"high", 0, false},
+		{"INTERACTIVE", 0, false},
 	}
 	for _, tc := range cases {
-		got, ok := ClassByName(tc.name, tc.prio)
+		got, ok := ClassByName(tc.name)
 		if ok != tc.valid || (ok && got != tc.want) {
-			t.Fatalf("ClassByName(%q, %v) = %v, %v; want %v, %v",
-				tc.name, tc.prio, got, ok, tc.want, tc.valid)
+			t.Fatalf("ClassByName(%q) = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.valid)
 		}
 	}
 	if Interactive.String() != "interactive" || Batch.String() != "batch" {

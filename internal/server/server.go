@@ -7,7 +7,7 @@
 // The request path is: canonicalize the config (core.Config.CanonicalJSON)
 // → derive the cache key → serve from the sharded LRU cache on a hit →
 // otherwise coalesce onto an identical in-flight run (single-flight) →
-// otherwise admit into a bounded FIFO+priority queue, shedding with 429 +
+// otherwise admit into the bounded scheduler queue, shedding with 429 +
 // Retry-After when full.  Workers execute runs under per-job deadlines via
 // core.RunContext.  Identical configs therefore cost one simulation no
 // matter how many clients ask, and every response for a key is byte-
@@ -21,8 +21,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,8 +44,8 @@ type Options struct {
 	// flight at once (default 4).  Each job is itself a multi-goroutine
 	// virtual machine, so a worker is a simulation slot, not an OS thread.
 	Workers int
-	// QueueCapacity bounds the admission queue across all priority
-	// classes (default 64); beyond it requests are shed with 429.
+	// QueueCapacity bounds the admission queue (default 64); beyond it
+	// requests are shed with 429.
 	QueueCapacity int
 	// Scheduler selects the admission-queue policy: "fcfs" (default),
 	// "priority", or "sjf" (see NewScheduler).
@@ -125,16 +123,15 @@ type flight struct {
 // http.Handler face.
 type Server struct {
 	opt     Options
-	queue   Scheduler
+	queue   *Scheduler
 	cache   *cache
 	store   *frame.Store // disk tier; nil when Options.CacheDir is empty
-	metrics *metrics
+	metrics *serverMetrics
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
 	inflight atomic.Int64
-	runs     atomic.Int64
 	seq      atomic.Uint64
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -153,8 +150,15 @@ func New(opt Options) (*Server, error) {
 		opt:     opt,
 		queue:   sched,
 		cache:   newCache(opt.CacheEntries),
-		metrics: newMetrics(),
 		flights: make(map[string]*flight),
+	}
+	p := probes{
+		queueDepth:   func() int64 { return int64(sched.Depth()) },
+		inflight:     s.inflight.Load,
+		cacheEntries: func() int64 { return int64(s.cache.Len()) },
+		cacheEvicted: func() int64 { return int64(s.cache.Evictions()) },
+		draining:     s.draining.Load,
+		scheduler:    sched.Name(),
 	}
 	if opt.CacheDir != "" {
 		st, err := frame.OpenStore(opt.CacheDir, opt.CacheDiskBytes)
@@ -162,7 +166,14 @@ func New(opt Options) (*Server, error) {
 			return nil, fmt.Errorf("server: disk cache tier: %w", err)
 		}
 		s.store = st
+		p.disk = &diskProbes{
+			entries: func() int64 { return int64(st.Len()) },
+			bytes:   st.Bytes,
+			evicted: func() int64 { return int64(st.Evictions()) },
+			corrupt: func() int64 { return int64(st.CorruptDropped()) },
+		}
 	}
+	s.metrics = newMetrics(p)
 	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
 		go s.worker()
@@ -172,7 +183,7 @@ func New(opt Options) (*Server, error) {
 
 // Runs returns how many simulations have actually executed — the
 // single-flight and cache tests' run counter.
-func (s *Server) Runs() int64 { return s.runs.Load() }
+func (s *Server) Runs() int64 { return int64(s.metrics.runs.Get()) }
 
 // SchedulerName reports the admission policy the server was built with.
 func (s *Server) SchedulerName() string { return s.queue.Name() }
@@ -213,29 +224,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
 }
-
-// request is the POST /v1/run body.  Unknown fields are rejected at both
-// levels: here and inside the canonical config.
-type request struct {
-	// Config is a canonical config object (see core.ConfigFromCanonicalJSON).
-	Config json.RawMessage `json:"config"`
-	// Steps is the number of measured steps (default 1).
-	Steps int `json:"steps"`
-	// Priority is the admission class: "high", "normal" (default), "low".
-	Priority string `json:"priority"`
-	// SLO is the service-level class: "interactive" or "batch".  Empty
-	// derives it from the priority (high ⇒ interactive), preserving the
-	// pre-SLO behavior of every existing client.  The X-Agcm-SLO request
-	// header is the fallback when the body leaves it empty, so a gateway
-	// can stamp the class without rewriting bodies.
-	SLO string `json:"slo"`
-	// TimeoutMS lowers the server's per-job execution budget.
-	TimeoutMS int `json:"timeout_ms"`
-}
-
-// SLOHeader is the request/response header carrying the SLO class between
-// gateway and backends.
-const SLOHeader = "X-Agcm-SLO"
 
 // errorBody is the JSON error envelope.  Marshaling a one-string struct
 // cannot fail, but the error is checked anyway (a silent `_` here once hid
@@ -323,85 +311,26 @@ func responseJSON(key string, canonical []byte, steps int, rep *core.Report) ([]
 	return append(raw, '\n'), nil
 }
 
-// JobKeyFor derives the cache key for a config and step count: the config's
-// content address extended with the one run parameter outside the config.
-func JobKeyFor(cfg core.Config, steps int) (string, error) {
-	ck, err := cfg.ConfigKey()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(ck + ":" + strconv.Itoa(steps)))
-	return hex.EncodeToString(sum[:]), nil
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody("POST only"))
 		return
 	}
 	if s.draining.Load() {
-		s.metrics.IncRequest("draining")
+		s.metrics.requests.Inc("draining")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody("draining"))
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req request
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody("bad request: "+err.Error()))
-		return
+	req, err := DecodeRequest(io.LimitReader(r.Body, 1<<20), r.Header)
+	if err == nil && s.opt.MaxSteps > 0 && req.Steps > s.opt.MaxSteps {
+		err = fmt.Errorf("steps %d out of range", req.Steps)
 	}
-	if len(req.Config) == 0 {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody("missing config"))
-		return
-	}
-	cfg, err := core.ConfigFromCanonicalJSON(req.Config)
 	if err != nil {
-		s.metrics.IncRequest("rejected")
+		s.metrics.requests.Inc("rejected")
 		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
-	steps := req.Steps
-	if steps == 0 {
-		steps = 1
-	}
-	if steps < 0 || (s.opt.MaxSteps > 0 && steps > s.opt.MaxSteps) {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Sprintf("steps %d out of range", steps)))
-		return
-	}
-	prio, ok := PriorityByName(req.Priority)
-	if !ok {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Sprintf("unknown priority %q", req.Priority)))
-		return
-	}
-	slo := req.SLO
-	if slo == "" {
-		slo = r.Header.Get(SLOHeader)
-	}
-	class, ok := ClassByName(slo, prio)
-	if !ok {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Sprintf("unknown slo class %q", slo)))
-		return
-	}
-	// Canonicalize once: validates the config, yields the echoed form and
-	// the cache address.
-	canonical, err := cfg.CanonicalJSON()
-	if err != nil {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-		return
-	}
-	key, err := JobKeyFor(cfg, steps)
-	if err != nil {
-		s.metrics.IncRequest("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-		return
-	}
+	key := req.Key
 	timeout := s.opt.JobTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
@@ -411,7 +340,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Every request that passed validation counts toward its class — hits,
 	// coalesced waits, and sheds included — so a load client's per-class
 	// issue counts reconcile exactly against this family.
-	s.metrics.IncClass(class.String())
+	s.metrics.classRequests.Inc(req.Class.String())
 
 	// Cache, single-flight and admission decide under one lock, so an
 	// identical concurrent request can never slip between the cache miss
@@ -419,14 +348,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.flightMu.Lock()
 	if body, ok := s.cache.Get(key); ok {
 		s.flightMu.Unlock()
-		s.metrics.IncRequest("hit")
+		s.metrics.requests.Inc("hit")
 		w.Header().Set("X-Agcmd-Cache", "hit")
 		writeNegotiated(w, r, http.StatusOK, body)
 		return
 	}
 	if f := s.flights[key]; f != nil {
 		s.flightMu.Unlock()
-		s.metrics.IncRequest("coalesced")
+		s.metrics.requests.Inc("coalesced")
 		s.await(w, r, f, "coalesced")
 		return
 	}
@@ -444,7 +373,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if fb, ok := s.store.Get(key); ok {
 			s.cache.Put(key, fb)
 			s.finishFlight(key, f, http.StatusOK, fb, true, 0)
-			s.metrics.IncRequest("disk_hit")
+			s.metrics.requests.Inc("disk_hit")
 			w.Header().Set("X-Agcmd-Cache", "disk-hit")
 			writeNegotiated(w, r, http.StatusOK, fb)
 			return
@@ -458,33 +387,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Seq tie-break reduces to fcfs order — the job still runs, it is just
 	// no longer sized.  Real predictions are always positive, so the
 	// sentinel cannot collide.
-	cost, err := core.PredictCostWith(s.opt.CostOracle, cfg, steps)
+	cost, err := core.PredictCostWith(s.opt.CostOracle, req.Config, req.Steps)
 	if err != nil {
-		s.metrics.IncRequest("predict_fallback")
+		s.metrics.requests.Inc("predict_fallback")
 		cost = 0
 	}
 	job := &Job{
-		Key:       key,
-		Config:    cfg,
-		Canonical: canonical,
-		Steps:     steps,
-		Timeout:   timeout,
-		Priority:  prio,
-		Class:     class,
-		Cost:      cost,
-		Seq:       s.seq.Add(1),
-		flight:    f,
-		enqueued:  time.Now(),
+		Request:  req,
+		Timeout:  timeout,
+		Cost:     cost,
+		Seq:      s.seq.Add(1),
+		flight:   f,
+		enqueued: time.Now(),
 	}
 	if !s.queue.Push(job) {
 		if s.draining.Load() {
-			s.metrics.IncRequest("draining")
+			s.metrics.requests.Inc("draining")
 			body := errorBody("draining")
 			s.finishFlight(key, f, http.StatusServiceUnavailable, body, false, 0)
 			writeJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
-		s.metrics.IncRequest("shed")
+		s.metrics.requests.Inc("shed")
 		ra := s.retryAfterSeconds()
 		body := errorBody("queue full")
 		s.finishFlight(key, f, http.StatusTooManyRequests, body, false, ra)
@@ -492,7 +416,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusTooManyRequests, body)
 		return
 	}
-	s.metrics.IncRequest("miss")
+	s.metrics.requests.Inc("miss")
 	s.await(w, r, f, "miss")
 }
 
@@ -565,11 +489,11 @@ func (s *Server) worker() {
 		rep, err := s.opt.Runner(ctx, job.Config, job.Steps)
 		elapsed := time.Since(start)
 		cancel()
-		s.runs.Add(1)
-		s.metrics.IncRun(err != nil)
-		s.metrics.ObserveJob(elapsed.Seconds())
-		s.metrics.ObserveClassJob(job.Class.String(),
-			start.Sub(job.enqueued).Seconds(), elapsed.Seconds())
+		s.metrics.runs.Inc()
+		if err != nil {
+			s.metrics.runErrs.Inc()
+		}
+		s.metrics.observeJob(job.Class, start.Sub(job.enqueued).Seconds(), elapsed.Seconds())
 
 		var status int
 		var body []byte
@@ -596,7 +520,7 @@ func (s *Server) worker() {
 				// observed this response, the frame is already durable, so
 				// a SIGKILL cannot lose an observed body.
 				if perr := s.store.Put(job.Key, fb); perr != nil {
-					s.metrics.IncRequest("disk_put_error")
+					s.metrics.requests.Inc("disk_put_error")
 				}
 			}
 		}
@@ -649,7 +573,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if body, ok := s.cache.Get(key); ok {
-		s.metrics.IncRequest("peek_hit")
+		s.metrics.requests.Inc("peek_hit")
 		w.Header().Set("X-Agcmd-Cache", "peek")
 		writeNegotiated(w, r, http.StatusOK, body)
 		return
@@ -659,32 +583,17 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil && frame.ValidKey(key) {
 		if fb, ok := s.store.Get(key); ok {
 			s.cache.Put(key, fb)
-			s.metrics.IncRequest("peek_disk_hit")
+			s.metrics.requests.Inc("peek_disk_hit")
 			w.Header().Set("X-Agcmd-Cache", "peek-disk")
 			writeNegotiated(w, r, http.StatusOK, fb)
 			return
 		}
 	}
-	s.metrics.IncRequest("peek_miss")
+	s.metrics.requests.Inc("peek_miss")
 	writeJSON(w, http.StatusNotFound, errorBody("not cached"))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g := gauges{
-		QueueDepth:   s.queue.Depth(),
-		Inflight:     int(s.inflight.Load()),
-		CacheEntries: s.cache.Len(),
-		CacheEvicted: s.cache.Evictions(),
-		Draining:     s.draining.Load(),
-		Scheduler:    s.queue.Name(),
-	}
-	if s.store != nil {
-		g.DiskEnabled = true
-		g.DiskEntries = s.store.Len()
-		g.DiskBytes = s.store.Bytes()
-		g.DiskEvicted = s.store.Evictions()
-		g.DiskCorrupt = s.store.CorruptDropped()
-	}
-	s.metrics.WriteText(w, g)
+	s.metrics.reg.WriteText(w)
 }

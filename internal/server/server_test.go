@@ -193,7 +193,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	// Wait until every client is registered on the flight, then let the
 	// single run finish.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.Request("miss")+s.metrics.Request("coalesced") < clients {
+	for s.metrics.requests.Get("miss")+s.metrics.requests.Get("coalesced") < clients {
 		if time.Now().After(deadline) {
 			t.Fatal("clients did not all register in time")
 		}
@@ -213,7 +213,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	if runs := s.Runs(); runs != 1 {
 		t.Errorf("Runs() = %d, want 1", runs)
 	}
-	if miss, co := s.metrics.Request("miss"), s.metrics.Request("coalesced"); miss != 1 || co != clients-1 {
+	if miss, co := s.metrics.requests.Get("miss"), s.metrics.requests.Get("coalesced"); miss != 1 || co != clients-1 {
 		t.Errorf("miss = %d, coalesced = %d; want 1, %d", miss, co, clients-1)
 	}
 }
@@ -263,7 +263,7 @@ func TestLoadShedding(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Fatalf("Retry-After = %q, want integer >= 1", header.Get("Retry-After"))
 	}
-	if shed := s.metrics.Request("shed"); shed != 1 {
+	if shed := s.metrics.requests.Get("shed"); shed != 1 {
 		t.Errorf("shed counter = %d, want 1", shed)
 	}
 	close(release)
@@ -466,7 +466,7 @@ func TestMetricsReconcile(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.Request("miss")+s.metrics.Request("coalesced") < 4+3 {
+	for s.metrics.requests.Get("miss")+s.metrics.requests.Get("coalesced") < 4+3 {
 		if time.Now().After(deadline) {
 			t.Fatal("coalesce phase never registered")
 		}
@@ -533,18 +533,17 @@ func TestMetricsReconcile(t *testing.T) {
 // TestMetricsDeterministicEmission: two scrapes of the same state must be
 // byte-identical (sorted labels, fixed family order).
 func TestMetricsDeterministicEmission(t *testing.T) {
-	m := newMetrics()
+	m := newMetrics(fixedProbes(fixedDisk()))
 	for _, r := range []string{"miss", "hit", "shed", "coalesced", "rejected", "hit"} {
-		m.IncRequest(r)
+		m.requests.Inc(r)
 	}
-	m.IncRun(false)
-	m.ObserveJob(0.003)
-	m.ObserveJob(7)
-	m.ObserveJob(1e6) // beyond the last bound: +Inf bucket only
-	g := gauges{QueueDepth: 2, Inflight: 1, CacheEntries: 3, CacheEvicted: 4, Draining: true}
+	m.runs.Inc()
+	m.observeJob(Batch, 0, 0.003)
+	m.observeJob(Batch, 0, 7)
+	m.observeJob(Interactive, 0, 1e6) // beyond the last bound: +Inf bucket only
 	var a, b bytes.Buffer
-	m.WriteText(&a, g)
-	m.WriteText(&b, g)
+	m.reg.WriteText(&a)
+	m.reg.WriteText(&b)
 	if a.String() != b.String() {
 		t.Fatal("two scrapes of identical state differ")
 	}
@@ -569,21 +568,22 @@ func TestBadRequests(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	cases := []string{
-		`{`,                          // syntax
-		`{"steps":1}`,                // missing config
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"stepz":1}`, // unknown request field
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1,"fliter":"fft"}}`, // unknown config field
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":-1}`,     // bad steps
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":99}`,     // above MaxSteps
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"priority":"zz"}`, // bad priority
-		`{"config":{"machine":"nocomputer","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1}}`,              // bad machine
+		`{`,           // syntax
+		`{"steps":1}`, // missing config
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"stepz":1}`,         // unknown request field
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1,"fliter":"fft"}}`,    // unknown config field
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":-1}`,        // bad steps
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":99}`,        // above MaxSteps
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"priority":"high"}`, // the retired field is an unknown field
+		`{"config":{"machine":"nocomputer","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1}}`,                // bad machine
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"slo":"bulk"}`,      // bad slo class
 	}
 	for i, c := range cases {
 		if st, _, b := postRun(t, ts.URL, c); st != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400: %s", i, st, b)
 		}
 	}
-	if got := s.metrics.Request("rejected"); got != uint64(len(cases)) {
+	if got := s.metrics.requests.Get("rejected"); got != uint64(len(cases)) {
 		t.Errorf("rejected = %d, want %d", got, len(cases))
 	}
 	if s.Runs() != 0 {
@@ -676,7 +676,7 @@ func TestJobTimeout(t *testing.T) {
 	if st != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", st, b)
 	}
-	if errs := s.metrics.Request("miss"); errs != 1 {
+	if errs := s.metrics.requests.Get("miss"); errs != 1 {
 		t.Errorf("miss = %d, want 1", errs)
 	}
 	st2, _, _ := postRun(t, ts.URL, body)

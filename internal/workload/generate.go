@@ -75,9 +75,7 @@ func body(c Class, idx int) string {
 	b.WriteString(configJSON(c, idx))
 	b.WriteString(`,"steps":`)
 	b.WriteString(strconv.Itoa(c.Steps))
-	b.WriteString(`,"priority":"`)
-	b.WriteString(c.Priority)
-	b.WriteString(`","slo":"`)
+	b.WriteString(`,"slo":"`)
 	b.WriteString(c.Name)
 	b.WriteString(`"`)
 	if c.TimeoutMS > 0 {
@@ -157,7 +155,6 @@ func Generate(spec Spec) (*Schedule, error) {
 			Seq:       seq,
 			AtUS:      int64(math.Round(t * 1e6)),
 			Class:     c.Name,
-			Priority:  c.Priority,
 			PoolIndex: idx,
 			Steps:     c.Steps,
 			TimeoutMS: c.TimeoutMS,

@@ -86,7 +86,7 @@ func TestGenerateScheduleShape(t *testing.T) {
 		if r.PoolIndex < 0 || r.PoolIndex >= c.Pool.Distinct {
 			t.Fatalf("request %d pool index %d outside [0,%d)", i, r.PoolIndex, c.Pool.Distinct)
 		}
-		if r.Priority != c.Priority || r.Steps != c.Steps || r.TimeoutMS != c.TimeoutMS {
+		if r.Steps != c.Steps || r.TimeoutMS != c.TimeoutMS {
 			t.Fatalf("request %d metadata does not match its class: %+v", i, r)
 		}
 		if r.Body != body(c, r.PoolIndex) {

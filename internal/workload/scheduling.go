@@ -5,9 +5,6 @@ package workload
 // encoding; a test pins the two together).  The shape is chosen to make
 // scheduler differences visible and stable:
 //
-//   - Both classes carry admission priority "normal", so the fcfs baseline
-//     is a true FIFO — the priority and sjf policies then show their effect
-//     against it rather than against an already-prioritized queue.
 //   - The interactive class is a small 1x1 grid, the batch class a 4-rank
 //     grid with triple the steps: the cost oracle puts them ~5x apart, so
 //     sjf has real spread to exploit.
@@ -17,6 +14,7 @@ package workload
 //     policy matters.
 //   - Zipf popularity (exponent ~1.2 over small pools) gives live replays a
 //     realistic cache-hit mix without affecting the queueing model.
+//
 // SchedulingSpecInverted is the label-inverted variant of SchedulingSpec:
 // the per-class work (template, steps) is swapped so the expensive grid
 // carries the interactive label, and the arrival rate is lowered to keep
@@ -49,22 +47,20 @@ func SchedulingSpec() Spec {
 		},
 		Classes: []Class{
 			{
-				Name:     "interactive",
-				Weight:   0.7,
-				Priority: "normal",
-				Steps:    1,
-				Pool:     Pool{Distinct: 24, Zipf: 1.2},
+				Name:   "interactive",
+				Weight: 0.7,
+				Steps:  1,
+				Pool:   Pool{Distinct: 24, Zipf: 1.2},
 				Template: Template{
 					Nlon: 36, Nlat: 24, Nlayers: 3,
 					Machine: "paragon", MeshPy: 1, MeshPx: 1, Filter: "fft",
 				},
 			},
 			{
-				Name:     "batch",
-				Weight:   0.3,
-				Priority: "normal",
-				Steps:    3,
-				Pool:     Pool{Distinct: 12, Zipf: 1.15},
+				Name:   "batch",
+				Weight: 0.3,
+				Steps:  3,
+				Pool:   Pool{Distinct: 12, Zipf: 1.15},
 				Template: Template{
 					Nlon: 72, Nlat: 46, Nlayers: 9,
 					Machine: "paragon", MeshPy: 2, MeshPx: 2, Filter: "fft",

@@ -33,10 +33,9 @@ func classRank(name string) int {
 
 // SimOptions configures one simulation.
 type SimOptions struct {
-	// Policy is the scheduling policy: "fcfs" (admission-priority bands,
-	// FIFO within — the live server's default), "priority" (SLO class
-	// first, then admission priority, then arrival), or "sjf" (predicted
-	// cost first, arrival breaks ties).
+	// Policy is the scheduling policy: "fcfs" (arrival order — the live
+	// server's default), "priority" (SLO class first, then arrival), or
+	// "sjf" (predicted cost first, arrival breaks ties).
 	Policy string
 	// Workers is the worker-pool size (default 4).
 	Workers int
@@ -60,28 +59,18 @@ type simJob struct {
 	doneUS int64 // completion time, filled at dispatch
 }
 
-// jobOrder returns the policy's strict ordering over queued jobs; arrival
-// sequence breaks every tie, so the order is total and the simulation
-// deterministic.
+// jobOrder returns the policy's strict ordering over queued jobs, mirroring
+// server.NewScheduler's three; arrival sequence breaks every tie, so the
+// order is total and the simulation deterministic.
 func jobOrder(policy string) (func(a, b *simJob) bool, error) {
 	switch policy {
 	case "fcfs":
-		return func(a, b *simJob) bool {
-			ar, br := priorityRank(a.req.Priority), priorityRank(b.req.Priority)
-			if ar != br {
-				return ar < br
-			}
-			return a.req.Seq < b.req.Seq
-		}, nil
+		return func(a, b *simJob) bool { return a.req.Seq < b.req.Seq }, nil
 	case "priority":
 		return func(a, b *simJob) bool {
 			ac, bc := classRank(a.req.Class), classRank(b.req.Class)
 			if ac != bc {
 				return ac < bc
-			}
-			ar, br := priorityRank(a.req.Priority), priorityRank(b.req.Priority)
-			if ar != br {
-				return ar < br
 			}
 			return a.req.Seq < b.req.Seq
 		}, nil

@@ -79,9 +79,8 @@ func TestSimulateSJFImprovesInteractiveP95(t *testing.T) {
 }
 
 // TestSimulateFCFSSingleWorkerPreservesArrivalOrder pins the fcfs policy's
-// defining property in the model: with one worker and uniform admission
-// priority, mean latency ordering degenerates to pure FIFO — every request
-// waits exactly for its predecessors.
+// defining property in the model: with one worker it is pure FIFO — every
+// request waits exactly for its predecessors.
 func TestSimulateFCFSSingleWorkerPreservesArrivalOrder(t *testing.T) {
 	spec := Spec{
 		Requests: 50,

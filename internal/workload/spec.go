@@ -72,9 +72,6 @@ type Class struct {
 	// Weight is the class's share of requests (normalized across classes;
 	// default 1).
 	Weight float64 `json:"weight"`
-	// Priority is the admission priority requests of this class carry:
-	// "high", "normal" (default), or "low".
-	Priority string `json:"priority"`
 	// Steps is the measured step count per request (default 1).
 	Steps int `json:"steps"`
 	// TimeoutMS is the per-request deadline in milliseconds (0 = server
@@ -107,20 +104,6 @@ type Spec struct {
 // the server's (server.ClassByName); it is duplicated here rather than
 // imported so the workload engine stays independent of the serving layer.
 func validClass(name string) bool { return name == "interactive" || name == "batch" }
-
-// priorityRank orders admission priorities the way the server's FCFS queue
-// does: high before normal before low.  -1 means unknown.
-func priorityRank(name string) int {
-	switch name {
-	case "high":
-		return 0
-	case "", "normal":
-		return 1
-	case "low":
-		return 2
-	}
-	return -1
-}
 
 // WithDefaults returns the spec with every defaulted field filled in, or an
 // error for specs no defaulting can make valid.
@@ -183,12 +166,6 @@ func (s Spec) WithDefaults() (Spec, error) {
 		}
 		if c.Weight < 0 {
 			return s, fmt.Errorf("workload: class %q: weight must be positive, got %g", c.Name, c.Weight)
-		}
-		if c.Priority == "" {
-			c.Priority = "normal"
-		}
-		if priorityRank(c.Priority) < 0 {
-			return s, fmt.Errorf("workload: class %q: unknown priority %q (high, normal, low)", c.Name, c.Priority)
 		}
 		if c.Steps == 0 {
 			c.Steps = 1

@@ -19,7 +19,7 @@ func TestSpecDefaultsAndCanonicalJSON(t *testing.T) {
 		t.Fatalf("arrival defaults not applied: %+v", cs.Arrival)
 	}
 	c := cs.Classes[0]
-	if c.Weight != 1 || c.Priority != "normal" || c.Steps != 1 || c.Pool.Distinct != 16 {
+	if c.Weight != 1 || c.Steps != 1 || c.Pool.Distinct != 16 {
 		t.Fatalf("class defaults not applied: %+v", c)
 	}
 	if c.Template.Nlon != 36 || c.Template.Machine != "paragon" || c.Template.Filter != "fft" {
@@ -71,6 +71,11 @@ func TestSpecParseRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"name":"x","classes":[{"name":"interactive"}]}{}`)); err == nil {
 		t.Fatal("trailing data accepted")
 	}
+	// The retired per-class admission priority is an unknown field like any
+	// other: no alias keeps the old vocabulary alive.
+	if _, err := ParseSpec([]byte(`{"classes":[{"name":"interactive","priority":"high"}]}`)); err == nil {
+		t.Fatal("retired priority field accepted")
+	}
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -90,7 +95,6 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown class", func(s *Spec) { s.Classes[0].Name = "gold" }, "unknown class"},
 		{"duplicate class", func(s *Spec) { s.Classes = append(s.Classes, Class{Name: "interactive"}) }, "duplicate"},
 		{"negative weight", func(s *Spec) { s.Classes[0].Weight = -1 }, "weight"},
-		{"unknown priority", func(s *Spec) { s.Classes[0].Priority = "urgent" }, "priority"},
 		{"negative steps", func(s *Spec) { s.Classes[0].Steps = -1 }, "steps"},
 		{"negative timeout", func(s *Spec) { s.Classes[0].TimeoutMS = -1 }, "timeout"},
 		{"negative distinct", func(s *Spec) { s.Classes[0].Pool.Distinct = -1 }, "distinct"},

@@ -19,7 +19,7 @@ import (
 
 // traceFormat is the header's format tag; bump on any schema change so old
 // readers fail loudly on new traces and vice versa.
-const traceFormat = "agcm-trace/1"
+const traceFormat = "agcm-trace/2"
 
 // traceHeader is the first line of a trace: the format tag, the canonical
 // spec the schedule came from, and the request count (a cheap truncation

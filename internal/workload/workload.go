@@ -8,7 +8,7 @@
 // mixes: Poisson/Gamma/Weibull interarrival processes, diurnal rate
 // modulation, Zipf-distributed config popularity (driving realistic
 // cache-hit ratios), and per-request SLO class (interactive/batch) with
-// priority and deadline.  Generate expands a spec into a Schedule whose
+// deadline.  Generate expands a spec into a Schedule whose
 // request bodies are exact POST /v1/run payloads; the same spec always
 // yields the same bytes.  A Schedule round-trips through the recorded-trace
 // format (WriteTrace/ReadTrace) byte for byte, so a live run can be
@@ -44,8 +44,6 @@ type Request struct {
 	AtUS int64 `json:"at_us"`
 	// Class is the SLO class ("interactive" or "batch").
 	Class string `json:"class"`
-	// Priority is the admission priority ("high", "normal", "low").
-	Priority string `json:"priority"`
 	// PoolIndex identifies which of the class's distinct configs this
 	// request asks for; (Class, PoolIndex) is the request's identity for
 	// per-key sequence comparisons.
