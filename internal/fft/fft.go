@@ -99,10 +99,15 @@ func factorize(n int) []int {
 }
 
 // smooth reports whether every prime factor of n is at most
-// maxMixedRadixFactor.
+// maxMixedRadixFactor.  It divides the small factors out in place, so the
+// cost model (Flops) can ask on a hot path without allocating.
 func smooth(n int) bool {
-	fs := factorize(n)
-	return fs[len(fs)-1] <= maxMixedRadixFactor
+	for f := 2; f <= maxMixedRadixFactor; f++ {
+		for n%f == 0 {
+			n /= f
+		}
+	}
+	return n == 1
 }
 
 func (p *Plan) initMixedRadix() {

@@ -245,6 +245,17 @@ func TestFactorize(t *testing.T) {
 	}
 }
 
+// TestSmoothMatchesFactorization holds the in-place smooth against its
+// definition: the largest prime factor is at most maxMixedRadixFactor.
+func TestSmoothMatchesFactorization(t *testing.T) {
+	for n := 2; n <= 5000; n++ {
+		fs := factorize(n)
+		if want := fs[len(fs)-1] <= maxMixedRadixFactor; smooth(n) != want {
+			t.Fatalf("smooth(%d) = %v, factors %v", n, !want, fs)
+		}
+	}
+}
+
 func TestPlanKindSelection(t *testing.T) {
 	if NewPlan(128).kind() != kindRadix2 {
 		t.Error("128 should use radix-2")

@@ -1,8 +1,14 @@
 package filter
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"agcm/internal/comm"
+	"agcm/internal/grid"
+	"agcm/internal/machine"
+	"agcm/internal/sim"
 )
 
 // TestRowFilterAllocFree pins the FFT filter's per-row hot path — forward
@@ -19,5 +25,97 @@ func TestRowFilterAllocFree(t *testing.T) {
 	rf.apply(damp, row)
 	if a := testing.AllocsPerRun(100, func() { rf.apply(damp, row) }); a != 0 {
 		t.Fatalf("rowFilter.apply allocated %.1f times per row; want 0", a)
+	}
+}
+
+// TestFFTFilterApplyAllocFree pins the transpose FFT filter, balanced and
+// not, at zero allocations per Apply on a 2x4 mesh once the warm-up calls
+// have laid the filter out and filled the transport pools.  AllocsPerRun
+// counts mallocs process-wide, so every rank must run allocation-free; it
+// invokes the measured function runs+1 times, so the partner ranks loop
+// exactly runs+1 calls to stay matched.
+func TestFFTFilterApplyAllocFree(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
+	const py, px, warm, runs = 2, 4, 5, 20
+	d, err := grid.NewDecomp(spec, py, px)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, balanced := range []bool{true, false} {
+		m := sim.New(py*px, machine.Paragon())
+		_, err := m.Run(func(p *sim.Proc) error {
+			world := comm.World(p)
+			cart := comm.NewCart2D(world, py, px)
+			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+			vars := newVars(l)
+			flt := NewFFT(cart, spec, l, balanced)
+			// The unbalanced filter never talks across mesh rows; the
+			// barrier keeps them in step, so no rank finishes (and frees
+			// its goroutine's state) inside the measured window.
+			round := func() {
+				flt.Apply(vars)
+				world.Barrier()
+			}
+			for i := 0; i < warm; i++ {
+				round()
+			}
+			if world.Rank() == 0 {
+				if n := testing.AllocsPerRun(runs, round); n != 0 {
+					return fmt.Errorf("%s: Apply allocated %.1f times per call; want 0", flt.Name(), n)
+				}
+				return nil
+			}
+			for i := 0; i < runs+1; i++ {
+				round()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFFTFilterRelayout checks that one filter asked to work on a different
+// list of variable kinds lays itself out again: its result equals a fresh
+// filter's, bit for bit.
+func TestFFTFilterRelayout(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 2}
+	const py, px = 2, 2
+	d, err := grid.NewDecomp(spec, py, px)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.New(py*px, machine.Paragon())
+	_, err = m.Run(func(p *sim.Proc) error {
+		cart := comm.NewCart2D(comm.World(p), py, px)
+		l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+		reused := NewFFT(cart, spec, l, true)
+		reused.Apply(newVars(l))
+		for _, pick := range [][]int{{2, 0, 3}, {1}, {0, 1, 2, 3}} {
+			all, allFresh := newVars(l), newVars(l)
+			var got, want []Variable
+			for _, vi := range pick {
+				got, want = append(got, all[vi]), append(want, allFresh[vi])
+			}
+			reused.Apply(got)
+			NewFFT(cart, spec, l, true).Apply(want)
+			for vi := range got {
+				for j := 0; j < l.Nlat(); j++ {
+					for i := 0; i < l.Nlon(); i++ {
+						for k := 0; k < l.Nlayers(); k++ {
+							if g, w := got[vi].Field.At(j, i, k), want[vi].Field.At(j, i, k); g != w {
+								return fmt.Errorf("variables %v: %s(%d,%d,%d) = %g after relayout, fresh filter gives %g",
+									pick, got[vi].Name, j, i, k, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -370,10 +370,22 @@ type line struct {
 
 // buildLines enumerates every line to be filtered, in the canonical order
 // (variable, row, layer).  Every rank derives the identical list locally.
+// The list is counted before it is built, so it is one exact allocation.
 func buildLines(spec grid.Spec, vars []Variable) []line {
-	var lines []line
+	n := 0
+	for _, v := range vars {
+		for j := 0; j < spec.Nlat; j++ {
+			if IsFiltered(spec, v.Kind, j) {
+				n += spec.Nlayers
+			}
+		}
+	}
+	lines := make([]line, 0, n)
 	for vi, v := range vars {
-		for _, j := range Rows(spec, v.Kind) {
+		for j := 0; j < spec.Nlat; j++ {
+			if !IsFiltered(spec, v.Kind, j) {
+				continue
+			}
 			for k := 0; k < spec.Nlayers; k++ {
 				lines = append(lines, line{v: vi, j: j, k: k})
 			}

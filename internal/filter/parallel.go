@@ -2,39 +2,12 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 
 	"agcm/internal/comm"
 	"agcm/internal/fft"
 	"agcm/internal/grid"
 )
-
-// growf returns buf resized to n float64s, reallocating only when capacity
-// is insufficient.  Contents are unspecified.
-func growf(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growi is growf for int slices.
-func growi(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// growSlices resizes a slice-of-slices to n entries, preserving existing
-// entries (and their backing arrays, so per-entry reuse keeps paying off).
-func growSlices(buf [][]float64, n int) [][]float64 {
-	if cap(buf) < n {
-		out := make([][]float64, n)
-		copy(out, buf)
-		return out
-	}
-	return buf[:n]
-}
 
 // Tags for the filter's column-direction traffic (user tag range).
 const (
@@ -207,6 +180,11 @@ func (c *Convolution) applySlab(v Variable, k int) {
 // latitude circles (Figure 3), filtered by local FFTs, and restored.
 // All weakly and strongly filtered variables are processed concurrently —
 // the reorganization Section 3.3 describes.
+//
+// Which lines exist, who owns them before and after balancing and how many
+// values every message carries depend only on the kinds of the variables,
+// so the filter lays all of that out once (see layout) and every Apply
+// stages through buffers cut to those exact sizes.
 type FFTFilter struct {
 	cart     *comm.Cart2D
 	spec     grid.Spec
@@ -214,34 +192,38 @@ type FFTFilter struct {
 	balanced bool
 	rf       *rowFilter
 
+	// lineFlops is the virtual cost of filtering one line: forward and
+	// inverse transform plus the damping multiply.
+	lineFlops float64
+
 	// dampCache holds the damping profiles indexed [kind][global j].
 	dampCache [2][][]float64
 
 	// Static mesh-row geometry, computed once.
 	widths, lonOff []int
 
-	// Persistent per-step scratch for Apply's seven phases.  Every send
-	// from these buffers goes through the pooled-copy comm paths and every
-	// receive lands back here via *Into, so the steady state allocates
-	// nothing.
-	initOwner, finalOwner []int
-	segs                  [][]float64
-	segArena              []float64
-	myWork, sub, myBlock  []int
-	parts                 [][]float64 // transpose send staging, per column
-	tOut                  [][]float64 // transpose receive buffers
-	full                  [][]float64 // complete latitude circles
-	back                  [][]float64 // reverse-transpose send staging
-	gotOut                [][]float64 // reverse-transpose receive buffers
-	colOffs               []int
+	// The layout for the variable kinds in kinds.  Every rank derives it
+	// locally and identically.
+	kinds                 []Kind
+	lines                 []line
+	initOwner, finalOwner []int // owning processor row before and after balancing
+	myWork, sub, myBlock  []int // lines this row filters; their mesh column; this rank's share
+	toCount, fromCount    []int // lines balancing sends to / receives from each processor row
+	colOffs, rOffs        []int // running offsets per mesh column / processor row
 
-	// redistribute staging (two calls per Apply when balanced).
-	rSend, rRecv  [][]float64
-	rCount, rOffs []int
-
-	// Cached line enumeration (the filtered-row sets are fixed per Kind).
-	lineBuf   []line
-	rowsCache map[Kind][]int
+	// Staging for Apply's seven phases, cut from one arena to the sizes the
+	// layout fixes: no buffer grows after layout.  Every send from them goes
+	// through the pooled-copy comm paths and every receive lands back here
+	// via *Into, so a laid-out Apply allocates nothing.
+	segs     [][]float64 // each line's current segment
+	segArena []float64
+	parts    [][]float64 // transpose send staging, per column
+	tOut     [][]float64 // transpose receive buffers
+	full     [][]float64 // complete latitude circles
+	back     [][]float64 // reverse-transpose send staging
+	gotOut   [][]float64 // reverse-transpose receive buffers
+	rSend    [][]float64 // redistribution staging, per processor row
+	rRecv    [][]float64
 }
 
 // NewFFT builds the transpose-based FFT filter.  With balanced=true the
@@ -251,50 +233,20 @@ type FFTFilter struct {
 func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) *FFTFilter {
 	f := &FFTFilter{
 		cart: cart, spec: spec, local: local, balanced: balanced,
-		rf: newRowFilter(spec.Nlon),
+		rf:        newRowFilter(spec.Nlon),
+		lineFlops: 2*fft.Flops(spec.Nlon) + 4*float64(spec.Nlon),
 	}
 	for k := range f.dampCache {
 		f.dampCache[k] = make([][]float64, spec.Nlat)
 	}
-	px, py := cart.Px, cart.Py
+	px := cart.Px
 	f.widths = make([]int, px)
 	f.lonOff = make([]int, px)
 	for c := 0; c < px; c++ {
 		lo, hi := local.Decomp.LonRange(c)
 		f.widths[c], f.lonOff[c] = hi-lo, lo
 	}
-	f.parts = make([][]float64, px)
-	f.tOut = make([][]float64, px)
-	f.back = make([][]float64, px)
-	f.gotOut = make([][]float64, px)
-	f.colOffs = make([]int, px)
-	f.rSend = make([][]float64, py)
-	f.rRecv = make([][]float64, py)
-	f.rCount = make([]int, py)
-	f.rOffs = make([]int, py)
-	f.rowsCache = make(map[Kind][]int)
 	return f
-}
-
-// buildLines enumerates the lines to filter in the same canonical
-// (variable, row, layer) order as the package-level buildLines, reusing the
-// cached per-Kind row sets and the line buffer so steady-state calls
-// allocate nothing.
-func (f *FFTFilter) buildLines(vars []Variable) []line {
-	f.lineBuf = f.lineBuf[:0]
-	for vi, v := range vars {
-		rows, ok := f.rowsCache[v.Kind]
-		if !ok {
-			rows = Rows(f.spec, v.Kind)
-			f.rowsCache[v.Kind] = rows
-		}
-		for _, j := range rows {
-			for k := 0; k < f.spec.Nlayers; k++ {
-				f.lineBuf = append(f.lineBuf, line{v: vi, j: j, k: k})
-			}
-		}
-	}
-	return f.lineBuf
 }
 
 // Name implements Parallel.
@@ -325,58 +277,143 @@ func blockOwners(n, p int) []int {
 // floor(n/p) per owner, the first n%p owners taking one extra.
 func blockOwnersInto(dst []int, n, p int) []int {
 	dst = dst[:0]
-	base, rem := n/p, n%p
 	for owner := 0; owner < p; owner++ {
-		t := base
-		if owner < rem {
-			t++
-		}
-		for c := 0; c < t; c++ {
+		for c := blockSize(n, p, owner); c > 0; c-- {
 			dst = append(dst, owner)
 		}
 	}
 	return dst
 }
 
-// Apply implements Parallel.  All seven phases stage through the filter's
-// persistent scratch buffers, so a steady-state call allocates nothing.
-func (f *FFTFilter) Apply(vars []Variable) {
-	lines := f.buildLines(vars)
-	if len(lines) == 0 {
-		return
+// blockSize is the number of items blockOwners gives to owner.
+func blockSize(n, p, owner int) int {
+	if owner < n%p {
+		return n/p + 1
 	}
+	return n / p
+}
+
+// cut takes the next n elements off the front of arena as a slice that
+// cannot grow into its neighbour.
+func cut[T any](arena *[]T, n int) []T {
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
+}
+
+// layout enumerates the lines of vars, fixes their ownership and this rank's
+// share of every phase, and cuts the staging buffers to the resulting sizes:
+// one allocation each for the index tables, the slice headers and the
+// values.
+func (f *FFTFilter) layout(vars []Variable) {
 	d := f.local.Decomp
 	py, px := f.cart.Py, f.cart.Px
-	me := f.cart.MyRow
-	w := f.local.Nlon()
+	me, myCol := f.cart.MyRow, f.cart.MyCol
+	w, n := f.local.Nlon(), f.spec.Nlon
 
-	// Ownership before and after the balancing redistribution.  Both are
-	// derived locally and identically on every rank.
-	f.initOwner = growi(f.initOwner, len(lines))
-	initOwner := f.initOwner
-	for l, ln := range lines {
-		initOwner[l] = d.RowOfLat(ln.j)
+	f.kinds = make([]Kind, len(vars))
+	for i, v := range vars {
+		f.kinds[i] = v.Kind
 	}
-	finalOwner := initOwner
-	if f.balanced {
-		f.finalOwner = blockOwnersInto(f.finalOwner, len(lines), py)
-		finalOwner = f.finalOwner
-	}
-
-	// Phase 1: extract the local longitude segments of my lines into the
-	// segment arena.
-	f.segs = growSlices(f.segs, len(lines))
-	segs := f.segs
-	mine := 0
-	for l := range lines {
-		segs[l] = nil
-		if initOwner[l] == me {
+	f.lines = buildLines(f.spec, vars)
+	nLines := len(f.lines)
+	mine := 0 // lines whose home is this processor row
+	for _, ln := range f.lines {
+		if ln.j >= f.local.Lat0 && ln.j < f.local.Lat1 {
 			mine++
 		}
 	}
-	f.segArena = growf(f.segArena, mine*w)
+	nWork := mine
+	nFinal := 0
+	if f.balanced {
+		nWork = blockSize(nLines, py, me)
+		nFinal = nLines
+	}
+	nBlock := blockSize(nWork, px, myCol)
+
+	ints := make([]int, nLines+nFinal+2*nWork+nBlock+3*py+px)
+	f.initOwner = cut(&ints, nLines)
+	for l, ln := range f.lines {
+		f.initOwner[l] = d.RowOfLat(ln.j)
+	}
+	f.finalOwner = f.initOwner
+	if f.balanced {
+		f.finalOwner = blockOwnersInto(cut(&ints, nLines), nLines, py)
+	}
+	f.myWork = cut(&ints, nWork)[:0]
+	f.toCount, f.fromCount = cut(&ints, py), cut(&ints, py)
+	for l := range f.lines {
+		from, to := f.initOwner[l], f.finalOwner[l]
+		if to == me {
+			f.myWork = append(f.myWork, l)
+		}
+		switch {
+		case from == to:
+		case from == me:
+			f.toCount[to]++
+		case to == me:
+			f.fromCount[from]++
+		}
+	}
+	f.sub = blockOwnersInto(cut(&ints, nWork), nWork, px)
+	f.myBlock = cut(&ints, nBlock)[:0]
+	for t := range f.myWork {
+		if f.sub[t] == myCol {
+			f.myBlock = append(f.myBlock, t)
+		}
+	}
+	f.colOffs, f.rOffs = cut(&ints, px), cut(&ints, py)
+
+	// A processor row's balancing buffers serve both directions, so each is
+	// cut for the larger of the two.
+	rTotal := 0
+	for q := 0; q < py; q++ {
+		rTotal += max(f.toCount[q], f.fromCount[q]) * w
+	}
+	values := make([]float64, mine*w+2*nWork*w+3*nBlock*n+2*rTotal)
+	headers := make([][]float64, nLines+4*px+2*py+nBlock)
+	f.segs = cut(&headers, nLines)
+	f.segArena = cut(&values, mine*w)
+	f.parts, f.tOut = cut(&headers, px), cut(&headers, px)
+	f.back, f.gotOut = cut(&headers, px), cut(&headers, px)
+	for c := 0; c < px; c++ {
+		toCol := blockSize(nWork, px, c) * w // my lines that column c filters
+		f.parts[c], f.gotOut[c] = cut(&values, toCol)[:0], cut(&values, toCol)[:0]
+		fromCol := nBlock * f.widths[c] // column c's segments of my circles
+		f.tOut[c], f.back[c] = cut(&values, fromCol)[:0], cut(&values, fromCol)[:0]
+	}
+	f.full = cut(&headers, nBlock)
+	for bi := range f.full {
+		f.full[bi] = cut(&values, n)
+	}
+	f.rSend, f.rRecv = cut(&headers, py), cut(&headers, py)
+	for q := 0; q < py; q++ {
+		room := max(f.toCount[q], f.fromCount[q]) * w
+		f.rSend[q], f.rRecv[q] = cut(&values, room)[:0], cut(&values, room)[:0]
+	}
+}
+
+// Apply implements Parallel.  All seven phases stage through the buffers
+// layout cut, so a call with the same variable kinds as the last one
+// allocates nothing.
+func (f *FFTFilter) Apply(vars []Variable) {
+	if !slices.EqualFunc(f.kinds, vars, func(k Kind, v Variable) bool { return k == v.Kind }) {
+		f.layout(vars)
+	}
+	lines := f.lines
+	if len(lines) == 0 {
+		return
+	}
+	px := f.cart.Px
+	me := f.cart.MyRow
+	w := f.local.Nlon()
+	initOwner, segs := f.initOwner, f.segs
+
+	// Phase 1: extract the local longitude segments of my lines into the
+	// segment arena.
 	pos := 0
 	for l, ln := range lines {
+		segs[l] = nil
 		if initOwner[l] != me {
 			continue
 		}
@@ -388,22 +425,13 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	// Phase 2: redistribute segments along the mesh column so each
 	// processor row holds its Eq. (3) share of lines.
 	if f.balanced {
-		f.redistribute(lines, segs, initOwner, finalOwner, tagBalance)
+		f.redistribute(true)
 	}
-
-	// myWork: the lines this processor row filters, in canonical order.
-	f.myWork = f.myWork[:0]
-	for l := range lines {
-		if finalOwner[l] == me {
-			f.myWork = append(f.myWork, l)
-		}
-	}
-	myWork := f.myWork
 
 	// Phase 3: transpose within the mesh row (Figure 3): sub-block c of
-	// myWork becomes complete latitude circles on mesh column c.
-	f.sub = blockOwnersInto(f.sub, len(myWork), px)
-	sub := f.sub
+	// myWork — the lines this processor row filters, in canonical order —
+	// becomes complete latitude circles on mesh column c.
+	myWork, sub, myBlock := f.myWork, f.sub, f.myBlock
 	for c := range f.parts {
 		f.parts[c] = f.parts[c][:0]
 	}
@@ -412,18 +440,7 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	}
 	recv := f.cart.Row.AlltoallvInto(f.parts, f.tOut)
 
-	f.myBlock = f.myBlock[:0]
-	for t := range myWork {
-		if sub[t] == f.cart.MyCol {
-			f.myBlock = append(f.myBlock, t)
-		}
-	}
-	myBlock := f.myBlock
-	f.full = growSlices(f.full, len(myBlock))
 	full := f.full
-	for bi := range full {
-		full[bi] = growf(full[bi], f.spec.Nlon)
-	}
 	for c := 0; c < px; c++ {
 		buf := recv[c]
 		if len(buf) != len(myBlock)*f.widths[c] {
@@ -436,11 +453,10 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	}
 
 	// Phase 4: local FFT filtering of complete circles.
-	n := f.spec.Nlon
 	for bi, t := range myBlock {
 		ln := lines[myWork[t]]
 		f.rf.apply(f.damping(vars[ln.v].Kind, ln.j), full[bi])
-		f.cart.World.Proc().Compute(2*fft.Flops(n) + 4*float64(n))
+		f.cart.World.Proc().Compute(f.lineFlops)
 	}
 
 	// Phase 5: reverse transpose.
@@ -463,7 +479,7 @@ func (f *FFTFilter) Apply(vars []Variable) {
 
 	// Phase 6: reverse redistribution back to the home processor rows.
 	if f.balanced {
-		f.redistribute(lines, segs, finalOwner, initOwner, tagBalanceBack)
+		f.redistribute(false)
 	}
 
 	// Phase 7: write the filtered segments back into the fields.
@@ -475,21 +491,27 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	}
 }
 
-// redistribute moves each line's segment from its `from` owner to its `to`
-// owner along the mesh column, one message per (src, dst) pair, preserving
-// the canonical line order inside every message.  Sends are pooled copies
-// and receives land in the filter's persistent staging, whose contents stay
-// valid (referenced through segs) until the next redistribute call — by
-// which time Apply has rebound every live segment elsewhere.
-func (f *FFTFilter) redistribute(lines []line, segs [][]float64, from, to []int, tag int) {
+// redistribute moves each line's segment along the mesh column, one message
+// per (src, dst) pair, preserving the canonical line order inside every
+// message: forward from the line's home processor row to the row that
+// filters it, otherwise back.  Sends are pooled copies and receives land in
+// the filter's staging, whose contents stay valid (referenced through segs)
+// until the next redistribute call — by which time Apply has rebound every
+// live segment elsewhere.
+func (f *FFTFilter) redistribute(forward bool) {
+	from, to, nRecv, tag := f.initOwner, f.finalOwner, f.fromCount, tagBalance
+	if !forward {
+		from, to, nRecv, tag = to, from, f.toCount, tagBalanceBack
+	}
 	me := f.cart.MyRow
 	py := f.cart.Py
 	w := f.local.Nlon()
+	segs := f.segs
 
 	for dst := range f.rSend {
 		f.rSend[dst] = f.rSend[dst][:0]
 	}
-	for l := range lines {
+	for l := range f.lines {
 		if from[l] == me && to[l] != me {
 			f.rSend[to[l]] = append(f.rSend[to[l]], segs[l]...)
 			segs[l] = nil
@@ -500,23 +522,15 @@ func (f *FFTFilter) redistribute(lines []line, segs [][]float64, from, to []int,
 			f.cart.Col.SendCopy(dst, tag, f.rSend[dst])
 		}
 	}
-	for src := range f.rCount {
-		f.rCount[src] = 0
-	}
-	for l := range lines {
-		if to[l] == me && from[l] != me {
-			f.rCount[from[l]]++
-		}
-	}
 	for src := 0; src < py; src++ {
-		if f.rCount[src] > 0 {
+		if nRecv[src] > 0 {
 			f.rRecv[src] = f.cart.Col.RecvInto(src, tag, f.rRecv[src])
 		}
 	}
 	for src := range f.rOffs {
 		f.rOffs[src] = 0
 	}
-	for l := range lines {
+	for l := range f.lines {
 		if to[l] == me && from[l] != me {
 			src := from[l]
 			segs[l] = f.rRecv[src][f.rOffs[src] : f.rOffs[src]+w]

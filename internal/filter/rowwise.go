@@ -57,6 +57,7 @@ func (f *RowwiseFFT) Apply(vars []Variable) {
 	w := f.local.Nlon()
 	lo, _ := f.local.Decomp.LonRange(f.cart.MyCol)
 	full := make([]float64, n)
+	lineFlops := 2*fft.Flops(n) + 4*float64(n)
 
 	for _, v := range vars {
 		// Local filtered rows of this variable (same on the whole mesh
@@ -99,7 +100,7 @@ func (f *RowwiseFFT) Apply(vars []Variable) {
 				f.rf.apply(damp, full)
 				// Redundant arithmetic: every rank pays the full-row
 				// transform cost.
-				f.cart.World.Proc().Compute(2*fft.Flops(n) + 4*float64(n))
+				f.cart.World.Proc().Compute(lineFlops)
 				v.Field.SetRowSlice(localJ, k, full[lo:lo+w])
 			}
 		}

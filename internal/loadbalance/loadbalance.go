@@ -21,7 +21,7 @@ package loadbalance
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Average returns the mean of loads, the paper's AverageLoad.
@@ -181,8 +181,14 @@ func min(a, b int) int {
 // own piece.  The result is exactly balanced whenever the load within each
 // processor is uniformly divisible, at the cost of P*(P-1) messages.
 func CyclicShuffle(loads []float64) []Move {
+	return CyclicShuffleInto(nil, loads)
+}
+
+// CyclicShuffleInto is CyclicShuffle appending to moves[:0]: with a
+// persistent buffer a steady-state call allocates nothing.
+func CyclicShuffleInto(moves []Move, loads []float64) []Move {
 	p := len(loads)
-	var moves []Move
+	moves = moves[:0]
 	for src := 0; src < p; src++ {
 		piece := loads[src] / float64(p)
 		for dst := 0; dst < p; dst++ {
@@ -203,52 +209,66 @@ func CyclicShuffle(loads []float64) []Move {
 // paper assigns integer weights to load pieces); granularity == 0 transfers
 // exact amounts.
 func SortedGreedy(loads []float64, granularity float64) []Move {
+	return SortedGreedyInto(nil, nil, loads, granularity)
+}
+
+// SortedGreedyInto is SortedGreedy appending to moves[:0], with order as the
+// ranking scratch (see sortedOrderInto): with persistent buffers a
+// steady-state call allocates nothing.
+func SortedGreedyInto(moves []Move, order []int, loads []float64, granularity float64) []Move {
 	p := len(loads)
+	moves = moves[:0]
+	if p == 0 {
+		return moves
+	}
 	avg := Average(loads)
 	// Rank processors by load (descending), original index as tiebreak —
 	// the "new node id through a sorting of all local loads" of Fig. 5B.
-	order := sortedOrder(loads)
-	type node struct {
-		idx  int
-		diff float64 // positive = surplus
+	order = sortedOrderInto(order, loads)
+	// give walks down from the richest and take up from the poorest; a
+	// processor's remaining difference (positive = surplus) only changes
+	// while it is the current giver or taker, so two running values carry
+	// the whole state.
+	give, take := 0, p-1
+	gdiff, tdiff := loads[order[give]]-avg, loads[order[take]]-avg
+	nextGive := func() {
+		give++
+		gdiff = loads[order[give]] - avg
 	}
-	nodes := make([]node, p)
-	for r, idx := range order {
-		nodes[r] = node{idx: idx, diff: loads[idx] - avg}
+	nextTake := func() {
+		take--
+		tdiff = loads[order[take]] - avg
 	}
-	var moves []Move
-	give, take := 0, p-1 // richest gives, poorest takes
 	for give < take {
-		g, t := &nodes[give], &nodes[take]
-		if g.diff <= 0 {
-			give++
+		if gdiff <= 0 {
+			nextGive()
 			continue
 		}
-		if t.diff >= 0 {
-			take--
+		if tdiff >= 0 {
+			nextTake()
 			continue
 		}
-		amount := math.Min(g.diff, -t.diff)
+		amount := math.Min(gdiff, -tdiff)
 		if granularity > 0 {
 			amount = math.Floor(amount/granularity) * granularity
 		}
 		if amount <= 0 {
 			// Remaining differences are below the granularity.
-			if g.diff < -t.diff {
-				give++
+			if gdiff < -tdiff {
+				nextGive()
 			} else {
-				take--
+				nextTake()
 			}
 			continue
 		}
-		moves = append(moves, Move{Src: g.idx, Dst: t.idx, Amount: amount})
-		g.diff -= amount
-		t.diff += amount
-		if g.diff <= 0 {
-			give++
+		moves = append(moves, Move{Src: order[give], Dst: order[take], Amount: amount})
+		gdiff -= amount
+		tdiff += amount
+		if gdiff <= 0 {
+			nextGive()
 		}
-		if t.diff >= 0 {
-			take--
+		if tdiff >= 0 {
+			nextTake()
 		}
 	}
 	return moves
@@ -257,12 +277,27 @@ func SortedGreedy(loads []float64, granularity float64) []Move {
 // sortedOrder returns processor indices sorted by descending load, stable in
 // the original index for ties — all ranks derive the same order.
 func sortedOrder(loads []float64) []int {
-	order := make([]int, len(loads))
+	return sortedOrderInto(nil, loads)
+}
+
+// sortedOrderInto is sortedOrder into a caller-owned buffer, reallocated
+// only when its capacity is below len(loads).
+func sortedOrderInto(order []int, loads []float64) []int {
+	if cap(order) < len(loads) {
+		order = make([]int, len(loads))
+	}
+	order = order[:len(loads)]
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return loads[order[a]] > loads[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case loads[a] > loads[b]:
+			return -1
+		case loads[a] < loads[b]:
+			return 1
+		}
+		return 0
 	})
 	return order
 }
@@ -276,9 +311,16 @@ func sortedOrder(loads []float64) []int {
 // "a pairwise data exchange is only needed when the load difference in the
 // pair of nodes exceeds some tolerance".
 func PairwiseStep(loads []float64, granularity, tolerance float64) []Move {
+	return PairwiseStepInto(nil, nil, loads, granularity, tolerance)
+}
+
+// PairwiseStepInto is PairwiseStep appending to moves[:0], with order as the
+// ranking scratch (see sortedOrderInto): with persistent buffers a
+// steady-state call allocates nothing.
+func PairwiseStepInto(moves []Move, order []int, loads []float64, granularity, tolerance float64) []Move {
 	p := len(loads)
-	order := sortedOrder(loads)
-	var moves []Move
+	order = sortedOrderInto(order, loads)
+	moves = moves[:0]
 	for i := 0; i < p/2; i++ {
 		hi, lo := order[i], order[p-1-i]
 		diff := loads[hi] - loads[lo]

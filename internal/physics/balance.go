@@ -2,10 +2,10 @@ package physics
 
 import (
 	"fmt"
+	"slices"
 
 	"agcm/internal/comm"
 	"agcm/internal/grid"
-	"agcm/internal/loadbalance"
 )
 
 // Scheme selects the physics load-balancing strategy of Section 3.4.
@@ -65,6 +65,11 @@ const packBookkeepingFlops = 24
 // balancing by real column movement: estimate loads from the previous pass,
 // plan identical transfers on every rank, ship columns, compute them where
 // they land, and return the results to their home subdomains.
+//
+// A Runner owns every buffer its step needs and refreshes them in place, so
+// a steady-state Step allocates nothing on the host side of the model; what
+// still can allocate is the receiver's payload pool in sim, when a message
+// has a length that rank has not seen before.
 type Runner struct {
 	Model  *Model
 	world  *comm.Comm
@@ -77,17 +82,30 @@ type Runner struct {
 	haveEstimate bool
 
 	// Persistent column storage: the column list, the structs and their
-	// T/Q profiles all live in arenas refreshed in place each step, so the
-	// unbalanced path allocates nothing at steady state.
+	// T/Q profiles all live in arenas refreshed in place each step.
 	cols     []*Column
 	colArena []Column
 	tqArena  []float64
 	held     []*Column
 
-	// Load-estimate exchange staging.
+	// Columns received from other ranks are rebuilt in these arenas, sized
+	// once per step from the plan.
+	foreign   []Column
+	foreignTQ []float64
+
+	// Load-estimate exchange staging: gOut[i] is the one-float window
+	// loads[i:i+1], so the allgather lands straight in loads.
 	loadBuf []float64
 	loads   []float64
 	gOut    [][]float64
+
+	planner       *planner
+	flopsByOrigin []float64 // flops computed here, by column origin
+	fromOrigin    []int     // foreign columns held here, by origin
+
+	// Message staging.  Everything is sent with SendCopy, which copies
+	// before it returns, so one pack buffer serves every message of a step.
+	packBuf, recvBuf []float64
 }
 
 // NewRunner builds a physics runner.  rounds is the number of balancing
@@ -108,6 +126,23 @@ func NewRunner(world *comm.Comm, cart *comm.Cart2D, local grid.Local,
 		scheme: scheme, rounds: rounds}
 }
 
+// initBalancing builds the planner and the per-rank tables of the balanced
+// path on the first step that balances.  A Runner that never balances —
+// scheme None, a single rank — pays for none of it, and NewRunner stays
+// small enough to inline, which lets a caller keep its Runner on the stack.
+func (r *Runner) initBalancing() {
+	n := r.world.Size()
+	r.planner = newPlanner(r.local.Decomp, r.scheme, r.rounds)
+	r.loads = make([]float64, n+1)
+	r.loads, r.loadBuf = r.loads[:n], r.loads[n:]
+	r.gOut = make([][]float64, n)
+	for i := range r.gOut {
+		r.gOut[i] = r.loads[i : i+1 : i+1]
+	}
+	r.flopsByOrigin = make([]float64, n)
+	r.fromOrigin = make([]int, n)
+}
+
 // Scheme returns the configured balancing scheme.
 func (r *Runner) Scheme() Scheme { return r.scheme }
 
@@ -115,17 +150,6 @@ func (r *Runner) Scheme() Scheme { return r.scheme }
 // during the previous step — the load estimate the balancer works from.
 func (r *Runner) PrevLoadSeconds() float64 {
 	return r.world.Proc().Model().FlopSeconds(r.myPrevFlops)
-}
-
-// segment is a run of columns sharing one origin, used to mirror every
-// rank's holdings during planning.
-type segment struct {
-	origin, count int
-}
-
-// transfer is one concrete planned move of whole columns.
-type transfer struct {
-	round, src, dst, count int
 }
 
 // Step runs one physics step over the T and Q fields, balancing per the
@@ -148,42 +172,48 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 	}
 
 	// --- 1. Share the previous-pass load estimates. ---
-	if r.gOut == nil {
-		r.gOut = make([][]float64, r.world.Size())
-		r.loads = make([]float64, r.world.Size())
-		r.loadBuf = make([]float64, 1)
+	if r.planner == nil {
+		r.initBalancing()
 	}
 	r.loadBuf[0] = r.PrevLoadSeconds()
-	parts := r.world.AllgathervInto(r.loadBuf, r.gOut)
-	for i, q := range parts {
-		r.loads[i] = q[0]
-	}
+	r.world.AllgathervInto(r.loadBuf, r.gOut)
 
 	// --- 2. Plan transfers; identical on every rank. ---
-	transfers, holdings := r.plan(r.loads)
+	transfers := r.planner.plan(r.loads)
 
 	// --- 3. Execute the column movements round by round. ---
+	me := r.world.Rank()
+	incoming := 0
+	for _, t := range transfers {
+		if t.dst == me {
+			incoming += t.count
+		}
+	}
+	r.resetForeign(incoming)
 	held := append(r.held[:0], cols...)
 	for _, t := range transfers {
 		tag := tagColumns + t.round
-		switch r.world.Rank() {
+		switch me {
 		case t.src:
 			nk := len(held) - t.count
-			out := held[nk:]
+			r.packBuf = packInputs(r.packBuf, held[nk:])
 			held = held[:nk]
-			r.world.Send(t.dst, tag, r.packInputs(out))
+			r.world.SendCopy(t.dst, tag, r.packBuf)
 			p.Compute(packBookkeepingFlops * float64(t.count))
 		case t.dst:
-			in := r.unpackInputs(r.world.Recv(t.src, tag))
-			held = append(held, in...)
-			p.Compute(packBookkeepingFlops * float64(len(in)))
+			r.recvBuf = r.world.RecvInto(t.src, tag, r.recvBuf)
+			before := len(held)
+			held = r.unpackInputs(held, r.recvBuf)
+			p.Compute(packBookkeepingFlops * float64(len(held)-before))
 		}
 	}
 	r.held = held // retain the grown backing array for the next step
 
 	// --- 4. Compute every held column where it landed. ---
-	me := r.world.Rank()
-	flopsByOrigin := make(map[int]float64)
+	flopsByOrigin, fromOrigin := r.flopsByOrigin, r.fromOrigin
+	for i := range flopsByOrigin {
+		flopsByOrigin[i], fromOrigin[i] = 0, 0
+	}
 	for _, c := range held {
 		f := r.Model.Compute(c, step)
 		p.Compute(f)
@@ -193,43 +223,29 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 			// column relayed back home arrives as a fresh struct:
 			// re-link it so its result is not lost.
 			cols[c.Index] = c
+		} else {
+			fromOrigin[c.Origin]++
 		}
 	}
 
 	// --- 5. Return results to their home subdomains. ---
-	byOrigin := make(map[int][]*Column)
-	for _, c := range held {
-		if c.Origin != me {
-			byOrigin[c.Origin] = append(byOrigin[c.Origin], c)
-		}
-	}
-	for origin := 0; origin < r.world.Size(); origin++ {
-		group := byOrigin[origin]
-		if len(group) == 0 {
+	for origin, count := range fromOrigin {
+		if count == 0 {
 			continue
 		}
-		buf := r.packResults(group)
-		buf = append(buf, flopsByOrigin[origin])
-		r.world.Send(origin, tagResults, buf)
-		p.Compute(packBookkeepingFlops * float64(len(group)))
+		r.packBuf = packResults(r.packBuf, held, origin)
+		r.packBuf = append(r.packBuf, flopsByOrigin[origin])
+		r.world.SendCopy(origin, tagResults, r.packBuf)
+		p.Compute(packBookkeepingFlops * float64(count))
 	}
 	// Who holds my columns now?  The holdings simulation says exactly.
 	myFlops := flopsByOrigin[me]
 	for holder := 0; holder < r.world.Size(); holder++ {
-		if holder == me {
+		if holder == me || !r.planner.hold.holds(holder, me) {
 			continue
 		}
-		has := false
-		for _, seg := range holdings[holder] {
-			if seg.origin == me && seg.count > 0 {
-				has = true
-				break
-			}
-		}
-		if !has {
-			continue
-		}
-		buf := r.world.Recv(holder, tagResults)
+		r.recvBuf = r.world.RecvInto(holder, tagResults, r.recvBuf)
+		buf := r.recvBuf
 		myFlops += buf[len(buf)-1]
 		r.unpackResults(buf[:len(buf)-1], cols)
 	}
@@ -238,101 +254,6 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 	// shares pointers with cols.
 	r.myPrevFlops = myFlops
 	r.writeBack(cols, T, Q)
-}
-
-// plan converts load estimates into whole-column transfers, mirroring every
-// rank's holdings so result routing needs no extra communication.  All
-// inputs are globally known, so every rank computes the identical plan.
-func (r *Runner) plan(loads []float64) ([]transfer, [][]segment) {
-	n := r.world.Size()
-	d := r.local.Decomp
-	counts := make([]int, n)
-	totalCols := 0
-	for rank := 0; rank < n; rank++ {
-		row, col := rank/d.Px, rank%d.Px
-		la, lb := d.LatRange(row)
-		lo, hi := d.LonRange(col)
-		counts[rank] = (lb - la) * (hi - lo)
-		totalCols += counts[rank]
-	}
-	totalLoad := 0.0
-	for _, v := range loads {
-		totalLoad += v
-	}
-	perCol := totalLoad / float64(totalCols)
-	if perCol <= 0 {
-		return nil, initialHoldings(counts)
-	}
-
-	holdings := initialHoldings(counts)
-	cur := append([]float64(nil), loads...)
-	var transfers []transfer
-	for round := 0; round < r.rounds; round++ {
-		var moves []loadbalance.Move
-		switch r.scheme {
-		case Shuffle:
-			moves = loadbalance.CyclicShuffle(cur)
-		case Greedy:
-			moves = loadbalance.SortedGreedy(cur, perCol)
-		case Pairwise:
-			moves = loadbalance.PairwiseStep(cur, perCol, 0)
-		}
-		for _, m := range moves {
-			cnt := int(m.Amount/perCol + 0.5)
-			avail := heldCount(holdings[m.Src]) - 1 // keep at least one
-			if cnt > avail {
-				cnt = avail
-			}
-			if cnt <= 0 {
-				continue
-			}
-			transfers = append(transfers, transfer{round: round, src: m.Src, dst: m.Dst, count: cnt})
-			moved := popTail(&holdings[m.Src], cnt)
-			holdings[m.Dst] = append(holdings[m.Dst], moved...)
-			amt := float64(cnt) * perCol
-			cur[m.Src] -= amt
-			cur[m.Dst] += amt
-		}
-	}
-	return transfers, holdings
-}
-
-func initialHoldings(counts []int) [][]segment {
-	h := make([][]segment, len(counts))
-	for rank, c := range counts {
-		h[rank] = []segment{{origin: rank, count: c}}
-	}
-	return h
-}
-
-func heldCount(segs []segment) int {
-	n := 0
-	for _, s := range segs {
-		n += s.count
-	}
-	return n
-}
-
-// popTail removes the last n columns from a holdings list and returns them
-// as segments in their held order.
-func popTail(segs *[]segment, n int) []segment {
-	s := *segs
-	var tail []segment
-	for n > 0 && len(s) > 0 {
-		last := &s[len(s)-1]
-		take := last.count
-		if take > n {
-			take = n
-		}
-		tail = append([]segment{{origin: last.origin, count: take}}, tail...)
-		last.count -= take
-		n -= take
-		if last.count == 0 {
-			s = s[:len(s)-1]
-		}
-	}
-	*segs = s
-	return tail
 }
 
 // extractColumns builds the local column list in the canonical (j, i)
@@ -380,11 +301,10 @@ func (r *Runner) writeBack(cols []*Column, T, Q *grid.Field) {
 	}
 }
 
-// packInputs serializes columns for shipment: per column J, I, Origin,
-// Index, then the T and Q profiles.
-func (r *Runner) packInputs(cols []*Column) []float64 {
-	nl := r.local.Nlayers()
-	buf := make([]float64, 0, len(cols)*(4+2*nl))
+// packInputs serializes columns for shipment into buf[:0]: per column J, I,
+// Origin, Index, then the T and Q profiles.
+func packInputs(buf []float64, cols []*Column) []float64 {
+	buf = buf[:0]
 	for _, c := range cols {
 		buf = append(buf, float64(c.J), float64(c.I), float64(c.Origin), float64(c.Index))
 		buf = append(buf, c.T...)
@@ -393,31 +313,43 @@ func (r *Runner) packInputs(cols []*Column) []float64 {
 	return buf
 }
 
-func (r *Runner) unpackInputs(buf []float64) []*Column {
+// resetForeign empties the foreign-column arenas and makes room for n
+// columns, so unpackInputs never grows them while held points into them.
+func (r *Runner) resetForeign(n int) {
+	r.foreign = slices.Grow(r.foreign[:0], n)
+	r.foreignTQ = slices.Grow(r.foreignTQ[:0], 2*n*r.local.Nlayers())
+}
+
+// unpackInputs rebuilds the shipped columns of buf in the foreign-column
+// arenas and appends them to held.
+func (r *Runner) unpackInputs(held []*Column, buf []float64) []*Column {
 	nl := r.local.Nlayers()
 	stride := 4 + 2*nl
 	if len(buf)%stride != 0 {
 		panic(fmt.Sprintf("physics: column message of %d values not divisible by %d", len(buf), stride))
 	}
-	cols := make([]*Column, 0, len(buf)/stride)
 	for off := 0; off < len(buf); off += stride {
-		c := &Column{
+		at := len(r.foreignTQ)
+		r.foreignTQ = append(r.foreignTQ, buf[off+4:off+stride]...)
+		r.foreign = append(r.foreign, Column{
 			J: int(buf[off]), I: int(buf[off+1]),
 			Origin: int(buf[off+2]), Index: int(buf[off+3]),
-			T: append([]float64(nil), buf[off+4:off+4+nl]...),
-			Q: append([]float64(nil), buf[off+4+nl:off+stride]...),
-		}
-		cols = append(cols, c)
+			T: r.foreignTQ[at : at+nl : at+nl],
+			Q: r.foreignTQ[at+nl : at+2*nl : at+2*nl],
+		})
+		held = append(held, &r.foreign[len(r.foreign)-1])
 	}
-	return cols
+	return held
 }
 
-// packResults serializes computed columns for the trip home: per column
-// Index, then T and Q.
-func (r *Runner) packResults(cols []*Column) []float64 {
-	nl := r.local.Nlayers()
-	buf := make([]float64, 0, len(cols)*(1+2*nl))
+// packResults serializes the computed columns of one origin for the trip
+// home into buf[:0]: per column Index, then T and Q.
+func packResults(buf []float64, cols []*Column, origin int) []float64 {
+	buf = buf[:0]
 	for _, c := range cols {
+		if c.Origin != origin {
+			continue
+		}
 		buf = append(buf, float64(c.Index))
 		buf = append(buf, c.T...)
 		buf = append(buf, c.Q...)

@@ -136,15 +136,31 @@ func TestSchemeStrings(t *testing.T) {
 }
 
 func TestPopTail(t *testing.T) {
-	segs := []segment{{origin: 0, count: 5}, {origin: 1, count: 3}}
-	tail := popTail(&segs, 4)
+	// Rank 0 holds five of its own columns and three of rank 1's.
+	var h holdings
+	h.reset([]int{5, 3})
+	h.push(0, h.popTail(1, 3))
+	if got := h.list(1); len(got) != 0 || h.ranks[1].held != 0 {
+		t.Fatalf("emptied rank still lists %+v (held %d)", got, h.ranks[1].held)
+	}
+	tail := h.popTail(0, 4)
 	// Takes 3 from origin 1 and 1 from origin 0, preserving held order.
-	if len(tail) != 2 || tail[0].origin != 0 || tail[0].count != 1 ||
-		tail[1].origin != 1 || tail[1].count != 3 {
+	if len(tail) != 2 || tail[0] != (segment{origin: 0, count: 1}) ||
+		tail[1] != (segment{origin: 1, count: 3}) {
 		t.Fatalf("tail = %+v", tail)
 	}
-	if len(segs) != 1 || segs[0].count != 4 {
-		t.Fatalf("remaining = %+v", segs)
+	if segs := h.list(0); len(segs) != 1 || segs[0].count != 4 || h.ranks[0].held != 4 {
+		t.Fatalf("remaining = %+v (held %d)", segs, h.ranks[0].held)
+	}
+	// An exact cut needs no split, and asking for more than is held takes
+	// what there is.
+	h.push(1, tail)
+	if tail = h.popTail(1, 3); len(tail) != 1 || tail[0] != (segment{origin: 1, count: 3}) {
+		t.Fatalf("exact-cut tail = %+v", tail)
+	}
+	if tail = h.popTail(1, 9); len(tail) != 1 || tail[0] != (segment{origin: 0, count: 1}) ||
+		h.ranks[1].held != 0 || h.popTail(1, 1) != nil {
+		t.Fatalf("over-ask tail = %+v (held %d)", tail, h.ranks[1].held)
 	}
 }
 
@@ -316,7 +332,8 @@ func TestColumnPackUnpackRoundTrip(t *testing.T) {
 		orig := []*Column{testColumn(spec, 2, 3), testColumn(spec, 5, 1)}
 		orig[0].Origin, orig[0].Index = 0, 19
 		orig[1].Origin, orig[1].Index = 0, 41
-		got := r.unpackInputs(r.packInputs(orig))
+		r.resetForeign(len(orig))
+		got := r.unpackInputs(nil, packInputs(nil, orig))
 		if len(got) != 2 {
 			return fmt.Errorf("got %d columns", len(got))
 		}
@@ -335,7 +352,7 @@ func TestColumnPackUnpackRoundTrip(t *testing.T) {
 		got[0].T[0] = 999
 		cols := make([]*Column, 64)
 		cols[19], cols[41] = orig[0], orig[1]
-		r.unpackResults(r.packResults(got), cols)
+		r.unpackResults(packResults(nil, got, 0), cols)
 		if cols[19].T[0] != 999 {
 			return fmt.Errorf("result not applied")
 		}
