@@ -33,7 +33,7 @@ func main() {
 	calibrate := flag.String("calibrate", "",
 		"run the roofline observe-predict-calibrate loop (host micro+phase benchmarks, deterministic fit, paper-machine grid) and write the JSON report to this file ('-' for stdout)")
 	calibOut := flag.String("calib-out", "",
-		"with -calibrate: also write the fitted host calibration (canonical JSON) to this file, ready for agcmd -cost-oracle roofline:<file>")
+		"with -calibrate: also write the fitted host calibration (canonical JSON) to this file, ready for agcmd -calib <file>")
 	topologyStr := flag.String("topology", "",
 		"route every run over an interconnect model: auto, mesh[:XxY], torus[:XxYxZ], switch")
 	placementStr := flag.String("placement", "",
@@ -138,7 +138,7 @@ func writeJSON(path string, rep any, err error) {
 // paper-machine prediction grid.  The host sections are wall-clock and gated
 // by thresholds in CI; the machine sections are deterministic.  When
 // calibOut is non-empty the fitted host calibration is also written there as
-// canonical JSON for `agcmd -cost-oracle roofline:<file>`.
+// canonical JSON for `agcmd -calib <file>`.
 func writeBench10JSON(path, calibOut string) {
 	rep, err := bench.NewBench10Report()
 	writeJSON(path, rep, err)

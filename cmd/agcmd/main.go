@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -35,29 +34,22 @@ import (
 	"agcm/internal/server"
 )
 
-// buildOracle resolves the -cost-oracle flag: "" or "linear" keeps the
-// built-in core.PredictCost, "roofline" uses the baked-in reference host
-// calibration, and "roofline:<file>" loads a fitted calibration written by
-// `agcmbench -calibrate -calib-out <file>` on this host.
-func buildOracle(spec string) (core.CostOracle, error) {
-	switch {
-	case spec == "" || spec == "linear":
+// loadOracle builds the sjf cost oracle from a calibration file written by
+// `agcmbench -calibrate -calib-out <file>` on this host.  The empty path is
+// nil: the server then prices with its built-in host calibration.
+func loadOracle(path string) (core.CostOracle, error) {
+	if path == "" {
 		return nil, nil
-	case spec == "roofline":
-		return roofline.NewMachine(roofline.DefaultHost())
-	case strings.HasPrefix(spec, "roofline:"):
-		path := strings.TrimPrefix(spec, "roofline:")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("reading calibration %q: %w", path, err)
-		}
-		calib, err := roofline.ParseCalib(data)
-		if err != nil {
-			return nil, err
-		}
-		return roofline.NewMachine(calib)
 	}
-	return nil, fmt.Errorf("unknown cost oracle %q (linear, roofline, roofline:<calib.json>)", spec)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("reading calibration %q: %w", path, err)
+	}
+	calib, err := roofline.ParseCalib(data)
+	if err != nil {
+		return nil, err
+	}
+	return roofline.NewMachine(calib)
 }
 
 func main() {
@@ -72,10 +64,10 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "disk cache tier directory: finished runs persist here and survive restarts (empty = memory only)")
 	cacheDiskBytes := flag.Int64("cache-disk-bytes", 0, "disk cache tier byte budget (0 = default 256 MiB)")
 	scheduler := flag.String("scheduler", "fcfs", "admission scheduling policy: fcfs (arrival order), priority (interactive before batch) or sjf (cheapest predicted job first)")
-	costOracle := flag.String("cost-oracle", "linear", "sjf job-cost oracle: linear, roofline, or roofline:<calib.json>")
+	calib := flag.String("calib", "", "roofline calibration `file` that prices jobs for sjf, as written by agcmbench -calibrate -calib-out (empty = the built-in host calibration)")
 	flag.Parse()
 
-	oracle, err := buildOracle(*costOracle)
+	oracle, err := loadOracle(*calib)
 	if err != nil {
 		log.Fatalf("agcmd: %v", err)
 	}

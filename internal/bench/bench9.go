@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"agcm/internal/experiments"
 	"agcm/internal/workload"
 )
 
@@ -29,31 +30,26 @@ type Bench9Report struct {
 	// byte-identical traces and structurally equal request sequences.
 	ReplayIdentical bool `json:"replay_identical"`
 
-	// Policies holds one simulation per scheduling policy over the
-	// reference workload, in fcfs/priority/sjf order.
-	Policies []*workload.SimResult `json:"policies"`
-
-	// LabelInverted re-runs priority and sjf on the same workload with the
-	// class templates swapped, so the expensive grid carries the
-	// interactive label.  Priority still favors the label; sjf follows
-	// predicted cost — the two must now disagree, which is what
-	// distinguishes a cost oracle from a class rank.
-	LabelInverted []*workload.SimResult `json:"label_inverted"`
+	// The comparison itself — "policies" and "label_inverted" — is the
+	// scheduling experiment's, embedded so the two cannot drift.
+	*experiments.SchedulerComparison
 }
 
-// NewBench9Report generates the reference schedule, checks replay identity,
-// and simulates every scheduling policy over it.
+// NewBench9Report runs the scheduler comparison (the one the scheduling
+// experiment renders as tables) and checks the reference schedule's replay
+// identity.
 func NewBench9Report() (*Bench9Report, error) {
-	spec := workload.SchedulingSpec()
-	sched, err := workload.Generate(spec)
+	cmp, err := experiments.CompareSchedulers()
 	if err != nil {
 		return nil, err
 	}
+	sched := cmp.Reference
 
 	rep := &Bench9Report{
 		Note: "deterministic virtual-time scheduler comparison over the seeded " +
 			"scheduling workload; all latencies are virtual microseconds from the " +
-			"machine cost model, identical on every host",
+			"roofline model of the Paragon, identical on every host",
+		SchedulerComparison: cmp,
 	}
 	rep.Spec.Name = sched.Spec.Name
 	if rep.Spec.SpecSHA256, err = sched.Spec.Hash(); err != nil {
@@ -64,37 +60,17 @@ func NewBench9Report() (*Bench9Report, error) {
 	}
 	rep.Spec.Requests = len(sched.Requests)
 
-	rep.ReplayIdentical, err = replayIdentical(spec, sched)
+	rep.ReplayIdentical, err = replayIdentical(sched)
 	if err != nil {
 		return nil, err
-	}
-
-	for _, policy := range workload.Policies {
-		res, err := workload.Simulate(sched, workload.SimOptions{Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		rep.Policies = append(rep.Policies, res)
-	}
-
-	invSched, err := workload.Generate(workload.SchedulingSpecInverted())
-	if err != nil {
-		return nil, err
-	}
-	for _, policy := range []string{"priority", "sjf"} {
-		res, err := workload.Simulate(invSched, workload.SimOptions{Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		rep.LabelInverted = append(rep.LabelInverted, res)
 	}
 	return rep, nil
 }
 
 // replayIdentical regenerates the schedule and round-trips it through the
 // trace codec, reporting whether every copy is identical.
-func replayIdentical(spec workload.Spec, sched *workload.Schedule) (bool, error) {
-	again, err := workload.Generate(spec)
+func replayIdentical(sched *workload.Schedule) (bool, error) {
+	again, err := workload.Generate(sched.Spec)
 	if err != nil {
 		return false, err
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"agcm/internal/server"
 	"agcm/internal/workload"
 )
 
@@ -52,10 +53,11 @@ func TestBench9ReplayIdentical(t *testing.T) {
 
 func TestBench9CoversAllPolicies(t *testing.T) {
 	rep := bench9(t)
-	if len(rep.Policies) != len(workload.Policies) {
-		t.Fatalf("report has %d policies, want %d", len(rep.Policies), len(workload.Policies))
+	names := server.SchedulerNames()
+	if len(rep.Policies) != len(names) {
+		t.Fatalf("report has %d policies, want %d", len(rep.Policies), len(names))
 	}
-	for i, want := range workload.Policies {
+	for i, want := range names {
 		res := rep.Policies[i]
 		if res.Policy != want {
 			t.Fatalf("policy %d = %q, want %q", i, res.Policy, want)

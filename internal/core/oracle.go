@@ -3,18 +3,16 @@ package core
 import "fmt"
 
 // CostOracle prices a job for admission scheduling without running it.  The
-// built-in linear oracle is PredictCost; internal/roofline provides a
-// calibrated roofline oracle that predicts real host seconds.  The interface
-// lives here (not in the oracle packages) so that server and workload can
-// depend on an oracle without core depending on its implementations.
+// one analytic implementation is internal/roofline's Machine — a calibration
+// of the host or of a paper machine; the interface exists so tests can
+// substitute fakes, and lives here so core does not depend on roofline.
 //
 // PredictSeconds must be a pure function of the canonicalized config and the
 // step count — equal ConfigKeys must predict equal costs — because the sjf
 // scheduler's ordering, and therefore the daemon's observable behaviour,
 // follows it.
 type CostOracle interface {
-	// Name identifies the oracle in logs and metrics, e.g. "linear" or
-	// "roofline:host".
+	// Name identifies the oracle in logs and metrics, e.g. "roofline:host".
 	Name() string
 	// PredictSeconds estimates the seconds a run of cfg for measuredSteps
 	// measured steps will consume (including warmup), or an error for
@@ -22,14 +20,10 @@ type CostOracle interface {
 	PredictSeconds(cfg Config, measuredSteps int) (float64, error)
 }
 
-// PredictCostWith prices a job with the given oracle, or with the built-in
-// linear PredictCost when oracle is nil.  Degenerate inputs (invalid config,
-// zero or negative steps) error before the oracle is consulted, so every
-// oracle shares one front door for the edge cases.
+// PredictCostWith prices a job with the given oracle.  Degenerate inputs
+// (invalid config, zero or negative steps) error before the oracle is
+// consulted, so every oracle shares one front door for the edge cases.
 func PredictCostWith(oracle CostOracle, cfg Config, measuredSteps int) (float64, error) {
-	if oracle == nil {
-		return PredictCost(cfg, measuredSteps)
-	}
 	if _, err := cfg.withDefaults(); err != nil {
 		return 0, err
 	}

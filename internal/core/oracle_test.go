@@ -1,48 +1,175 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"agcm/internal/core"
 	"agcm/internal/grid"
 	"agcm/internal/machine"
+	"agcm/internal/roofline"
 )
 
+func predictConfig(nlon, nlat, nlayers, py, px int) core.Config {
+	return core.Config{
+		Spec:    grid.Spec{Nlon: nlon, Nlat: nlat, Nlayers: nlayers},
+		Machine: machine.Paragon(),
+		MeshPy:  py, MeshPx: px,
+		Filter: core.FilterFFT,
+	}
+}
+
+// forEachOracle runs fn once per real oracle: the roofline model under the
+// built-in host calibration and under each paper machine's.  The properties
+// below are what admission relies on, so they must hold for every
+// calibration a daemon or a what-if can be given.
+func forEachOracle(t *testing.T, fn func(t *testing.T, price func(core.Config, int) float64)) {
+	calibs := []roofline.Calib{roofline.DefaultHost()}
+	for _, m := range machine.All() {
+		calibs = append(calibs, roofline.FromModel(m))
+	}
+	for _, calib := range calibs {
+		oracle, err := roofline.NewMachine(calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(calib.Name, func(t *testing.T) {
+			fn(t, func(cfg core.Config, steps int) float64 {
+				t.Helper()
+				s, err := core.PredictCostWith(oracle, cfg, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s <= 0 {
+					t.Fatalf("non-positive price %g", s)
+				}
+				return s
+			})
+		})
+	}
+}
+
+func TestPredictCostDeterministic(t *testing.T) {
+	forEachOracle(t, func(t *testing.T, price func(core.Config, int) float64) {
+		cfg := predictConfig(36, 24, 3, 2, 2)
+		if a, b := price(cfg, 3), price(cfg, 3); a != b {
+			t.Fatalf("same job priced %g then %g", a, b)
+		}
+	})
+}
+
+// TestPredictCostMonotone: more steps or more grid points are never cheaper,
+// on one rank or on a mesh.
+func TestPredictCostMonotone(t *testing.T) {
+	forEachOracle(t, func(t *testing.T, price func(core.Config, int) float64) {
+		for _, mesh := range [][2]int{{1, 1}, {2, 2}} {
+			small := predictConfig(36, 24, 3, mesh[0], mesh[1])
+			big := predictConfig(72, 46, 9, mesh[0], mesh[1])
+			if one, three := price(small, 1), price(small, 3); three <= one {
+				t.Fatalf("mesh %v: three steps %g not above one step %g", mesh, three, one)
+			}
+			if s, b := price(small, 1), price(big, 1); b <= s {
+				t.Fatalf("mesh %v: bigger grid %g not above smaller %g", mesh, b, s)
+			}
+		}
+	})
+}
+
+// TestPredictCostHostRanksMeshesAsTheHostDoes pins the direction core.Run
+// shows on this host: one grid on more simulated ranks costs the host more
+// (every rank's work lands on one clock, plus the messages), so sjf under the
+// default calibration must not rank a 4x4 job ahead of its 1x1 twin.
+func TestPredictCostHostRanksMeshesAsTheHostDoes(t *testing.T) {
+	host, err := roofline.NewMachine(roofline.DefaultHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev float64
+	for _, mesh := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
+		s, err := core.PredictCostWith(host, predictConfig(36, 24, 3, mesh[0], mesh[1]), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s <= prev {
+			t.Fatalf("mesh %v priced %g, not above the smaller mesh's %g", mesh, s, prev)
+		}
+		prev = s
+	}
+}
+
+// TestPredictCostMatchesCanonicalIdentity: configs with equal ConfigKeys
+// price equally — here one that spells out the defaults the other leaves to
+// normalization.
+func TestPredictCostMatchesCanonicalIdentity(t *testing.T) {
+	a := predictConfig(36, 24, 3, 2, 2)
+	norm, err := a.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a
+	b.Dt, b.WarmupSteps, b.PhysicsRounds, b.InitWind = norm.Dt, norm.WarmupSteps, norm.PhysicsRounds, norm.InitWind
+	ka, err := a.ConfigKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := b.ConfigKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ka != kb {
+		t.Fatalf("test configs do not share a ConfigKey: %s vs %s", ka, kb)
+	}
+	forEachOracle(t, func(t *testing.T, price func(core.Config, int) float64) {
+		if pa, pb := price(a, 2), price(b, 2); pa != pb {
+			t.Fatalf("equal ConfigKeys priced %g and %g", pa, pb)
+		}
+	})
+}
+
 // TestPredictCostDegenerateConfigs table-drives the edge cases the oracle
-// front door must reject: the sjf scheduler relies on an error (not a bogus
-// number) to trigger its fcfs fallback.
+// front door must reject before any oracle is consulted: the sjf scheduler
+// relies on an error (not a bogus number) to trigger its fcfs fallback.
 func TestPredictCostDegenerateConfigs(t *testing.T) {
 	good := predictConfig(36, 24, 3, 1, 1)
 	cases := []struct {
 		name  string
-		cfg   Config
+		cfg   core.Config
 		steps int
 	}{
-		{"zero config", Config{}, 1},
+		{"zero config", core.Config{}, 1},
 		{"zero steps", good, 0},
 		{"negative steps", good, -3},
-		{"zero ranks", func() Config { c := good; c.MeshPy, c.MeshPx = 0, 0; return c }(), 1},
-		{"zero mesh py", func() Config { c := good; c.MeshPy = 0; return c }(), 1},
-		{"negative mesh px", func() Config { c := good; c.MeshPx = -2; return c }(), 1},
-		{"nil machine", func() Config { c := good; c.Machine = nil; return c }(), 1},
-		{"degenerate grid", func() Config { c := good; c.Spec = grid.Spec{Nlon: 2, Nlat: 2, Nlayers: 0}; return c }(), 1},
-		{"negative dt", func() Config { c := good; c.Dt = -1; return c }(), 1},
+		{"zero ranks", func() core.Config { c := good; c.MeshPy, c.MeshPx = 0, 0; return c }(), 1},
+		{"zero mesh py", func() core.Config { c := good; c.MeshPy = 0; return c }(), 1},
+		{"negative mesh px", func() core.Config { c := good; c.MeshPx = -2; return c }(), 1},
+		{"nil machine", func() core.Config { c := good; c.Machine = nil; return c }(), 1},
+		{"degenerate grid", func() core.Config { c := good; c.Spec = grid.Spec{Nlon: 2, Nlat: 2, Nlayers: 0}; return c }(), 1},
+		{"negative dt", func() core.Config { c := good; c.Dt = -1; return c }(), 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := PredictCost(tc.cfg, tc.steps); err == nil {
-				t.Fatalf("PredictCost accepted %s", tc.name)
-			}
-			// The oracle front door must reject identically, and must do so
-			// before consulting any installed oracle.
 			oracle := &countingOracle{seconds: 42}
-			if _, err := PredictCostWith(oracle, tc.cfg, tc.steps); err == nil {
+			if _, err := core.PredictCostWith(oracle, tc.cfg, tc.steps); err == nil {
 				t.Fatalf("PredictCostWith accepted %s", tc.name)
 			}
 			if oracle.calls != 0 {
 				t.Fatalf("oracle consulted for %s", tc.name)
 			}
 		})
+	}
+}
+
+// TestPredictCostRejectsBadInput: the real oracles sit behind the same guard.
+func TestPredictCostRejectsBadInput(t *testing.T) {
+	host, err := roofline.NewMachine(roofline.DefaultHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.PredictCostWith(host, core.Config{}, 1); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+	if _, err := core.PredictCostWith(host, predictConfig(36, 24, 3, 1, 1), 0); err == nil {
+		t.Fatal("zero steps accepted")
 	}
 }
 
@@ -54,7 +181,7 @@ type countingOracle struct {
 
 func (o *countingOracle) Name() string { return "counting" }
 
-func (o *countingOracle) PredictSeconds(cfg Config, steps int) (float64, error) {
+func (o *countingOracle) PredictSeconds(cfg core.Config, steps int) (float64, error) {
 	o.calls++
 	if o.err != nil {
 		return 0, o.err
@@ -62,25 +189,10 @@ func (o *countingOracle) PredictSeconds(cfg Config, steps int) (float64, error) 
 	return o.seconds, nil
 }
 
-func TestPredictCostWithNilMatchesLinear(t *testing.T) {
-	cfg := predictConfig(36, 24, 3, 2, 2)
-	want, err := PredictCost(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PredictCostWith(nil, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("nil oracle diverges from PredictCost: %g vs %g", got, want)
-	}
-}
-
 func TestPredictCostWithConsultsOracle(t *testing.T) {
 	cfg := predictConfig(36, 24, 3, 1, 1)
 	oracle := &countingOracle{seconds: 7.5}
-	got, err := PredictCostWith(oracle, cfg, 2)
+	got, err := core.PredictCostWith(oracle, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +201,13 @@ func TestPredictCostWithConsultsOracle(t *testing.T) {
 	}
 
 	failing := &countingOracle{err: fmt.Errorf("no price")}
-	if _, err := PredictCostWith(failing, cfg, 2); err == nil {
+	if _, err := core.PredictCostWith(failing, cfg, 2); err == nil {
 		t.Fatal("oracle error swallowed")
 	}
 }
 
 func TestNormalizedFillsDefaults(t *testing.T) {
-	cfg := Config{
+	cfg := core.Config{
 		Spec:    grid.Spec{Nlon: 36, Nlat: 24, Nlayers: 3},
 		Machine: machine.Paragon(),
 		MeshPy:  1, MeshPx: 1,
@@ -108,7 +220,7 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 		t.Fatalf("defaults not applied: dt=%g warmup=%d rounds=%d",
 			norm.Dt, norm.WarmupSteps, norm.PhysicsRounds)
 	}
-	if _, err := (Config{}).Normalized(); err == nil {
+	if _, err := (core.Config{}).Normalized(); err == nil {
 		t.Fatal("Normalized accepted the zero config")
 	}
 }

@@ -353,21 +353,36 @@ func Advection(opt Options) (*Output, error) {
 		Notes:  []string{"Paper: about 35% reduction on a single Cray T3D node."}}, nil
 }
 
-// All returns every experiment in paper order, plus the ablations.
+// table is every experiment in paper order, then the ablations and the
+// later studies — the one list All, ByID and IDs read.
+var table = []struct {
+	id string
+	fn func(Options) (*Output, error)
+}{
+	{"fig1", Figure1}, {"table1", Table1}, {"table2", Table2}, {"table3", Table3},
+	{"table4", Table4}, {"table5", Table5}, {"table6", Table6}, {"table7", Table7},
+	{"table8", Table8}, {"table9", Table9}, {"table10", Table10}, {"table11", Table11},
+	{"blockarray", BlockArray}, {"advection", Advection},
+	{"ablation-schemes", AblationPhysicsSchemes},
+	{"ablation-topology", AblationRingVsTree},
+	{"ablation-rounds", AblationPairwiseRounds},
+	{"ablation-comm", AblationCommPatterns},
+	{"ablation-polar", AblationPolarTreatment},
+	{"ablation-sp2", AblationSP2},
+	{"ablation-degraded", AblationDegradedNode},
+	{"ablation-resolution", AblationResolution},
+	{"ablation-layers", AblationLayerScaling},
+	{"crash-recovery", CrashRecovery},
+	{"interconnect", Interconnect},
+	{"scheduling", Scheduling},
+	{"roofline", Roofline},
+}
+
+// All runs every experiment in table order.
 func All(opt Options) ([]*Output, error) {
-	fns := []func(Options) (*Output, error){
-		Figure1, Table1, Table2, Table3,
-		Table4, Table5, Table6, Table7,
-		Table8, Table9, Table10, Table11,
-		BlockArray, Advection,
-		AblationPhysicsSchemes, AblationRingVsTree, AblationPairwiseRounds,
-		AblationCommPatterns, AblationPolarTreatment, AblationSP2,
-		AblationDegradedNode, AblationResolution, AblationLayerScaling,
-		CrashRecovery, Interconnect, Scheduling, Roofline,
-	}
-	var outs []*Output
-	for _, fn := range fns {
-		o, err := fn(opt)
+	outs := make([]*Output, 0, len(table))
+	for _, e := range table {
+		o, err := e.fn(opt)
 		if err != nil {
 			return nil, err
 		}
@@ -376,40 +391,21 @@ func All(opt Options) ([]*Output, error) {
 	return outs, nil
 }
 
-// ByID returns the named experiment.
+// ByID runs the named experiment.
 func ByID(id string, opt Options) (*Output, error) {
-	fns := map[string]func(Options) (*Output, error){
-		"fig1": Figure1, "table1": Table1, "table2": Table2, "table3": Table3,
-		"table4": Table4, "table5": Table5, "table6": Table6, "table7": Table7,
-		"table8": Table8, "table9": Table9, "table10": Table10, "table11": Table11,
-		"blockarray": BlockArray, "advection": Advection,
-		"ablation-schemes":    AblationPhysicsSchemes,
-		"ablation-topology":   AblationRingVsTree,
-		"ablation-rounds":     AblationPairwiseRounds,
-		"ablation-comm":       AblationCommPatterns,
-		"ablation-polar":      AblationPolarTreatment,
-		"ablation-sp2":        AblationSP2,
-		"ablation-degraded":   AblationDegradedNode,
-		"ablation-resolution": AblationResolution,
-		"ablation-layers":     AblationLayerScaling,
-		"crash-recovery":      CrashRecovery,
-		"interconnect":        Interconnect,
-		"scheduling":          Scheduling,
-		"roofline":            Roofline,
+	for _, e := range table {
+		if e.id == id {
+			return e.fn(opt)
+		}
 	}
-	fn, ok := fns[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return fn(opt)
+	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// IDs lists the valid experiment identifiers.
+// IDs lists the valid experiment identifiers, in table order.
 func IDs() []string {
-	return []string{"fig1", "table1", "table2", "table3", "table4", "table5",
-		"table6", "table7", "table8", "table9", "table10", "table11",
-		"blockarray", "advection", "ablation-schemes", "ablation-topology",
-		"ablation-rounds", "ablation-comm", "ablation-polar", "ablation-sp2",
-		"ablation-degraded", "ablation-resolution", "ablation-layers",
-		"crash-recovery", "interconnect", "scheduling", "roofline"}
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -33,10 +33,6 @@ func TestIDsRoundTrip(t *testing.T) {
 	if _, err := ByID("no-such", testOpt); err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	ids := IDs()
-	if len(ids) < 14 {
-		t.Fatalf("only %d experiment ids", len(ids))
-	}
 	// Cheap experiments run through ByID end to end.
 	for _, id := range []string{"blockarray", "advection"} {
 		out, err := ByID(id, testOpt)
@@ -45,6 +41,51 @@ func TestIDsRoundTrip(t *testing.T) {
 		}
 		if out.ID != id || len(out.Tables) == 0 {
 			t.Fatalf("%s: bad output %+v", id, out)
+		}
+	}
+}
+
+// TestTableDrivesAllByIDAndIDs swaps every experiment for a counting stub:
+// IDs is the table's order, ByID resolves every id to its own entry, and All
+// runs each entry exactly once, in that order.
+func TestTableDrivesAllByIDAndIDs(t *testing.T) {
+	saved := append(table[:0:0], table...)
+	defer copy(table, saved)
+	runs := make(map[string]int)
+	for i := range table {
+		id := table[i].id
+		table[i].fn = func(Options) (*Output, error) {
+			runs[id]++
+			return &Output{ID: id}, nil
+		}
+	}
+
+	ids := IDs()
+	if len(ids) != len(table) {
+		t.Fatalf("%d ids for %d experiments", len(ids), len(table))
+	}
+	for i, id := range ids {
+		if id != table[i].id {
+			t.Fatalf("IDs()[%d] = %q, table says %q", i, id, table[i].id)
+		}
+		out, err := ByID(id, testOpt)
+		if err != nil || out.ID != id {
+			t.Fatalf("ByID(%q) = %+v, %v", id, out, err)
+		}
+		if runs[id] != 1 {
+			t.Fatalf("id %q is not unique in the table", id)
+		}
+	}
+	outs, err := All(testOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(ids) {
+		t.Fatalf("All ran %d experiments, want %d", len(outs), len(ids))
+	}
+	for i, out := range outs {
+		if out.ID != ids[i] || runs[out.ID] != 2 {
+			t.Fatalf("All()[%d] = %q after %d runs, want %q run once more", i, out.ID, runs[out.ID], ids[i])
 		}
 	}
 }

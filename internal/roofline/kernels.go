@@ -52,6 +52,9 @@ type Counts struct {
 	// physics, filter, network.  The filter kernel is absent for
 	// FilterNone; the network kernel is absent on a single rank.
 	Kernels []Kernel
+	// Degrade is how much slower the config's degraded rank (DegradeRank,
+	// one slowed virtual processor) computes than its peers; 1 when healthy.
+	Degrade float64
 }
 
 // Analytic constants mirroring the simulation's calibrated operation counts
@@ -84,7 +87,7 @@ const (
 // CountKernels classifies the configuration's kernels and returns their
 // per-step operation counts for measuredSteps measured steps.  It is a pure
 // function of the canonicalized config (equal ConfigKeys yield equal counts)
-// and errors on the same degenerate inputs PredictCost rejects.
+// and errors on the degenerate inputs core.PredictCostWith rejects.
 func CountKernels(cfg core.Config, measuredSteps int) (Counts, error) {
 	c, err := cfg.Normalized()
 	if err != nil {
@@ -275,5 +278,9 @@ func CountKernels(cfg core.Config, measuredSteps int) (Counts, error) {
 		})
 	}
 
-	return Counts{Steps: measuredSteps + c.WarmupSteps, Kernels: kernels}, nil
+	counts := Counts{Steps: measuredSteps + c.WarmupSteps, Kernels: kernels, Degrade: 1}
+	if c.DegradeRank >= 0 {
+		counts.Degrade = c.DegradeFactor
+	}
+	return counts, nil
 }

@@ -32,8 +32,8 @@ func FromModel(m *machine.Model) Calib {
 // committed BENCH_10.json).  Ceilings are measured by the micro-benchmarks
 // (one core, scalar Go loops); efficiencies are least-squares fits over the
 // phase benchmarks.  Run `agcmbench -calibrate` to refit on the current
-// host; this baked-in value is the fallback the `-cost-oracle roofline`
-// daemon flag uses when no calibration file is given.
+// host; this baked-in value is the built-in calibration a server prices
+// with when none is supplied (`agcmd` without `-calib`).
 //
 // The host executes every simulated rank on one machine, so it aggregates
 // total work, not the critical path.

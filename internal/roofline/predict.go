@@ -31,24 +31,21 @@ type Prediction struct {
 // Machine predicts run times from a calibration.  It implements
 // core.CostOracle, so it can drive the sjf scheduler and the workload
 // simulator directly.
-type Machine struct {
-	calib Calib
-	name  string
-}
+type Machine struct{ calib Calib }
 
 // NewMachine validates the calibration and returns its predictor.
 func NewMachine(c Calib) (*Machine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{calib: c, name: "roofline:" + c.Name}, nil
+	return &Machine{calib: c}, nil
 }
 
 // Calib returns the machine's calibration.
 func (m *Machine) Calib() Calib { return m.calib }
 
 // Name implements core.CostOracle.
-func (m *Machine) Name() string { return m.name }
+func (m *Machine) Name() string { return "roofline:" + m.calib.Name }
 
 // Predict returns the per-phase and end-to-end predicted time of running cfg
 // for measuredSteps measured steps on this machine: each compute kernel is
@@ -61,6 +58,14 @@ func (m *Machine) Predict(cfg core.Config, measuredSteps int) (*Prediction, erro
 		return nil, err
 	}
 	c := m.calib
+	// A degraded rank is the critical path of a machine that runs at its
+	// slowest rank's pace.  A machine that sums all ranks' work on one clock
+	// (the host) pays the same real time for a degraded simulation as for a
+	// healthy one.
+	degrade := 1.0
+	if c.Aggregate == AggregateMaxRank {
+		degrade = counts.Degrade
+	}
 	pred := &Prediction{Machine: c.Name, Steps: counts.Steps}
 	for _, k := range counts.Kernels {
 		flops, bytes := k.CPFlops, k.CPBytes
@@ -83,21 +88,12 @@ func (m *Machine) Predict(cfg core.Config, measuredSteps int) (*Prediction, erro
 				t, bound = bt, "memory"
 			}
 		}
-		t /= c.Eff.ByClass(k.Class)
+		t = t / c.Eff.ByClass(k.Class) * degrade
 		pred.Phases = append(pred.Phases, PhaseTime{
 			Name: k.Name, Class: k.Class, Seconds: t, Bound: bound,
 			Intensity: intensityOrZero(k),
 		})
 		pred.StepSeconds += t
-	}
-	norm, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	if norm.DegradeRank >= 0 {
-		// The degraded rank is the critical path, exactly as in the
-		// simulation and the linear oracle.
-		pred.StepSeconds *= norm.DegradeFactor
 	}
 	pred.Seconds = pred.StepSeconds * float64(pred.Steps)
 	return pred, nil
@@ -143,19 +139,6 @@ func RawSeconds(c Calib, cfg core.Config, measuredSteps int) ([NumClasses]float6
 			if ph.Class == class {
 				raw[i] += ph.Seconds * float64(p.Steps)
 			}
-		}
-	}
-	// Degradation already scaled StepSeconds inside Predict; recover the
-	// per-phase split from the scaled phases, which sum to StepSeconds
-	// before degradation only.  Re-scale so the rows sum to p.Seconds.
-	var sum float64
-	for _, v := range raw {
-		sum += v
-	}
-	if sum > 0 && p.Seconds > 0 {
-		scale := p.Seconds / sum
-		for i := range raw {
-			raw[i] *= scale
 		}
 	}
 	return raw, nil

@@ -91,25 +91,40 @@ func TestPredictAggregateSumChargesTotalWork(t *testing.T) {
 	}
 }
 
+// TestPredictDegradeFactor: DegradeRank slows one virtual processor.  A
+// machine paced by its slowest rank pays the factor; a machine that sums
+// every rank's work on one clock (the host) pays the same real time as for
+// the healthy twin.
 func TestPredictDegradeFactor(t *testing.T) {
-	m, err := NewMachine(validCalib())
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := testConfig(2, 2, core.FilterFFT)
-	p0, err := m.Predict(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	deg := base
 	deg.DegradeRank = 0
 	deg.DegradeFactor = 2.5
-	p1, err := m.Predict(deg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p1.Seconds-2.5*p0.Seconds) > 1e-9*p1.Seconds {
-		t.Fatalf("degraded prediction %g, want %g", p1.Seconds, 2.5*p0.Seconds)
+	for _, tc := range []struct {
+		aggregate string
+		want      float64
+	}{
+		{AggregateMaxRank, 2.5},
+		{AggregateSum, 1},
+	} {
+		calib := validCalib()
+		calib.Aggregate = tc.aggregate
+		m, err := NewMachine(calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0, err := m.Predict(base, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, err := m.Predict(deg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(p1.Seconds-tc.want*p0.Seconds) > 1e-9*p1.Seconds {
+			t.Errorf("%s: degraded prediction %g, want %g x healthy %g",
+				tc.aggregate, p1.Seconds, tc.want, p0.Seconds)
+		}
 	}
 }
 

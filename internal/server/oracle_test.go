@@ -106,34 +106,52 @@ func TestServerOracleFallbackNeverSheds(t *testing.T) {
 	}
 }
 
-// TestServerConsultsCustomOracle checks the Options.CostOracle seam: a
-// working oracle is consulted once per admitted job.
+// TestServerConsultsCustomOracle checks the Options.CostOracle seam: under
+// sjf a working oracle is consulted once per admitted job; under the
+// policies that never read Job.Cost it is not consulted at all.
 func TestServerConsultsCustomOracle(t *testing.T) {
-	oracle := &recordingOracle{seconds: 3.25}
-	s := mustNew(t, Options{
-		Workers:    1,
-		Scheduler:  "sjf",
-		CostOracle: oracle,
-		Runner: func(ctx context.Context, cfg core.Config, steps int) (*core.Report, error) {
-			return stubReport(cfg, steps), nil
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Drain(context.Background())
+	for _, tc := range []struct {
+		policy string
+		want   int64
+	}{{"fcfs", 0}, {"priority", 0}, {"sjf", 1}} {
+		t.Run(tc.policy, func(t *testing.T) {
+			oracle := &recordingOracle{seconds: 3.25}
+			s := mustNew(t, Options{
+				Workers:    1,
+				Scheduler:  tc.policy,
+				CostOracle: oracle,
+				Runner: func(ctx context.Context, cfg core.Config, steps int) (*core.Report, error) {
+					return stubReport(cfg, steps), nil
+				},
+			})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			defer s.Drain(context.Background())
 
-	if status, _, body := postRun(t, ts.URL, reqJSON([2]int{1, 2}, "fft", 2)); status != http.StatusOK {
-		t.Fatalf("status %d, body %s", status, body)
+			if status, _, body := postRun(t, ts.URL, reqJSON([2]int{1, 2}, "fft", 2)); status != http.StatusOK {
+				t.Fatalf("status %d, body %s", status, body)
+			}
+			if got := oracle.calls.Load(); got != tc.want {
+				t.Fatalf("oracle consulted %d times, want %d", got, tc.want)
+			}
+			// A cache hit must not re-consult the oracle: pricing happens
+			// only on admission.
+			if status, _, _ := postRun(t, ts.URL, reqJSON([2]int{1, 2}, "fft", 2)); status != http.StatusOK {
+				t.Fatal("cache hit failed")
+			}
+			if got := oracle.calls.Load(); got != tc.want {
+				t.Fatalf("cache hit re-consulted the oracle (%d calls)", got)
+			}
+		})
 	}
-	if got := oracle.calls.Load(); got != 1 {
-		t.Fatalf("oracle consulted %d times, want 1", got)
-	}
-	// A cache hit must not re-consult the oracle: pricing happens only on
-	// admission.
-	if status, _, _ := postRun(t, ts.URL, reqJSON([2]int{1, 2}, "fft", 2)); status != http.StatusOK {
-		t.Fatal("cache hit failed")
-	}
-	if got := oracle.calls.Load(); got != 1 {
-		t.Fatalf("cache hit re-consulted the oracle (%d calls)", got)
+}
+
+// TestServerDefaultOracleIsHostRoofline: a nil Options.CostOracle is the
+// roofline model under the built-in host calibration, not a second predictor.
+func TestServerDefaultOracleIsHostRoofline(t *testing.T) {
+	s := mustNew(t, Options{Scheduler: "sjf"})
+	defer s.Drain(context.Background())
+	if got := s.opt.CostOracle.Name(); got != "roofline:host" {
+		t.Fatalf("default oracle %q, want roofline:host", got)
 	}
 }

@@ -34,6 +34,7 @@ import (
 
 	"agcm/internal/core"
 	"agcm/internal/frame"
+	"agcm/internal/roofline"
 	"agcm/internal/sim"
 )
 
@@ -76,10 +77,10 @@ type Options struct {
 	// Runner executes simulations; nil means core.RunContext.  Tests
 	// substitute blockers and counters.
 	Runner Runner
-	// CostOracle prices jobs for the sjf scheduler; nil means the built-in
-	// linear core.PredictCost.  `agcmd -cost-oracle roofline` installs a
-	// calibrated roofline.Machine here so job ordering follows predicted
-	// host seconds instead of 1996 virtual seconds.
+	// CostOracle prices jobs for the sjf scheduler, the only policy that
+	// orders on cost; nil means the roofline model under its built-in host
+	// calibration (roofline.DefaultHost).  `agcmd -calib` installs the
+	// same model under a calibration fitted on this host.
 	CostOracle core.CostOracle
 }
 
@@ -145,6 +146,11 @@ func New(opt Options) (*Server, error) {
 	sched, err := NewScheduler(opt.Scheduler, opt.QueueCapacity)
 	if err != nil {
 		return nil, err
+	}
+	if opt.CostOracle == nil {
+		if opt.CostOracle, err = roofline.NewMachine(roofline.DefaultHost()); err != nil {
+			return nil, err
+		}
 	}
 	s := &Server{
 		opt:     opt,
@@ -380,17 +386,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The sjf oracle: predicted run time from the configured cost oracle
-	// (linear machine model by default, roofline when installed).  A failed
-	// prediction must degrade the *ordering*, never the service: cost 0 is
-	// the sentinel that sorts the job ahead of every priced job, where the
-	// Seq tie-break reduces to fcfs order — the job still runs, it is just
-	// no longer sized.  Real predictions are always positive, so the
+	// Price the job only under a policy that orders on cost (sjf).  A
+	// failed prediction must degrade the *ordering*, never the service: cost
+	// 0 is the sentinel that sorts the job ahead of every priced job, where
+	// the Seq tie-break reduces to fcfs order — the job still runs, it is
+	// just no longer sized.  Real predictions are always positive, so the
 	// sentinel cannot collide.
-	cost, err := core.PredictCostWith(s.opt.CostOracle, req.Config, req.Steps)
-	if err != nil {
-		s.metrics.requests.Inc("predict_fallback")
-		cost = 0
+	var cost float64
+	if s.queue.UsesCost() {
+		if cost, err = core.PredictCostWith(s.opt.CostOracle, req.Config, req.Steps); err != nil {
+			s.metrics.requests.Inc("predict_fallback")
+			cost = 0
+		}
 	}
 	job := &Job{
 		Request:  req,

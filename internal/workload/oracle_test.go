@@ -25,10 +25,10 @@ func (o *fixedOracle) PredictSeconds(cfg core.Config, steps int) (float64, error
 }
 
 // TestSimulateUsesInjectedOracle checks the SimOptions.Oracle seam: the
-// what-if runs on the injected predictor's prices, not the linear model's.
+// what-if runs on the injected predictor's prices.
 func TestSimulateUsesInjectedOracle(t *testing.T) {
 	sched := schedulingSchedule(t)
-	linear, err := Simulate(sched, SimOptions{Policy: "sjf"})
+	modelled, err := Simulate(sched, SimOptions{Policy: "sjf", Oracle: paragon(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,16 @@ func TestSimulateUsesInjectedOracle(t *testing.T) {
 	if oracle.calls == 0 {
 		t.Fatal("injected oracle never consulted")
 	}
-	if reflect.DeepEqual(linear, priced) {
+	if reflect.DeepEqual(modelled, priced) {
 		t.Fatal("oracle prices did not reach the simulation")
+	}
+	// At negligible service demand nothing queues: slowdown collapses to ~1.
+	idle, err := Simulate(sched, SimOptions{Policy: "fcfs", Oracle: &fixedOracle{seconds: 1e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.MaxClassSlowdown > 1.5 {
+		t.Fatalf("unloaded system still shows slowdown %.2f", idle.MaxClassSlowdown)
 	}
 	// Still deterministic with an oracle installed.
 	again, err := Simulate(sched, SimOptions{Policy: "sjf", Oracle: &fixedOracle{seconds: 0.5}})

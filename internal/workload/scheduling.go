@@ -6,12 +6,14 @@ package workload
 // scheduler differences visible and stable:
 //
 //   - The interactive class is a small 1x1 grid, the batch class a 4-rank
-//     grid with triple the steps: the cost oracle puts them ~5x apart, so
-//     sjf has real spread to exploit.
-//   - The mean rate sits near the 4-worker pool's capacity and the diurnal
-//     swing (amplitude 0.7) pushes peaks well past it: queues build at the
-//     crest and drain in the trough, which is exactly where scheduling
-//     policy matters.
+//     grid with triple the steps: the Paragon roofline (the machine the
+//     templates name, and the oracle BENCH_9 prices with) puts them at
+//     3.46 s and 19.55 s, so sjf has real spread to exploit.
+//   - The mean rate sits near the 4-worker pool's capacity (0.40/s x 8.29 s
+//     mean service / 4 workers = 0.83 utilisation) and the diurnal swing
+//     (amplitude 0.7) pushes peaks well past it: queues build at the crest
+//     and drain in the trough, which is exactly where scheduling policy
+//     matters.
 //   - Zipf popularity (exponent ~1.2 over small pools) gives live replays a
 //     realistic cache-hit mix without affecting the queueing model.
 //
@@ -30,7 +32,7 @@ func SchedulingSpecInverted() Spec {
 		inv.Classes[1].Template, inv.Classes[0].Template
 	inv.Classes[0].Steps, inv.Classes[1].Steps =
 		inv.Classes[1].Steps, inv.Classes[0].Steps
-	inv.Arrival.RatePerSec = 0.32
+	inv.Arrival.RatePerSec = 0.23
 	return inv
 }
 
@@ -41,7 +43,7 @@ func SchedulingSpec() Spec {
 		Requests: 400,
 		Arrival: Arrival{
 			Process:          "poisson",
-			RatePerSec:       0.55,
+			RatePerSec:       0.40,
 			DiurnalAmplitude: 0.7,
 			DiurnalPeriodSec: 120,
 		},

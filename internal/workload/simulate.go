@@ -2,128 +2,44 @@ package workload
 
 // Simulate: a deterministic virtual-time queueing model of the serving
 // daemon's admission queue and worker pool.  It runs a schedule through a
-// scheduling policy — the same three the live server offers — with service
-// demands from a pluggable core.CostOracle (the linear PredictCost by
-// default, the calibrated roofline model via SimOptions.Oracle), and reports
+// scheduling policy — the live server's own Scheduler, imported rather than
+// mirrored — with service demands from a core.CostOracle (a roofline
+// calibration of whichever machine the what-if is about), and reports
 // per-class latency and fairness.  Everything is integer microseconds and
 // fixed-order iteration, so the same (schedule, options) always produces
 // the same result: BENCH_9's scheduler comparison is a committable
 // artifact, not a host measurement.
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"agcm/internal/core"
+	"agcm/internal/server"
 )
-
-// Policies lists the scheduling policies, in report order.  The names
-// match the live server's -scheduler flag.
-var Policies = []string{"fcfs", "priority", "sjf"}
-
-// classRank orders SLO classes for the priority policy: interactive
-// before batch.
-func classRank(name string) int {
-	if name == "interactive" {
-		return 0
-	}
-	return 1
-}
 
 // SimOptions configures one simulation.
 type SimOptions struct {
-	// Policy is the scheduling policy: "fcfs" (arrival order — the live
-	// server's default), "priority" (SLO class first, then arrival), or
-	// "sjf" (predicted cost first, arrival breaks ties).
+	// Policy names the scheduling policy (server.SchedulerNames; the empty
+	// name is the server's default).
 	Policy string
 	// Workers is the worker-pool size (default 4).
 	Workers int
-	// ServiceScale converts the oracle's predicted machine-seconds into
-	// the arrival timeline's seconds (default 1).  It models how fast the
-	// host executes simulated work relative to the workload clock; the
-	// policy comparison holds at any fixed scale.
-	ServiceScale float64
-	// Oracle prices requests; nil means the built-in linear
-	// core.PredictCost.  Install a roofline.Machine (via
-	// core.CostOracle) to drive the what-if on predicted host seconds —
-	// with ServiceScale 1, the virtual timeline then reads in real host
-	// time.
+	// Oracle prices requests, in seconds of the arrival timeline; required.
+	// Every policy needs it — a job's price is its service demand — and
+	// sjf also orders by it.
 	Oracle core.CostOracle
 }
 
-// simJob is one request in flight through the model.
+// simJob is one request in flight through the model.  The embedded
+// server.Job carries what the policy orders on — class, arrival sequence and
+// Cost, here the service demand in whole virtual microseconds — and is what
+// the live daemon's Scheduler queues.
 type simJob struct {
+	server.Job
 	req    *Request
-	costUS int64 // service demand in virtual microseconds
 	doneUS int64 // completion time, filled at dispatch
-}
-
-// jobOrder returns the policy's strict ordering over queued jobs, mirroring
-// server.NewScheduler's three; arrival sequence breaks every tie, so the
-// order is total and the simulation deterministic.
-func jobOrder(policy string) (func(a, b *simJob) bool, error) {
-	switch policy {
-	case "fcfs":
-		return func(a, b *simJob) bool { return a.req.Seq < b.req.Seq }, nil
-	case "priority":
-		return func(a, b *simJob) bool {
-			ac, bc := classRank(a.req.Class), classRank(b.req.Class)
-			if ac != bc {
-				return ac < bc
-			}
-			return a.req.Seq < b.req.Seq
-		}, nil
-	case "sjf":
-		return func(a, b *simJob) bool {
-			if a.costUS != b.costUS {
-				return a.costUS < b.costUS
-			}
-			return a.req.Seq < b.req.Seq
-		}, nil
-	}
-	return nil, fmt.Errorf("workload: unknown policy %q (fcfs, priority, sjf)", policy)
-}
-
-// jobHeap is the ready queue under a policy's ordering.
-type jobHeap struct {
-	jobs []*simJob
-	less func(a, b *simJob) bool
-}
-
-func (h *jobHeap) Len() int           { return len(h.jobs) }
-func (h *jobHeap) Less(i, j int) bool { return h.less(h.jobs[i], h.jobs[j]) }
-func (h *jobHeap) Swap(i, j int)      { h.jobs[i], h.jobs[j] = h.jobs[j], h.jobs[i] }
-func (h *jobHeap) Push(x any)         { h.jobs = append(h.jobs, x.(*simJob)) }
-func (h *jobHeap) Pop() any {
-	old := h.jobs
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	h.jobs = old[:n-1]
-	return x
-}
-
-// doneHeap orders in-service jobs by completion time, arrival sequence on
-// ties — the deterministic completion order.
-type doneHeap []*simJob
-
-func (h doneHeap) Len() int { return len(h) }
-func (h doneHeap) Less(i, j int) bool {
-	if h[i].doneUS != h[j].doneUS {
-		return h[i].doneUS < h[j].doneUS
-	}
-	return h[i].req.Seq < h[j].req.Seq
-}
-func (h doneHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *doneHeap) Push(x any)   { *h = append(*h, x.(*simJob)) }
-func (h *doneHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }
 
 // ClassStats is one SLO class's latency and fairness summary.  Times are
@@ -180,131 +96,13 @@ func percentile(sorted []int64, q float64) int64 {
 // Simulate runs the schedule through the policy's queue on a fixed worker
 // pool and returns per-class latency and fairness statistics.
 func Simulate(sched *Schedule, opt SimOptions) (*SimResult, error) {
-	if opt.Workers == 0 {
-		opt.Workers = 4
-	}
-	if opt.Workers < 0 {
-		return nil, fmt.Errorf("workload: workers must be positive, got %d", opt.Workers)
-	}
-	if opt.ServiceScale == 0 {
-		opt.ServiceScale = 1
-	}
-	if opt.ServiceScale < 0 {
-		return nil, fmt.Errorf("workload: service scale must be positive, got %g", opt.ServiceScale)
-	}
-	less, err := jobOrder(opt.Policy)
+	done, res, err := play(sched, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Predicted service demand per distinct (class, pool index).
-	classByName := make(map[string]Class, len(sched.Spec.Classes))
-	for _, c := range sched.Spec.Classes {
-		classByName[c.Name] = c
-	}
-	costCache := make(map[string]int64)
-	costOf := func(r *Request) (int64, error) {
-		key := r.Key()
-		if c, ok := costCache[key]; ok {
-			return c, nil
-		}
-		cls, ok := classByName[r.Class]
-		if !ok {
-			return 0, fmt.Errorf("workload: request %d names class %q absent from spec", r.Seq, r.Class)
-		}
-		cfg, err := cls.Config(r.PoolIndex)
-		if err != nil {
-			return 0, err
-		}
-		sec, err := core.PredictCostWith(opt.Oracle, cfg, r.Steps)
-		if err != nil {
-			return 0, err
-		}
-		us := int64(sec * opt.ServiceScale * 1e6)
-		if us < 1 {
-			us = 1
-		}
-		costCache[key] = us
-		return us, nil
-	}
-
-	jobs := make([]*simJob, len(sched.Requests))
-	for i := range sched.Requests {
-		r := &sched.Requests[i]
-		cost, err := costOf(r)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = &simJob{req: r, costUS: cost}
-	}
-
-	// Event loop: dispatch whenever a worker is free and the ready queue is
-	// non-empty; otherwise advance the clock to the next completion or
-	// arrival.  Completions at time t land before arrivals at t, so a
-	// freed worker is visible to a simultaneous arrival — and both orders
-	// are fixed, so the walk is deterministic.
-	ready := &jobHeap{less: less}
-	var busy doneHeap
-	var clock int64
-	free := opt.Workers
-	next := 0 // next arrival index
-	completed := 0
-	var makespan int64
-
-	type obs struct {
-		latencyUS int64
-		costUS    int64
-	}
-	perClass := make(map[string][]obs)
-
-	for completed < len(jobs) {
-		if free > 0 && ready.Len() > 0 {
-			j := heap.Pop(ready).(*simJob)
-			free--
-			j.doneUS = clock + j.costUS
-			heap.Push(&busy, j)
-			continue
-		}
-		// Advance to the next event.
-		var nextAt int64 = -1
-		if next < len(jobs) {
-			nextAt = jobs[next].req.AtUS
-		}
-		var nextDone int64 = -1
-		if len(busy) > 0 {
-			nextDone = busy[0].doneUS
-		}
-		switch {
-		case nextDone >= 0 && (nextAt < 0 || nextDone <= nextAt):
-			clock = nextDone
-		case nextAt >= 0:
-			clock = nextAt
-		default:
-			return nil, fmt.Errorf("workload: simulation stalled with %d jobs incomplete", len(jobs)-completed)
-		}
-		for len(busy) > 0 && busy[0].doneUS == clock {
-			j := heap.Pop(&busy).(*simJob)
-			free++
-			completed++
-			if j.doneUS > makespan {
-				makespan = j.doneUS
-			}
-			perClass[j.req.Class] = append(perClass[j.req.Class], obs{
-				latencyUS: j.doneUS - j.req.AtUS,
-				costUS:    j.costUS,
-			})
-		}
-		for next < len(jobs) && jobs[next].req.AtUS == clock {
-			heap.Push(ready, jobs[next])
-			next++
-		}
-	}
-
-	res := &SimResult{
-		Policy:     opt.Policy,
-		Workers:    opt.Workers,
-		Requests:   len(jobs),
-		MakespanUS: makespan,
+	perClass := make(map[string][]*simJob)
+	for _, j := range done {
+		perClass[j.req.Class] = append(perClass[j.req.Class], j)
 	}
 	for _, name := range sched.Classes() {
 		list := perClass[name]
@@ -314,13 +112,13 @@ func Simulate(sched *Schedule, opt SimOptions) (*SimResult, error) {
 		lat := make([]int64, len(list))
 		var latSum, costSum int64
 		var slowSum float64
-		for i, o := range list {
-			lat[i] = o.latencyUS
-			latSum += o.latencyUS
-			costSum += o.costUS
-			slowSum += float64(o.latencyUS) / float64(o.costUS)
+		for i, j := range list {
+			lat[i] = j.doneUS - j.req.AtUS
+			latSum += lat[i]
+			costSum += int64(j.Cost)
+			slowSum += float64(lat[i]) / j.Cost
 		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		slices.Sort(lat)
 		cs := ClassStats{
 			Class:         name,
 			Requests:      len(list),
@@ -338,4 +136,126 @@ func Simulate(sched *Schedule, opt SimOptions) (*SimResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// play prices every request and runs the event loop.  It returns the jobs in
+// completion order, each with doneUS set, and the result's header fields.
+func play(sched *Schedule, opt SimOptions) ([]*simJob, *SimResult, error) {
+	if opt.Workers == 0 {
+		opt.Workers = 4
+	}
+	if opt.Workers < 0 {
+		return nil, nil, fmt.Errorf("workload: workers must be positive, got %d", opt.Workers)
+	}
+	if opt.Oracle == nil {
+		return nil, nil, fmt.Errorf("workload: SimOptions.Oracle is required")
+	}
+	// The ready queue is the live daemon's Scheduler, sized so it never
+	// sheds: the model has no admission bound.
+	ready, err := server.NewScheduler(opt.Policy, len(sched.Requests))
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Predicted service demand per distinct (class, pool index), and the
+	// one server.Request per class that is all the policies read of one.
+	type classInfo struct {
+		spec Class
+		req  *server.Request
+	}
+	classes := make(map[string]classInfo, len(sched.Spec.Classes))
+	for _, c := range sched.Spec.Classes {
+		class, ok := server.ClassByName(c.Name)
+		if !ok {
+			return nil, nil, fmt.Errorf("workload: unknown class %q", c.Name)
+		}
+		classes[c.Name] = classInfo{spec: c, req: &server.Request{Class: class}}
+	}
+	costCache := make(map[string]int64)
+	jobs := make([]*simJob, len(sched.Requests))
+	for i := range sched.Requests {
+		r := &sched.Requests[i]
+		cls, ok := classes[r.Class]
+		if !ok {
+			return nil, nil, fmt.Errorf("workload: request %d names class %q absent from spec", r.Seq, r.Class)
+		}
+		key := r.Key()
+		us, ok := costCache[key]
+		if !ok {
+			cfg, err := cls.spec.Config(r.PoolIndex)
+			if err != nil {
+				return nil, nil, err
+			}
+			sec, err := core.PredictCostWith(opt.Oracle, cfg, r.Steps)
+			if err != nil {
+				return nil, nil, err
+			}
+			if us = int64(sec * 1e6); us < 1 {
+				us = 1
+			}
+			costCache[key] = us
+		}
+		// Seq is the position in arrival order, so a popped job finds its
+		// simJob by index.
+		jobs[i] = &simJob{
+			Job: server.Job{Request: cls.req, Cost: float64(us), Seq: uint64(i)},
+			req: r,
+		}
+	}
+
+	// Event loop: dispatch whenever a worker is free and the ready queue is
+	// non-empty; otherwise advance the clock to the next completion or
+	// arrival.  Completions at time t land before arrivals at t, so a
+	// freed worker is visible to a simultaneous arrival — and both orders
+	// are fixed, so the walk is deterministic.
+	var busy []*simJob // in service, by completion time then arrival sequence
+	var clock int64
+	free := opt.Workers
+	next := 0 // next arrival index
+	done := make([]*simJob, 0, len(jobs))
+	res := &SimResult{Policy: ready.Name(), Workers: opt.Workers, Requests: len(jobs)}
+
+	for len(done) < len(jobs) {
+		if free > 0 && ready.Depth() > 0 {
+			popped, _ := ready.Pop()
+			j := jobs[popped.Seq]
+			free--
+			j.doneUS = clock + int64(j.Cost)
+			at, _ := slices.BinarySearchFunc(busy, j, func(b, j *simJob) int {
+				return cmp.Or(cmp.Compare(b.doneUS, j.doneUS), cmp.Compare(b.Seq, j.Seq))
+			})
+			busy = slices.Insert(busy, at, j)
+			continue
+		}
+		// Advance to the next event.
+		var nextAt int64 = -1
+		if next < len(jobs) {
+			nextAt = jobs[next].req.AtUS
+		}
+		var nextDone int64 = -1
+		if len(busy) > 0 {
+			nextDone = busy[0].doneUS
+		}
+		switch {
+		case nextDone >= 0 && (nextAt < 0 || nextDone <= nextAt):
+			clock = nextDone
+		case nextAt >= 0:
+			clock = nextAt
+		default:
+			return nil, nil, fmt.Errorf("workload: simulation stalled with %d jobs incomplete", len(jobs)-len(done))
+		}
+		for len(busy) > 0 && busy[0].doneUS == clock {
+			done = append(done, busy[0])
+			busy = busy[1:]
+			free++
+		}
+		for next < len(jobs) && jobs[next].req.AtUS == clock {
+			ready.Push(&jobs[next].Job)
+			next++
+		}
+	}
+	if len(done) > 0 {
+		res.MakespanUS = done[len(done)-1].doneUS
+	}
+	return done, res, nil
 }

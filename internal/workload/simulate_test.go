@@ -3,7 +3,22 @@ package workload
 import (
 	"reflect"
 	"testing"
+
+	"agcm/internal/machine"
+	"agcm/internal/roofline"
+	"agcm/internal/server"
 )
+
+// paragon is the oracle BENCH_9 prices with: the roofline model of the
+// machine the scheduling spec's templates name.
+func paragon(t *testing.T) *roofline.Machine {
+	t.Helper()
+	m, err := roofline.NewMachine(roofline.FromModel(machine.Paragon()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func schedulingSchedule(t *testing.T) *Schedule {
 	t.Helper()
@@ -16,12 +31,12 @@ func schedulingSchedule(t *testing.T) *Schedule {
 
 func TestSimulateDeterministic(t *testing.T) {
 	sched := schedulingSchedule(t)
-	for _, policy := range Policies {
-		a, err := Simulate(sched, SimOptions{Policy: policy})
+	for _, policy := range server.SchedulerNames() {
+		a, err := Simulate(sched, SimOptions{Policy: policy, Oracle: paragon(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Simulate(sched, SimOptions{Policy: policy})
+		b, err := Simulate(sched, SimOptions{Policy: policy, Oracle: paragon(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,8 +48,8 @@ func TestSimulateDeterministic(t *testing.T) {
 
 func TestSimulateCompletesEveryRequest(t *testing.T) {
 	sched := schedulingSchedule(t)
-	for _, policy := range Policies {
-		res, err := Simulate(sched, SimOptions{Policy: policy, Workers: 2})
+	for _, policy := range server.SchedulerNames() {
+		res, err := Simulate(sched, SimOptions{Policy: policy, Workers: 2, Oracle: paragon(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +68,11 @@ func TestSimulateCompletesEveryRequest(t *testing.T) {
 
 func TestSimulateSJFImprovesInteractiveP95(t *testing.T) {
 	sched := schedulingSchedule(t)
-	fcfs, err := Simulate(sched, SimOptions{Policy: "fcfs"})
+	fcfs, err := Simulate(sched, SimOptions{Policy: "fcfs", Oracle: paragon(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjf, err := Simulate(sched, SimOptions{Policy: "sjf"})
+	sjf, err := Simulate(sched, SimOptions{Policy: "sjf", Oracle: paragon(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +106,7 @@ func TestSimulateFCFSSingleWorkerPreservesArrivalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(sched, SimOptions{Policy: "fcfs", Workers: 1})
+	res, err := Simulate(sched, SimOptions{Policy: "fcfs", Workers: 1, Oracle: paragon(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +121,11 @@ func TestSimulateFCFSSingleWorkerPreservesArrivalOrder(t *testing.T) {
 
 func TestSimulatePriorityFavorsInteractive(t *testing.T) {
 	sched := schedulingSchedule(t)
-	fcfs, err := Simulate(sched, SimOptions{Policy: "fcfs"})
+	fcfs, err := Simulate(sched, SimOptions{Policy: "fcfs", Oracle: paragon(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prio, err := Simulate(sched, SimOptions{Policy: "priority"})
+	prio, err := Simulate(sched, SimOptions{Policy: "priority", Oracle: paragon(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,26 +136,15 @@ func TestSimulatePriorityFavorsInteractive(t *testing.T) {
 
 func TestSimulateRejectsUnknownPolicy(t *testing.T) {
 	sched := schedulingSchedule(t)
-	if _, err := Simulate(sched, SimOptions{Policy: "lifo"}); err == nil {
+	if _, err := Simulate(sched, SimOptions{Policy: "lifo", Oracle: paragon(t)}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
-func TestSimulateServiceScale(t *testing.T) {
-	sched := schedulingSchedule(t)
-	full, err := Simulate(sched, SimOptions{Policy: "fcfs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := Simulate(sched, SimOptions{Policy: "fcfs", ServiceScale: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.Class("interactive").MeanServiceUS >= full.Class("interactive").MeanServiceUS {
-		t.Fatal("service scale did not shrink service demands")
-	}
-	// At negligible service demand nothing queues: slowdown collapses to ~1.
-	if tiny.MaxClassSlowdown > 1.5 {
-		t.Fatalf("unloaded system still shows slowdown %.2f", tiny.MaxClassSlowdown)
+// TestSimulateRequiresOracle: there is no hidden default predictor — a what-if
+// that does not say what machine it is about is an error.
+func TestSimulateRequiresOracle(t *testing.T) {
+	if _, err := Simulate(schedulingSchedule(t), SimOptions{Policy: "sjf"}); err == nil {
+		t.Fatal("nil oracle accepted")
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"agcm/internal/server"
 )
 
 // Arrival describes the interarrival process shared by every request in
@@ -100,11 +102,6 @@ type Spec struct {
 	Classes []Class `json:"classes"`
 }
 
-// validClass reports whether name is a known SLO class.  The set matches
-// the server's (server.ClassByName); it is duplicated here rather than
-// imported so the workload engine stays independent of the serving layer.
-func validClass(name string) bool { return name == "interactive" || name == "batch" }
-
 // WithDefaults returns the spec with every defaulted field filled in, or an
 // error for specs no defaulting can make valid.
 func (s Spec) WithDefaults() (Spec, error) {
@@ -154,7 +151,7 @@ func (s Spec) WithDefaults() (Spec, error) {
 	seen := make(map[string]bool, len(s.Classes))
 	for i := range s.Classes {
 		c := &s.Classes[i]
-		if !validClass(c.Name) {
+		if _, ok := server.ClassByName(c.Name); !ok || c.Name == "" { // "" is the wire's default, not a name
 			return s, fmt.Errorf("workload: unknown class %q (interactive, batch)", c.Name)
 		}
 		if seen[c.Name] {
