@@ -16,10 +16,12 @@ import (
 	"strings"
 	"testing"
 
-	"agcm/internal/bench"
+	"agcm/internal/core"
 	"agcm/internal/experiments"
+	"agcm/internal/grid"
 	"agcm/internal/loadbalance"
 	"agcm/internal/machine"
+	"agcm/internal/physics"
 	"agcm/internal/singlenode"
 )
 
@@ -54,11 +56,15 @@ func benchExperiment(b *testing.B, fn func(experiments.Options) (*experiments.Ou
 	}
 }
 
-// BenchmarkFig1Breakdown regenerates Figure 1's component shares.  The body
-// lives in internal/bench so `agcmbench -bench-json` tracks the identical
-// workload.
+// BenchmarkFig1Breakdown regenerates Figure 1's component shares: the
+// convolution-ring filter on the simulated Paragon at 4x4 and 8x30 — the
+// paper's motivating breakdown and the repo's heaviest single experiment.
 func BenchmarkFig1Breakdown(b *testing.B) {
-	bench.Fig1Breakdown(b)
+	benchExperiment(b, experiments.Figure1, func(o *experiments.Output, b *testing.B) {
+		rows := o.Tables[0].Rows
+		b.ReportMetric(cellFloat(b, rows[0][4]), "filter-pct-dyn-16n")
+		b.ReportMetric(cellFloat(b, rows[1][4]), "filter-pct-dyn-240n")
+	})
 }
 
 // BenchmarkTable1PhysicsLB64 regenerates the 8x8 physics balancing table.
@@ -209,9 +215,24 @@ func BenchmarkFig46SchemePlanning(b *testing.B) {
 }
 
 // BenchmarkWholeStepLBFFT measures one full simulated AGCM step (dynamics +
-// filter + physics) on an 8x8 T3D — the end-to-end cost of the simulation
-// harness itself.  The body lives in internal/bench so
-// `agcmbench -bench-json` tracks the identical workload.
+// filter + physics) on an 8x8 T3D with the adopted optimizations — the
+// end-to-end cost of the simulation harness itself.
 func BenchmarkWholeStepLBFFT(b *testing.B) {
-	bench.WholeStepLBFFT(b)
+	cfg := core.Config{
+		Spec:    grid.TwoByTwoPointFive(9),
+		Machine: machine.CrayT3D(),
+		MeshPy:  8, MeshPx: 8,
+		Filter:        core.FilterFFTBalanced,
+		PhysicsScheme: physics.Pairwise,
+		PhysicsRounds: 2,
+	}
+	var rep *core.Report
+	for i := 0; i < b.N; i++ {
+		var err error
+		rep, err = core.Run(cfg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(rep.Total, "virtual-s/day")
 }

@@ -4,7 +4,6 @@
 //	agcmbench -experiment all           # everything, in paper order
 //	agcmbench -experiment table8        # one table
 //	agcmbench -list                     # valid experiment names
-//	agcmbench -bench-json BENCH.json    # host-performance regression report
 //	agcmbench -calibrate BENCH_10.json  # roofline observe-predict-calibrate loop
 package main
 
@@ -24,10 +23,6 @@ func main() {
 	steps := flag.Int("steps", 3, "measured time steps per run")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	format := flag.String("format", "table", "output format: table or csv")
-	benchJSON := flag.String("bench-json", "",
-		"run the host benchmark suite and write the JSON report to this file ('-' for stdout)")
-	bench8JSON := flag.String("bench8-json", "",
-		"run the frame-format and disk-tier benchmark suite and write the JSON report to this file ('-' for stdout)")
 	bench9JSON := flag.String("bench9-json", "",
 		"run the deterministic scheduler comparison over the reference workload and write the JSON report to this file ('-' for stdout)")
 	calibrate := flag.String("calibrate", "",
@@ -45,19 +40,6 @@ func main() {
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
-	}
-	if *benchJSON != "" {
-		// The host suite: recorded pre-optimization baseline plus the
-		// current tree's host numbers.
-		writeJSON(*benchJSON, bench.NewReport(), nil)
-		return
-	}
-	if *bench8JSON != "" {
-		// Frame format and disk tier: cache-hit cost, binary-versus-JSON
-		// codec comparisons, cold-versus-warm restart latency.
-		rep, err := bench.NewBench8Report()
-		writeJSON(*bench8JSON, rep, err)
 		return
 	}
 	if *bench9JSON != "" {

@@ -31,9 +31,9 @@
 // shed.  Every response, including retried ones, is tallied so the ledgers
 // still balance.
 //
-// It emits a BENCH_5.json-style report (throughput, p50/p99 latency, cache
-// hit ratio, and in gateway mode the retry/hedge/breaker ledger) and exits
-// nonzero on any inconsistency, so it doubles as the CI smoke test.
+// It emits a JSON report (throughput, p50/p99 latency, cache hit ratio, and
+// in gateway mode the retry/hedge/breaker ledger) and exits nonzero on any
+// inconsistency, so it doubles as the CI smoke test.
 package main
 
 import (
@@ -321,7 +321,7 @@ type specStats struct {
 	PerClass          map[string]classLatency `json:"per_class"`
 }
 
-// benchReport is the BENCH_5.json / BENCH_6.json document.
+// benchReport is the JSON document -out receives.
 type benchReport struct {
 	Note          string         `json:"note"`
 	Target        string         `json:"target"`
@@ -362,7 +362,7 @@ func main() {
 	retry429 := flag.Int("retry429", 0, "times to honor a 429's Retry-After and reissue the request (0 = record the shed and move on)")
 	allowRestart := flag.Bool("allow-restart", false, "tolerate backend counter resets (a member was killed and restarted mid-run); its per-backend ledger is skipped, everything else still reconciles")
 	accept := flag.String("accept", "json", `response encoding to request: "json" or "frame" (sends Accept: application/x-agcm-frame; every 200 must be a well-formed frame whose embedded JSON section carries the key)`)
-	out := flag.String("out", "BENCH_5.json", "report path ('-' for stdout)")
+	out := flag.String("out", "-", "report path ('-' for stdout)")
 	specPath := flag.String("spec", "", "workload spec JSON: generate and dispatch its schedule instead of the legacy mix")
 	replayPath := flag.String("replay", "", "recorded trace: dispatch its requests byte-for-byte instead of generating")
 	recordPath := flag.String("record", "", "write the dispatched schedule as a replayable trace before running")

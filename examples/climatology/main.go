@@ -64,7 +64,7 @@ func main() {
 		file := dynamics.SaveState(world, cart, s)
 		if world.Rank() == 0 {
 			var buf bytes.Buffer
-			if err := history.Write(&buf, file, history.BigEndian); err != nil {
+			if err := history.WriteFrame(&buf, file); err != nil {
 				return err
 			}
 			restored, err := history.Read(&buf)

@@ -295,7 +295,7 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot has %d variables", len(file.Names))
 	}
 	var buf bytes.Buffer
-	if err := history.Write(&buf, file, history.BigEndian); err != nil {
+	if err := history.WriteFrame(&buf, file); err != nil {
 		t.Fatal(err)
 	}
 	got, err := history.Read(&buf)

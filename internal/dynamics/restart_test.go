@@ -67,7 +67,7 @@ func TestRestartEquivalence(t *testing.T) {
 		file := SaveState(world, cart, s)
 		if world.Rank() == 0 {
 			var buf bytes.Buffer
-			if err := history.Write(&buf, file, history.LittleEndian); err != nil {
+			if err := history.WriteFrame(&buf, file); err != nil {
 				return err
 			}
 			restored, err := history.Read(&buf)

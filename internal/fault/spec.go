@@ -26,7 +26,7 @@ func Parse(s string) (*Spec, error) {
 		if i := strings.Index(clause, ":"); i >= 0 {
 			kind, params = clause[:i], clause[i+1:]
 		}
-		kv, err := parseParams(params)
+		kv, err := ParseParams(params)
 		if err != nil {
 			return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 		}
@@ -40,25 +40,25 @@ func Parse(s string) (*Spec, error) {
 			spec.Seed = v
 		case kind == "slow":
 			sl := Slowdown{Rank: -1, Factor: 2}
-			if err := assign(kv, map[string]any{"rank": &sl.Rank, "at": &sl.At, "factor": &sl.Factor}); err != nil {
+			if err := Assign(kv, map[string]any{"rank": &sl.Rank, "at": &sl.At, "factor": &sl.Factor}); err != nil {
 				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 			}
 			spec.Slowdowns = append(spec.Slowdowns, sl)
 		case kind == "crash":
 			c := Crash{Rank: -1}
-			if err := assign(kv, map[string]any{"rank": &c.Rank, "at": &c.At}); err != nil {
+			if err := Assign(kv, map[string]any{"rank": &c.Rank, "at": &c.At}); err != nil {
 				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 			}
 			spec.Crashes = append(spec.Crashes, c)
 		case kind == "jitter":
 			j := &Jitter{}
-			if err := assign(kv, map[string]any{"max": &j.Max}); err != nil {
+			if err := Assign(kv, map[string]any{"max": &j.Max}); err != nil {
 				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 			}
 			spec.Jitter = j
 		case kind == "drop":
 			d := &Drop{Retries: 3}
-			if err := assign(kv, map[string]any{"prob": &d.Prob, "retries": &d.Retries, "timeout": &d.Timeout}); err != nil {
+			if err := Assign(kv, map[string]any{"prob": &d.Prob, "retries": &d.Retries, "timeout": &d.Timeout}); err != nil {
 				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 			}
 			spec.Drop = d
@@ -72,8 +72,10 @@ func Parse(s string) (*Spec, error) {
 	return spec, nil
 }
 
-// parseParams splits "k1=v1,k2=v2" into a map.
-func parseParams(s string) (map[string]string, error) {
+// ParseParams splits a clause's "k1=v1,k2=v2" parameter list into a map.
+// Exported with Assign for internal/gateway/chaostest, whose spec grammar is
+// this one.
+func ParseParams(s string) (map[string]string, error) {
 	kv := make(map[string]string)
 	if strings.TrimSpace(s) == "" {
 		return kv, nil
@@ -88,9 +90,9 @@ func parseParams(s string) (map[string]string, error) {
 	return kv, nil
 }
 
-// assign writes each parsed parameter into its typed destination and
-// rejects keys the clause does not define.
-func assign(kv map[string]string, dst map[string]any) error {
+// Assign writes each parsed parameter into its typed destination (*int or
+// *float64) and rejects keys the clause does not define.
+func Assign(kv map[string]string, dst map[string]any) error {
 	// Visit keys in sorted order so that, with several bad parameters, the
 	// one reported does not depend on map iteration order.
 	keys := make([]string, 0, len(kv))

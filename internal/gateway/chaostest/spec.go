@@ -17,9 +17,10 @@ package chaostest
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
+
+	"agcm/internal/fault"
 )
 
 // Delay holds a request for MS milliseconds before proxying it.
@@ -150,7 +151,7 @@ func Parse(s string) (*Spec, error) {
 		if i := strings.Index(clause, ":"); i >= 0 {
 			kind, params = clause[:i], clause[i+1:]
 		}
-		kv, err := parseParams(params)
+		kv, err := fault.ParseParams(params)
 		if err != nil {
 			return nil, fmt.Errorf("chaostest: clause %q: %w", clause, err)
 		}
@@ -163,31 +164,31 @@ func Parse(s string) (*Spec, error) {
 			spec.Seed = v
 		case kind == "delay":
 			d := &Delay{MS: 10}
-			if err := assign(kv, map[string]any{"prob": &d.Prob, "ms": &d.MS}); err != nil {
+			if err := fault.Assign(kv, map[string]any{"prob": &d.Prob, "ms": &d.MS}); err != nil {
 				return nil, fmt.Errorf("chaostest: clause %q: %w", clause, err)
 			}
 			spec.Delay = d
 		case kind == "drop":
 			d := &Drop{}
-			if err := assign(kv, map[string]any{"prob": &d.Prob}); err != nil {
+			if err := fault.Assign(kv, map[string]any{"prob": &d.Prob}); err != nil {
 				return nil, fmt.Errorf("chaostest: clause %q: %w", clause, err)
 			}
 			spec.Drop = d
 		case kind == "reset":
 			r := &Reset{}
-			if err := assign(kv, map[string]any{"prob": &r.Prob}); err != nil {
+			if err := fault.Assign(kv, map[string]any{"prob": &r.Prob}); err != nil {
 				return nil, fmt.Errorf("chaostest: clause %q: %w", clause, err)
 			}
 			spec.Reset = r
 		case kind == "burst5xx":
 			b := &Burst5xx{Code: 503}
-			if err := assign(kv, map[string]any{"every": &b.Every, "len": &b.Len, "code": &b.Code}); err != nil {
+			if err := fault.Assign(kv, map[string]any{"every": &b.Every, "len": &b.Len, "code": &b.Code}); err != nil {
 				return nil, fmt.Errorf("chaostest: clause %q: %w", clause, err)
 			}
 			spec.Burst = b
 		case kind == "slowbody":
 			sb := &SlowBody{Chunk: 64}
-			if err := assign(kv, map[string]any{"prob": &sb.Prob, "chunk": &sb.Chunk, "ms": &sb.MS}); err != nil {
+			if err := fault.Assign(kv, map[string]any{"prob": &sb.Prob, "chunk": &sb.Chunk, "ms": &sb.MS}); err != nil {
 				return nil, fmt.Errorf("chaostest: clause %q: %w", clause, err)
 			}
 			spec.SlowBody = sb
@@ -221,55 +222,4 @@ func (s *Spec) roll(kind string, seq uint64) float64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return float64(h>>11) / float64(1<<53)
-}
-
-// parseParams splits "k1=v1,k2=v2" into a map.
-func parseParams(s string) (map[string]string, error) {
-	kv := make(map[string]string)
-	if strings.TrimSpace(s) == "" {
-		return kv, nil
-	}
-	for _, p := range strings.Split(s, ",") {
-		i := strings.Index(p, "=")
-		if i <= 0 {
-			return nil, fmt.Errorf("bad parameter %q (want key=value)", p)
-		}
-		kv[strings.TrimSpace(p[:i])] = strings.TrimSpace(p[i+1:])
-	}
-	return kv, nil
-}
-
-// assign writes each parsed parameter into its typed destination and
-// rejects keys the clause does not define.  Keys are visited sorted so the
-// reported error does not depend on map iteration order.
-func assign(kv map[string]string, dst map[string]any) error {
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := kv[k]
-		d, ok := dst[k]
-		if !ok {
-			return fmt.Errorf("unknown parameter %q", k)
-		}
-		switch ptr := d.(type) {
-		case *int:
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("parameter %s=%q is not an integer", k, v)
-			}
-			*ptr = n
-		case *float64:
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return fmt.Errorf("parameter %s=%q is not a number", k, v)
-			}
-			*ptr = f
-		default:
-			panic("chaostest: unsupported destination type")
-		}
-	}
-	return nil
 }

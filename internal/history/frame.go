@@ -76,8 +76,8 @@ func EncodeFrame(f *File) ([]byte, error) {
 	return append([]byte(nil), raw...), nil
 }
 
-// WriteFrame serializes f in the frame encoding — what new checkpoints
-// use.  Write (the legacy stream form) remains for compatibility tooling.
+// WriteFrame serializes f in the frame encoding, the only form this package
+// writes; the legacy stream form is read-only (Read).
 func WriteFrame(w io.Writer, f *File) error {
 	raw, err := EncodeFrame(f)
 	if err != nil {

@@ -49,12 +49,12 @@ func TestVersionGatedReader(t *testing.T) {
 	for name, enc := range map[string]func() ([]byte, error){
 		"legacy-big": func() ([]byte, error) {
 			var b bytes.Buffer
-			err := Write(&b, f, BigEndian)
+			err := writeLegacy(&b, f, bigEndian)
 			return b.Bytes(), err
 		},
 		"legacy-little": func() ([]byte, error) {
 			var b bytes.Buffer
-			err := Write(&b, f, LittleEndian)
+			err := writeLegacy(&b, f, littleEndian)
 			return b.Bytes(), err
 		},
 		"frame": func() ([]byte, error) { return EncodeFrame(f) },

@@ -21,7 +21,7 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, file, BigEndian); err != nil {
+	if err := writeLegacy(&buf, file, bigEndian); err != nil {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -44,6 +44,14 @@ func FuzzRead(f *testing.F) {
 	fmut := append([]byte(nil), goodFrame...)
 	fmut[len(fmut)-10] ^= 1 // payload bit flip: CRC must catch it
 	f.Add(fmut)
+
+	// The other legacy byte order, so the reversal path has a seed too
+	// (added last: the earlier seeds keep their numbers).
+	var little bytes.Buffer
+	if err := writeLegacy(&little, file, littleEndian); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(little.Bytes())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		got, err := Read(bytes.NewReader(in))

@@ -3,7 +3,8 @@
 // required a byte-order reversal routine because no NetCDF library was
 // available there (Section 4).  This package reproduces that code path with
 // a self-describing binary format whose on-disk byte order is explicit, plus
-// the byte-order reversal routine for foreign-endian files.
+// the byte-order reversal routine for foreign-endian files.  That "AGMH"
+// stream format is read-only here: files are written as frames (frame.go).
 package history
 
 import (
@@ -55,61 +56,22 @@ func (f *File) Variable(name string) ([]float64, error) {
 	return nil, fmt.Errorf("history: no variable %q", name)
 }
 
-// ByteOrder selects the on-disk endianness.
-type ByteOrder int
+// byteOrder is the legacy header's payload-endianness flag.
+type byteOrder int
 
 const (
-	// BigEndian is the canonical history byte order (the workstation
+	// bigEndian is the canonical history byte order (the workstation
 	// side in the paper's anecdote).
-	BigEndian ByteOrder = iota
-	// LittleEndian matches the Paragon's native order.
-	LittleEndian
+	bigEndian byteOrder = iota
+	// littleEndian matches the Paragon's native order.
+	littleEndian
 )
 
-func (b ByteOrder) order() binary.ByteOrder {
-	if b == BigEndian {
+func (b byteOrder) order() binary.ByteOrder {
+	if b == bigEndian {
 		return binary.BigEndian
 	}
 	return binary.LittleEndian
-}
-
-// Write serializes the file in the given byte order.  The header is always
-// written in big-endian so a reader can detect the payload order from the
-// stored flag.
-func Write(w io.Writer, f *File, bo ByteOrder) error {
-	hdr := make([]uint32, 8)
-	hdr[0] = Magic
-	hdr[1] = Version
-	hdr[2] = uint32(bo)
-	hdr[3] = uint32(f.Spec.Nlon)
-	hdr[4] = uint32(f.Spec.Nlat)
-	hdr[5] = uint32(f.Spec.Nlayers)
-	hdr[6] = uint32(f.Step)
-	hdr[7] = uint32(len(f.Names))
-	if err := binary.Write(w, binary.BigEndian, hdr); err != nil {
-		return fmt.Errorf("history: writing header: %w", err)
-	}
-	ord := bo.order()
-	for i, name := range f.Names {
-		nb := []byte(name)
-		if len(nb) > 255 {
-			return fmt.Errorf("history: variable name %q too long", name)
-		}
-		if err := binary.Write(w, binary.BigEndian, uint32(len(nb))); err != nil {
-			return err
-		}
-		if _, err := w.Write(nb); err != nil {
-			return err
-		}
-		buf := make([]byte, 8*len(f.Data[i]))
-		for j, v := range f.Data[i] {
-			ord.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("history: writing %q: %w", name, err)
-		}
-	}
-	return nil
 }
 
 // Read deserializes a history file in either supported encoding.  It
@@ -148,8 +110,8 @@ func readLegacy(first [4]byte, r io.Reader) (*File, error) {
 	if hdr[1] != Version {
 		return nil, fmt.Errorf("history: unsupported version %d", hdr[1])
 	}
-	bo := ByteOrder(hdr[2])
-	if bo != BigEndian && bo != LittleEndian {
+	bo := byteOrder(hdr[2])
+	if bo != bigEndian && bo != littleEndian {
 		return nil, fmt.Errorf("history: bad byte-order flag %d", hdr[2])
 	}
 	f := &File{
@@ -175,7 +137,7 @@ func readLegacy(first [4]byte, r io.Reader) (*File, error) {
 		if err := binary.Read(r, binary.BigEndian, &nameLen); err != nil {
 			return nil, err
 		}
-		if nameLen > 255 { // Write never produces longer names
+		if nameLen > 255 { // neither writer produces longer names
 			return nil, fmt.Errorf("history: implausible name length %d", nameLen)
 		}
 		nb := make([]byte, nameLen)

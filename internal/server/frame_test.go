@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"agcm/internal/core"
 	"agcm/internal/frame"
 )
 
@@ -230,6 +231,40 @@ func TestCacheHitSingleWriteAndAllocBudget(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Fatalf("peek hit allocates %v times per serve, want <= 2", allocs)
+	}
+}
+
+// TestDecodeReportFrameAllocs: with reused load buffers, decoding the
+// report section of a response frame is allocation-free — the property that
+// makes the binary section cheaper than parsing the JSON body, pinned here
+// because unlike that speed ratio it does not depend on the host.
+func TestDecodeReportFrameAllocs(t *testing.T) {
+	rep := &core.Report{
+		Ranks: 4, Steps: 2, StepsPerDay: 96, Total: 3.5,
+		PhysicsLoads: []float64{1, 2, 3, 4},
+		FilterLoads:  []float64{4, 3, 2, 1},
+	}
+	raw, err := encodeResponseFrame(strings.Repeat("a", 64), []byte(`{}`), 2, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the buffers: the first decode grows them, every later one reuses.
+	got, pl, fl, err := DecodeReportFrame(raw, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.PhysicsLoads, rep.PhysicsLoads) || !reflect.DeepEqual(got.FilterLoads, rep.FilterLoads) {
+		t.Fatalf("decoded loads %v %v, want %v %v", got.PhysicsLoads, got.FilterLoads, rep.PhysicsLoads, rep.FilterLoads)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		_, pl, fl, err = DecodeReportFrame(raw, pl[:0], fl[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeReportFrame allocates %v times per run with reused buffers, want 0", allocs)
 	}
 }
 

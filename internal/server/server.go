@@ -558,13 +558,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
-// ServeCachePeek serves one GET /v1/cache/{key} request directly — the hot
-// replay path without mux dispatch, exported so the host benchmark harness
-// (internal/bench) can pin the per-hit allocation budget.
-func (s *Server) ServeCachePeek(w http.ResponseWriter, r *http.Request) {
-	s.handleCachePeek(w, r)
-}
-
 // handleCachePeek serves GET /v1/cache/{key}: the cached response body for
 // a job key, or 404.  It never runs a simulation and keeps working during a
 // drain — it is the gateway's graceful-degradation path (any backend that

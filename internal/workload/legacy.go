@@ -3,8 +3,9 @@ package workload
 // Legacy mix: the seeded dup/Zipf request sequence agcmload has always
 // fired, moved here verbatim so the load generator's classic mode and the
 // workload engine share one home.  The draw order and formatting are
-// load-bearing — BENCH_5/BENCH_6 runs and the CI smoke mixes are seeded —
-// so these must keep producing byte-identical sequences.
+// pinned only by the seeds of the CI smoke mixes (the serve, cluster and
+// roofline jobs), which expect byte-identical sequences per seed; no
+// committed report depends on them.
 
 import (
 	"fmt"

@@ -2,8 +2,8 @@ package workload
 
 import "testing"
 
-// The legacy mix moved here from cmd/agcmload; BENCH_5/6 runs and the CI
-// smoke mixes are seeded against it, so its bytes and draw order are pinned.
+// The legacy mix moved here from cmd/agcmload; the CI smoke mixes are seeded
+// against it — nothing else is — so its bytes and draw order are pinned.
 
 func TestPoolBodyGolden(t *testing.T) {
 	cases := []struct {
