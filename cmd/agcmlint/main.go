@@ -1,7 +1,7 @@
 // Command agcmlint statically enforces the simulator's determinism,
 // communication-protocol, and concurrency-correctness invariants (see
 // internal/analysis for the analyzers: nondeterm, commtag, collective,
-// sendalias, lockorder, goleak, ctxflow, wgmisuse).
+// lockorder, goleak, ctxflow, wgmisuse).
 //
 // Standalone mode loads packages itself:
 //

@@ -21,7 +21,7 @@ func repoRoot(t *testing.T) string {
 	return strings.TrimSpace(string(out))
 }
 
-// TestStandaloneSuiteCleanOverRepo runs the full eight-analyzer suite over
+// TestStandaloneSuiteCleanOverRepo runs the full seven-analyzer suite over
 // every package in the repository and requires a clean exit.  This is the
 // PR-hygiene gate: a new finding must be either fixed or suppressed with a
 // reasoned //lint:allow before it lands.

@@ -1,5 +1,5 @@
-// Package analysis is agcmlint's static-analysis framework plus the four
-// AGCM-specific analyzers (nondeterm, commtag, collective, sendalias) that
+// Package analysis is agcmlint's static-analysis framework plus the three
+// AGCM-specific analyzers (nondeterm, commtag, collective) that
 // machine-check the simulator's determinism and communication-protocol
 // invariants (see internal/sim and internal/comm package docs for the rules
 // being enforced).

@@ -45,10 +45,6 @@ func TestCollectiveFixtures(t *testing.T) {
 	analysistest.Run(t, analysis.Collective, "./testdata/src/collective")
 }
 
-func TestSendaliasFixtures(t *testing.T) {
-	analysistest.Run(t, analysis.Sendalias, "./testdata/src/sendalias")
-}
-
 func TestLockorderFixtures(t *testing.T) {
 	analysistest.Run(t, analysis.Lockorder, "./testdata/src/lockorder")
 }

@@ -6,7 +6,7 @@
 // A want comment sits on the line the diagnostic is expected on and may
 // carry several quoted regexps for several diagnostics on that line:
 //
-//	c.Send(1, 70000, buf) // want `tag 70000 .* reserved`
+//	c.SendCopy(1, 70000, buf) // want `tag 70000 .* reserved`
 //
 // Both double-quoted and backquoted regexps are accepted.  Lines with no
 // want comment must produce no diagnostics; //lint:allow-suppressed findings

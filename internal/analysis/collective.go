@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Collective finds collective operations (Barrier, Bcast, Reduce, ...) whose
+// Collective finds collective operations (Barrier, BcastInto, ...) whose
 // execution is control-dependent on a rank-varying condition.  A collective
 // must be entered by every rank of its communicator; when `if c.Rank() == 0`
 // guards one, the other ranks block inside the collective's internal
@@ -30,12 +30,13 @@ MPI deadlock shape.`,
 	Run: runCollective,
 }
 
-// collectiveMethods are the Comm operations every rank must enter together.
-// RingShift and Split are included: both are symmetric all-ranks protocols.
+// collectiveMethods are the Comm operations every rank must enter together
+// (Split included: it is a symmetric all-ranks protocol) — every method of
+// Comm that is not point-to-point or an accessor.
 var collectiveMethods = []string{
-	"Barrier", "Bcast", "Reduce", "Allreduce", "AllreduceScalar",
-	"Gather", "Gatherv", "Scatterv", "Alltoallv", "Allgatherv",
-	"AllgathervTree", "RingShift", "Split",
+	"Barrier", "BcastInto", "ReduceInto", "AllreduceInto",
+	"GathervInto", "ScattervInto", "AlltoallvInto", "AllgathervInto",
+	"AllgathervTree", "Split",
 }
 
 func runCollective(pass *Pass) error {

@@ -10,7 +10,7 @@ import (
 // and reports tags that land outside the user range [0, MaxUserTag): tags at
 // or above MaxUserTag are reserved for collective traffic (barrier, bcast,
 // reduce, gather/scatter payloads, ...), and a user message carrying one
-// silently interleaves with collective payloads — the Gatherv/Scatterv
+// silently interleaves with collective payloads — the gather/scatter
 // collision fixed in PR 1.  comm.checkUserTag catches this at run time; the
 // analyzer catches it before the code ever runs, extending the compile-time
 // reserved-tag guard in internal/comm.
@@ -22,9 +22,9 @@ var Commtag = &Analyzer{
 	Name: "commtag",
 	Doc: `flag constant point-to-point tags outside the user range
 
-Comm.Send/SendCopy/Recv/SendInts/RecvInts/Sendrecv take a user tag that must
-lie in [0, comm.MaxUserTag); the tags above are reserved for collective
-traffic and colliding with them corrupts collectives without any error.`,
+Comm.SendCopy/RecvInto/SendrecvInto take a user tag that must lie in
+[0, comm.MaxUserTag); the tags above are reserved for collective traffic and
+colliding with them corrupts collectives without any error.`,
 	Run: runCommtag,
 }
 
@@ -34,12 +34,9 @@ const fallbackMaxUserTag = 1<<16 - 64
 
 // commtagMethods maps checked methods to the indices of their tag arguments.
 var commtagMethods = map[string][]int{
-	"Send":     {1},
-	"SendCopy": {1},
-	"Recv":     {1},
-	"SendInts": {1},
-	"RecvInts": {1},
-	"Sendrecv": {1, 4},
+	"SendCopy":     {1},
+	"RecvInto":     {1},
+	"SendrecvInto": {1, 4},
 }
 
 func runCommtag(pass *Pass) error {

@@ -5,7 +5,7 @@ package analysis
 // concurrency-correctness suite guarding the serving stack.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Nondeterm, Commtag, Collective, Sendalias,
+		Nondeterm, Commtag, Collective,
 		Lockorder, Goleak, Ctxflow, Wgmisuse,
 	}
 }

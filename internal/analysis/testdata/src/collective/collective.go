@@ -20,7 +20,7 @@ func DerivedRank(c *comm.Comm, data []float64) []float64 {
 	me := c.Rank()
 	north := me + 1
 	if north < c.Size() {
-		return c.Bcast(0, data) // want `collective Comm\.Bcast is control-dependent on the rank-varying condition`
+		return c.BcastInto(0, data) // want `collective Comm\.BcastInto is control-dependent on the rank-varying condition`
 	}
 	return data
 }
@@ -30,7 +30,7 @@ func ElseBranch(c *comm.Comm, data []float64) []float64 {
 	if c.Rank() == 0 {
 		return data
 	} else {
-		return c.Allreduce(data, comm.SumOp) // want `collective Comm\.Allreduce is control-dependent`
+		return c.AllgathervTree(data)[0] // want `collective Comm\.AllgathervTree is control-dependent`
 	}
 }
 
@@ -45,39 +45,48 @@ func ProcRank(p *sim.Proc, c *comm.Comm) {
 func SwitchOnRank(c *comm.Comm, data []float64) {
 	switch c.Rank() {
 	case 0:
-		c.Gatherv(0, data) // want `collective Comm\.Gatherv is control-dependent`
+		c.GathervInto(0, data, nil) // want `collective Comm\.GathervInto is control-dependent`
 	default:
 	}
 }
 
-// UnconditionalCollectives are the correct shape: every rank calls them.
-func UnconditionalCollectives(c *comm.Comm, data []float64) []float64 {
-	c.Barrier()
-	out := c.Allreduce(data, comm.SumOp)
-	// Rank-dependent *arguments* are fine — every rank still enters.
-	parts := c.Gatherv(c.Rank()%2, out)
-	_ = parts
+// RootOnlyAllreduce is the production shape of the mistake: the *Into
+// collectives are the ones the model actually runs.
+func RootOnlyAllreduce(c *comm.Comm, data, out []float64) []float64 {
+	if c.Rank() == 0 {
+		out = c.AllreduceInto(data, out, comm.SumOp) // want `collective Comm\.AllreduceInto is control-dependent on the rank-varying condition`
+	}
 	return out
+}
+
+// UnconditionalCollectives are the correct shape: every rank calls them.
+func UnconditionalCollectives(c *comm.Comm, data, out []float64, parts [][]float64) []float64 {
+	c.Barrier()
+	out = c.AllreduceInto(data, out, comm.SumOp)
+	// Rank-dependent *arguments* are fine — every rank still enters.
+	parts = c.GathervInto(c.Rank()%2, out, parts)
+	parts = c.AlltoallvInto(parts, parts)
+	return c.ScattervInto(0, parts, out)
 }
 
 // ReplicatedCondition branches on data that is identical on every rank:
 // not rank-derived, so not flagged.
 func ReplicatedCondition(c *comm.Comm, steps int, data []float64) []float64 {
 	if steps > 10 {
-		data = c.Bcast(0, data)
+		data = c.BcastInto(0, data)
 	}
 	return data
 }
 
-// RankDependentPointToPoint is legal: Send/Recv are pairwise, not
+// RankDependentPointToPoint is legal: SendCopy/RecvInto are pairwise, not
 // collective.
 func RankDependentPointToPoint(c *comm.Comm, data []float64) []float64 {
 	if c.Rank() == 0 {
-		c.Send(1, 5, data)
+		c.SendCopy(1, 5, data)
 		return data
 	}
 	if c.Rank() == 1 {
-		return c.Recv(0, 5)
+		return c.RecvInto(0, 5, data)
 	}
 	return data
 }
@@ -86,7 +95,7 @@ func RankDependentPointToPoint(c *comm.Comm, data []float64) []float64 {
 // analyzer but all ranks provably agree (size is replicated).
 func AgreedBranch(c *comm.Comm, data []float64) []float64 {
 	if c.Rank() < c.Size() { // always true on every rank
-		return c.Bcast(0, data) //lint:allow collective every rank satisfies rank < size, all ranks enter
+		return c.BcastInto(0, data) //lint:allow collective every rank satisfies rank < size, all ranks enter
 	}
 	return data
 }

@@ -13,36 +13,32 @@ const (
 
 // ConstantTags exercises in-range and out-of-range constants.
 func ConstantTags(c *comm.Comm, buf []float64) {
-	c.Send(1, tagGood, buf)
-	c.Send(1, 70000, buf)          // want `tag 70000 passed to Comm\.Send collides with the reserved collective tag range`
+	c.SendCopy(1, tagGood, buf)
+	c.SendCopy(1, 70000, buf)      // want `tag 70000 passed to Comm\.SendCopy collides with the reserved collective tag range`
 	c.SendCopy(1, tagTooHigh, buf) // want `tag 65472 passed to Comm\.SendCopy collides with the reserved collective tag range`
-	c.Send(1, tagHighest, buf)     // highest legal user tag
-	_ = c.Recv(0, -3)              // want `tag -3 passed to Comm\.Recv is negative`
-}
-
-// IntSlices exercises the int-slice variants.
-func IntSlices(c *comm.Comm, plan []int) {
-	c.SendInts(1, tagGood, plan)
-	c.SendInts(1, comm.MaxUserTag+7, plan) // want `tag 65479 passed to Comm\.SendInts collides`
-	_ = c.RecvInts(0, 1<<16)               // want `tag 65536 passed to Comm\.RecvInts collides`
+	c.SendCopy(1, tagHighest, buf) // highest legal user tag
+	_ = c.RecvInto(0, -3, buf)     // want `tag -3 passed to Comm\.RecvInto is negative`
+	_ = c.RecvInto(0, 1<<16, buf)  // want `tag 65536 passed to Comm\.RecvInto collides`
+	_ = c.RecvInto(0, tagGood, buf)
 }
 
 // BothSendrecvTags checks that the send and the receive tag are both
 // propagated.
 func BothSendrecvTags(c *comm.Comm, buf []float64) []float64 {
-	return c.Sendrecv(1, comm.MaxUserTag, buf, 0, -1) // want `tag 65472 passed to Comm\.Sendrecv collides` `tag -1 passed to Comm\.Sendrecv is negative`
+	buf = c.SendrecvInto(1, tagGood, buf, 0, tagHighest, buf)
+	return c.SendrecvInto(1, comm.MaxUserTag, buf, 0, -1, buf) // want `tag 65472 passed to Comm\.SendrecvInto collides` `tag -1 passed to Comm\.SendrecvInto is negative`
 }
 
 // DynamicTags cannot be folded by the type checker and are left to the
 // run-time checkUserTag guard.
 func DynamicTags(c *comm.Comm, buf []float64, round int) {
 	tag := tagGood + round
-	c.Send(1, tag, buf)
+	c.SendCopy(1, tag, buf)
 }
 
 // Allowed demonstrates the escape hatch for a tag the checker cannot see is
 // rewritten before use (none exist in the real tree; the annotation is the
 // documented way out if one ever does).
 func Allowed(c *comm.Comm, buf []float64) {
-	c.Send(1, 70001, buf) //lint:allow commtag fixture demonstrates the escape hatch
+	c.SendCopy(1, 70001, buf) //lint:allow commtag fixture demonstrates the escape hatch
 }

@@ -5,30 +5,25 @@ import (
 	"testing"
 )
 
-// TestAllreduceIntoAllocFree pins the steady-state allocation count of the
-// AllreduceInto hot path at zero.  testing.AllocsPerRun counts mallocs
+// pinAllocFree pins the steady-state allocation count of one communication
+// round at zero on a 4-rank machine.  setup builds a rank's persistent
+// buffers and returns its round.  testing.AllocsPerRun counts mallocs
 // process-wide, so every rank of the machine — not just the measured one —
 // must run its rounds allocation-free; the warmup rounds populate the
 // transport's message free lists and payload pools first.  AllocsPerRun
 // invokes the measured function runs+1 times, so the partner ranks loop
-// exactly runs+1 collective rounds to stay matched.
-func TestAllreduceIntoAllocFree(t *testing.T) {
+// exactly runs+1 rounds to stay matched.
+func pinAllocFree(t *testing.T, name string, setup func(c *Comm) (round func())) {
+	t.Helper()
 	const warm, runs = 5, 50
 	runWorld(t, 4, func(c *Comm) error {
-		data := make([]float64, 64)
-		for i := range data {
-			data[i] = float64(c.Rank()*1000 + i)
-		}
-		out := make([]float64, 0, len(data))
-		round := func() {
-			out = c.AllreduceInto(data, out, SumOp)
-		}
+		round := setup(c)
 		for i := 0; i < warm; i++ {
 			round()
 		}
 		if c.Rank() == 0 {
 			if n := testing.AllocsPerRun(runs, round); n != 0 {
-				return fmt.Errorf("AllreduceInto allocated %.1f times per round; want 0", n)
+				return fmt.Errorf("%s allocated %.1f times per round; want 0", name, n)
 			}
 			return nil
 		}
@@ -36,5 +31,52 @@ func TestAllreduceIntoAllocFree(t *testing.T) {
 			round()
 		}
 		return nil
+	})
+}
+
+// rankData returns n floats that differ by rank.
+func rankData(c *Comm, n int) []float64 {
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(c.Rank()*1000 + i)
+	}
+	return data
+}
+
+func TestAllreduceIntoAllocFree(t *testing.T) {
+	pinAllocFree(t, "AllreduceInto", func(c *Comm) func() {
+		data := rankData(c, 64)
+		out := make([]float64, 0, len(data))
+		return func() { out = c.AllreduceInto(data, out, SumOp) }
+	})
+}
+
+func TestAlltoallvIntoAllocFree(t *testing.T) {
+	pinAllocFree(t, "AlltoallvInto", func(c *Comm) func() {
+		parts, out := make([][]float64, c.Size()), make([][]float64, c.Size())
+		for i := range parts {
+			parts[i] = rankData(c, 16+i) // a different pool length class per peer
+		}
+		return func() { out = c.AlltoallvInto(parts, out) }
+	})
+}
+
+func TestAllgathervIntoAllocFree(t *testing.T) {
+	pinAllocFree(t, "AllgathervInto", func(c *Comm) func() {
+		data := rankData(c, 16+c.Rank())
+		out := make([][]float64, c.Size())
+		return func() { out = c.AllgathervInto(data, out) }
+	})
+}
+
+func TestSendCopyRecvIntoAllocFree(t *testing.T) {
+	pinAllocFree(t, "SendCopy/RecvInto", func(c *Comm) func() {
+		data := rankData(c, 64)
+		var buf []float64
+		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+		return func() {
+			c.SendCopy(next, 3, data)
+			buf = c.RecvInto(prev, 3, buf)
+		}
 	})
 }

@@ -7,6 +7,12 @@
 // patterns — convolution over rings or binary trees versus a data transpose
 // (all-to-all) — so all of those patterns are first-class here and their
 // costs emerge from the underlying sim cost model.
+//
+// Every operation has value semantics: a send copies its buffer (into a
+// pooled payload, so the steady state allocates nothing) before it returns,
+// and a receive lands in a buffer the caller owns.  No two ranks ever share
+// a backing array, so who may write a buffer after a call is never a
+// question for the caller.
 package comm
 
 import (
@@ -33,17 +39,17 @@ const (
 	tagScatter
 	tagAlltoall
 	tagShift
-	// tagGatherData carries Gatherv/Scatterv payloads.  It used to live at
-	// maxUserTag-1 *inside* the user range, where a user message with the
-	// same tag silently interleaved with collective payloads.
+	// tagGatherData carries GathervInto/ScattervInto payloads.  It used to
+	// live at maxUserTag-1 *inside* the user range, where a user message
+	// with the same tag silently interleaved with collective payloads.
 	tagGatherData
 	maxUserTag = tagSpace - 64
 )
 
 // MaxUserTag is the exclusive upper bound of the user tag range: every tag
-// passed to Send/SendCopy/Recv/SendInts/RecvInts/Sendrecv must lie in
-// [0, MaxUserTag).  Tags at or above it are reserved for collective traffic.
-// checkUserTag enforces the bound at run time and the commtag analyzer
+// passed to SendCopy/RecvInto/SendrecvInto must lie in [0, MaxUserTag).
+// Tags at or above it are reserved for collective traffic.  checkUserTag
+// enforces the bound at run time and the commtag analyzer
 // (internal/analysis) enforces it for constant tags at lint time.
 const MaxUserTag = maxUserTag
 
@@ -155,14 +161,6 @@ func (c *Comm) Split(colors, keys []int, newCtx int) *Comm {
 	return &Comm{p: c.p, world: members, me: me, ctx: newCtx + myColor + 1}
 }
 
-// Send transmits a copy-free reference to data to comm rank dst.
-// The caller must not mutate data afterwards; use SendCopy when the buffer
-// will be reused.
-func (c *Comm) Send(dst, tag int, data []float64) {
-	c.checkUserTag(tag)
-	c.p.SendFloats(c.WorldRank(dst), c.tag(tag), data, len(data)*bytesPerFloat)
-}
-
 // SendCopy transmits a private copy of data to comm rank dst: the caller may
 // reuse data immediately.  The copy is drawn from the receiver's payload
 // pool, so a steady-state SendCopy/RecvInto exchange allocates nothing.
@@ -171,33 +169,14 @@ func (c *Comm) SendCopy(dst, tag int, data []float64) {
 	c.p.SendFloatsCopy(c.WorldRank(dst), c.tag(tag), data, len(data)*bytesPerFloat)
 }
 
-// Recv receives a []float64 from comm rank src.  Ownership of the returned
-// slice transfers to the caller.
-func (c *Comm) Recv(src, tag int) []float64 {
-	c.checkUserTag(tag)
-	return c.p.RecvFloats(c.WorldRank(src), c.tag(tag))
-}
-
 // RecvInto receives a []float64 from comm rank src into buf (grown from
 // buf[:0] as needed) and returns the filled slice.  The returned slice
 // aliases buf's backing array, which the caller owns again once the call
 // returns; pairing SendCopy with RecvInto keeps the exchange allocation-free
-// at steady state.  Timing is identical to Recv.
+// at steady state.
 func (c *Comm) RecvInto(src, tag int, buf []float64) []float64 {
 	c.checkUserTag(tag)
 	return c.p.RecvFloatsInto(c.WorldRank(src), c.tag(tag), buf)
-}
-
-// SendInts transmits an int slice (bookkeeping metadata, e.g. row plans).
-func (c *Comm) SendInts(dst, tag int, data []int) {
-	c.checkUserTag(tag)
-	c.p.Send(c.WorldRank(dst), c.tag(tag), data, len(data)*8)
-}
-
-// RecvInts receives an int slice from comm rank src.
-func (c *Comm) RecvInts(src, tag int) []int {
-	c.checkUserTag(tag)
-	return c.p.Recv(c.WorldRank(src), c.tag(tag)).([]int)
 }
 
 func (c *Comm) checkUserTag(tag int) {
@@ -208,17 +187,11 @@ func (c *Comm) checkUserTag(tag int) {
 	}
 }
 
-// Sendrecv exchanges data with a partner rank in one logical step: it posts
-// the send before blocking on the receive, so symmetric pairwise exchanges
-// cannot deadlock.  The caller may reuse data immediately.
-func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
-	return c.SendrecvInto(dst, sendTag, data, src, recvTag, nil)
-}
-
-// SendrecvInto is Sendrecv with a caller-owned receive buffer: the send is a
-// pooled copy (data is reusable immediately) and the reply lands in buf via
-// RecvInto.  With a persistent buf the steady-state exchange allocates
-// nothing.
+// SendrecvInto exchanges data with a partner rank in one logical step: it
+// posts the send before blocking on the receive, so symmetric pairwise
+// exchanges cannot deadlock.  The send is a pooled copy (data is reusable
+// immediately) and the reply lands in buf via RecvInto; with a persistent buf
+// the steady-state exchange allocates nothing.
 func (c *Comm) SendrecvInto(dst, sendTag int, data []float64, src, recvTag int, buf []float64) []float64 {
 	c.SendCopy(dst, sendTag, data)
 	return c.RecvInto(src, recvTag, buf)
@@ -236,34 +209,11 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// Bcast distributes root's buffer to all ranks along a binomial tree and
-// returns each rank's copy (root returns data unchanged).
-func (c *Comm) Bcast(root int, data []float64) []float64 {
-	n := len(c.world)
-	if n == 1 {
-		return data
-	}
-	// Rotate so the root is virtual rank 0.
-	vrank := (c.me - root + n) % n
-	if vrank != 0 {
-		src := c.findBcastParent(vrank)
-		data = c.p.RecvFloats(c.WorldRank((src+root)%n), c.tag(tagBcast))
-	}
-	// Forward to children: standard binomial tree on virtual ranks.
-	for dist := nextPow2(n); dist >= 1; dist /= 2 {
-		if vrank%(2*dist) == 0 && vrank+dist < n {
-			c.p.SendFloats(c.WorldRank((vrank+dist+root)%n), c.tag(tagBcast), data, len(data)*bytesPerFloat)
-		}
-	}
-	return data
-}
-
-// BcastInto distributes root's buffer to all ranks along the same binomial
-// tree as Bcast, but every hop copies: the root passes its data in buf,
-// non-roots receive into buf (grown from buf[:0] as needed), and all ranks
-// may reuse the returned slice — which they own — immediately.  With
-// persistent buffers the steady state allocates nothing.  Timing is
-// identical to Bcast.
+// BcastInto distributes root's buffer to all ranks along a binomial tree.
+// Every hop copies: the root passes its data in buf, non-roots receive into
+// buf (grown from buf[:0] as needed), and all ranks may reuse the returned
+// slice — which they own — immediately.  With persistent buffers the steady
+// state allocates nothing.
 func (c *Comm) BcastInto(root int, buf []float64) []float64 {
 	n := len(c.world)
 	if n == 1 {
@@ -330,24 +280,13 @@ func MinOp(dst, src []float64) {
 	}
 }
 
-// Reduce combines every rank's data with op along a binomial tree rooted at
-// root.  The root returns the combined vector; other ranks return nil.
-// Reduction arithmetic is charged to the virtual clock (one flop per
-// element per combine).
-func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
-	acc := c.ReduceInto(root, data, make([]float64, 0, len(data)), op)
-	if c.me != root {
-		return nil
-	}
-	return acc
-}
-
-// ReduceInto is Reduce accumulating into the caller-owned buffer out (grown
-// from out[:0] as needed).  The root returns the combined vector, aliasing
-// out's backing array; other ranks use out as scratch and return nil.  The
-// internal tree stages stage receives in per-Comm scratch and send pooled
-// copies, so with a persistent out the steady state allocates nothing.
-// Timing is identical to Reduce.
+// ReduceInto combines every rank's data with op along a binomial tree rooted
+// at root, accumulating into the caller-owned buffer out (grown from out[:0]
+// as needed).  The root returns the combined vector, aliasing out's backing
+// array; other ranks use out as scratch and return nil.  Reduction arithmetic
+// is charged to the virtual clock (one flop per element per combine).  The
+// tree stages stage receives in per-Comm scratch and send pooled copies, so
+// with a persistent out the steady state allocates nothing.
 func (c *Comm) ReduceInto(root int, data, out []float64, op Op) []float64 {
 	n := len(c.world)
 	s := c.scratchBufs()
@@ -370,20 +309,10 @@ func (c *Comm) ReduceInto(root int, data, out []float64, op Op) []float64 {
 	return acc
 }
 
-// Allreduce combines every rank's data with op and returns the result on all
-// ranks (reduce to rank 0, then broadcast).
-func (c *Comm) Allreduce(data []float64, op Op) []float64 {
-	acc := c.Reduce(0, data, op)
-	if c.me != 0 {
-		acc = nil
-	}
-	return c.Bcast(0, acc)
-}
-
-// AllreduceInto is Allreduce with a caller-owned result buffer: the combined
-// vector lands in out (grown from out[:0] as needed) on every rank.  With a
-// persistent out the steady state allocates nothing.  Timing is identical to
-// Allreduce (same reduce-to-0 + broadcast message pattern).
+// AllreduceInto combines every rank's data with op (reduce to rank 0, then
+// broadcast): the combined vector lands in the caller-owned out (grown from
+// out[:0] as needed) on every rank.  With a persistent out the steady state
+// allocates nothing.
 func (c *Comm) AllreduceInto(data, out []float64, op Op) []float64 {
 	res := c.ReduceInto(0, data, out, op)
 	if c.me == 0 {
@@ -392,52 +321,11 @@ func (c *Comm) AllreduceInto(data, out []float64, op Op) []float64 {
 	return c.BcastInto(0, out)
 }
 
-// AllreduceScalar is a convenience wrapper for single-value reductions.
-func (c *Comm) AllreduceScalar(v float64, op Op) float64 {
-	return c.Allreduce([]float64{v}, op)[0]
-}
-
-// Gather collects equal-length contributions onto root, concatenated in comm
-// rank order.  Non-roots return nil.
-func (c *Comm) Gather(root int, data []float64) []float64 {
-	parts := c.Gatherv(root, data)
-	if parts == nil {
-		return nil
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]float64, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// Gatherv collects variable-length contributions onto root, returned as one
-// slice per rank in comm rank order.  Non-roots return nil.
-func (c *Comm) Gatherv(root int, data []float64) [][]float64 {
-	if c.me != root {
-		c.p.SendFloats(c.WorldRank(root), c.tag(tagGatherData), data, len(data)*bytesPerFloat)
-		return nil
-	}
-	parts := make([][]float64, len(c.world))
-	for r := range c.world {
-		if r == root {
-			parts[r] = data
-			continue
-		}
-		parts[r] = c.p.RecvFloats(c.WorldRank(r), c.tag(tagGatherData))
-	}
-	return parts
-}
-
-// GathervInto is Gatherv with caller-owned receive buffers: on the root,
-// out[r] (grown from out[r][:0]) receives rank r's contribution and
-// out[root] receives a copy of data; non-roots send a pooled copy of data —
-// reusable immediately — and return nil.  With persistent buffers the steady
-// state allocates nothing.  Timing is identical to Gatherv.
+// GathervInto collects variable-length contributions onto root: out[r]
+// (grown from out[r][:0]) receives rank r's contribution and out[root] a copy
+// of data; non-roots send a pooled copy of data — reusable immediately —
+// ignore out and return nil.  With persistent buffers the steady state
+// allocates nothing.
 func (c *Comm) GathervInto(root int, data []float64, out [][]float64) [][]float64 {
 	if c.me != root {
 		c.p.SendFloatsCopy(c.WorldRank(root), c.tag(tagGatherData), data, len(data)*bytesPerFloat)
@@ -456,29 +344,10 @@ func (c *Comm) GathervInto(root int, data []float64, out [][]float64) [][]float6
 	return out
 }
 
-// Scatterv distributes parts[i] from root to comm rank i and returns each
-// rank's part.  Only root may pass non-nil parts.
-func (c *Comm) Scatterv(root int, parts [][]float64) []float64 {
-	if c.me == root {
-		if len(parts) != len(c.world) {
-			panic(fmt.Sprintf("comm: Scatterv needs %d parts, got %d", len(c.world), len(parts)))
-		}
-		for r := range c.world {
-			if r == root {
-				continue
-			}
-			c.p.SendFloats(c.WorldRank(r), c.tag(tagGatherData), parts[r], len(parts[r])*bytesPerFloat)
-		}
-		return parts[root]
-	}
-	return c.p.RecvFloats(c.WorldRank(root), c.tag(tagGatherData))
-}
-
-// ScattervInto is Scatterv with pooled sends and a caller-owned receive
-// buffer: the root may reuse every parts[i] immediately, and each rank's
-// share lands in buf (grown from buf[:0] as needed).  With persistent
-// buffers the steady state allocates nothing.  Timing is identical to
-// Scatterv.
+// ScattervInto distributes parts[i] from root to comm rank i (only root's
+// parts is read): the root may reuse every parts[i] immediately, and each
+// rank's share lands in the caller-owned buf (grown from buf[:0] as needed).
+// With persistent buffers the steady state allocates nothing.
 func (c *Comm) ScattervInto(root int, parts [][]float64, buf []float64) []float64 {
 	if c.me == root {
 		if len(parts) != len(c.world) {
@@ -495,33 +364,11 @@ func (c *Comm) ScattervInto(root int, parts [][]float64, buf []float64) []float6
 	return c.p.RecvFloatsInto(c.WorldRank(root), c.tag(tagGatherData), buf)
 }
 
-// Alltoallv sends parts[i] to comm rank i and returns the slice received
-// from each rank, indexed by source rank.  This is the data-transpose
-// primitive used by the FFT filtering module.
-func (c *Comm) Alltoallv(parts [][]float64) [][]float64 {
-	n := len(c.world)
-	if len(parts) != n {
-		panic(fmt.Sprintf("comm: Alltoallv needs %d parts, got %d", n, len(parts)))
-	}
-	out := make([][]float64, n)
-	out[c.me] = parts[c.me]
-	// Post all sends first (eager), then drain receives: deadlock-free.
-	for off := 1; off < n; off++ {
-		dst := (c.me + off) % n
-		c.p.SendFloats(c.WorldRank(dst), c.tag(tagAlltoall), parts[dst], len(parts[dst])*bytesPerFloat)
-	}
-	for off := 1; off < n; off++ {
-		src := (c.me - off + n) % n
-		out[src] = c.p.RecvFloats(c.WorldRank(src), c.tag(tagAlltoall))
-	}
-	return out
-}
-
-// AlltoallvInto is Alltoallv with pooled sends and caller-owned receive
-// buffers: out[src] (grown from out[src][:0]) receives rank src's part, the
-// local part is copied into out[me], and the caller may reuse every parts[i]
-// immediately.  With persistent buffers the steady state allocates nothing.
-// Timing is identical to Alltoallv.
+// AlltoallvInto sends parts[i] to comm rank i — the data-transpose primitive
+// of the FFT filtering module.  out[src] (grown from out[src][:0]) receives
+// rank src's part, the local part is copied into out[me], and the caller may
+// reuse every parts[i] immediately.  With persistent buffers the steady state
+// allocates nothing.
 func (c *Comm) AlltoallvInto(parts, out [][]float64) [][]float64 {
 	n := len(c.world)
 	if len(parts) != n {
@@ -542,51 +389,12 @@ func (c *Comm) AlltoallvInto(parts, out [][]float64) [][]float64 {
 	return out
 }
 
-// RingShift passes data to the next rank around the communicator ring
-// (rank+1 mod P) and returns the slice received from the previous rank.
-func (c *Comm) RingShift(data []float64) []float64 {
-	n := len(c.world)
-	next := (c.me + 1) % n
-	prev := (c.me - 1 + n) % n
-	c.p.SendFloats(c.WorldRank(next), c.tag(tagShift), data, len(data)*bytesPerFloat)
-	return c.p.RecvFloats(c.WorldRank(prev), c.tag(tagShift))
-}
-
-// RingShiftInto is RingShift with a pooled send and a caller-owned receive
-// buffer: data is reusable immediately and the previous rank's slice lands
-// in buf (grown from buf[:0] as needed).  With a persistent buf the steady
-// state allocates nothing.  Timing is identical to RingShift.
-func (c *Comm) RingShiftInto(data, buf []float64) []float64 {
-	n := len(c.world)
-	next := (c.me + 1) % n
-	prev := (c.me - 1 + n) % n
-	c.p.SendFloatsCopy(c.WorldRank(next), c.tag(tagShift), data, len(data)*bytesPerFloat)
-	return c.p.RecvFloatsInto(c.WorldRank(prev), c.tag(tagShift), buf)
-}
-
-// Allgatherv gathers every rank's contribution on every rank (by rank order)
-// using a ring pipeline of P-1 steps, matching the original AGCM's ring
-// filtering data motion.
-func (c *Comm) Allgatherv(data []float64) [][]float64 {
-	n := len(c.world)
-	out := make([][]float64, n)
-	out[c.me] = data
-	cur := data
-	curSrc := c.me
-	for step := 1; step < n; step++ {
-		cur = c.RingShift(cur)
-		curSrc = (curSrc - 1 + n) % n
-		out[curSrc] = cur
-	}
-	return out
-}
-
-// AllgathervInto is Allgatherv with caller-owned receive buffers: rank r's
-// contribution lands in out[r] (grown from out[r][:0]), with out[me]
-// receiving a copy of data, and the caller may reuse data immediately.  Each
-// ring hop forwards a pooled copy, so with persistent buffers the steady
-// state allocates nothing.  The message pattern — P-1 hops of each segment
-// around the ring — is identical to Allgatherv, and so is the timing.
+// AllgathervInto gathers every rank's contribution on every rank using a
+// ring pipeline of P-1 steps, matching the original AGCM's ring filtering
+// data motion: rank r's contribution lands in out[r] (grown from
+// out[r][:0]), with out[me] receiving a copy of data, and the caller may
+// reuse data immediately.  Each ring hop forwards a pooled copy, so with
+// persistent buffers the steady state allocates nothing.
 func (c *Comm) AllgathervInto(data []float64, out [][]float64) [][]float64 {
 	n := len(c.world)
 	if len(out) != n {
@@ -607,32 +415,29 @@ func (c *Comm) AllgathervInto(data []float64, out [][]float64) [][]float64 {
 }
 
 // AllgathervTree gathers every rank's contribution on every rank via a
-// binomial gather to rank 0 followed by a tree broadcast — the paper's
-// "binary tree" alternative to the ring for the convolution filter's data
-// motion: O(2P) messages moving O(N*P + N*logP) data.
+// gather to rank 0 followed by a tree broadcast — the paper's "binary tree"
+// alternative to the ring for the convolution filter's data motion: O(2P)
+// messages moving O(N*P + N*logP) data.  The result is freshly allocated and
+// data is reusable immediately.
 func (c *Comm) AllgathervTree(data []float64) [][]float64 {
-	parts := c.Gatherv(0, data)
+	n := len(c.world)
+	parts := c.GathervInto(0, data, make([][]float64, n))
 	var lengths, flat []float64
 	if c.me == 0 {
-		lengths = make([]float64, len(parts))
-		total := 0
+		lengths = make([]float64, n)
 		for i, p := range parts {
 			lengths[i] = float64(len(p))
-			total += len(p)
-		}
-		flat = make([]float64, 0, total)
-		for _, p := range parts {
 			flat = append(flat, p...)
 		}
 	}
-	lengths = c.Bcast(0, lengths)
-	flat = c.Bcast(0, flat)
-	out := make([][]float64, len(c.world))
+	lengths = c.BcastInto(0, lengths)
+	flat = c.BcastInto(0, flat)
+	out := make([][]float64, n)
 	off := 0
 	for i := range out {
-		n := int(lengths[i])
-		out[i] = flat[off : off+n]
-		off += n
+		k := int(lengths[i])
+		out[i] = flat[off : off+k]
+		off += k
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"agcm/internal/machine"
 	"agcm/internal/sim"
 )
 
@@ -44,17 +45,18 @@ func TestWorldRankSize(t *testing.T) {
 func TestSendRecvRoundtrip(t *testing.T) {
 	runWorld(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 3, []float64{1, 2, 3})
-			got := c.Recv(1, 4)
+			c.SendCopy(1, 3, []float64{1, 2, 3})
+			got := c.RecvInto(1, 4, nil)
 			if len(got) != 1 || got[0] != 9 {
 				return fmt.Errorf("got %v", got)
 			}
 		} else {
-			got := c.Recv(0, 3)
+			// A receive buffer that is too long is cut, one too short grown.
+			got := c.RecvInto(0, 3, make([]float64, 7))
 			if len(got) != 3 || got[1] != 2 {
 				return fmt.Errorf("got %v", got)
 			}
-			c.Send(0, 4, []float64{9})
+			c.SendCopy(0, 4, []float64{9})
 		}
 		return nil
 	})
@@ -67,23 +69,9 @@ func TestSendCopyIsolatesBuffer(t *testing.T) {
 			c.SendCopy(1, 0, buf)
 			buf[0] = 99 // mutate after send: receiver must not see it
 		} else {
-			got := c.Recv(0, 0)
+			got := c.RecvInto(0, 0, nil)
 			if got[0] != 1 {
 				return fmt.Errorf("receiver saw mutation: %v", got)
-			}
-		}
-		return nil
-	})
-}
-
-func TestSendRecvInts(t *testing.T) {
-	runWorld(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.SendInts(1, 1, []int{4, 5, 6})
-		} else {
-			got := c.RecvInts(0, 1)
-			if len(got) != 3 || got[2] != 6 {
-				return fmt.Errorf("got %v", got)
 			}
 		}
 		return nil
@@ -93,7 +81,7 @@ func TestSendRecvInts(t *testing.T) {
 func TestSendrecvPairwiseNoDeadlock(t *testing.T) {
 	runWorld(t, 2, func(c *Comm) error {
 		partner := 1 - c.Rank()
-		got := c.Sendrecv(partner, 0, []float64{float64(c.Rank())}, partner, 0)
+		got := c.SendrecvInto(partner, 0, []float64{float64(c.Rank())}, partner, 0, nil)
 		if got[0] != float64(partner) {
 			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
@@ -118,7 +106,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 }
 
 func TestBcastAllRootsAllSizes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
 		for root := 0; root < n; root++ {
 			n, root := n, root
 			runWorld(t, n, func(c *Comm) error {
@@ -126,7 +114,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 				if c.Rank() == root {
 					data = []float64{3.5, -1, float64(root)}
 				}
-				got := c.Bcast(root, data)
+				got := c.BcastInto(root, data)
 				if len(got) != 3 || got[0] != 3.5 || got[2] != float64(root) {
 					return fmt.Errorf("n=%d root=%d rank=%d got %v", n, root, c.Rank(), got)
 				}
@@ -137,12 +125,12 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 }
 
 func TestReduceSumAllRootsAllSizes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 12} {
-		for root := 0; root < n; root += 3 {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12} {
+		for root := 0; root < n; root++ {
 			n, root := n, root
 			runWorld(t, n, func(c *Comm) error {
 				data := []float64{float64(c.Rank()), 1}
-				got := c.Reduce(root, data, SumOp)
+				got := c.ReduceInto(root, data, nil, SumOp)
 				if c.Rank() != root {
 					if got != nil {
 						return fmt.Errorf("non-root got %v", got)
@@ -159,16 +147,21 @@ func TestReduceSumAllRootsAllSizes(t *testing.T) {
 	}
 }
 
+// allreduceScalar is a single-value AllreduceInto.
+func allreduceScalar(c *Comm, v float64, op Op) float64 {
+	return c.AllreduceInto([]float64{v}, nil, op)[0]
+}
+
 func TestAllreduceMaxMin(t *testing.T) {
 	runWorld(t, 6, func(c *Comm) error {
 		v := float64(c.Rank()*c.Rank()) - 3
-		if got := c.AllreduceScalar(v, MaxOp); got != 22 {
+		if got := allreduceScalar(c, v, MaxOp); got != 22 {
 			return fmt.Errorf("max got %g, want 22", got)
 		}
-		if got := c.AllreduceScalar(v, MinOp); got != -3 {
+		if got := allreduceScalar(c, v, MinOp); got != -3 {
 			return fmt.Errorf("min got %g, want -3", got)
 		}
-		if got := c.AllreduceScalar(1, SumOp); got != 6 {
+		if got := allreduceScalar(c, 1, SumOp); got != 6 {
 			return fmt.Errorf("sum got %g, want 6", got)
 		}
 		return nil
@@ -182,7 +175,7 @@ func TestGatherAndGatherv(t *testing.T) {
 		for i := range mine {
 			mine[i] = float64(c.Rank())
 		}
-		parts := c.Gatherv(2, mine)
+		parts := c.GathervInto(2, mine, make([][]float64, 4))
 		if c.Rank() != 2 {
 			if parts != nil {
 				return fmt.Errorf("non-root got parts")
@@ -201,9 +194,14 @@ func TestGatherAndGatherv(t *testing.T) {
 		}
 		return nil
 	})
+	// Equal-length contributions concatenate in comm rank order.
 	runWorld(t, 3, func(c *Comm) error {
-		flat := c.Gather(0, []float64{float64(c.Rank()), float64(c.Rank() * 10)})
+		parts := c.GathervInto(0, []float64{float64(c.Rank()), float64(c.Rank() * 10)}, make([][]float64, 3))
 		if c.Rank() == 0 {
+			var flat []float64
+			for _, p := range parts {
+				flat = append(flat, p...)
+			}
 			want := []float64{0, 0, 1, 10, 2, 20}
 			if len(flat) != len(want) {
 				return fmt.Errorf("gather len %d", len(flat))
@@ -224,7 +222,7 @@ func TestScatterv(t *testing.T) {
 		if c.Rank() == 1 {
 			parts = [][]float64{{0}, {1, 1}, {2, 2, 2}, {3}}
 		}
-		got := c.Scatterv(1, parts)
+		got := c.ScattervInto(1, parts, nil)
 		if len(got) == 0 || got[0] != float64(c.Rank()) {
 			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
@@ -241,7 +239,7 @@ func TestAlltoallv(t *testing.T) {
 		for dst := range parts {
 			parts[dst] = []float64{float64(c.Rank()*100 + dst)}
 		}
-		got := c.Alltoallv(parts)
+		got := c.AlltoallvInto(parts, make([][]float64, 5))
 		for src, p := range got {
 			want := float64(src*100 + c.Rank())
 			if len(p) != 1 || p[0] != want {
@@ -254,12 +252,13 @@ func TestAlltoallv(t *testing.T) {
 
 func TestRingShiftAndAllgatherv(t *testing.T) {
 	runWorld(t, 4, func(c *Comm) error {
-		got := c.RingShift([]float64{float64(c.Rank())})
-		prev := (c.Rank() + 3) % 4
+		// One hop around the ring, then the ring allgather built of such hops.
+		next, prev := (c.Rank()+1)%4, (c.Rank()+3)%4
+		got := c.SendrecvInto(next, 0, []float64{float64(c.Rank())}, prev, 0, nil)
 		if got[0] != float64(prev) {
 			return fmt.Errorf("ring shift got %v, want %d", got, prev)
 		}
-		all := c.Allgatherv([]float64{float64(c.Rank() * 11)})
+		all := c.AllgathervInto([]float64{float64(c.Rank() * 11)}, make([][]float64, 4))
 		for r, p := range all {
 			if len(p) != 1 || p[0] != float64(r*11) {
 				return fmt.Errorf("allgather from %d got %v", r, p)
@@ -277,7 +276,7 @@ func TestAllgathervTreeMatchesRing(t *testing.T) {
 			for i := range mine {
 				mine[i] = float64(c.Rank()*10 + i)
 			}
-			ring := c.Allgatherv(mine)
+			ring := c.AllgathervInto(mine, make([][]float64, n))
 			tree := c.AllgathervTree(mine)
 			if len(ring) != len(tree) {
 				return fmt.Errorf("n=%d: lengths differ", n)
@@ -312,7 +311,7 @@ func TestAllgathervTreeCheaperThanRingAtScale(t *testing.T) {
 		return res.MaxClock()
 	}
 	data := make([]float64, 4) // latency-dominated regime
-	ring := timeOf(func(c *Comm) { c.Allgatherv(data) })
+	ring := timeOf(func(c *Comm) { c.AllgathervInto(data, make([][]float64, 30)) })
 	tree := timeOf(func(c *Comm) { c.AllgathervTree(data) })
 	if tree >= ring {
 		t.Fatalf("tree allgather (%g s) not cheaper than ring (%g s) on 30 ranks", tree, ring)
@@ -328,7 +327,7 @@ func TestSplitCommunicatorsIsolateTraffic(t *testing.T) {
 		sub := c.Split(colors, keys, 50)
 		partner := 1 - sub.Rank()
 		sent := float64(c.Rank() * 100)
-		got := sub.Sendrecv(partner, 9, []float64{sent}, partner, 9)
+		got := sub.SendrecvInto(partner, 9, []float64{sent}, partner, 9, nil)
 		// My partner is within my color group.
 		wantFrom := map[int]int{0: 1, 1: 0, 2: 3, 3: 2}[c.Rank()]
 		if got[0] != float64(wantFrom*100) {
@@ -352,7 +351,7 @@ func TestSplitRowsAndColumns(t *testing.T) {
 			return fmt.Errorf("col rank %d, want row index %d", cart.Col.Rank(), cart.MyRow)
 		}
 		// A row allreduce must sum only within the row.
-		sum := cart.Row.AllreduceScalar(float64(c.Rank()), SumOp)
+		sum := allreduceScalar(cart.Row, float64(c.Rank()), SumOp)
 		wantRow := 0.0
 		for col := 0; col < 3; col++ {
 			wantRow += float64(cart.MyRow*3 + col)
@@ -361,7 +360,7 @@ func TestSplitRowsAndColumns(t *testing.T) {
 			return fmt.Errorf("row sum %g, want %g", sum, wantRow)
 		}
 		// A column allreduce must sum only within the column.
-		csum := cart.Col.AllreduceScalar(float64(c.Rank()), SumOp)
+		csum := allreduceScalar(cart.Col, float64(c.Rank()), SumOp)
 		wantCol := float64(cart.MyCol) + float64(3+cart.MyCol)
 		if csum != wantCol {
 			return fmt.Errorf("col sum %g, want %g", csum, wantCol)
@@ -413,7 +412,7 @@ func TestCollectiveTimingOrdering(t *testing.T) {
 			if c.Rank() == 0 {
 				data = make([]float64, elems)
 			}
-			c.Bcast(0, data)
+			c.BcastInto(0, data)
 			return nil
 		})
 		return res.MaxClock()
@@ -424,9 +423,85 @@ func TestCollectiveTimingOrdering(t *testing.T) {
 	}
 }
 
+// TestCollectiveCostsPinned pins every operation's virtual finish time,
+// message count and byte count on an 8-rank Paragon with 64-float buffers,
+// for every root.  The figures were captured from the by-reference forms
+// (Bcast, Reduce, Gatherv, ...) before they were deleted, so they are the
+// proof that sending by value costs the model exactly what sending by
+// reference did.
+func TestCollectiveCostsPinned(t *testing.T) {
+	const n, elems = 8, 64
+	parts := func() [][]float64 {
+		p := make([][]float64, n)
+		for i := range p {
+			p[i] = make([]float64, elems)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		rooted bool
+		finish float64
+		msgs   int64
+		bytes  int64
+		run    func(c *Comm, root int)
+	}{
+		{"SendrecvInto", false, 0x1.dcb66d89adb2p-13, 8, 4096, func(c *Comm, _ int) {
+			c.SendrecvInto((c.Rank()+1)%n, 3, make([]float64, elems), (c.Rank()+n-1)%n, 3, nil)
+		}},
+		{"Barrier", false, 0x1.5a07b352a8439p-11, 24, 0, func(c *Comm, _ int) { c.Barrier() }},
+		{"BcastInto", true, 0x1.6588d22742459p-11, 7, 3584, func(c *Comm, root int) {
+			var buf []float64
+			if c.Rank() == root {
+				buf = make([]float64, elems)
+			}
+			c.BcastInto(root, buf)
+		}},
+		{"ReduceInto", true, 0x1.84fde2749763p-11, 7, 3584, func(c *Comm, root int) {
+			c.ReduceInto(root, make([]float64, elems), nil, SumOp)
+		}},
+		{"AllreduceInto", false, 0x1.75435a4decd43p-10, 14, 7168, func(c *Comm, _ int) {
+			c.AllreduceInto(make([]float64, elems), nil, SumOp)
+		}},
+		{"GathervInto", true, 0x1.33ebfd326a1dp-11, 7, 3584, func(c *Comm, root int) {
+			c.GathervInto(root, make([]float64, elems), make([][]float64, n))
+		}},
+		{"ScattervInto", true, 0x1.33ebfd326a1dp-11, 7, 3584, func(c *Comm, root int) {
+			c.ScattervInto(root, parts(), nil)
+		}},
+		{"AlltoallvInto", false, 0x1.b866e43aa79bep-11, 56, 28672, func(c *Comm, _ int) {
+			c.AlltoallvInto(parts(), make([][]float64, n))
+		}},
+		{"AllgathervInto", false, 0x1.a11f9fd877fbbp-10, 56, 28672, func(c *Comm, _ int) {
+			c.AllgathervInto(make([]float64, elems), make([][]float64, n))
+		}},
+		{"AllgathervTree", false, 0x1.a42dec08f0e45p-10, 21, 32704, func(c *Comm, _ int) {
+			c.AllgathervTree(make([]float64, elems))
+		}},
+	} {
+		roots := 1
+		if tc.rooted {
+			roots = n
+		}
+		for root := 0; root < roots; root++ {
+			res, err := sim.New(n, machine.Paragon()).Run(func(p *sim.Proc) error {
+				tc.run(World(p), root)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MaxClock() != tc.finish || res.TotalMessages() != tc.msgs || res.TotalBytes() != tc.bytes {
+				t.Errorf("%s root %d: finish %x, %d messages, %d bytes; pinned %x, %d, %d", tc.name, root,
+					res.MaxClock(), res.TotalMessages(), res.TotalBytes(), tc.finish, tc.msgs, tc.bytes)
+			}
+		}
+	}
+}
+
 func TestReduceChargesComputeTime(t *testing.T) {
 	res := runWorld(t, 2, func(c *Comm) error {
-		c.Reduce(0, make([]float64, 1000), SumOp)
+		c.ReduceInto(0, make([]float64, 1000), nil, SumOp)
 		return nil
 	})
 	// Root combined one 1000-element vector: >= 1000 flops of virtual time.
@@ -464,7 +539,7 @@ func TestMessageComplexityFormulas(t *testing.T) {
 	data := make([]float64, 10)
 
 	// Ring allgather: every rank forwards P-1 times -> P*(P-1).
-	if got := count(n, func(c *Comm) { c.Allgatherv(data) }); got != n*(n-1) {
+	if got := count(n, func(c *Comm) { c.AllgathervInto(data, make([][]float64, n)) }); got != n*(n-1) {
 		t.Errorf("ring allgather: %d messages, want %d", got, n*(n-1))
 	}
 	// Alltoallv: every rank sends to P-1 others.
@@ -473,7 +548,7 @@ func TestMessageComplexityFormulas(t *testing.T) {
 		for i := range parts {
 			parts[i] = data
 		}
-		c.Alltoallv(parts)
+		c.AlltoallvInto(parts, make([][]float64, n))
 	}); got != n*(n-1) {
 		t.Errorf("alltoallv: %d messages, want %d", got, n*(n-1))
 	}
@@ -483,12 +558,12 @@ func TestMessageComplexityFormulas(t *testing.T) {
 		if c.Rank() == 0 {
 			d = data
 		}
-		c.Bcast(0, d)
+		c.BcastInto(0, d)
 	}); got != n-1 {
 		t.Errorf("bcast: %d messages, want %d", got, n-1)
 	}
 	// Binomial reduce: P-1 messages total.
-	if got := count(n, func(c *Comm) { c.Reduce(0, data, SumOp) }); got != n-1 {
+	if got := count(n, func(c *Comm) { c.ReduceInto(0, data, nil, SumOp) }); got != n-1 {
 		t.Errorf("reduce: %d messages, want %d", got, n-1)
 	}
 	// Dissemination barrier: P * ceil(log2 P).
@@ -516,7 +591,7 @@ func TestAllreduceVectorAssociativityInvariant(t *testing.T) {
 		for i := range mine {
 			mine[i] = float64(c.Rank()*i) + 0.25
 		}
-		got := c.Allreduce(mine, SumOp)
+		got := c.AllreduceInto(mine, nil, SumOp)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				return fmt.Errorf("rank %d element %d: got %g want %g", c.Rank(), i, got[i], want[i])

@@ -17,7 +17,7 @@ func TestReservedTagPanicsClearly(t *testing.T) {
 		_, err := m.Run(func(p *sim.Proc) error {
 			c := World(p)
 			if c.Rank() == 0 {
-				c.Send(1, tag, []float64{1})
+				c.SendCopy(1, tag, []float64{1})
 			}
 			return nil
 		})
@@ -28,18 +28,18 @@ func TestReservedTagPanicsClearly(t *testing.T) {
 }
 
 // TestHighUserTagNoGathervCollision is the regression test for the tag
-// collision: Gatherv's payload tag used to sit at maxUserTag-1 *inside* the
+// collision: the gather payload tag used to sit at maxUserTag-1 *inside* the
 // user range, so a pending user message with that tag was consumed by a
-// concurrent Gatherv.  Every legal user tag must now be safe.
+// concurrent GathervInto.  Every legal user tag must now be safe.
 func TestHighUserTagNoGathervCollision(t *testing.T) {
 	const userTag = maxUserTag - 1 // the old Gatherv payload tag
 	runWorld(t, 3, func(c *Comm) error {
 		// Non-root ranks post a user message to root *before* the
-		// collective, so it is queued when Gatherv's receives run.
+		// collective, so it is queued when GathervInto's receives run.
 		if c.Rank() != 0 {
-			c.Send(0, userTag, []float64{-1, -2})
+			c.SendCopy(0, userTag, []float64{-1, -2})
 		}
-		parts := c.Gatherv(0, []float64{float64(c.Rank() + 1)})
+		parts := c.GathervInto(0, []float64{float64(c.Rank() + 1)}, make([][]float64, 3))
 		if c.Rank() == 0 {
 			for r, part := range parts {
 				if len(part) != 1 || part[0] != float64(r+1) {
@@ -48,7 +48,7 @@ func TestHighUserTagNoGathervCollision(t *testing.T) {
 				}
 			}
 			for src := 1; src < c.Size(); src++ {
-				got := c.Recv(src, userTag)
+				got := c.RecvInto(src, userTag, nil)
 				if len(got) != 2 || got[0] != -1 {
 					return fmt.Errorf("user message from %d = %v, want [-1 -2]", src, got)
 				}
@@ -76,15 +76,15 @@ func TestSplitHighTagNoCollectiveCollision(t *testing.T) {
 		// A high-tag user message crossing the split boundary on the
 		// parent comm, queued before any collective runs.
 		if c.Rank() == 0 {
-			c.Send(2, userTag, []float64{42})
+			c.SendCopy(2, userTag, []float64{42})
 		}
 		// And one at the same tag inside each sub-communicator.
 		if sub.Rank() == 1 {
-			sub.Send(0, userTag, []float64{float64(100 + c.Rank())})
+			sub.SendCopy(0, userTag, []float64{float64(100 + c.Rank())})
 		}
 
 		// Collectives on both communicators with both messages pending.
-		subParts := sub.Gatherv(0, []float64{float64(c.Rank())})
+		subParts := sub.GathervInto(0, []float64{float64(c.Rank())}, make([][]float64, 2))
 		if sub.Rank() == 0 {
 			for r, part := range subParts {
 				if len(part) != 1 || part[0] != float64(groupBase+r) {
@@ -93,7 +93,7 @@ func TestSplitHighTagNoCollectiveCollision(t *testing.T) {
 				}
 			}
 		}
-		worldParts := c.Gatherv(0, []float64{float64(10 * c.Rank())})
+		worldParts := c.GathervInto(0, []float64{float64(10 * c.Rank())}, make([][]float64, 4))
 		if c.Rank() == 0 {
 			for r, part := range worldParts {
 				if len(part) != 1 || part[0] != float64(10*r) {
@@ -105,13 +105,13 @@ func TestSplitHighTagNoCollectiveCollision(t *testing.T) {
 
 		// Both user messages must still be deliverable, intact.
 		if c.Rank() == 2 {
-			if got := c.Recv(0, userTag); len(got) != 1 || got[0] != 42 {
+			if got := c.RecvInto(0, userTag, nil); len(got) != 1 || got[0] != 42 {
 				return fmt.Errorf("cross-boundary user message = %v, want [42]", got)
 			}
 		}
 		if sub.Rank() == 0 {
 			want := float64(100 + groupBase + 1)
-			if got := sub.Recv(1, userTag); len(got) != 1 || got[0] != want {
+			if got := sub.RecvInto(1, userTag, nil); len(got) != 1 || got[0] != want {
 				return fmt.Errorf("sub-comm user message = %v, want [%v]", got, want)
 			}
 		}
@@ -128,7 +128,7 @@ func TestSplitReservedTagStillPanics(t *testing.T) {
 		c := World(p)
 		sub := c.Split([]int{0, 0, 1, 1}, []int{0, 1, 0, 1}, 3)
 		if sub.Rank() == 0 {
-			sub.Send(1, maxUserTag, []float64{1})
+			sub.SendCopy(1, maxUserTag, []float64{1})
 		}
 		return nil
 	})
@@ -137,23 +137,23 @@ func TestSplitReservedTagStillPanics(t *testing.T) {
 	}
 }
 
-// TestScattervWithPendingHighTag is the mirrored case for Scatterv.
+// TestScattervWithPendingHighTag is the mirrored case for ScattervInto.
 func TestScattervWithPendingHighTag(t *testing.T) {
 	const userTag = maxUserTag - 1
 	runWorld(t, 3, func(c *Comm) error {
 		var parts [][]float64
 		if c.Rank() == 0 {
 			for r := 1; r < c.Size(); r++ {
-				c.Send(r, userTag, []float64{99})
+				c.SendCopy(r, userTag, []float64{99})
 			}
 			parts = [][]float64{{10}, {11}, {12}}
 		}
-		mine := c.Scatterv(0, parts)
+		mine := c.ScattervInto(0, parts, nil)
 		if len(mine) != 1 || mine[0] != float64(10+c.Rank()) {
 			return fmt.Errorf("scattered %v, want [%d]", mine, 10+c.Rank())
 		}
 		if c.Rank() != 0 {
-			if got := c.Recv(0, userTag); len(got) != 1 || got[0] != 99 {
+			if got := c.RecvInto(0, userTag, nil); len(got) != 1 || got[0] != 99 {
 				return fmt.Errorf("user message = %v, want [99]", got)
 			}
 		}

@@ -21,11 +21,11 @@ func TestCommMatrixTable(t *testing.T) {
 	m.EnableEventLog()
 	res, err := m.Run(func(p *sim.Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, 1, []float64{1}, 8000)
-			p.Send(2, 1, []float64{1}, 80)
+			p.SendFloatsCopy(1, 1, []float64{1}, 8000)
+			p.SendFloatsCopy(2, 1, []float64{1}, 80)
 		}
 		if p.Rank() != 0 {
-			p.Recv(0, 1)
+			p.RecvFloatsInto(0, 1, nil)
 		}
 		return nil
 	})

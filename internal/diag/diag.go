@@ -67,8 +67,8 @@ func Compute(world *comm.Comm, local grid.Local, s *dynamics.State) Global {
 			}
 		}
 	}
-	sums := world.Allreduce([]float64{mass, ke, pe, tsum, qsum, wsum}, comm.SumOp)
-	maxes := world.Allreduce([]float64{maxWind, maxH, -minH}, comm.MaxOp)
+	sums := world.AllreduceInto([]float64{mass, ke, pe, tsum, qsum, wsum}, nil, comm.SumOp)
+	maxes := world.AllreduceInto([]float64{maxWind, maxH, -minH}, nil, comm.MaxOp)
 	return Global{
 		Mass:            sums[0],
 		KineticEnergy:   sums[1],
@@ -99,7 +99,7 @@ func ZonalMean(world *comm.Comm, cart *comm.Cart2D, f *grid.Field) []float64 {
 		partial[j] = sum
 	}
 	// Sum across the mesh row (full circles), then gather rows by column.
-	rowSums := cart.Row.Allreduce(partial, comm.SumOp)
+	rowSums := cart.Row.AllreduceInto(partial, nil, comm.SumOp)
 	var mine []float64
 	if cart.Row.Rank() == 0 {
 		mine = rowSums
@@ -107,7 +107,7 @@ func ZonalMean(world *comm.Comm, cart *comm.Cart2D, f *grid.Field) []float64 {
 		mine = nil // only column 0 contributes upward
 	}
 	// Gather the latitude strips onto world rank 0 in mesh-row order.
-	parts := world.Gatherv(0, mine)
+	parts := world.GathervInto(0, mine, make([][]float64, world.Size()))
 	if parts == nil {
 		return nil
 	}

@@ -124,11 +124,11 @@ func TestMassConservation(t *testing.T) {
 		s := NewState(l)
 		InitSolidBody(s, 20, 4)
 		dy := New(cart, spec, l, dt, filter.NewFFT(cart, spec, l, true))
-		m0 := world.AllreduceScalar(dy.TotalMass(s), comm.SumOp)
+		m0 := world.AllreduceInto([]float64{dy.TotalMass(s)}, nil, comm.SumOp)[0]
 		for n := 0; n < 20; n++ {
 			dy.Step(s)
 		}
-		m1 := world.AllreduceScalar(dy.TotalMass(s), comm.SumOp)
+		m1 := world.AllreduceInto([]float64{dy.TotalMass(s)}, nil, comm.SumOp)[0]
 		if rel := math.Abs(m1-m0) / m0; rel > 1e-6 {
 			return fmt.Errorf("mass drifted by %g over 20 steps", rel)
 		}

@@ -78,7 +78,7 @@ func LoadState(world *comm.Comm, cart *comm.Cart2D, file *history.File, s *State
 		}
 		step = float64(file.Step)
 	}
-	if world.Bcast(0, []float64{ok})[0] == 0 {
+	if world.BcastInto(0, []float64{ok})[0] == 0 {
 		if checkErr != nil {
 			return checkErr
 		}
@@ -95,6 +95,6 @@ func LoadState(world *comm.Comm, cart *comm.Cart2D, file *history.File, s *State
 		}
 		grid.Scatter(world, cart, global, v.f)
 	}
-	s.Steps = int(world.Bcast(0, []float64{step})[0])
+	s.Steps = int(world.BcastInto(0, []float64{step})[0])
 	return nil
 }

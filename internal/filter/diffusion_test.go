@@ -83,7 +83,7 @@ func TestPolarDiffusionPreservesZonalMean(t *testing.T) {
 					sum += v
 				}
 				// Sum across the full circle.
-				means[key{j, k}] = cart.Row.AllreduceScalar(sum, comm.SumOp)
+				means[key{j, k}] = cart.Row.AllreduceInto([]float64{sum}, nil, comm.SumOp)[0]
 			}
 		}
 		NewPolarDiffusion(cart, spec, l).Apply(vars)
@@ -97,7 +97,7 @@ func TestPolarDiffusionPreservesZonalMean(t *testing.T) {
 				for _, v := range row {
 					sum += v
 				}
-				got := cart.Row.AllreduceScalar(sum, comm.SumOp)
+				got := cart.Row.AllreduceInto([]float64{sum}, nil, comm.SumOp)[0]
 				if math.Abs(got-means[key{j, k}]) > 1e-9 {
 					return fmt.Errorf("zonal mean changed at j=%d k=%d: %g -> %g",
 						j, k, means[key{j, k}], got)

@@ -152,9 +152,7 @@ func (c *Convolution) applySlab(v Variable, k int) {
 	if c.topo == Ring {
 		parts = c.cart.Row.AllgathervInto(c.buf, c.gather)
 	} else {
-		// The tree gather hands buffers over zero-copy, so it must not
-		// alias the reusable scratch; it keeps the per-call allocation.
-		parts = c.cart.Row.AllgathervTree(append([]float64(nil), c.buf...))
+		parts = c.cart.Row.AllgathervTree(c.buf)
 	}
 	for li, ln := range c.lines {
 		for col := 0; col < c.cart.Px; col++ {

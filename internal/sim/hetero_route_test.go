@@ -48,7 +48,7 @@ func routedDegradedRun(t *testing.T) *sim.Result {
 			p.Timed("compute", func() { p.Compute(float64(1000 * (1 + p.Rank()))) })
 			// Ring exchange.
 			p.SendFloats((p.Rank()+1)%n, 1, []float64{float64(step)}, 64)
-			p.RecvFloats((p.Rank()+n-1)%n, 1)
+			p.Recv((p.Rank()+n-1)%n, 1)
 			// All-to-all, the transpose pattern.
 			for d := 0; d < n; d++ {
 				if d != p.Rank() {
@@ -57,7 +57,7 @@ func routedDegradedRun(t *testing.T) *sim.Result {
 			}
 			for s := 0; s < n; s++ {
 				if s != p.Rank() {
-					p.RecvFloats(s, 2)
+					p.Recv(s, 2)
 				}
 			}
 		}
@@ -110,9 +110,9 @@ func TestFlatRouteMatchesNoRouteModel(t *testing.T) {
 			n := p.Ranks()
 			p.Timed("work", func() { p.Compute(500) })
 			p.SendFloats((p.Rank()+1)%n, 1, []float64{1}, 128)
-			p.RecvFloats((p.Rank()+n-1)%n, 1)
+			p.Recv((p.Rank()+n-1)%n, 1)
 			p.SendFloats((p.Rank()+2)%n, 2, []float64{1}, 4096)
-			p.RecvFloats((p.Rank()+2)%n, 2)
+			p.Recv((p.Rank()+2)%n, 2)
 			return nil
 		})
 		if err != nil {

@@ -75,8 +75,8 @@ type message struct {
 	isFloats bool      // payload travels in floats (which may be a nil slice)
 	pooled   bool      // floats was drawn from the receiver's payload pool
 	bytes    int
-	arrive  float64 // virtual arrival time at the receiver
-	seq     int64   // per-sender sequence number, for event logging
+	arrive   float64 // virtual arrival time at the receiver
+	seq      int64   // per-sender sequence number, for event logging
 }
 
 // key identifies a message queue: messages are matched by source and tag.
@@ -116,8 +116,8 @@ type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queues map[uint64]*msgQueue
-	free   []*message            // recycled message structs
-	bufs   map[int]*bufStack     // recycled pooled payload buffers, by length
+	free   []*message        // recycled message structs
+	bufs   map[int]*bufStack // recycled pooled payload buffers, by length
 	closed bool
 	rank   int
 	wd     *watchdog
@@ -157,11 +157,26 @@ func (mb *mailbox) pool(n int) *bufStack {
 	return st
 }
 
-// post enqueues a message, drawing the struct from the free list and filling
-// it in place (the fields are arguments rather than a message value so no
-// intermediate struct is copied on the hot path).
-func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats, pooled bool, bytes int, arrive float64, seq int64) {
+// post enqueues a message under one lock acquisition, drawing the struct
+// from the free list and filling it in place (the fields are arguments rather
+// than a message value so no intermediate struct is copied on the hot path).
+// With copyFloats set the message carries a pooled private copy of floats
+// instead of the caller's slice.
+func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats, copyFloats bool, bytes int, arrive float64, seq int64) {
 	mb.mu.Lock()
+	if copyFloats {
+		st := mb.pool(len(floats))
+		var buf []float64
+		if k := len(st.s); k > 0 {
+			buf = st.s[k-1]
+			st.s[k-1] = nil
+			st.s = st.s[:k-1]
+		} else {
+			buf = make([]float64, len(floats))
+		}
+		copy(buf, floats)
+		floats = buf
+	}
 	var mp *message
 	if n := len(mb.free); n > 0 {
 		mp = mb.free[n-1]
@@ -175,7 +190,7 @@ func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats
 	mp.payload = payload
 	mp.floats = floats
 	mp.isFloats = isFloats
-	mp.pooled = pooled
+	mp.pooled = copyFloats
 	mp.bytes = bytes
 	mp.arrive = arrive
 	mp.seq = seq
@@ -192,52 +207,6 @@ func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats
 	q.msgs = append(q.msgs, mp)
 	// Clear the receiver's blocked registration under the same lock that
 	// created it, keeping the watchdog's wait-for graph exact.
-	mb.wd.satisfied(mb.rank, key{source, tag})
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-}
-
-// postCopy is post for SendFloatsCopy: it draws a pooled buffer, copies data
-// into it and enqueues, all under one lock acquisition.
-func (mb *mailbox) postCopy(source, tag int, data []float64, bytes int, arrive float64, seq int64) {
-	mb.mu.Lock()
-	st := mb.pool(len(data))
-	var buf []float64
-	if k := len(st.s); k > 0 {
-		buf = st.s[k-1]
-		st.s[k-1] = nil
-		st.s = st.s[:k-1]
-	} else {
-		buf = make([]float64, len(data))
-	}
-	copy(buf, data)
-	var mp *message
-	if n := len(mb.free); n > 0 {
-		mp = mb.free[n-1]
-		mb.free[n-1] = nil
-		mb.free = mb.free[:n-1]
-	} else {
-		mp = new(message)
-	}
-	mp.source = source
-	mp.tag = tag
-	mp.floats = buf
-	mp.isFloats = true
-	mp.pooled = true
-	mp.bytes = bytes
-	mp.arrive = arrive
-	mp.seq = seq
-	k := qkey(source, tag)
-	q := mb.lastPostQ
-	if q == nil || mb.lastPostKey != k {
-		q = mb.queues[k]
-		if q == nil {
-			q = new(msgQueue)
-			mb.queues[k] = q
-		}
-		mb.lastPostKey, mb.lastPostQ = k, q
-	}
-	q.msgs = append(q.msgs, mp)
 	mb.wd.satisfied(mb.rank, key{source, tag})
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
@@ -698,9 +667,11 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	p.send(dst, tag, payload, nil, false, false, bytes)
 }
 
-// SendFloats transmits a float slice by reference, like Send but without
-// boxing the slice into an interface (which would allocate per message).
-// Senders must not mutate the slice after sending it.
+// SendFloats transmits a float slice by reference without boxing it into an
+// interface: ownership of data transfers to the receiver, so the sender must
+// not touch it again.  This is the sim-level ownership-transfer primitive and
+// nothing above sim uses it — package comm sends by value (SendFloatsCopy);
+// it is kept because the benchmark's sim.pingpong_ns_per_msg probe times it.
 func (p *Proc) SendFloats(dst, tag int, data []float64, bytes int) {
 	p.send(dst, tag, nil, data, true, false, bytes)
 }
@@ -708,23 +679,19 @@ func (p *Proc) SendFloats(dst, tag int, data []float64, bytes int) {
 // SendFloatsCopy transmits a copy of data drawn from the destination's
 // payload pool: the caller may reuse data immediately, and the receiver
 // recycles the copy on RecvFloatsInto.  At steady state this is both safe
-// against aliasing and allocation-free.  Timing is identical to SendFloats.
+// against aliasing and allocation-free.
 func (p *Proc) SendFloatsCopy(dst, tag int, data []float64, bytes int) {
-	if dst < 0 || dst >= p.machine.n {
-		panic(fmt.Sprintf("sim: rank %d send to invalid rank %d", p.rank, dst))
-	}
-	arrive, seq := p.sendClock(dst, tag, bytes)
-	p.machine.boxes[dst].postCopy(p.rank, tag, data, bytes, arrive, seq)
+	p.send(dst, tag, nil, data, true, true, bytes)
 }
 
-// send is the common transmit path behind Send/SendFloats.  isFloats selects
-// which of payload/floats carries the data.
-func (p *Proc) send(dst, tag int, payload any, floats []float64, isFloats, pooled bool, bytes int) {
+// send is the one transmit path.  isFloats selects which of payload/floats
+// carries the data; copyFloats makes the message a pooled copy of floats.
+func (p *Proc) send(dst, tag int, payload any, floats []float64, isFloats, copyFloats bool, bytes int) {
 	if dst < 0 || dst >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d send to invalid rank %d", p.rank, dst))
 	}
 	arrive, seq := p.sendClock(dst, tag, bytes)
-	p.machine.boxes[dst].post(p.rank, tag, payload, floats, isFloats, pooled, bytes, arrive, seq)
+	p.machine.boxes[dst].post(p.rank, tag, payload, floats, isFloats, copyFloats, bytes, arrive, seq)
 }
 
 // sendClock charges the sender-side cost of one message — counters, send
@@ -816,21 +783,11 @@ func (p *Proc) Recv(src, tag int) any {
 	return m.payload
 }
 
-// RecvFloats receives a float payload by reference: ownership of the slice
-// transfers to the caller.
-func (p *Proc) RecvFloats(src, tag int) []float64 {
-	m := p.recvMsg(src, tag)
-	if m.isFloats {
-		return m.floats
-	}
-	return m.payload.([]float64)
-}
-
 // RecvFloatsInto receives a float payload by copying it into buf (grown as
 // needed from buf[:0]) and returns the filled slice.  Pooled payloads —
 // those sent with SendFloatsCopy — are recycled into this rank's payload
 // pool, so a steady-state SendFloatsCopy/RecvFloatsInto exchange allocates
-// nothing.  Timing is identical to RecvFloats.
+// nothing.
 func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
 	if src < 0 || src >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d recv from invalid rank %d", p.rank, src))
@@ -849,11 +806,6 @@ func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
 		return buf[:0]
 	}
 	return append(buf[:0], m.payload.([]float64)...)
-}
-
-// RecvFloat64s receives and type-asserts a []float64 payload.
-func (p *Proc) RecvFloat64s(src, tag int) []float64 {
-	return p.RecvFloats(src, tag)
 }
 
 // Account attributes seconds of already-elapsed virtual time to a named

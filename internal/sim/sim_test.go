@@ -95,7 +95,7 @@ func TestSendRecvClockPropagation(t *testing.T) {
 			p.Compute(5000) // 5 ms of work before sending
 			p.Send(1, 7, []float64{1, 2, 3}, bytes)
 		} else {
-			got := p.RecvFloat64s(0, 7)
+			got := p.Recv(0, 7).([]float64)
 			if len(got) != 3 || got[2] != 3 {
 				return fmt.Errorf("bad payload %v", got)
 			}
@@ -150,16 +150,16 @@ func TestMessagesMatchedBySourceAndTagFIFO(t *testing.T) {
 			p.Send(2, 5, []float64{20}, 8)
 		case 2:
 			// Receive out of arrival order on purpose: tag 6 first.
-			if v := p.RecvFloat64s(0, 6)[0]; v != 12 {
+			if v := p.Recv(0, 6).([]float64)[0]; v != 12 {
 				return fmt.Errorf("tag 6 got %v, want 12", v)
 			}
-			if v := p.RecvFloat64s(1, 5)[0]; v != 20 {
+			if v := p.Recv(1, 5).([]float64)[0]; v != 20 {
 				return fmt.Errorf("src 1 got %v, want 20", v)
 			}
-			if v := p.RecvFloat64s(0, 5)[0]; v != 10 {
+			if v := p.Recv(0, 5).([]float64)[0]; v != 10 {
 				return fmt.Errorf("first src-0 tag-5 got %v, want 10 (FIFO)", v)
 			}
-			if v := p.RecvFloat64s(0, 5)[0]; v != 11 {
+			if v := p.Recv(0, 5).([]float64)[0]; v != 11 {
 				return fmt.Errorf("second src-0 tag-5 got %v, want 11 (FIFO)", v)
 			}
 		}
@@ -174,7 +174,7 @@ func TestSelfSend(t *testing.T) {
 	m := New(1, newTestModel())
 	_, err := m.Run(func(p *Proc) error {
 		p.Send(0, 3, []float64{7}, 8)
-		if v := p.RecvFloat64s(0, 3)[0]; v != 7 {
+		if v := p.Recv(0, 3).([]float64)[0]; v != 7 {
 			return fmt.Errorf("self-send payload %v, want 7", v)
 		}
 		return nil

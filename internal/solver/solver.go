@@ -192,7 +192,7 @@ func DistributedPeriodicTridiag(c *comm.Comm, a, b, cc, d, x []float64) error {
 	//   F_p - v_first*L_{p-1} - w_first*F_{p+1} = u_first
 	//   L_p - v_last *L_{p-1} - w_last *F_{p+1} = u_last
 	coeffs := []float64{u[0], v[0], w[0], u[m-1], v[m-1], w[m-1]}
-	parts := c.Gatherv(0, coeffs)
+	parts := c.GathervInto(0, coeffs, make([][]float64, p))
 	var iface []float64
 	if c.Rank() == 0 {
 		n := 2 * p
@@ -221,7 +221,7 @@ func DistributedPeriodicTridiag(c *comm.Comm, a, b, cc, d, x []float64) error {
 		c.Proc().Compute(float64(n * n * n / 3))
 		iface = rhs
 	}
-	iface = c.Bcast(0, iface)
+	iface = c.BcastInto(0, iface)
 
 	// Reconstruct: x_i = u_i + v_i*L_{p-1} + w_i*F_{p+1}.
 	prevLast := iface[2*((c.Rank()-1+p)%p)+1]
@@ -312,7 +312,7 @@ func DistributedPeriodicTridiagBatch(c *comm.Comm, a, b, cc, d, x [][]float64) e
 		c.Proc().Compute(3 * flopsTridiag(m))
 	}
 
-	parts := c.Gatherv(0, coeffs)
+	parts := c.GathervInto(0, coeffs, make([][]float64, p))
 	var iface []float64
 	if c.Rank() == 0 {
 		iface = make([]float64, 2*p*L)
@@ -346,7 +346,7 @@ func DistributedPeriodicTridiagBatch(c *comm.Comm, a, b, cc, d, x [][]float64) e
 		// Charge a cyclic banded elimination, O(P) per system.
 		c.Proc().Compute(float64(L) * 30 * float64(p))
 	}
-	iface = c.Bcast(0, iface)
+	iface = c.BcastInto(0, iface)
 
 	for l := 0; l < L; l++ {
 		base := 2 * p * l

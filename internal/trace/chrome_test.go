@@ -16,9 +16,9 @@ func eventResult(t *testing.T) *sim.Result {
 	res, err := m.Run(func(p *sim.Proc) error {
 		p.Timed("work", func() { p.Compute(1000) })
 		if p.Rank() == 0 {
-			p.Send(1, 0, []float64{1, 2}, 16)
+			p.SendFloatsCopy(1, 0, []float64{1, 2}, 16)
 		} else {
-			p.Timed("recv", func() { p.Recv(0, 0) })
+			p.Timed("recv", func() { p.RecvFloatsInto(0, 0, nil) })
 		}
 		return nil
 	})

@@ -18,14 +18,14 @@ func loggedResult(t *testing.T) *sim.Result {
 		n := p.Ranks()
 		next := (p.Rank() + 1) % n
 		prev := (p.Rank() + n - 1) % n
-		p.Send(next, 1, []float64{1, 2}, 16)
-		p.Recv(prev, 1)
+		p.SendFloatsCopy(next, 1, []float64{1, 2}, 16)
+		p.RecvFloatsInto(prev, 1, nil)
 		// Rank 0 also floods rank 2 to make a clear hottest pair.
 		if p.Rank() == 0 {
-			p.Send(2, 2, make([]float64, 100), 800)
+			p.SendFloatsCopy(2, 2, make([]float64, 100), 800)
 		}
 		if p.Rank() == 2 {
-			p.Recv(0, 2)
+			p.RecvFloatsInto(0, 2, nil)
 		}
 		return nil
 	})

@@ -23,10 +23,10 @@ func demoResult(t *testing.T) *sim.Result {
 		p.Timed("compute", func() { p.Compute(float64(1000 * (p.Rank() + 1))) })
 		// Rank 0 waits for the slowest rank's message.
 		if p.Rank() == 3 {
-			p.Send(0, 1, []float64{1}, 8)
+			p.SendFloatsCopy(0, 1, []float64{1}, 8)
 		}
 		if p.Rank() == 0 {
-			p.Timed("recv", func() { p.Recv(3, 1) })
+			p.Timed("recv", func() { p.RecvFloatsInto(3, 1, nil) })
 		}
 		return nil
 	})
