@@ -199,12 +199,12 @@ func BenchmarkFig46SchemePlanning(b *testing.B) {
 	}
 	b.Run("scheme1-shuffle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			loadbalance.CyclicShuffle(loads)
+			loadbalance.CyclicShuffleInto(nil, loads)
 		}
 	})
 	b.Run("scheme2-greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			loadbalance.SortedGreedy(loads, 1)
+			loadbalance.SortedGreedyInto(nil, nil, loads, 1)
 		}
 	})
 	b.Run("scheme3-pairwise", func(b *testing.B) {

@@ -14,12 +14,12 @@ import (
 	"strings"
 
 	"agcm/internal/core"
+	"agcm/internal/diag"
 	"agcm/internal/dynamics"
 	"agcm/internal/fault"
 	"agcm/internal/grid"
 	"agcm/internal/history"
 	"agcm/internal/machine"
-	"agcm/internal/diag"
 	"agcm/internal/physics"
 	"agcm/internal/stats"
 	"agcm/internal/topology"
@@ -81,14 +81,14 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Spec:            grid.TwoByTwoPointFive(*layers),
-		Machine:         mach,
-		MeshPy:          py,
-		MeshPx:          px,
-		Filter:          fv,
-		PhysicsScheme:   scheme,
-		PhysicsRounds:   *rounds,
-		Dt: *dt,
+		Spec:          grid.TwoByTwoPointFive(*layers),
+		Machine:       mach,
+		MeshPy:        py,
+		MeshPx:        px,
+		Filter:        fv,
+		PhysicsScheme: scheme,
+		PhysicsRounds: *rounds,
+		Dt:            *dt,
 		// The event log also feeds the communication matrix and the
 		// topology contention replay.
 		EventLog: *traceFile != "" || *commMatrixFile != "" ||

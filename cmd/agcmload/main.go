@@ -1,22 +1,20 @@
 // Command agcmload is the load generator and correctness prober for agcmd
-// and the agcmgw gateway.  It has two front ends over one measurement core:
+// and the agcmgw gateway.  A run dispatches one declarative workload
+// (internal/workload): -spec spec.json generates the schedule — arrival
+// process, diurnal modulation, SLO class mix, Zipf config popularity —
+// deterministically from the seeded spec, -replay trace.bin dispatches a
+// recorded one byte-for-byte.  Either way the requests go out open-loop at
+// their virtual arrival times (compressed by -timescale, cut off by
+// -duration).  -record writes the schedule as a trace before running;
+// -dump-spec prints the canonicalized spec and exits.
 //
-//   - the legacy mix (default): a seeded, reproducible request mix with
-//     configurable concurrency, duplicate ratio, and optional Zipf-skewed
-//     key reuse (internal/workload's Sequence and PoolBody),
-//   - the workload engine (-spec spec.json): a declarative workload —
-//     arrival process, diurnal modulation, SLO class mix, Zipf config
-//     popularity — generated deterministically and dispatched open-loop at
-//     its virtual arrival times (compressed by -timescale).  -record writes
-//     the generated schedule as a trace; -replay dispatches a recorded
-//     trace byte-for-byte; -dump-spec prints the canonicalized spec.
-//
-// Either way it verifies the serving layer's core promise while measuring:
+// While measuring it verifies the serving layer's core promise:
 //
 //   - every 200 response for a given job key is byte-identical (the cache,
 //     single-flight, and — through the gateway — retry/hedge/degraded
 //     layers may never change what a config returns),
-//   - the daemon's /metrics deltas reconcile with the client-side tallies.
+//   - the daemon's /metrics deltas reconcile with the client-side tallies,
+//     overall and per SLO class.
 //
 // Against agcmd (-target agcmd, the default) reconciliation is exact:
 // hits, misses, coalesced, shed, and runs == misses.  Against a gateway
@@ -31,21 +29,25 @@
 // shed.  Every response, including retried ones, is tallied so the ledgers
 // still balance.
 //
-// It emits a JSON report (throughput, p50/p99 latency, cache hit ratio, and
-// in gateway mode the retry/hedge/breaker ledger) and exits nonzero on any
-// inconsistency, so it doubles as the CI smoke test.
+// It emits a JSON report (throughput, p50/p99 latency, cache hit ratio, the
+// spec/schedule/response-set hashes, and in gateway mode the
+// retry/hedge/breaker ledger).  Exit status: 0 when everything reconciles,
+// 2 on a usage error or any inconsistency, 1 when the run itself failed
+// (unreachable daemon, malformed response), so it doubles as the CI smoke
+// test.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,12 +65,10 @@ type tally struct {
 	byStatus   map[int]int
 	byCache    map[string]int // X-Agcmd-Cache header on 200s
 	bodyHash   map[string][32]byte
-	latencies  []float64 // seconds, 200s only
 	mismatches []string
-	retried429 int
-	// Per-SLO-class ledger (spec mode): issued counts every HTTP issue,
-	// reissues included, mirroring the server's validated-request counter;
-	// latencies holds 200s only.
+	// Per-SLO-class ledger: issued counts every HTTP issue, reissues
+	// included, mirroring the server's validated-request counter; latencies
+	// holds 200s only, in seconds.
 	classIssued    map[string]int
 	classLatencies map[string][]float64
 }
@@ -92,7 +92,6 @@ func (t *tally) record(class string, status int, cacheHeader string, key string,
 		return
 	}
 	t.byCache[cacheHeader]++
-	t.latencies = append(t.latencies, elapsed.Seconds())
 	t.classLatencies[class] = append(t.classLatencies[class], elapsed.Seconds())
 	h := sha256.Sum256(body)
 	if prev, ok := t.bodyHash[key]; ok {
@@ -124,40 +123,28 @@ func (t *tally) responseSetSHA256() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-func (t *tally) noteRetry429() {
-	t.mu.Lock()
-	t.retried429++
-	t.mu.Unlock()
-}
-
-// issuer issues one request (plus its 429 reissues) and records the outcome;
-// both the legacy worker pool and the open-loop dispatcher run through it.
-type issuer struct {
-	addr      string
-	wantFrame bool
-	retry429  int
-	t         *tally
-}
-
-func (c *issuer) issue(i int, class, body string) {
+// issue sends one scheduled request (plus its 429 reissues) and records
+// every outcome in t.
+func issue(o runOptions, t *tally, r workload.Request) error {
+	wantFrame := o.accept == "frame"
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
-		req, err := http.NewRequest(http.MethodPost, c.addr+"/v1/run", strings.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, o.addr+"/v1/run", strings.NewReader(r.Body))
 		if err != nil {
-			log.Fatalf("agcmload: request %d: %v", i, err)
+			return fmt.Errorf("request %d: %v", r.Seq, err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		if c.wantFrame {
+		if wantFrame {
 			req.Header.Set("Accept", server.FrameContentType)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			log.Fatalf("agcmload: request %d: %v", i, err)
+			return fmt.Errorf("request %d: %v", r.Seq, err)
 		}
 		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			log.Fatalf("agcmload: reading response %d: %v", i, err)
+			return fmt.Errorf("reading response %d: %v", r.Seq, err)
 		}
 		elapsed := time.Since(t0)
 		key := ""
@@ -166,29 +153,28 @@ func (c *issuer) issue(i int, class, body string) {
 			// key is parsed from the embedded JSON section, which every valid
 			// frame must carry.
 			jsonBody := raw
-			if c.wantFrame {
+			if wantFrame {
 				if ct := resp.Header.Get("Content-Type"); ct != server.FrameContentType {
-					log.Fatalf("agcmload: response %d content-type %q, want %q", i, ct, server.FrameContentType)
+					return fmt.Errorf("response %d content-type %q, want %q", r.Seq, ct, server.FrameContentType)
 				}
 				if jsonBody, err = server.JSONBody(raw); err != nil {
-					log.Fatalf("agcmload: response %d is not a valid frame: %v", i, err)
+					return fmt.Errorf("response %d is not a valid frame: %v", r.Seq, err)
 				}
 			}
 			var parsed struct {
 				Key string `json:"key"`
 			}
 			if err := json.Unmarshal(jsonBody, &parsed); err != nil || parsed.Key == "" {
-				log.Fatalf("agcmload: response %d has no key: %v", i, err)
+				return fmt.Errorf("response %d has no key: %v", r.Seq, err)
 			}
 			key = parsed.Key
 		}
-		c.t.record(class, resp.StatusCode, resp.Header.Get("X-Agcmd-Cache"), key, raw, elapsed)
-		if resp.StatusCode != http.StatusTooManyRequests || attempt >= c.retry429 {
-			return
+		t.record(r.Class, resp.StatusCode, resp.Header.Get("X-Agcmd-Cache"), key, raw, elapsed)
+		if resp.StatusCode != http.StatusTooManyRequests || attempt >= o.retry429 {
+			return nil
 		}
 		// Honor the server's own backpressure estimate before reissuing; the
 		// shed above is already tallied, so the ledgers still balance.
-		c.t.noteRetry429()
 		time.Sleep(retryAfterSeconds(resp.Header))
 	}
 }
@@ -235,17 +221,8 @@ func scrapeMetrics(addr, prefix string) (map[string]float64, error) {
 func deltaSum(before, after map[string]float64, prefix string, exclude ...string) float64 {
 	var s float64
 	for k, v := range after {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		skip := false
-		for _, e := range exclude {
-			if strings.Contains(k, e) {
-				skip = true
-				break
-			}
-		}
-		if !skip {
+		if strings.HasPrefix(k, prefix) &&
+			!slices.ContainsFunc(exclude, func(e string) bool { return strings.Contains(k, e) }) {
 			s += v - before[k]
 		}
 	}
@@ -256,15 +233,10 @@ func deltaSum(before, after map[string]float64, prefix string, exclude ...string
 // a misbehaving server cannot park the client forever.
 func retryAfterSeconds(h http.Header) time.Duration {
 	secs := 1
-	if v := h.Get("Retry-After"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			secs = n
-		}
+	if n, err := strconv.Atoi(h.Get("Retry-After")); err == nil && n >= 0 {
+		secs = n
 	}
-	if secs > 5 {
-		secs = 5
-	}
-	return time.Duration(secs) * time.Second
+	return time.Duration(min(secs, 5)) * time.Second
 }
 
 // backendRecon is one backend's side of the cluster ledger.
@@ -297,7 +269,7 @@ type gatewayStats struct {
 	PerBackend         map[string]backendRecon `json:"per_backend"`
 }
 
-// classLatency is one SLO class's client-side view in spec mode.
+// classLatency is one SLO class's client-side view.
 type classLatency struct {
 	Issued int     `json:"issued"` // HTTP issues, reissues included
 	OK     int     `json:"ok"`
@@ -311,8 +283,8 @@ type specStats struct {
 	Name string `json:"name"`
 	// SpecSHA256 addresses the canonical spec; ScheduleSHA256 addresses the
 	// generated (or replayed) trace bytes — same spec, same schedule hash.
-	SpecSHA256     string `json:"spec_sha256"`
-	ScheduleSHA256 string `json:"schedule_sha256"`
+	SpecSHA256     string  `json:"spec_sha256"`
+	ScheduleSHA256 string  `json:"schedule_sha256"`
 	Timescale      float64 `json:"timescale"`
 	Replayed       bool    `json:"replayed,omitempty"`
 	// ResponseSetSHA256 fingerprints the key→body-hash set: two replays of
@@ -326,11 +298,6 @@ type benchReport struct {
 	Note          string         `json:"note"`
 	Target        string         `json:"target"`
 	Requests      int            `json:"requests"`
-	Concurrency   int            `json:"concurrency"`
-	DupRatio      float64        `json:"dup_ratio"`
-	Zipf          float64        `json:"zipf,omitempty"`
-	Steps         int            `json:"steps"`
-	Seed          int64          `json:"seed"`
 	Accept        string         `json:"accept,omitempty"`
 	DurationS     float64        `json:"duration_s"`
 	ThroughputRPS float64        `json:"throughput_rps"`
@@ -344,191 +311,201 @@ type benchReport struct {
 	RunsDelta     float64        `json:"server_runs_delta"`
 	Reconciled    bool           `json:"metrics_reconciled"`
 	Gateway       *gatewayStats  `json:"gateway,omitempty"`
-	Spec          *specStats     `json:"spec,omitempty"`
+	Spec          specStats      `json:"spec"`
 }
 
-func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "agcmd or agcmgw base URL")
-	target := flag.String("target", "agcmd", `what -addr points at: "agcmd" (exact cache reconciliation) or "gateway" (cluster ledger reconciliation)`)
-	backendsFlag := flag.String("backends", "", "comma-separated agcmd base URLs behind the gateway (gateway mode)")
-	policy := flag.String("policy", "", "routing policy label recorded in the report (gateway mode)")
-	requests := flag.Int("requests", 200, "number of requests to issue")
-	duration := flag.Duration("duration", 0, "optional wall-clock cutoff (0 = run the full request count)")
-	concurrency := flag.Int("concurrency", 8, "concurrent client connections")
-	dup := flag.Float64("dup", 0.5, "fraction of requests repeating an already-issued config")
-	zipf := flag.Float64("zipf", 0, "Zipf exponent for repeated-config draws (> 1 skews reuse toward hot keys; 0 = uniform)")
-	steps := flag.Int("steps", 1, "measured steps per simulation request")
-	seed := flag.Int64("seed", 1, "mix seed (same seed, same request mix)")
-	retry429 := flag.Int("retry429", 0, "times to honor a 429's Retry-After and reissue the request (0 = record the shed and move on)")
-	allowRestart := flag.Bool("allow-restart", false, "tolerate backend counter resets (a member was killed and restarted mid-run); its per-backend ledger is skipped, everything else still reconciles")
-	accept := flag.String("accept", "json", `response encoding to request: "json" or "frame" (sends Accept: application/x-agcm-frame; every 200 must be a well-formed frame whose embedded JSON section carries the key)`)
-	out := flag.String("out", "-", "report path ('-' for stdout)")
-	specPath := flag.String("spec", "", "workload spec JSON: generate and dispatch its schedule instead of the legacy mix")
-	replayPath := flag.String("replay", "", "recorded trace: dispatch its requests byte-for-byte instead of generating")
-	recordPath := flag.String("record", "", "write the dispatched schedule as a replayable trace before running")
-	dumpSpec := flag.Bool("dump-spec", false, "print the canonicalized spec (requires -spec or -replay) and exit")
-	timescale := flag.Float64("timescale", 1, "virtual-to-wall time compression for -spec/-replay pacing (2 = dispatch twice as fast)")
-	flag.Parse()
+// runOptions is what the flags decide about one measured run.
+type runOptions struct {
+	addr, target, policy, accept string
+	backends                     []string
+	duration                     time.Duration
+	timescale                    float64
+	retry429                     int
+	allowRestart, replayed       bool
+}
 
-	if *target != "agcmd" && *target != "gateway" {
-		log.Fatalf("agcmload: unknown -target %q (want agcmd or gateway)", *target)
-	}
-	if *accept != "json" && *accept != "frame" {
-		log.Fatalf("agcmload: unknown -accept %q (want json or frame)", *accept)
-	}
-	if *specPath != "" && *replayPath != "" {
-		log.Fatal("agcmload: -spec and -replay are mutually exclusive")
-	}
-	if *timescale <= 0 {
-		log.Fatalf("agcmload: -timescale %g out of range (must be > 0)", *timescale)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Workload-engine mode: load the schedule before touching the network so
-	// a bad spec or trace fails fast.
-	var sched *workload.Schedule
-	replayed := false
+// run is the whole command behind its process edges, so tests drive it
+// in-process: it returns the exit status instead of exiting.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("agcmload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o runOptions
+	fs.StringVar(&o.addr, "addr", "http://127.0.0.1:8080", "agcmd or agcmgw base URL")
+	fs.StringVar(&o.target, "target", "agcmd", `what -addr points at: "agcmd" (exact cache reconciliation) or "gateway" (cluster ledger reconciliation)`)
+	backendsFlag := fs.String("backends", "", "comma-separated agcmd base URLs behind the gateway (gateway mode)")
+	fs.StringVar(&o.policy, "policy", "", "routing policy label recorded in the report (gateway mode)")
+	fs.DurationVar(&o.duration, "duration", 0, "optional wall-clock cutoff (0 = dispatch the full schedule)")
+	fs.IntVar(&o.retry429, "retry429", 0, "times to honor a 429's Retry-After and reissue the request (0 = record the shed and move on)")
+	fs.BoolVar(&o.allowRestart, "allow-restart", false, "tolerate backend counter resets (a member was killed and restarted mid-run); its per-backend ledger is skipped, everything else still reconciles")
+	fs.StringVar(&o.accept, "accept", "json", `response encoding to request: "json" or "frame" (sends Accept: application/x-agcm-frame; every 200 must be a well-formed frame whose embedded JSON section carries the key)`)
+	out := fs.String("out", "-", "report path ('-' for stdout)")
+	specPath := fs.String("spec", "", "workload spec JSON: generate its schedule and dispatch it")
+	replayPath := fs.String("replay", "", "recorded trace: dispatch its requests byte-for-byte instead of generating")
+	recordPath := fs.String("record", "", "write the dispatched schedule as a replayable trace before running")
+	dumpSpec := fs.Bool("dump-spec", false, "print the canonicalized spec and exit")
+	fs.Float64Var(&o.timescale, "timescale", 1, "virtual-to-wall time compression for pacing (2 = dispatch twice as fast)")
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package has already said why
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "agcmload: "+format+"\n", a...)
+		return code
+	}
 	switch {
-	case *replayPath != "":
-		f, err := os.Open(*replayPath)
-		if err != nil {
-			log.Fatalf("agcmload: %v", err)
-		}
-		if sched, err = workload.ReadTrace(f); err != nil {
-			log.Fatalf("agcmload: reading trace %s: %v", *replayPath, err)
-		}
-		f.Close()
-		replayed = true
-	case *specPath != "":
-		raw, err := os.ReadFile(*specPath)
-		if err != nil {
-			log.Fatalf("agcmload: %v", err)
-		}
-		spec, err := workload.ParseSpec(raw)
-		if err != nil {
-			log.Fatalf("agcmload: parsing spec %s: %v", *specPath, err)
-		}
-		if sched, err = workload.Generate(spec); err != nil {
-			log.Fatalf("agcmload: generating schedule: %v", err)
-		}
+	case (*specPath == "") == (*replayPath == ""):
+		return fail(2, "usage: exactly one of -spec FILE or -replay FILE is required")
+	case o.target != "agcmd" && o.target != "gateway":
+		return fail(2, "unknown -target %q (want agcmd or gateway)", o.target)
+	case o.accept != "json" && o.accept != "frame":
+		return fail(2, "unknown -accept %q (want json or frame)", o.accept)
+	case o.timescale <= 0:
+		return fail(2, "-timescale %g out of range (must be > 0)", o.timescale)
 	}
-	if *dumpSpec {
-		if sched == nil {
-			log.Fatal("agcmload: -dump-spec needs -spec or -replay")
-		}
-		canonical, err := sched.Spec.CanonicalJSON()
-		if err != nil {
-			log.Fatalf("agcmload: %v", err)
-		}
-		os.Stdout.Write(append(canonical, '\n'))
-		return
-	}
-	if *recordPath != "" {
-		if sched == nil {
-			log.Fatal("agcmload: -record needs -spec or -replay")
-		}
-		f, err := os.Create(*recordPath)
-		if err != nil {
-			log.Fatalf("agcmload: %v", err)
-		}
-		if err := workload.WriteTrace(f, sched); err != nil {
-			log.Fatalf("agcmload: writing trace %s: %v", *recordPath, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("agcmload: closing trace %s: %v", *recordPath, err)
-		}
-	}
-	wantFrame := *accept == "frame"
-	var backends []string
-	if *target == "gateway" {
+	o.addr, o.replayed = strings.TrimRight(o.addr, "/"), *replayPath != ""
+	if o.target == "gateway" {
 		for _, b := range strings.Split(*backendsFlag, ",") {
 			if b = strings.TrimSpace(b); b != "" {
-				backends = append(backends, strings.TrimRight(b, "/"))
+				o.backends = append(o.backends, strings.TrimRight(b, "/"))
 			}
 		}
-		if len(backends) == 0 {
-			log.Fatal("agcmload: gateway mode needs -backends")
+		if len(o.backends) == 0 {
+			return fail(2, "gateway mode needs -backends")
 		}
-	}
-	prefix := "agcmd_"
-	if *target == "gateway" {
-		prefix = "agcmgw_"
 	}
 
-	before, err := scrapeMetrics(*addr, prefix)
+	// Load the schedule before touching the network so a bad spec or trace
+	// fails fast.
+	path := *specPath + *replayPath // exactly one is set
+	sched, err := loadSchedule(path, o.replayed)
 	if err != nil {
-		log.Fatalf("agcmload: initial metrics scrape: %v", err)
+		return fail(1, "loading %s: %v", path, err)
 	}
-	beforeBackends := make([]map[string]float64, len(backends))
-	for i, b := range backends {
-		if beforeBackends[i], err = scrapeMetrics(b, "agcmd_"); err != nil {
-			log.Fatalf("agcmload: initial backend scrape %s: %v", b, err)
+	if *dumpSpec {
+		canonical, err := sched.Spec.CanonicalJSON()
+		if err != nil {
+			return fail(1, "%v", err)
 		}
+		stdout.Write(append(canonical, '\n'))
+		return 0
+	}
+	if *recordPath != "" {
+		var trace bytes.Buffer
+		err := workload.WriteTrace(&trace, sched)
+		if err == nil {
+			err = os.WriteFile(*recordPath, trace.Bytes(), 0o644)
+		}
+		if err != nil {
+			return fail(1, "writing trace %s: %v", *recordPath, err)
+		}
+	}
+
+	rep, failures, err := measure(sched, o)
+	if err != nil {
+		return fail(1, "%v", err)
+	}
+	raw, _ := json.MarshalIndent(rep, "", "  ")
+	raw = append(raw, '\n')
+	if *out == "-" {
+		stdout.Write(raw)
+	} else if err := os.WriteFile(*out, raw, 0o644); err != nil {
+		return fail(1, "writing %s: %v", *out, err)
+	}
+
+	fmt.Fprintf(stderr, "agcmload: %d requests in %.2fs (%.1f ok-rps), %d distinct keys, hit ratio %.2f\n",
+		rep.Requests, rep.DurationS, rep.ThroughputRPS, rep.DistinctKeys, rep.HitRatio)
+	for _, f := range failures {
+		fmt.Fprintf(stderr, "agcmload: INCONSISTENT: %s\n", f)
+	}
+	if len(failures) > 0 {
+		return 2
+	}
+	fmt.Fprintf(stderr, "agcmload: all responses per-key byte-identical; metrics reconcile\n")
+	return 0
+}
+
+// loadSchedule reads the run's workload: a recorded trace verbatim, or a
+// spec expanded by the deterministic generator.
+func loadSchedule(path string, isTrace bool) (*workload.Schedule, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if isTrace {
+		return workload.ReadTrace(bytes.NewReader(raw))
+	}
+	spec, err := workload.ParseSpec(raw)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Generate(spec)
+}
+
+// measure dispatches the schedule against the daemon, reconciles the
+// client's tallies with the /metrics deltas and returns the report plus
+// every inconsistency found; err means the run itself could not complete.
+func measure(sched *workload.Schedule, o runOptions) (*benchReport, []string, error) {
+	prefix := "agcmd_"
+	if o.target == "gateway" {
+		prefix = "agcmgw_"
+	}
+	scrapeAll := func(when string) (map[string]float64, []map[string]float64, error) {
+		edge, err := scrapeMetrics(o.addr, prefix)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s metrics scrape: %v", when, err)
+		}
+		members := make([]map[string]float64, len(o.backends))
+		for i, b := range o.backends {
+			if members[i], err = scrapeMetrics(b, "agcmd_"); err != nil {
+				return nil, nil, fmt.Errorf("%s backend scrape %s: %v", when, b, err)
+			}
+		}
+		return edge, members, nil
+	}
+	before, beforeBackends, err := scrapeAll("initial")
+	if err != nil {
+		return nil, nil, err
 	}
 
 	t := newTally()
-	is := &issuer{addr: *addr, wantFrame: wantFrame, retry429: *retry429, t: t}
-	deadline := time.Time{}
-	if *duration > 0 {
-		deadline = time.Now().Add(*duration)
-	}
 	start := time.Now()
-	if sched != nil {
-		// Open-loop dispatch: one goroutine per request, launched at its
-		// virtual arrival time compressed by -timescale.  The dispatcher
-		// sleeps between launches (arrival times are non-decreasing), so a
-		// slow server cannot slow the arrival process down — that is the
-		// point of open-loop load.
-		var wg sync.WaitGroup
-		for _, r := range sched.Requests {
-			at := time.Duration(float64(r.AtUS) / *timescale * float64(time.Microsecond))
-			if d := time.Until(start.Add(at)); d > 0 {
-				time.Sleep(d)
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				break
-			}
-			wg.Add(1)
-			go func(r workload.Request) {
-				defer wg.Done()
-				is.issue(r.Seq, r.Class, r.Body)
-			}(r)
+	// Open-loop dispatch: one goroutine per request, launched at its virtual
+	// arrival time compressed by -timescale.  The dispatcher sleeps between
+	// launches (arrival times are non-decreasing), so a slow server cannot
+	// slow the arrival process down — that is the point of open-loop load.
+	//
+	// runErr is the first request that failed outright (transport error,
+	// malformed response); it stops the dispatcher and fails the run.
+	var runErr atomic.Pointer[error]
+	var wg sync.WaitGroup
+	dispatched := 0
+	for _, r := range sched.Requests {
+		at := time.Duration(float64(r.AtUS) / o.timescale * float64(time.Microsecond))
+		if d := time.Until(start.Add(at)); d > 0 {
+			time.Sleep(d)
 		}
-		wg.Wait()
-	} else {
-		seq := workload.Sequence(*requests, *dup, *zipf, *seed)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < *concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(seq) {
-						return
-					}
-					if !deadline.IsZero() && time.Now().After(deadline) {
-						return
-					}
-					// Legacy bodies carry no slo field, so the server classes
-					// every one of them batch.
-					is.issue(i, "batch", workload.PoolBody(seq[i], *steps))
-				}
-			}()
+		if (o.duration > 0 && time.Since(start) > o.duration) || runErr.Load() != nil {
+			break
 		}
-		wg.Wait()
+		wg.Add(1)
+		dispatched++
+		go func(r workload.Request) {
+			defer wg.Done()
+			if err := issue(o, t, r); err != nil {
+				runErr.CompareAndSwap(nil, &err)
+			}
+		}(r)
 	}
+	wg.Wait()
 	elapsed := time.Since(start)
-
-	after, err := scrapeMetrics(*addr, prefix)
-	if err != nil {
-		log.Fatalf("agcmload: final metrics scrape: %v", err)
+	if err := runErr.Load(); err != nil {
+		return nil, nil, *err
 	}
-	afterBackends := make([]map[string]float64, len(backends))
-	for i, b := range backends {
-		if afterBackends[i], err = scrapeMetrics(b, "agcmd_"); err != nil {
-			log.Fatalf("agcmload: final backend scrape %s: %v", b, err)
-		}
+
+	after, afterBackends, err := scrapeAll("final")
+	if err != nil {
+		return nil, nil, err
 	}
 	delta := func(name string) float64 { return after[name] - before[name] }
 
@@ -541,10 +518,9 @@ func main() {
 				fmt.Sprintf("%s advanced by %g, client observed %d", metric, got, observed))
 		}
 	}
-
 	var gwStats *gatewayStats
 	var runsDelta float64
-	if *target == "agcmd" {
+	if o.target == "agcmd" {
 		reconcile(`agcmd_requests_total{result="hit"}`, t.byCache["hit"])
 		reconcile(`agcmd_requests_total{result="miss"}`, t.byCache["miss"])
 		reconcile(`agcmd_requests_total{result="coalesced"}`, t.byCache["coalesced"])
@@ -578,8 +554,8 @@ func main() {
 		// Cluster ledger: per backend, what it served may exceed what the
 		// gateway fully received only by abandoned or transport-failed
 		// attempts (hedge losers read to completion appear on both sides).
-		perBackend := make(map[string]backendRecon, len(backends))
-		for i, b := range backends {
+		perBackend := make(map[string]backendRecon, len(o.backends))
+		for i, b := range o.backends {
 			served := deltaSum(beforeBackends[i], afterBackends[i],
 				"agcmd_requests_total{", "peek_hit", "peek_miss")
 			received := deltaSum(before, after,
@@ -597,7 +573,7 @@ func main() {
 				Canceled: canceled, TransportErrors: transport,
 			}
 			switch {
-			case *allowRestart && (regressed || diff < 0):
+			case o.allowRestart && (regressed || diff < 0):
 				rec.Restarted = true
 			case diff < 0 || diff > canceled+transport:
 				failures = append(failures, fmt.Sprintf(
@@ -608,7 +584,7 @@ func main() {
 			runsDelta += afterBackends[i]["agcmd_runs_total"] - beforeBackends[i]["agcmd_runs_total"]
 		}
 		gwStats = &gatewayStats{
-			Policy:             *policy,
+			Policy:             o.policy,
 			Retries:            delta("agcmgw_retries_total"),
 			RetryExhausted:     delta("agcmgw_retry_budget_exhausted_total"),
 			HedgesLaunched:     delta(`agcmgw_hedges_total{result="launched"}`),
@@ -620,100 +596,68 @@ func main() {
 		}
 	}
 
-	var spStats *specStats
-	if sched != nil {
-		// Per-class ledger: the edge the client talked to counts every
-		// validated request by class (reissues included), so its per-class
-		// deltas must match the client's issue counts exactly.
-		classFamily := "agcmd_class_requests_total"
-		if *target == "gateway" {
-			classFamily = "agcmgw_class_requests_total"
-		}
-		perClass := make(map[string]classLatency)
-		for _, class := range sched.Classes() {
-			reconcile(fmt.Sprintf(`%s{class=%q}`, classFamily, class), t.classIssued[class])
-			lat := append([]float64(nil), t.classLatencies[class]...)
-			sort.Float64s(lat)
-			perClass[class] = classLatency{
-				Issued: t.classIssued[class],
-				OK:     len(lat),
-				P50Ms:  percentile(lat, 0.50) * 1000,
-				P95Ms:  percentile(lat, 0.95) * 1000,
-				P99Ms:  percentile(lat, 0.99) * 1000,
-			}
-		}
-		schedHash, err := sched.Hash()
-		if err != nil {
-			log.Fatalf("agcmload: hashing schedule: %v", err)
-		}
-		spStats = &specStats{
-			Name:              sched.Spec.Name,
-			SpecSHA256:        mustSpecHash(sched.Spec),
-			ScheduleSHA256:    schedHash,
-			Timescale:         *timescale,
-			Replayed:          replayed,
-			ResponseSetSHA256: t.responseSetSHA256(),
-			PerClass:          perClass,
+	// Per-class ledger: the edge the client talked to counts every validated
+	// request by class (reissues included), so its per-class deltas must
+	// match the client's issue counts exactly.
+	perClass := make(map[string]classLatency)
+	var latencies []float64
+	for _, class := range sched.Classes() {
+		reconcile(fmt.Sprintf(`%sclass_requests_total{class=%q}`, prefix, class), t.classIssued[class])
+		lat := t.classLatencies[class]
+		latencies = append(latencies, lat...)
+		sort.Float64s(lat)
+		perClass[class] = classLatency{
+			Issued: t.classIssued[class],
+			OK:     len(lat),
+			P50Ms:  percentile(lat, 0.50) * 1000,
+			P95Ms:  percentile(lat, 0.95) * 1000,
+			P99Ms:  percentile(lat, 0.99) * 1000,
 		}
 	}
+	specHash, err := sched.Spec.Hash()
+	if err != nil {
+		return nil, nil, fmt.Errorf("hashing spec: %v", err)
+	}
+	schedHash, err := sched.Hash()
+	if err != nil {
+		return nil, nil, fmt.Errorf("hashing schedule: %v", err)
+	}
 
-	sort.Float64s(t.latencies)
+	sort.Float64s(latencies)
 	issued := 0
 	for _, n := range t.byStatus {
 		issued += n
 	}
 	okCount := t.byStatus[http.StatusOK]
 	hits := t.byCache["hit"] + t.byCache["coalesced"]
-	rep := benchReport{
+	return &benchReport{
 		Note: "agcm serving benchmark: latency/throughput are host-dependent; " +
-			"dispositions and reconciliation are deterministic for a given mix and pool size",
-		Target:        *target,
+			"dispositions and reconciliation are deterministic for a given workload and pool size",
+		Target:        o.target,
 		Requests:      issued,
-		Concurrency:   *concurrency,
-		DupRatio:      *dup,
-		Zipf:          *zipf,
-		Steps:         *steps,
-		Seed:          *seed,
-		Accept:        *accept,
+		Accept:        o.accept,
 		DurationS:     elapsed.Seconds(),
 		ThroughputRPS: float64(okCount) / elapsed.Seconds(),
-		P50Ms:         percentile(t.latencies, 0.50) * 1000,
-		P99Ms:         percentile(t.latencies, 0.99) * 1000,
+		P50Ms:         percentile(latencies, 0.50) * 1000,
+		P99Ms:         percentile(latencies, 0.99) * 1000,
 		HitRatio:      float64(hits) / float64(max(okCount, 1)),
 		Dispositions:  t.byCache,
 		StatusCounts:  statusKeys(t.byStatus),
 		DistinctKeys:  len(t.bodyHash),
-		Retried429:    t.retried429,
+		Retried429:    issued - dispatched, // every HTTP issue past a request's first is a 429 reissue
 		RunsDelta:     runsDelta,
 		Reconciled:    len(failures) == 0,
 		Gateway:       gwStats,
-		Spec:          spStats,
-	}
-	raw, _ := json.MarshalIndent(rep, "", "  ")
-	raw = append(raw, '\n')
-	if *out == "-" {
-		os.Stdout.Write(raw)
-	} else if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		log.Fatalf("agcmload: writing %s: %v", *out, err)
-	}
-
-	fmt.Fprintf(os.Stderr, "agcmload: %d requests in %.2fs (%.1f ok-rps), %d distinct keys, hit ratio %.2f\n",
-		issued, elapsed.Seconds(), rep.ThroughputRPS, rep.DistinctKeys, rep.HitRatio)
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "agcmload: INCONSISTENT: %s\n", f)
-		}
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "agcmload: all responses per-key byte-identical; metrics reconcile\n")
-}
-
-func mustSpecHash(s workload.Spec) string {
-	h, err := s.Hash()
-	if err != nil {
-		log.Fatalf("agcmload: hashing spec: %v", err)
-	}
-	return h
+		Spec: specStats{
+			Name:              sched.Spec.Name,
+			SpecSHA256:        specHash,
+			ScheduleSHA256:    schedHash,
+			Timescale:         o.timescale,
+			Replayed:          o.replayed,
+			ResponseSetSHA256: t.responseSetSHA256(),
+			PerClass:          perClass,
+		},
+	}, failures, nil
 }
 
 func statusKeys(m map[int]int) map[string]int {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"agcm/internal/core"
+	"agcm/internal/experiments"
 	"agcm/internal/grid"
 	"agcm/internal/machine"
 	"agcm/internal/roofline"
@@ -253,72 +254,23 @@ func CalibrateHost() (*Bench10Host, error) {
 	return host, nil
 }
 
-// calibrateMachine fits one paper machine's compute efficiencies against its
-// simulated calibration grid (roofline.MachineCalibPoints: the mesh sweep
-// plus the decorrelation points) and returns the fitted section plus the
-// pooled series.
-func calibrateMachine(m *machine.Model) (*Bench10Machine, []float64, []float64, error) {
-	calib := roofline.FromModel(m)
-	points := roofline.MachineCalibPoints(m)
-	type point struct {
-		label string
-		raw   [roofline.NumClasses]float64
-		meas  float64
-	}
-	var pts []point
-	samples := make([]roofline.Sample, 0, len(points))
-	for _, cp := range points {
-		steps := 2
-		raw, err := roofline.RawSeconds(calib, cp.Cfg, steps)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bench10: counting %s %s: %w", m.Name, cp.Label, err)
-		}
-		rep, err := core.Run(cp.Cfg, steps)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bench10: simulating %s %s: %w", m.Name, cp.Label, err)
-		}
-		// Compare in the paper's unit, seconds per simulated day: scale
-		// the raw charged-step seconds to a day of steps.
-		norm, err := cp.Cfg.Normalized()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		perDay := float64(cp.Cfg.StepsPerDay()) / float64(steps+norm.WarmupSteps)
-		for j := range raw {
-			raw[j] *= perDay
-		}
-		samples = append(samples, roofline.Sample{
-			Machine: m.Name, Label: cp.Label, Raw: raw, Measured: rep.Total,
-		})
-		pts = append(pts, point{label: cp.Label, raw: raw, meas: rep.Total})
-	}
-
-	fit, err := roofline.Fit(samples, roofline.FitOptions{
-		Base:    calib.Eff,
-		Classes: roofline.ComputeClasses,
-	})
+// calibrateMachine renders one paper machine's grid fit
+// (experiments.FitMachineGrid at two measured steps) as its report section.
+func calibrateMachine(m *machine.Model) (*Bench10Machine, error) {
+	fit, err := experiments.FitMachineGrid(m, experiments.Options{MeasuredSteps: 2})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench10: fitting %s: %w", m.Name, err)
+		return nil, fmt.Errorf("bench10: %w", err)
 	}
-	calib.Eff = fit.Eff
-
-	sec := &Bench10Machine{Name: m.Name, Calib: calib}
-	var pred, meas []float64
-	for _, p := range pts {
-		pr := roofline.PredictSample(calib.Eff, p.raw)
-		pred = append(pred, pr)
-		meas = append(meas, p.meas)
+	sec := &Bench10Machine{Name: m.Name, Calib: fit.Calib, MAPE: fit.MAPE}
+	for i, label := range fit.Labels {
 		sec.Samples = append(sec.Samples, Bench10Sample{
-			Label:      p.label,
-			PredictedS: pr,
-			MeasuredS:  p.meas,
-			APE:        ape(pr, p.meas),
+			Label:      label,
+			PredictedS: fit.Predicted[i],
+			MeasuredS:  fit.Measured[i],
+			APE:        ape(fit.Predicted[i], fit.Measured[i]),
 		})
 	}
-	if sec.MAPE, err = roofline.MAPE(pred, meas); err != nil {
-		return nil, nil, nil, err
-	}
-	return sec, pred, meas, nil
+	return sec, nil
 }
 
 // NewBench10Report runs the full loop: host calibration plus the three paper
@@ -336,13 +288,15 @@ func NewBench10Report() (*Bench10Report, error) {
 	}
 	var allPred, allMeas []float64
 	for _, m := range machine.All() {
-		sec, pred, meas, err := calibrateMachine(m)
+		sec, err := calibrateMachine(m)
 		if err != nil {
 			return nil, err
 		}
 		rep.Machines = append(rep.Machines, *sec)
-		allPred = append(allPred, pred...)
-		allMeas = append(allMeas, meas...)
+		for _, s := range sec.Samples {
+			allPred = append(allPred, s.PredictedS)
+			allMeas = append(allMeas, s.MeasuredS)
+		}
 	}
 	if rep.GridMAPE, err = roofline.MAPE(allPred, allMeas); err != nil {
 		return nil, err

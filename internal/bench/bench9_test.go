@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"agcm/internal/server"
@@ -113,19 +114,32 @@ func TestBench9LabelInversionSeparatesPolicies(t *testing.T) {
 }
 
 func TestCommittedSchedulingSpecIsCanonical(t *testing.T) {
-	// workloads/scheduling.json is the canonical encoding of the built-in
-	// reference spec — the workload CI drives live daemons with and the
-	// -dump-spec round trip diffs against.
-	disk, err := os.ReadFile("../../workloads/scheduling.json")
-	if err != nil {
-		t.Fatal(err)
+	// Every committed workload is its own canonical encoding — the specs CI
+	// drives live daemons with and the -dump-spec round trip diffs against —
+	// and workloads/scheduling.json is the built-in reference spec's.
+	files, err := filepath.Glob("../../workloads/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed workloads found: %v", err)
 	}
-	want, err := workload.SchedulingSpec().CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(disk) != string(want)+"\n" && string(disk) != string(want) {
-		t.Fatalf("workloads/scheduling.json is not the canonical SchedulingSpec encoding\n got: %s\nwant: %s", disk, want)
+	for _, file := range files {
+		disk, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := workload.ParseSpec(disk)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if filepath.Base(file) == "scheduling.json" {
+			spec = workload.SchedulingSpec()
+		}
+		want, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(disk) != string(want)+"\n" {
+			t.Errorf("%s is not its canonical encoding\n got: %s\nwant: %s", file, disk, want)
+		}
 	}
 }
 

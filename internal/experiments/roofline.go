@@ -8,6 +8,68 @@ import (
 	"agcm/internal/stats"
 )
 
+// MachineGridFit is one machine model's roofline fit against its simulated
+// calibration grid: point i is Labels[i], predicted and measured in the
+// paper's unit, seconds per simulated day.
+type MachineGridFit struct {
+	// Calib is the model-derived calibration with the fitted compute
+	// efficiencies (network constants are derived, not fitted).
+	Calib     roofline.Calib
+	Labels    []string
+	Predicted []float64
+	Measured  []float64
+	MAPE      float64
+}
+
+// FitMachineGrid simulates roofline.MachineCalibPoints for the machine at
+// opt's step count, fits the per-kernel-class compute efficiencies against
+// the simulated timings by the deterministic least squares and re-prices
+// every point with the fit.  The `roofline` experiment and BENCH_10's
+// machine sections are both this loop.
+func FitMachineGrid(m *machine.Model, opt Options) (*MachineGridFit, error) {
+	fit := &MachineGridFit{Calib: roofline.FromModel(m)}
+	var samples []roofline.Sample
+	for _, cp := range roofline.MachineCalibPoints(m) {
+		rep, err := run(cp.Cfg, opt)
+		if err != nil {
+			return nil, fmt.Errorf("simulating %s %s: %w", m.Name, cp.Label, err)
+		}
+		raw, err := roofline.RawSeconds(fit.Calib, cp.Cfg, opt.steps())
+		if err != nil {
+			return nil, fmt.Errorf("counting %s %s: %w", m.Name, cp.Label, err)
+		}
+		// Scale raw charged-step seconds to seconds per simulated day.
+		norm, err := cp.Cfg.Normalized()
+		if err != nil {
+			return nil, err
+		}
+		perDay := float64(cp.Cfg.StepsPerDay()) / float64(opt.steps()+norm.WarmupSteps)
+		for j := range raw {
+			raw[j] *= perDay
+		}
+		samples = append(samples, roofline.Sample{
+			Machine: m.Name, Label: cp.Label, Raw: raw, Measured: rep.Total,
+		})
+	}
+	fitted, err := roofline.Fit(samples, roofline.FitOptions{
+		Base:    fit.Calib.Eff,
+		Classes: roofline.ComputeClasses,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fitting %s: %w", m.Name, err)
+	}
+	fit.Calib.Eff = fitted.Eff
+	for _, s := range samples {
+		fit.Labels = append(fit.Labels, s.Label)
+		fit.Predicted = append(fit.Predicted, roofline.PredictSample(fit.Calib.Eff, s.Raw))
+		fit.Measured = append(fit.Measured, s.Measured)
+	}
+	if fit.MAPE, err = roofline.MAPE(fit.Predicted, fit.Measured); err != nil {
+		return nil, err
+	}
+	return fit, nil
+}
+
 // Roofline closes the observe-predict-calibrate loop in virtual time: for
 // each modelled machine — the paper trio plus a cluster of host-CPU nodes —
 // it simulates the calibration grid (roofline.MachineCalibPoints: the
@@ -31,66 +93,24 @@ func Roofline(opt Options) (*Output, error) {
 	}
 	var allPred, allMeas []float64
 	for _, mach := range machines {
-		calib := roofline.FromModel(mach)
-		var samples []roofline.Sample
-		type row struct {
-			label string
-			raw   [roofline.NumClasses]float64
-			meas  float64
-		}
-		var rows []row
-		for _, cp := range roofline.MachineCalibPoints(mach) {
-			rep, err := run(cp.Cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			raw, err := roofline.RawSeconds(calib, cp.Cfg, opt.steps())
-			if err != nil {
-				return nil, err
-			}
-			// Compare in the paper's unit: scale raw charged-step seconds
-			// to seconds per simulated day.
-			norm, err := cp.Cfg.Normalized()
-			if err != nil {
-				return nil, err
-			}
-			perDay := float64(cp.Cfg.StepsPerDay()) / float64(opt.steps()+norm.WarmupSteps)
-			for j := range raw {
-				raw[j] *= perDay
-			}
-			samples = append(samples, roofline.Sample{
-				Machine: mach.Name, Label: cp.Label,
-				Raw: raw, Measured: rep.Total,
-			})
-			rows = append(rows, row{label: cp.Label, raw: raw, meas: rep.Total})
-		}
-		fit, err := roofline.Fit(samples, roofline.FitOptions{
-			Base:    calib.Eff,
-			Classes: roofline.ComputeClasses,
-		})
+		fit, err := FitMachineGrid(mach, opt)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: fitting %s: %w", mach.Name, err)
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		var pred, meas []float64
-		for _, r := range rows {
-			p := roofline.PredictSample(fit.Eff, r.raw)
-			pred = append(pred, p)
-			meas = append(meas, r.meas)
+		for i, label := range fit.Labels {
+			p, meas := fit.Predicted[i], fit.Measured[i]
 			errPct := 0.0
-			if r.meas != 0 {
-				errPct = (p - r.meas) / r.meas
+			if meas != 0 {
+				errPct = (p - meas) / meas
 			}
-			tbl.AddRow(mach.Name, r.label,
-				stats.Seconds(r.meas), stats.Seconds(p), stats.Percent(errPct))
+			tbl.AddRow(mach.Name, label,
+				stats.Seconds(meas), stats.Seconds(p), stats.Percent(errPct))
 		}
-		allPred = append(allPred, pred...)
-		allMeas = append(allMeas, meas...)
-		mape, err := roofline.MAPE(pred, meas)
-		if err != nil {
-			return nil, err
-		}
+		allPred = append(allPred, fit.Predicted...)
+		allMeas = append(allMeas, fit.Measured...)
+		eff := fit.Calib.Eff
 		notes = append(notes, fmt.Sprintf("%s: MAPE %.1f%% (eff dyn %.2f phys %.2f conv %.2f fft %.2f).",
-			mach.Name, 100*mape, fit.Eff.Dynamics, fit.Eff.Physics, fit.Eff.FilterConv, fit.Eff.FilterFFT))
+			mach.Name, 100*fit.MAPE, eff.Dynamics, eff.Physics, eff.FilterConv, eff.FilterFFT))
 	}
 	sp, err := roofline.Spearman(allPred, allMeas)
 	if err != nil {

@@ -133,18 +133,18 @@ func TestGatewayUnderChaos(t *testing.T) {
 		retryBurst = 50
 	)
 	g, err := gateway.New(gateway.Options{
-		Backends:      backendURLs,
-		Policy:        "key-affinity",
-		ProbeInterval: 50 * time.Millisecond,
-		FailThreshold: 3,
-		OpenFor:       200 * time.Millisecond,
-		RetryMax:      4,
-		RetryRatio:    retryRatio,
-		RetryBurst:    retryBurst,
-		BackoffBase:   2 * time.Millisecond,
-		BackoffCap:    20 * time.Millisecond,
+		Backends:       backendURLs,
+		Policy:         "key-affinity",
+		ProbeInterval:  50 * time.Millisecond,
+		FailThreshold:  3,
+		OpenFor:        200 * time.Millisecond,
+		RetryMax:       4,
+		RetryRatio:     retryRatio,
+		RetryBurst:     retryBurst,
+		BackoffBase:    2 * time.Millisecond,
+		BackoffCap:     20 * time.Millisecond,
 		AttemptTimeout: 5 * time.Second,
-		Seed:          7,
+		Seed:           7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func TestBreakerOpensEjectsAndRecovers(t *testing.T) {
 			always503(w, r)
 			return
 		}
-		ok200(`{"ok":true}` + "\n")(w, r)
+		ok200(`{"ok":true}`+"\n")(w, r)
 	})
 	good := newStubBackend(ok200(`{"ok":true}` + "\n"))
 	defer flaky.ts.Close()

@@ -32,7 +32,7 @@ func TestSLOHeaderStampedOnBackendAttempts(t *testing.T) {
 	b := newStubBackend(func(w http.ResponseWriter, r *http.Request) {
 		v := r.Header.Get(server.SLOHeader)
 		lastSLO.Store(&v)
-		ok200(`{"key":"k","report":{}}` + "\n")(w, r)
+		ok200(`{"key":"k","report":{}}`+"\n")(w, r)
 	})
 	defer b.ts.Close()
 	g := newTestGateway(t, Options{Policy: "round-robin"}, b)
@@ -67,7 +67,7 @@ func TestSLOHeaderFallbackAtEdge(t *testing.T) {
 	b := newStubBackend(func(w http.ResponseWriter, r *http.Request) {
 		v := r.Header.Get(server.SLOHeader)
 		lastSLO.Store(&v)
-		ok200(`{"key":"k","report":{}}` + "\n")(w, r)
+		ok200(`{"key":"k","report":{}}`+"\n")(w, r)
 	})
 	defer b.ts.Close()
 	g := newTestGateway(t, Options{Policy: "round-robin"}, b)

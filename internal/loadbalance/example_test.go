@@ -26,8 +26,8 @@ func ExamplePairwise() {
 
 // Scheme 1 shuffles every node's load to every other node: perfectly
 // balanced, but P*(P-1) messages.
-func ExampleCyclicShuffle() {
-	moves := loadbalance.CyclicShuffle([]float64{65, 24, 38, 15})
+func ExampleCyclicShuffleInto() {
+	moves := loadbalance.CyclicShuffleInto(nil, []float64{65, 24, 38, 15})
 	after := loadbalance.Apply([]float64{65, 24, 38, 15}, moves)
 	msgs, _ := loadbalance.PlanCost(moves)
 	fmt.Printf("%d messages, loads %v\n", msgs, after)

@@ -176,16 +176,12 @@ func min(a, b int) int {
 
 // --- Scheme 1: cyclic data shuffling (Figure 4) --------------------------
 
-// CyclicShuffle returns the scheme-1 plan: every processor divides its local
-// load into P equal pieces and sends piece j to processor j, keeping its
-// own piece.  The result is exactly balanced whenever the load within each
-// processor is uniformly divisible, at the cost of P*(P-1) messages.
-func CyclicShuffle(loads []float64) []Move {
-	return CyclicShuffleInto(nil, loads)
-}
-
-// CyclicShuffleInto is CyclicShuffle appending to moves[:0]: with a
-// persistent buffer a steady-state call allocates nothing.
+// CyclicShuffleInto returns the scheme-1 plan: every processor divides its
+// local load into P equal pieces and sends piece j to processor j, keeping
+// its own piece.  The result is exactly balanced whenever the load within
+// each processor is uniformly divisible, at the cost of P*(P-1) messages.
+// The plan is appended to moves[:0] (nil is fine): with a persistent buffer
+// a steady-state call allocates nothing.
 func CyclicShuffleInto(moves []Move, loads []float64) []Move {
 	p := len(loads)
 	moves = moves[:0]
@@ -203,18 +199,13 @@ func CyclicShuffleInto(moves []Move, loads []float64) []Move {
 
 // --- Scheme 2: sorted greedy moves (Figure 5) ----------------------------
 
-// SortedGreedy returns the scheme-2 plan: processors are ranked by load,
+// SortedGreedyInto returns the scheme-2 plan: processors are ranked by load,
 // then surplus load flows from the most loaded to the least loaded with the
 // fewest possible messages.  granularity > 0 quantizes every transfer (the
 // paper assigns integer weights to load pieces); granularity == 0 transfers
-// exact amounts.
-func SortedGreedy(loads []float64, granularity float64) []Move {
-	return SortedGreedyInto(nil, nil, loads, granularity)
-}
-
-// SortedGreedyInto is SortedGreedy appending to moves[:0], with order as the
-// ranking scratch (see sortedOrderInto): with persistent buffers a
-// steady-state call allocates nothing.
+// exact amounts.  The plan is appended to moves[:0], with order as the
+// ranking scratch (see sortedOrderInto; nil is fine for both): with
+// persistent buffers a steady-state call allocates nothing.
 func SortedGreedyInto(moves []Move, order []int, loads []float64, granularity float64) []Move {
 	p := len(loads)
 	moves = moves[:0]
@@ -274,14 +265,10 @@ func SortedGreedyInto(moves []Move, order []int, loads []float64, granularity fl
 	return moves
 }
 
-// sortedOrder returns processor indices sorted by descending load, stable in
-// the original index for ties — all ranks derive the same order.
-func sortedOrder(loads []float64) []int {
-	return sortedOrderInto(nil, loads)
-}
-
-// sortedOrderInto is sortedOrder into a caller-owned buffer, reallocated
-// only when its capacity is below len(loads).
+// sortedOrderInto returns processor indices sorted by descending load, stable
+// in the original index for ties — all ranks derive the same order — in a
+// caller-owned buffer, reallocated only when its capacity is below
+// len(loads).
 func sortedOrderInto(order []int, loads []float64) []int {
 	if cap(order) < len(loads) {
 		order = make([]int, len(loads))
@@ -304,18 +291,14 @@ func sortedOrderInto(order []int, loads []float64) []int {
 
 // --- Scheme 3: iterative sorted pairwise exchange (Figure 6) -------------
 
-// PairwiseStep returns one scheme-3 round: processors are ranked by load and
-// the processor of rank i exchanges with the processor of rank P-1-i, moving
-// half their load difference from the richer to the poorer.  Transfers whose
-// amount would fall below granularity (or below tolerance) are skipped —
-// "a pairwise data exchange is only needed when the load difference in the
-// pair of nodes exceeds some tolerance".
-func PairwiseStep(loads []float64, granularity, tolerance float64) []Move {
-	return PairwiseStepInto(nil, nil, loads, granularity, tolerance)
-}
-
-// PairwiseStepInto is PairwiseStep appending to moves[:0], with order as the
-// ranking scratch (see sortedOrderInto): with persistent buffers a
+// PairwiseStepInto returns one scheme-3 round: processors are ranked by load
+// and the processor of rank i exchanges with the processor of rank P-1-i,
+// moving half their load difference from the richer to the poorer.
+// Transfers whose amount would fall below granularity (or below tolerance)
+// are skipped — "a pairwise data exchange is only needed when the load
+// difference in the pair of nodes exceeds some tolerance".  The plan is
+// appended to moves[:0], with order as the ranking scratch (see
+// sortedOrderInto; nil is fine for both): with persistent buffers a
 // steady-state call allocates nothing.
 func PairwiseStepInto(moves []Move, order []int, loads []float64, granularity, tolerance float64) []Move {
 	p := len(loads)
@@ -357,7 +340,7 @@ type BalanceResult struct {
 // Pairwise iterates scheme 3 until the imbalance is at most tol (a
 // fraction) or maxIter rounds have run, and returns the per-iteration
 // history including the initial state.  granularity quantizes transfers as
-// in PairwiseStep.
+// in PairwiseStepInto.
 func Pairwise(loads []float64, granularity, tol float64, maxIter int) []BalanceResult {
 	cur := append([]float64(nil), loads...)
 	minL, maxL := MinMax(cur)
@@ -368,7 +351,7 @@ func Pairwise(loads []float64, granularity, tol float64, maxIter int) []BalanceR
 		if Imbalance(cur) <= tol {
 			break
 		}
-		moves := PairwiseStep(cur, granularity, 0)
+		moves := PairwiseStepInto(nil, nil, cur, granularity, 0)
 		if len(moves) == 0 {
 			break // converged to within granularity
 		}

@@ -152,7 +152,7 @@ func TestPlanRowsProperty(t *testing.T) {
 }
 
 func TestCyclicShuffleScheme1(t *testing.T) {
-	moves := CyclicShuffle(paperLoads)
+	moves := CyclicShuffleInto(nil, paperLoads)
 	// P*(P-1) messages — the scheme's drawback.
 	if len(moves) != 4*3 {
 		t.Fatalf("scheme 1 produced %d messages, want 12", len(moves))
@@ -172,7 +172,7 @@ func TestCyclicShuffleMessageComplexityQuadratic(t *testing.T) {
 	for i := range loads {
 		loads[i] = float64(i + 1)
 	}
-	msgs, _ := PlanCost(CyclicShuffle(loads))
+	msgs, _ := PlanCost(CyclicShuffleInto(nil, loads))
 	if msgs != 16*15 {
 		t.Fatalf("scheme 1 on 16 procs: %d messages, want 240", msgs)
 	}
@@ -183,7 +183,7 @@ func TestSortedGreedyPaperExample(t *testing.T) {
 	// 15(p3); avg 35.5.  With integer granularity the richest (p0) feeds
 	// the poorest (p3) then the next poorest (p1); p2's small surplus
 	// tops up the remainder.
-	moves := SortedGreedy(paperLoads, 1)
+	moves := SortedGreedyInto(nil, nil, paperLoads, 1)
 	out := Apply(paperLoads, moves)
 	// O(N) messages: at most P-1.
 	if len(moves) > 3 {
@@ -202,7 +202,7 @@ func TestSortedGreedyPaperExample(t *testing.T) {
 }
 
 func TestSortedGreedyExactWhenNoGranularity(t *testing.T) {
-	moves := SortedGreedy(paperLoads, 0)
+	moves := SortedGreedyInto(nil, nil, paperLoads, 0)
 	out := Apply(paperLoads, moves)
 	for i, v := range out {
 		if math.Abs(v-35.5) > 1e-9 {
@@ -221,7 +221,7 @@ func TestSortedGreedyProperty(t *testing.T) {
 		for i := range loads {
 			loads[i] = rng.Float64() * 100
 		}
-		moves := SortedGreedy(loads, 0)
+		moves := SortedGreedyInto(nil, nil, loads, 0)
 		if len(moves) > p-1 {
 			return false
 		}
@@ -239,7 +239,7 @@ func TestSortedGreedyProperty(t *testing.T) {
 func TestPairwiseStepPaperExampleFirstRound(t *testing.T) {
 	// Figure 6B: sorted 65,38,24,15; pairs (65,15) and (38,24); transfers
 	// 25 and 7 give 40,31,31,40.
-	moves := PairwiseStep(paperLoads, 1, 0)
+	moves := PairwiseStepInto(nil, nil, paperLoads, 1, 0)
 	out := Apply(paperLoads, moves)
 	want := []float64{40, 31, 31, 40}
 	for i := range want {
@@ -283,7 +283,7 @@ func TestPairwiseMessageComplexityLinear(t *testing.T) {
 	for i := range loads {
 		loads[i] = float64((i * 37) % 100)
 	}
-	moves := PairwiseStep(loads, 0, 0)
+	moves := PairwiseStepInto(nil, nil, loads, 0, 0)
 	if len(moves) > 32 {
 		t.Fatalf("one pairwise round used %d exchanges, want <= P/2 = 32", len(moves))
 	}
@@ -333,9 +333,9 @@ func TestSchemeCostOrdering(t *testing.T) {
 	for i := range loads {
 		loads[i] = rng.Float64() * 50
 	}
-	m1, _ := PlanCost(CyclicShuffle(loads))
-	m2, _ := PlanCost(SortedGreedy(loads, 0))
-	m3, _ := PlanCost(PairwiseStep(loads, 0, 0))
+	m1, _ := PlanCost(CyclicShuffleInto(nil, loads))
+	m2, _ := PlanCost(SortedGreedyInto(nil, nil, loads, 0))
+	m3, _ := PlanCost(PairwiseStepInto(nil, nil, loads, 0, 0))
 	if !(m2 < m1 && m3 < m1) {
 		t.Fatalf("message counts: shuffle=%d greedy=%d pairwise=%d; schemes 2,3 must beat 1", m1, m2, m3)
 	}

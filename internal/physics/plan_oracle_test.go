@@ -41,11 +41,11 @@ func oraclePlan(d grid.Decomp, scheme Scheme, rounds int, loads []float64) ([]tr
 		var moves []loadbalance.Move
 		switch scheme {
 		case Shuffle:
-			moves = loadbalance.CyclicShuffle(cur)
+			moves = loadbalance.CyclicShuffleInto(nil, cur)
 		case Greedy:
-			moves = loadbalance.SortedGreedy(cur, perCol)
+			moves = loadbalance.SortedGreedyInto(nil, nil, cur, perCol)
 		case Pairwise:
-			moves = loadbalance.PairwiseStep(cur, perCol, 0)
+			moves = loadbalance.PairwiseStepInto(nil, nil, cur, perCol, 0)
 		}
 		for _, m := range moves {
 			cnt := int(m.Amount/perCol + 0.5)
