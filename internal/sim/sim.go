@@ -66,211 +66,274 @@ type FaultHook interface {
 
 // message is an in-flight point-to-point message.  Float payloads travel in
 // the typed floats field so the hot comm paths never box a slice into the
-// payload interface (each such boxing is a heap allocation).
+// payload interface (each such boxing is a heap allocation).  Messages are
+// intrusive list nodes: next links one into its queue while in flight and into
+// a free list while idle, where it keeps its pooled buffer.
 type message struct {
-	source   int
-	tag      int
+	next     *message
 	payload  any       // non-float payloads (ints, nil barrier tokens, ...)
 	floats   []float64 // typed float payload, valid when isFloats is set
 	isFloats bool      // payload travels in floats (which may be a nil slice)
-	pooled   bool      // floats was drawn from the receiver's payload pool
+	pooled   bool      // floats is the mailbox's own buffer and returns to it with the message
 	bytes    int
 	arrive   float64 // virtual arrival time at the receiver
 	seq      int64   // per-sender sequence number, for event logging
 }
 
-// key identifies a message queue: messages are matched by source and tag.
-type key struct {
-	source int
-	tag    int
-}
-
-// qkey packs a (source, tag) pair into one word so the queue map takes the
-// runtime's fast integer-key path instead of hashing a struct.  Ranks fit in
-// 32 bits and tags are small ints, so the packing is injective.
+// qkey packs a (source, tag) pair into one word: the queue map takes the
+// runtime's fast integer-key path and a parked rank publishes its pair in one
+// atomic store.  Ranks fit in 32 bits and tags are small ints: it is injective.
 func qkey(source, tag int) uint64 {
 	return uint64(uint32(source))<<32 | uint64(uint32(tag))
 }
 
-// bufStack is one length class of the payload pool.  Pools are reached
-// through a pointer so push/pop mutate in place without re-writing the map
-// entry.
-type bufStack struct {
-	s [][]float64
-}
+// noWait is the published key of a rank that is not parked; its source half
+// is no valid rank, so no post matches it.
+const noWait = ^uint64(0)
 
-// msgQueue is one FIFO of in-flight messages for a (source, tag) key.  It is
-// drained with a head index and reset in place rather than deleted from the
-// queues map, so a steady-state communication pattern re-uses both the map
-// entries and the backing slices without allocating.
+// msgQueue is the FIFO of in-flight messages of one (source, tag) key, linked
+// through message.next and empty when head is nil: a list has nothing to grow
+// however far a sender runs ahead of its receiver.
 type msgQueue struct {
-	msgs []*message
-	head int
+	head, tail *message
+	link       *msgQueue // next in the mailbox's list of all its queues
 }
 
-// mailbox is the receive side of one rank.  All ranks may post into it
-// concurrently, so it is guarded by a mutex + cond.  The free list recycles
-// message structs and the payload pool recycles copy-on-send buffers (keyed
-// by exact length), making the steady-state transport allocation-free.
+// Slab sizes.  A cold mailbox needs tens of messages, queues and tiny payloads:
+// chunks this small make that a handful of allocations, under 2 KiB unused.
+const (
+	msgChunk    = 16  // messages per chunk
+	queueChunk  = 16  // queues per chunk
+	floatChunk  = 128 // floats per payload chunk
+	carveFloats = 32  // longest payload carved from a chunk; longer ones are made whole
+)
+
+// carve returns the next zeroed element of *slab, starting a new chunk when
+// the current one is used up.
+func carve[T any](slab *[]T, chunk int) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, chunk)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
+}
+
+// mailbox is the receive side of one rank.  Any rank may post into it, so mu
+// guards every field; only the owning rank waits on cond.
+//
+// Idle messages sit on per-length free lists: free[n] is a sentinel (so push
+// and pop never write the map) heading the messages whose pooled buffer holds
+// exactly n floats, free[0] the bare ones.  A pooled buffer is owned by its
+// message: post fills it, RecvFloatsInto copies it out under the same lock and
+// message and buffer go back on free[n] together, so the steady-state
+// transport allocates nothing.  Recv on a pooled message instead hands the
+// buffer to the caller for good and the message goes back bare.  Everything
+// carved lives as long as the Machine; reset returns undelivered messages to
+// the free lists, so a second Run starts warm.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queues map[uint64]*msgQueue
-	free   []*message        // recycled message structs
-	bufs   map[int]*bufStack // recycled pooled payload buffers, by length
+	all    *msgQueue        // every queue, through msgQueue.link
+	free   map[int]*message // free-list sentinels by pooled buffer length
 	closed bool
-	rank   int
 	wd     *watchdog
 
-	// Single-entry lookup caches (guarded by mu).  Steady-state traffic
-	// revisits the same queue and the same payload length run after run, so
-	// most posts, takes and pool operations skip the map entirely.
+	// waiting is the qkey the owner is parked on with no matching message
+	// pending, else noWait: written under mu, read by the watchdog unlocked.
+	waiting atomic.Uint64
+
+	msgSlab   []message
+	queueSlab []msgQueue
+	floatSlab []float64
+
+	// Single-entry lookup caches: steady-state traffic revisits the same
+	// queue run after run, so most posts and takes skip the map.
 	lastPostKey, lastTakeKey uint64
 	lastPostQ, lastTakeQ     *msgQueue
-	lastLen                  int
-	lastBufs                 *bufStack
 }
 
-func newMailbox(rank int, wd *watchdog) *mailbox {
+func newMailbox(wd *watchdog) *mailbox {
 	mb := &mailbox{
 		queues: make(map[uint64]*msgQueue),
-		bufs:   make(map[int]*bufStack),
-		rank:   rank,
+		free:   make(map[int]*message),
 		wd:     wd,
 	}
 	mb.cond = sync.NewCond(&mb.mu)
+	mb.waiting.Store(noWait)
 	return mb
 }
 
-// pool returns the length class for n-float payloads, creating it on first
-// use.  Callers must hold mu.
-func (mb *mailbox) pool(n int) *bufStack {
-	if st := mb.lastBufs; st != nil && mb.lastLen == n {
-		return st
+// freeList returns the sentinel of the n-float class, created on first use.
+func (mb *mailbox) freeList(n int) *message {
+	h := mb.free[n]
+	if h == nil {
+		h = carve(&mb.msgSlab, msgChunk)
+		mb.free[n] = h
 	}
-	st := mb.bufs[n]
-	if st == nil {
-		st = new(bufStack)
-		mb.bufs[n] = st
-	}
-	mb.lastLen, mb.lastBufs = n, st
-	return st
+	return h
 }
 
-// post enqueues a message under one lock acquisition, drawing the struct
-// from the free list and filling it in place (the fields are arguments rather
-// than a message value so no intermediate struct is copied on the hot path).
-// With copyFloats set the message carries a pooled private copy of floats
-// instead of the caller's slice.
-func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats, copyFloats bool, bytes int, arrive float64, seq int64) {
-	mb.mu.Lock()
-	if copyFloats {
-		st := mb.pool(len(floats))
-		var buf []float64
-		if k := len(st.s); k > 0 {
-			buf = st.s[k-1]
-			st.s[k-1] = nil
-			st.s = st.s[:k-1]
-		} else {
-			buf = make([]float64, len(floats))
-		}
-		copy(buf, floats)
-		floats = buf
+// queue returns the FIFO for k, creating it on first use.
+func (mb *mailbox) queue(k uint64) *msgQueue {
+	q := mb.queues[k]
+	if q == nil {
+		q = carve(&mb.queueSlab, queueChunk)
+		q.link, mb.all = mb.all, q
+		mb.queues[k] = q
 	}
-	var mp *message
-	if n := len(mb.free); n > 0 {
-		mp = mb.free[n-1]
-		mb.free[n-1] = nil
-		mb.free = mb.free[:n-1]
+	return q
+}
+
+// newFloats returns an n-float buffer: carved when short (capacity-clipped,
+// so a Recv caller who ends up owning it cannot append into its neighbour),
+// made whole otherwise.
+func (mb *mailbox) newFloats(n int) []float64 {
+	if n == 0 || n > carveFloats {
+		return make([]float64, n)
+	}
+	if len(mb.floatSlab) < n {
+		mb.floatSlab = make([]float64, floatChunk)
+	}
+	buf := mb.floatSlab[:n:n]
+	mb.floatSlab = mb.floatSlab[n:]
+	return buf
+}
+
+// recycle puts a dequeued message on its free list: with its buffer if it
+// still owns one, bare otherwise.
+func (mb *mailbox) recycle(mp *message) {
+	n := 0
+	if mp.pooled {
+		n = len(mp.floats)
 	} else {
-		mp = new(message)
+		mp.floats = nil
 	}
-	mp.source = source
-	mp.tag = tag
-	mp.payload = payload
-	mp.floats = floats
-	mp.isFloats = isFloats
-	mp.pooled = copyFloats
-	mp.bytes = bytes
-	mp.arrive = arrive
-	mp.seq = seq
+	mp.payload = nil
+	h := mb.freeList(n)
+	mp.next, h.next = h.next, mp
+}
+
+// unpark un-publishes k and takes the owner out of the watchdog's count if it
+// is parked on exactly k, and reports whether it was.
+func (mb *mailbox) unpark(k uint64) bool {
+	if mb.waiting.Load() != k {
+		return false
+	}
+	mb.waiting.Store(noWait)
+	mb.wd.stuck.Add(-1)
+	return true
+}
+
+// post enqueues a message under one lock acquisition, filling a free-list
+// struct in place (the fields are arguments so no intermediate message is
+// copied on the hot path).  With copyFloats set the message carries a pooled
+// private copy of floats instead of the caller's slice.  If the owner is
+// parked on exactly this key, post unparks it under the lock that published
+// the key, then wakes it; a post on any other key wakes nobody and touches no
+// shared state.
+func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats, copyFloats bool, bytes int, arrive float64, seq int64) {
+	n := 0
+	if copyFloats {
+		n = len(floats)
+	}
+	mb.mu.Lock()
+	h := mb.freeList(n)
+	mp := h.next
+	if mp != nil {
+		h.next, mp.next = mp.next, nil
+	} else {
+		mp = carve(&mb.msgSlab, msgChunk)
+	}
+	if copyFloats {
+		if mp.floats == nil {
+			mp.floats = mb.newFloats(n)
+		}
+		copy(mp.floats, floats)
+	} else {
+		mp.floats = floats
+	}
+	mp.payload, mp.isFloats, mp.pooled = payload, isFloats, copyFloats
+	mp.bytes, mp.arrive, mp.seq = bytes, arrive, seq
 	k := qkey(source, tag)
 	q := mb.lastPostQ
 	if q == nil || mb.lastPostKey != k {
-		q = mb.queues[k]
-		if q == nil {
-			q = new(msgQueue)
-			mb.queues[k] = q
-		}
+		q = mb.queue(k)
 		mb.lastPostKey, mb.lastPostQ = k, q
 	}
-	q.msgs = append(q.msgs, mp)
-	// Clear the receiver's blocked registration under the same lock that
-	// created it, keeping the watchdog's wait-for graph exact.
-	mb.wd.satisfied(mb.rank, key{source, tag})
+	if q.head == nil {
+		q.head = mp
+	} else {
+		q.tail.next = mp
+	}
+	q.tail = mp
+	wake := mb.unpark(k)
 	mb.mu.Unlock()
-	mb.cond.Broadcast()
+	if wake {
+		mb.cond.Signal()
+	}
 }
 
-func (mb *mailbox) take(source, tag int) (message, bool) {
-	return mb.takeCopy(source, tag, nil, nil)
-}
-
-// takeCopy is take with an optional in-lock copy step: when into is non-nil,
-// a float payload is copied into *into (grown from (*into)[:0]) and a pooled
-// buffer is recycled immediately, so a RecvFloatsInto costs one lock
-// acquisition instead of two.
-func (mb *mailbox) takeCopy(source, tag int, into *[]float64, copied *bool) (message, bool) {
+// take dequeues the next message of (source, tag), parking until one is
+// posted; ok is false if the mailbox was closed instead.  With into non-nil a
+// float payload is copied into *into (grown from (*into)[:0]) under the same
+// lock acquisition and a pooled buffer stays with its message; otherwise the
+// payload — pooled or not — leaves with the returned message.
+func (mb *mailbox) take(source, tag int, into *[]float64) (m message, ok bool) {
 	k := qkey(source, tag)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	q := mb.lastTakeQ
 	if q == nil || mb.lastTakeKey != k {
-		q = mb.queues[k]
-		if q == nil {
-			q = new(msgQueue)
-			mb.queues[k] = q
-		}
+		q = mb.queue(k)
 		mb.lastTakeKey, mb.lastTakeQ = k, q
 	}
-	for {
-		if q.head < len(q.msgs) {
-			mp := q.msgs[q.head]
-			q.msgs[q.head] = nil
-			q.head++
-			if q.head == len(q.msgs) {
-				q.msgs = q.msgs[:0]
-				q.head = 0
-			}
-			if into != nil && mp.isFloats {
-				*into = append((*into)[:0], mp.floats...)
-				*copied = true
-				if mp.pooled {
-					st := mb.pool(len(mp.floats))
-					st.s = append(st.s, mp.floats)
-					mp.floats = nil
-					mp.pooled = false
-				}
-			}
-			m := *mp
-			*mp = message{}
-			mb.free = append(mb.free, mp)
-			return m, true
-		}
+	for q.head == nil {
 		if mb.closed {
 			return message{}, false
 		}
-		mb.wd.block(mb.rank, key{source, tag})
+		// Publishing under mu orders the registration against every post: an
+		// earlier one is in the queue already, a later one sees the key.
+		mb.waiting.Store(k)
+		mb.wd.add()
 		mb.cond.Wait()
-		mb.wd.unblock(mb.rank)
+		mb.unpark(k) // still published if close woke us, not a matching post
 	}
+	mp := q.head
+	q.head = mp.next
+	m = *mp
+	if into != nil && mp.isFloats {
+		*into = append((*into)[:0], mp.floats...)
+		m.floats = nil
+	} else {
+		mp.pooled = false
+	}
+	mb.recycle(mp)
+	return m, true
 }
 
+// close marks the mailbox closed, waking its owner if parked.
 func (mb *mailbox) close() {
 	mb.mu.Lock()
 	mb.closed = true
 	mb.mu.Unlock()
-	mb.cond.Broadcast()
+	mb.cond.Signal()
+}
+
+// reset reopens the mailbox for a new Run; what the previous Run left
+// undelivered goes to the free lists, not to the new Run's receivers.
+func (mb *mailbox) reset() {
+	mb.mu.Lock()
+	for q := mb.all; q != nil; q = q.link {
+		for mp := q.head; mp != nil; mp = q.head {
+			q.head = mp.next
+			mb.recycle(mp)
+		}
+	}
+	mb.closed = false
+	mb.waiting.Store(noWait)
+	mb.mu.Unlock()
 }
 
 // Machine is a simulated distributed-memory computer with a fixed number of
@@ -313,10 +376,10 @@ func NewHeterogeneous(models []CostModel) *Machine {
 		}
 	}
 	m := &Machine{n: len(models), models: models}
-	m.wd = newWatchdog(m)
+	m.wd = &watchdog{machine: m}
 	m.boxes = make([]*mailbox, m.n)
 	for i := range m.boxes {
-		m.boxes[i] = newMailbox(i, m.wd)
+		m.boxes[i] = newMailbox(m.wd)
 	}
 	return m
 }
@@ -449,11 +512,14 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 	procs := make([]*Proc, m.n)
 	errs := make([]error, m.n)
 	m.wd.reset()
+	defer m.wd.closers.Wait() // nobody still closing mailboxes may outlive this Run
 	var canceled atomic.Bool
 	if ctx.Done() != nil {
 		stop := make(chan struct{})
 		defer close(stop)
+		m.wd.closers.Add(1)
 		go func() {
+			defer m.wd.closers.Done()
 			select {
 			case <-ctx.Done():
 				// Order matters: the flag must be visible before the
@@ -489,7 +555,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 						m.wd.crash(r)
 					case *abortedError:
 						errs[r] = e
-						m.wd.finish(r)
+						m.wd.add()
 					default:
 						errs[r] = fmt.Errorf("sim: rank %d panicked: %v", r, rec)
 						// Unblock any rank waiting on a message that
@@ -505,7 +571,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 					m.wd.shutdown()
 					return
 				}
-				m.wd.finish(r)
+				m.wd.add()
 			}()
 			errs[r] = body(procs[r])
 		}(r)
@@ -737,18 +803,18 @@ func (p *Proc) recvMsg(src, tag int) message {
 	if src < 0 || src >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d recv from invalid rank %d", p.rank, src))
 	}
-	m, ok := p.machine.boxes[p.rank].take(src, tag)
+	m, ok := p.machine.boxes[p.rank].take(src, tag, nil)
 	if !ok {
 		panic(&abortedError{rank: p.rank})
 	}
-	p.arriveMsg(&m)
+	p.arriveMsg(src, &m)
 	return m
 }
 
-// arriveMsg charges the receiver-side cost of a just-taken message: the wait
-// until its arrival time, the receive overhead, any fault perturbation, and
-// the event log entry.
-func (p *Proc) arriveMsg(m *message) {
+// arriveMsg charges the receiver-side cost of a message just taken from src:
+// the wait until its arrival time, the receive overhead, any fault
+// perturbation, and the event log entry.
+func (p *Proc) arriveMsg(src int, m *message) {
 	waitedFrom := p.clock
 	if m.arrive > p.clock {
 		if m.arrive >= p.crashAt {
@@ -767,7 +833,7 @@ func (p *Proc) arriveMsg(m *message) {
 	} else {
 		p.clock += overhead
 	}
-	p.logRecv(m.source, m.bytes, waitedFrom, p.clock, m.seq)
+	p.logRecv(src, m.bytes, waitedFrom, p.clock, m.seq)
 }
 
 // Recv blocks until a message from rank src with the given tag arrives, then
@@ -792,14 +858,13 @@ func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
 	if src < 0 || src >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d recv from invalid rank %d", p.rank, src))
 	}
-	var copied bool
-	m, ok := p.machine.boxes[p.rank].takeCopy(src, tag, &buf, &copied)
+	m, ok := p.machine.boxes[p.rank].take(src, tag, &buf)
 	if !ok {
 		panic(&abortedError{rank: p.rank})
 	}
-	p.arriveMsg(&m)
-	if copied {
-		return buf
+	p.arriveMsg(src, &m)
+	if m.isFloats {
+		return buf // copied under the mailbox lock
 	}
 	// Untyped payloads fall back to the copy-after-take path.
 	if m.payload == nil {

@@ -5,17 +5,22 @@ package sim
 // leaves every other rank blocked in Recv forever and the whole process —
 // including `go test` — hangs with no diagnosis.
 //
-// Every rank that parks inside mailbox.take registers the (src, tag) pair it
-// is waiting for.  A post that satisfies the registered pair clears the
-// registration under the same mailbox lock, so the watchdog's view is exact:
-// a registered rank has no satisfying message pending.  The moment every
-// live rank is either finished, dead (injected crash) or registered blocked,
-// no message can ever be posted again, the machine is provably deadlocked,
-// and the watchdog aborts the run immediately — bounded wall time, no timers
-// — returning a wait-for graph instead of hanging.
+// Every rank that parks inside mailbox.take publishes the (src, tag) pair it
+// waits for in its mailbox and joins the watchdog's one count of ranks that
+// cannot post: parked with no satisfying message pending, finished, or dead
+// (injected crash).  The count is exact because every transition is made under
+// the lock that orders it with the matching post, the parked rank's own
+// mailbox lock: a rank publishes only after finding its queue empty under that
+// lock, and the first matching post thereafter un-publishes and un-counts it
+// under the same lock.  A running rank is never counted, so the count reaches
+// the machine size only when no message can ever be posted again: the machine
+// is provably deadlocked (or simply done), and the add that got there aborts
+// the run at once — bounded wall time, no timers — with a wait-for graph.
 //
-// Detection is purely event-driven, so it adds no cost to runs that never
-// block and one mutex acquisition to each blocking wait.
+// Detection is event-driven and takes no lock on the message path: a post
+// costs one atomic load of the destination's published key, a park or a
+// matching post one atomic add.  Only the add that reaches the machine size
+// takes the watchdog's mutex, once, to read the published keys.
 
 import (
 	"fmt"
@@ -93,80 +98,42 @@ func (e *abortedError) Error() string {
 	return fmt.Sprintf("sim: rank %d recv aborted (machine shut down)", e.rank)
 }
 
-// watchdog tracks which ranks are parked in mailbox.take and fires when no
-// rank can ever make progress again.
+// watchdog counts the ranks that cannot post and fires when that is all of
+// them.
 type watchdog struct {
 	machine *Machine
+	stuck   atomic.Int64 // ranks parked on a published key, finished or dead
 
-	// nblocked mirrors len(blocked) so the post fast path can skip the
-	// lock when nothing is parked (the common case).
-	nblocked atomic.Int32
+	// closers tracks goroutines that may still be closing mailboxes (fire's,
+	// RunContext's cancellation watcher); RunContext waits for them so none
+	// reaches into the Machine's next Run.
+	closers sync.WaitGroup
 
 	mu      sync.Mutex
-	blocked map[int]key // rank -> awaited (source, tag), no satisfying message pending
-	done    int         // ranks whose body returned nil
-	dead    []int       // ranks removed by an injected crash
-	aborted bool        // an abort (deadlock or shutdown) is in progress
+	dead    []int // ranks removed by an injected crash
+	aborted bool  // an abort (deadlock or shutdown) is in progress
 	err     *DeadlockError
 }
 
-func newWatchdog(m *Machine) *watchdog {
-	return &watchdog{machine: m, blocked: make(map[int]key)}
-}
-
-// reset clears per-Run state.
+// reset clears per-Run state and reopens every mailbox.
 func (w *watchdog) reset() {
 	w.mu.Lock()
-	w.blocked = make(map[int]key)
-	w.done = 0
+	w.stuck.Store(0)
 	w.dead = nil
 	w.aborted = false
 	w.err = nil
-	w.nblocked.Store(0)
 	w.mu.Unlock()
-}
-
-// block registers rank as parked waiting for k.  Called with the rank's own
-// mailbox lock held, immediately before cond.Wait.
-func (w *watchdog) block(rank int, k key) {
-	w.mu.Lock()
-	w.blocked[rank] = k
-	w.nblocked.Store(int32(len(w.blocked)))
-	w.checkLocked()
-	w.mu.Unlock()
-}
-
-// unblock clears the registration after the rank wakes (if a post has not
-// already cleared it).
-func (w *watchdog) unblock(rank int) {
-	w.mu.Lock()
-	delete(w.blocked, rank)
-	w.nblocked.Store(int32(len(w.blocked)))
-	w.mu.Unlock()
-}
-
-// satisfied clears rank's registration when a message with exactly the
-// awaited key is posted.  Called with the destination's mailbox lock held —
-// the same lock block() holds — so a registered rank provably has no
-// satisfying message pending.
-func (w *watchdog) satisfied(rank int, k key) {
-	if w.nblocked.Load() == 0 {
-		return
+	for _, b := range w.machine.boxes {
+		b.reset()
 	}
-	w.mu.Lock()
-	if bk, ok := w.blocked[rank]; ok && bk == k {
-		delete(w.blocked, rank)
-		w.nblocked.Store(int32(len(w.blocked)))
-	}
-	w.mu.Unlock()
 }
 
-// finish records a rank whose body returned nil.
-func (w *watchdog) finish(rank int) {
-	w.mu.Lock()
-	w.done++
-	w.checkLocked()
-	w.mu.Unlock()
+// add counts one more rank that cannot post: one about to park (its mailbox
+// lock held, its key just published) or one whose body returned or aborted.
+func (w *watchdog) add() {
+	if w.stuck.Add(1) == int64(w.machine.n) {
+		w.fire()
+	}
 }
 
 // crash records a rank removed by an injected fault.  Unlike shutdown, the
@@ -178,8 +145,8 @@ func (w *watchdog) finish(rank int) {
 func (w *watchdog) crash(rank int) {
 	w.mu.Lock()
 	w.dead = append(w.dead, rank)
-	w.checkLocked()
 	w.mu.Unlock()
+	w.add()
 }
 
 // shutdown marks an abort in progress (peer panic or error return) so a
@@ -192,27 +159,35 @@ func (w *watchdog) shutdown() {
 	w.machine.closeAll()
 }
 
-// checkLocked fires the watchdog when every live rank is parked.  Caller
-// holds w.mu.
-func (w *watchdog) checkLocked() {
-	if w.aborted || len(w.blocked) == 0 {
+// fire runs when every rank is counted stuck.  Nobody can post any more, so
+// unless a shutdown got in first (it sets aborted before it closes anything)
+// the published keys are frozen and readable without the mailbox locks.  If
+// nobody is parked every rank finished or died: nothing to report.
+func (w *watchdog) fire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.aborted {
 		return
 	}
-	if len(w.blocked)+w.done+len(w.dead) != w.machine.n {
+	var blocked []BlockedRank // in rank order, as DeadlockError promises
+	for rank, mb := range w.machine.boxes {
+		if k := mb.waiting.Load(); k != noWait {
+			blocked = append(blocked, BlockedRank{Rank: rank, Src: int(k >> 32), Tag: int(int32(k))})
+		}
+	}
+	if blocked == nil {
 		return
 	}
 	w.aborted = true
-	e := &DeadlockError{Dead: append([]int(nil), w.dead...)}
-	for rank, k := range w.blocked {
-		e.Blocked = append(e.Blocked, BlockedRank{Rank: rank, Src: k.source, Tag: k.tag})
-	}
-	sort.Slice(e.Blocked, func(i, j int) bool { return e.Blocked[i].Rank < e.Blocked[j].Rank })
-	sort.Ints(e.Dead)
-	w.err = e
-	// Wake the parked ranks.  Closing takes each mailbox's lock and the
-	// caller of block() still holds its own until cond.Wait releases it,
-	// so the close must happen off this goroutine.
-	go w.machine.closeAll()
+	w.err = &DeadlockError{Blocked: blocked, Dead: append([]int(nil), w.dead...)}
+	sort.Ints(w.err.Dead)
+	// Wake the parked ranks off this goroutine: closing takes each mailbox's
+	// lock, and a caller about to park holds its own until cond.Wait.
+	w.closers.Add(1)
+	go func() {
+		defer w.closers.Done()
+		w.machine.closeAll()
+	}()
 }
 
 // deadlock returns the deadlock error, if the watchdog fired.

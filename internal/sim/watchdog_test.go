@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -80,22 +83,115 @@ func TestDeadlockSingleRankSelfWait(t *testing.T) {
 }
 
 // TestNoFalseDeadlockUnderLoad: a correct many-message program must never
-// trip the watchdog even though ranks block transiently all the time.
+// trip the watchdog even though ranks block transiently all the time — at 240
+// ranks somebody is parked at every instant, so the count hovers just below
+// the machine size throughout.
 func TestNoFalseDeadlockUnderLoad(t *testing.T) {
-	m := New(4, newTestModel())
-	_, err := m.Run(func(p *Proc) error {
-		next := (p.Rank() + 1) % p.Ranks()
-		prev := (p.Rank() + p.Ranks() - 1) % p.Ranks()
-		for i := 0; i < 200; i++ {
-			p.Send(next, i, i, 8)
-			if got := p.Recv(prev, i).(int); got != i {
-				t.Errorf("rank %d: recv %d, want %d", p.Rank(), got, i)
+	for _, ranks := range []int{4, 240} {
+		m := New(ranks, newTestModel())
+		_, err := m.Run(func(p *Proc) error {
+			next := (p.Rank() + 1) % p.Ranks()
+			prev := (p.Rank() + p.Ranks() - 1) % p.Ranks()
+			for i := 0; i < 200; i++ {
+				p.Send(next, i, i, 8)
+				if got := p.Recv(prev, i).(int); got != i {
+					t.Errorf("rank %d: recv %d, want %d", p.Rank(), got, i)
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d ranks: Run: %v", ranks, err)
+		}
+	}
+}
+
+// TestNonMatchingPostNeitherUnblocksNorIsLost: a post on a key the owner is
+// not parked on must leave the published key and the watchdog's count alone
+// (clearing them would blind the watchdog to a later deadlock) and must still
+// be delivered when the owner comes to ask for it.
+func TestNonMatchingPostNeitherUnblocksNorIsLost(t *testing.T) {
+	m := New(2, newTestModel())
+	_, err := m.Run(func(p *Proc) error {
+		if p.Rank() == 1 {
+			if got := p.Recv(0, 5); got != "second" {
+				return fmt.Errorf("Recv(0, 5) = %v, want second", got)
+			}
+			if got := p.Recv(0, 6); got != "first" {
+				return fmt.Errorf("Recv(0, 6) = %v, want first", got)
+			}
+			return nil
+		}
+		box := m.boxes[1]
+		for box.waiting.Load() != qkey(0, 5) {
+			runtime.Gosched() // until rank 1 is parked on (0, 5)
+		}
+		p.Send(1, 6, "first", 8)
+		if k, n := box.waiting.Load(), m.wd.stuck.Load(); k != qkey(0, 5) || n != 1 {
+			return fmt.Errorf("after a tag-6 post: published key %#x, %d ranks counted stuck; want %#x and 1", k, n, qkey(0, 5))
+		}
+		p.Send(1, 5, "second", 8)
+		if k := box.waiting.Load(); k != noWait {
+			return fmt.Errorf("after the matching post: published key %#x, want none", k)
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
+	}
+}
+
+// TestMachineReuseAfterAbort: a Run that ends in an abort leaves undelivered
+// messages and closed mailboxes behind; the next Run on the same Machine must
+// see neither.  Before mailboxes were reset per Run, the second Run below
+// received the first one's "stale".
+func TestMachineReuseAfterAbort(t *testing.T) {
+	aborts := map[string]func(m *Machine) error{
+		"deadlock": func(m *Machine) error {
+			_, err := m.Run(func(p *Proc) error {
+				if p.Rank() == 0 {
+					p.Send(1, 7, "stale", 8)
+				}
+				p.Recv(1-p.Rank(), 9) // nobody sends tag 9
+				return nil
+			})
+			var de *DeadlockError
+			if !errors.As(err, &de) {
+				return fmt.Errorf("first Run error = %v, want *DeadlockError", err)
+			}
+			return nil
+		},
+		"cancel": func(m *Machine) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := m.RunContext(ctx, func(p *Proc) error {
+				if p.Rank() == 0 {
+					p.Send(1, 7, "stale", 8)
+					cancel()
+				}
+				return pingPongForever(p)
+			})
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("first Run error = %v, want context.Canceled", err)
+			}
+			return nil
+		},
+	}
+	for name, abort := range aborts {
+		m := New(2, newTestModel())
+		if err := abort(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := m.Run(func(p *Proc) error {
+			if p.Rank() == 0 {
+				p.Send(1, 7, "fresh", 8)
+			} else if got := p.Recv(0, 7); got != "fresh" {
+				return fmt.Errorf("second Run received %v, want fresh", got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: second Run on the same Machine: %v", name, err)
+		}
 	}
 }
 
