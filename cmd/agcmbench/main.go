@@ -1,61 +1,74 @@
 // Command agcmbench regenerates the paper's tables and figures on the
-// simulated Paragon and T3D machines.
+// simulated Paragon and T3D machines.  Everything `-experiment` prints is
+// virtual-time and bit-deterministic; the committed RESULTS.txt is the
+// output of `-experiment all` at the default -steps, and CI diffs it.
 //
-//	agcmbench -experiment all           # everything, in paper order
-//	agcmbench -experiment table8        # one table
-//	agcmbench -list                     # valid experiment names
-//	agcmbench -calibrate BENCH_10.json  # roofline observe-predict-calibrate loop
+//	agcmbench -experiment all > RESULTS.txt  # everything, in paper order
+//	agcmbench -experiment table8             # one table
+//	agcmbench -list                          # valid experiment names
+//	agcmbench -calibrate host.json           # fit this host's roofline for agcmd -calib
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"agcm/internal/bench"
 	"agcm/internal/experiments"
 )
 
-func main() {
-	expName := flag.String("experiment", "all", "experiment id or 'all'")
-	steps := flag.Int("steps", 3, "measured time steps per run")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	format := flag.String("format", "table", "output format: table or csv")
-	bench9JSON := flag.String("bench9-json", "",
-		"run the deterministic scheduler comparison over the reference workload and write the JSON report to this file ('-' for stdout)")
-	calibrate := flag.String("calibrate", "",
-		"run the roofline observe-predict-calibrate loop (host micro+phase benchmarks, deterministic fit, paper-machine grid) and write the JSON report to this file ('-' for stdout)")
-	calibOut := flag.String("calib-out", "",
-		"with -calibrate: also write the fitted host calibration (canonical JSON) to this file, ready for agcmd -calib <file>")
-	topologyStr := flag.String("topology", "",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind its process edges, so tests drive it
+// in-process: it returns the exit status instead of exiting.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("agcmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	expName := fs.String("experiment", "all", "experiment id or 'all'")
+	steps := fs.Int("steps", 3, "measured time steps per run (RESULTS.txt is produced at the default)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	format := fs.String("format", "table", "output format: table or csv")
+	calibrate := fs.String("calibrate", "",
+		"time real runs on this host (micro ceilings, phase benchmarks), fit the roofline efficiencies, print predicted vs measured, and write the fitted calibration (canonical JSON) to this `file`, ready for agcmd -calib <file>")
+	topologyStr := fs.String("topology", "",
 		"route every run over an interconnect model: auto, mesh[:XxY], torus[:XxYxZ], switch")
-	placementStr := flag.String("placement", "",
+	placementStr := fs.String("placement", "",
 		"rank placement for -topology: rowmajor, snake, blocked, perm:n0,n1,...")
-	flag.Parse()
-	if *format != "table" && *format != "csv" {
-		fatal(fmt.Errorf("unknown format %q (table, csv)", *format))
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package has already said why
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "agcmbench:", err)
+		return 2
+	}
+	switch {
+	case *format != "table" && *format != "csv":
+		return fail(fmt.Errorf("unknown format %q (table, csv)", *format))
+	case *steps < 1:
+		return fail(fmt.Errorf("-steps %d out of range (must be >= 1)", *steps))
 	}
 
 	if *list {
-		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
-	}
-	if *bench9JSON != "" {
-		// The virtual-time scheduler comparison.  Unlike the host benchmarks
-		// the output is bit-deterministic, so CI diffs the regenerated
-		// document against the committed one.
-		rep, err := bench.NewBench9Report()
-		writeJSON(*bench9JSON, rep, err)
-		return
+		fmt.Fprintln(stdout, strings.Join(experiments.IDs(), "\n"))
+		return 0
 	}
 	if *calibrate != "" {
-		writeBench10JSON(*calibrate, *calibOut)
-		return
-	}
-	if *calibOut != "" {
-		fatal(fmt.Errorf("-calib-out requires -calibrate"))
+		out, calib, err := calibrateHost()
+		if err != nil {
+			return fail(err)
+		}
+		render(stdout, out, *format)
+		raw, err := calib.CanonicalJSON()
+		if err == nil {
+			err = os.WriteFile(*calibrate, append(raw, '\n'), 0o644)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *calibrate)
+		return 0
 	}
 	opt := experiments.Options{
 		MeasuredSteps: *steps,
@@ -64,79 +77,36 @@ func main() {
 	}
 
 	var outs []*experiments.Output
+	var err error
 	if *expName == "all" {
-		all, err := experiments.All(opt)
-		if err != nil {
-			fatal(err)
-		}
-		outs = all
+		outs, err = experiments.All(opt)
 	} else {
-		out, err := experiments.ByID(*expName, opt)
-		if err != nil {
-			fatal(err)
-		}
-		outs = []*experiments.Output{out}
+		outs = make([]*experiments.Output, 1)
+		outs[0], err = experiments.ByID(*expName, opt)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	for _, o := range outs {
-		for _, t := range o.Tables {
-			if *format == "csv" {
-				fmt.Printf("# %s\n%s", t.Title, t.CSV())
-			} else {
-				fmt.Print(t.Render())
-			}
-		}
-		if *format == "table" {
-			for _, n := range o.Notes {
-				fmt.Println("  //", n)
-			}
-		}
-		fmt.Println()
+		render(stdout, o, *format)
 	}
+	return 0
 }
 
-// writeJSON writes a benchmark report as indented JSON plus a newline: to
-// standard output when path is "-", otherwise to the file, announcing it.
-func writeJSON(path string, rep any, err error) {
-	if err != nil {
-		fatal(err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// writeBench10JSON runs the roofline calibration loop: host micro- and
-// phase-benchmarks, the deterministic least-squares fit, and the
-// paper-machine prediction grid.  The host sections are wall-clock and gated
-// by thresholds in CI; the machine sections are deterministic.  When
-// calibOut is non-empty the fitted host calibration is also written there as
-// canonical JSON for `agcmd -calib <file>`.
-func writeBench10JSON(path, calibOut string) {
-	rep, err := bench.NewBench10Report()
-	writeJSON(path, rep, err)
-	if calibOut != "" {
-		raw, err := rep.Host.Calib.CanonicalJSON()
-		if err != nil {
-			fatal(err)
+// render prints one experiment: its tables, its notes (table format only)
+// and a blank separator line.
+func render(w io.Writer, o *experiments.Output, format string) {
+	for _, t := range o.Tables {
+		if format == "csv" {
+			fmt.Fprintf(w, "# %s\n%s", t.Title, t.CSV())
+		} else {
+			fmt.Fprint(w, t.Render())
 		}
-		if err := os.WriteFile(calibOut, append(raw, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", calibOut)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "agcmbench:", err)
-	os.Exit(2)
+	if format == "table" {
+		for _, n := range o.Notes {
+			fmt.Fprintln(w, "  //", n)
+		}
+	}
+	fmt.Fprintln(w)
 }

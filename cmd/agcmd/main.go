@@ -35,7 +35,7 @@ import (
 )
 
 // loadOracle builds the sjf cost oracle from a calibration file written by
-// `agcmbench -calibrate -calib-out <file>` on this host.  The empty path is
+// `agcmbench -calibrate <file>` on this host.  The empty path is
 // nil: the server then prices with its built-in host calibration.
 func loadOracle(path string) (core.CostOracle, error) {
 	if path == "" {
@@ -64,7 +64,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "disk cache tier directory: finished runs persist here and survive restarts (empty = memory only)")
 	cacheDiskBytes := flag.Int64("cache-disk-bytes", 0, "disk cache tier byte budget (0 = default 256 MiB)")
 	scheduler := flag.String("scheduler", "fcfs", "admission scheduling policy: fcfs (arrival order), priority (interactive before batch) or sjf (cheapest predicted job first)")
-	calib := flag.String("calib", "", "roofline calibration `file` that prices jobs for sjf, as written by agcmbench -calibrate -calib-out (empty = the built-in host calibration)")
+	calib := flag.String("calib", "", "roofline calibration `file` that prices jobs for sjf, as written by agcmbench -calibrate (empty = the built-in host calibration)")
 	flag.Parse()
 
 	oracle, err := loadOracle(*calib)

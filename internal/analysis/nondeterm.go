@@ -79,7 +79,7 @@ var nondetermScope = map[string]determinismLevel{
 	// functions of the config, and the least-squares fit must produce
 	// bit-identical coefficients for any sample insertion order.  The
 	// wall-clock *observation* side of its calibration loop lives in
-	// internal/bench, which is exempt.
+	// cmd/agcmbench; commands are out of scope.
 	"roofline": levelFull,
 	// The serving daemon measures real latencies and enforces real
 	// deadlines, so the wall clock is legitimate there — but its response

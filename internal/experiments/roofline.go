@@ -8,40 +8,27 @@ import (
 	"agcm/internal/stats"
 )
 
-// MachineGridFit is one machine model's roofline fit against its simulated
-// calibration grid: point i is Labels[i], predicted and measured in the
-// paper's unit, seconds per simulated day.
-type MachineGridFit struct {
-	// Calib is the model-derived calibration with the fitted compute
-	// efficiencies (network constants are derived, not fitted).
-	Calib     roofline.Calib
-	Labels    []string
-	Predicted []float64
-	Measured  []float64
-	MAPE      float64
-}
-
-// FitMachineGrid simulates roofline.MachineCalibPoints for the machine at
-// opt's step count, fits the per-kernel-class compute efficiencies against
-// the simulated timings by the deterministic least squares and re-prices
-// every point with the fit.  The `roofline` experiment and BENCH_10's
-// machine sections are both this loop.
-func FitMachineGrid(m *machine.Model, opt Options) (*MachineGridFit, error) {
-	fit := &MachineGridFit{Calib: roofline.FromModel(m)}
+// fitMachineGrid simulates roofline.MachineCalibPoints for the machine at
+// opt's step count — one sample per point, in the paper's unit, seconds per
+// simulated day — and fits the per-kernel-class compute efficiencies against
+// the simulated timings by the deterministic least squares (network
+// constants are derived from the machine model, not fitted).
+func fitMachineGrid(m *machine.Model, opt Options) (roofline.Efficiencies, []roofline.Sample, error) {
+	calib := roofline.FromModel(m)
 	var samples []roofline.Sample
 	for _, cp := range roofline.MachineCalibPoints(m) {
 		rep, err := run(cp.Cfg, opt)
 		if err != nil {
-			return nil, fmt.Errorf("simulating %s %s: %w", m.Name, cp.Label, err)
+			return calib.Eff, nil, fmt.Errorf("simulating %s %s: %w", m.Name, cp.Label, err)
 		}
-		raw, err := roofline.RawSeconds(fit.Calib, cp.Cfg, opt.steps())
+		raw, err := roofline.RawSeconds(calib, cp.Cfg, opt.steps())
 		if err != nil {
-			return nil, fmt.Errorf("counting %s %s: %w", m.Name, cp.Label, err)
+			return calib.Eff, nil, fmt.Errorf("counting %s %s: %w", m.Name, cp.Label, err)
 		}
 		// Scale raw charged-step seconds to seconds per simulated day.
 		norm, err := cp.Cfg.Normalized()
 		if err != nil {
-			return nil, err
+			return calib.Eff, nil, err
 		}
 		perDay := float64(cp.Cfg.StepsPerDay()) / float64(opt.steps()+norm.WarmupSteps)
 		for j := range raw {
@@ -52,22 +39,13 @@ func FitMachineGrid(m *machine.Model, opt Options) (*MachineGridFit, error) {
 		})
 	}
 	fitted, err := roofline.Fit(samples, roofline.FitOptions{
-		Base:    fit.Calib.Eff,
+		Base:    calib.Eff,
 		Classes: roofline.ComputeClasses,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("fitting %s: %w", m.Name, err)
+		return calib.Eff, nil, fmt.Errorf("fitting %s: %w", m.Name, err)
 	}
-	fit.Calib.Eff = fitted.Eff
-	for _, s := range samples {
-		fit.Labels = append(fit.Labels, s.Label)
-		fit.Predicted = append(fit.Predicted, roofline.PredictSample(fit.Calib.Eff, s.Raw))
-		fit.Measured = append(fit.Measured, s.Measured)
-	}
-	if fit.MAPE, err = roofline.MAPE(fit.Predicted, fit.Measured); err != nil {
-		return nil, err
-	}
-	return fit, nil
+	return fitted.Eff, samples, nil
 }
 
 // Roofline closes the observe-predict-calibrate loop in virtual time: for
@@ -80,7 +58,8 @@ func FitMachineGrid(m *machine.Model, opt Options) (*MachineGridFit, error) {
 // squares, and tabulates predicted against measured seconds per simulated
 // day.  The wall-clock half of the loop (real host benchmarks feeding the
 // same fit) lives in `agcmbench -calibrate`; this experiment is its
-// bit-deterministic twin, runnable anywhere and diffable in CI.
+// bit-deterministic twin, runnable anywhere and diffed in CI as a section
+// of the committed RESULTS.txt.
 func Roofline(opt Options) (*Output, error) {
 	machines := append(machine.All(), machine.Host())
 	tbl := &stats.Table{
@@ -93,24 +72,28 @@ func Roofline(opt Options) (*Output, error) {
 	}
 	var allPred, allMeas []float64
 	for _, mach := range machines {
-		fit, err := FitMachineGrid(mach, opt)
+		eff, samples, err := fitMachineGrid(mach, opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		for i, label := range fit.Labels {
-			p, meas := fit.Predicted[i], fit.Measured[i]
+		first := len(allPred)
+		for _, s := range samples {
+			p := roofline.PredictSample(eff, s.Raw)
 			errPct := 0.0
-			if meas != 0 {
-				errPct = (p - meas) / meas
+			if s.Measured != 0 {
+				errPct = (p - s.Measured) / s.Measured
 			}
-			tbl.AddRow(mach.Name, label,
-				stats.Seconds(meas), stats.Seconds(p), stats.Percent(errPct))
+			tbl.AddRow(mach.Name, s.Label,
+				stats.Seconds(s.Measured), stats.Seconds(p), stats.Percent(errPct))
+			allPred = append(allPred, p)
+			allMeas = append(allMeas, s.Measured)
 		}
-		allPred = append(allPred, fit.Predicted...)
-		allMeas = append(allMeas, fit.Measured...)
-		eff := fit.Calib.Eff
+		mape, err := roofline.MAPE(allPred[first:], allMeas[first:])
+		if err != nil {
+			return nil, err
+		}
 		notes = append(notes, fmt.Sprintf("%s: MAPE %.1f%% (eff dyn %.2f phys %.2f conv %.2f fft %.2f).",
-			mach.Name, 100*fit.MAPE, eff.Dynamics, eff.Physics, eff.FilterConv, eff.FilterFFT))
+			mach.Name, 100*mape, eff.Dynamics, eff.Physics, eff.FilterConv, eff.FilterFFT))
 	}
 	sp, err := roofline.Spearman(allPred, allMeas)
 	if err != nil {

@@ -7,9 +7,9 @@ package experiments
 // expensive grid carries the interactive label.  On the reference workload
 // the label tracks the cost and sjf matches priority; after inversion the
 // two must split, which is the evidence that sjf consults the cost oracle
-// rather than the class rank.  CompareSchedulers runs the comparison once;
-// Scheduling renders it as tables and bench.Bench9Report embeds it as the
-// committed BENCH_9.json.
+// rather than the class rank.  CompareSchedulers runs the comparison;
+// Scheduling renders it as tables, with the reference spec's and schedule's
+// SHA-256 in the notes so the committed RESULTS.txt pins the exact workload.
 
 import (
 	"fmt"
@@ -24,16 +24,16 @@ import (
 // SchedulerComparison is every simulation behind the scheduling experiment.
 type SchedulerComparison struct {
 	// Reference is the reference workload's schedule.
-	Reference *workload.Schedule `json:"-"`
+	Reference *workload.Schedule
 	// Policies holds one simulation of it per scheduling policy, in
 	// server.SchedulerNames order.
-	Policies []*workload.SimResult `json:"policies"`
+	Policies []*workload.SimResult
 	// LabelInverted re-runs priority and sjf on the same workload with the
 	// class templates swapped, so the expensive grid carries the
 	// interactive label.  Priority still favors the label; sjf follows
 	// predicted cost — the two must now disagree, which is what
 	// distinguishes a cost oracle from a class rank.
-	LabelInverted []*workload.SimResult `json:"label_inverted"`
+	LabelInverted []*workload.SimResult
 }
 
 // CompareSchedulers generates the two schedules and simulates them.  Jobs
@@ -80,10 +80,20 @@ func Scheduling(opt Options) (*Output, error) {
 	ref := simTable(fmt.Sprintf("Scheduling: per-class latency by policy, reference workload (%d requests)",
 		len(cmp.Reference.Requests)), cmp.Policies)
 	inv := simTable("Scheduling: label-inverted workload (expensive grid labeled interactive)", cmp.LabelInverted)
+	specHash, err := cmp.Reference.Spec.Hash()
+	if err != nil {
+		return nil, err
+	}
+	schedHash, err := cmp.Reference.Hash()
+	if err != nil {
+		return nil, err
+	}
 	notes := []string{
 		"Virtual-time simulation over the seeded schedule; identical on every host.",
 		"sjf tracks priority when the SLO label predicts the cost and departs",
 		"from it when the labels are inverted: cost oracle, not class rank.",
+		fmt.Sprintf("Reference workload %q: spec sha256 %s,", cmp.Reference.Spec.Name, specHash),
+		fmt.Sprintf("schedule sha256 %s.", schedHash),
 	}
 	return &Output{ID: "scheduling", Title: "Scheduler comparison",
 		Tables: []*stats.Table{ref, inv}, Notes: notes}, nil

@@ -44,7 +44,7 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ExchangeHalos fills the ghost cells of every given field from the
+// Exchange fills the ghost cells of every given field from the
 // neighbouring subdomains: periodically in longitude, and up to the mesh
 // edges in latitude (pole-side halos are left untouched for the dynamics'
 // polar boundary treatment).  Corner ghost cells are filled correctly by
@@ -55,16 +55,8 @@ func growFloats(buf []float64, n int) []float64 {
 //
 // The exchange posts all sends before any receive, so it is deadlock-free
 // on any mesh, including meshes of width or height 1 (where the east/west
-// exchange degenerates into a local periodic copy).
-//
-// ExchangeHalos allocates fresh staging per call; steady-state callers (the
-// dynamics step) hold an Exchanger and use its Exchange method instead.
-func ExchangeHalos(cart *comm.Cart2D, fields ...*Field) {
-	NewExchanger(cart).Exchange(fields...)
-}
-
-// Exchange fills the ghost cells of every given field like ExchangeHalos,
-// staging all packing and unpacking in the Exchanger's persistent buffers.
+// exchange degenerates into a local periodic copy).  All packing and
+// unpacking is staged in the Exchanger's persistent buffers.
 func (ex *Exchanger) Exchange(fields ...*Field) {
 	for _, f := range fields {
 		if f.halo == 0 {

@@ -54,7 +54,7 @@ func TestExchangeHalosAllMeshes(t *testing.T) {
 						}
 					}
 				}
-				ExchangeHalos(cart, f)
+				NewExchanger(cart).Exchange(f)
 				// East/west halos must hold the periodic neighbours.
 				for j := 0; j < l.Nlat(); j++ {
 					gj := l.GlobalLat(j)
@@ -104,7 +104,7 @@ func TestExchangeFillsCornerGhostCells(t *testing.T) {
 				f.Set(j, i, 0, globalValue(l.GlobalLat(j), l.GlobalLon(i), 0))
 			}
 		}
-		ExchangeHalos(cart, f)
+		NewExchanger(cart).Exchange(f)
 		check := func(j, i int) error {
 			gj := l.Lat0 + j
 			if gj < 0 || gj >= spec.Nlat {
@@ -130,7 +130,7 @@ func TestExchangeHalosZeroHaloNoOp(t *testing.T) {
 	spec := Spec{Nlon: 8, Nlat: 8, Nlayers: 1}
 	runMesh(t, 2, 2, spec, func(world *comm.Comm, cart *comm.Cart2D, l Local) error {
 		f := NewField(l, 0)
-		ExchangeHalos(cart, f) // must not deadlock or panic
+		NewExchanger(cart).Exchange(f) // must not deadlock or panic
 		return nil
 	})
 }
@@ -146,7 +146,7 @@ func TestExchangeMultipleFields(t *testing.T) {
 				b.Set(j, i, 0, -globalValue(l.GlobalLat(j), l.GlobalLon(i), 0))
 			}
 		}
-		ExchangeHalos(cart, a, b)
+		NewExchanger(cart).Exchange(a, b)
 		// Spot-check that each field received its own data.
 		wantA := globalValue(l.GlobalLat(0), (l.Lon0-1+spec.Nlon)%spec.Nlon, 0)
 		if a.At(0, -1, 0) != wantA {

@@ -10,9 +10,11 @@
 // the host CPU this process runs on: run benchmarks, fit the efficiency
 // coefficients by least squares (Fit, deterministic for any sample insertion
 // order), and the fitted Calib predicts configurations it never measured.
-// The closed observe → predict → calibrate loop lives in internal/bench
-// (Bench10) and `agcmbench -calibrate`; the error it reports (MAPE, rank
-// correlation) is gated in CI so model drift fails the build.
+// The closed observe → predict → calibrate loop has two halves: the
+// `roofline` experiment fits every machine model against its simulated grid
+// (bit-deterministic, a section of the committed RESULTS.txt that CI diffs,
+// so model drift fails the build), and `agcmbench -calibrate` times real
+// runs on the host and writes the fitted Calib for `agcmd -calib`.
 //
 // Everything in this package is a pure function of its inputs: kernel
 // operation counts are derived analytically from grid dimensions, the fit

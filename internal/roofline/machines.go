@@ -28,8 +28,8 @@ func FromModel(m *machine.Model) Calib {
 }
 
 // DefaultHost returns the host CPU's calibration as fitted by
-// `agcmbench -calibrate` on the reference container (the numbers behind the
-// committed BENCH_10.json).  Ceilings are measured by the micro-benchmarks
+// `agcmbench -calibrate` on the reference container; the literals below are
+// the record of that fit.  Ceilings are measured by the micro-benchmarks
 // (one core, scalar Go loops); efficiencies are least-squares fits over the
 // phase benchmarks.  Run `agcmbench -calibrate` to refit on the current
 // host; this baked-in value is the built-in calibration a server prices

@@ -1,14 +1,14 @@
 package workload
 
-// SchedulingSpec is the committed reference workload behind BENCH_9 and the
-// CI `scheduling` gates (workloads/scheduling.json is its canonical
-// encoding; a test pins the two together).  The shape is chosen to make
-// scheduler differences visible and stable:
+// SchedulingSpec is the committed reference workload behind the scheduling
+// experiment and CI's live record/replay drill (workloads/scheduling.json is
+// its canonical encoding; a test pins the two together).  The shape is chosen
+// to make scheduler differences visible and stable:
 //
 //   - The interactive class is a small 1x1 grid, the batch class a 4-rank
 //     grid with triple the steps: the Paragon roofline (the machine the
-//     templates name, and the oracle BENCH_9 prices with) puts them at
-//     3.46 s and 19.55 s, so sjf has real spread to exploit.
+//     templates name, and the oracle the experiment prices with) puts them
+//     at 3.46 s and 19.55 s, so sjf has real spread to exploit.
 //   - The mean rate sits near the 4-worker pool's capacity (0.40/s x 8.29 s
 //     mean service / 4 workers = 0.83 utilisation) and the diurnal swing
 //     (amplitude 0.7) pushes peaks well past it: queues build at the crest

@@ -7,8 +7,8 @@ package workload
 // calibration of whichever machine the what-if is about), and reports
 // per-class latency and fairness.  Everything is integer microseconds and
 // fixed-order iteration, so the same (schedule, options) always produces
-// the same result: BENCH_9's scheduler comparison is a committable
-// artifact, not a host measurement.
+// the same result: the scheduling experiment's comparison is a committable
+// record (a section of RESULTS.txt), not a host measurement.
 
 import (
 	"cmp"

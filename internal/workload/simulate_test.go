@@ -9,8 +9,8 @@ import (
 	"agcm/internal/server"
 )
 
-// paragon is the oracle BENCH_9 prices with: the roofline model of the
-// machine the scheduling spec's templates name.
+// paragon is the oracle the scheduling experiment prices with: the roofline
+// model of the machine the scheduling spec's templates name.
 func paragon(t *testing.T) *roofline.Machine {
 	t.Helper()
 	m, err := roofline.NewMachine(roofline.FromModel(machine.Paragon()))
@@ -84,7 +84,8 @@ func TestSimulateSJFImprovesInteractiveP95(t *testing.T) {
 		t.Fatalf("sjf interactive p95 %dus worse than fcfs %dus", si.P95US, fi.P95US)
 	}
 	// The reference spec is tuned so the gap is substantial, not marginal;
-	// catching a regression that erodes it matters for BENCH_9.
+	// catching a regression that erodes it matters for the scheduling
+	// experiment.
 	if float64(si.P95US) > 0.75*float64(fi.P95US) {
 		t.Fatalf("sjf interactive p95 %dus did not improve meaningfully on fcfs %dus", si.P95US, fi.P95US)
 	}

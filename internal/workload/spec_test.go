@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -112,5 +114,35 @@ func TestSpecValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+func TestCommittedSchedulingSpecIsCanonical(t *testing.T) {
+	// Every committed workload is its own canonical encoding — the specs CI
+	// drives live daemons with and the -dump-spec round trip diffs against —
+	// and workloads/scheduling.json is the built-in reference spec's.
+	files, err := filepath.Glob("../../workloads/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed workloads found: %v", err)
+	}
+	for _, file := range files {
+		disk, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(disk)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if filepath.Base(file) == "scheduling.json" {
+			spec = SchedulingSpec()
+		}
+		want, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(disk) != string(want)+"\n" {
+			t.Errorf("%s is not its canonical encoding\n got: %s\nwant: %s", file, disk, want)
+		}
 	}
 }
