@@ -15,3 +15,54 @@ func TestFlopsAllocFree(t *testing.T) {
 		t.Fatal("Flops returned 0 for every length")
 	}
 }
+
+// resetShared empties the tables cache, so a test sees it cold and not
+// filled to capacity by whichever tests ran before.
+func resetShared() {
+	shared.Lock()
+	defer shared.Unlock()
+	for n := range shared.byLen {
+		delete(shared.byLen, n)
+	}
+}
+
+// TestNewPlanAllocsOnSharedTables pins what a plan costs once its length's
+// tables exist: the struct and one scratch allocation, on every kernel.
+func TestNewPlanAllocsOnSharedTables(t *testing.T) {
+	resetShared()
+	for _, n := range []int{128, 144, 97} { // radix-2, mixed radix, Bluestein
+		NewPlan(n)
+		if a := testing.AllocsPerRun(20, func() { NewPlan(n) }); a > 2 {
+			t.Errorf("a second NewPlan(%d) allocated %.1f times; want <= 2", n, a)
+		}
+		NewRealPlan(2 * n)
+		if a := testing.AllocsPerRun(20, func() { NewRealPlan(2 * n) }); a > 2 {
+			t.Errorf("a second NewRealPlan(%d) allocated %.1f times; want <= 2", 2*n, a)
+		}
+	}
+}
+
+// TestSharedTablesAreBounded feeds the cache more distinct lengths than it
+// holds, and one longer than it admits: it must stop growing, and the plans
+// that did not fit must still transform correctly on tables of their own.
+func TestSharedTablesAreBounded(t *testing.T) {
+	resetShared()
+	for n := 3; n < 3+4*maxSharedTables; n++ {
+		re, im := randSignal(n, int64(n))
+		wantRe, wantIm := DFT(re, im)
+		NewPlan(n).Forward(re, im)
+		if d := maxAbsDiff(re, wantRe) + maxAbsDiff(im, wantIm); d > 1e-9 {
+			t.Fatalf("n=%d: plan differs from the naive DFT by %g", n, d)
+		}
+	}
+	NewPlan(2 * maxSharedLen)
+	shared.Lock()
+	defer shared.Unlock()
+	if len(shared.byLen) != maxSharedTables {
+		t.Errorf("cache holds %d lengths after %d distinct ones; capacity is %d",
+			len(shared.byLen), 4*maxSharedTables, maxSharedTables)
+	}
+	if shared.byLen[2*maxSharedLen] != nil {
+		t.Errorf("cache admitted length %d; the limit is %d", 2*maxSharedLen, maxSharedLen)
+	}
+}

@@ -1,12 +1,26 @@
 // Package fft implements the fast Fourier transforms used by the spectral
-// filtering module: an iterative radix-2 complex FFT for power-of-two
-// lengths and Bluestein's chirp-z algorithm for arbitrary lengths (the AGCM's
-// 2°x2.5° grid has 144 longitudes, which is not a power of two).
+// filtering module.  The length picks one of three kernels: an iterative
+// radix-2 FFT for powers of two; a compiled mixed-radix FFT for lengths whose
+// prime factors are all at most 37 (the AGCM's 2°x2.5° grid has 144 = 2^4*3^2
+// longitudes, and its real rows transform at half that, 72 = 2^3*3^2); and
+// Bluestein's chirp-z algorithm over a radix-2 convolution for the rest.
 //
-// Plans precompute twiddle factors and scratch storage so the per-row cost in
-// the filtering inner loop is allocation free.  The package also exposes the
-// standard 5*n*log2(n) flop-count model, which the simulator charges to the
-// virtual clock when the parallel filter runs FFTs.
+// A plan is two parts.  The tables (permutations, twiddle streams, chirp
+// spectra) depend only on the length, are built once per length per process
+// and shared read-only by every plan of that length (plans.go); the scratch
+// is one allocation private to the plan.  Creating a plan is therefore cheap,
+// and its transforms allocate nothing.
+//
+// The mixed-radix kernel computes, bit for bit, what the recursive
+// decimation-in-time evaluation it replaced computed (that recursion lives on
+// in the tests as the oracle): every output is a sum that starts from +0 and
+// adds its f products in order, with every twiddle (W^0 = (1, -0) included)
+// read from the one full-length table.  Simulated results are hashed, so the
+// kernel may reorder loads and stores but never the arithmetic.
+//
+// The package also exposes the standard 5*n*log2(n) flop-count model, which
+// the simulator charges to the virtual clock when the parallel filter runs
+// FFTs.
 package fft
 
 import (
@@ -19,9 +33,10 @@ import (
 // kernel; lengths with a larger prime factor fall back to Bluestein.
 const maxMixedRadixFactor = 37
 
-// Plan holds the precomputed state for transforms of one length.
-// A Plan is not safe for concurrent use; create one per goroutine.
-type Plan struct {
+// tables is everything about a transform that depends only on its length.
+// It is never written after newTables returns, so plans on any number of
+// goroutines share one copy.
+type tables struct {
 	n int
 
 	// Radix-2 state (used when n is a power of two).
@@ -30,34 +45,38 @@ type Plan struct {
 	sinTab []float64
 
 	// Mixed-radix state (used for smooth composite lengths such as the
-	// AGCM's 144 longitudes = 2^4 * 3^2).
-	factors []int     // prime factorization of n, ascending
-	twRe    []float64 // full twiddle table W_n^j
-	twIm    []float64
-	mrRe    []float64 // combine scratch
-	mrIm    []float64
+	// AGCM's 144 longitudes = 2^4 * 3^2): the recursion over the prime
+	// factors, flattened.
+	perm   []int   // digit-reversal gather: scratch[i] = x[perm[i]]
+	stages []stage // one per prime factor, innermost recursion level first
 
 	// Bluestein state (used when n has a prime factor > maxMixedRadixFactor).
-	m         int // power-of-two convolution length >= 2n-1
-	inner     *Plan
-	chirpRe   []float64 // chirp a_k = exp(-i*pi*k^2/n)
-	chirpIm   []float64
-	bFFTRe    []float64 // FFT of the chirp filter b
-	bFFTIm    []float64
-	scratchRe []float64
-	scratchIm []float64
+	m       int       // power-of-two convolution length >= 2n-1
+	inner   *tables   // radix-2 tables of length m
+	chirpRe []float64 // chirp a_k = exp(-i*pi*k^2/n)
+	chirpIm []float64
+	bFFTRe  []float64 // FFT of the chirp filter b
+	bFFTIm  []float64
+
+	// Unpack twiddles e^{-2*pi*i*s/(2n)}, s = 0..n, for the RealPlan of
+	// length 2n that runs on these tables.
+	unRe, unIm []float64
 }
 
-// kind reports which kernel a plan uses.
-func (p *Plan) kind() int {
-	switch {
-	case p.rev != nil:
-		return kindRadix2
-	case p.factors != nil:
-		return kindMixed
-	default:
-		return kindBluestein
-	}
+// stage combines, in every block of f*m consecutive points, f transforms of
+// length m into one of length f*m.
+type stage struct {
+	f, m int
+	// tw holds the (re, im) twiddles in the order the loops consume them:
+	// for q < m, for s < f, for r < f: W_{f*m}^{r*(q+m*s)}.
+	tw []float64
+}
+
+// Plan is a transform of one length: shared tables plus private scratch.
+// A Plan is not safe for concurrent use; create one per goroutine.
+type Plan struct {
+	*tables
+	sRe, sIm []float64 // n each (mixed radix) or m each (Bluestein)
 }
 
 const (
@@ -66,21 +85,62 @@ const (
 	kindBluestein
 )
 
+// kind reports which kernel the tables drive.
+func (t *tables) kind() int {
+	switch {
+	case t.rev != nil:
+		return kindRadix2
+	case t.stages != nil:
+		return kindMixed
+	default:
+		return kindBluestein
+	}
+}
+
+// scratchLen is the number of floats a plan on these tables needs.
+func (t *tables) scratchLen() int {
+	switch t.kind() {
+	case kindMixed:
+		return 2 * t.n
+	case kindBluestein:
+		return 2 * t.m
+	}
+	return 0
+}
+
 // NewPlan creates a transform plan for length n >= 1.
 func NewPlan(n int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
-	p := &Plan{n: n}
+	t := tablesFor(n)
+	p := new(Plan)
+	p.bind(t, make([]float64, t.scratchLen()))
+	return p
+}
+
+// bind points p at t and at its share of a caller-made scratch allocation.
+func (p *Plan) bind(t *tables, scratch []float64) {
+	h := t.scratchLen() / 2
+	p.tables, p.sRe, p.sIm = t, scratch[:h], scratch[h:2*h]
+}
+
+func newTables(n int) *tables {
+	t := &tables{n: n, unRe: make([]float64, n+1), unIm: make([]float64, n+1)}
 	switch {
 	case isPow2(n):
-		p.initRadix2()
+		t.initRadix2()
 	case smooth(n):
-		p.initMixedRadix()
+		t.initMixedRadix()
 	default:
-		p.initBluestein()
+		t.initBluestein()
 	}
-	return p
+	for s := range t.unRe {
+		ang := -2 * math.Pi * float64(s) / float64(2*n)
+		t.unRe[s] = math.Cos(ang)
+		t.unIm[s] = math.Sin(ang)
+	}
+	return t
 }
 
 // factorize returns the ascending prime factorization of n.
@@ -110,69 +170,168 @@ func smooth(n int) bool {
 	return n == 1
 }
 
-func (p *Plan) initMixedRadix() {
-	n := p.n
-	p.factors = factorize(n)
-	p.twRe = make([]float64, n)
-	p.twIm = make([]float64, n)
+// initMixedRadix compiles the recursive decimation-in-time transform over
+// the ascending prime factors f_0, f_1, ... of n.  Level i of that recursion
+// splits a sequence of stride S_i = f_0*...*f_{i-1} into f_i subsequences
+// and leaves subsequence r in the r-th block of length n/(S_i*f_i), so the
+// leaves amount to one gather (perm) and each level to one stage.
+func (t *tables) initMixedRadix() {
+	n := t.n
+	factors := factorize(n)
+	twRe := make([]float64, n) // full twiddle table W_n^j
+	twIm := make([]float64, n)
 	for j := 0; j < n; j++ {
 		ang := -2 * math.Pi * float64(j) / float64(n)
-		p.twRe[j] = math.Cos(ang)
-		p.twIm[j] = math.Sin(ang)
+		twRe[j] = math.Cos(ang)
+		twIm[j] = math.Sin(ang)
 	}
-	p.mrRe = make([]float64, n)
-	p.mrIm = make([]float64, n)
-}
-
-// mixedRadix computes the forward DFT in place via recursive Cooley-Tukey
-// decomposition over p.factors.
-func (p *Plan) mixedRadix(re, im []float64) {
-	outRe := p.mrRe[:p.n]
-	outIm := p.mrIm[:p.n]
-	p.mrRec(outRe, outIm, re, im, 0, 1, 0)
-	copy(re, outRe)
-	copy(im, outIm)
-}
-
-// mrRec writes into out the n'-point DFT of the strided input sequence
-// in[off], in[off+stride], ..., where n' = n / product(factors[:fi]) is
-// implied by len(out).
-func (p *Plan) mrRec(outRe, outIm, inRe, inIm []float64, off, stride, fi int) {
-	n := len(outRe)
-	if n == 1 {
-		outRe[0], outIm[0] = inRe[off], inIm[off]
-		return
-	}
-	f := p.factors[fi]
-	m := n / f
-	// Recurse on the f decimated subsequences; subsequence r lands in
-	// out[r*m : (r+1)*m].
-	for r := 0; r < f; r++ {
-		p.mrRec(outRe[r*m:(r+1)*m], outIm[r*m:(r+1)*m], inRe, inIm,
-			off+r*stride, stride*f, fi+1)
-	}
-	// Combine: X[q + m*s] = sum_r W_ncur^{r*(q+m*s)} * Y_r[q].
-	// Twiddles come from the full-length table: W_ncur^j == W_N^{j*mult}.
-	// For a fixed q, the writes X[q+m*s] land exactly on the positions
-	// Y_r[q] that were read, so a q-row is buffered before writing back
-	// and the combine is in-place.
-	mult := p.n / n
-	var tr, ti [maxMixedRadixFactor + 1]float64
-	for q := 0; q < m; q++ {
-		for s := 0; s < f; s++ {
-			k := q + m*s
-			var sr, si float64
-			for r := 0; r < f; r++ {
-				idx := (r * k) % n * mult
-				yr, yi := outRe[r*m+q], outIm[r*m+q]
-				wr, wi := p.twRe[idx], p.twIm[idx]
-				sr += yr*wr - yi*wi
-				si += yr*wi + yi*wr
-			}
-			tr[s], ti[s] = sr, si
+	t.perm = make([]int, n)
+	for i := range t.perm {
+		rest, block, stride := i, n, 1
+		for _, f := range factors {
+			block /= f
+			t.perm[i] += rest / block * stride
+			rest %= block
+			stride *= f
 		}
-		for s := 0; s < f; s++ {
-			outRe[q+m*s], outIm[q+m*s] = tr[s], ti[s]
+	}
+	t.stages = make([]stage, 0, len(factors))
+	m := 1
+	for fi := len(factors) - 1; fi >= 0; fi-- {
+		f := factors[fi]
+		// W_{f*m}^j == W_n^{j*mult}.
+		mult := n / (f * m)
+		tw := make([]float64, 0, 2*m*f*f)
+		for q := 0; q < m; q++ {
+			for s := 0; s < f; s++ {
+				for r := 0; r < f; r++ {
+					idx := (r * (q + m*s)) % (f * m) * mult
+					tw = append(tw, twRe[idx], twIm[idx])
+				}
+			}
+		}
+		t.stages = append(t.stages, stage{f: f, m: m, tw: tw})
+		m *= f
+	}
+}
+
+// mixedRadix computes the forward DFT of (re, im), or of its conjugate, in
+// place: gather into the scratch, run the stages there, and let the last one
+// write the result back.
+func (p *Plan) mixedRadix(re, im []float64, conj bool) {
+	sRe, sIm := p.sRe, p.sIm
+	if conj {
+		for i, j := range p.perm {
+			sRe[i], sIm[i] = re[j], -im[j]
+		}
+	} else {
+		for i, j := range p.perm {
+			sRe[i], sIm[i] = re[j], im[j]
+		}
+	}
+	dRe, dIm := sRe, sIm
+	for i := range p.stages {
+		if i == len(p.stages)-1 {
+			dRe, dIm = re, im
+		}
+		st := &p.stages[i]
+		switch st.f {
+		case 2:
+			st.radix2(dRe, dIm, sRe, sIm)
+		case 3:
+			st.radix3(dRe, dIm, sRe, sIm)
+		default:
+			st.generic(dRe, dIm, sRe, sIm)
+		}
+	}
+}
+
+// generic is the stage body for any prime f: with Y_r the r-th transform of
+// length m in a block, X[q + m*s] = sum_r W^{r*(q+m*s)} * Y_r[q].  For a
+// fixed q the writes land on the positions just read, so a q-row is buffered
+// and d may be s.  Each sum starts from +0 and adds its f terms in order of r
+// — the arithmetic every simulated result is pinned to; radix2 and radix3
+// are this loop unrolled, statement for statement.
+func (st *stage) generic(dRe, dIm, sRe, sIm []float64) {
+	f, m := st.f, st.m
+	var tr, ti [maxMixedRadixFactor]float64
+	for base := 0; base < len(sRe); base += f * m {
+		tw := st.tw
+		for q := base; q < base+m; q++ {
+			for s := 0; s < f; s++ {
+				var sr, si float64
+				for r := 0; r < f; r++ {
+					yr, yi := sRe[q+r*m], sIm[q+r*m]
+					wr, wi := tw[2*r], tw[2*r+1]
+					sr += yr*wr - yi*wi
+					si += yr*wi + yi*wr
+				}
+				tr[s], ti[s] = sr, si
+				tw = tw[2*f:]
+			}
+			for s := 0; s < f; s++ {
+				dRe[q+m*s], dIm[q+m*s] = tr[s], ti[s]
+			}
+		}
+	}
+}
+
+func (st *stage) radix2(dRe, dIm, sRe, sIm []float64) {
+	m := st.m
+	for base := 0; base < len(sRe); base += 2 * m {
+		tw := st.tw
+		for q := base; q < base+m; q++ {
+			w := tw[:8]
+			tw = tw[8:]
+			y0r, y0i := sRe[q], sIm[q]
+			y1r, y1i := sRe[q+m], sIm[q+m]
+			var x0r, x0i, x1r, x1i float64
+			x0r += y0r*w[0] - y0i*w[1]
+			x0i += y0r*w[1] + y0i*w[0]
+			x0r += y1r*w[2] - y1i*w[3]
+			x0i += y1r*w[3] + y1i*w[2]
+			x1r += y0r*w[4] - y0i*w[5]
+			x1i += y0r*w[5] + y0i*w[4]
+			x1r += y1r*w[6] - y1i*w[7]
+			x1i += y1r*w[7] + y1i*w[6]
+			dRe[q], dIm[q] = x0r, x0i
+			dRe[q+m], dIm[q+m] = x1r, x1i
+		}
+	}
+}
+
+func (st *stage) radix3(dRe, dIm, sRe, sIm []float64) {
+	m := st.m
+	for base := 0; base < len(sRe); base += 3 * m {
+		tw := st.tw
+		for q := base; q < base+m; q++ {
+			w := tw[:18]
+			tw = tw[18:]
+			y0r, y0i := sRe[q], sIm[q]
+			y1r, y1i := sRe[q+m], sIm[q+m]
+			y2r, y2i := sRe[q+2*m], sIm[q+2*m]
+			var x0r, x0i, x1r, x1i, x2r, x2i float64
+			x0r += y0r*w[0] - y0i*w[1]
+			x0i += y0r*w[1] + y0i*w[0]
+			x0r += y1r*w[2] - y1i*w[3]
+			x0i += y1r*w[3] + y1i*w[2]
+			x0r += y2r*w[4] - y2i*w[5]
+			x0i += y2r*w[5] + y2i*w[4]
+			x1r += y0r*w[6] - y0i*w[7]
+			x1i += y0r*w[7] + y0i*w[6]
+			x1r += y1r*w[8] - y1i*w[9]
+			x1i += y1r*w[9] + y1i*w[8]
+			x1r += y2r*w[10] - y2i*w[11]
+			x1i += y2r*w[11] + y2i*w[10]
+			x2r += y0r*w[12] - y0i*w[13]
+			x2i += y0r*w[13] + y0i*w[12]
+			x2r += y1r*w[14] - y1i*w[15]
+			x2i += y1r*w[15] + y1i*w[14]
+			x2r += y2r*w[16] - y2i*w[17]
+			x2i += y2r*w[17] + y2i*w[16]
+			dRe[q], dIm[q] = x0r, x0i
+			dRe[q+m], dIm[q+m] = x1r, x1i
+			dRe[q+2*m], dIm[q+2*m] = x2r, x2i
 		}
 	}
 }
@@ -182,59 +341,57 @@ func (p *Plan) N() int { return p.n }
 
 func isPow2(n int) bool { return n&(n-1) == 0 }
 
-func (p *Plan) initRadix2() {
-	n := p.n
-	p.rev = make([]int, n)
+func (t *tables) initRadix2() {
+	n := t.n
+	t.rev = make([]int, n)
 	logN := bits.TrailingZeros(uint(n))
 	for i := 0; i < n; i++ {
-		p.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
+		t.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
 	}
 	// Twiddles for each level: w_len^j for len = 2,4,...,n.
-	p.cosTab = make([]float64, n)
-	p.sinTab = make([]float64, n)
+	t.cosTab = make([]float64, n)
+	t.sinTab = make([]float64, n)
 	// Layout: level with half-size h stores its h twiddles at offset h.
 	for h := 1; h < n; h *= 2 {
 		for j := 0; j < h; j++ {
 			ang := -math.Pi * float64(j) / float64(h)
-			p.cosTab[h+j] = math.Cos(ang)
-			p.sinTab[h+j] = math.Sin(ang)
+			t.cosTab[h+j] = math.Cos(ang)
+			t.sinTab[h+j] = math.Sin(ang)
 		}
 	}
 }
 
-func (p *Plan) initBluestein() {
-	n := p.n
+func (t *tables) initBluestein() {
+	n := t.n
 	m := 1
 	for m < 2*n-1 {
 		m *= 2
 	}
-	p.m = m
-	p.inner = NewPlan(m)
-	p.chirpRe = make([]float64, n)
-	p.chirpIm = make([]float64, n)
+	t.m = m
+	t.inner = newTables(m)
+	t.chirpRe = make([]float64, n)
+	t.chirpIm = make([]float64, n)
 	for k := 0; k < n; k++ {
 		// k^2 mod 2n keeps the angle argument small and exact.
 		sq := (k * k) % (2 * n)
 		ang := -math.Pi * float64(sq) / float64(n)
-		p.chirpRe[k] = math.Cos(ang)
-		p.chirpIm[k] = math.Sin(ang)
+		t.chirpRe[k] = math.Cos(ang)
+		t.chirpIm[k] = math.Sin(ang)
 	}
 	// b_k = conj(chirp_k) for k in (-n, n), wrapped into length m.
 	bRe := make([]float64, m)
 	bIm := make([]float64, m)
 	for k := 0; k < n; k++ {
-		bRe[k] = p.chirpRe[k]
-		bIm[k] = -p.chirpIm[k]
+		bRe[k] = t.chirpRe[k]
+		bIm[k] = -t.chirpIm[k]
 		if k > 0 {
-			bRe[m-k] = p.chirpRe[k]
-			bIm[m-k] = -p.chirpIm[k]
+			bRe[m-k] = t.chirpRe[k]
+			bIm[m-k] = -t.chirpIm[k]
 		}
 	}
-	p.inner.Forward(bRe, bIm)
-	p.bFFTRe = bRe
-	p.bFFTIm = bIm
-	p.scratchRe = make([]float64, m)
-	p.scratchIm = make([]float64, m)
+	t.inner.radix2(bRe, bIm)
+	t.bFFTRe = bRe
+	t.bFFTIm = bIm
 }
 
 // Forward computes the in-place unnormalized DFT:
@@ -242,14 +399,7 @@ func (p *Plan) initBluestein() {
 // re and im must each have length n.
 func (p *Plan) Forward(re, im []float64) {
 	p.checkLen(re, im)
-	switch p.kind() {
-	case kindRadix2:
-		p.radix2(re, im)
-	case kindMixed:
-		p.mixedRadix(re, im)
-	default:
-		p.bluestein(re, im, false)
-	}
+	p.transform(re, im, false)
 }
 
 // Inverse computes the in-place inverse DFT with 1/n normalization, so
@@ -257,21 +407,29 @@ func (p *Plan) Forward(re, im []float64) {
 func (p *Plan) Inverse(re, im []float64) {
 	p.checkLen(re, im)
 	// Inverse via conjugation: IDFT(x) = conj(DFT(conj(x)))/n.
-	for i := range im {
-		im[i] = -im[i]
-	}
-	switch p.kind() {
-	case kindRadix2:
-		p.radix2(re, im)
-	case kindMixed:
-		p.mixedRadix(re, im)
-	default:
-		p.bluestein(re, im, false)
-	}
+	p.transform(re, im, true)
 	inv := 1 / float64(p.n)
 	for i := range re {
 		re[i] *= inv
 		im[i] *= -inv
+	}
+}
+
+// transform computes the forward DFT of (re, im), or of its conjugate.
+func (p *Plan) transform(re, im []float64, conj bool) {
+	if p.kind() == kindMixed {
+		p.mixedRadix(re, im, conj) // conjugates as it gathers
+		return
+	}
+	if conj {
+		for i := range im {
+			im[i] = -im[i]
+		}
+	}
+	if p.kind() == kindRadix2 {
+		p.radix2(re, im)
+	} else {
+		p.bluestein(re, im)
 	}
 }
 
@@ -281,11 +439,11 @@ func (p *Plan) checkLen(re, im []float64) {
 	}
 }
 
-// radix2 is the iterative Cooley-Tukey kernel.
-func (p *Plan) radix2(re, im []float64) {
-	n := p.n
+// radix2 is the iterative Cooley-Tukey kernel; it needs no scratch.
+func (t *tables) radix2(re, im []float64) {
+	n := t.n
 	for i := 0; i < n; i++ {
-		j := p.rev[i]
+		j := t.rev[i]
 		if j > i {
 			re[i], re[j] = re[j], re[i]
 			im[i], im[j] = im[j], im[i]
@@ -294,7 +452,7 @@ func (p *Plan) radix2(re, im []float64) {
 	for h := 1; h < n; h *= 2 {
 		for base := 0; base < n; base += 2 * h {
 			for j := 0; j < h; j++ {
-				c, s := p.cosTab[h+j], p.sinTab[h+j]
+				c, s := t.cosTab[h+j], t.sinTab[h+j]
 				a, b := base+j, base+j+h
 				tr := re[b]*c - im[b]*s
 				ti := re[b]*s + im[b]*c
@@ -308,10 +466,10 @@ func (p *Plan) radix2(re, im []float64) {
 }
 
 // bluestein evaluates the DFT of arbitrary length as a convolution with a
-// chirp, using the inner power-of-two plan.
-func (p *Plan) bluestein(re, im []float64, _ bool) {
+// chirp, using the inner power-of-two tables.
+func (p *Plan) bluestein(re, im []float64) {
 	n, m := p.n, p.m
-	aRe, aIm := p.scratchRe, p.scratchIm
+	aRe, aIm := p.sRe, p.sIm
 	for i := range aRe {
 		aRe[i], aIm[i] = 0, 0
 	}
@@ -319,7 +477,7 @@ func (p *Plan) bluestein(re, im []float64, _ bool) {
 		aRe[k] = re[k]*p.chirpRe[k] - im[k]*p.chirpIm[k]
 		aIm[k] = re[k]*p.chirpIm[k] + im[k]*p.chirpRe[k]
 	}
-	p.inner.Forward(aRe, aIm)
+	p.inner.radix2(aRe, aIm)
 	for i := 0; i < m; i++ {
 		r := aRe[i]*p.bFFTRe[i] - aIm[i]*p.bFFTIm[i]
 		aIm[i] = aRe[i]*p.bFFTIm[i] + aIm[i]*p.bFFTRe[i]
@@ -329,7 +487,7 @@ func (p *Plan) bluestein(re, im []float64, _ bool) {
 	for i := 0; i < m; i++ {
 		aIm[i] = -aIm[i]
 	}
-	p.inner.Forward(aRe, aIm)
+	p.inner.radix2(aRe, aIm)
 	invM := 1 / float64(m)
 	for k := 0; k < n; k++ {
 		cr := aRe[k] * invM

@@ -1,0 +1,346 @@
+package fft
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// oracle is the recursive mixed-radix kernel the compiled plan replaced,
+// kept statement for statement: it defines the bits every simulated result
+// is pinned to.
+type oracle struct {
+	n          int
+	factors    []int
+	twRe, twIm []float64 // full twiddle table W_n^j
+	mrRe, mrIm []float64 // combine scratch
+}
+
+func newOracle(n int) *oracle {
+	p := &oracle{n: n, factors: factorize(n)}
+	p.twRe = make([]float64, n)
+	p.twIm = make([]float64, n)
+	for j := 0; j < n; j++ {
+		ang := -2 * math.Pi * float64(j) / float64(n)
+		p.twRe[j] = math.Cos(ang)
+		p.twIm[j] = math.Sin(ang)
+	}
+	p.mrRe = make([]float64, n)
+	p.mrIm = make([]float64, n)
+	return p
+}
+
+func (p *oracle) Forward(re, im []float64) {
+	outRe := p.mrRe[:p.n]
+	outIm := p.mrIm[:p.n]
+	p.mrRec(outRe, outIm, re, im, 0, 1, 0)
+	copy(re, outRe)
+	copy(im, outIm)
+}
+
+func (p *oracle) Inverse(re, im []float64) {
+	for i := range im {
+		im[i] = -im[i]
+	}
+	p.Forward(re, im)
+	inv := 1 / float64(p.n)
+	for i := range re {
+		re[i] *= inv
+		im[i] *= -inv
+	}
+}
+
+// mrRec writes into out the n'-point DFT of the strided input sequence
+// in[off], in[off+stride], ..., where n' = n / product(factors[:fi]) is
+// implied by len(out).
+func (p *oracle) mrRec(outRe, outIm, inRe, inIm []float64, off, stride, fi int) {
+	n := len(outRe)
+	if n == 1 {
+		outRe[0], outIm[0] = inRe[off], inIm[off]
+		return
+	}
+	f := p.factors[fi]
+	m := n / f
+	for r := 0; r < f; r++ {
+		p.mrRec(outRe[r*m:(r+1)*m], outIm[r*m:(r+1)*m], inRe, inIm,
+			off+r*stride, stride*f, fi+1)
+	}
+	mult := p.n / n
+	var tr, ti [maxMixedRadixFactor + 1]float64
+	for q := 0; q < m; q++ {
+		for s := 0; s < f; s++ {
+			k := q + m*s
+			var sr, si float64
+			for r := 0; r < f; r++ {
+				idx := (r * k) % n * mult
+				yr, yi := outRe[r*m+q], outIm[r*m+q]
+				wr, wi := p.twRe[idx], p.twIm[idx]
+				sr += yr*wr - yi*wi
+				si += yr*wi + yi*wr
+			}
+			tr[s], ti[s] = sr, si
+		}
+		for s := 0; s < f; s++ {
+			outRe[q+m*s], outIm[q+m*s] = tr[s], ti[s]
+		}
+	}
+}
+
+// oracleReal is RealPlan as it stood on the oracle: modulo indexing in the
+// unpack loop, twiddles computed per plan.
+type oracleReal struct {
+	n          int
+	half       *oracle
+	twRe, twIm []float64
+	zRe, zIm   []float64
+}
+
+func newOracleReal(n int) *oracleReal {
+	m := n / 2
+	p := &oracleReal{n: n, half: newOracle(m),
+		twRe: make([]float64, m+1), twIm: make([]float64, m+1),
+		zRe: make([]float64, m), zIm: make([]float64, m)}
+	for s := 0; s <= m; s++ {
+		ang := -2 * math.Pi * float64(s) / float64(n)
+		p.twRe[s] = math.Cos(ang)
+		p.twIm[s] = math.Sin(ang)
+	}
+	return p
+}
+
+func (p *oracleReal) Forward(x, re, im []float64) {
+	m := p.n / 2
+	for k := 0; k < m; k++ {
+		p.zRe[k] = x[2*k]
+		p.zIm[k] = x[2*k+1]
+	}
+	p.half.Forward(p.zRe, p.zIm)
+	for s := 0; s <= m; s++ {
+		sm := (m - s) % m
+		zr, zi := p.zRe[s%m], p.zIm[s%m]
+		zcr, zci := p.zRe[sm], -p.zIm[sm]
+		er := 0.5 * (zr + zcr)
+		ei := 0.5 * (zi + zci)
+		or := 0.5 * (zi - zci)
+		oi := -0.5 * (zr - zcr)
+		wr, wi := p.twRe[s], p.twIm[s]
+		re[s] = er + wr*or - wi*oi
+		im[s] = ei + wr*oi + wi*or
+	}
+	im[0] = 0
+	im[m] = 0
+}
+
+func (p *oracleReal) Inverse(re, im, x []float64) {
+	m := p.n / 2
+	for s := 0; s < m; s++ {
+		sm := m - s
+		xr, xi := re[s], im[s]
+		ycr, yci := re[sm], -im[sm]
+		er := 0.5 * (xr + ycr)
+		ei := 0.5 * (xi + yci)
+		dr := 0.5 * (xr - ycr)
+		di := 0.5 * (xi - yci)
+		wr, wi := p.twRe[s], -p.twIm[s]
+		or := wr*dr - wi*di
+		oi := wr*di + wi*dr
+		p.zRe[s] = er - oi
+		p.zIm[s] = ei + or
+	}
+	p.half.Inverse(p.zRe, p.zIm)
+	for k := 0; k < m; k++ {
+		x[2*k] = p.zRe[k]
+		x[2*k+1] = p.zIm[k]
+	}
+}
+
+// oracleLengths covers every smooth, non-power-of-two row length and half
+// length the repo's grids produce (5 … 288), each unrolled and generic
+// stage body on its own (3, 5, 7, 37), and mixes of them.
+var oracleLengths = []int{3, 5, 6, 7, 9, 12, 15, 18, 24, 36, 37, 48, 72, 74, 96, 111, 144, 210, 288, 360}
+
+// awkward are the values a kernel that "simplifies" its arithmetic gets
+// wrong: a -0 added to a sum started from +0, products that underflow to a
+// signed zero, rounding across eight decades of scale.  The first tiny of
+// them are the zeros and denormals.
+var awkward = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+	1e4, -1e4, 1e-4, -1e-4, 1, -1}
+
+const (
+	tiny   = 6
+	trials = tiny*tiny + 200
+)
+
+// signal fills re and im for the given trial.  The first tiny*tiny trials
+// are constant fills, one per (re, im) pair of zeros and denormals: a sum
+// that starts from its first term instead of +0 shows only when everything it
+// adds is -0.  The rest draw from rng, a quarter of the entries awkward.
+func signal(rng *rand.Rand, trial int, re, im []float64) {
+	for i := range re {
+		switch {
+		case trial < tiny*tiny:
+			re[i], im[i] = awkward[trial/tiny], awkward[trial%tiny]
+		case rng.Intn(4) == 0:
+			re[i], im[i] = awkward[rng.Intn(len(awkward))], awkward[rng.Intn(len(awkward))]
+		default:
+			re[i], im[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+	}
+}
+
+// sameBits reports the first element whose bit pattern differs.
+func sameBits(what string, n int, got, want []float64) error {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("n=%d %s[%d] = %x (%g), oracle %x (%g)", n, what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+	return nil
+}
+
+// complexBits runs one forward and one inverse transform of (re, im) through
+// the compiled plan and the oracle and compares every bit.
+func complexBits(p *Plan, o *oracle, re, im []float64) error {
+	n := len(re)
+	for _, inverse := range []bool{false, true} {
+		gRe, gIm := append([]float64(nil), re...), append([]float64(nil), im...)
+		wRe, wIm := append([]float64(nil), re...), append([]float64(nil), im...)
+		what := "forward"
+		if inverse {
+			what = "inverse"
+			p.Inverse(gRe, gIm)
+			o.Inverse(wRe, wIm)
+		} else {
+			p.Forward(gRe, gIm)
+			o.Forward(wRe, wIm)
+		}
+		if err := sameBits(what+" re", n, gRe, wRe); err != nil {
+			return err
+		}
+		if err := sameBits(what+" im", n, gIm, wIm); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// realBits does the same for the real plan of length len(x): forward on x,
+// inverse on an unrelated half-complex signal.
+func realBits(rng *rand.Rand, trial int, p *RealPlan, o *oracleReal, x []float64) error {
+	n, m := len(x), len(x)/2
+	gRe, gIm := make([]float64, m+1), make([]float64, m+1)
+	wRe, wIm := make([]float64, m+1), make([]float64, m+1)
+	p.Forward(x, gRe, gIm)
+	o.Forward(x, wRe, wIm)
+	if err := sameBits("real forward re", n, gRe, wRe); err != nil {
+		return err
+	}
+	if err := sameBits("real forward im", n, gIm, wIm); err != nil {
+		return err
+	}
+	signal(rng, trial, wRe, wIm)
+	got, want := make([]float64, n), make([]float64, n)
+	p.Inverse(wRe, wIm, got)
+	o.Inverse(wRe, wIm, want)
+	return sameBits("real inverse", n, got, want)
+}
+
+func TestCompiledMatchesRecursiveOracle(t *testing.T) {
+	for _, n := range oracleLengths {
+		p, o := NewPlan(n), newOracle(n)
+		if p.kind() != kindMixed {
+			t.Fatalf("n=%d does not take the mixed-radix kernel", n)
+		}
+		// The real plan of length 2n runs on the same tables.
+		rp, ro := NewRealPlan(2*n), newOracleReal(2*n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		re, im := make([]float64, n), make([]float64, n)
+		x := make([]float64, 2*n)
+		for trial := 0; trial < trials; trial++ {
+			signal(rng, trial, re, im)
+			if err := complexBits(p, o, re, im); err != nil {
+				t.Fatal(err)
+			}
+			signal(rng, trial, x[:n], x[n:])
+			if err := realBits(rng, trial, rp, ro, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// FuzzMixedRadixBits lets the fuzzer pick the length and the raw bits of the
+// input.  Values that are, or could sum to, infinities and NaNs are skipped:
+// which operand's NaN payload survives an add is the instruction selector's
+// choice, not the kernel's.
+func FuzzMixedRadixBits(f *testing.F) {
+	for _, n := range oracleLengths {
+		rng := rand.New(rand.NewSource(int64(n)))
+		re, im := make([]float64, n), make([]float64, n)
+		signal(rng, trials, re, im)
+		raw := make([]byte, 0, 16*n)
+		for i := range re {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(re[i]))
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(im[i]))
+		}
+		f.Add(uint16(n-2), raw)
+	}
+	f.Fuzz(func(t *testing.T, length uint16, raw []byte) {
+		n := int(length)%360 + 2
+		if isPow2(n) || !smooth(n) {
+			t.Skip()
+		}
+		re, im := make([]float64, n), make([]float64, n)
+		for i := 0; i < n && 16*i+16 <= len(raw); i++ {
+			re[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
+			im[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
+			if !(math.Abs(re[i]) <= 1e300 && math.Abs(im[i]) <= 1e300) {
+				t.Skip()
+			}
+		}
+		if err := complexBits(NewPlan(n), newOracle(n), re, im); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSharedTablesConcurrentPlans has 240 goroutines — one simulated rank
+// each on the paper's mesh — build a plan of one length at once and transform
+// their own signals.  Every one must produce the oracle's bits; under -race
+// it also proves nobody writes the tables they share.
+func TestSharedTablesConcurrentPlans(t *testing.T) {
+	const ranks, n = 240, 72
+	resetShared()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			re, im := make([]float64, n), make([]float64, n)
+			x := make([]float64, 2*n)
+			o, ro := newOracle(n), newOracleReal(2*n)
+			<-start
+			p, rp := NewPlan(n), NewRealPlan(2*n)
+			for trial := 0; trial < 5; trial++ {
+				signal(rng, trial, re, im)
+				if err := complexBits(p, o, re, im); err != nil {
+					t.Errorf("rank %d: %v", r, err)
+					return
+				}
+				signal(rng, trial, x[:n], x[n:])
+				if err := realBits(rng, trial, rp, ro, x); err != nil {
+					t.Errorf("rank %d: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+}

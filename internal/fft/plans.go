@@ -2,105 +2,50 @@ package fft
 
 import "sync"
 
-// Plans is a concurrency-safe registry of reusable transform plans keyed by
-// length.  A Plan is not safe for concurrent use, so the registry hands out
-// *exclusive ownership*: Get removes a plan from the pool (building one on a
-// miss) and only the caller may use it until it is returned with Put.  This
-// lets many simulated ranks — each its own goroutine — share one warm pool
-// without ever sharing a live plan, and makes repeated plan churn (e.g. the
-// sequential filter oracle planning per call) allocation-free at steady
-// state.
-type Plans struct {
-	mu   sync.Mutex
-	free map[int][]*Plan
-}
-
-// NewPlans creates an empty plan registry.
-func NewPlans() *Plans {
-	return &Plans{free: make(map[int][]*Plan)}
-}
-
-// Get returns a plan for length n, reusing a pooled one when available.
-// The caller owns the plan exclusively until Put.
-func (ps *Plans) Get(n int) *Plan {
-	ps.mu.Lock()
-	if free := ps.free[n]; len(free) > 0 {
-		p := free[len(free)-1]
-		free[len(free)-1] = nil
-		ps.free[n] = free[:len(free)-1]
-		ps.mu.Unlock()
-		return p
-	}
-	ps.mu.Unlock()
-	return NewPlan(n)
-}
-
-// Put returns a plan to the pool for reuse.  The caller must not use p
-// afterwards.  Put(nil) is a no-op.
-func (ps *Plans) Put(p *Plan) {
-	if p == nil {
-		return
-	}
-	ps.mu.Lock()
-	ps.free[p.n] = append(ps.free[p.n], p)
-	ps.mu.Unlock()
-}
-
-// RealPlans is the RealPlan counterpart of Plans: a concurrency-safe pool of
-// real-input plans keyed by length, with exclusive-ownership Get/Put.
-type RealPlans struct {
-	mu   sync.Mutex
-	free map[int][]*RealPlan
-}
-
-// NewRealPlans creates an empty real-plan registry.
-func NewRealPlans() *RealPlans {
-	return &RealPlans{free: make(map[int][]*RealPlan)}
-}
-
-// Get returns a real-input plan for even length n, reusing a pooled one when
-// available.  The caller owns the plan exclusively until Put.
-func (ps *RealPlans) Get(n int) *RealPlan {
-	ps.mu.Lock()
-	if free := ps.free[n]; len(free) > 0 {
-		p := free[len(free)-1]
-		free[len(free)-1] = nil
-		ps.free[n] = free[:len(free)-1]
-		ps.mu.Unlock()
-		return p
-	}
-	ps.mu.Unlock()
-	return NewRealPlan(n)
-}
-
-// Put returns a real-input plan to the pool.  The caller must not use p
-// afterwards.  Put(nil) is a no-op.
-func (ps *RealPlans) Put(p *RealPlan) {
-	if p == nil {
-		return
-	}
-	ps.mu.Lock()
-	ps.free[p.n] = append(ps.free[p.n], p)
-	ps.mu.Unlock()
-}
-
-// sharedPlans / sharedRealPlans back the package-level GetPlan/PutPlan
-// convenience API used by the filter package.
-var (
-	sharedPlans     = NewPlans()
-	sharedRealPlans = NewRealPlans()
+// Tables are shared through a cache that only ever fills: agcmd runs grids of
+// whatever size a request names, so the cache holds at most maxSharedTables
+// lengths of at most maxSharedLen points and never evicts.  A length that
+// does not fit gets tables of its own, private to the one plan.
+const (
+	maxSharedTables = 16
+	maxSharedLen    = 1 << 12
 )
 
-// GetPlan fetches a plan for length n from the shared process-wide registry.
-func GetPlan(n int) *Plan { return sharedPlans.Get(n) }
+var shared = struct {
+	sync.Mutex
+	byLen map[int]*tables
+}{byLen: make(map[int]*tables)}
 
-// PutPlan returns a plan obtained from GetPlan to the shared registry.
-func PutPlan(p *Plan) { sharedPlans.Put(p) }
+// tablesFor returns the tables for length n, building them under the lock on
+// first use so that ranks starting together build them once.
+func tablesFor(n int) *tables {
+	if n > maxSharedLen {
+		return newTables(n)
+	}
+	shared.Lock()
+	defer shared.Unlock()
+	t := shared.byLen[n]
+	if t == nil {
+		t = newTables(n)
+		if len(shared.byLen) < maxSharedTables {
+			shared.byLen[n] = t
+		}
+	}
+	return t
+}
 
-// GetRealPlan fetches a real-input plan for even length n from the shared
-// process-wide registry.
-func GetRealPlan(n int) *RealPlan { return sharedRealPlans.Get(n) }
+// GetPlan, PutPlan, GetRealPlan and PutRealPlan are what is left of a plan
+// pool that shared tables made pointless; benchmark/probes.go still calls
+// them.  New code calls NewPlan and NewRealPlan and drops the plan when done.
 
-// PutRealPlan returns a real-input plan obtained from GetRealPlan to the
-// shared registry.
-func PutRealPlan(p *RealPlan) { sharedRealPlans.Put(p) }
+// GetPlan returns NewPlan(n).
+func GetPlan(n int) *Plan { return NewPlan(n) }
+
+// PutPlan does nothing.
+func PutPlan(*Plan) {}
+
+// GetRealPlan returns NewRealPlan(n).
+func GetRealPlan(n int) *RealPlan { return NewRealPlan(n) }
+
+// PutRealPlan does nothing.
+func PutRealPlan(*RealPlan) {}

@@ -1,9 +1,6 @@
 package fft
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RealPlan transforms real sequences of even length n through a complex
 // plan of length n/2 (the standard packing trick), producing the
@@ -12,9 +9,7 @@ import (
 // complex route.
 type RealPlan struct {
 	n    int
-	half *Plan
-	// Unpack twiddles e^{-2*pi*i*s/n} for s = 0..n/2.
-	twRe, twIm []float64
+	half Plan // its tables carry the unpack twiddles e^{-2*pi*i*s/n}
 	// Scratch for the packed signal.
 	zRe, zIm []float64
 }
@@ -25,19 +20,10 @@ func NewRealPlan(n int) *RealPlan {
 		panic(fmt.Sprintf("fft: real plan needs even n >= 2, got %d", n))
 	}
 	m := n / 2
-	p := &RealPlan{
-		n:    n,
-		half: NewPlan(m),
-		twRe: make([]float64, m+1),
-		twIm: make([]float64, m+1),
-		zRe:  make([]float64, m),
-		zIm:  make([]float64, m),
-	}
-	for s := 0; s <= m; s++ {
-		ang := -2 * math.Pi * float64(s) / float64(n)
-		p.twRe[s] = math.Cos(ang)
-		p.twIm[s] = math.Sin(ang)
-	}
+	t := tablesFor(m)
+	buf := make([]float64, 2*m+t.scratchLen())
+	p := &RealPlan{n: n, zRe: buf[:m], zIm: buf[m : 2*m]}
+	p.half.bind(t, buf[2*m:])
 	return p
 }
 
@@ -59,16 +45,23 @@ func (p *RealPlan) Forward(x []float64, re, im []float64) {
 	}
 	p.half.Forward(p.zRe, p.zIm)
 	// Unpack: with E, O the DFTs of the even and odd subsequences,
-	// Z[s] = E[s] + i O[s]; X[s] = E[s] + w^s O[s].
+	// Z[s] = E[s] + i O[s]; X[s] = E[s] + w^s O[s].  Z has period m, so the
+	// two end bins pair Z[0] with itself.
 	for s := 0; s <= m; s++ {
-		sm := (m - s) % m
-		zr, zi := p.zRe[s%m], p.zIm[s%m]
-		zcr, zci := p.zRe[sm], -p.zIm[sm]
+		a, b := s, m-s
+		if s == m {
+			a = 0
+		}
+		if s == 0 {
+			b = 0
+		}
+		zr, zi := p.zRe[a], p.zIm[a]
+		zcr, zci := p.zRe[b], -p.zIm[b]
 		er := 0.5 * (zr + zcr)
 		ei := 0.5 * (zi + zci)
 		or := 0.5 * (zi - zci)  // O = (Z - conj(Zm))/(2i):
 		oi := -0.5 * (zr - zcr) // real and imaginary parts
-		wr, wi := p.twRe[s], p.twIm[s]
+		wr, wi := p.half.unRe[s], p.half.unIm[s]
 		re[s] = er + wr*or - wi*oi
 		im[s] = ei + wr*oi + wi*or
 	}
@@ -94,7 +87,7 @@ func (p *RealPlan) Inverse(re, im []float64, x []float64) {
 		dr := 0.5 * (xr - ycr)
 		di := 0.5 * (xi - yci)
 		// O[s] = conj(w^s) * d.
-		wr, wi := p.twRe[s], -p.twIm[s]
+		wr, wi := p.half.unRe[s], -p.half.unIm[s]
 		or := wr*dr - wi*di
 		oi := wr*di + wi*dr
 		p.zRe[s] = er - oi

@@ -12,19 +12,46 @@ import (
 )
 
 // TestRowFilterAllocFree pins the FFT filter's per-row hot path — forward
-// real FFT, damping, inverse — at zero steady-state allocations.  The first
-// apply warms the plan registry and the rowFilter scratch.
+// real FFT, damping, inverse — at zero allocations, on the radix-2 kernel
+// (half length 32) and on the mixed-radix one the 144-point grid takes.
 func TestRowFilterAllocFree(t *testing.T) {
-	const n = 64
-	rf := newRowFilter(n)
-	damp := DampingRow(n, 80*math.Pi/180, 45*math.Pi/180)
-	row := make([]float64, n)
-	for i := range row {
-		row[i] = math.Sin(2 * math.Pi * float64(i) / n * 3)
+	for _, n := range []int{64, 144} {
+		rf := newRowFilter(n)
+		damp := DampingRow(n, 80*math.Pi/180, 45*math.Pi/180)
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = math.Sin(2 * math.Pi * float64(i) / float64(n) * 3)
+		}
+		if a := testing.AllocsPerRun(100, func() { rf.apply(damp, row) }); a != 0 {
+			t.Fatalf("n=%d: rowFilter.apply allocated %.1f times per row; want 0", n, a)
+		}
 	}
-	rf.apply(damp, row)
-	if a := testing.AllocsPerRun(100, func() { rf.apply(damp, row) }); a != 0 {
-		t.Fatalf("rowFilter.apply allocated %.1f times per row; want 0", a)
+}
+
+// TestRowwiseFFTApplyAllocs pins the row-wise filter's own staging at zero
+// allocations per Apply: all that is left is what its one collective per
+// variable, AllgathervTree, returns.
+func TestRowwiseFFTApplyAllocs(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
+	d, err := grid.NewDecomp(spec, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.New(1, machine.Paragon()).Run(func(p *sim.Proc) error {
+		cart := comm.NewCart2D(comm.World(p), 1, 1)
+		l := grid.NewLocal(d, 0, 0)
+		vars := newVars(l)
+		flt := NewRowwiseFFT(cart, spec, l)
+		flt.Apply(vars) // sizes the scratch and fills the damping cache
+		slab := make([]float64, spec.Nlon*spec.Nlayers)
+		tree := testing.AllocsPerRun(20, func() { cart.Row.AllgathervTree(slab) })
+		if got, want := testing.AllocsPerRun(20, func() { flt.Apply(vars) }), tree*float64(len(vars)); got != want {
+			return fmt.Errorf("Apply allocated %.1f times for %d variables; its collectives account for %.1f", got, len(vars), want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

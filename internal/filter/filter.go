@@ -128,12 +128,17 @@ func Rows(spec grid.Spec, k Kind) []int {
 // real because S is symmetric.  The original AGCM evaluated the filter in
 // this form at O(N^2) per row.
 func Coefficients(damp []float64) []float64 {
-	n := len(damp)
+	return coefficients(fft.NewPlan(len(damp)), damp, make([]float64, len(damp)))
+}
+
+// coefficients is Coefficients on a caller-owned plan and imaginary scratch,
+// both of length len(damp).
+func coefficients(plan *fft.Plan, damp, im []float64) []float64 {
 	re := append([]float64(nil), damp...)
-	im := make([]float64, n)
-	plan := fft.GetPlan(n)
+	for i := range im {
+		im[i] = 0
+	}
 	plan.Inverse(re, im)
-	fft.PutPlan(plan)
 	return re
 }
 
@@ -174,27 +179,18 @@ type rowFilter struct {
 	oddIm  []float64 // imaginary scratch for the odd-length fallback
 }
 
-// newRowFilter builds the per-rank row-filtering state, drawing plans from
-// the shared fft registries so repeated construction (the sequential oracle
-// plans per call) reuses warm twiddle tables.
+// newRowFilter builds the per-rank row-filtering state.  Plans share their
+// tables process-wide, so one per rank and per Sequential call is cheap.
 func newRowFilter(n int) *rowFilter {
 	if n%2 != 0 {
-		return &rowFilter{n: n, odd: fft.GetPlan(n), oddIm: make([]float64, n)}
+		return &rowFilter{n: n, odd: fft.NewPlan(n), oddIm: make([]float64, n)}
 	}
 	return &rowFilter{
 		n:    n,
-		plan: fft.GetRealPlan(n),
+		plan: fft.NewRealPlan(n),
 		re:   make([]float64, n/2+1),
 		im:   make([]float64, n/2+1),
 	}
-}
-
-// release returns the filter's plans to the shared registries.  The filter
-// must not be used afterwards.
-func (rf *rowFilter) release() {
-	fft.PutPlan(rf.odd)
-	fft.PutRealPlan(rf.plan)
-	rf.odd, rf.plan = nil, nil
 }
 
 // apply filters one real row in place; damp has length n and is symmetric,
@@ -343,7 +339,6 @@ type Variable struct {
 // parallel variants.
 func Sequential(spec grid.Spec, vars []Variable) {
 	rf := newRowFilter(spec.Nlon)
-	defer rf.release()
 	row := make([]float64, spec.Nlon)
 	damp := make([]float64, 0, spec.Nlon)
 	for _, v := range vars {

@@ -62,6 +62,10 @@ type Convolution struct {
 	// a flat table rather than a map because the slab loop consults it
 	// once per line.
 	coeffCache [2][][]float64
+	// A cache miss turns a damping profile (damp) into a kernel with plan;
+	// im is the transform's imaginary scratch.
+	plan     *fft.Plan
+	damp, im []float64
 
 	// Persistent per-step scratch: the slab loop reuses these across calls
 	// so a steady-state Apply allocates nothing on the ring topology.
@@ -72,28 +76,36 @@ type Convolution struct {
 	gather         [][]float64 // AllgathervInto receive buffers, one per column
 }
 
+// lonSegments returns the width of every mesh column's longitude segment and
+// its offset in a full latitude circle — the mesh-row geometry, fixed for
+// the lifetime of a filter.
+func lonSegments(d grid.Decomp, px int) (widths, offs []int) {
+	widths, offs = make([]int, px), make([]int, px)
+	pos := 0
+	for col := range widths {
+		a, b := d.LonRange(col)
+		widths[col], offs[col] = b-a, pos
+		pos += b - a
+	}
+	return widths, offs
+}
+
 // NewConvolution builds the original filter for this rank's subdomain.
 func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) *Convolution {
 	c := &Convolution{cart: cart, spec: spec, local: local, topo: topo}
 	for k := range c.coeffCache {
 		c.coeffCache[k] = make([][]float64, spec.Nlat)
 	}
-	// The mesh-row geometry is fixed for the lifetime of the filter.
-	c.widths = make([]int, cart.Px)
-	c.offs = make([]int, cart.Px)
-	pos := 0
-	for col := 0; col < cart.Px; col++ {
-		a, b := local.Decomp.LonRange(col)
-		c.widths[col] = b - a
-		c.offs[col] = pos
-		pos += b - a
-	}
+	c.widths, c.offs = lonSegments(local.Decomp, cart.Px)
 	// full carries convPad wraparound values past the circle so the
 	// convolution kernel runs without modulo indexing.
 	c.full = make([]float64, spec.Nlon+convPad)
 	c.dst = make([]float64, local.Nlon())
 	c.row = make([]float64, local.Nlon())
 	c.gather = make([][]float64, cart.Px)
+	c.plan = fft.NewPlan(spec.Nlon)
+	c.damp = make([]float64, 0, spec.Nlon)
+	c.im = make([]float64, spec.Nlon)
 	return c
 }
 
@@ -104,7 +116,8 @@ func (c *Convolution) coefficients(k Kind, j int) []float64 {
 	if co := c.coeffCache[k][j]; co != nil {
 		return co
 	}
-	co := Coefficients(DampingRow(c.spec.Nlon, c.spec.LatCenter(j), k.CritLat()))
+	c.damp = DampingRowInto(c.damp, c.spec.Nlon, c.spec.LatCenter(j), k.CritLat())
+	co := coefficients(c.plan, c.damp, c.im)
 	c.coeffCache[k][j] = co
 	return co
 }

@@ -24,6 +24,12 @@ type RowwiseFFT struct {
 
 	// dampCache holds the damping profiles indexed [kind][global j].
 	dampCache [2][][]float64
+
+	// Persistent scratch, as in Convolution: a steady-state Apply allocates
+	// only what AllgathervTree returns.
+	full, buf, row []float64
+	rows           []int
+	widths, offs   []int // the mesh row's longitude segments
 }
 
 // NewRowwiseFFT builds the rejected-alternative filter for this rank.
@@ -35,6 +41,8 @@ func NewRowwiseFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *Rowwise
 	for k := range f.dampCache {
 		f.dampCache[k] = make([][]float64, spec.Nlat)
 	}
+	f.full = make([]float64, spec.Nlon)
+	f.widths, f.offs = lonSegments(local.Decomp, cart.Px)
 	return f
 }
 
@@ -56,40 +64,32 @@ func (f *RowwiseFFT) Apply(vars []Variable) {
 	n := f.spec.Nlon
 	w := f.local.Nlon()
 	lo, _ := f.local.Decomp.LonRange(f.cart.MyCol)
-	full := make([]float64, n)
+	full, widths, offs := f.full, f.widths, f.offs
 	lineFlops := 2*fft.Flops(n) + 4*float64(n)
 
 	for _, v := range vars {
 		// Local filtered rows of this variable (same on the whole mesh
 		// row); equatorial mesh rows stay idle.
-		var rows []int
+		f.rows = f.rows[:0]
 		for localJ := 0; localJ < f.local.Nlat(); localJ++ {
 			if IsFiltered(f.spec, v.Kind, f.local.GlobalLat(localJ)) {
-				rows = append(rows, localJ)
+				f.rows = append(f.rows, localJ)
 			}
 		}
-		if len(rows) == 0 {
+		if len(f.rows) == 0 {
 			continue
 		}
 		// Pack all (row, layer) segments, gather the slab once.
-		buf := make([]float64, 0, len(rows)*f.spec.Nlayers*w)
-		for _, localJ := range rows {
+		f.buf = f.buf[:0]
+		for _, localJ := range f.rows {
 			for k := 0; k < f.spec.Nlayers; k++ {
-				buf = append(buf, v.Field.RowSlice(localJ, k, nil)...)
+				f.row = v.Field.RowSlice(localJ, k, f.row)
+				f.buf = append(f.buf, f.row...)
 			}
 		}
-		parts := f.cart.Row.AllgathervTree(buf)
-		widths := make([]int, f.cart.Px)
-		offs := make([]int, f.cart.Px)
-		pos := 0
-		for col := 0; col < f.cart.Px; col++ {
-			a, b := f.local.Decomp.LonRange(col)
-			widths[col] = b - a
-			offs[col] = pos
-			pos += b - a
-		}
+		parts := f.cart.Row.AllgathervTree(f.buf)
 		// Transform every line redundantly; keep my segment.
-		for li, localJ := range rows {
+		for li, localJ := range f.rows {
 			damp := f.damping(v.Kind, f.local.GlobalLat(localJ))
 			for k := 0; k < f.spec.Nlayers; k++ {
 				line := li*f.spec.Nlayers + k

@@ -50,8 +50,12 @@ func DefaultHost() Calib {
 			Dynamics:   2.160031516168156,
 			Physics:    4.273914344262374,
 			FilterConv: 1.813989414417996,
-			FilterFFT:  0.3240541741447226,
-			Network:    0.11010412802215186,
+			// The fit's 0.324 times 2.39: the compiled mixed-radix FFT cut
+			// the filter's share of a 144x90x9 one-rank run's CPU profile
+			// from 3.40 s to 1.42 s.  A whole refit on today's shared host
+			// does not converge, so only this class was moved.
+			FilterFFT: 0.775,
+			Network:   0.11010412802215186,
 		},
 	}
 }
