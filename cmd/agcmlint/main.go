@@ -7,7 +7,6 @@
 //
 //	agcmlint ./...
 //	agcmlint -json ./internal/comm ./internal/sim
-//	agcmlint -sarif ./... > findings.sarif
 //
 // It also speaks the `go vet -vettool` protocol (-V=full, -flags, and
 // single-unit *.cfg analysis), so the same binary runs under the build
@@ -48,23 +47,18 @@ func main() {
 	}
 
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (file, line, col, analyzer, message)")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (standalone mode only)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: agcmlint [-json|-sarif] [packages]\n   or: go vet -vettool=$(which agcmlint) [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: agcmlint [-json] [packages]\n   or: go vet -vettool=$(which agcmlint) [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	args := flag.Args()
 
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "agcmlint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		runVetUnit(args[0], *jsonOut)
 		return
 	}
-	runStandalone(args, *jsonOut, *sarifOut)
+	runStandalone(args, *jsonOut)
 }
 
 // jsonDiagnostic is the machine-readable diagnostic record of -json mode.
@@ -77,7 +71,7 @@ type jsonDiagnostic struct {
 }
 
 // runStandalone loads packages with the go list based loader and reports.
-func runStandalone(patterns []string, jsonOut, sarifOut bool) {
+func runStandalone(patterns []string, jsonOut bool) {
 	pkgs, err := load.Packages("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "agcmlint: %v\n", err)
@@ -93,8 +87,7 @@ func runStandalone(patterns []string, jsonOut, sarifOut bool) {
 		os.Exit(2)
 	}
 	fset := pkgs[0].Fset
-	switch {
-	case jsonOut, sarifOut:
+	if jsonOut {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
 			p := d.Position(fset)
@@ -103,19 +96,13 @@ func runStandalone(patterns []string, jsonOut, sarifOut bool) {
 				Analyzer: d.Analyzer, Message: d.Message,
 			})
 		}
-		var err error
-		if sarifOut {
-			err = writeSarif(os.Stdout, out)
-		} else {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "\t")
-			err = enc.Encode(out)
-		}
-		if err != nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "\t")
+		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(os.Stderr, "agcmlint: %v\n", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Position(fset), d.Analyzer, d.Message)
 		}

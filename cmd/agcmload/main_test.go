@@ -112,9 +112,6 @@ func TestSpecReconciles(t *testing.T) {
 	spec := writeSpec(t)
 	for _, target := range []string{"agcmd", "gateway"} {
 		for _, accept := range []string{"json", "frame"} {
-			if target == "gateway" && accept == "frame" {
-				continue // agcmgw serves JSON only: see TestMalformedResponseFailsTheRun
-			}
 			t.Run(target+"/"+accept, func(t *testing.T) {
 				args := append(targetArgs(t, target), "-spec", spec, "-accept", accept)
 				code, rep, stdout, stderr := load(t, args...)
@@ -150,11 +147,13 @@ func TestSpecReconciles(t *testing.T) {
 }
 
 // A response that is not what was asked for is a failed run (exit 1), not an
-// inconsistency: the gateway does not forward Accept, so a frame-mode client
-// gets JSON back.
+// inconsistency: here a backend answers a frame-mode client with JSON.
 func TestMalformedResponseFailsTheRun(t *testing.T) {
-	args := append(targetArgs(t, "gateway"), "-spec", writeSpec(t), "-accept", "frame")
-	code, _, stdout, stderr := load(t, args...)
+	jsonOnly := answerFirstRun(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"key":"phantom"}`))
+	})
+	code, _, stdout, stderr := load(t, "-spec", writeSpec(t), "-accept", "frame", "-addr", startAgcmd(t, jsonOnly))
 	if code != 1 || stdout != "" {
 		t.Fatalf("exit %d, want 1 and no report\n%s%s", code, stdout, stderr)
 	}

@@ -6,17 +6,17 @@ import (
 )
 
 // pinAllocFree pins the steady-state allocation count of one communication
-// round at zero on a 4-rank machine.  setup builds a rank's persistent
+// round at zero on a machine of the given size.  setup builds a rank's persistent
 // buffers and returns its round.  testing.AllocsPerRun counts mallocs
 // process-wide, so every rank of the machine — not just the measured one —
 // must run its rounds allocation-free; the warmup rounds populate the
 // transport's message free lists and payload pools first.  AllocsPerRun
 // invokes the measured function runs+1 times, so the partner ranks loop
 // exactly runs+1 rounds to stay matched.
-func pinAllocFree(t *testing.T, name string, setup func(c *Comm) (round func())) {
+func pinAllocFree(t *testing.T, ranks int, name string, setup func(c *Comm) (round func())) {
 	t.Helper()
 	const warm, runs = 5, 50
-	runWorld(t, 4, func(c *Comm) error {
+	runWorld(t, ranks, func(c *Comm) error {
 		round := setup(c)
 		for i := 0; i < warm; i++ {
 			round()
@@ -44,7 +44,7 @@ func rankData(c *Comm, n int) []float64 {
 }
 
 func TestAllreduceIntoAllocFree(t *testing.T) {
-	pinAllocFree(t, "AllreduceInto", func(c *Comm) func() {
+	pinAllocFree(t, 4, "AllreduceInto", func(c *Comm) func() {
 		data := rankData(c, 64)
 		out := make([]float64, 0, len(data))
 		return func() { out = c.AllreduceInto(data, out, SumOp) }
@@ -52,7 +52,7 @@ func TestAllreduceIntoAllocFree(t *testing.T) {
 }
 
 func TestAlltoallvIntoAllocFree(t *testing.T) {
-	pinAllocFree(t, "AlltoallvInto", func(c *Comm) func() {
+	pinAllocFree(t, 4, "AlltoallvInto", func(c *Comm) func() {
 		parts, out := make([][]float64, c.Size()), make([][]float64, c.Size())
 		for i := range parts {
 			parts[i] = rankData(c, 16+i) // a different pool length class per peer
@@ -62,7 +62,7 @@ func TestAlltoallvIntoAllocFree(t *testing.T) {
 }
 
 func TestAllgathervIntoAllocFree(t *testing.T) {
-	pinAllocFree(t, "AllgathervInto", func(c *Comm) func() {
+	pinAllocFree(t, 4, "AllgathervInto", func(c *Comm) func() {
 		data := rankData(c, 16+c.Rank())
 		out := make([][]float64, c.Size())
 		return func() { out = c.AllgathervInto(data, out) }
@@ -70,7 +70,7 @@ func TestAllgathervIntoAllocFree(t *testing.T) {
 }
 
 func TestSendCopyRecvIntoAllocFree(t *testing.T) {
-	pinAllocFree(t, "SendCopy/RecvInto", func(c *Comm) func() {
+	pinAllocFree(t, 4, "SendCopy/RecvInto", func(c *Comm) func() {
 		data := rankData(c, 64)
 		var buf []float64
 		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
@@ -79,4 +79,12 @@ func TestSendCopyRecvIntoAllocFree(t *testing.T) {
 			buf = c.RecvInto(prev, 3, buf)
 		}
 	})
+}
+
+// TestBarrierAllocFree pins the dissemination barrier at the mesh's size: its
+// zero-length tokens ride the mailboxes' n = 0 free lists like any other
+// message, and a barrier bounds how far any rank runs ahead of another, so
+// the warm-up rounds see every queue depth the measured ones do.
+func TestBarrierAllocFree(t *testing.T) {
+	pinAllocFree(t, 240, "Barrier", func(c *Comm) func() { return c.Barrier })
 }

@@ -204,8 +204,8 @@ func (c *Comm) Barrier() {
 	for dist := 1; dist < n; dist *= 2 {
 		dst := (c.me + dist) % n
 		src := (c.me - dist + n) % n
-		c.p.Send(c.WorldRank(dst), c.tag(tagBarrier), nil, 0)
-		c.p.Recv(c.WorldRank(src), c.tag(tagBarrier))
+		c.p.SendFloatsCopy(c.WorldRank(dst), c.tag(tagBarrier), nil, 0)
+		c.p.RecvFloatsInto(c.WorldRank(src), c.tag(tagBarrier), nil)
 	}
 }
 

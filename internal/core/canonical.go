@@ -120,7 +120,7 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		Dt:                cfg.Dt,
 		InitWind:          cfg.InitWind,
 		VerticalDiffusion: cfg.VerticalDiffusion,
-		WarmupSteps:       cfg.WarmupSteps,
+		WarmupSteps:       max(cfg.WarmupSteps, 0),
 		DegradeRank:       cfg.DegradeRank,
 		DegradeFactor:     cfg.DegradeFactor,
 		EventLog:          cfg.EventLog,

@@ -97,7 +97,9 @@ type Config struct {
 	// WarmupSteps are integrated but excluded from timing (leapfrog
 	// startup, physics load-estimate priming).  Default 2; a negative
 	// value disables warmup entirely (used when continuing from a
-	// checkpoint, where re-warming would integrate extra steps).
+	// checkpoint, where re-warming would integrate extra steps) and stays
+	// negative through Normalized — 0 would read as "default" the second
+	// time — so count warmup steps as max(WarmupSteps, 0).
 	WarmupSteps int
 	// DegradeRank, if >= 0, slows that one rank's processor by
 	// DegradeFactor (> 1) — the hardware-heterogeneity scenario for the
@@ -137,7 +139,8 @@ type Config struct {
 	Placement string
 }
 
-// withDefaults fills derived and defaulted fields.
+// withDefaults fills derived and defaulted fields.  Every value it writes is
+// one it leaves alone on a second pass, so it is idempotent.
 func (c Config) withDefaults() (Config, error) {
 	if err := c.Spec.Validate(); err != nil {
 		return c, err
@@ -161,7 +164,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.WarmupSteps = 2
 	}
 	if c.WarmupSteps < 0 {
-		c.WarmupSteps = 0
+		c.WarmupSteps = -1
 	}
 	if c.Fault != nil {
 		if err := c.Fault.Validate(); err != nil {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"agcm/internal/core"
@@ -222,5 +223,47 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 	}
 	if _, err := (core.Config{}).Normalized(); err == nil {
 		t.Fatal("Normalized accepted the zero config")
+	}
+}
+
+// TestNormalizedIdempotent: normalizing is a projection — a second pass
+// changes nothing — and it does not move the config's key, so a normalized
+// config is the same simulation as the one it came from.  (WarmupSteps -1
+// used to normalize to 0, which the next pass read as "default 2".)
+func TestNormalizedIdempotent(t *testing.T) {
+	for warmup, wantWarm := range map[int]int{-1: 0, 0: 2, 3: 3} {
+		for _, degrade := range []bool{false, true} {
+			for _, dt := range []float64{0, 90} {
+				for _, topology := range []string{"", "none"} {
+					cfg := predictConfig(36, 24, 3, 1, 2)
+					cfg.WarmupSteps, cfg.Dt, cfg.Topology = warmup, dt, topology
+					if degrade {
+						cfg.DegradeRank, cfg.DegradeFactor = 1, 2
+					}
+					name := fmt.Sprintf("warmup=%d degrade=%v dt=%g topology=%q", warmup, degrade, dt, topology)
+					once, err := cfg.Normalized()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					twice, err := once.Normalized()
+					if err != nil {
+						t.Fatalf("%s: second pass: %v", name, err)
+					}
+					if !reflect.DeepEqual(once, twice) {
+						t.Errorf("%s: a second Normalized changed the config:\n once  %+v\n twice %+v", name, once, twice)
+					}
+					if got := max(once.WarmupSteps, 0); got != wantWarm {
+						t.Errorf("%s: normalized to %d warmup steps, want %d", name, got, wantWarm)
+					}
+					key, err := cfg.ConfigKey()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if normKey, err := once.ConfigKey(); err != nil || normKey != key {
+						t.Errorf("%s: ConfigKey of the normalized config = %s (%v), of the original %s", name, normKey, err, key)
+					}
+				}
+			}
+		}
 	}
 }

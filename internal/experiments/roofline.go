@@ -30,7 +30,7 @@ func fitMachineGrid(m *machine.Model, opt Options) (roofline.Efficiencies, []roo
 		if err != nil {
 			return calib.Eff, nil, err
 		}
-		perDay := float64(cp.Cfg.StepsPerDay()) / float64(opt.steps()+norm.WarmupSteps)
+		perDay := float64(cp.Cfg.StepsPerDay()) / float64(opt.steps()+max(norm.WarmupSteps, 0))
 		for j := range raw {
 			raw[j] *= perDay
 		}

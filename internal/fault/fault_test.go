@@ -27,8 +27,8 @@ func ringProgram(rounds int) func(p *sim.Proc) error {
 		prev := (p.Rank() + p.Ranks() - 1) % p.Ranks()
 		for i := 0; i < rounds; i++ {
 			p.Compute(1e4)
-			p.Send(next, i, nil, 128)
-			p.Recv(prev, i)
+			p.SendFloatsCopy(next, i, nil, 128)
+			p.RecvFloatsInto(prev, i, nil)
 		}
 		return nil
 	}
@@ -180,10 +180,10 @@ func TestCrashInRecvWait(t *testing.T) {
 	res, err := m.Run(func(p *sim.Proc) error {
 		if p.Rank() == 0 {
 			p.Compute(2e6) // 2 virtual seconds before sending
-			p.Send(1, 0, nil, 8)
+			p.SendFloatsCopy(1, 0, nil, 8)
 			return nil
 		}
-		p.Recv(0, 0) // message arrives ~2s, crash at 0.5s
+		p.RecvFloatsInto(0, 0, nil) // message arrives ~2s, crash at 0.5s
 		return nil
 	})
 	var ce *sim.CrashError

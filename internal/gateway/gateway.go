@@ -377,9 +377,12 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	key, class := req.Key, req.Class
 	g.metrics.ClassRequests.Inc(class.String())
+	// The client's Accept travels with every backend request below, so a
+	// frame client gets the frame whichever path answers.
+	accept := r.Header.Get("Accept")
 
 	g.budget.Deposit()
-	res, attempts := g.proxyWithRetries(r.Context(), key, class, raw)
+	res, attempts := g.proxyWithRetries(r.Context(), key, class, accept, raw)
 	if res != nil && res.relayable() {
 		g.relay(w, res, attempts, "")
 		label := "ok"
@@ -396,7 +399,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Graceful degradation: before shedding, serve the cached bytes from
 	// any backend that has them — content addressing makes any copy THE
 	// answer.
-	if peek := g.degradedPeek(r.Context(), key); peek != nil {
+	if peek := g.degradedPeek(r.Context(), key, accept); peek != nil {
 		g.events.Emit("degraded", "", key)
 		g.metrics.Requests.Inc("degraded")
 		g.relay(w, peek, attempts, "degraded")
@@ -438,7 +441,7 @@ func (g *Gateway) relay(w http.ResponseWriter, res *attemptResult, attempts int,
 // attempt, classify, and either relay, retry elsewhere (budget and backoff
 // permitting), or give up.  It returns the last result (nil if no attempt
 // ran) and the attempt count.
-func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server.SLOClass, body []byte) (*attemptResult, int) {
+func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server.SLOClass, accept string, body []byte) (*attemptResult, int) {
 	var last *attemptResult
 	attempts := 0
 	lastIdx := -1
@@ -460,13 +463,13 @@ func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server
 		var idx int
 		// Only interactive requests are worth a second shard.
 		if retry == 0 && class == server.Interactive && g.opt.HedgeDelay > 0 {
-			res, idx = g.hedged(ctx, key, class, body)
+			res, idx = g.hedged(ctx, key, class, accept, body)
 		} else {
 			b, probe, i := g.pick(key, lastIdx)
 			if b == nil {
 				break
 			}
-			res, idx = g.attempt(ctx, b, probe, class, body), i
+			res, idx = g.attempt(ctx, b, probe, class, accept, body), i
 		}
 		if res == nil {
 			break
@@ -513,10 +516,10 @@ func (g *Gateway) pick(key string, exclude int) (b *backend, probe bool, idx int
 	return nil, false, -1
 }
 
-// attempt proxies one POST /v1/run to one backend, reads the full response,
-// classifies it, and feeds the breaker, cooldowns, metrics, and the latency
-// ring.
-func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class server.SLOClass, body []byte) *attemptResult {
+// attempt proxies one POST /v1/run to one backend under the client's Accept
+// (none when empty), reads the full response, classifies it, and feeds the
+// breaker, cooldowns, metrics, and the latency ring.
+func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class server.SLOClass, accept string, body []byte) *attemptResult {
 	actx, cancel := context.WithTimeout(ctx, g.opt.AttemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, b.url+"/v1/run", bytes.NewReader(body))
@@ -528,6 +531,9 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class ser
 	// Propagate the resolved class so the backend's scheduler and per-class
 	// metrics see it even when the body has no explicit slo field.
 	req.Header.Set(server.SLOHeader, class.String())
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 
 	b.inflight.Add(1)
 	start := time.Now()
@@ -592,7 +598,7 @@ func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 // next-ranked backend, budget permitting.  The first full response wins and
 // the loser is canceled via context.  Returns the winning result and its
 // backend index.
-func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass, body []byte) (*attemptResult, int) {
+func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass, accept string, body []byte) (*attemptResult, int) {
 	b1, probe1, idx1 := g.pick(key, -1)
 	if b1 == nil {
 		return nil, -1
@@ -614,7 +620,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 	g.stopped.Add(1)
 	go func() {
 		defer g.stopped.Done()
-		ch <- outcome{g.attempt(hctx, b1, probe1, class, body), idx1}
+		ch <- outcome{g.attempt(hctx, b1, probe1, class, accept, body), idx1}
 	}()
 
 	timer := time.NewTimer(g.hedgeDelay())
@@ -639,7 +645,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 	g.stopped.Add(1)
 	go func() {
 		defer g.stopped.Done()
-		ch <- outcome{g.attempt(hctx, b2, probe2, class, body), idx2}
+		ch <- outcome{g.attempt(hctx, b2, probe2, class, accept, body), idx2}
 	}()
 
 	//lint:allow ctxflow bounded wait: both attempts are deadline-bound by AttemptTimeout and canceled through hctx on both caller cancel and Close
@@ -670,10 +676,10 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 }
 
 // degradedPeek asks every backend, in policy order and regardless of
-// health, whether it has the key's bytes cached (GET /v1/cache/{key}).  A
-// dying or draining backend can still answer — content addressing makes
-// any copy authoritative.
-func (g *Gateway) degradedPeek(ctx context.Context, key string) *attemptResult {
+// health, whether it has the key's bytes cached (GET /v1/cache/{key}, in the
+// encoding the client's Accept negotiates).  A dying or draining backend can
+// still answer — content addressing makes any copy authoritative.
+func (g *Gateway) degradedPeek(ctx context.Context, key, accept string) *attemptResult {
 	timeout := 2 * time.Second
 	if g.opt.AttemptTimeout < timeout {
 		timeout = g.opt.AttemptTimeout
@@ -685,6 +691,9 @@ func (g *Gateway) degradedPeek(ctx context.Context, key string) *attemptResult {
 		if err != nil {
 			cancel()
 			continue
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		resp, err := g.client.Do(req)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,6 +33,15 @@ type stubBackend struct {
 	run   func(w http.ResponseWriter, r *http.Request)
 	// cached, when non-empty, is served for every /v1/cache/{key} GET.
 	cached atomic.Pointer[string]
+	// accepts holds "path: Accept values" of every run and cache request.
+	mu      sync.Mutex
+	accepts []string
+}
+
+func (b *stubBackend) sawAccept(r *http.Request) {
+	b.mu.Lock()
+	b.accepts = append(b.accepts, fmt.Sprintf("%s: %q", r.URL.Path, r.Header.Values("Accept")))
+	b.mu.Unlock()
 }
 
 func newStubBackend(run func(w http.ResponseWriter, r *http.Request)) *stubBackend {
@@ -40,6 +50,7 @@ func newStubBackend(run func(w http.ResponseWriter, r *http.Request)) *stubBacke
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, r *http.Request) {
 		b.runs.Add(1)
+		b.sawAccept(r)
 		b.run(w, r)
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -50,6 +61,7 @@ func newStubBackend(run func(w http.ResponseWriter, r *http.Request)) *stubBacke
 		io.WriteString(w, "ready\n")
 	})
 	mux.HandleFunc("/v1/cache/", func(w http.ResponseWriter, r *http.Request) {
+		b.sawAccept(r)
 		if body := b.cached.Load(); body != nil && *body != "" {
 			w.Header().Set("X-Agcmd-Cache", "peek")
 			io.WriteString(w, *body)
@@ -299,6 +311,79 @@ func TestDegradedServeFromAnyCache(t *testing.T) {
 	}
 	if g.metrics.Requests.Get("degraded") != 1 {
 		t.Errorf("degraded counter = %d, want 1", g.metrics.Requests.Get("degraded"))
+	}
+}
+
+// TestAcceptForwardedOnEveryPath: the client's Accept must reach the backend
+// on the first attempt, the hedge, the retry and the degraded cache peek, and a
+// client that sent none must have none added.  Whichever backend is hit first
+// holds its 503 until the hedge has reached the other, so one request walks
+// all four paths.
+func TestAcceptForwardedOnEveryPath(t *testing.T) {
+	for _, accept := range []string{"", server.FrameContentType} {
+		var arrivals atomic.Int64
+		hedged := make(chan struct{})
+		run := func(w http.ResponseWriter, r *http.Request) {
+			switch arrivals.Add(1) {
+			case 1:
+				select {
+				case <-hedged:
+				case <-r.Context().Done():
+				}
+			case 2:
+				close(hedged)
+			}
+			always503(w, r)
+		}
+		a, b := newStubBackend(run), newStubBackend(run)
+		cached := "cached bytes\n"
+		a.cached.Store(&cached)
+		b.cached.Store(&cached)
+		g := newTestGateway(t, Options{HedgeDelay: time.Millisecond, RetryMax: 1}, a, b)
+		ts := httptest.NewServer(g.Handler())
+
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", strings.NewReader(
+			`{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon","mesh_py":1,"mesh_px":1,"filter":"fft"},"steps":1,"slo":"interactive"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || string(body) != cached || resp.Header.Get("X-Agcmgw-Degraded") != "1" {
+			t.Errorf("Accept %q: status %d, body %q; want the degraded serve of the cached bytes", accept, resp.StatusCode, body)
+		}
+		if g.metrics.Hedges.Get("launched") != 1 || g.metrics.Retries.Get() != 1 {
+			t.Errorf("Accept %q: %d hedges, %d retries; want one of each", accept, g.metrics.Hedges.Get("launched"), g.metrics.Retries.Get())
+		}
+		ts.Close()
+		a.ts.Close()
+		b.ts.Close()
+		want := "[]"
+		if accept != "" {
+			want = fmt.Sprintf("%q", []string{accept})
+		}
+		seen := append(a.accepts, b.accepts...)
+		runs, peeks := 0, 0
+		for _, line := range seen {
+			switch path, got, _ := strings.Cut(line, ": "); {
+			case got != want:
+				t.Errorf("Accept %q: backend saw %s", accept, line)
+			case path == "/v1/run":
+				runs++
+			default:
+				peeks++
+			}
+		}
+		if runs != 3 || peeks != 1 {
+			t.Errorf("Accept %q: %d run attempts and %d peeks reached the backends, want 3 and 1: %v", accept, runs, peeks, seen)
+		}
 	}
 }
 

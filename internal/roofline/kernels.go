@@ -278,7 +278,7 @@ func CountKernels(cfg core.Config, measuredSteps int) (Counts, error) {
 		})
 	}
 
-	counts := Counts{Steps: measuredSteps + c.WarmupSteps, Kernels: kernels, Degrade: 1}
+	counts := Counts{Steps: measuredSteps + max(c.WarmupSteps, 0), Kernels: kernels, Degrade: 1}
 	if c.DegradeRank >= 0 {
 		counts.Degrade = c.DegradeFactor
 	}

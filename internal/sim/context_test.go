@@ -13,11 +13,11 @@ func pingPongForever(p *Proc) error {
 	peer := 1 - p.Rank()
 	for {
 		if p.Rank() == 0 {
-			p.Send(peer, 1, nil, 8)
-			p.Recv(peer, 2)
+			p.SendFloatsCopy(peer, 1, nil, 8)
+			p.RecvFloatsInto(peer, 2, nil)
 		} else {
-			p.Recv(peer, 1)
-			p.Send(peer, 2, nil, 8)
+			p.RecvFloatsInto(peer, 1, nil)
+			p.SendFloatsCopy(peer, 2, nil, 8)
 		}
 		p.Compute(100)
 	}
@@ -81,7 +81,7 @@ func TestWatchdogWinsOverCancel(t *testing.T) {
 	defer cancel()
 	_, err := m.RunContext(ctx, func(p *Proc) error {
 		// Both ranks wait on tags nobody sends: an immediate deadlock.
-		p.Recv(1-p.Rank(), 99)
+		p.RecvFloatsInto(1-p.Rank(), 99, nil)
 		return nil
 	})
 	var de *DeadlockError

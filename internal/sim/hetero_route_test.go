@@ -47,17 +47,17 @@ func routedDegradedRun(t *testing.T) *sim.Result {
 		for step := 0; step < 3; step++ {
 			p.Timed("compute", func() { p.Compute(float64(1000 * (1 + p.Rank()))) })
 			// Ring exchange.
-			p.SendFloats((p.Rank()+1)%n, 1, []float64{float64(step)}, 64)
-			p.Recv((p.Rank()+n-1)%n, 1)
+			p.SendFloatsCopy((p.Rank()+1)%n, 1, []float64{float64(step)}, 64)
+			p.RecvFloatsInto((p.Rank()+n-1)%n, 1, nil)
 			// All-to-all, the transpose pattern.
 			for d := 0; d < n; d++ {
 				if d != p.Rank() {
-					p.SendFloats(d, 2, []float64{1, 2, 3}, 24)
+					p.SendFloatsCopy(d, 2, []float64{1, 2, 3}, 24)
 				}
 			}
 			for s := 0; s < n; s++ {
 				if s != p.Rank() {
-					p.Recv(s, 2)
+					p.RecvFloatsInto(s, 2, nil)
 				}
 			}
 		}
@@ -109,10 +109,10 @@ func TestFlatRouteMatchesNoRouteModel(t *testing.T) {
 		res, err := m.Run(func(p *sim.Proc) error {
 			n := p.Ranks()
 			p.Timed("work", func() { p.Compute(500) })
-			p.SendFloats((p.Rank()+1)%n, 1, []float64{1}, 128)
-			p.Recv((p.Rank()+n-1)%n, 1)
-			p.SendFloats((p.Rank()+2)%n, 2, []float64{1}, 4096)
-			p.Recv((p.Rank()+2)%n, 2)
+			p.SendFloatsCopy((p.Rank()+1)%n, 1, []float64{1}, 128)
+			p.RecvFloatsInto((p.Rank()+n-1)%n, 1, nil)
+			p.SendFloatsCopy((p.Rank()+2)%n, 2, []float64{1}, 4096)
+			p.RecvFloatsInto((p.Rank()+2)%n, 2, nil)
 			return nil
 		})
 		if err != nil {

@@ -13,6 +13,14 @@
 // Virtual time never depends on wall-clock time or on the Go scheduler:
 // messages are matched by (source, tag) in FIFO order, so any program that is
 // deterministic per rank produces bit-identical clocks on every run.
+//
+// There is one kind of message: a []float64 sent by value.  SendFloatsCopy
+// copies the sender's slice into a buffer owned by the destination's mailbox
+// and RecvFloatsInto copies it out into the receiver's own buffer, so the one
+// ownership rule is that the sender keeps its slice and the receiver owns its
+// own; no slice is ever reachable from two ranks.  The wire size charged to
+// the clocks is a separate argument, so a zero-length message with bytes = 0
+// is a pure synchronisation token.
 package sim
 
 import (
@@ -64,20 +72,17 @@ type FaultHook interface {
 	CrashTime(rank int) float64
 }
 
-// message is an in-flight point-to-point message.  Float payloads travel in
-// the typed floats field so the hot comm paths never box a slice into the
-// payload interface (each such boxing is a heap allocation).  Messages are
+// message is an in-flight point-to-point message: a private copy of the
+// sender's floats plus what the receiver needs to charge for it.  Messages are
 // intrusive list nodes: next links one into its queue while in flight and into
-// a free list while idle, where it keeps its pooled buffer.
+// a free list while idle.  floats is the mailbox's own buffer and never leaves
+// the message, so a message stays in its length class for life.
 type message struct {
-	next     *message
-	payload  any       // non-float payloads (ints, nil barrier tokens, ...)
-	floats   []float64 // typed float payload, valid when isFloats is set
-	isFloats bool      // payload travels in floats (which may be a nil slice)
-	pooled   bool      // floats is the mailbox's own buffer and returns to it with the message
-	bytes    int
-	arrive   float64 // virtual arrival time at the receiver
-	seq      int64   // per-sender sequence number, for event logging
+	next   *message
+	floats []float64
+	bytes  int     // wire size used for timing, independent of len(floats)
+	arrive float64 // virtual arrival time at the receiver
+	seq    int64   // per-sender sequence number, for event logging
 }
 
 // qkey packs a (source, tag) pair into one word: the queue map takes the
@@ -123,12 +128,11 @@ func carve[T any](slab *[]T, chunk int) *T {
 // guards every field; only the owning rank waits on cond.
 //
 // Idle messages sit on per-length free lists: free[n] is a sentinel (so push
-// and pop never write the map) heading the messages whose pooled buffer holds
-// exactly n floats, free[0] the bare ones.  A pooled buffer is owned by its
-// message: post fills it, RecvFloatsInto copies it out under the same lock and
-// message and buffer go back on free[n] together, so the steady-state
-// transport allocates nothing.  Recv on a pooled message instead hands the
-// buffer to the caller for good and the message goes back bare.  Everything
+// and pop never write the map) heading the messages whose buffer holds exactly
+// n floats, free[0] the bufferless tokens.  post copies the sender's floats
+// into the buffer, take copies them out into the receiver's under the same
+// lock and the message goes back on free[n], so the steady-state transport
+// allocates nothing and no slice is ever shared between ranks.  Everything
 // carved lives as long as the Machine; reset returns undelivered messages to
 // the free lists, so a second Run starts warm.
 type mailbox struct {
@@ -136,7 +140,7 @@ type mailbox struct {
 	cond   *sync.Cond
 	queues map[uint64]*msgQueue
 	all    *msgQueue        // every queue, through msgQueue.link
-	free   map[int]*message // free-list sentinels by pooled buffer length
+	free   map[int]*message // free-list sentinels by buffer length
 	closed bool
 	wd     *watchdog
 
@@ -186,9 +190,7 @@ func (mb *mailbox) queue(k uint64) *msgQueue {
 	return q
 }
 
-// newFloats returns an n-float buffer: carved when short (capacity-clipped,
-// so a Recv caller who ends up owning it cannot append into its neighbour),
-// made whole otherwise.
+// newFloats returns an n-float buffer: carved when short, made whole otherwise.
 func (mb *mailbox) newFloats(n int) []float64 {
 	if n == 0 || n > carveFloats {
 		return make([]float64, n)
@@ -196,22 +198,14 @@ func (mb *mailbox) newFloats(n int) []float64 {
 	if len(mb.floatSlab) < n {
 		mb.floatSlab = make([]float64, floatChunk)
 	}
-	buf := mb.floatSlab[:n:n]
+	buf := mb.floatSlab[:n]
 	mb.floatSlab = mb.floatSlab[n:]
 	return buf
 }
 
-// recycle puts a dequeued message on its free list: with its buffer if it
-// still owns one, bare otherwise.
+// recycle puts a dequeued message on the free list of its length class.
 func (mb *mailbox) recycle(mp *message) {
-	n := 0
-	if mp.pooled {
-		n = len(mp.floats)
-	} else {
-		mp.floats = nil
-	}
-	mp.payload = nil
-	h := mb.freeList(n)
+	h := mb.freeList(len(mp.floats))
 	mp.next, h.next = h.next, mp
 }
 
@@ -226,18 +220,14 @@ func (mb *mailbox) unpark(k uint64) bool {
 	return true
 }
 
-// post enqueues a message under one lock acquisition, filling a free-list
-// struct in place (the fields are arguments so no intermediate message is
-// copied on the hot path).  With copyFloats set the message carries a pooled
-// private copy of floats instead of the caller's slice.  If the owner is
-// parked on exactly this key, post unparks it under the lock that published
-// the key, then wakes it; a post on any other key wakes nobody and touches no
-// shared state.
-func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats, copyFloats bool, bytes int, arrive float64, seq int64) {
-	n := 0
-	if copyFloats {
-		n = len(floats)
-	}
+// post enqueues a private copy of floats under one lock acquisition, filling a
+// free-list message of that length in place (the fields are arguments so no
+// intermediate message is copied on the hot path).  If the owner is parked on
+// exactly this key, post unparks it under the lock that published the key,
+// then wakes it; a post on any other key wakes nobody and touches no shared
+// state.
+func (mb *mailbox) post(source, tag int, floats []float64, bytes int, arrive float64, seq int64) {
+	n := len(floats)
 	mb.mu.Lock()
 	h := mb.freeList(n)
 	mp := h.next
@@ -245,16 +235,9 @@ func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats
 		h.next, mp.next = mp.next, nil
 	} else {
 		mp = carve(&mb.msgSlab, msgChunk)
+		mp.floats = mb.newFloats(n)
 	}
-	if copyFloats {
-		if mp.floats == nil {
-			mp.floats = mb.newFloats(n)
-		}
-		copy(mp.floats, floats)
-	} else {
-		mp.floats = floats
-	}
-	mp.payload, mp.isFloats, mp.pooled = payload, isFloats, copyFloats
+	copy(mp.floats, floats)
 	mp.bytes, mp.arrive, mp.seq = bytes, arrive, seq
 	k := qkey(source, tag)
 	q := mb.lastPostQ
@@ -276,11 +259,10 @@ func (mb *mailbox) post(source, tag int, payload any, floats []float64, isFloats
 }
 
 // take dequeues the next message of (source, tag), parking until one is
-// posted; ok is false if the mailbox was closed instead.  With into non-nil a
-// float payload is copied into *into (grown from (*into)[:0]) under the same
-// lock acquisition and a pooled buffer stays with its message; otherwise the
-// payload — pooled or not — leaves with the returned message.
-func (mb *mailbox) take(source, tag int, into *[]float64) (m message, ok bool) {
+// posted; ok is false if the mailbox was closed instead.  The payload is copied
+// into buf (grown as needed from buf[:0]) under the same lock acquisition and
+// returned as out; m carries the message's cost fields only.
+func (mb *mailbox) take(source, tag int, buf []float64) (out []float64, m message, ok bool) {
 	k := qkey(source, tag)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -291,7 +273,7 @@ func (mb *mailbox) take(source, tag int, into *[]float64) (m message, ok bool) {
 	}
 	for q.head == nil {
 		if mb.closed {
-			return message{}, false
+			return buf, message{}, false
 		}
 		// Publishing under mu orders the registration against every post: an
 		// earlier one is in the queue already, a later one sees the key.
@@ -302,15 +284,10 @@ func (mb *mailbox) take(source, tag int, into *[]float64) (m message, ok bool) {
 	}
 	mp := q.head
 	q.head = mp.next
-	m = *mp
-	if into != nil && mp.isFloats {
-		*into = append((*into)[:0], mp.floats...)
-		m.floats = nil
-	} else {
-		mp.pooled = false
-	}
+	out = append(buf[:0], mp.floats...)
+	m = message{bytes: mp.bytes, arrive: mp.arrive, seq: mp.seq}
 	mb.recycle(mp)
-	return m, true
+	return out, m, true
 }
 
 // close marks the mailbox closed, waking its owner if parked.
@@ -411,7 +388,7 @@ type Result struct {
 	// (P*logP messages for the ring, O(N*P) volume, and so on).
 	MessagesSent []int64
 	BytesSent    []int64
-	// WaitSeconds is the virtual time each rank spent blocked in Recv
+	// WaitSeconds is the virtual time each rank spent blocked in a receive
 	// waiting for messages that had not yet arrived: the sum of
 	// communication latency and load-imbalance idling.
 	WaitSeconds []float64
@@ -485,8 +462,8 @@ func (r *Result) Categories() []string {
 // until every rank returns.  The returned Result holds the final clocks.
 //
 // Run cannot hang: if any rank returns an error or panics, every mailbox is
-// closed so peers blocked in Recv abort instead of waiting forever, and if
-// all live ranks ever block simultaneously on messages that can never
+// closed so peers blocked in a receive abort instead of waiting forever, and
+// if all live ranks ever block simultaneously on messages that can never
 // arrive, the built-in watchdog aborts the run with a DeadlockError naming
 // each blocked (rank, src, tag).  Errors are reported by decreasing
 // usefulness: injected crashes (CrashError), then deadlocks, then
@@ -498,9 +475,9 @@ func (m *Machine) Run(body func(p *Proc) error) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: when ctx is cancelled or
-// its deadline passes, every mailbox is closed so ranks parked in Recv abort
-// at their next communication point (computation between communications is
-// never interrupted), and RunContext returns a *CanceledError wrapping
+// its deadline passes, every mailbox is closed so ranks parked in a receive
+// abort at their next communication point (computation between communications
+// is never interrupted), and RunContext returns a *CanceledError wrapping
 // ctx.Err().  Cancellation composes with the hang watchdog rather than
 // racing it: a machine the watchdog has already proven deadlocked reports
 // the DeadlockError even if ctx expires during the shutdown drain, because
@@ -567,7 +544,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 				if errs[r] != nil {
 					// A rank that *returns* an error must release its
 					// peers exactly like one that panics, or they hang
-					// in Recv forever.
+					// in a receive forever.
 					m.wd.shutdown()
 					return
 				}
@@ -638,7 +615,8 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 }
 
 // Proc is one simulated processor.  All methods must be called only from the
-// goroutine running that rank's body.
+// goroutine running that rank's body.  It talks to other ranks through
+// SendFloatsCopy and RecvFloatsInto alone.
 type Proc struct {
 	rank         int
 	machine      *Machine
@@ -725,48 +703,19 @@ func (p *Proc) crash() {
 	panic(&CrashError{Rank: p.rank, At: p.crashAt})
 }
 
-// Send transmits payload to rank dst with the given tag.  bytes is the wire
-// size used for timing.  Send is eager and asynchronous: it costs the sender
-// only the send overhead.  Payloads are passed by reference; senders must
-// not mutate a payload after sending it.
-func (p *Proc) Send(dst, tag int, payload any, bytes int) {
-	p.send(dst, tag, payload, nil, false, false, bytes)
-}
-
-// SendFloats transmits a float slice by reference without boxing it into an
-// interface: ownership of data transfers to the receiver, so the sender must
-// not touch it again.  This is the sim-level ownership-transfer primitive and
-// nothing above sim uses it — package comm sends by value (SendFloatsCopy);
-// it is kept because the benchmark's sim.pingpong_ns_per_msg probe times it.
-func (p *Proc) SendFloats(dst, tag int, data []float64, bytes int) {
-	p.send(dst, tag, nil, data, true, false, bytes)
-}
-
-// SendFloatsCopy transmits a copy of data drawn from the destination's
-// payload pool: the caller may reuse data immediately, and the receiver
-// recycles the copy on RecvFloatsInto.  At steady state this is both safe
-// against aliasing and allocation-free.
+// SendFloatsCopy transmits a copy of data to rank dst with the given tag;
+// bytes is the wire size used for timing.  The send is eager and asynchronous:
+// it costs the sender only the send overhead, and the sender keeps data and may
+// reuse it immediately.  The copy lives in a buffer of the destination's
+// mailbox that RecvFloatsInto recycles, so at steady state the exchange is both
+// safe against aliasing and allocation-free.
 func (p *Proc) SendFloatsCopy(dst, tag int, data []float64, bytes int) {
-	p.send(dst, tag, nil, data, true, true, bytes)
-}
-
-// send is the one transmit path.  isFloats selects which of payload/floats
-// carries the data; copyFloats makes the message a pooled copy of floats.
-func (p *Proc) send(dst, tag int, payload any, floats []float64, isFloats, copyFloats bool, bytes int) {
 	if dst < 0 || dst >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d send to invalid rank %d", p.rank, dst))
 	}
-	arrive, seq := p.sendClock(dst, tag, bytes)
-	p.machine.boxes[dst].post(p.rank, tag, payload, floats, isFloats, copyFloats, bytes, arrive, seq)
-}
-
-// sendClock charges the sender-side cost of one message — counters, send
-// overhead, fault perturbation and event logging — and returns the message's
-// arrival time and sequence number.
-func (p *Proc) sendClock(dst, tag, bytes int) (arrive float64, seq int64) {
 	p.messagesSent++
 	p.bytesSent += int64(bytes)
-	seq = p.messagesSent
+	seq := p.messagesSent
 	fault := p.machine.fault
 	overhead := p.machine.models[p.rank].SendOverheadSeconds(bytes)
 	if fault != nil {
@@ -793,28 +742,27 @@ func (p *Proc) sendClock(dst, tag, bytes int) (arrive float64, seq int64) {
 		}
 	}
 	p.logSend(dst, bytes, p.clock, seq)
-	return p.clock + wire, seq
+	p.machine.boxes[dst].post(p.rank, tag, data, bytes, p.clock+wire, seq)
 }
 
-// recvMsg blocks until a message from rank src with the given tag arrives,
-// advances the clock to at least its arrival time plus the receive overhead,
-// and returns it.
-func (p *Proc) recvMsg(src, tag int) message {
+// SendFloats is SendFloatsCopy under the name the frozen benchmark/probes.go
+// (sim.pingpong_ns_per_msg) calls; nothing else uses it.
+func (p *Proc) SendFloats(dst, tag int, data []float64, bytes int) {
+	p.SendFloatsCopy(dst, tag, data, bytes)
+}
+
+// RecvFloatsInto blocks until a message from rank src with the given tag
+// arrives, copies its payload into buf (grown as needed from buf[:0]) and
+// returns the filled slice, which the caller owns.  The local clock advances
+// to at least the message's arrival time plus the receive overhead.
+func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
 	if src < 0 || src >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d recv from invalid rank %d", p.rank, src))
 	}
-	m, ok := p.machine.boxes[p.rank].take(src, tag, nil)
+	buf, m, ok := p.machine.boxes[p.rank].take(src, tag, buf)
 	if !ok {
 		panic(&abortedError{rank: p.rank})
 	}
-	p.arriveMsg(src, &m)
-	return m
-}
-
-// arriveMsg charges the receiver-side cost of a message just taken from src:
-// the wait until its arrival time, the receive overhead, any fault
-// perturbation, and the event log entry.
-func (p *Proc) arriveMsg(src int, m *message) {
 	waitedFrom := p.clock
 	if m.arrive > p.clock {
 		if m.arrive >= p.crashAt {
@@ -834,43 +782,7 @@ func (p *Proc) arriveMsg(src int, m *message) {
 		p.clock += overhead
 	}
 	p.logRecv(src, m.bytes, waitedFrom, p.clock, m.seq)
-}
-
-// Recv blocks until a message from rank src with the given tag arrives, then
-// returns its payload.  The local clock advances to at least the message's
-// arrival time plus the receive overhead.
-func (p *Proc) Recv(src, tag int) any {
-	m := p.recvMsg(src, tag)
-	if m.isFloats {
-		// A typed payload received through the untyped path transfers
-		// ownership to the caller; it is never recycled.
-		return m.floats
-	}
-	return m.payload
-}
-
-// RecvFloatsInto receives a float payload by copying it into buf (grown as
-// needed from buf[:0]) and returns the filled slice.  Pooled payloads —
-// those sent with SendFloatsCopy — are recycled into this rank's payload
-// pool, so a steady-state SendFloatsCopy/RecvFloatsInto exchange allocates
-// nothing.
-func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
-	if src < 0 || src >= p.machine.n {
-		panic(fmt.Sprintf("sim: rank %d recv from invalid rank %d", p.rank, src))
-	}
-	m, ok := p.machine.boxes[p.rank].take(src, tag, &buf)
-	if !ok {
-		panic(&abortedError{rank: p.rank})
-	}
-	p.arriveMsg(src, &m)
-	if m.isFloats {
-		return buf // copied under the mailbox lock
-	}
-	// Untyped payloads fall back to the copy-after-take path.
-	if m.payload == nil {
-		return buf[:0]
-	}
-	return append(buf[:0], m.payload.([]float64)...)
+	return buf
 }
 
 // Account attributes seconds of already-elapsed virtual time to a named

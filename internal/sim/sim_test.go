@@ -93,9 +93,9 @@ func TestSendRecvClockPropagation(t *testing.T) {
 	res, err := m.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
 			p.Compute(5000) // 5 ms of work before sending
-			p.Send(1, 7, []float64{1, 2, 3}, bytes)
+			p.SendFloatsCopy(1, 7, []float64{1, 2, 3}, bytes)
 		} else {
-			got := p.Recv(0, 7).([]float64)
+			got := p.RecvFloatsInto(0, 7, nil)
 			if len(got) != 3 || got[2] != 3 {
 				return fmt.Errorf("bad payload %v", got)
 			}
@@ -122,10 +122,10 @@ func TestRecvDoesNotRewindClock(t *testing.T) {
 	m := New(2, model)
 	res, err := m.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, 1, []float64{42}, 8)
+			p.SendFloatsCopy(1, 1, []float64{42}, 8)
 		} else {
 			p.Compute(1e6) // 1 virtual second: message arrives long before
-			p.Recv(0, 1)
+			p.RecvFloatsInto(0, 1, nil)
 		}
 		return nil
 	})
@@ -143,23 +143,23 @@ func TestMessagesMatchedBySourceAndTagFIFO(t *testing.T) {
 	_, err := m.Run(func(p *Proc) error {
 		switch p.Rank() {
 		case 0:
-			p.Send(2, 5, []float64{10}, 8)
-			p.Send(2, 5, []float64{11}, 8)
-			p.Send(2, 6, []float64{12}, 8)
+			p.SendFloatsCopy(2, 5, []float64{10}, 8)
+			p.SendFloatsCopy(2, 5, []float64{11}, 8)
+			p.SendFloatsCopy(2, 6, []float64{12}, 8)
 		case 1:
-			p.Send(2, 5, []float64{20}, 8)
+			p.SendFloatsCopy(2, 5, []float64{20}, 8)
 		case 2:
 			// Receive out of arrival order on purpose: tag 6 first.
-			if v := p.Recv(0, 6).([]float64)[0]; v != 12 {
+			if v := p.RecvFloatsInto(0, 6, nil)[0]; v != 12 {
 				return fmt.Errorf("tag 6 got %v, want 12", v)
 			}
-			if v := p.Recv(1, 5).([]float64)[0]; v != 20 {
+			if v := p.RecvFloatsInto(1, 5, nil)[0]; v != 20 {
 				return fmt.Errorf("src 1 got %v, want 20", v)
 			}
-			if v := p.Recv(0, 5).([]float64)[0]; v != 10 {
+			if v := p.RecvFloatsInto(0, 5, nil)[0]; v != 10 {
 				return fmt.Errorf("first src-0 tag-5 got %v, want 10 (FIFO)", v)
 			}
-			if v := p.Recv(0, 5).([]float64)[0]; v != 11 {
+			if v := p.RecvFloatsInto(0, 5, nil)[0]; v != 11 {
 				return fmt.Errorf("second src-0 tag-5 got %v, want 11 (FIFO)", v)
 			}
 		}
@@ -173,8 +173,8 @@ func TestMessagesMatchedBySourceAndTagFIFO(t *testing.T) {
 func TestSelfSend(t *testing.T) {
 	m := New(1, newTestModel())
 	_, err := m.Run(func(p *Proc) error {
-		p.Send(0, 3, []float64{7}, 8)
-		if v := p.Recv(0, 3).([]float64)[0]; v != 7 {
+		p.SendFloatsCopy(0, 3, []float64{7}, 8)
+		if v := p.RecvFloatsInto(0, 3, nil)[0]; v != 7 {
 			return fmt.Errorf("self-send payload %v, want 7", v)
 		}
 		return nil
@@ -188,9 +188,9 @@ func TestSendInvalidRankPanicsIntoError(t *testing.T) {
 	m := New(2, newTestModel())
 	_, err := m.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(5, 0, nil, 0)
+			p.SendFloatsCopy(5, 0, nil, 0)
 		} else {
-			p.Recv(0, 0) // will be unblocked by shutdown
+			p.RecvFloatsInto(0, 0, nil) // will be unblocked by shutdown
 		}
 		return nil
 	})
@@ -219,7 +219,7 @@ func TestPanicInOneRankUnblocksOthers(t *testing.T) {
 		if p.Rank() == 0 {
 			panic("deliberate")
 		}
-		p.Recv(0, 9) // never sent; must be released by shutdown
+		p.RecvFloatsInto(0, 9, nil) // never sent; must be released by shutdown
 		return nil
 	})
 	if err == nil {
@@ -235,8 +235,8 @@ func TestDeterministicClocksAcrossRuns(t *testing.T) {
 			p.Compute(float64(1000 * (p.Rank()%3 + 1)))
 			next := (p.Rank() + 1) % p.Ranks()
 			prev := (p.Rank() + p.Ranks() - 1) % p.Ranks()
-			p.Send(next, 0, []float64{float64(p.Rank())}, 8)
-			p.Recv(prev, 0)
+			p.SendFloatsCopy(next, 0, []float64{float64(p.Rank())}, 8)
+			p.RecvFloatsInto(prev, 0, nil)
 			p.Compute(500)
 			return nil
 		})
@@ -307,13 +307,13 @@ func TestMessageStatistics(t *testing.T) {
 	m := New(3, newTestModel())
 	res, err := m.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, 0, []float64{1, 2}, 16)
-			p.Send(2, 0, []float64{1}, 8)
+			p.SendFloatsCopy(1, 0, []float64{1, 2}, 16)
+			p.SendFloatsCopy(2, 0, []float64{1}, 8)
 			if p.MessagesSent() != 2 || p.BytesSent() != 24 {
 				return fmt.Errorf("rank 0 stats %d/%d", p.MessagesSent(), p.BytesSent())
 			}
 		} else {
-			p.Recv(0, 0)
+			p.RecvFloatsInto(0, 0, nil)
 		}
 		return nil
 	})

@@ -6,57 +6,129 @@ import (
 	"testing"
 )
 
-// TestFloatTransportForms sends one float payload through every pairing of
-// the three send forms (boxed Send, by-reference SendFloats, pooled
-// SendFloatsCopy) with the two receive forms (Recv, RecvFloatsInto): all six
-// go through the one enqueue body, so all must deliver the same values at the
-// same virtual time, and only the copying send may leave the sender free to
-// reuse its buffer.
+// TestFloatTransportForms sends one payload under both send names —
+// SendFloatsCopy and the SendFloats forwarder the frozen benchmark probe calls
+// — into RecvFloatsInto: both are the one enqueue body, so both must deliver
+// the same values at the same virtual time and leave the sender free to reuse
+// its buffer.
 func TestFloatTransportForms(t *testing.T) {
 	sends := []struct {
-		name   string
-		copies bool
-		send   func(p *Proc, data []float64)
-	}{
-		{"Send", false, func(p *Proc, data []float64) { p.Send(1, 4, data, 8*len(data)) }},
-		{"SendFloats", false, func(p *Proc, data []float64) { p.SendFloats(1, 4, data, 8*len(data)) }},
-		{"SendFloatsCopy", true, func(p *Proc, data []float64) { p.SendFloatsCopy(1, 4, data, 8*len(data)) }},
-	}
-	recvs := []struct {
 		name string
-		recv func(p *Proc) []float64
+		send func(p *Proc, data []float64)
 	}{
-		{"Recv", func(p *Proc) []float64 { return p.Recv(0, 4).([]float64) }},
-		{"RecvFloatsInto", func(p *Proc) []float64 { return p.RecvFloatsInto(0, 4, make([]float64, 1, 8)) }},
+		{"SendFloats", func(p *Proc, data []float64) { p.SendFloats(1, 4, data, 8*len(data)) }},
+		{"SendFloatsCopy", func(p *Proc, data []float64) { p.SendFloatsCopy(1, 4, data, 8*len(data)) }},
 	}
 	var clocks []float64
 	for _, s := range sends {
-		for _, r := range recvs {
-			s, r := s, r
-			res, err := New(2, newTestModel()).Run(func(p *Proc) error {
-				if p.Rank() == 0 {
-					data := []float64{1, 2, 3}
-					s.send(p, data)
-					if s.copies {
-						data[0] = 99 // the receiver must not see this
-					}
-					return nil
-				}
-				if got := r.recv(p); fmt.Sprint(got) != "[1 2 3]" {
-					return fmt.Errorf("%s -> %s delivered %v, want [1 2 3]", s.name, r.name, got)
-				}
+		s := s
+		res, err := New(2, newTestModel()).Run(func(p *Proc) error {
+			if p.Rank() == 0 {
+				data := []float64{1, 2, 3}
+				s.send(p, data)
+				data[0] = 99 // the receiver must not see this
 				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
-			clocks = append(clocks, res.Clocks[1])
+			if got := p.RecvFloatsInto(0, 4, make([]float64, 1, 8)); fmt.Sprint(got) != "[1 2 3]" {
+				return fmt.Errorf("%s delivered %v, want [1 2 3]", s.name, got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		clocks = append(clocks, res.Clocks[1])
 	}
-	for i, c := range clocks {
-		if c != clocks[0] {
-			t.Errorf("pairing %d finished at %g, pairing 0 at %g: the forms must cost the same", i, c, clocks[0])
+	if clocks[0] != clocks[1] {
+		t.Errorf("SendFloats finished at %g, SendFloatsCopy at %g: the names must cost the same", clocks[0], clocks[1])
+	}
+}
+
+// TestTransportValueSemantics pins the one ownership rule from both sides.
+// The sender posts two messages on one (src, tag) before the receiver takes
+// either, overwriting its buffer after each send; the receiver scribbles over
+// what it received before taking the second, and takes the third into the
+// same buffer once a recycled message carries it.  No write on either side
+// may reach a message in flight or one delivered later.
+func TestTransportValueSemantics(t *testing.T) {
+	_, err := New(2, newTestModel()).Run(func(p *Proc) error {
+		if p.Rank() == 0 {
+			data := []float64{1, 2, 3}
+			p.SendFloatsCopy(1, 4, data, 24)
+			data[0], data[1], data[2] = 4, 5, 6
+			p.SendFloatsCopy(1, 4, data, 24)
+			data[0], data[1], data[2] = -1, -1, -1
+			p.SendFloatsCopy(1, 5, nil, 0) // both are posted
+			p.RecvFloatsInto(1, 5, nil)    // the first is back on the free list
+			data[0], data[1], data[2] = 7, 8, 9
+			p.SendFloatsCopy(1, 4, data, 24)
+			data[0] = -1
+			return nil
 		}
+		p.RecvFloatsInto(0, 5, nil)
+		var buf []float64
+		for i, want := range []string{"[1 2 3]", "[4 5 6]", "[7 8 9]"} {
+			buf = p.RecvFloatsInto(0, 4, buf)
+			if got := fmt.Sprint(buf); got != want {
+				return fmt.Errorf("message %d delivered %v, want %s", i, got, want)
+			}
+			for j := range buf {
+				buf[j] = -2 // must not reach the mailbox's copy of a later message
+			}
+			if i == 0 {
+				p.SendFloatsCopy(0, 5, nil, 0)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestZeroLengthRoundTrip pins the synchronisation token: a nil payload with
+// bytes = 0 arrives as a length-0 slice whether the receiver offers a buffer
+// or nil, moves no data, and — riding the n = 0 free list — allocates nothing
+// once the first round has carved its messages.
+func TestZeroLengthRoundTrip(t *testing.T) {
+	_, err := New(2, newTestModel()).Run(func(p *Proc) error {
+		peer := 1 - p.Rank()
+		round := func() error {
+			p.SendFloatsCopy(peer, 1, nil, 0)
+			if got := p.RecvFloatsInto(peer, 1, nil); len(got) != 0 {
+				return fmt.Errorf("token into nil arrived as %v, want length 0", got)
+			}
+			p.SendFloatsCopy(peer, 1, []float64{}, 0)
+			if got := p.RecvFloatsInto(peer, 1, make([]float64, 3)); len(got) != 0 || cap(got) != 3 {
+				return fmt.Errorf("token into a buffer arrived as len %d cap %d, want 0 and 3", len(got), cap(got))
+			}
+			return nil
+		}
+		if err := round(); err != nil {
+			return err
+		}
+		if p.BytesSent() != 0 || p.MessagesSent() != 2 {
+			return fmt.Errorf("two tokens counted as %d messages, %d bytes; want 2 and 0", p.MessagesSent(), p.BytesSent())
+		}
+		const runs = 100
+		token := func() {
+			p.SendFloatsCopy(peer, 2, nil, 0)
+			p.RecvFloatsInto(peer, 2, nil)
+		}
+		token()
+		if p.Rank() == 1 {
+			for i := 0; i < runs+1; i++ {
+				token()
+			}
+			return nil
+		}
+		if n := testing.AllocsPerRun(runs, token); n != 0 {
+			return fmt.Errorf("a token round trip allocated %.1f times; want 0", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -84,14 +156,14 @@ func TestCopyTransportAllocFree(t *testing.T) {
 			round()
 		}
 		if p.Rank() != 0 {
-			p.Send(0, 3, nil, 0)
-			p.Recv(0, 3)
+			p.SendFloatsCopy(0, 3, nil, 0)
+			p.RecvFloatsInto(0, 3, nil)
 		} else {
 			for r := 1; r < ranks; r++ {
-				p.Recv(r, 3)
+				p.RecvFloatsInto(r, 3, nil)
 			}
 			for r := 1; r < ranks; r++ {
-				p.Send(r, 3, nil, 0)
+				p.SendFloatsCopy(r, 3, nil, 0)
 			}
 		}
 		if p.Rank() == 0 {
@@ -123,8 +195,8 @@ func TestQueueSenderOneAheadAllocFree(t *testing.T) {
 		if p.Rank() == 1 {
 			for i := 0; i < 2*msgs; i++ {
 				buf = p.RecvFloatsInto(0, 1, buf)
-				p.Send(0, 2, nil, 0) // took message i
-				p.Recv(0, 3)         // message i+2 is posted
+				p.SendFloatsCopy(0, 2, nil, 0) // took message i
+				p.RecvFloatsInto(0, 3, nil)    // message i+2 is posted
 			}
 			return nil
 		}
@@ -132,9 +204,9 @@ func TestQueueSenderOneAheadAllocFree(t *testing.T) {
 		p.SendFloatsCopy(1, 1, data, 64)
 		n := testing.AllocsPerRun(1, func() {
 			for i := 0; i < msgs; i++ {
-				p.Recv(1, 2)
+				p.RecvFloatsInto(1, 2, nil)
 				p.SendFloatsCopy(1, 1, data, 64)
-				p.Send(1, 3, nil, 0)
+				p.SendFloatsCopy(1, 3, nil, 0)
 			}
 		})
 		if n != 0 {

@@ -2,7 +2,7 @@ package sim
 
 // Hang watchdog: the simulator's answer to the classic MPI failure mode in
 // which one rank's mistake (a mismatched tag, an early exit, a crashed node)
-// leaves every other rank blocked in Recv forever and the whole process —
+// leaves every other rank blocked in a receive forever and the whole process —
 // including `go test` — hangs with no diagnosis.
 //
 // Every rank that parks inside mailbox.take publishes the (src, tag) pair it
@@ -29,8 +29,9 @@ import (
 	"sync/atomic"
 )
 
-// DeadlockError reports a machine-wide hang: every live rank blocked in Recv
-// on a message that can never arrive.  Blocked lists the wait-for edges.
+// DeadlockError reports a machine-wide hang: every live rank blocked in a
+// receive on a message that can never arrive.  Blocked lists the wait-for
+// edges.
 type DeadlockError struct {
 	// Blocked holds one entry per parked rank, sorted by rank.
 	Blocked []BlockedRank
@@ -38,7 +39,7 @@ type DeadlockError struct {
 	Dead []int
 }
 
-// BlockedRank is one node of the wait-for graph: Rank is parked in Recv
+// BlockedRank is one node of the wait-for graph: Rank is parked in a receive
 // waiting for a message from Src with the given (machine-level) Tag.
 type BlockedRank struct {
 	Rank, Src, Tag int
@@ -87,7 +88,7 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the context error for errors.Is/As.
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// abortedError marks a rank whose Recv was released by a machine abort
+// abortedError marks a rank whose receive was released by a machine abort
 // (deadlock, peer panic or peer error); it is a victim, not a cause, and
 // Run prefers any other error over it.
 type abortedError struct {

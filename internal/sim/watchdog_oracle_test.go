@@ -213,9 +213,9 @@ func runCounter(progs [][]rankOp) (*DeadlockError, error) {
 		for _, op := range progs[p.Rank()] {
 			switch op.kind {
 			case 's':
-				p.Send(op.peer, op.tag, nil, 8)
+				p.SendFloatsCopy(op.peer, op.tag, nil, 8)
 			case 'r':
-				p.Recv(op.peer, op.tag)
+				p.RecvFloatsInto(op.peer, op.tag, nil)
 			case 'c':
 				panic(&CrashError{Rank: p.Rank(), At: p.Clock()})
 			}

@@ -36,10 +36,10 @@ func TestDeadlockMismatchedTags(t *testing.T) {
 	start := time.Now()
 	_, err := m.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.Send(1, 1, nil, 8) // tag 1, but rank 1 waits for tag 2
-			p.Recv(1, 3)
+			p.SendFloatsCopy(1, 1, nil, 8) // tag 1, but rank 1 waits for tag 2
+			p.RecvFloatsInto(1, 3, nil)
 		} else {
-			p.Recv(0, 2)
+			p.RecvFloatsInto(0, 2, nil)
 		}
 		return nil
 	})
@@ -73,7 +73,7 @@ func TestDeadlockMismatchedTags(t *testing.T) {
 func TestDeadlockSingleRankSelfWait(t *testing.T) {
 	m := New(1, newTestModel())
 	_, err := m.Run(func(p *Proc) error {
-		p.Recv(0, 7)
+		p.RecvFloatsInto(0, 7, nil)
 		return nil
 	})
 	var de *DeadlockError
@@ -93,9 +93,9 @@ func TestNoFalseDeadlockUnderLoad(t *testing.T) {
 			next := (p.Rank() + 1) % p.Ranks()
 			prev := (p.Rank() + p.Ranks() - 1) % p.Ranks()
 			for i := 0; i < 200; i++ {
-				p.Send(next, i, i, 8)
-				if got := p.Recv(prev, i).(int); got != i {
-					t.Errorf("rank %d: recv %d, want %d", p.Rank(), got, i)
+				p.SendFloatsCopy(next, i, []float64{float64(i)}, 8)
+				if got := p.RecvFloatsInto(prev, i, nil); len(got) != 1 || got[0] != float64(i) {
+					t.Errorf("rank %d: recv %v, want [%d]", p.Rank(), got, i)
 				}
 			}
 			return nil
@@ -111,14 +111,15 @@ func TestNoFalseDeadlockUnderLoad(t *testing.T) {
 // (clearing them would blind the watchdog to a later deadlock) and must still
 // be delivered when the owner comes to ask for it.
 func TestNonMatchingPostNeitherUnblocksNorIsLost(t *testing.T) {
+	const first, second = 1.0, 2.0
 	m := New(2, newTestModel())
 	_, err := m.Run(func(p *Proc) error {
 		if p.Rank() == 1 {
-			if got := p.Recv(0, 5); got != "second" {
-				return fmt.Errorf("Recv(0, 5) = %v, want second", got)
+			if got := p.RecvFloatsInto(0, 5, nil); len(got) != 1 || got[0] != second {
+				return fmt.Errorf("RecvFloatsInto(0, 5) = %v, want [%v]", got, second)
 			}
-			if got := p.Recv(0, 6); got != "first" {
-				return fmt.Errorf("Recv(0, 6) = %v, want first", got)
+			if got := p.RecvFloatsInto(0, 6, nil); len(got) != 1 || got[0] != first {
+				return fmt.Errorf("RecvFloatsInto(0, 6) = %v, want [%v]", got, first)
 			}
 			return nil
 		}
@@ -126,11 +127,11 @@ func TestNonMatchingPostNeitherUnblocksNorIsLost(t *testing.T) {
 		for box.waiting.Load() != qkey(0, 5) {
 			runtime.Gosched() // until rank 1 is parked on (0, 5)
 		}
-		p.Send(1, 6, "first", 8)
+		p.SendFloatsCopy(1, 6, []float64{first}, 8)
 		if k, n := box.waiting.Load(), m.wd.stuck.Load(); k != qkey(0, 5) || n != 1 {
 			return fmt.Errorf("after a tag-6 post: published key %#x, %d ranks counted stuck; want %#x and 1", k, n, qkey(0, 5))
 		}
-		p.Send(1, 5, "second", 8)
+		p.SendFloatsCopy(1, 5, []float64{second}, 8)
 		if k := box.waiting.Load(); k != noWait {
 			return fmt.Errorf("after the matching post: published key %#x, want none", k)
 		}
@@ -144,15 +145,16 @@ func TestNonMatchingPostNeitherUnblocksNorIsLost(t *testing.T) {
 // TestMachineReuseAfterAbort: a Run that ends in an abort leaves undelivered
 // messages and closed mailboxes behind; the next Run on the same Machine must
 // see neither.  Before mailboxes were reset per Run, the second Run below
-// received the first one's "stale".
+// received the first one's stale message.
 func TestMachineReuseAfterAbort(t *testing.T) {
+	const stale, fresh = -1.0, 1.0
 	aborts := map[string]func(m *Machine) error{
 		"deadlock": func(m *Machine) error {
 			_, err := m.Run(func(p *Proc) error {
 				if p.Rank() == 0 {
-					p.Send(1, 7, "stale", 8)
+					p.SendFloatsCopy(1, 7, []float64{stale}, 8)
 				}
-				p.Recv(1-p.Rank(), 9) // nobody sends tag 9
+				p.RecvFloatsInto(1-p.Rank(), 9, nil) // nobody sends tag 9
 				return nil
 			})
 			var de *DeadlockError
@@ -165,7 +167,7 @@ func TestMachineReuseAfterAbort(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			_, err := m.RunContext(ctx, func(p *Proc) error {
 				if p.Rank() == 0 {
-					p.Send(1, 7, "stale", 8)
+					p.SendFloatsCopy(1, 7, []float64{stale}, 8)
 					cancel()
 				}
 				return pingPongForever(p)
@@ -183,9 +185,9 @@ func TestMachineReuseAfterAbort(t *testing.T) {
 		}
 		_, err := m.Run(func(p *Proc) error {
 			if p.Rank() == 0 {
-				p.Send(1, 7, "fresh", 8)
-			} else if got := p.Recv(0, 7); got != "fresh" {
-				return fmt.Errorf("second Run received %v, want fresh", got)
+				p.SendFloatsCopy(1, 7, []float64{fresh}, 8)
+			} else if got := p.RecvFloatsInto(0, 7, nil); len(got) != 1 || got[0] != fresh {
+				return fmt.Errorf("second Run received %v, want [%v] (fresh)", got, fresh)
 			}
 			return nil
 		})
@@ -209,7 +211,7 @@ func TestErrorReturnUnblocksReceivers(t *testing.T) {
 			if p.Rank() == 2 {
 				return boom
 			}
-			p.Recv(2, 0) // never satisfied
+			p.RecvFloatsInto(2, 0, nil) // never satisfied
 			return nil
 		})
 	}()
@@ -232,8 +234,8 @@ func TestInjectedCrashReported(t *testing.T) {
 	res, err := m.Run(func(p *Proc) error {
 		for i := 0; i < 100; i++ {
 			p.Compute(1e5) // 0.1 virtual seconds per iteration
-			p.Send(1-p.Rank(), i, nil, 8)
-			p.Recv(1-p.Rank(), i)
+			p.SendFloatsCopy(1-p.Rank(), i, nil, 8)
+			p.RecvFloatsInto(1-p.Rank(), i, nil)
 		}
 		return nil
 	})
@@ -264,8 +266,8 @@ func TestInjectedCrashDeterministic(t *testing.T) {
 			prev := (p.Rank() + p.Ranks() - 1) % p.Ranks()
 			for i := 0; i < 50; i++ {
 				p.Compute(1e3)
-				p.Send(next, i, nil, 16)
-				p.Recv(prev, i)
+				p.SendFloatsCopy(next, i, nil, 16)
+				p.RecvFloatsInto(prev, i, nil)
 			}
 			return nil
 		})
@@ -298,8 +300,8 @@ func TestInjectedCrashDeterministic(t *testing.T) {
 func TestZeroFaultHookFree(t *testing.T) {
 	prog := func(p *Proc) error {
 		p.Compute(1e4)
-		p.Send(1-p.Rank(), 0, nil, 64)
-		p.Recv(1-p.Rank(), 0)
+		p.SendFloatsCopy(1-p.Rank(), 0, nil, 64)
+		p.RecvFloatsInto(1-p.Rank(), 0, nil)
 		return nil
 	}
 	a, err := New(2, newTestModel()).Run(prog)
