@@ -107,13 +107,6 @@ func AblationPairwiseRounds(opt Options) (*Output, error) {
 		}}, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // AblationCommPatterns measures the message counts and volumes behind the
 // paper's Section 3.1-3.2 complexity analysis: the ring and tree
 // convolution, the transpose-based FFT, and the load-balanced FFT all move

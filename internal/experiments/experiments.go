@@ -143,13 +143,6 @@ func physicsLB(py, px int, opt Options) (*stats.Table, error) {
 	return tbl, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Table1 is the 8x8 (64-node) physics load-balancing simulation.
 func Table1(opt Options) (*Output, error) {
 	tbl, err := physicsLB(8, 8, opt)

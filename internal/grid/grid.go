@@ -135,13 +135,6 @@ func blockRange(n, p, b int) (lo, hi int) {
 	return lo, lo + size
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // LatRange returns the half-open global latitude-row range owned by
 // processor row `row`.
 func (d Decomp) LatRange(row int) (lo, hi int) {

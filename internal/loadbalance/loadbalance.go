@@ -167,13 +167,6 @@ func PlanRows(counts []int) ([]IntMove, []int) {
 	return moves, targets
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- Scheme 1: cyclic data shuffling (Figure 4) --------------------------
 
 // CyclicShuffleInto returns the scheme-1 plan: every processor divides its

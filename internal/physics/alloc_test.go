@@ -36,6 +36,34 @@ func TestPlanAllocFree(t *testing.T) {
 	}
 }
 
+// TestRunnerStepAllocFree pins the unbalanced physics step on one rank at
+// zero allocations: the columns are computed in place in the fields, block
+// by block, and the block's headers and flop counts live on Step's stack.
+func TestRunnerStepAllocFree(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
+	d, err := grid.NewDecomp(spec, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.New(1, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+		world := comm.World(p)
+		cart := comm.NewCart2D(world, 1, 1)
+		l := grid.NewLocal(d, 0, 0)
+		T, Q := testFields(spec, l)
+		for _, scheme := range []Scheme{None, Pairwise} {
+			r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, 2)
+			step := 0
+			if a := testing.AllocsPerRun(10, func() { r.Step(T, Q, step); step++ }); a != 0 {
+				return fmt.Errorf("%s: one-rank Step allocated %.1f times per call; want 0", scheme, a)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunnerStepAllocBudget pins the steady-state allocations of the
 // balanced physics step: pairwise, two rounds, 2x4 mesh.  AllocsPerRun
 // counts mallocs process-wide, so the figure is per step over all eight
@@ -45,8 +73,10 @@ func TestPlanAllocFree(t *testing.T) {
 // sim (after 300 warm-up steps the count is 0).  Everything the Runner
 // itself owns is reused.  Before the planner worked in place this test
 // measured 49.9 allocations per rank-step here (767 on the 8x30 mesh, where
-// the 241 holdings slices per plan dominate); it measures 1.38 now, and the
-// budget is 5 % of the old figure.
+// the 241 holdings slices per plan dominate); it measures 0.50 now — with
+// the Runner computing in place in the fields and with the column arenas it
+// had before, alike: what is left is sim's — and the budget is 5 % of the
+// old figure.
 func TestRunnerStepAllocBudget(t *testing.T) {
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
 	const py, px, warm, runs = 2, 4, 12, 24
@@ -60,15 +90,7 @@ func TestRunnerStepAllocBudget(t *testing.T) {
 		world := comm.World(p)
 		cart := comm.NewCart2D(world, py, px)
 		l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
-		T := grid.NewField(l, 1)
-		Q := grid.NewField(l, 1)
-		for j := 0; j < l.Nlat(); j++ {
-			for i := 0; i < l.Nlon(); i++ {
-				ref := testColumn(spec, l.GlobalLat(j), l.GlobalLon(i))
-				copy(T.Column(j, i), ref.T)
-				copy(Q.Column(j, i), ref.Q)
-			}
-		}
+		T, Q := testFields(spec, l)
 		r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), Pairwise, 2)
 		step := 0
 		round := func() {

@@ -66,7 +66,10 @@ const packBookkeepingFlops = 24
 // plan identical transfers on every rank, ship columns, compute them where
 // they land, and return the results to their home subdomains.
 //
-// A Runner owns every buffer its step needs and refreshes them in place, so
+// A rank's own columns are never copied: a column is already contiguous in
+// the T and Q fields, so it is computed in place there, packed for shipment
+// from there and a returned result is unpacked into it.  Only the columns of
+// other ranks live in the Runner, and every buffer is refreshed in place, so
 // a steady-state Step allocates nothing on the host side of the model; what
 // still can allocate is the receiver's payload pool in sim, when a message
 // has a length that rank has not seen before.
@@ -81,12 +84,10 @@ type Runner struct {
 	myPrevFlops  float64
 	haveEstimate bool
 
-	// Persistent column storage: the column list, the structs and their
-	// T/Q profiles all live in arenas refreshed in place each step.
-	cols     []*Column
-	colArena []Column
-	tqArena  []float64
-	held     []*Column
+	// held lists the columns this rank holds during a balanced step, in the
+	// order they are computed: ref >= 0 is the rank's own column of that
+	// Index, ref < 0 is foreign[^ref].
+	held []int
 
 	// Columns received from other ranks are rebuilt in these arenas, sized
 	// once per step from the plan.
@@ -152,22 +153,52 @@ func (r *Runner) PrevLoadSeconds() float64 {
 	return r.world.Proc().Model().FlopSeconds(r.myPrevFlops)
 }
 
+// column sets c to the held column ref: a foreign column from the arena, or
+// the rank's own column (canonical (j, i) order) aliasing its storage in
+// the fields.
+func (r *Runner) column(c *Column, T, Q *grid.Field, ref int) {
+	if ref < 0 {
+		*c = r.foreign[^ref]
+		return
+	}
+	j, i := ref/r.local.Nlon(), ref%r.local.Nlon()
+	c.Origin, c.Index = r.world.Rank(), ref
+	c.J, c.I = r.local.GlobalLat(j), r.local.GlobalLon(i)
+	c.T, c.Q = T.Column(j, i), Q.Column(j, i)
+}
+
+// computeBlock runs the model over one block of columns and charges each
+// column's flops to the virtual clock, one column at a time in block order.
+func (r *Runner) computeBlock(blk []Column, step int, flops []float64) {
+	r.Model.computeBlock(blk, step, flops)
+	p := r.world.Proc()
+	for _, f := range flops {
+		p.Compute(f)
+	}
+}
+
 // Step runs one physics step over the T and Q fields, balancing per the
 // configured scheme.  Collective: all ranks call it each step.
 func (r *Runner) Step(T, Q *grid.Field, step int) {
 	p := r.world.Proc()
-	cols := r.extractColumns(T, Q)
+	ncols := r.local.Nlat() * r.local.Nlon()
+	var blk [blockWidth]Column
+	var flops [blockWidth]float64
 
 	if r.scheme == None || !r.haveEstimate || r.world.Size() == 1 {
 		total := 0.0
-		for _, c := range cols {
-			f := r.Model.Compute(c, step)
-			p.Compute(f)
-			total += f
+		for at := 0; at < ncols; at += blockWidth {
+			n := min(blockWidth, ncols-at)
+			for l := range blk[:n] {
+				r.column(&blk[l], T, Q, at+l)
+			}
+			r.computeBlock(blk[:n], step, flops[:n])
+			for _, f := range flops[:n] {
+				total += f
+			}
 		}
 		r.myPrevFlops = total
 		r.haveEstimate = true
-		r.writeBack(cols, T, Q)
 		return
 	}
 
@@ -190,20 +221,23 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 		}
 	}
 	r.resetForeign(incoming)
-	held := append(r.held[:0], cols...)
+	held := slices.Grow(r.held[:0], ncols)
+	for idx := 0; idx < ncols; idx++ {
+		held = append(held, idx)
+	}
 	for _, t := range transfers {
 		tag := tagColumns + t.round
 		switch me {
 		case t.src:
 			nk := len(held) - t.count
-			r.packBuf = packInputs(r.packBuf, held[nk:])
+			r.packInputs(T, Q, held[nk:])
 			held = held[:nk]
 			r.world.SendCopy(t.dst, tag, r.packBuf)
 			p.Compute(packBookkeepingFlops * float64(t.count))
 		case t.dst:
 			r.recvBuf = r.world.RecvInto(t.src, tag, r.recvBuf)
 			before := len(held)
-			held = r.unpackInputs(held, r.recvBuf)
+			held = r.unpackInputs(T, Q, held, r.recvBuf)
 			p.Compute(packBookkeepingFlops * float64(len(held)-before))
 		}
 	}
@@ -214,17 +248,18 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 	for i := range flopsByOrigin {
 		flopsByOrigin[i], fromOrigin[i] = 0, 0
 	}
-	for _, c := range held {
-		f := r.Model.Compute(c, step)
-		p.Compute(f)
-		flopsByOrigin[c.Origin] += f
-		if c.Origin == me {
-			// Own columns normally share pointers with cols, but a
-			// column relayed back home arrives as a fresh struct:
-			// re-link it so its result is not lost.
-			cols[c.Index] = c
-		} else {
-			fromOrigin[c.Origin]++
+	for at := 0; at < len(held); at += blockWidth {
+		n := min(blockWidth, len(held)-at)
+		for l, ref := range held[at : at+n] {
+			r.column(&blk[l], T, Q, ref)
+		}
+		r.computeBlock(blk[:n], step, flops[:n])
+		for l, f := range flops[:n] {
+			origin := blk[l].Origin
+			flopsByOrigin[origin] += f
+			if origin != me {
+				fromOrigin[origin]++
+			}
 		}
 	}
 
@@ -233,12 +268,13 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 		if count == 0 {
 			continue
 		}
-		r.packBuf = packResults(r.packBuf, held, origin)
+		r.packResults(held, origin)
 		r.packBuf = append(r.packBuf, flopsByOrigin[origin])
 		r.world.SendCopy(origin, tagResults, r.packBuf)
 		p.Compute(packBookkeepingFlops * float64(count))
 	}
 	// Who holds my columns now?  The holdings simulation says exactly.
+	// Columns computed here, own or foreign, were mutated where they live.
 	myFlops := flopsByOrigin[me]
 	for holder := 0; holder < r.world.Size(); holder++ {
 		if holder == me || !r.planner.hold.holds(holder, me) {
@@ -247,127 +283,91 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 		r.recvBuf = r.world.RecvInto(holder, tagResults, r.recvBuf)
 		buf := r.recvBuf
 		myFlops += buf[len(buf)-1]
-		r.unpackResults(buf[:len(buf)-1], cols)
+		r.unpackResults(T, Q, buf[:len(buf)-1])
 	}
-	// Columns I computed myself (own or foreign) already mutated in
-	// place; own results for own columns need no copying because held
-	// shares pointers with cols.
 	r.myPrevFlops = myFlops
-	r.writeBack(cols, T, Q)
 }
 
-// extractColumns builds the local column list in the canonical (j, i)
-// order.  The structs and their profile slices live in per-Runner arenas
-// refreshed in place, so steady-state extraction allocates nothing; the
-// pointer table is re-seeded each step because balancing may have swapped
-// foreign column structs into it.
-func (r *Runner) extractColumns(T, Q *grid.Field) []*Column {
-	nlat, nlon, nl := r.local.Nlat(), r.local.Nlon(), r.local.Nlayers()
-	ncols := nlat * nlon
-	if r.cols == nil {
-		r.cols = make([]*Column, ncols)
-		r.colArena = make([]Column, ncols)
-		r.tqArena = make([]float64, 2*ncols*nl)
-		for idx := range r.colArena {
-			r.colArena[idx].T = r.tqArena[2*idx*nl : (2*idx+1)*nl]
-			r.colArena[idx].Q = r.tqArena[(2*idx+1)*nl : (2*idx+2)*nl]
-		}
-	}
-	me := r.world.Rank()
-	for j := 0; j < nlat; j++ {
-		for i := 0; i < nlon; i++ {
-			idx := j*nlon + i
-			c := &r.colArena[idx]
-			c.Origin = me
-			c.Index = idx
-			c.J = r.local.GlobalLat(j)
-			c.I = r.local.GlobalLon(i)
-			copy(c.T, T.Column(j, i))
-			copy(c.Q, Q.Column(j, i))
-			r.cols[idx] = c
-		}
-	}
-	return r.cols
-}
-
-// writeBack stores the (possibly remotely computed) column profiles into
-// the local fields.
-func (r *Runner) writeBack(cols []*Column, T, Q *grid.Field) {
-	nlon := r.local.Nlon()
-	for _, c := range cols {
-		j, i := c.Index/nlon, c.Index%nlon
-		copy(T.Column(j, i), c.T)
-		copy(Q.Column(j, i), c.Q)
-	}
-}
-
-// packInputs serializes columns for shipment into buf[:0]: per column J, I,
-// Origin, Index, then the T and Q profiles.
-func packInputs(buf []float64, cols []*Column) []float64 {
-	buf = buf[:0]
-	for _, c := range cols {
+// packInputs serializes the held columns refs for shipment into packBuf:
+// per column J, I, Origin, Index, then the T and Q profiles.
+func (r *Runner) packInputs(T, Q *grid.Field, refs []int) {
+	buf := r.packBuf[:0]
+	var c Column
+	for _, ref := range refs {
+		r.column(&c, T, Q, ref)
 		buf = append(buf, float64(c.J), float64(c.I), float64(c.Origin), float64(c.Index))
 		buf = append(buf, c.T...)
 		buf = append(buf, c.Q...)
 	}
-	return buf
+	r.packBuf = buf
 }
 
 // resetForeign empties the foreign-column arenas and makes room for n
-// columns, so unpackInputs never grows them while held points into them.
+// columns, so unpackInputs never grows them while held refers into them.
 func (r *Runner) resetForeign(n int) {
 	r.foreign = slices.Grow(r.foreign[:0], n)
 	r.foreignTQ = slices.Grow(r.foreignTQ[:0], 2*n*r.local.Nlayers())
 }
 
-// unpackInputs rebuilds the shipped columns of buf in the foreign-column
-// arenas and appends them to held.
-func (r *Runner) unpackInputs(held []*Column, buf []float64) []*Column {
+// unpackInputs appends the shipped columns of buf to held.  A column of
+// another rank is rebuilt in the foreign-column arenas; one of this rank's
+// own, relayed back home, lands in the fields at its Index.
+func (r *Runner) unpackInputs(T, Q *grid.Field, held []int, buf []float64) []int {
 	nl := r.local.Nlayers()
 	stride := 4 + 2*nl
 	if len(buf)%stride != 0 {
 		panic(fmt.Sprintf("physics: column message of %d values not divisible by %d", len(buf), stride))
 	}
+	me := r.world.Rank()
 	for off := 0; off < len(buf); off += stride {
+		origin, index := int(buf[off+2]), int(buf[off+3])
+		if origin == me {
+			// The record's tail — Index, T, Q — is a result record.
+			r.unpackResults(T, Q, buf[off+3:off+stride])
+			held = append(held, index)
+			continue
+		}
 		at := len(r.foreignTQ)
 		r.foreignTQ = append(r.foreignTQ, buf[off+4:off+stride]...)
 		r.foreign = append(r.foreign, Column{
 			J: int(buf[off]), I: int(buf[off+1]),
-			Origin: int(buf[off+2]), Index: int(buf[off+3]),
+			Origin: origin, Index: index,
 			T: r.foreignTQ[at : at+nl : at+nl],
 			Q: r.foreignTQ[at+nl : at+2*nl : at+2*nl],
 		})
-		held = append(held, &r.foreign[len(r.foreign)-1])
+		held = append(held, ^(len(r.foreign) - 1))
 	}
 	return held
 }
 
 // packResults serializes the computed columns of one origin for the trip
-// home into buf[:0]: per column Index, then T and Q.
-func packResults(buf []float64, cols []*Column, origin int) []float64 {
-	buf = buf[:0]
-	for _, c := range cols {
-		if c.Origin != origin {
+// home into packBuf: per column Index, then T and Q.
+func (r *Runner) packResults(held []int, origin int) {
+	buf := r.packBuf[:0]
+	for _, ref := range held {
+		if ref >= 0 {
 			continue
 		}
-		buf = append(buf, float64(c.Index))
-		buf = append(buf, c.T...)
-		buf = append(buf, c.Q...)
+		if c := &r.foreign[^ref]; c.Origin == origin {
+			buf = append(buf, float64(c.Index))
+			buf = append(buf, c.T...)
+			buf = append(buf, c.Q...)
+		}
 	}
-	return buf
+	r.packBuf = buf
 }
 
-// unpackResults applies returned column profiles to the home column list.
-func (r *Runner) unpackResults(buf []float64, cols []*Column) {
-	nl := r.local.Nlayers()
+// unpackResults stores column profiles (per column Index, then T and Q)
+// into the rank's own columns in the fields.
+func (r *Runner) unpackResults(T, Q *grid.Field, buf []float64) {
+	nl, nlon := r.local.Nlayers(), r.local.Nlon()
 	stride := 1 + 2*nl
 	if len(buf)%stride != 0 {
 		panic(fmt.Sprintf("physics: result message of %d values not divisible by %d", len(buf), stride))
 	}
 	for off := 0; off < len(buf); off += stride {
 		idx := int(buf[off])
-		c := cols[idx]
-		copy(c.T, buf[off+1:off+1+nl])
-		copy(c.Q, buf[off+1+nl:off+stride])
+		copy(T.Column(idx/nlon, idx%nlon), buf[off+1:off+1+nl])
+		copy(Q.Column(idx/nlon, idx%nlon), buf[off+1+nl:off+stride])
 	}
 }

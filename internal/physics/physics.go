@@ -49,20 +49,33 @@ type Column struct {
 	T, Q []float64
 }
 
+// blockWidth is how many columns the regular passes of the kernel run
+// across at once.  Columns are independent, so a block only changes which
+// column's arithmetic the processor has in flight beside which other's: the
+// longwave pair sum is a serial add chain per column, and with several
+// columns' chains interleaved the adds overlap instead of waiting on each
+// other.
+const blockWidth = 8
+
 // Model evaluates column physics.  It is deterministic: the same column at
 // the same step produces the same result and the same cost on any
 // processor — which is what makes load balancing by data movement
-// transparent to the simulation's answer.  The scratch fields only cache
-// values the computation would otherwise rebuild, so they never change an
-// answer; a Model belongs to one rank and Compute is not reentrant.
+// transparent to the simulation's answer.  The tables and scratch fields
+// only hold values the computation would otherwise rebuild, from the same
+// expressions, so they never change an answer; a Model belongs to one rank
+// and Compute is not reentrant.
 type Model struct {
 	Spec        grid.Spec
 	StepsPerDay int
 
-	// Longwave-exchange scratch: t4 holds each layer's (T/300)^4 built
-	// with the same multiplication chain as the direct loop; winv holds
-	// the 1/(1+distance) pair weights, divided out once.
-	t4, winv []float64
+	tab *tables
+
+	// One carve.  hourCos[i] is cos(hour) at longitude i for the step phase
+	// recorded in hourStamp[i] (phase+StepsPerDay, positive for any step, so
+	// zero means not computed yet): the sun's hour angle is evaluated once
+	// per longitude and step, not once per column.  t4 is the longwave
+	// scratch, blockWidth columns of (T/300)^4 per layer.
+	hourCos, hourStamp, t4 []float64
 }
 
 // NewModel builds a physics model for the given grid.
@@ -70,7 +83,9 @@ func NewModel(spec grid.Spec, stepsPerDay int) *Model {
 	if stepsPerDay < 1 {
 		panic("physics: StepsPerDay must be positive")
 	}
-	return &Model{Spec: spec, StepsPerDay: stepsPerDay}
+	carve := make([]float64, 2*spec.Nlon+blockWidth*spec.Nlayers)
+	return &Model{Spec: spec, StepsPerDay: stepsPerDay, tab: tablesFor(spec),
+		hourCos: carve[:spec.Nlon], hourStamp: carve[spec.Nlon : 2*spec.Nlon], t4: carve[2*spec.Nlon:]}
 }
 
 // noise01 is a deterministic hash of (j, i, epoch) to [0, 1): the
@@ -85,14 +100,21 @@ func noise01(j, i, epoch int) float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
+// cosHour returns the cosine of the sun's hour angle at longitude i in the
+// given phase of the day (step % StepsPerDay).
+func (m *Model) cosHour(i, phase int) float64 {
+	if stamp := float64(phase + m.StepsPerDay); m.hourStamp[i] != stamp {
+		hour := m.Spec.LonCenter(i) + 2*math.Pi*float64(phase)/float64(m.StepsPerDay)
+		m.hourCos[i], m.hourStamp[i] = math.Cos(hour), stamp
+	}
+	return m.hourCos[i]
+}
+
 // CosZenith returns the cosine of the solar zenith angle for the column at
 // the given step (equinox declination; the sun moves once around per
 // simulated day).  Positive means daylight.
 func (m *Model) CosZenith(c *Column, step int) float64 {
-	lat := m.Spec.LatCenter(c.J)
-	lon := m.Spec.LonCenter(c.I)
-	hour := lon + 2*math.Pi*float64(step%m.StepsPerDay)/float64(m.StepsPerDay)
-	return math.Cos(lat) * math.Cos(hour)
+	return m.tab.cosLat[c.J] * m.cosHour(c.I, step%m.StepsPerDay)
 }
 
 // Cloudiness returns the column's cloud fraction in [0, 1]: a moisture-
@@ -115,111 +137,156 @@ func (m *Model) Cloudiness(c *Column, step int) float64 {
 // and returns the calibrated flop count of the work performed — the number
 // the caller charges to the virtual clock.  The cost varies column to
 // column exactly as the paper describes, producing the load imbalance that
-// Section 3.4 measures.
+// Section 3.4 measures.  It is the block kernel on a block of one.
 func (m *Model) Compute(c *Column, step int) float64 {
-	k := len(c.T)
-	flops := float64(baseFlops)
+	var flops [1]float64
+	m.computeBlock([]Column{*c}, step, flops[:])
+	return flops[0]
+}
+
+// pairSums returns layer k1's longwave heating for two columns at once: for
+// each, the sum over the other layers k2, in ascending order, of
+// w[k2]*(p[k2]-p[k1]).  Each sum is a serial chain of adds; with two columns
+// in one loop the chains advance side by side in registers.
+func pairSums(pa, pb, w []float64, k1 int) (ha, hb float64) {
+	w, pb = w[:len(pa)], pb[:len(pa)]
+	a1, b1 := pa[k1], pb[k1]
+	for k2, wk := range w[:k1] {
+		ha += wk * (pa[k2] - a1)
+		hb += wk * (pb[k2] - b1)
+	}
+	for k2 := k1 + 1; k2 < len(pa); k2++ {
+		ha += w[k2] * (pa[k2] - a1)
+		hb += w[k2] * (pb[k2] - b1)
+	}
+	return ha, hb
+}
+
+// heatLayer applies layer k1's longwave heating to the profile and
+// refreshes the layer's cached fourth power.
+func heatLayer(T, p []float64, k1 int, heat float64) {
+	T[k1] += 0.02 * heat
+	t := T[k1] / 300
+	p[k1] = t * t * t * t
+}
+
+// computeBlock runs the column physics over up to blockWidth columns of
+// equal depth (at most Spec.Nlayers), mutating each T and Q in place and
+// storing each column's flop count in flops.  Every column goes through
+// exactly the operations, in exactly the order, it would go through alone.
+func (m *Model) computeBlock(cols []Column, step int, flops []float64) {
+	tab := m.tab
+	k := len(cols[0].T)
+	layer1, six, expk := tab.layer1[:k], tab.six[:k], tab.expk[:k]
 
 	// --- Longwave radiation: every layer pair exchanges. ---
 	// Scaled Stefan-Boltzmann exchange, cooling upper layers that are
 	// warmer than their neighbours would be in radiative equilibrium.
-	// The fourth powers and pair weights are cached — refreshed as each
-	// layer updates — with the identical multiplication chain and
-	// division, so every term matches the direct nested loop bit for bit.
-	if cap(m.t4) < k {
-		m.t4 = make([]float64, k)
-		m.winv = make([]float64, k)
-		for d := 0; d < k; d++ {
-			m.winv[d] = 1.0 / float64(1+d)
+	// The fourth powers are cached and refreshed as each layer updates.
+	// Layer k1 of every column is done before layer k1+1 of any: one
+	// column's pair sum is a serial chain of adds, and a layer of one column
+	// is short enough that the processor has several columns' chains in
+	// flight at once.
+	for l := range cols {
+		p := m.t4[l*k : (l+1)*k]
+		for kk, v := range cols[l].T[:k] {
+			t := v / 300
+			p[kk] = t * t * t * t
 		}
-	}
-	t4 := m.t4[:k]
-	winv := m.winv[:k]
-	for kk := 0; kk < k; kk++ {
-		t := c.T[kk] / 300
-		t4[kk] = t * t * t * t
 	}
 	for k1 := 0; k1 < k; k1++ {
-		var heat float64
-		p1 := t4[k1]
-		for k2 := 0; k2 < k1; k2++ {
-			heat += winv[k1-k2] * (t4[k2] - p1)
+		w := tab.wpair[m.Spec.Nlayers-1-k1:]
+		for a := 0; a < len(cols); a += 2 {
+			b := min(a+1, len(cols)-1) // an odd last column pairs with itself
+			pa, pb := m.t4[a*k:(a+1)*k], m.t4[b*k:(b+1)*k]
+			ha, hb := pairSums(pa, pb, w, k1)
+			heatLayer(cols[a].T, pa, k1, ha)
+			if b != a {
+				heatLayer(cols[b].T, pb, k1, hb)
+			}
 		}
-		for k2 := k1 + 1; k2 < k; k2++ {
-			heat += winv[k2-k1] * (t4[k2] - p1)
-		}
-		c.T[k1] += 0.02 * heat
-		t := c.T[k1] / 300
-		t4[k1] = t * t * t * t
-	}
-	flops += float64(k*(k+1)/2) * lwPairFlops
-
-	// --- Shortwave radiation: daylight columns only. ---
-	cosz := m.CosZenith(c, step)
-	cloud := m.Cloudiness(c, step)
-	if cosz > 0 {
-		absorb := 0.5 * cosz * (1 - 0.6*cloud)
-		for kk := 0; kk < k; kk++ {
-			c.T[kk] += 0.01 * absorb / float64(1+kk)
-		}
-		flops += float64(k) * swLayerFlops
-		// Cloudy layers add overlap/scattering work.
-		flops += cloud * float64(k) * cloudLayerFlops
 	}
 
-	// --- Boundary-layer mixing of heat and moisture. ---
-	for kk := 0; kk+1 < min(3, k); kk++ {
-		dT := c.T[kk] - c.T[kk+1]
-		c.T[kk] -= 0.05 * dT * 0.1
-		c.T[kk+1] += 0.05 * dT * 0.1
-		dQ := c.Q[kk] - c.Q[kk+1]
-		c.Q[kk] -= 0.02 * dQ
-		c.Q[kk+1] += 0.02 * dQ
+	var cosz, cloud [blockWidth]float64
+	phase := step % m.StepsPerDay
+	for l := range cols {
+		c := &cols[l]
+		T := c.T[:k]
+		f := float64(baseFlops)
+		f += float64(k*(k+1)/2) * lwPairFlops
+
+		// --- Shortwave radiation: daylight columns only. ---
+		cosz[l] = tab.cosLat[c.J] * m.cosHour(c.I, phase)
+		cloud[l] = m.Cloudiness(c, step)
+		if cosz[l] > 0 {
+			absorb := 0.5 * cosz[l] * (1 - 0.6*cloud[l])
+			for kk := range T {
+				T[kk] += 0.01 * absorb / layer1[kk]
+			}
+			f += float64(k) * swLayerFlops
+			// Cloudy layers add overlap/scattering work.
+			f += cloud[l] * float64(k) * cloudLayerFlops
+		}
+
+		// --- Boundary-layer mixing of heat and moisture. ---
+		Q := c.Q[:k]
+		for kk := 0; kk+1 < min(3, k); kk++ {
+			dT := T[kk] - T[kk+1]
+			T[kk] -= 0.05 * dT * 0.1
+			T[kk+1] += 0.05 * dT * 0.1
+			dQ := Q[kk] - Q[kk+1]
+			Q[kk] -= 0.02 * dQ
+			Q[kk+1] += 0.02 * dQ
+		}
+		f += float64(k) * pblLayerFlops
+		flops[l] = f
 	}
-	flops += float64(k) * pblLayerFlops
 
 	// --- Cumulus convection: conditional instability drives a variable
 	// number of adjustment iterations — the paper's dominant source of
-	// unpredictable load. ---
-	// Surface heating plus tropical moisture destabilize the column.
-	if cosz > 0 {
-		c.T[0] += 0.15 * cosz * (1 - 0.3*cloud)
-	}
-	critLapse := 2.0 - 80.0*c.Q[0] // moist columns convect sooner
-	if critLapse < 0.3 {
-		critLapse = 0.3
-	}
-	iters := 0
-	for ; iters < MaxConvectionIters; iters++ {
-		adjusted := false
-		for kk := 0; kk+1 < k; kk++ {
-			lapse := c.T[kk] - c.T[kk+1]
-			if lapse > critLapse+6.0*float64(kk) {
-				ex := 0.5 * (lapse - 6.0*float64(kk))
-				c.T[kk] -= 0.5 * ex
-				c.T[kk+1] += 0.5 * ex
-				c.Q[kk] *= 0.97 // rainout
-				adjusted = true
+	// unpredictable load.  Data-dependent, so it runs column by column. ---
+	for l := range cols {
+		T, Q := cols[l].T[:k], cols[l].Q[:k]
+		// Surface heating plus tropical moisture destabilize the column.
+		if cosz[l] > 0 {
+			T[0] += 0.15 * cosz[l] * (1 - 0.3*cloud[l])
+		}
+		critLapse := 2.0 - 80.0*Q[0] // moist columns convect sooner
+		if critLapse < 0.3 {
+			critLapse = 0.3
+		}
+		iters := 0
+		for ; iters < MaxConvectionIters; iters++ {
+			adjusted := false
+			for kk := 0; kk+1 < k; kk++ {
+				lapse := T[kk] - T[kk+1]
+				if lapse > critLapse+six[kk] {
+					ex := 0.5 * (lapse - six[kk])
+					T[kk] -= 0.5 * ex
+					T[kk+1] += 0.5 * ex
+					Q[kk] *= 0.97 // rainout
+					adjusted = true
+				}
+			}
+			if !adjusted {
+				break
 			}
 		}
-		if !adjusted {
-			break
-		}
+		flops[l] += float64(iters) * float64(k) * cuIterLayerFlops
 	}
-	flops += float64(iters) * float64(k) * cuIterLayerFlops
 
 	// --- Weak relaxation keeps profiles bounded over long runs. ---
-	lat := m.Spec.LatCenter(c.J)
-	teq := 288 - 60*math.Sin(lat)*math.Sin(lat)
-	qeq := 0.015 * math.Cos(lat)
-	for kk := 0; kk < k; kk++ {
-		c.T[kk] += 0.002 * (teq - 6*float64(kk) - c.T[kk])
-		c.Q[kk] += 0.002 * (qeq*math.Exp(-0.4*float64(kk)) - c.Q[kk])
-		if c.Q[kk] < 0 {
-			c.Q[kk] = 0
+	for l := range cols {
+		T, Q := cols[l].T[:k], cols[l].Q[:k]
+		teq, qeq := tab.teq[cols[l].J], tab.qeq[cols[l].J]
+		for kk := range T {
+			T[kk] += 0.002 * (teq - six[kk] - T[kk])
+			Q[kk] += 0.002 * (qeq*expk[kk] - Q[kk])
+			if Q[kk] < 0 {
+				Q[kk] = 0
+			}
 		}
 	}
-	return flops
 }
 
 // EstimateFlops returns the cost Compute would report for the column
@@ -228,11 +295,4 @@ func (m *Model) EstimateFlops(c *Column, step int) float64 {
 	cp := &Column{Origin: c.Origin, Index: c.Index, J: c.J, I: c.I,
 		T: append([]float64(nil), c.T...), Q: append([]float64(nil), c.Q...)}
 	return m.Compute(cp, step)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -24,6 +24,20 @@ func testColumn(spec grid.Spec, j, i int) *Column {
 	return c
 }
 
+// testFields returns T and Q fields over the subdomain holding testColumn's
+// profile at every point.
+func testFields(spec grid.Spec, l grid.Local) (T, Q *grid.Field) {
+	T, Q = grid.NewField(l, 1), grid.NewField(l, 1)
+	for j := 0; j < l.Nlat(); j++ {
+		for i := 0; i < l.Nlon(); i++ {
+			ref := testColumn(spec, l.GlobalLat(j), l.GlobalLon(i))
+			copy(T.Column(j, i), ref.T)
+			copy(Q.Column(j, i), ref.Q)
+		}
+	}
+	return T, Q
+}
+
 func TestNoise01Range(t *testing.T) {
 	for j := 0; j < 50; j++ {
 		for i := 0; i < 50; i += 7 {
@@ -169,46 +183,45 @@ func TestPopTail(t *testing.T) {
 func runPhysics(t *testing.T, spec grid.Spec, py, px, steps int,
 	scheme Scheme, rounds int) ([]float64, *sim.Result) {
 	t.Helper()
+	T, _, res := runPhysicsTQ(t, spec, py, px, steps, scheme, rounds)
+	return T, res
+}
+
+// runPhysicsTQ is runPhysics returning the gathered Q field as well.
+func runPhysicsTQ(t *testing.T, spec grid.Spec, py, px, steps int,
+	scheme Scheme, rounds int) (outT, outQ []float64, res *sim.Result) {
+	t.Helper()
 	d, err := grid.NewDecomp(spec, py, px)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []float64
 	m := sim.New(py*px, machine.CrayT3D())
-	res, err := m.Run(func(p *sim.Proc) error {
+	res, err = m.Run(func(p *sim.Proc) error {
 		world := comm.World(p)
 		cart := comm.NewCart2D(world, py, px)
 		l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
-		T := grid.NewField(l, 1)
-		Q := grid.NewField(l, 1)
-		for j := 0; j < l.Nlat(); j++ {
-			for i := 0; i < l.Nlon(); i++ {
-				ref := testColumn(spec, l.GlobalLat(j), l.GlobalLon(i))
-				copy(T.Column(j, i), ref.T)
-				copy(Q.Column(j, i), ref.Q)
-			}
-		}
+		T, Q := testFields(spec, l)
 		r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, rounds)
 		for n := 0; n < steps; n++ {
 			p.Timed("physics", func() { r.Step(T, Q, n) })
 		}
-		g := grid.Gather(world, cart, T)
+		gT, gQ := grid.Gather(world, cart, T), grid.Gather(world, cart, Q)
 		if world.Rank() == 0 {
-			out = g
+			outT, outQ = gT, gQ
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, res
+	return outT, outQ, res
 }
 
 func TestBalancedSchemesPreserveResults(t *testing.T) {
 	// The transparency invariant: moving columns around must not change
-	// the answer, for any scheme on any mesh.
+	// one bit of the answer, for any scheme on any mesh.
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
-	want, _ := runPhysics(t, spec, 1, 1, 5, None, 1)
+	wantT, wantQ, _ := runPhysicsTQ(t, spec, 1, 1, 5, None, 1)
 	for _, tc := range []struct {
 		scheme Scheme
 		py, px int
@@ -218,10 +231,13 @@ func TestBalancedSchemesPreserveResults(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s/%dx%d", tc.scheme, tc.py, tc.px)
 		t.Run(name, func(t *testing.T) {
-			got, _ := runPhysics(t, spec, tc.py, tc.px, 5, tc.scheme, 2)
-			for idx := range want {
-				if math.Abs(got[idx]-want[idx]) > 1e-12 {
-					t.Fatalf("T[%d] = %g, want %g", idx, got[idx], want[idx])
+			gotT, gotQ, _ := runPhysicsTQ(t, spec, tc.py, tc.px, 5, tc.scheme, 2)
+			for idx := range wantT {
+				if math.Float64bits(gotT[idx]) != math.Float64bits(wantT[idx]) {
+					t.Fatalf("T[%d] = %g, want %g", idx, gotT[idx], wantT[idx])
+				}
+				if math.Float64bits(gotQ[idx]) != math.Float64bits(wantQ[idx]) {
+					t.Fatalf("Q[%d] = %g, want %g", idx, gotQ[idx], wantQ[idx])
 				}
 			}
 		})
@@ -328,18 +344,27 @@ func TestColumnPackUnpackRoundTrip(t *testing.T) {
 		world := comm.World(p)
 		cart := comm.NewCart2D(world, 1, 1)
 		l := grid.NewLocal(d, 0, 0)
+		T, Q := testFields(spec, l)
 		r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), Pairwise, 2)
+		// Own columns 19 and 41 are packed straight from the fields.
+		refs := []int{19, 41}
 		orig := []*Column{testColumn(spec, 2, 3), testColumn(spec, 5, 1)}
-		orig[0].Origin, orig[0].Index = 0, 19
-		orig[1].Origin, orig[1].Index = 0, 41
-		r.resetForeign(len(orig))
-		got := r.unpackInputs(nil, packInputs(nil, orig))
-		if len(got) != 2 {
-			return fmt.Errorf("got %d columns", len(got))
+		r.packInputs(T, Q, refs)
+		msg := append([]float64(nil), r.packBuf...)
+		// Received by another rank they are foreign: flip the origin.
+		const stride = 4 + 2*3
+		for off := 0; off < len(msg); off += stride {
+			msg[off+2] = 1
 		}
-		for ci := range orig {
-			o, g := orig[ci], got[ci]
-			if o.J != g.J || o.I != g.I || o.Origin != g.Origin || o.Index != g.Index {
+		r.resetForeign(len(refs))
+		held := r.unpackInputs(T, Q, nil, msg)
+		if len(held) != 2 || held[0] != ^0 || held[1] != ^1 {
+			return fmt.Errorf("held = %v, want two foreign columns", held)
+		}
+		for ci, o := range orig {
+			var g Column
+			r.column(&g, T, Q, held[ci])
+			if o.J != g.J || o.I != g.I || g.Origin != 1 || g.Index != refs[ci] {
 				return fmt.Errorf("metadata mismatch: %+v vs %+v", o, g)
 			}
 			for k := range o.T {
@@ -348,13 +373,19 @@ func TestColumnPackUnpackRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		// Results round trip.
-		got[0].T[0] = 999
-		cols := make([]*Column, 64)
-		cols[19], cols[41] = orig[0], orig[1]
-		r.unpackResults(packResults(nil, got, 0), cols)
-		if cols[19].T[0] != 999 {
+		// Results round trip into the fields at the columns' Index.
+		r.foreign[0].T[0] = 999
+		r.packResults(held, 1)
+		r.unpackResults(T, Q, r.packBuf)
+		if T.Column(2, 3)[0] != 999 {
 			return fmt.Errorf("result not applied")
+		}
+		// A column relayed back to its origin is held as the rank's own
+		// again and lands in the fields at its Index.
+		msg[2], msg[4] = 0, 777
+		held = r.unpackInputs(T, Q, nil, msg[:stride])
+		if len(held) != 1 || held[0] != 19 || T.Column(2, 3)[0] != 777 {
+			return fmt.Errorf("relayed column: held %v, T %g", held, T.Column(2, 3)[0])
 		}
 		return nil
 	})

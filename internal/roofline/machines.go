@@ -47,8 +47,13 @@ func DefaultHost() Calib {
 		NetLatencySec:  0,
 		MsgOverheadSec: 1.0e-6,
 		Eff: Efficiencies{
-			Dynamics:   2.160031516168156,
-			Physics:    4.273914344262374,
+			Dynamics: 2.160031516168156,
+			// The fit's 4.274 times 3.10: the block column kernel cut
+			// physics.(*Runner).Step's cumulative CPU in three paired 20-op
+			// profiles of a 144x90x9 one-rank run from 4.37 s to 1.41 s
+			// (34.0 % of the samples to 14.3 %).  Moved alone, as FilterFFT
+			// was and for the same reason.
+			Physics:    13.25,
 			FilterConv: 1.813989414417996,
 			// The fit's 0.324 times 2.39: the compiled mixed-radix FFT cut
 			// the filter's share of a 144x90x9 one-rank run's CPU profile

@@ -46,7 +46,7 @@ type BlockedRank struct {
 }
 
 func (e *DeadlockError) Error() string {
-	s := "sim: deadlock detected: all live ranks blocked in Recv:"
+	s := "sim: deadlock detected: all live ranks blocked in RecvFloatsInto:"
 	for i, b := range e.Blocked {
 		if i > 0 {
 			s += ";"
