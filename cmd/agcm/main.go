@@ -223,9 +223,8 @@ func main() {
 	}
 }
 
-// writeCheckpoint writes the frame-encoded checkpoint format.  -load-state
-// sniffs the magic, so checkpoints written by older builds (the legacy
-// "AGMH" stream) still restore.
+// writeCheckpoint writes the checkpoint -load-state restores: one history
+// frame.
 func writeCheckpoint(path string, file *history.File) {
 	f, err := os.Create(path)
 	if err != nil {

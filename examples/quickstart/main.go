@@ -41,9 +41,8 @@ func main() {
 			fv, rep.Dynamics, rep.FilterTime, rep.Total)
 	}
 
-	// Save a history snapshot in the frame encoding (CRC-protected,
-	// random-access; history.Read sniffs the magic and also still loads
-	// the legacy big-endian stream format).
+	// Save a history snapshot: one CRC-protected frame, the only encoding
+	// history.Read loads.
 	snap, err := core.Snapshot(base, 4)
 	if err != nil {
 		log.Fatal(err)

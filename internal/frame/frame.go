@@ -90,13 +90,6 @@ var (
 // scan, not allocations.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// IsFrame reports whether buf begins with the frame signature — the sniff
-// version-gated readers use to tell frames from legacy formats before
-// committing to either decode path.
-func IsFrame(buf []byte) bool {
-	return len(buf) >= 4 && [4]byte(buf[0:4]) == magic
-}
-
 // Builder assembles a frame.  Sections are opened with Begin (tags must be
 // strictly increasing) and filled with the typed appenders; Finish seals
 // the frame.  A Builder can be Reset and reused, so steady-state encoding

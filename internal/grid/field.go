@@ -34,9 +34,6 @@ func NewField(l Local, halo int) *Field {
 // Local returns the subdomain the field lives on.
 func (f *Field) Local() Local { return f.local }
 
-// Halo returns the halo width.
-func (f *Field) Halo() int { return f.halo }
-
 // index maps local interior coordinates (j latitude, i longitude, k layer),
 // where j and i may extend halo cells outside the interior, to a flat offset.
 func (f *Field) index(j, i, k int) int {
@@ -62,8 +59,9 @@ func (f *Field) Column(j, i int) []float64 {
 
 // RowData returns the padded storage of latitude row j (halo columns
 // included) as one contiguous mutable slice: element (i, k) of the row lives
-// at offset (i+Halo())*Nlayers + k.  Stencil loops use it to index rows
-// directly instead of paying At's offset arithmetic per point.
+// at offset (i+halo)*Nlayers + k, halo being the width the field was made
+// with.  Stencil loops use it to index rows directly instead of paying At's
+// offset arithmetic per point.
 func (f *Field) RowData(j int) []float64 {
 	base := (j + f.halo) * f.nlonP * f.nl
 	return f.data[base : base+f.nlonP*f.nl]
@@ -130,9 +128,6 @@ func (f *Field) SetRowSlice(j, k int, src []float64) {
 		f.Set(j, i, k, v)
 	}
 }
-
-// InteriorBytes returns the wire size of the interior in bytes.
-func (f *Field) InteriorBytes() int { return f.local.Points() * 8 }
 
 // MaxAbs returns the largest absolute interior value, a cheap stability
 // diagnostic.

@@ -97,9 +97,6 @@ func (s Spec) ZonalSpacing(j int) float64 {
 	return EarthRadius * s.CosLatCenter(j) * s.DLon()
 }
 
-// MeridionalSpacing returns the south-north grid distance in metres.
-func (s Spec) MeridionalSpacing() float64 { return EarthRadius * s.DLat() }
-
 // Decomp is a 2-D block decomposition of a Spec over a Py x Px processor
 // mesh: Py processor rows in latitude, Px columns in longitude.  Every
 // subdomain holds all vertical layers, per the paper's design.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"agcm/internal/frame"
+	"agcm/internal/grid"
 )
 
 // TestFrameRoundTrip: frame-encoded history files decode back exactly, and
@@ -40,69 +41,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionGatedReader: one Read loads all three on-disk forms — legacy
-// big-endian, legacy little-endian, and frame — so checkpoints written
-// before the frame migration still restore.
-func TestVersionGatedReader(t *testing.T) {
-	f := demoFile(t)
-	encodings := map[string][]byte{}
-	for name, enc := range map[string]func() ([]byte, error){
-		"legacy-big": func() ([]byte, error) {
-			var b bytes.Buffer
-			err := writeLegacy(&b, f, bigEndian)
-			return b.Bytes(), err
-		},
-		"legacy-little": func() ([]byte, error) {
-			var b bytes.Buffer
-			err := writeLegacy(&b, f, littleEndian)
-			return b.Bytes(), err
-		},
-		"frame": func() ([]byte, error) { return EncodeFrame(f) },
-	} {
-		raw, err := enc()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		encodings[name] = raw
-	}
-	for name, raw := range encodings {
-		got, err := Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Step != f.Step || got.Spec != f.Spec || !reflect.DeepEqual(got.Names, f.Names) {
-			t.Fatalf("%s: metadata mismatch: %+v", name, got)
-		}
-		for i := range f.Data {
-			if !reflect.DeepEqual(got.Data[i], f.Data[i]) {
-				t.Fatalf("%s: variable %q differs", name, f.Names[i])
-			}
-		}
-	}
-}
-
-// TestFrameVariableRandomAccess: a single variable comes out of the frame
-// bytes without decoding the others, and matches the full decode.
-func TestFrameVariableRandomAccess(t *testing.T) {
-	f := demoFile(t)
-	raw, err := EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range f.Names {
-		data, err := FrameVariable(raw, name)
-		if err != nil {
-			t.Fatalf("%q: %v", name, err)
-		}
-		if !reflect.DeepEqual(data, f.Data[i]) {
-			t.Fatalf("%q: random-access data differs from source", name)
-		}
-	}
-	if _, err := FrameVariable(raw, "no-such-variable"); err == nil {
-		t.Fatal("FrameVariable found a variable that does not exist")
-	}
-}
-
 // TestFrameRejectsCorrupt: every single-bit corruption of a history frame
 // is rejected (CRC or layout), never silently decoded and never a panic.
 func TestFrameRejectsCorrupt(t *testing.T) {
@@ -131,17 +69,67 @@ func TestFrameRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestEncodeFrameValidates: malformed in-memory files are refused at
-// encode time, mirroring the legacy writer's checks.
+// TestEncodeFrameValidates: EncodeFrame and Read agree on what a history
+// file is — malformed in-memory files are refused at encode time by the
+// checks the decoder makes, and whatever EncodeFrame returns, Read accepts.
 func TestEncodeFrameValidates(t *testing.T) {
-	f := demoFile(t)
-	f.Names = append(f.Names, "orphan") // name without data
-	if _, err := EncodeFrame(f); err == nil {
-		t.Fatal("EncodeFrame accepted mismatched names/data")
+	small := grid.Spec{Nlon: 4, Nlat: 4, Nlayers: 1}
+	orphan := demoFile(t)
+	orphan.Names = append(orphan.Names, "orphan") // name without data
+	short := demoFile(t)
+	short.Data[0] = short.Data[0][:3]
+	for _, tc := range []struct {
+		name    string
+		f       *File
+		encodes bool
+	}{
+		{"name without data", orphan, false},
+		{"short variable", short, false},
+		{"degenerate grid", &File{Spec: grid.Spec{Nlon: 2, Nlat: 2, Nlayers: 1}}, false},
+		{"nlon over cap", &File{Spec: grid.Spec{Nlon: 1 << 17, Nlat: 4, Nlayers: 1}}, false},
+		{"nlayers over cap", &File{Spec: grid.Spec{Nlon: 4, Nlat: 4, Nlayers: 1 << 13}}, false},
+		{"negative step", &File{Spec: small, Step: -1}, false},
+		{"too many variables", &File{Spec: small, Names: make([]string, 1<<10+1), Data: make([][]float64, 1<<10+1)}, false},
+		{"no variables", &File{Spec: small}, true},
+		{"empty name", &File{Spec: small, Step: 7, Names: []string{""}, Data: [][]float64{make([]float64, 16)}}, true},
+		{"demo", demoFile(t), true},
+	} {
+		raw, err := EncodeFrame(tc.f)
+		if (err == nil) != tc.encodes {
+			t.Errorf("%s: EncodeFrame error %v, want encodes=%v", tc.name, err, tc.encodes)
+		}
+		if err != nil {
+			continue
+		}
+		got, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Errorf("%s: EncodeFrame wrote it, Read refuses it: %v", tc.name, err)
+		} else if !sameFile(got, tc.f) {
+			t.Errorf("%s: did not round-trip", tc.name)
+		}
 	}
-	f = demoFile(t)
-	f.Data[0] = f.Data[0][:3] // wrong length
-	if _, err := EncodeFrame(f); err == nil {
-		t.Fatal("EncodeFrame accepted short variable data")
+}
+
+// TestReadSizesVariablesFromTheirSections: a well-formed frame whose header
+// declares the largest grid the caps allow but carries no such data is
+// refused before anything is allocated from the declared size.
+func TestReadSizesVariablesFromTheirSections(t *testing.T) {
+	var b frame.Builder
+	b.Begin(histSecMeta)
+	b.Uint32(1 << 16)
+	b.Uint32(1 << 16)
+	b.Uint32(1 << 12)
+	b.Uint64(0)
+	b.Uint32(1)
+	b.Begin(histSecNames)
+	b.LenBytes([]byte("x"))
+	b.Begin(histSecVarBase)
+	b.Float64s(nil)
+	raw, err := b.Finish(frame.TypeHistory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(raw)); err == nil {
+		t.Fatal("frame with a 2^44-point header and an empty variable accepted")
 	}
 }

@@ -3,7 +3,6 @@ package history
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -29,115 +28,20 @@ func demoFile(t *testing.T) *File {
 	return f
 }
 
-// writeLegacy is the retired "AGMH" stream encoder, kept only to feed the
-// reader's tests.  The header is always big-endian so a reader can detect
-// the payload order from the stored flag.
-func writeLegacy(w io.Writer, f *File, bo byteOrder) error {
-	hdr := []uint32{
-		Magic, Version, uint32(bo),
-		uint32(f.Spec.Nlon), uint32(f.Spec.Nlat), uint32(f.Spec.Nlayers),
-		uint32(f.Step), uint32(len(f.Names)),
-	}
-	if err := binary.Write(w, binary.BigEndian, hdr); err != nil {
-		return err
-	}
-	ord := bo.order()
-	for i, name := range f.Names {
-		if err := binary.Write(w, binary.BigEndian, uint32(len(name))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, name); err != nil {
-			return err
-		}
-		buf := make([]byte, 8*len(f.Data[i]))
-		for j, v := range f.Data[i] {
-			ord.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func TestRoundTripBothByteOrders(t *testing.T) {
-	for _, bo := range []byteOrder{bigEndian, littleEndian} {
-		f := demoFile(t)
-		var buf bytes.Buffer
-		if err := writeLegacy(&buf, f, bo); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Step != 42 || got.Spec != f.Spec {
-			t.Fatalf("metadata mismatch: %+v", got)
-		}
-		for vi, name := range f.Names {
-			data, err := got.Variable(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range data {
-				if data[i] != f.Data[vi][i] {
-					t.Fatalf("order %d variable %s index %d: %g != %g",
-						bo, name, i, data[i], f.Data[vi][i])
-				}
-			}
-		}
-	}
-}
-
-func TestDifferentByteOrdersDifferOnDisk(t *testing.T) {
-	f := demoFile(t)
-	var big, little bytes.Buffer
-	if err := writeLegacy(&big, f, bigEndian); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeLegacy(&little, f, littleEndian); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(big.Bytes(), little.Bytes()) {
-		t.Fatal("big- and little-endian files identical; endianness ignored")
-	}
-	if big.Len() != little.Len() {
-		t.Fatal("file sizes differ between byte orders")
-	}
-}
-
 func TestReverseBytesConvertsEndianness(t *testing.T) {
 	// Reversing each 8-byte word of a big-endian payload must yield the
 	// little-endian payload — the paper's conversion routine.
-	f := demoFile(t)
-	var big, little bytes.Buffer
-	if err := writeLegacy(&big, f, bigEndian); err != nil {
+	data := demoFile(t).Data[0]
+	big := make([]byte, 8*len(data))
+	little := make([]byte, 8*len(data))
+	for i, v := range data {
+		binary.BigEndian.PutUint64(big[8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(little[8*i:], math.Float64bits(v))
+	}
+	if err := ReverseBytes(big); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeLegacy(&little, f, littleEndian); err != nil {
-		t.Fatal(err)
-	}
-	// Headers (8*4 bytes) are both big-endian; the per-variable name
-	// blocks are identical; only the float payloads differ.  Convert the
-	// whole big payload variable by variable.
-	bb := big.Bytes()
-	lb := little.Bytes()
-	// The stored byte-order flag (header word 2) legitimately differs;
-	// align it so the comparison checks only the payload conversion.
-	bb[11] = lb[11]
-	// Walk the format: 32-byte header, then per variable 4-byte name
-	// length + name + 8*Points payload.
-	off := 32
-	for v := 0; v < 3; v++ {
-		nameLen := int(bb[off+3]) // small names, big-endian u32
-		off += 4 + nameLen
-		payload := bb[off : off+8*f.Spec.Points()]
-		if err := ReverseBytes(payload); err != nil {
-			t.Fatal(err)
-		}
-		off += 8 * f.Spec.Points()
-	}
-	if !bytes.Equal(bb, lb) {
+	if !bytes.Equal(big, little) {
 		t.Fatal("ReverseBytes did not convert big-endian payload to little-endian")
 	}
 }
@@ -168,32 +72,18 @@ func TestReverseBytesInvolution(t *testing.T) {
 	}
 }
 
-func TestReadRejectsCorruptHeaders(t *testing.T) {
-	f := demoFile(t)
-	var buf bytes.Buffer
-	if err := writeLegacy(&buf, f, bigEndian); err != nil {
-		t.Fatal(err)
+// TestReadNamesRetiredFormat: the stream format that preceded frames is
+// refused by name, with the way to convert it, not as a bad frame magic.
+func TestReadNamesRetiredFormat(t *testing.T) {
+	hdr := []byte{'A', 'G', 'M', 'H', 0, 0, 0, 1, 0, 0, 0, 0}
+	_, err := Read(bytes.NewReader(hdr))
+	if err == nil {
+		t.Fatal("AGMH stream accepted")
 	}
-	good := buf.Bytes()
-
-	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), good...)
-		mutate(b)
-		_, err := Read(bytes.NewReader(b))
-		return err
-	}
-	if err := corrupt(func(b []byte) { b[0] = 0xFF }); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if err := corrupt(func(b []byte) { b[7] = 99 }); err == nil {
-		t.Error("bad version accepted")
-	}
-	if err := corrupt(func(b []byte) { b[11] = 9 }); err == nil {
-		t.Error("bad byte-order flag accepted")
-	}
-	// Truncated payload.
-	if _, err := Read(bytes.NewReader(good[:len(good)-10])); err == nil {
-		t.Error("truncated file accepted")
+	for _, want := range []string{`retired "AGMH"`, "save it again", "PR 22 or earlier"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }
 
@@ -218,21 +108,22 @@ func TestSpecialFloatValuesSurvive(t *testing.T) {
 	data[0] = math.Inf(1)
 	data[1] = math.Inf(-1)
 	data[2] = math.SmallestNonzeroFloat64
-	data[3] = -0.0
+	data[3] = math.Copysign(0, -1)
 	data[4] = math.MaxFloat64
+	data[5] = math.Float64frombits(0x7FF8000000000BAD) // a NaN with a payload
 	if err := f.AddVariable("x", data); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeLegacy(&buf, f, littleEndian); err != nil {
+	raw, err := EncodeFrame(f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	x, _ := got.Variable("x")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		if math.Float64bits(x[i]) != math.Float64bits(data[i]) {
 			t.Fatalf("value %d: bits differ", i)
 		}

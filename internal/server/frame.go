@@ -10,31 +10,18 @@ import (
 )
 
 // The daemon's canonical result representation is a frame.Frame of type
-// frame.TypeResponse.  One frame carries both wire forms of a finished run,
-// so the caches (memory and disk) hold a single byte string per key and a
-// hit of either content type is a single Write of stored bytes:
-//
-//	section 1  the exact JSON response body (what Accept: application/json
-//	           clients receive — byte-identical to the pre-frame wire form)
-//	section 2  the job key (lowercase hex)
-//	section 3  run meta: u32 steps
-//	section 4  the canonical config JSON
-//	section 5  the report, fixed-layout binary: u32 ranks, u32 steps,
-//	           u32 steps_per_day, 12 float64 scalars in reportJSON field
-//	           order, then the two length-prefixed load vectors
-//
-// Frame clients (Accept: application/x-agcm-frame) receive the whole frame
-// and can decode any one section without unpacking the rest; JSON clients
-// receive section 1 verbatim.  Because the JSON bytes are embedded, a
+// frame.TypeResponse holding the exact JSON response body under the
+// frame's CRC.  The caches (memory and disk) hold that one byte string per
+// key, and a hit of either content type is a single Write of stored bytes:
+// frame clients (Accept: application/x-agcm-frame) receive the whole frame,
+// checksum included; JSON clients receive the section verbatim, so a
 // restarted daemon replaying frames from the disk tier serves bodies that
 // are byte-identical to what the original process produced.
-const (
-	respSecJSON   = 1
-	respSecKey    = 2
-	respSecMeta   = 3
-	respSecConfig = 4
-	respSecReport = 5
-)
+//
+// The body's tag is 1 and must stay 1: -cache-dirs hold frames from builds
+// that sealed further sections beside it, and those serve unchanged for as
+// long as the body is found under this tag.
+const respSecJSON = 1
 
 // FrameContentType is the content-negotiation token for raw response
 // frames: requests whose Accept header includes it receive the frame
@@ -47,82 +34,15 @@ func wantsFrame(r *http.Request) bool {
 }
 
 // encodeResponseFrame renders a finished run as the canonical response
-// frame.  The embedded JSON section is produced by responseJSON, so the
-// JSON wire form cannot drift from the binary one — they are sealed into
-// the same content-addressed bytes.
+// frame: responseJSON's bytes, sealed.
 func encodeResponseFrame(key string, canonical []byte, steps int, rep *core.Report) ([]byte, error) {
 	jsonBody, err := responseJSON(key, canonical, steps, rep)
 	if err != nil {
 		return nil, err
 	}
 	var b frame.Builder
-	b.Begin(respSecJSON)
-	b.Bytes(jsonBody)
-	b.Begin(respSecKey)
-	b.Bytes([]byte(key))
-	b.Begin(respSecMeta)
-	b.Uint32(uint32(steps))
-	b.Begin(respSecConfig)
-	b.Bytes(canonical)
-	b.Begin(respSecReport)
-	b.Uint32(uint32(rep.Ranks))
-	b.Uint32(uint32(rep.Steps))
-	b.Uint32(uint32(rep.StepsPerDay))
-	b.Float64(rep.FilterTime)
-	b.Float64(rep.FDTime)
-	b.Float64(rep.CommTime)
-	b.Float64(rep.Dynamics)
-	b.Float64(rep.PhysicsTime)
-	b.Float64(rep.Total)
-	b.Float64(core.Imbalance(rep.PhysicsLoads))
-	b.Float64(core.Imbalance(rep.FilterLoads))
-	b.Float64(rep.MessagesPerStep)
-	b.Float64(rep.BytesPerStep)
-	b.Float64(rep.MaxWaitShare)
-	b.Float64(rep.MaxAbsH)
-	b.Float64s(rep.PhysicsLoads)
-	b.Float64s(rep.FilterLoads)
+	b.AddSection(respSecJSON, jsonBody)
 	return b.Finish(frame.TypeResponse)
-}
-
-// DecodeReportFrame decodes the report section of a response frame without
-// touching the JSON section — the offset-indexed random access the format
-// exists for.  loads buffers may be passed in to make decoding
-// allocation-free; they are appended to.
-func DecodeReportFrame(frameBytes []byte, physicsLoads, filterLoads []float64) (ReportWire, []float64, []float64, error) {
-	var rj ReportWire
-	f, err := frame.Parse(frameBytes)
-	if err != nil {
-		return rj, physicsLoads, filterLoads, err
-	}
-	sec, ok := f.Section(respSecReport)
-	if !ok {
-		return rj, physicsLoads, filterLoads, fmt.Errorf("server: response frame has no report section")
-	}
-	c := frame.NewCursor(sec)
-	rj.Ranks = int(c.Uint32())
-	rj.Steps = int(c.Uint32())
-	rj.StepsPerDay = int(c.Uint32())
-	rj.FilterTime = c.Float64()
-	rj.FDTime = c.Float64()
-	rj.CommTime = c.Float64()
-	rj.Dynamics = c.Float64()
-	rj.PhysicsTime = c.Float64()
-	rj.Total = c.Float64()
-	rj.PhysicsImbalance = c.Float64()
-	rj.FilterImbalance = c.Float64()
-	rj.MessagesPerStep = c.Float64()
-	rj.BytesPerStep = c.Float64()
-	rj.MaxWaitShare = c.Float64()
-	rj.MaxAbsH = c.Float64()
-	physicsLoads = c.Float64s(physicsLoads)
-	filterLoads = c.Float64s(filterLoads)
-	if err := c.Err(); err != nil {
-		return rj, physicsLoads, filterLoads, err
-	}
-	rj.PhysicsLoads = physicsLoads
-	rj.FilterLoads = filterLoads
-	return rj, physicsLoads, filterLoads, nil
 }
 
 // JSONBody returns the embedded JSON response body of a response frame —
@@ -150,14 +70,9 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, status int, frameBy
 		w.Write(frameBytes)
 		return
 	}
-	f, err := frame.Parse(frameBytes)
+	body, err := JSONBody(frameBytes)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody("cached frame corrupt: "+err.Error()))
-		return
-	}
-	body, ok := f.Section(respSecJSON)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody("cached frame has no JSON section"))
 		return
 	}
 	writeJSON(w, status, body)

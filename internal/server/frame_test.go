@@ -7,19 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
-	"agcm/internal/core"
 	"agcm/internal/frame"
 )
 
 // TestFrameContentNegotiation: a client sending Accept:
 // application/x-agcm-frame receives the raw response frame — on the miss
-// path and the hit path alike — whose embedded JSON section is
-// byte-identical to what a plain JSON client gets, and whose binary report
-// section decodes to the same values the JSON report carries.
+// path and the hit path alike — whose one section is byte-identical to
+// what a plain JSON client gets.
 func TestFrameContentNegotiation(t *testing.T) {
 	s := mustNew(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -64,21 +61,8 @@ func TestFrameContentNegotiation(t *testing.T) {
 		t.Fatalf("embedded JSON section differs from JSON wire body:\n frame: %s\n json:  %s", emb, jsonBody)
 	}
 
-	// The binary report section decodes to the same report the JSON body
-	// carries — random access, no JSON parsing.
-	var wire struct {
-		Key    string     `json:"key"`
-		Report ReportWire `json:"report"`
-	}
-	if err := json.Unmarshal(jsonBody, &wire); err != nil {
-		t.Fatal(err)
-	}
-	dec, _, _, err := DecodeReportFrame(rawFrame, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dec, wire.Report) {
-		t.Fatalf("frame report != JSON report:\n frame: %+v\n json:  %+v", dec, wire.Report)
+	if fr, err := frame.Parse(rawFrame); err != nil || fr.Type() != frame.TypeResponse || fr.Sections() != 1 {
+		t.Fatalf("response frame: err %v, want one section of type response", err)
 	}
 
 	// Frame client on the hit path gets byte-identical frame bytes.
@@ -234,37 +218,48 @@ func TestCacheHitSingleWriteAndAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDecodeReportFrameAllocs: with reused load buffers, decoding the
-// report section of a response frame is allocation-free — the property that
-// makes the binary section cheaper than parsing the JSON body, pinned here
-// because unlike that speed ratio it does not depend on the host.
-func TestDecodeReportFrameAllocs(t *testing.T) {
-	rep := &core.Report{
-		Ranks: 4, Steps: 2, StepsPerDay: 96, Total: 3.5,
-		PhysicsLoads: []float64{1, 2, 3, 4},
-		FilterLoads:  []float64{4, 3, 2, 1},
-	}
-	raw, err := encodeResponseFrame(strings.Repeat("a", 64), []byte(`{}`), 2, rep)
+// TestDiskTierServesFiveSectionFrames: response frames written before the
+// body became the only section (key, steps, config and a binary report
+// beside it) are in -cache-dirs already; the body is still tag 1, so they
+// serve byte-identically in both Accept modes.
+func TestDiskTierServesFiveSectionFrames(t *testing.T) {
+	dir := t.TempDir()
+	key := strings.Repeat("5", 64)
+	jsonBody := []byte(`{"key":"` + key + `","steps":1,"config":{},"report":{"ranks":2}}` + "\n")
+	var b frame.Builder
+	b.AddSection(1, jsonBody)
+	b.AddSection(2, []byte(key))
+	b.Begin(3)
+	b.Uint32(1)
+	b.AddSection(4, []byte(`{}`))
+	b.Begin(5)
+	b.Uint32(2)
+	b.Float64s([]float64{1, 2})
+	old, err := b.Finish(frame.TypeResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the buffers: the first decode grows them, every later one reuses.
-	got, pl, fl, err := DecodeReportFrame(raw, nil, nil)
+	st, err := frame.OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.PhysicsLoads, rep.PhysicsLoads) || !reflect.DeepEqual(got.FilterLoads, rep.FilterLoads) {
-		t.Fatalf("decoded loads %v %v, want %v %v", got.PhysicsLoads, got.FilterLoads, rep.PhysicsLoads, rep.FilterLoads)
+	if err := st.Put(key, old); err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		_, pl, fl, err = DecodeReportFrame(raw, pl[:0], fl[:0])
-		if err != nil {
-			t.Fatal(err)
+
+	s := mustNew(t, Options{Workers: 1, CacheDir: dir})
+	defer s.Drain(context.Background())
+	for accept, want := range map[string][]byte{"application/json": jsonBody, FrameContentType: old} {
+		req := httptest.NewRequest("GET", "/v1/cache/"+key, nil)
+		req.Header.Set("Accept", accept)
+		rec := httptest.NewRecorder()
+		s.handleCachePeek(rec, req)
+		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("Accept %s: status %d, body differs from the stored bytes", accept, rec.Code)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("DecodeReportFrame allocates %v times per run with reused buffers, want 0", allocs)
+	}
+	if s.Runs() != 0 {
+		t.Fatal("serving a stored frame ran a simulation")
 	}
 }
 

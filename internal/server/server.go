@@ -251,11 +251,10 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// ReportWire is the deterministic wire form of a core.Report, shared by
-// the JSON body and the binary report section of a response frame.  Fields
-// are a fixed set in a fixed order; floats round-trip bit-exactly (JSON's
-// shortest formatting, the frame's IEEE-754 bit patterns), so byte-equal
-// bodies mean bit-equal reports and vice versa.
+// ReportWire is the deterministic wire form of a core.Report.  Fields are
+// a fixed set in a fixed order; floats round-trip bit-exactly (JSON's
+// shortest formatting), so byte-equal bodies mean bit-equal reports and
+// vice versa.
 type ReportWire struct {
 	Ranks            int       `json:"ranks"`
 	Steps            int       `json:"steps"`
