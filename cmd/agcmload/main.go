@@ -2,11 +2,10 @@
 // and the agcmgw gateway.  A run dispatches one declarative workload
 // (internal/workload): -spec spec.json generates the schedule — arrival
 // process, diurnal modulation, SLO class mix, Zipf config popularity —
-// deterministically from the seeded spec, -replay trace.bin dispatches a
-// recorded one byte-for-byte.  Either way the requests go out open-loop at
+// deterministically from the seeded spec, so dispatching the same file
+// again replays the run byte for byte.  The requests go out open-loop at
 // their virtual arrival times (compressed by -timescale, cut off by
-// -duration).  -record writes the schedule as a trace before running;
-// -dump-spec prints the canonicalized spec and exits.
+// -duration); -dump-spec prints the canonicalized spec and exits.
 //
 // While measuring it verifies the serving layer's core promise:
 //
@@ -39,7 +38,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -282,13 +280,12 @@ type classLatency struct {
 type specStats struct {
 	Name string `json:"name"`
 	// SpecSHA256 addresses the canonical spec; ScheduleSHA256 addresses the
-	// generated (or replayed) trace bytes — same spec, same schedule hash.
+	// generated request sequence — same spec, same schedule hash.
 	SpecSHA256     string  `json:"spec_sha256"`
 	ScheduleSHA256 string  `json:"schedule_sha256"`
 	Timescale      float64 `json:"timescale"`
-	Replayed       bool    `json:"replayed,omitempty"`
-	// ResponseSetSHA256 fingerprints the key→body-hash set: two replays of
-	// the same trace against fresh daemons must produce the same value.
+	// ResponseSetSHA256 fingerprints the key→body-hash set: two runs of the
+	// same spec against fresh daemons must produce the same value.
 	ResponseSetSHA256 string                  `json:"response_set_sha256"`
 	PerClass          map[string]classLatency `json:"per_class"`
 }
@@ -321,7 +318,7 @@ type runOptions struct {
 	duration                     time.Duration
 	timescale                    float64
 	retry429                     int
-	allowRestart, replayed       bool
+	allowRestart                 bool
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -342,8 +339,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.accept, "accept", "json", `response encoding to request: "json" or "frame" (sends Accept: application/x-agcm-frame; every 200 must be a well-formed frame whose embedded JSON section carries the key)`)
 	out := fs.String("out", "-", "report path ('-' for stdout)")
 	specPath := fs.String("spec", "", "workload spec JSON: generate its schedule and dispatch it")
-	replayPath := fs.String("replay", "", "recorded trace: dispatch its requests byte-for-byte instead of generating")
-	recordPath := fs.String("record", "", "write the dispatched schedule as a replayable trace before running")
 	dumpSpec := fs.Bool("dump-spec", false, "print the canonicalized spec and exit")
 	fs.Float64Var(&o.timescale, "timescale", 1, "virtual-to-wall time compression for pacing (2 = dispatch twice as fast)")
 	if err := fs.Parse(args); err != nil {
@@ -354,8 +349,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	switch {
-	case (*specPath == "") == (*replayPath == ""):
-		return fail(2, "usage: exactly one of -spec FILE or -replay FILE is required")
+	case *specPath == "":
+		return fail(2, "usage: -spec FILE is required")
 	case o.target != "agcmd" && o.target != "gateway":
 		return fail(2, "unknown -target %q (want agcmd or gateway)", o.target)
 	case o.accept != "json" && o.accept != "frame":
@@ -363,7 +358,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case o.timescale <= 0:
 		return fail(2, "-timescale %g out of range (must be > 0)", o.timescale)
 	}
-	o.addr, o.replayed = strings.TrimRight(o.addr, "/"), *replayPath != ""
+	o.addr = strings.TrimRight(o.addr, "/")
 	if o.target == "gateway" {
 		for _, b := range strings.Split(*backendsFlag, ",") {
 			if b = strings.TrimSpace(b); b != "" {
@@ -375,30 +370,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Load the schedule before touching the network so a bad spec or trace
-	// fails fast.
-	path := *specPath + *replayPath // exactly one is set
-	sched, err := loadSchedule(path, o.replayed)
+	// Parse the spec and generate its schedule before touching the network,
+	// so a bad spec fails fast.
+	specJSON, err := os.ReadFile(*specPath)
+	var spec workload.Spec
+	if err == nil {
+		spec, err = workload.ParseSpec(specJSON)
+	}
 	if err != nil {
-		return fail(1, "loading %s: %v", path, err)
+		return fail(1, "loading %s: %v", *specPath, err)
 	}
 	if *dumpSpec {
-		canonical, err := sched.Spec.CanonicalJSON()
+		canonical, err := spec.CanonicalJSON()
 		if err != nil {
 			return fail(1, "%v", err)
 		}
 		stdout.Write(append(canonical, '\n'))
 		return 0
 	}
-	if *recordPath != "" {
-		var trace bytes.Buffer
-		err := workload.WriteTrace(&trace, sched)
-		if err == nil {
-			err = os.WriteFile(*recordPath, trace.Bytes(), 0o644)
-		}
-		if err != nil {
-			return fail(1, "writing trace %s: %v", *recordPath, err)
-		}
+	sched, err := workload.Generate(spec)
+	if err != nil {
+		return fail(1, "generating %s: %v", *specPath, err)
 	}
 
 	rep, failures, err := measure(sched, o)
@@ -423,23 +415,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "agcmload: all responses per-key byte-identical; metrics reconcile\n")
 	return 0
-}
-
-// loadSchedule reads the run's workload: a recorded trace verbatim, or a
-// spec expanded by the deterministic generator.
-func loadSchedule(path string, isTrace bool) (*workload.Schedule, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if isTrace {
-		return workload.ReadTrace(bytes.NewReader(raw))
-	}
-	spec, err := workload.ParseSpec(raw)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Generate(spec)
 }
 
 // measure dispatches the schedule against the daemon, reconciles the
@@ -653,7 +628,6 @@ func measure(sched *workload.Schedule, o runOptions) (*benchReport, []string, er
 			SpecSHA256:        specHash,
 			ScheduleSHA256:    schedHash,
 			Timescale:         o.timescale,
-			Replayed:          o.replayed,
 			ResponseSetSHA256: t.responseSetSHA256(),
 			PerClass:          perClass,
 		},

@@ -162,26 +162,23 @@ func TestMalformedResponseFailsTheRun(t *testing.T) {
 	}
 }
 
-func TestRecordThenReplayIsIdentical(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "trace.bin")
-	code, recorded, _, stderr := load(t, "-spec", writeSpec(t), "-record", trace, "-addr", startAgcmd(t, nil))
-	if code != 0 {
-		t.Fatalf("record run: exit %d\n%s", code, stderr)
+// The spec is the replayable artifact: dispatching it again against a fresh
+// daemon sends the same schedule and gets the same bytes back.
+func TestSpecRerunIsIdentical(t *testing.T) {
+	spec := writeSpec(t)
+	var reps [2]benchReport
+	for i := range reps {
+		code, rep, _, stderr := load(t, "-spec", spec, "-addr", startAgcmd(t, nil))
+		if code != 0 {
+			t.Fatalf("run %d: exit %d\n%s", i, code, stderr)
+		}
+		reps[i] = rep
 	}
-	code, replayed, _, stderr := load(t, "-replay", trace, "-addr", startAgcmd(t, nil))
-	if code != 0 {
-		t.Fatalf("replay run: exit %d\n%s", code, stderr)
+	if a, b := reps[0].Spec.ScheduleSHA256, reps[1].Spec.ScheduleSHA256; a != b || a == "" {
+		t.Errorf("schedule hash changed across runs: %q vs %q", a, b)
 	}
-	if !replayed.Spec.Replayed || recorded.Spec.Replayed {
-		t.Errorf("replayed flags: record %v, replay %v", recorded.Spec.Replayed, replayed.Spec.Replayed)
-	}
-	if recorded.Spec.ScheduleSHA256 != replayed.Spec.ScheduleSHA256 {
-		t.Errorf("schedule hash changed across replay: %s vs %s",
-			recorded.Spec.ScheduleSHA256, replayed.Spec.ScheduleSHA256)
-	}
-	if recorded.Spec.ResponseSetSHA256 != replayed.Spec.ResponseSetSHA256 {
-		t.Errorf("response-set hash changed across replay: %s vs %s",
-			recorded.Spec.ResponseSetSHA256, replayed.Spec.ResponseSetSHA256)
+	if a, b := reps[0].Spec.ResponseSetSHA256, reps[1].Spec.ResponseSetSHA256; a != b {
+		t.Errorf("response-set hash changed across runs: %s vs %s", a, b)
 	}
 }
 
@@ -275,9 +272,10 @@ func TestUsageErrors(t *testing.T) {
 		{"retired -zipf", []string{"-spec", spec, "-zipf", "1.3"}, "flag provided but not defined: -zipf"},
 		{"retired -steps", []string{"-spec", spec, "-steps", "1"}, "flag provided but not defined: -steps"},
 		{"retired -seed", []string{"-spec", spec, "-seed", "1"}, "flag provided but not defined: -seed"},
-		{"neither -spec nor -replay", nil, "exactly one of -spec FILE or -replay FILE"},
-		{"-dump-spec alone", []string{"-dump-spec"}, "exactly one of -spec FILE or -replay FILE"},
-		{"both -spec and -replay", []string{"-spec", spec, "-replay", "trace.bin"}, "exactly one of -spec FILE or -replay FILE"},
+		{"retired -replay", []string{"-spec", spec, "-replay", "trace.bin"}, "flag provided but not defined: -replay"},
+		{"retired -record", []string{"-spec", spec, "-record", "trace.bin"}, "flag provided but not defined: -record"},
+		{"no -spec", nil, "-spec FILE is required"},
+		{"-dump-spec alone", []string{"-dump-spec"}, "-spec FILE is required"},
 		{"unknown -target", []string{"-spec", spec, "-target", "cluster"}, "unknown -target"},
 		{"unknown -accept", []string{"-spec", spec, "-accept", "xml"}, "unknown -accept"},
 		{"zero -timescale", []string{"-spec", spec, "-timescale", "0"}, "-timescale 0 out of range"},

@@ -28,9 +28,9 @@ import (
 // run of the 2°x2.5°x9 model lands near the paper's Table 4/6 timings.
 const FlopsPerPoint = 590
 
-// bytesPerPoint is the memory traffic per grid point per step charged to
+// BytesPerPoint is the memory traffic per grid point per step charged to
 // the cost model (the fields touched by the finite-difference sweeps).
-const bytesPerPoint = 10 * 8
+const BytesPerPoint = 10 * 8
 
 // RobertAlpha is the Robert-Asselin time-filter coefficient.
 const RobertAlpha = 0.06

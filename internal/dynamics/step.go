@@ -57,7 +57,7 @@ func (d *Dynamics) Step(s *State) {
 		// Charge the calibrated cost of the full primitive-equation
 		// finite-difference suite.
 		pts := float64(d.local.Points())
-		p.ComputeMem(FlopsPerPoint*pts, bytesPerPoint*pts)
+		p.ComputeMem(FlopsPerPoint*pts, BytesPerPoint*pts)
 	})
 	s.Steps++
 }

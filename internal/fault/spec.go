@@ -34,7 +34,7 @@ func Parse(s string) (*Spec, error) {
 		case strings.HasPrefix(kind, "seed="):
 			// seed is a bare key=value clause, not kind:params.
 			v, err := strconv.ParseUint(strings.TrimPrefix(kind, "seed="), 10, 64)
-			if err != nil {
+			if err != nil || len(kv) > 0 {
 				return nil, fmt.Errorf("fault: bad seed in %q", clause)
 			}
 			spec.Seed = v

@@ -77,6 +77,7 @@ func TestParseErrors(t *testing.T) {
 		{"crash:rank=notanumber,at=1", "not an integer"},
 		{"jitter:max=zero", "not a number"},
 		{"seed=abc", "bad seed"},
+		{"seed=5:rank=1", "bad seed"}, // parameters on the bare seed clause were silently dropped
 		{"slow:rank", "want key=value"},
 		{"drop:prob=1.5,timeout=1", "outside [0, 1)"},
 	}

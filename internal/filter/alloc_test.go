@@ -88,7 +88,7 @@ func TestFFTFilterApplyAllocFree(t *testing.T) {
 			}
 			if world.Rank() == 0 {
 				if n := testing.AllocsPerRun(runs, round); n != 0 {
-					return fmt.Errorf("%s: Apply allocated %.1f times per call; want 0", flt.Name(), n)
+					return fmt.Errorf("balanced=%v: Apply allocated %.1f times per call; want 0", balanced, n)
 				}
 				return nil
 			}

@@ -35,9 +35,6 @@ func NewPolarDiffusion(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *Pol
 	return &PolarDiffusion{cart: cart, spec: spec, local: local}
 }
 
-// Name implements Parallel.
-func (f *PolarDiffusion) Name() string { return "polar-implicit-diffusion" }
-
 // Strength returns the dimensionless diffusion number K for one latitude
 // and filter kind: with K >= 1/(4 r^2), the implicit damping
 // 1/(1 + 4K sin^2(theta)) stays at or below the spectral filter's

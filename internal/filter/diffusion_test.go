@@ -184,20 +184,3 @@ func TestPolarDiffusionDampsShortWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPolarDiffusionName(t *testing.T) {
-	spec := grid.Spec{Nlon: 8, Nlat: 8, Nlayers: 1}
-	d, _ := grid.NewDecomp(spec, 1, 1)
-	m := sim.New(1, machine.CrayT3D())
-	_, err := m.Run(func(p *sim.Proc) error {
-		cart := comm.NewCart2D(comm.World(p), 1, 1)
-		l := grid.NewLocal(d, 0, 0)
-		if got := NewPolarDiffusion(cart, spec, l).Name(); got != "polar-implicit-diffusion" {
-			return fmt.Errorf("name %q", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

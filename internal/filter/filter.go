@@ -167,6 +167,11 @@ func applyRowFFTScratch(plan *fft.Plan, damp, row, im []float64) {
 	plan.Inverse(row, im)
 }
 
+// LineFlops is the work charged for FFT-filtering one latitude circle of n
+// points: the forward and inverse transforms plus the damping multiply.
+// The filters charge it to the virtual clock and the roofline counts it.
+func LineFlops(n int) float64 { return 2*fft.Flops(n) + 4*float64(n) }
+
 // rowFilter owns the per-rank scratch for filtering real latitude circles
 // through the half-complex route — the production inner loop, about twice
 // as fast natively as the complex path.  Odd lengths (never produced by

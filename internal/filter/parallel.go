@@ -27,19 +27,10 @@ const (
 	Tree
 )
 
-// String returns the topology name.
-func (t Topology) String() string {
-	if t == Ring {
-		return "ring"
-	}
-	return "tree"
-}
-
 // Parallel is a parallel filtering algorithm applied collectively by every
-// rank of the mesh each time step.
+// rank of the mesh each time step.  Its variants are named by
+// core.FilterVariant.
 type Parallel interface {
-	// Name identifies the variant in reports.
-	Name() string
 	// Apply filters all variables in place.  Collective: every rank of
 	// the mesh must call it with the same variable list.
 	Apply(vars []Variable)
@@ -108,9 +99,6 @@ func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo To
 	c.im = make([]float64, spec.Nlon)
 	return c
 }
-
-// Name implements Parallel.
-func (c *Convolution) Name() string { return "convolution-" + c.topo.String() }
 
 func (c *Convolution) coefficients(k Kind, j int) []float64 {
 	if co := c.coeffCache[k][j]; co != nil {
@@ -203,8 +191,7 @@ type FFTFilter struct {
 	balanced bool
 	rf       *rowFilter
 
-	// lineFlops is the virtual cost of filtering one line: forward and
-	// inverse transform plus the damping multiply.
+	// lineFlops is the virtual cost of filtering one line, LineFlops.
 	lineFlops float64
 
 	// dampCache holds the damping profiles indexed [kind][global j].
@@ -245,7 +232,7 @@ func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) 
 	f := &FFTFilter{
 		cart: cart, spec: spec, local: local, balanced: balanced,
 		rf:        newRowFilter(spec.Nlon),
-		lineFlops: 2*fft.Flops(spec.Nlon) + 4*float64(spec.Nlon),
+		lineFlops: LineFlops(spec.Nlon),
 	}
 	for k := range f.dampCache {
 		f.dampCache[k] = make([][]float64, spec.Nlat)
@@ -258,14 +245,6 @@ func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) 
 		f.widths[c], f.lonOff[c] = hi-lo, lo
 	}
 	return f
-}
-
-// Name implements Parallel.
-func (f *FFTFilter) Name() string {
-	if f.balanced {
-		return "fft-load-balanced"
-	}
-	return "fft"
 }
 
 func (f *FFTFilter) damping(k Kind, j int) []float64 {

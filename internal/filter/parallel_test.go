@@ -215,30 +215,3 @@ func TestTreeConvolutionUsesFewerMessagesWorthOfTimeOnWideMesh(t *testing.T) {
 		}
 	}
 }
-
-func TestFilterNamesStable(t *testing.T) {
-	spec := grid.Spec{Nlon: 16, Nlat: 8, Nlayers: 1}
-	d, _ := grid.NewDecomp(spec, 1, 1)
-	m := sim.New(1, machine.Paragon())
-	_, err := m.Run(func(p *sim.Proc) error {
-		world := comm.World(p)
-		cart := comm.NewCart2D(world, 1, 1)
-		l := grid.NewLocal(d, 0, 0)
-		if got := NewConvolution(cart, spec, l, Ring).Name(); got != "convolution-ring" {
-			return fmt.Errorf("name %q", got)
-		}
-		if got := NewConvolution(cart, spec, l, Tree).Name(); got != "convolution-tree" {
-			return fmt.Errorf("name %q", got)
-		}
-		if got := NewFFT(cart, spec, l, false).Name(); got != "fft" {
-			return fmt.Errorf("name %q", got)
-		}
-		if got := NewFFT(cart, spec, l, true).Name(); got != "fft-load-balanced" {
-			return fmt.Errorf("name %q", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

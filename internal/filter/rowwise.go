@@ -2,7 +2,6 @@ package filter
 
 import (
 	"agcm/internal/comm"
-	"agcm/internal/fft"
 	"agcm/internal/grid"
 )
 
@@ -46,9 +45,6 @@ func NewRowwiseFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *Rowwise
 	return f
 }
 
-// Name implements Parallel.
-func (f *RowwiseFFT) Name() string { return "fft-rowwise" }
-
 func (f *RowwiseFFT) damping(k Kind, j int) []float64 {
 	if d := f.dampCache[k][j]; d != nil {
 		return d
@@ -65,7 +61,7 @@ func (f *RowwiseFFT) Apply(vars []Variable) {
 	w := f.local.Nlon()
 	lo, _ := f.local.Decomp.LonRange(f.cart.MyCol)
 	full, widths, offs := f.full, f.widths, f.offs
-	lineFlops := 2*fft.Flops(n) + 4*float64(n)
+	lineFlops := LineFlops(n)
 
 	for _, v := range vars {
 		// Local filtered rows of this variable (same on the whole mesh

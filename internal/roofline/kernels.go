@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"agcm/internal/core"
-	"agcm/internal/fft"
+	"agcm/internal/dynamics"
 	"agcm/internal/filter"
 	"agcm/internal/physics"
 )
@@ -57,16 +57,14 @@ type Counts struct {
 	Degrade float64
 }
 
-// Analytic constants mirroring the simulation's calibrated operation counts
-// (dynamics.FlopsPerPoint etc.) and averaging its data-dependent terms
-// (daylight fraction, cloud fraction, convection iterations).  Absolute
-// accuracy is the fitted efficiencies' job; what these must get right is the
-// *shape* — how each kernel's work scales with grid dimensions — so the fit
-// can tell the classes apart.
+// Analytic constants averaging the simulation's data-dependent terms
+// (daylight fraction, cloud fraction, convection iterations); the dynamics
+// and FFT-filter counts are the charges the simulation itself makes
+// (dynamics.FlopsPerPoint, dynamics.BytesPerPoint, filter.LineFlops).
+// Absolute accuracy is the fitted efficiencies' job; what these must get
+// right is the *shape* — how each kernel's work scales with grid dimensions
+// — so the fit can tell the classes apart.
 const (
-	dynFlopsPerPoint = 590 // dynamics.FlopsPerPoint: full FD suite
-	dynBytesPerPoint = 80  // dynamics bytesPerPoint: 10 doubles per point
-
 	// Physics column model, from internal/physics: base + longwave pairs +
 	// k-linear terms with nominal daylight 0.5, cloudiness 0.3 and one
 	// convective adjustment iteration on average.
@@ -115,8 +113,8 @@ func CountKernels(cfg core.Config, measuredSteps int) (Counts, error) {
 	// ~ 7 flop/byte) keeps it near the ridge point on most machines.
 	kernels = append(kernels, Kernel{
 		Name: "dynamics", Class: ClassDynamics,
-		CPFlops: dynFlopsPerPoint * ptsCP, CPBytes: dynBytesPerPoint * ptsCP,
-		TotalFlops: dynFlopsPerPoint * ptsTot, TotalBytes: dynBytesPerPoint * ptsTot,
+		CPFlops: dynamics.FlopsPerPoint * ptsCP, CPBytes: dynamics.BytesPerPoint * ptsCP,
+		TotalFlops: dynamics.FlopsPerPoint * ptsTot, TotalBytes: dynamics.BytesPerPoint * ptsTot,
 	})
 
 	// --- Physics: independent columns whose cost is quadratic in the
@@ -157,9 +155,9 @@ func CountKernels(cfg core.Config, measuredSteps int) (Counts, error) {
 	}
 	linesTot := filteredVars * k * strongRows // machine-wide filtered lines
 	linesCPRow := filteredVars * k * rowsCPF  // lines owned by the polar rank's rows
-	fftLineFlops := 2*fft.Flops(nlon) + 4*n   // forward + inverse + damping
-	fftLineBytes := 4 * n * wordBytes         // re/im read+write
-	netMsgs, netBytes := 0.0, 0.0             // filter comm, folded into network below
+	fftLineFlops := filter.LineFlops(nlon)
+	fftLineBytes := 4 * n * wordBytes // re/im read+write
+	netMsgs, netBytes := 0.0, 0.0     // filter comm, folded into network below
 	netMsgsTot, netBytesTot := 0.0, 0.0
 	fil := Kernel{Name: "filter"}
 	switch c.Filter {

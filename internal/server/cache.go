@@ -5,16 +5,13 @@ import (
 	"sync"
 )
 
-// cache is the sharded in-memory LRU result cache.  Keys are content
-// addresses (core.Config.ConfigKey plus the step count) and values are the
-// finished, byte-exact HTTP response bodies, so a hit is a map lookup and a
-// write — the simulation itself is never re-run.  Sharding by key keeps
-// lock contention flat as the worker pool and request fan-in grow.
+// cache is the in-memory LRU result cache.  Keys are content addresses
+// (core.Config.ConfigKey plus the step count) and values are the finished,
+// byte-exact HTTP response bodies, so a hit is a map lookup and a write —
+// the simulation itself is never re-run.  It holds exactly capacity entries
+// and evicts the least recently used one; one mutex suffices, since
+// handleRun already consults it under the server's flight lock.
 type cache struct {
-	shards []cacheShard
-}
-
-type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[string]*list.Element
@@ -27,90 +24,56 @@ type cacheEntry struct {
 	body []byte
 }
 
-const cacheShards = 16
-
-// newCache builds a cache holding up to capacity entries across a fixed
-// shard count (each shard gets an equal slice, minimum one entry).
+// newCache builds a cache holding up to capacity entries (at least one).
 func newCache(capacity int) *cache {
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
+	return &cache{
+		capacity: max(capacity, 1),
+		entries:  make(map[string]*list.Element),
+		order:    list.New(),
 	}
-	c := &cache{shards: make([]cacheShard, cacheShards)}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			capacity: per,
-			entries:  make(map[string]*list.Element),
-			order:    list.New(),
-		}
-	}
-	return c
-}
-
-// shardFor maps a key to its shard by FNV-1a.
-func (c *cache) shardFor(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // Get returns the cached body for key, refreshing its recency.
 func (c *cache) Get(key string) ([]byte, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	s.order.MoveToFront(el)
+	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }
 
-// Put stores body under key, evicting the least recently used entry of the
-// shard when at capacity.  Bodies are immutable once stored.
+// Put stores body under key, evicting the least recently used entry when
+// at capacity.  Bodies are immutable once stored.
 func (c *cache) Put(key string, body []byte) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
 		el.Value.(*cacheEntry).body = body
 		return
 	}
-	for s.order.Len() >= s.capacity {
-		last := s.order.Back()
-		s.order.Remove(last)
-		delete(s.entries, last.Value.(*cacheEntry).key)
-		s.evicted++
+	if c.order.Len() >= c.capacity {
+		last := c.order.Back()
+		c.order.Remove(last)
+		delete(c.entries, last.Value.(*cacheEntry).key)
+		c.evicted++
 	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, body: body})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
 }
 
-// Len returns the entry count, summed over shards in index order.
+// Len returns the entry count.
 func (c *cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
-// Evictions returns the total LRU evictions, summed over shards in index
-// order.
+// Evictions returns the total LRU evictions.
 func (c *cache) Evictions() uint64 {
-	var n uint64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.evicted
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evicted
 }

@@ -25,39 +25,22 @@ func TestCacheGetPut(t *testing.T) {
 	}
 }
 
-// shardKeys returns n distinct keys that all land on the same shard, so LRU
-// behavior can be tested deterministically.
-func shardKeys(c *cache, n int) []string {
-	target := c.shardFor("anchor")
-	var keys []string
-	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == target {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 func TestCacheLRUEviction(t *testing.T) {
-	// Capacity 16 across 16 shards = 1 entry per shard... use a larger
-	// cache so each shard holds 2 and eviction order is observable.
-	c := newCache(32)
-	keys := shardKeys(c, 3)
-	c.Put(keys[0], []byte("0"))
-	c.Put(keys[1], []byte("1"))
-	// Touch keys[0] so keys[1] is the LRU entry.
-	if _, ok := c.Get(keys[0]); !ok {
+	c := newCache(2)
+	c.Put("a", []byte("0"))
+	c.Put("b", []byte("1"))
+	// Touch a so b is the LRU entry.
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("warm entry missing")
 	}
-	c.Put(keys[2], []byte("2")) // shard is full: must evict keys[1]
-	if _, ok := c.Get(keys[1]); ok {
+	c.Put("c", []byte("2")) // full: must evict b
+	if _, ok := c.Get("b"); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, ok := c.Get(keys[0]); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Error("recently used entry was evicted")
 	}
-	if _, ok := c.Get(keys[2]); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Error("new entry missing")
 	}
 	if ev := c.Evictions(); ev != 1 {
@@ -65,33 +48,41 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheMinimumShardCapacity(t *testing.T) {
-	// A capacity below the shard count still holds at least one entry per
-	// shard rather than zero.
-	c := newCache(1)
-	c.Put("k", []byte("v"))
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("tiny cache cannot hold a single entry")
-	}
-}
-
-func TestCacheShardingSpreads(t *testing.T) {
-	// Generous per-shard capacity: the test is about spread, not eviction,
-	// and FNV does not slice 256 keys perfectly evenly.
-	c := newCache(64 * cacheShards)
-	for i := 0; i < 256; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), []byte("x"))
-	}
-	if c.Len() != 256 {
-		t.Fatalf("Len = %d, want 256 (unexpected evictions)", c.Len())
-	}
-	used := 0
-	for i := range c.shards {
-		if c.shards[i].order.Len() > 0 {
-			used++
+// TestCacheHoldsExactCapacity: a cache of capacity n keeps exactly n
+// entries, whatever the keys, and each insert past that evicts the globally
+// least recently used one.  Capacity is never rounded to a shard count.
+func TestCacheHoldsExactCapacity(t *testing.T) {
+	for _, n := range []int{1, 4, 17, 1000} {
+		c := newCache(n)
+		key := func(i int) string { return fmt.Sprintf("key-%d", i) }
+		for i := 0; i < n; i++ {
+			c.Put(key(i), []byte("x"))
 		}
-	}
-	if used < cacheShards/2 {
-		t.Errorf("only %d/%d shards used by 256 keys — bad key spread", used, cacheShards)
+		if c.Len() != n || c.Evictions() != 0 {
+			t.Fatalf("capacity %d: Len %d, Evictions %d after %d puts", n, c.Len(), c.Evictions(), n)
+		}
+		// Refresh every entry but the oldest in reverse order: key(0) stays
+		// LRU, then key(n-1), key(n-2), ...
+		for i := n - 1; i >= 1; i-- {
+			c.Get(key(i))
+		}
+		c.Put(key(n), []byte("x"))
+		if _, ok := c.Get(key(0)); ok {
+			t.Errorf("capacity %d: least recently used key(0) survived", n)
+		}
+		if n > 1 {
+			c.Put(key(n+1), []byte("x"))
+			if _, ok := c.Get(key(n - 1)); ok {
+				t.Errorf("capacity %d: next least recently used key(%d) survived", n, n-1)
+			}
+		}
+		if n > 2 {
+			if _, ok := c.Get(key(1)); !ok {
+				t.Errorf("capacity %d: recently used key(1) was evicted", n)
+			}
+		}
+		if c.Len() != n {
+			t.Errorf("capacity %d: Len %d after evictions", n, c.Len())
+		}
 	}
 }

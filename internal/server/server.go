@@ -5,7 +5,7 @@
 // with a content-addressed result cache.
 //
 // The request path is: canonicalize the config (core.Config.CanonicalJSON)
-// → derive the cache key → serve from the sharded LRU cache on a hit →
+// → derive the cache key → serve from the LRU cache on a hit →
 // otherwise coalesce onto an identical in-flight run (single-flight) →
 // otherwise admit into the bounded scheduler queue, shedding with 429 +
 // Retry-After when full.  Workers execute runs under per-job deadlines via

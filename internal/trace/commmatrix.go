@@ -2,9 +2,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
 
 	"agcm/internal/sim"
 )
@@ -99,33 +97,4 @@ func (m *CommMatrix) HottestPairs(n int) []CommPair {
 		pairs = pairs[:n]
 	}
 	return pairs
-}
-
-// CommMatrixTable renders the matrix as a small fixed-width grid of
-// kilobytes sent, sender rows by receiver columns, for worlds up to maxRanks;
-// larger worlds get the hottest-pairs listing instead.
-func (m *CommMatrix) CommMatrixTable(maxRanks int) string {
-	var b strings.Builder
-	if m.Ranks <= maxRanks {
-		fmt.Fprintf(&b, "%-6s", "kB")
-		for d := 0; d < m.Ranks; d++ {
-			fmt.Fprintf(&b, " %7d", d)
-		}
-		b.WriteString("\n")
-		for s := 0; s < m.Ranks; s++ {
-			fmt.Fprintf(&b, "%-6d", s)
-			for d := 0; d < m.Ranks; d++ {
-				_, bytes := m.At(s, d)
-				fmt.Fprintf(&b, " %7.0f", float64(bytes)/1e3)
-			}
-			b.WriteString("\n")
-		}
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%d ranks; hottest pairs:\n", m.Ranks)
-	for _, p := range m.HottestPairs(maxRanks) {
-		fmt.Fprintf(&b, "  %4d -> %-4d  %8d msgs  %10.1f kB\n",
-			p.Src, p.Dst, p.Msgs, float64(p.Bytes)/1e3)
-	}
-	return b.String()
 }

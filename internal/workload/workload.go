@@ -10,9 +10,9 @@
 // cache-hit ratios), and per-request SLO class (interactive/batch) with
 // deadline.  Generate expands a spec into a Schedule whose
 // request bodies are exact POST /v1/run payloads; the same spec always
-// yields the same bytes.  A Schedule round-trips through the recorded-trace
-// format (WriteTrace/ReadTrace) byte for byte, so a live run can be
-// recorded once and replayed forever as a regression input.
+// yields the same bytes, so the spec file is the one replayable artifact:
+// dispatching it again replays the run, and Schedule.Hash proves the
+// request sequence was the same.
 //
 // Simulate closes the loop on the server side: a deterministic virtual-time
 // queueing model that runs a schedule through the pluggable scheduler
@@ -22,7 +22,7 @@
 // serving stack.
 //
 // Everything here is pure computation on seeded randomness: no wall clock,
-// no goroutines, no I/O beyond the explicit trace readers and writers.
+// no goroutines, no I/O.
 // Pacing a schedule against a live daemon is the load generator's job
 // (cmd/agcmload).
 package workload
@@ -64,8 +64,8 @@ func (r Request) Key() string {
 
 // Schedule is a fully expanded workload: the spec it came from and the
 // requests in arrival order.  A Schedule is a pure function of its Spec —
-// Generate is deterministic — and serializes byte-for-byte through
-// WriteTrace/ReadTrace.
+// Generate is deterministic — and Hash is the content address of its
+// requests.
 type Schedule struct {
 	Spec     Spec
 	Requests []Request
