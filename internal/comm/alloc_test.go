@@ -88,3 +88,24 @@ func TestSendCopyRecvIntoAllocFree(t *testing.T) {
 func TestBarrierAllocFree(t *testing.T) {
 	pinAllocFree(t, 240, "Barrier", func(c *Comm) func() { return c.Barrier })
 }
+
+// TestNewCart2DAllocs pins what building the 8x30 mesh's communicators costs
+// each rank: the color and key tables and the Cart2D (4), and per Split the
+// exactly sized member and key lists and the Comm (3 each).  The other
+// ranks wait in a barrier warmed beforehand, so the count is rank 0's alone.
+func TestNewCart2DAllocs(t *testing.T) {
+	const py, px, want = 8, 30, 10
+	runWorld(t, py*px, func(c *Comm) error {
+		for i := 0; i < 3; i++ {
+			c.Barrier()
+		}
+		defer c.Barrier()
+		if c.Rank() != 0 {
+			return nil
+		}
+		if n := testing.AllocsPerRun(20, func() { NewCart2D(c, py, px) }); n != want {
+			return fmt.Errorf("NewCart2D allocated %.1f times per rank; want %d", n, want)
+		}
+		return nil
+	})
+}

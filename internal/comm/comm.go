@@ -132,9 +132,16 @@ func (c *Comm) Split(colors, keys []int, newCtx int) *Comm {
 	myColor := colors[c.me]
 	// Collect members with my color, sorted by (key, rank) via stable
 	// selection — group sizes are small so O(n^2) is fine and allocation
-	// free of sort.Slice's comparator indirection.
-	var members []int
-	var memberKeys []int
+	// free of sort.Slice's comparator indirection.  Counting first sizes
+	// both lists exactly.
+	n := 0
+	for _, col := range colors {
+		if col == myColor {
+			n++
+		}
+	}
+	members := make([]int, 0, n)
+	memberKeys := make([]int, 0, n)
 	for r, col := range colors {
 		if col == myColor {
 			members = append(members, c.world[r])

@@ -60,8 +60,14 @@ func TestRowwiseFFTApplyAllocs(t *testing.T) {
 // have laid the filter out and filled the transport pools.  AllocsPerRun
 // counts mallocs process-wide, so every rank must run allocation-free; it
 // invokes the measured function runs+1 times, so the partner ranks loop
-// exactly runs+1 calls to stay matched.
+// exactly runs+1 calls to stay matched.  Under the race detector that
+// process-wide count is not exact (the pin has flaked there), so it runs
+// only on plain builds, as CI's allocation step does; the oracle tests
+// cover Apply under -race.
 func TestFFTFilterApplyAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("process-wide allocation counts are not exact under -race")
+	}
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
 	const py, px, warm, runs = 2, 4, 5, 20
 	d, err := grid.NewDecomp(spec, py, px)

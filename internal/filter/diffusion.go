@@ -53,7 +53,7 @@ func Strength(lat, critLat float64) float64 {
 // tridiagonal system; all lines are solved in one batched distributed call
 // per Apply, so the collective cost is paid once.
 func (f *PolarDiffusion) Apply(vars []Variable) {
-	lines := buildLines(f.spec, vars)
+	lines := buildLines(f.spec, kindsOf(vars))
 	if len(lines) == 0 {
 		return
 	}

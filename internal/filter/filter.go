@@ -368,22 +368,23 @@ type line struct {
 	v, j, k int // variable index, global latitude row, layer
 }
 
-// buildLines enumerates every line to be filtered, in the canonical order
-// (variable, row, layer).  Every rank derives the identical list locally.
-// The list is counted before it is built, so it is one exact allocation.
-func buildLines(spec grid.Spec, vars []Variable) []line {
-	n := 0
-	for _, v := range vars {
-		for j := 0; j < spec.Nlat; j++ {
-			if IsFiltered(spec, v.Kind, j) {
-				n += spec.Nlayers
-			}
-		}
+// kindsOf returns the filter kind of every variable.
+func kindsOf(vars []Variable) []Kind {
+	kinds := make([]Kind, len(vars))
+	for i, v := range vars {
+		kinds[i] = v.Kind
 	}
-	lines := make([]line, 0, n)
-	for vi, v := range vars {
+	return kinds
+}
+
+// buildLines enumerates every line to be filtered for variables of the
+// given kinds, in the canonical order (variable, row, layer).  The list is
+// counted before it is built, so it is one exact allocation.
+func buildLines(spec grid.Spec, kinds []Kind) []line {
+	lines := make([]line, 0, LineCount(spec, kinds))
+	for vi, kind := range kinds {
 		for j := 0; j < spec.Nlat; j++ {
-			if !IsFiltered(spec, v.Kind, j) {
+			if !IsFiltered(spec, kind, j) {
 				continue
 			}
 			for k := 0; k < spec.Nlayers; k++ {

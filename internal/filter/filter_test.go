@@ -248,13 +248,7 @@ func TestCoefficientsAreRealAndNormalized(t *testing.T) {
 
 func TestBuildLinesCanonicalOrder(t *testing.T) {
 	spec := grid.Spec{Nlon: 16, Nlat: 12, Nlayers: 2}
-	d, _ := grid.NewDecomp(spec, 1, 1)
-	l := grid.NewLocal(d, 0, 0)
-	vars := []Variable{
-		{Name: "u", Kind: Strong, Field: grid.NewField(l, 0)},
-		{Name: "T", Kind: Weak, Field: grid.NewField(l, 0)},
-	}
-	lines := buildLines(spec, vars)
+	lines := buildLines(spec, []Kind{Strong, Weak})
 	if len(lines) != LineCount(spec, []Kind{Strong, Weak}) {
 		t.Fatalf("%d lines, want %d", len(lines), LineCount(spec, []Kind{Strong, Weak}))
 	}

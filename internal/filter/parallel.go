@@ -181,9 +181,10 @@ func (c *Convolution) applySlab(v Variable, k int) {
 // the reorganization Section 3.3 describes.
 //
 // Which lines exist, who owns them before and after balancing and how many
-// values every message carries depend only on the kinds of the variables,
-// so the filter lays all of that out once (see layout) and every Apply
-// stages through buffers cut to those exact sizes.
+// values every message carries depend only on the kinds of the variables:
+// the filter keeps its processor row's part of a table every rank shares
+// (see tableFor) and stages every Apply through buffers cut to those exact
+// sizes, so a rank's host work scales with its own lines, not the grid's.
 type FFTFilter struct {
 	cart     *comm.Cart2D
 	spec     grid.Spec
@@ -194,26 +195,26 @@ type FFTFilter struct {
 	// lineFlops is the virtual cost of filtering one line, LineFlops.
 	lineFlops float64
 
-	// dampCache holds the damping profiles indexed [kind][global j].
-	dampCache [2][][]float64
-
 	// Static mesh-row geometry, computed once.
 	widths, lonOff []int
 
-	// The layout for the variable kinds in kinds.  Every rank derives it
-	// locally and identically.
-	kinds                 []Kind
-	lines                 []line
-	initOwner, finalOwner []int // owning processor row before and after balancing
-	myWork, sub, myBlock  []int // lines this row filters; their mesh column; this rank's share
-	toCount, fromCount    []int // lines balancing sends to / receives from each processor row
-	colOffs, rOffs        []int // running offsets per mesh column / processor row
+	// The layout for the variable kinds in kinds: the shared table, this
+	// processor row's part of it, whether balancing moves any of the row's
+	// lines, and the work positions each mesh column filters,
+	// [colStart[c], colStart[c+1]).
+	kinds    []Kind
+	tab      *lineTable
+	row      *rowLines
+	moves    bool
+	colStart []int
+	rOffs    []int // running offsets per processor row
 
 	// Staging for Apply's seven phases, cut from one arena to the sizes the
 	// layout fixes: no buffer grows after layout.  Every send from them goes
 	// through the pooled-copy comm paths and every receive lands back here
 	// via *Into, so a laid-out Apply allocates nothing.
-	segs     [][]float64 // each line's current segment
+	homeSegs [][]float64 // each home line's current segment, by position in row.home
+	workSegs [][]float64 // each work line's, by position in row.work; homeSegs if none moves
 	segArena []float64
 	parts    [][]float64 // transpose send staging, per column
 	tOut     [][]float64 // transpose receive buffers
@@ -234,9 +235,6 @@ func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) 
 		rf:        newRowFilter(spec.Nlon),
 		lineFlops: LineFlops(spec.Nlon),
 	}
-	for k := range f.dampCache {
-		f.dampCache[k] = make([][]float64, spec.Nlat)
-	}
 	px := cart.Px
 	f.widths = make([]int, px)
 	f.lonOff = make([]int, px)
@@ -247,35 +245,21 @@ func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) 
 	return f
 }
 
-func (f *FFTFilter) damping(k Kind, j int) []float64 {
-	if d := f.dampCache[k][j]; d != nil {
-		return d
-	}
-	d := DampingRow(f.spec.Nlon, f.spec.LatCenter(j), k.CritLat())
-	f.dampCache[k][j] = d
-	return d
-}
-
 // blockOwners assigns n items to p owners in contiguous blocks sized by the
 // Eq. (3) targets, returning the owner of each item.
 func blockOwners(n, p int) []int {
-	return blockOwnersInto(make([]int, 0, n), n, p)
-}
-
-// blockOwnersInto is blockOwners into a caller-owned buffer (grown from
-// dst[:0] as needed).  The block sizes are the loadbalance.Targets formula:
-// floor(n/p) per owner, the first n%p owners taking one extra.
-func blockOwnersInto(dst []int, n, p int) []int {
-	dst = dst[:0]
+	owners := make([]int, 0, n)
 	for owner := 0; owner < p; owner++ {
 		for c := blockSize(n, p, owner); c > 0; c-- {
-			dst = append(dst, owner)
+			owners = append(owners, owner)
 		}
 	}
-	return dst
+	return owners
 }
 
-// blockSize is the number of items blockOwners gives to owner.
+// blockSize is the number of items blockOwners gives to owner: the
+// loadbalance.Targets formula, floor(n/p) per owner, the first n%p owners
+// taking one extra.
 func blockSize(n, p, owner int) int {
 	if owner < n%p {
 		return n/p + 1
@@ -291,83 +275,49 @@ func cut[T any](arena *[]T, n int) []T {
 	return s
 }
 
-// layout enumerates the lines of vars, fixes their ownership and this rank's
-// share of every phase, and cuts the staging buffers to the resulting sizes:
-// one allocation each for the index tables, the slice headers and the
-// values.
+// layout takes the table for the kinds of vars, splits this processor row's
+// work lines over the mesh columns, and cuts the staging buffers to the
+// resulting sizes: one allocation each for the offsets, the slice headers
+// and the values.
 func (f *FFTFilter) layout(vars []Variable) {
-	d := f.local.Decomp
 	py, px := f.cart.Py, f.cart.Px
-	me, myCol := f.cart.MyRow, f.cart.MyCol
 	w, n := f.local.Nlon(), f.spec.Nlon
 
-	f.kinds = make([]Kind, len(vars))
-	for i, v := range vars {
-		f.kinds[i] = v.Kind
-	}
-	f.lines = buildLines(f.spec, vars)
-	nLines := len(f.lines)
-	mine := 0 // lines whose home is this processor row
-	for _, ln := range f.lines {
-		if ln.j >= f.local.Lat0 && ln.j < f.local.Lat1 {
-			mine++
-		}
-	}
-	nWork := mine
-	nFinal := 0
-	if f.balanced {
-		nWork = blockSize(nLines, py, me)
-		nFinal = nLines
-	}
-	nBlock := blockSize(nWork, px, myCol)
+	f.kinds = kindsOf(vars)
+	f.tab = tableFor(f.local.Decomp, f.kinds, f.balanced)
+	f.row = &f.tab.rows[f.cart.MyRow]
+	nHome, nWork := len(f.row.home), len(f.row.work)
 
-	ints := make([]int, nLines+nFinal+2*nWork+nBlock+3*py+px)
-	f.initOwner = cut(&ints, nLines)
-	for l, ln := range f.lines {
-		f.initOwner[l] = d.RowOfLat(ln.j)
+	ints := make([]int, px+1+py)
+	f.colStart, f.rOffs = cut(&ints, px+1), cut(&ints, py)
+	for c := 0; c < px; c++ {
+		f.colStart[c+1] = f.colStart[c] + blockSize(nWork, px, c)
 	}
-	f.finalOwner = f.initOwner
-	if f.balanced {
-		f.finalOwner = blockOwnersInto(cut(&ints, nLines), nLines, py)
-	}
-	f.myWork = cut(&ints, nWork)[:0]
-	f.toCount, f.fromCount = cut(&ints, py), cut(&ints, py)
-	for l := range f.lines {
-		from, to := f.initOwner[l], f.finalOwner[l]
-		if to == me {
-			f.myWork = append(f.myWork, l)
-		}
-		switch {
-		case from == to:
-		case from == me:
-			f.toCount[to]++
-		case to == me:
-			f.fromCount[from]++
-		}
-	}
-	f.sub = blockOwnersInto(cut(&ints, nWork), nWork, px)
-	f.myBlock = cut(&ints, nBlock)[:0]
-	for t := range f.myWork {
-		if f.sub[t] == myCol {
-			f.myBlock = append(f.myBlock, t)
-		}
-	}
-	f.colOffs, f.rOffs = cut(&ints, px), cut(&ints, py)
+	nBlock := blockSize(nWork, px, f.cart.MyCol)
 
 	// A processor row's balancing buffers serve both directions, so each is
 	// cut for the larger of the two.
 	rTotal := 0
 	for q := 0; q < py; q++ {
-		rTotal += max(f.toCount[q], f.fromCount[q]) * w
+		rTotal += max(f.row.to[q], f.row.from[q]) * w
 	}
-	values := make([]float64, mine*w+2*nWork*w+3*nBlock*n+2*rTotal)
-	headers := make([][]float64, nLines+4*px+2*py+nBlock)
-	f.segs = cut(&headers, nLines)
-	f.segArena = cut(&values, mine*w)
+	f.moves = len(f.row.stay) != nHome || len(f.row.stay) != nWork
+	nSegs := nHome
+	if f.moves {
+		nSegs += nWork
+	}
+	values := make([]float64, nHome*w+2*nWork*w+3*nBlock*n+2*rTotal)
+	headers := make([][]float64, nSegs+4*px+2*py+nBlock)
+	f.homeSegs = cut(&headers, nHome)
+	f.workSegs = f.homeSegs
+	if f.moves {
+		f.workSegs = cut(&headers, nWork)
+	}
+	f.segArena = cut(&values, nHome*w)
 	f.parts, f.tOut = cut(&headers, px), cut(&headers, px)
 	f.back, f.gotOut = cut(&headers, px), cut(&headers, px)
 	for c := 0; c < px; c++ {
-		toCol := blockSize(nWork, px, c) * w // my lines that column c filters
+		toCol := (f.colStart[c+1] - f.colStart[c]) * w // my lines that column c filters
 		f.parts[c], f.gotOut[c] = cut(&values, toCol)[:0], cut(&values, toCol)[:0]
 		fromCol := nBlock * f.widths[c] // column c's segments of my circles
 		f.tOut[c], f.back[c] = cut(&values, fromCol)[:0], cut(&values, fromCol)[:0]
@@ -378,7 +328,7 @@ func (f *FFTFilter) layout(vars []Variable) {
 	}
 	f.rSend, f.rRecv = cut(&headers, py), cut(&headers, py)
 	for q := 0; q < py; q++ {
-		room := max(f.toCount[q], f.fromCount[q]) * w
+		room := max(f.row.to[q], f.row.from[q]) * w
 		f.rSend[q], f.rRecv[q] = cut(&values, room)[:0], cut(&values, room)[:0]
 	}
 }
@@ -390,141 +340,133 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	if !slices.EqualFunc(f.kinds, vars, func(k Kind, v Variable) bool { return k == v.Kind }) {
 		f.layout(vars)
 	}
-	lines := f.lines
-	if len(lines) == 0 {
+	if f.tab == nil || len(f.tab.lines) == 0 {
 		return
 	}
 	px := f.cart.Px
-	me := f.cart.MyRow
 	w := f.local.Nlon()
-	initOwner, segs := f.initOwner, f.segs
+	lines, home, work := f.tab.lines, f.row.home, f.row.work
 
 	// Phase 1: extract the local longitude segments of my lines into the
 	// segment arena.
-	pos := 0
-	for l, ln := range lines {
-		segs[l] = nil
-		if initOwner[l] != me {
-			continue
-		}
-		seg := f.segArena[pos : pos+w]
-		pos += w
-		segs[l] = vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, seg)
+	for i, l := range home {
+		ln := lines[l]
+		f.homeSegs[i] = vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, f.segArena[i*w:(i+1)*w])
 	}
 
 	// Phase 2: redistribute segments along the mesh column so each
 	// processor row holds its Eq. (3) share of lines.
-	if f.balanced {
+	if f.moves {
 		f.redistribute(true)
 	}
 
-	// Phase 3: transpose within the mesh row (Figure 3): sub-block c of
-	// myWork — the lines this processor row filters, in canonical order —
+	// Phase 3: transpose within the mesh row (Figure 3): sub-block c of the
+	// work list — the lines this processor row filters, in canonical order —
 	// becomes complete latitude circles on mesh column c.
-	myWork, sub, myBlock := f.myWork, f.sub, f.myBlock
 	for c := range f.parts {
-		f.parts[c] = f.parts[c][:0]
-	}
-	for t, l := range myWork {
-		f.parts[sub[t]] = append(f.parts[sub[t]], segs[l]...)
+		buf := f.parts[c][:0]
+		for _, seg := range f.workSegs[f.colStart[c]:f.colStart[c+1]] {
+			buf = append(buf, seg...)
+		}
+		f.parts[c] = buf
 	}
 	recv := f.cart.Row.AlltoallvInto(f.parts, f.tOut)
 
 	full := f.full
 	for c := 0; c < px; c++ {
 		buf := recv[c]
-		if len(buf) != len(myBlock)*f.widths[c] {
+		if len(buf) != len(full)*f.widths[c] {
 			panic(fmt.Sprintf("filter: transpose recv from col %d has %d values, want %d",
-				c, len(buf), len(myBlock)*f.widths[c]))
+				c, len(buf), len(full)*f.widths[c]))
 		}
-		for bi := range myBlock {
+		for bi := range full {
 			copy(full[bi][f.lonOff[c]:f.lonOff[c]+f.widths[c]], buf[bi*f.widths[c]:(bi+1)*f.widths[c]])
 		}
 	}
 
 	// Phase 4: local FFT filtering of complete circles.
-	for bi, t := range myBlock {
-		ln := lines[myWork[t]]
-		f.rf.apply(f.damping(vars[ln.v].Kind, ln.j), full[bi])
+	myCol := f.cart.MyCol
+	for bi, l := range work[f.colStart[myCol]:f.colStart[myCol+1]] {
+		f.rf.apply(f.tab.damp[l], full[bi])
 		f.cart.World.Proc().Compute(f.lineFlops)
 	}
 
 	// Phase 5: reverse transpose.
 	for c := 0; c < px; c++ {
 		buf := f.back[c][:0]
-		for bi := range myBlock {
+		for bi := range full {
 			buf = append(buf, full[bi][f.lonOff[c]:f.lonOff[c]+f.widths[c]]...)
 		}
 		f.back[c] = buf
 	}
 	got := f.cart.Row.AlltoallvInto(f.back, f.gotOut)
-	for c := range f.colOffs {
-		f.colOffs[c] = 0
-	}
-	for t, l := range myWork {
-		c := sub[t]
-		segs[l] = got[c][f.colOffs[c] : f.colOffs[c]+w]
-		f.colOffs[c] += w
+	for c := 0; c < px; c++ {
+		for t, off := f.colStart[c], 0; t < f.colStart[c+1]; t, off = t+1, off+w {
+			f.workSegs[t] = got[c][off : off+w]
+		}
 	}
 
 	// Phase 6: reverse redistribution back to the home processor rows.
-	if f.balanced {
+	if f.moves {
 		f.redistribute(false)
 	}
 
 	// Phase 7: write the filtered segments back into the fields.
-	for l, ln := range lines {
-		if initOwner[l] != me {
-			continue
-		}
-		vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, segs[l])
+	for i, l := range home {
+		ln := lines[l]
+		vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, f.homeSegs[i])
 	}
 }
 
 // redistribute moves each line's segment along the mesh column, one message
 // per (src, dst) pair, preserving the canonical line order inside every
 // message: forward from the line's home processor row to the row that
-// filters it, otherwise back.  Sends are pooled copies and receives land in
-// the filter's staging, whose contents stay valid (referenced through segs)
-// until the next redistribute call — by which time Apply has rebound every
-// live segment elsewhere.
+// filters it, otherwise back.  It walks only this row's home and work lists,
+// which ascend in canonical order.  Sends are pooled copies and receives
+// land in the filter's staging, whose contents stay valid (referenced
+// through the segment headers) until the next redistribute call — by which
+// time Apply has rebound every live segment elsewhere.
 func (f *FFTFilter) redistribute(forward bool) {
-	from, to, nRecv, tag := f.initOwner, f.finalOwner, f.fromCount, tagBalance
+	row := f.row
+	src, dst, srcSegs, dstSegs := row.home, row.work, f.homeSegs, f.workSegs
+	srcOf, dstOf := 0, 1 // which half of a stay pair indexes src / dst
+	away, from := f.tab.finalOwner, f.tab.initOwner
+	nRecv, tag := row.from, tagBalance
 	if !forward {
-		from, to, nRecv, tag = to, from, f.toCount, tagBalanceBack
+		src, dst, srcSegs, dstSegs = dst, src, dstSegs, srcSegs
+		srcOf, dstOf = dstOf, srcOf
+		away, from = from, away
+		nRecv, tag = row.to, tagBalanceBack
 	}
 	me := f.cart.MyRow
-	py := f.cart.Py
 	w := f.local.Nlon()
-	segs := f.segs
 
-	for dst := range f.rSend {
-		f.rSend[dst] = f.rSend[dst][:0]
+	for q := range f.rSend {
+		f.rSend[q] = f.rSend[q][:0]
 	}
-	for l := range f.lines {
-		if from[l] == me && to[l] != me {
-			f.rSend[to[l]] = append(f.rSend[to[l]], segs[l]...)
-			segs[l] = nil
+	for i, l := range src {
+		if q := away[l]; q != me {
+			f.rSend[q] = append(f.rSend[q], srcSegs[i]...)
 		}
 	}
-	for dst := 0; dst < py; dst++ {
-		if dst != me && len(f.rSend[dst]) > 0 {
-			f.cart.Col.SendCopy(dst, tag, f.rSend[dst])
+	for q, buf := range f.rSend {
+		if q != me && len(buf) > 0 {
+			f.cart.Col.SendCopy(q, tag, buf)
 		}
 	}
-	for src := 0; src < py; src++ {
-		if nRecv[src] > 0 {
-			f.rRecv[src] = f.cart.Col.RecvInto(src, tag, f.rRecv[src])
+	for q, n := range nRecv {
+		if n > 0 {
+			f.rRecv[q] = f.cart.Col.RecvInto(q, tag, f.rRecv[q])
 		}
 	}
-	for src := range f.rOffs {
-		f.rOffs[src] = 0
-	}
-	for l := range f.lines {
-		if to[l] == me && from[l] != me {
-			src := from[l]
-			segs[l] = f.rRecv[src][f.rOffs[src] : f.rOffs[src]+w]
-			f.rOffs[src] += w
+	clear(f.rOffs)
+	for t, l := range dst {
+		if q := from[l]; q != me {
+			dstSegs[t] = f.rRecv[q][f.rOffs[q] : f.rOffs[q]+w]
+			f.rOffs[q] += w
 		}
+	}
+	for _, s := range row.stay {
+		dstSegs[s[dstOf]] = srcSegs[s[srcOf]]
 	}
 }

@@ -132,6 +132,16 @@ func intoLoadCases(p int, rng *rand.Rand) [][]float64 {
 		fill(func(int) float64 { return 24 }),
 		fill(func(i int) float64 { return 1 + 9*float64(i%2) }),
 		fill(func(int) float64 { return 0 }),
+		fill(func(int) float64 { return float64(rng.Intn(2)) * 7 }), // two values, many ties
+		fill(func(int) float64 { // -0 and +0 tie with each other
+			switch rng.Intn(3) {
+			case 0:
+				return math.Copysign(0, -1)
+			case 1:
+				return 0
+			}
+			return 0.5
+		}),
 	}
 }
 

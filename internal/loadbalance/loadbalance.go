@@ -258,10 +258,11 @@ func SortedGreedyInto(moves []Move, order []int, loads []float64, granularity fl
 	return moves
 }
 
-// sortedOrderInto returns processor indices sorted by descending load, stable
-// in the original index for ties — all ranks derive the same order — in a
-// caller-owned buffer, reallocated only when its capacity is below
-// len(loads).
+// sortedOrderInto returns processor indices sorted by descending load, ties
+// in ascending index — all ranks derive the same order — in a caller-owned
+// buffer, reallocated only when its capacity is below len(loads).  The index
+// tiebreak makes the order total, so an unstable sort gives the stable
+// sort's permutation for every finite input (-0 and +0 tie).
 func sortedOrderInto(order []int, loads []float64) []int {
 	if cap(order) < len(loads) {
 		order = make([]int, len(loads))
@@ -270,14 +271,14 @@ func sortedOrderInto(order []int, loads []float64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
+	slices.SortFunc(order, func(a, b int) int {
 		switch {
 		case loads[a] > loads[b]:
 			return -1
 		case loads[a] < loads[b]:
 			return 1
 		}
-		return 0
+		return a - b
 	})
 	return order
 }

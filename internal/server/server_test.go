@@ -233,28 +233,36 @@ func TestLoadShedding(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Drain(context.Background())
+	// Deferred after Drain, so it runs first: a failure below still lets
+	// the running job finish and Drain return.
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) })
 
 	done := make(chan struct{}, 2)
-	for i, body := range []string{
-		reqJSON([2]int{1, 1}, "fft", 1),
-		reqJSON([2]int{1, 2}, "fft", 1),
-	} {
-		go func(i int, body string) {
+	post := func(i int, body string) {
+		go func() {
 			status, _, b := postRun(t, ts.URL, body)
 			if status != 200 {
 				t.Errorf("request %d: status %d: %s", i, status, b)
 			}
 			done <- struct{}{}
-		}(i, body)
+		}()
 	}
-	// Wait until one job is running and one is queued.
-	deadline := time.Now().Add(5 * time.Second)
-	for !(s.inflight.Load() == 1 && s.queue.Depth() == 1) {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog never formed: inflight=%d depth=%d", s.inflight.Load(), s.queue.Depth())
+	waitFor := func(inflight int64, depth int) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !(s.inflight.Load() == inflight && s.queue.Depth() == depth) {
+			if time.Now().After(deadline) {
+				t.Fatalf("inflight=%d depth=%d, want %d and %d", s.inflight.Load(), s.queue.Depth(), inflight, depth)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	// One job running, then one queued behind it: posted together, the
+	// second could be shed before the worker took the first.
+	post(0, reqJSON([2]int{1, 1}, "fft", 1))
+	waitFor(1, 0)
+	post(1, reqJSON([2]int{1, 2}, "fft", 1))
+	waitFor(1, 1)
 	status, header, body := postRun(t, ts.URL, reqJSON([2]int{2, 1}, "fft", 1))
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("third request status %d, want 429: %s", status, body)
@@ -266,7 +274,7 @@ func TestLoadShedding(t *testing.T) {
 	if shed := s.metrics.requests.Get("shed"); shed != 1 {
 		t.Errorf("shed counter = %d, want 1", shed)
 	}
-	close(release)
+	unblock.Do(func() { close(release) })
 	<-done
 	<-done
 }
