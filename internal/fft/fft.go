@@ -14,9 +14,13 @@
 // The mixed-radix kernel computes, bit for bit, what the recursive
 // decimation-in-time evaluation it replaced computed (that recursion lives on
 // in the tests as the oracle): every output is a sum that starts from +0 and
-// adds its f products in order, with every twiddle (W^0 = (1, -0) included)
-// read from the one full-length table.  Simulated results are hashed, so the
-// kernel may reorder loads and stores but never the arithmetic.
+// adds its f products in order of r, every twiddle read from the one
+// full-length table.  The r = 0 product is y*W^0 with W^0 = (1, -0); for
+// finite y it is exactly y up to the sign of a zero, and a sum started from
+// +0 absorbs that sign, so the kernel starts each sum at y_0 + 0 and
+// multiplies only the r >= 1 terms, whose twiddles are all a stage stores.
+// Simulated results are hashed, so the kernel may reorder loads and stores
+// but never the arithmetic.
 //
 // The package also exposes the standard 5*n*log2(n) flop-count model, which
 // the simulator charges to the virtual clock when the parallel filter runs
@@ -68,7 +72,8 @@ type tables struct {
 type stage struct {
 	f, m int
 	// tw holds the (re, im) twiddles in the order the loops consume them:
-	// for q < m, for s < f, for r < f: W_{f*m}^{r*(q+m*s)}.
+	// for q < m, for s < f, for 1 <= r < f: W_{f*m}^{r*(q+m*s)}.  The r = 0
+	// twiddle is W^0 and never multiplies (see the package comment).
 	tw []float64
 }
 
@@ -201,10 +206,10 @@ func (t *tables) initMixedRadix() {
 		f := factors[fi]
 		// W_{f*m}^j == W_n^{j*mult}.
 		mult := n / (f * m)
-		tw := make([]float64, 0, 2*m*f*f)
+		tw := make([]float64, 0, 2*m*f*(f-1))
 		for q := 0; q < m; q++ {
 			for s := 0; s < f; s++ {
-				for r := 0; r < f; r++ {
+				for r := 1; r < f; r++ {
 					idx := (r * (q + m*s)) % (f * m) * mult
 					tw = append(tw, twRe[idx], twIm[idx])
 				}
@@ -229,6 +234,13 @@ func (p *Plan) mixedRadix(re, im []float64, conj bool) {
 			sRe[i], sIm[i] = re[j], im[j]
 		}
 	}
+	p.runStages(re, im)
+}
+
+// runStages runs the stages over the gathered scratch; the last writes the
+// transform to (re, im).
+func (p *Plan) runStages(re, im []float64) {
+	sRe, sIm := p.sRe, p.sIm
 	dRe, dIm := sRe, sIm
 	for i := range p.stages {
 		if i == len(p.stages)-1 {
@@ -249,7 +261,7 @@ func (p *Plan) mixedRadix(re, im []float64, conj bool) {
 // generic is the stage body for any prime f: with Y_r the r-th transform of
 // length m in a block, X[q + m*s] = sum_r W^{r*(q+m*s)} * Y_r[q].  For a
 // fixed q the writes land on the positions just read, so a q-row is buffered
-// and d may be s.  Each sum starts from +0 and adds its f terms in order of r
+// and d may be s.  Each sum is y_0 + 0 plus its r >= 1 terms in order of r
 // — the arithmetic every simulated result is pinned to; radix2 and radix3
 // are this loop unrolled, statement for statement.
 func (st *stage) generic(dRe, dIm, sRe, sIm []float64) {
@@ -258,16 +270,17 @@ func (st *stage) generic(dRe, dIm, sRe, sIm []float64) {
 	for base := 0; base < len(sRe); base += f * m {
 		tw := st.tw
 		for q := base; q < base+m; q++ {
+			y0r, y0i := sRe[q]+0, sIm[q]+0
 			for s := 0; s < f; s++ {
-				var sr, si float64
-				for r := 0; r < f; r++ {
+				sr, si := y0r, y0i
+				for r := 1; r < f; r++ {
 					yr, yi := sRe[q+r*m], sIm[q+r*m]
-					wr, wi := tw[2*r], tw[2*r+1]
+					wr, wi := tw[2*r-2], tw[2*r-1]
 					sr += yr*wr - yi*wi
 					si += yr*wi + yi*wr
 				}
 				tr[s], ti[s] = sr, si
-				tw = tw[2*f:]
+				tw = tw[2*(f-1):]
 			}
 			for s := 0; s < f; s++ {
 				dRe[q+m*s], dIm[q+m*s] = tr[s], ti[s]
@@ -281,19 +294,14 @@ func (st *stage) radix2(dRe, dIm, sRe, sIm []float64) {
 	for base := 0; base < len(sRe); base += 2 * m {
 		tw := st.tw
 		for q := base; q < base+m; q++ {
-			w := tw[:8]
-			tw = tw[8:]
-			y0r, y0i := sRe[q], sIm[q]
+			w := tw[:4]
+			tw = tw[4:]
+			y0r, y0i := sRe[q]+0, sIm[q]+0
 			y1r, y1i := sRe[q+m], sIm[q+m]
-			var x0r, x0i, x1r, x1i float64
-			x0r += y0r*w[0] - y0i*w[1]
-			x0i += y0r*w[1] + y0i*w[0]
-			x0r += y1r*w[2] - y1i*w[3]
-			x0i += y1r*w[3] + y1i*w[2]
-			x1r += y0r*w[4] - y0i*w[5]
-			x1i += y0r*w[5] + y0i*w[4]
-			x1r += y1r*w[6] - y1i*w[7]
-			x1i += y1r*w[7] + y1i*w[6]
+			x0r := y0r + (y1r*w[0] - y1i*w[1])
+			x0i := y0i + (y1r*w[1] + y1i*w[0])
+			x1r := y0r + (y1r*w[2] - y1i*w[3])
+			x1i := y0i + (y1r*w[3] + y1i*w[2])
 			dRe[q], dIm[q] = x0r, x0i
 			dRe[q+m], dIm[q+m] = x1r, x1i
 		}
@@ -305,30 +313,23 @@ func (st *stage) radix3(dRe, dIm, sRe, sIm []float64) {
 	for base := 0; base < len(sRe); base += 3 * m {
 		tw := st.tw
 		for q := base; q < base+m; q++ {
-			w := tw[:18]
-			tw = tw[18:]
-			y0r, y0i := sRe[q], sIm[q]
+			w := tw[:12]
+			tw = tw[12:]
+			y0r, y0i := sRe[q]+0, sIm[q]+0
 			y1r, y1i := sRe[q+m], sIm[q+m]
 			y2r, y2i := sRe[q+2*m], sIm[q+2*m]
-			var x0r, x0i, x1r, x1i, x2r, x2i float64
-			x0r += y0r*w[0] - y0i*w[1]
-			x0i += y0r*w[1] + y0i*w[0]
-			x0r += y1r*w[2] - y1i*w[3]
-			x0i += y1r*w[3] + y1i*w[2]
-			x0r += y2r*w[4] - y2i*w[5]
-			x0i += y2r*w[5] + y2i*w[4]
-			x1r += y0r*w[6] - y0i*w[7]
-			x1i += y0r*w[7] + y0i*w[6]
-			x1r += y1r*w[8] - y1i*w[9]
-			x1i += y1r*w[9] + y1i*w[8]
-			x1r += y2r*w[10] - y2i*w[11]
-			x1i += y2r*w[11] + y2i*w[10]
-			x2r += y0r*w[12] - y0i*w[13]
-			x2i += y0r*w[13] + y0i*w[12]
-			x2r += y1r*w[14] - y1i*w[15]
-			x2i += y1r*w[15] + y1i*w[14]
-			x2r += y2r*w[16] - y2i*w[17]
-			x2i += y2r*w[17] + y2i*w[16]
+			x0r := y0r + (y1r*w[0] - y1i*w[1])
+			x0i := y0i + (y1r*w[1] + y1i*w[0])
+			x0r += y2r*w[2] - y2i*w[3]
+			x0i += y2r*w[3] + y2i*w[2]
+			x1r := y0r + (y1r*w[4] - y1i*w[5])
+			x1i := y0i + (y1r*w[5] + y1i*w[4])
+			x1r += y2r*w[6] - y2i*w[7]
+			x1i += y2r*w[7] + y2i*w[6]
+			x2r := y0r + (y1r*w[8] - y1i*w[9])
+			x2i := y0i + (y1r*w[9] + y1i*w[8])
+			x2r += y2r*w[10] - y2i*w[11]
+			x2i += y2r*w[11] + y2i*w[10]
 			dRe[q], dIm[q] = x0r, x0i
 			dRe[q+m], dIm[q+m] = x1r, x1i
 			dRe[q+2*m], dIm[q+2*m] = x2r, x2i

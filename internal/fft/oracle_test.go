@@ -308,6 +308,92 @@ func FuzzMixedRadixBits(f *testing.F) {
 	})
 }
 
+// FuzzRealPlanBits does the same for the real plan, which gathers straight
+// into its half plan's scratch and folds the inverse's normalisation into its
+// interleave: the fuzzer picks the half length and the raw bits of x for
+// Forward and of the spectrum for Inverse.
+func FuzzRealPlanBits(f *testing.F) {
+	for _, m := range oracleLengths {
+		rng := rand.New(rand.NewSource(int64(m)))
+		vals := make([]float64, 4*m+2)
+		signal(rng, trials, vals[:2*m+1], vals[2*m+1:])
+		raw := make([]byte, 0, 8*len(vals))
+		for _, v := range vals {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+		f.Add(uint16(m-2), raw)
+	}
+	f.Fuzz(func(t *testing.T, length uint16, raw []byte) {
+		m := int(length)%360 + 2
+		if isPow2(m) || !smooth(m) {
+			t.Skip()
+		}
+		n := 2 * m
+		vals := make([]float64, 2*n+2) // x, then re and im of the spectrum
+		for i := 0; i < len(vals) && 8*i+8 <= len(raw); i++ {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			if !(math.Abs(vals[i]) <= 1e300) {
+				t.Skip()
+			}
+		}
+		x, re, im := vals[:n], vals[n:n+m+1], vals[n+m+1:]
+		p, o := NewRealPlan(n), newOracleReal(n)
+		gRe, gIm := make([]float64, m+1), make([]float64, m+1)
+		wRe, wIm := make([]float64, m+1), make([]float64, m+1)
+		p.Forward(x, gRe, gIm)
+		o.Forward(x, wRe, wIm)
+		got, want := make([]float64, n), make([]float64, n)
+		p.Inverse(re, im, got)
+		o.Inverse(re, im, want)
+		for _, err := range []error{
+			sameBits("real forward re", n, gRe, wRe),
+			sameBits("real forward im", n, gIm, wIm),
+			sameBits("real inverse", n, got, want),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestStageStreamsOmitUnitTerm checks each compiled stage's twiddle stream
+// against the full table it is read from: it holds 2*m*f*(f-1) values, the
+// r >= 1 twiddles in [q][s][r] order, and every r = 0 entry it leaves out is
+// exactly W^0 = (1, -0) — the term the stage bodies replace by adding +0.
+func TestStageStreamsOmitUnitTerm(t *testing.T) {
+	one, negZero := math.Float64bits(1), math.Float64bits(math.Copysign(0, -1))
+	for _, n := range oracleLengths {
+		full := newOracle(n) // its twRe, twIm are the table W_n^j
+		for _, st := range newTables(n).stages {
+			f, m := st.f, st.m
+			if len(st.tw) != 2*m*f*(f-1) {
+				t.Fatalf("n=%d stage f=%d m=%d: stream holds %d values, want %d", n, f, m, len(st.tw), 2*m*f*(f-1))
+			}
+			tw := st.tw
+			for q := 0; q < m; q++ {
+				for s := 0; s < f; s++ {
+					for r := 0; r < f; r++ {
+						idx := (r * (q + m*s)) % (f * m) * (n / (f * m))
+						wr, wi := math.Float64bits(full.twRe[idx]), math.Float64bits(full.twIm[idx])
+						if r == 0 {
+							if wr != one || wi != negZero {
+								t.Fatalf("n=%d f=%d m=%d: dropped W^0 is (%g, %g), not (1, -0)", n, f, m, full.twRe[idx], full.twIm[idx])
+							}
+							continue
+						}
+						if math.Float64bits(tw[0]) != wr || math.Float64bits(tw[1]) != wi {
+							t.Fatalf("n=%d f=%d m=%d: stream entry (q=%d s=%d r=%d) = (%g, %g), table (%g, %g)",
+								n, f, m, q, s, r, tw[0], tw[1], full.twRe[idx], full.twIm[idx])
+						}
+						tw = tw[2:]
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSharedTablesConcurrentPlans has 240 goroutines — one simulated rank
 // each on the paper's mesh — build a plan of one length at once and transform
 // their own signals.  Every one must produce the oracle's bits; under -race

@@ -38,12 +38,20 @@ func (p *RealPlan) Forward(x []float64, re, im []float64) {
 	if len(x) != p.n || len(re) != m+1 || len(im) != m+1 {
 		panic("fft: real Forward length mismatch")
 	}
-	// Pack even/odd samples into a complex signal.
-	for k := 0; k < m; k++ {
-		p.zRe[k] = x[2*k]
-		p.zIm[k] = x[2*k+1]
+	// Pack even/odd samples into a complex signal and transform it; the
+	// mixed-radix kernel packs as it gathers into its scratch.
+	if h := &p.half; h.kind() == kindMixed {
+		for i, j := range h.perm {
+			h.sRe[i], h.sIm[i] = x[2*j], x[2*j+1]
+		}
+		h.runStages(p.zRe, p.zIm)
+	} else {
+		for k := 0; k < m; k++ {
+			p.zRe[k] = x[2*k]
+			p.zIm[k] = x[2*k+1]
+		}
+		h.transform(p.zRe, p.zIm, false)
 	}
-	p.half.Forward(p.zRe, p.zIm)
 	// Unpack: with E, O the DFTs of the even and odd subsequences,
 	// Z[s] = E[s] + i O[s]; X[s] = E[s] + w^s O[s].  Z has period m, so the
 	// two end bins pair Z[0] with itself.
@@ -93,9 +101,12 @@ func (p *RealPlan) Inverse(re, im []float64, x []float64) {
 		p.zRe[s] = er - oi
 		p.zIm[s] = ei + or
 	}
-	p.half.Inverse(p.zRe, p.zIm)
+	// The half plan's Inverse, its 1/m normalisation folded into the
+	// interleave.
+	p.half.transform(p.zRe, p.zIm, true)
+	inv := 1 / float64(m)
 	for k := 0; k < m; k++ {
-		x[2*k] = p.zRe[k]
-		x[2*k+1] = p.zIm[k]
+		x[2*k] = p.zRe[k] * inv
+		x[2*k+1] = p.zIm[k] * -inv
 	}
 }

@@ -109,6 +109,51 @@ func TestFFTFilterApplyAllocFree(t *testing.T) {
 	}
 }
 
+// TestLayoutStagesNoSelfTranspose pins what layout cuts on one-wide mesh
+// rows, where every line a rank filters is its own: no transpose staging at
+// all, so the values are the home segments, the circles and the balancing
+// buffers — nHome*w + nBlock*n on 1x1, where nothing moves.
+func TestLayoutStagesNoSelfTranspose(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
+	for _, py := range []int{1, 4} {
+		d, err := grid.NewDecomp(spec, py, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sim.New(py, machine.Paragon()).Run(func(p *sim.Proc) error {
+			cart := comm.NewCart2D(comm.World(p), py, 1)
+			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+			f := NewFFT(cart, spec, l, true)
+			f.Apply(newVars(l))
+			nHome, nBlock := len(f.row.home), len(f.row.work)
+			staged, balancing := 0, 0
+			for _, bufs := range [][][]float64{f.parts, f.tOut, f.back, f.gotOut} {
+				for _, b := range bufs {
+					staged += cap(b)
+				}
+			}
+			for q := range f.rSend {
+				balancing += cap(f.rSend[q]) + cap(f.rRecv[q])
+			}
+			values := cap(f.segArena) + balancing
+			for _, c := range f.full {
+				values += cap(c)
+			}
+			if py == 1 && (balancing != 0 || f.moves) {
+				return fmt.Errorf("1x1: %d balancing values, moves=%v", balancing, f.moves)
+			}
+			if want := nHome*spec.Nlon + nBlock*spec.Nlon + balancing; staged != 0 || values != want {
+				return fmt.Errorf("%dx1 rank %d: %d transpose values staged, %d values in all; want 0 and %d",
+					py, p.Rank(), staged, values, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFFTFilterRelayout checks that one filter asked to work on a different
 // list of variable kinds lays itself out again: its result equals a fresh
 // filter's, bit for bit.

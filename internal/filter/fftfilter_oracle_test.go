@@ -468,9 +468,10 @@ var (
 
 // TestFFTFilterMatchesOracle is the differential check of the table-driven
 // filter: identical field bits, virtual clocks, message and byte counts and
-// event logs on every mesh, balanced and not, for each kind list.
+// event logs on every mesh, balanced and not, for each kind list.  The 4x1
+// and 8x1 meshes are one-wide rows whose balancing moves lines.
 func TestFFTFilterMatchesOracle(t *testing.T) {
-	meshes := [][2]int{{1, 1}, {1, 4}, {2, 2}, {2, 4}, {3, 5}, {8, 30}}
+	meshes := [][2]int{{1, 1}, {1, 4}, {2, 2}, {2, 4}, {3, 5}, {4, 1}, {8, 1}, {8, 30}}
 	for _, mesh := range meshes {
 		for _, balanced := range []bool{true, false} {
 			for _, kinds := range [][]Kind{sss, sw, ww} {
@@ -495,15 +496,18 @@ func TestFFTFilterRelayoutMatchesOracle(t *testing.T) {
 
 // withEmptyTableCache runs the rest of a test against an empty table cache
 // and puts the previous one back afterwards.
-func withEmptyTableCache(t *testing.T) {
-	sharedTables.Lock()
-	saved := sharedTables.byKey
-	sharedTables.byKey = make(map[tableKey]*lineTable)
-	sharedTables.Unlock()
+func withEmptyTableCache(t *testing.T) { withEmptyCache(t, &sharedTables) }
+
+// withEmptyCache does the same for any shared cache.
+func withEmptyCache[K comparable, V any](t *testing.T, c *sharedCache[K, V]) {
+	c.Lock()
+	saved := c.byKey
+	c.byKey = make(map[K]V)
+	c.Unlock()
 	t.Cleanup(func() {
-		sharedTables.Lock()
-		sharedTables.byKey = saved
-		sharedTables.Unlock()
+		c.Lock()
+		c.byKey = saved
+		c.Unlock()
 	})
 }
 

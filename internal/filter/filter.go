@@ -92,17 +92,11 @@ func Damping(nlon, s int, lat, critLat float64) float64 {
 // DampingRow returns the full per-wavenumber damping vector for one
 // latitude circle.
 func DampingRow(nlon int, lat, critLat float64) []float64 {
-	return DampingRowInto(make([]float64, 0, nlon), nlon, lat, critLat)
-}
-
-// DampingRowInto fills the damping vector into dst (grown from dst[:0] as
-// needed) and returns it; with a persistent dst it allocates nothing.
-func DampingRowInto(dst []float64, nlon int, lat, critLat float64) []float64 {
-	dst = dst[:0]
-	for s := 0; s < nlon; s++ {
-		dst = append(dst, Damping(nlon, s, lat, critLat))
+	row := make([]float64, nlon)
+	for s := range row {
+		row[s] = Damping(nlon, s, lat, critLat)
 	}
-	return dst
+	return row
 }
 
 // IsFiltered reports whether global latitude row j requires filtering of
@@ -345,17 +339,16 @@ type Variable struct {
 func Sequential(spec grid.Spec, vars []Variable) {
 	rf := newRowFilter(spec.Nlon)
 	row := make([]float64, spec.Nlon)
-	damp := make([]float64, 0, spec.Nlon)
+	resp := responses(spec)
 	for _, v := range vars {
 		l := v.Field.Local()
 		if l.Nlat() != spec.Nlat || l.Nlon() != spec.Nlon {
 			panic("filter: Sequential requires an undecomposed field")
 		}
 		for _, j := range Rows(spec, v.Kind) {
-			damp = DampingRowInto(damp, spec.Nlon, spec.LatCenter(j), v.Kind.CritLat())
 			for k := 0; k < spec.Nlayers; k++ {
 				v.Field.RowSlice(j, k, row)
-				rf.apply(damp, row)
+				rf.apply(resp[v.Kind].damp[j], row)
 				v.Field.SetRowSlice(j, k, row)
 			}
 		}

@@ -279,3 +279,39 @@ func TestApplyRowFFTPanicsOnMismatch(t *testing.T) {
 	}()
 	ApplyRowFFT(fft.NewPlan(8), make([]float64, 8), make([]float64, 7))
 }
+
+// TestResponsesShared checks the per-(grid, kind) response table every
+// filter reads: filtered rows hold exactly DampingRow and its Coefficients,
+// the others nil; a second lookup on any grid with the same horizontal size
+// returns the same table; a grid too large to share gets a private one.
+func TestResponsesShared(t *testing.T) {
+	withEmptyCache(t, &sharedResponses)
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
+	r := responses(spec)
+	for k, resp := range r {
+		kind := Kind(k)
+		for j := 0; j < spec.Nlat; j++ {
+			if !IsFiltered(spec, kind, j) {
+				if resp.damp[j] != nil || resp.kernel[j] != nil {
+					t.Fatalf("%v row %d is not filtered but has a response", kind, j)
+				}
+				continue
+			}
+			damp := DampingRow(spec.Nlon, spec.LatCenter(j), kind.CritLat())
+			kernel := Coefficients(damp)
+			for s := range damp {
+				if math.Float64bits(resp.damp[j][s]) != math.Float64bits(damp[s]) ||
+					math.Float64bits(resp.kernel[j][s]) != math.Float64bits(kernel[s]) {
+					t.Fatalf("%v row %d entry %d differs from DampingRow/Coefficients", kind, j, s)
+				}
+			}
+		}
+	}
+	if again := responses(grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 9}); again != r {
+		t.Error("a grid with the same horizontal size did not share the tables")
+	}
+	big := grid.Spec{Nlon: 512, Nlat: maxSharedPoints/512 + 1, Nlayers: 1}
+	if responses(big) == responses(big) {
+		t.Error("a grid past the size bound shared its tables")
+	}
+}

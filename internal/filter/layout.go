@@ -3,6 +3,7 @@ package filter
 import (
 	"sync"
 
+	"agcm/internal/fft"
 	"agcm/internal/grid"
 )
 
@@ -14,7 +15,7 @@ import (
 type lineTable struct {
 	lines                 []line      // every line, in canonical order
 	initOwner, finalOwner []int       // processor row holding each line before and after balancing
-	damp                  [][]float64 // each line's damping row, shared by the lines of one kind and latitude
+	damp                  [][]float64 // each line's damping row, from its kind's response
 	rows                  []rowLines  // per processor row
 }
 
@@ -25,14 +26,50 @@ type rowLines struct {
 	to, from   []int    // lines balancing sends to / receives from each processor row
 }
 
-// Tables are shared through a cache that only ever fills, as fft shares its
-// twiddle tables: agcmd runs whatever grid and mesh a request names, so the
-// cache holds at most maxSharedLayouts tables for grids of at most
-// maxSharedLines (variable, row, layer) lines and never evicts.  A layout
-// that does not fit gets a table of its own.
+// response is one grid's filter response for one kind, indexed by global
+// latitude row and nil on the rows the kind leaves alone: the damping row,
+// and the physical-space convolution kernel equivalent to it.  Every filter
+// on the grid reads the same read-only copy.
+type response struct {
+	damp, kernel [][]float64
+}
+
+// sharedCache shares read-only tables through a map that only ever fills, as
+// fft shares its twiddle tables: agcmd runs whatever grid and mesh a request
+// names, so the map holds at most limit tables and never evicts.  A table
+// that does not fit, or is too large to share, is built for its one caller.
+type sharedCache[K comparable, V any] struct {
+	sync.Mutex
+	limit int
+	byKey map[K]V
+}
+
+// get returns the table for key, building it under the lock on first use so
+// that ranks starting together build it once; share=false bypasses the map.
+func (c *sharedCache[K, V]) get(key K, share bool, build func() V) V {
+	if !share {
+		return build()
+	}
+	c.Lock()
+	defer c.Unlock()
+	v, ok := c.byKey[key]
+	if !ok {
+		v = build()
+		if len(c.byKey) < c.limit {
+			c.byKey[key] = v
+		}
+	}
+	return v
+}
+
+// The layout cache shares tables for grids of at most maxSharedLines
+// (variable, row, layer) lines; the response cache for grids of at most
+// maxSharedPoints horizontal points.
 const (
-	maxSharedLayouts = 16
-	maxSharedLines   = 1 << 16
+	maxSharedLayouts   = 16
+	maxSharedLines     = 1 << 16
+	maxSharedResponses = 16
+	maxSharedPoints    = 1 << 16
 )
 
 type tableKey struct {
@@ -42,33 +79,41 @@ type tableKey struct {
 	balanced bool
 }
 
-var sharedTables = struct {
-	sync.Mutex
-	byKey map[tableKey]*lineTable
-}{byKey: make(map[tableKey]*lineTable)}
+type responseKey struct{ nlon, nlat, kind int }
 
-// tableFor returns the layout for the variable kinds on decomposition d,
-// building it under the lock on first use so that ranks starting together
-// build it once.
+var (
+	sharedTables    = sharedCache[tableKey, *lineTable]{limit: maxSharedLayouts, byKey: make(map[tableKey]*lineTable)}
+	sharedResponses = sharedCache[responseKey, *response]{limit: maxSharedResponses, byKey: make(map[responseKey]*response)}
+)
+
+// tableFor returns the layout for the variable kinds on decomposition d.
 func tableFor(d grid.Decomp, kinds []Kind, balanced bool) *lineTable {
-	if len(kinds)*d.Spec.Nlat*d.Spec.Nlayers > maxSharedLines {
-		return newLineTable(d, kinds, balanced)
-	}
 	b := make([]byte, len(kinds))
 	for i, k := range kinds {
 		b[i] = byte(k)
 	}
-	key := tableKey{d.Spec, d.Py, string(b), balanced}
-	sharedTables.Lock()
-	defer sharedTables.Unlock()
-	t := sharedTables.byKey[key]
-	if t == nil {
-		t = newLineTable(d, kinds, balanced)
-		if len(sharedTables.byKey) < maxSharedLayouts {
-			sharedTables.byKey[key] = t
-		}
+	share := len(kinds)*d.Spec.Nlat*d.Spec.Nlayers <= maxSharedLines
+	return sharedTables.get(tableKey{d.Spec, d.Py, string(b), balanced}, share,
+		func() *lineTable { return newLineTable(d, kinds, balanced) })
+}
+
+// responses returns the grid's response of each kind, indexed by kind.
+func responses(spec grid.Spec) (r [2]*response) {
+	for k := range r {
+		r[k] = sharedResponses.get(responseKey{spec.Nlon, spec.Nlat, k}, spec.Nlon*spec.Nlat <= maxSharedPoints,
+			func() *response { return newResponse(spec, Kind(k)) })
 	}
-	return t
+	return r
+}
+
+func newResponse(spec grid.Spec, k Kind) *response {
+	r := &response{damp: make([][]float64, spec.Nlat), kernel: make([][]float64, spec.Nlat)}
+	plan, im := fft.NewPlan(spec.Nlon), make([]float64, spec.Nlon)
+	for _, j := range Rows(spec, k) {
+		r.damp[j] = DampingRow(spec.Nlon, spec.LatCenter(j), k.CritLat())
+		r.kernel[j] = coefficients(plan, r.damp[j], im)
+	}
+	return r
 }
 
 // newLineTable lays out the lines of the variable kinds on d's processor
@@ -78,17 +123,10 @@ func newLineTable(d grid.Decomp, kinds []Kind, balanced bool) *lineTable {
 	lines := buildLines(spec, kinds)
 	n := len(lines)
 	t := &lineTable{lines: lines, initOwner: make([]int, n), damp: make([][]float64, n), rows: make([]rowLines, py)}
-	var dampRows [2][][]float64 // indexed [kind][global j]
-	for k := range dampRows {
-		dampRows[k] = make([][]float64, spec.Nlat)
-	}
+	resp := responses(spec)
 	for l, ln := range lines {
 		t.initOwner[l] = d.RowOfLat(ln.j)
-		k := kinds[ln.v]
-		if dampRows[k][ln.j] == nil {
-			dampRows[k][ln.j] = DampingRow(spec.Nlon, spec.LatCenter(ln.j), k.CritLat())
-		}
-		t.damp[l] = dampRows[k][ln.j]
+		t.damp[l] = resp[kinds[ln.v]].damp[ln.j]
 	}
 	t.finalOwner = t.initOwner
 	if balanced {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"agcm/internal/comm"
-	"agcm/internal/fft"
 	"agcm/internal/grid"
 )
 
@@ -48,15 +47,7 @@ type Convolution struct {
 	spec  grid.Spec
 	local grid.Local
 	topo  Topology
-
-	// coeffCache holds the convolution kernels indexed [kind][global j] —
-	// a flat table rather than a map because the slab loop consults it
-	// once per line.
-	coeffCache [2][][]float64
-	// A cache miss turns a damping profile (damp) into a kernel with plan;
-	// im is the transform's imaginary scratch.
-	plan     *fft.Plan
-	damp, im []float64
+	resp  [2]*response // the grid's shared kernels, by kind
 
 	// Persistent per-step scratch: the slab loop reuses these across calls
 	// so a steady-state Apply allocates nothing on the ring topology.
@@ -83,10 +74,7 @@ func lonSegments(d grid.Decomp, px int) (widths, offs []int) {
 
 // NewConvolution builds the original filter for this rank's subdomain.
 func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) *Convolution {
-	c := &Convolution{cart: cart, spec: spec, local: local, topo: topo}
-	for k := range c.coeffCache {
-		c.coeffCache[k] = make([][]float64, spec.Nlat)
-	}
+	c := &Convolution{cart: cart, spec: spec, local: local, topo: topo, resp: responses(spec)}
 	c.widths, c.offs = lonSegments(local.Decomp, cart.Px)
 	// full carries convPad wraparound values past the circle so the
 	// convolution kernel runs without modulo indexing.
@@ -94,20 +82,7 @@ func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo To
 	c.dst = make([]float64, local.Nlon())
 	c.row = make([]float64, local.Nlon())
 	c.gather = make([][]float64, cart.Px)
-	c.plan = fft.NewPlan(spec.Nlon)
-	c.damp = make([]float64, 0, spec.Nlon)
-	c.im = make([]float64, spec.Nlon)
 	return c
-}
-
-func (c *Convolution) coefficients(k Kind, j int) []float64 {
-	if co := c.coeffCache[k][j]; co != nil {
-		return co
-	}
-	c.damp = DampingRowInto(c.damp, c.spec.Nlon, c.spec.LatCenter(j), k.CritLat())
-	co := coefficients(c.plan, c.damp, c.im)
-	c.coeffCache[k][j] = co
-	return co
 }
 
 // Apply implements Parallel.  As in the original code, variables are
@@ -163,8 +138,7 @@ func (c *Convolution) applySlab(v Variable, k int) {
 		for q := 0; q < convPad; q++ {
 			c.full[n+q] = c.full[q%n]
 		}
-		coeffs := c.coefficients(v.Kind, c.local.GlobalLat(ln[0]))
-		convolveExt(coeffs, c.full, c.dst, lo)
+		convolveExt(c.resp[v.Kind].kernel[c.local.GlobalLat(ln[0])], c.full, c.dst, lo)
 		// The physical-space sum costs 2*N flops per point.
 		c.cart.World.Proc().Compute(float64(2 * n * w))
 		v.Field.SetRowSlice(ln[0], ln[1], c.dst)
@@ -212,7 +186,9 @@ type FFTFilter struct {
 	// Staging for Apply's seven phases, cut from one arena to the sizes the
 	// layout fixes: no buffer grows after layout.  Every send from them goes
 	// through the pooled-copy comm paths and every receive lands back here
-	// via *Into, so a laid-out Apply allocates nothing.
+	// via *Into, so a laid-out Apply allocates nothing.  The transpose
+	// staging is empty for this rank's own column: its segments go straight
+	// into and out of full.
 	homeSegs [][]float64 // each home line's current segment, by position in row.home
 	workSegs [][]float64 // each work line's, by position in row.work; homeSegs if none moves
 	segArena []float64
@@ -280,7 +256,7 @@ func cut[T any](arena *[]T, n int) []T {
 // resulting sizes: one allocation each for the offsets, the slice headers
 // and the values.
 func (f *FFTFilter) layout(vars []Variable) {
-	py, px := f.cart.Py, f.cart.Px
+	py, px, myCol := f.cart.Py, f.cart.Px, f.cart.MyCol
 	w, n := f.local.Nlon(), f.spec.Nlon
 
 	f.kinds = kindsOf(vars)
@@ -293,7 +269,7 @@ func (f *FFTFilter) layout(vars []Variable) {
 	for c := 0; c < px; c++ {
 		f.colStart[c+1] = f.colStart[c] + blockSize(nWork, px, c)
 	}
-	nBlock := blockSize(nWork, px, f.cart.MyCol)
+	nBlock := blockSize(nWork, px, myCol)
 
 	// A processor row's balancing buffers serve both directions, so each is
 	// cut for the larger of the two.
@@ -306,7 +282,7 @@ func (f *FFTFilter) layout(vars []Variable) {
 	if f.moves {
 		nSegs += nWork
 	}
-	values := make([]float64, nHome*w+2*nWork*w+3*nBlock*n+2*rTotal)
+	values := make([]float64, nHome*w+nBlock*n+2*(nWork-nBlock)*w+2*nBlock*(n-w)+2*rTotal)
 	headers := make([][]float64, nSegs+4*px+2*py+nBlock)
 	f.homeSegs = cut(&headers, nHome)
 	f.workSegs = f.homeSegs
@@ -317,6 +293,9 @@ func (f *FFTFilter) layout(vars []Variable) {
 	f.parts, f.tOut = cut(&headers, px), cut(&headers, px)
 	f.back, f.gotOut = cut(&headers, px), cut(&headers, px)
 	for c := 0; c < px; c++ {
+		if c == myCol {
+			continue
+		}
 		toCol := (f.colStart[c+1] - f.colStart[c]) * w // my lines that column c filters
 		f.parts[c], f.gotOut[c] = cut(&values, toCol)[:0], cut(&values, toCol)[:0]
 		fromCol := nBlock * f.widths[c] // column c's segments of my circles
@@ -362,8 +341,14 @@ func (f *FFTFilter) Apply(vars []Variable) {
 
 	// Phase 3: transpose within the mesh row (Figure 3): sub-block c of the
 	// work list — the lines this processor row filters, in canonical order —
-	// becomes complete latitude circles on mesh column c.
+	// becomes complete latitude circles on mesh column c.  This rank's own
+	// sub-block is never staged: its segments are copied into the circles
+	// directly, and the transpose's self part is empty.
+	myCol := f.cart.MyCol
 	for c := range f.parts {
+		if c == myCol {
+			continue
+		}
 		buf := f.parts[c][:0]
 		for _, seg := range f.workSegs[f.colStart[c]:f.colStart[c+1]] {
 			buf = append(buf, seg...)
@@ -373,26 +358,37 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	recv := f.cart.Row.AlltoallvInto(f.parts, f.tOut)
 
 	full := f.full
+	mine := f.workSegs[f.colStart[myCol]:f.colStart[myCol+1]]
 	for c := 0; c < px; c++ {
+		lo, wc := f.lonOff[c], f.widths[c]
+		if c == myCol {
+			for bi, seg := range mine {
+				copy(full[bi][lo:lo+wc], seg)
+			}
+			continue
+		}
 		buf := recv[c]
-		if len(buf) != len(full)*f.widths[c] {
+		if len(buf) != len(full)*wc {
 			panic(fmt.Sprintf("filter: transpose recv from col %d has %d values, want %d",
-				c, len(buf), len(full)*f.widths[c]))
+				c, len(buf), len(full)*wc))
 		}
 		for bi := range full {
-			copy(full[bi][f.lonOff[c]:f.lonOff[c]+f.widths[c]], buf[bi*f.widths[c]:(bi+1)*f.widths[c]])
+			copy(full[bi][lo:lo+wc], buf[bi*wc:(bi+1)*wc])
 		}
 	}
 
 	// Phase 4: local FFT filtering of complete circles.
-	myCol := f.cart.MyCol
 	for bi, l := range work[f.colStart[myCol]:f.colStart[myCol+1]] {
 		f.rf.apply(f.tab.damp[l], full[bi])
 		f.cart.World.Proc().Compute(f.lineFlops)
 	}
 
-	// Phase 5: reverse transpose.
+	// Phase 5: reverse transpose; this rank's own segments are rebound to
+	// their place in the circles.
 	for c := 0; c < px; c++ {
+		if c == myCol {
+			continue
+		}
 		buf := f.back[c][:0]
 		for bi := range full {
 			buf = append(buf, full[bi][f.lonOff[c]:f.lonOff[c]+f.widths[c]]...)
@@ -401,6 +397,12 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	}
 	got := f.cart.Row.AlltoallvInto(f.back, f.gotOut)
 	for c := 0; c < px; c++ {
+		if c == myCol {
+			for bi := range mine {
+				mine[bi] = full[bi][f.lonOff[c] : f.lonOff[c]+w]
+			}
+			continue
+		}
 		for t, off := f.colStart[c], 0; t < f.colStart[c+1]; t, off = t+1, off+w {
 			f.workSegs[t] = got[c][off : off+w]
 		}

@@ -20,9 +20,7 @@ type RowwiseFFT struct {
 	spec  grid.Spec
 	local grid.Local
 	rf    *rowFilter
-
-	// dampCache holds the damping profiles indexed [kind][global j].
-	dampCache [2][][]float64
+	resp  [2]*response // the grid's shared damping rows, by kind
 
 	// Persistent scratch, as in Convolution: a steady-state Apply allocates
 	// only what AllgathervTree returns.
@@ -35,23 +33,11 @@ type RowwiseFFT struct {
 func NewRowwiseFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *RowwiseFFT {
 	f := &RowwiseFFT{
 		cart: cart, spec: spec, local: local,
-		rf: newRowFilter(spec.Nlon),
-	}
-	for k := range f.dampCache {
-		f.dampCache[k] = make([][]float64, spec.Nlat)
+		rf: newRowFilter(spec.Nlon), resp: responses(spec),
 	}
 	f.full = make([]float64, spec.Nlon)
 	f.widths, f.offs = lonSegments(local.Decomp, cart.Px)
 	return f
-}
-
-func (f *RowwiseFFT) damping(k Kind, j int) []float64 {
-	if d := f.dampCache[k][j]; d != nil {
-		return d
-	}
-	d := DampingRow(f.spec.Nlon, f.spec.LatCenter(j), k.CritLat())
-	f.dampCache[k][j] = d
-	return d
 }
 
 // Apply implements Parallel: one allgather per variable slab, redundant
@@ -86,7 +72,7 @@ func (f *RowwiseFFT) Apply(vars []Variable) {
 		parts := f.cart.Row.AllgathervTree(f.buf)
 		// Transform every line redundantly; keep my segment.
 		for li, localJ := range f.rows {
-			damp := f.damping(v.Kind, f.local.GlobalLat(localJ))
+			damp := f.resp[v.Kind].damp[f.local.GlobalLat(localJ)]
 			for k := 0; k < f.spec.Nlayers; k++ {
 				line := li*f.spec.Nlayers + k
 				for col := 0; col < f.cart.Px; col++ {

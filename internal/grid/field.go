@@ -116,16 +116,18 @@ func (f *Field) RowSlice(j, k int, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, n)
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = f.At(j, i, k)
+	row := f.data[f.index(j, 0, k):]
+	for i := range dst[:n] {
+		dst[i] = row[i*f.nl]
 	}
 	return dst
 }
 
 // SetRowSlice writes src (length Nlon) into interior latitude row j, layer k.
 func (f *Field) SetRowSlice(j, k int, src []float64) {
+	row := f.data[f.index(j, 0, k):]
 	for i, v := range src {
-		f.Set(j, i, k, v)
+		row[i*f.nl] = v
 	}
 }
 
