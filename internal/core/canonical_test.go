@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -138,6 +141,43 @@ func TestCanonicalDefaultedAliases(t *testing.T) {
 	}
 	if kc == ka {
 		t.Fatal("different dt must change the key")
+	}
+}
+
+// roundsKeysGolden is the SHA-256 of the ConfigKeys of TestConfigKeyStability's
+// config at PhysicsRounds 1 to 8, one per line: the keys of every accepted
+// round count, as they were before out-of-range counts were rejected.
+const roundsKeysGolden = "aa7cd4d6be6cde4503cc52ff028d136e187e13370a47e480266674a274569978"
+
+// TestPhysicsRoundsRange checks that withDefaults rejects round counts the
+// Runner would clamp — so no two keys name one simulation — and keeps the
+// keys of the counts it accepts.
+func TestPhysicsRoundsRange(t *testing.T) {
+	cfg := Config{
+		Spec:          grid.TwoByTwoPointFive(9),
+		Machine:       machine.Paragon(),
+		MeshPy:        4,
+		MeshPx:        8,
+		Filter:        FilterFFTBalanced,
+		PhysicsScheme: physics.Pairwise,
+	}
+	for _, rounds := range []int{-3, -1, physics.MaxRounds + 1, 20} {
+		cfg.PhysicsRounds = rounds
+		if _, err := cfg.ConfigKey(); err == nil {
+			t.Errorf("PhysicsRounds %d accepted", rounds)
+		}
+	}
+	h := sha256.New()
+	for rounds := 1; rounds <= physics.MaxRounds; rounds++ {
+		cfg.PhysicsRounds = rounds
+		key, err := cfg.ConfigKey()
+		if err != nil {
+			t.Fatalf("PhysicsRounds %d: %v", rounds, err)
+		}
+		fmt.Fprintln(h, key)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != roundsKeysGolden {
+		t.Fatalf("keys of rounds 1..%d moved: digest %s, want %s", physics.MaxRounds, got, roundsKeysGolden)
 	}
 }
 

@@ -177,6 +177,9 @@ func (c Config) withDefaults() (Config, error) {
 			}
 		}
 	}
+	if c.PhysicsRounds < 0 || c.PhysicsRounds > physics.MaxRounds {
+		return c, fmt.Errorf("core: physics rounds %d outside 0..%d (0 = default 2)", c.PhysicsRounds, physics.MaxRounds)
+	}
 	if c.PhysicsRounds == 0 {
 		c.PhysicsRounds = 2
 	}

@@ -16,20 +16,10 @@ func TestFlopsAllocFree(t *testing.T) {
 	}
 }
 
-// resetShared empties the tables cache, so a test sees it cold and not
-// filled to capacity by whichever tests ran before.
-func resetShared() {
-	shared.Lock()
-	defer shared.Unlock()
-	for n := range shared.byLen {
-		delete(shared.byLen, n)
-	}
-}
-
 // TestNewPlanAllocsOnSharedTables pins what a plan costs once its length's
 // tables exist: the struct and one scratch allocation, on every kernel.
 func TestNewPlanAllocsOnSharedTables(t *testing.T) {
-	resetShared()
+	shared.Reset()
 	for _, n := range []int{128, 144, 97} { // radix-2, mixed radix, Bluestein
 		NewPlan(n)
 		if a := testing.AllocsPerRun(20, func() { NewPlan(n) }); a > 2 {
@@ -46,7 +36,11 @@ func TestNewPlanAllocsOnSharedTables(t *testing.T) {
 // holds, and one longer than it admits: it must stop growing, and the plans
 // that did not fit must still transform correctly on tables of their own.
 func TestSharedTablesAreBounded(t *testing.T) {
-	resetShared()
+	shared.Reset()
+	NewPlan(2 * maxSharedLen)
+	if shared.Len() != 0 {
+		t.Errorf("cache admitted length %d; the limit is %d", 2*maxSharedLen, maxSharedLen)
+	}
 	for n := 3; n < 3+4*maxSharedTables; n++ {
 		re, im := randSignal(n, int64(n))
 		wantRe, wantIm := DFT(re, im)
@@ -55,14 +49,8 @@ func TestSharedTablesAreBounded(t *testing.T) {
 			t.Fatalf("n=%d: plan differs from the naive DFT by %g", n, d)
 		}
 	}
-	NewPlan(2 * maxSharedLen)
-	shared.Lock()
-	defer shared.Unlock()
-	if len(shared.byLen) != maxSharedTables {
+	if shared.Len() != maxSharedTables {
 		t.Errorf("cache holds %d lengths after %d distinct ones; capacity is %d",
-			len(shared.byLen), 4*maxSharedTables, maxSharedTables)
-	}
-	if shared.byLen[2*maxSharedLen] != nil {
-		t.Errorf("cache admitted length %d; the limit is %d", 2*maxSharedLen, maxSharedLen)
+			shared.Len(), 4*maxSharedTables, maxSharedTables)
 	}
 }

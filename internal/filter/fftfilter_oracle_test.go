@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"agcm/internal/comm"
+	"agcm/internal/fillcache"
 	"agcm/internal/grid"
 	"agcm/internal/machine"
 	"agcm/internal/sim"
@@ -495,20 +496,13 @@ func TestFFTFilterRelayoutMatchesOracle(t *testing.T) {
 }
 
 // withEmptyTableCache runs the rest of a test against an empty table cache
-// and puts the previous one back afterwards.
-func withEmptyTableCache(t *testing.T) { withEmptyCache(t, &sharedTables) }
+// and empties it again afterwards, so later tests do not inherit its tables.
+func withEmptyTableCache(t *testing.T) { withEmptyCache(t, sharedTables) }
 
 // withEmptyCache does the same for any shared cache.
-func withEmptyCache[K comparable, V any](t *testing.T, c *sharedCache[K, V]) {
-	c.Lock()
-	saved := c.byKey
-	c.byKey = make(map[K]V)
-	c.Unlock()
-	t.Cleanup(func() {
-		c.Lock()
-		c.byKey = saved
-		c.Unlock()
-	})
+func withEmptyCache[K comparable, V any](t *testing.T, c *fillcache.Cache[K, V]) {
+	c.Reset()
+	t.Cleanup(c.Reset)
 }
 
 // TestFFTFilterSharedTablesConcurrent runs two machines at once whose meshes
@@ -548,7 +542,7 @@ func TestFFTFilterPastCacheBound(t *testing.T) {
 		d, _ := grid.NewDecomp(grid.Spec{Nlon: 8, Nlat: 8, Nlayers: n}, 2, 1)
 		tableFor(d, sw, true)
 	}
-	if n := len(sharedTables.byKey); n != maxSharedLayouts {
+	if n := sharedTables.Len(); n != maxSharedLayouts {
 		t.Fatalf("cache holds %d tables after %d distinct layouts, want %d", n, maxSharedLayouts, maxSharedLayouts)
 	}
 	d, _ := grid.NewDecomp(oracleSpec, 2, 4)
@@ -558,7 +552,7 @@ func TestFFTFilterPastCacheBound(t *testing.T) {
 			t.Fatalf("%+v: layout past the bound was shared", d.Spec)
 		}
 	}
-	if n := len(sharedTables.byKey); n != maxSharedLayouts {
+	if n := sharedTables.Len(); n != maxSharedLayouts {
 		t.Fatalf("cache grew to %d tables past its bound", n)
 	}
 	checkAgainstOracle(t, oracleSpec, 2, 4, true, [][]Kind{sw})

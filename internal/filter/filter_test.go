@@ -285,7 +285,7 @@ func TestApplyRowFFTPanicsOnMismatch(t *testing.T) {
 // the others nil; a second lookup on any grid with the same horizontal size
 // returns the same table; a grid too large to share gets a private one.
 func TestResponsesShared(t *testing.T) {
-	withEmptyCache(t, &sharedResponses)
+	withEmptyCache(t, sharedResponses)
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
 	r := responses(spec)
 	for k, resp := range r {

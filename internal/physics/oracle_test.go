@@ -263,7 +263,7 @@ func TestBlockMatchesColumnOracle(t *testing.T) {
 // angle, against the math expression the per-column code evaluated, bit for
 // bit, and that Models of one grid share one set of tables.
 func TestTablesMatchDirectCalls(t *testing.T) {
-	resetShared()
+	shared.Reset()
 	same := func(what string, idx int, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -302,20 +302,12 @@ func TestTablesMatchDirectCalls(t *testing.T) {
 	}
 }
 
-// resetShared empties the table cache, so a test of the cache does not
-// depend on which grids earlier tests happened to build.
-func resetShared() {
-	shared.Lock()
-	defer shared.Unlock()
-	clear(shared.bySpec)
-}
-
 // TestSharedTablesAreBounded fills the cache past its capacity: it stops
 // growing, and a Model whose grid did not fit computes the same bits from
 // tables of its own.
 func TestSharedTablesAreBounded(t *testing.T) {
-	resetShared()
-	defer resetShared()
+	shared.Reset()
+	defer shared.Reset()
 	for n := 0; n < 4*maxSharedTables; n++ {
 		spec := grid.Spec{Nlon: 12, Nlat: 8 + n, Nlayers: 5}
 		c := testColumn(spec, spec.Nlat/2, 3)
@@ -324,18 +316,16 @@ func TestSharedTablesAreBounded(t *testing.T) {
 		wantFlops := (&oracleModel{Spec: spec, StepsPerDay: stepsPerDay}).Compute(&want, 2)
 		sameBits(t, c, &want, NewModel(spec, stepsPerDay).Compute(c, 2), wantFlops, "grid %d", n)
 	}
-	shared.Lock()
-	defer shared.Unlock()
-	if len(shared.bySpec) != maxSharedTables {
+	if shared.Len() != maxSharedTables {
 		t.Errorf("cache holds %d grids after %d distinct ones; capacity is %d",
-			len(shared.bySpec), 4*maxSharedTables, maxSharedTables)
+			shared.Len(), 4*maxSharedTables, maxSharedTables)
 	}
 }
 
 // TestSharedTablesConcurrentModels starts the ranks of a mesh at once on a
 // cold cache: every Model gets the same tables (run under -race in CI).
 func TestSharedTablesConcurrentModels(t *testing.T) {
-	resetShared()
+	shared.Reset()
 	spec := grid.Spec{Nlon: 20, Nlat: 14, Nlayers: 6}
 	const ranks = 64
 	tabs := make([]*tables, ranks)

@@ -578,13 +578,15 @@ func TestBadRequests(t *testing.T) {
 	cases := []string{
 		`{`,           // syntax
 		`{"steps":1}`, // missing config
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"stepz":1}`,         // unknown request field
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1,"fliter":"fft"}}`,    // unknown config field
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":-1}`,        // bad steps
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":99}`,        // above MaxSteps
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"priority":"high"}`, // the retired field is an unknown field
-		`{"config":{"machine":"nocomputer","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1}}`,                // bad machine
-		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"slo":"bulk"}`,      // bad slo class
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"stepz":1}`,           // unknown request field
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1,"fliter":"fft"}}`,      // unknown config field
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":-1}`,          // bad steps
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"steps":99}`,          // above MaxSteps
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"priority":"high"}`,   // the retired field is an unknown field
+		`{"config":{"machine":"nocomputer","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1}}`,                  // bad machine
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1},"slo":"bulk"}`,        // bad slo class
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1,"physics_rounds":9}}`,  // rounds past physics.MaxRounds
+		`{"config":{"machine":"paragon","nlon":36,"nlat":24,"nlayers":3,"mesh_py":1,"mesh_px":1,"physics_rounds":-1}}`, // negative rounds
 	}
 	for i, c := range cases {
 		if st, _, b := postRun(t, ts.URL, c); st != http.StatusBadRequest {
