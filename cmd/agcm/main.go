@@ -90,7 +90,7 @@ func main() {
 		PhysicsRounds: *rounds,
 		Dt:            *dt,
 		// The event log also feeds the communication matrix and the
-		// topology contention replay.
+		// topology contention replay, the one source of the link table.
 		EventLog: *traceFile != "" || *commMatrixFile != "" ||
 			(*topologyStr != "" && *topologyStr != "none"),
 		CaptureState:    *saveState != "",
@@ -173,7 +173,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(trace.LinkUtilizationTable(net.LinkStats(), crep, rep.Raw.MaxClock(), 10))
+		fmt.Print(trace.LinkUtilizationTable(crep, rep.Raw.MaxClock(), 10))
 	}
 
 	if *commMatrixFile != "" {

@@ -130,8 +130,8 @@ type Config struct {
 	// with a routed interconnect model (see topology.ByName): "auto" picks
 	// the machine's historical topology, or name one explicitly ("mesh",
 	// "mesh:XxY", "torus", "torus:XxYxZ", "switch").  The routed model
-	// charges hop latency and injection-port queueing per message and
-	// records per-link traffic on Report.Network.
+	// charges hop latency and injection-port queueing per message; with
+	// EventLog, Report.Network.Contend replays per-link traffic.
 	Topology string
 	// Placement lays the ranks out on the topology's nodes (see
 	// topology.PlacementByName): "rowmajor" (default), "snake", "blocked"
@@ -256,9 +256,9 @@ type Report struct {
 	Raw *sim.Result
 
 	// Network is the routed interconnect model when Config.Topology was
-	// set (nil otherwise): per-link traffic via Network.LinkStats, and —
-	// with Config.EventLog — deterministic contention replay via
-	// Network.Contend.
+	// set (nil otherwise).  With Config.EventLog, Network.Contend replays
+	// the run's messages into per-link transfers, bytes, busy time and
+	// stall time.
 	Network *topology.Network
 }
 

@@ -601,6 +601,41 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOverflowingTopologyFailsPromptly: topology extents whose product wraps
+// around int to the rank count (274177 * 67280421310721 = 2^64 + 1 on a
+// one-rank mesh) are refused before any network is built.  The request
+// gets a prompt error, and the one worker is free for the next job.
+func TestOverflowingTopologyFailsPromptly(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+	client := &http.Client{Timeout: 20 * time.Second}
+	post := func(body string) (int, []byte) {
+		resp, err := client.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+
+	for _, topo := range []string{"mesh:274177x67280421310721", "torus:274177x67280421310721x1"} {
+		body := `{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon",` +
+			`"mesh_py":1,"mesh_px":1,"filter":"fft","topology":"` + topo + `"},"steps":1}`
+		if st, b := post(body); st == http.StatusOK || !strings.Contains(string(b), "does not have 1 nodes") {
+			t.Fatalf("%s: status %d, want the extent error: %s", topo, st, b)
+		}
+	}
+	if st, b := post(reqJSON([2]int{1, 1}, "fft", 1)); st != http.StatusOK {
+		t.Fatalf("next job: status %d: %s", st, b)
+	}
+}
+
 // TestCachePeekAndBackendID: GET /v1/cache/{key} replays a cached body
 // without running anything, responses carry the configured backend ID, and
 // the peek path keeps answering during a drain (the gateway's degraded-mode

@@ -6,10 +6,11 @@
 // implicit diffusion in a grid column), the Sherman-Morrison reduction for
 // periodic tridiagonal systems (zonal implicit operators on a latitude
 // circle), a small dense Gaussian-elimination kernel, and a distributed
-// periodic tridiagonal solver over a communicator using the substructuring
-// (SPIKE/partition) method: each rank eliminates its interior unknowns with
-// three local solves, a 2P-unknown reduced system is solved on rank 0, and
-// the interiors are reconstructed locally.
+// solver for batches of periodic tridiagonal systems over a communicator
+// using the substructuring (SPIKE/partition) method: each rank eliminates
+// its interior unknowns with three local solves, a 2P-unknown reduced
+// system per batch member is solved on rank 0, and the interiors are
+// reconstructed locally.
 //
 // All solvers assume diagonally dominant systems, which implicit diffusion
 // operators (I + nu*dt*L) always are.
@@ -154,85 +155,6 @@ func DenseSolve(a []float64, rhs []float64) error {
 // flopsTridiag is the operation-count model for one Thomas solve.
 func flopsTridiag(n int) float64 { return 8 * float64(n) }
 
-// DistributedPeriodicTridiag solves a periodic tridiagonal system whose
-// rows are block-distributed over the ranks of c in comm-rank order: this
-// rank holds rows of the global system corresponding to its local slices
-// a, b, cc, d (all of equal length >= 1; the global size must be >= 3).
-// The solution for the local rows is written into x.
-//
-// Algorithm (substructuring): express the local unknowns as
-// x = u + v*xPrev + w*xNext, where xPrev is the last unknown of the
-// previous rank and xNext the first of the next rank, via three local
-// Thomas solves; gather the six interface coefficients per rank onto rank
-// 0; solve the 2P x 2P reduced system densely; broadcast the interface
-// values; reconstruct locally.  Collective over c.
-func DistributedPeriodicTridiag(c *comm.Comm, a, b, cc, d, x []float64) error {
-	m := len(b)
-	if len(a) != m || len(cc) != m || len(d) != m || len(x) != m {
-		return fmt.Errorf("solver: distributed tridiag length mismatch")
-	}
-	p := c.Size()
-	if p == 1 {
-		return PeriodicTridiag(a, b, cc, d, x)
-	}
-	if m < 1 {
-		return fmt.Errorf("solver: empty local block")
-	}
-
-	// Local solves: T u = d, T v = -a[0]*e_0, T w = -cc[m-1]*e_{m-1},
-	// where T is the local tridiagonal block (a[0] and cc[m-1] stripped).
-	u, v, w, err := localUVW(a, b, cc, d)
-	if err != nil {
-		return err
-	}
-	c.Proc().Compute(3 * flopsTridiag(m))
-
-	// Reduced system over interface unknowns F_p = x_first of rank p and
-	// L_p = x_last of rank p (F == L for single-row blocks):
-	//   F_p - v_first*L_{p-1} - w_first*F_{p+1} = u_first
-	//   L_p - v_last *L_{p-1} - w_last *F_{p+1} = u_last
-	coeffs := []float64{u[0], v[0], w[0], u[m-1], v[m-1], w[m-1]}
-	parts := c.GathervInto(0, coeffs, make([][]float64, p))
-	var iface []float64
-	if c.Rank() == 0 {
-		n := 2 * p
-		mat := make([]float64, n*n)
-		rhs := make([]float64, n)
-		fi := func(q int) int { return 2 * ((q + p) % p) } // F_q index
-		li := func(q int) int { return 2*((q+p)%p) + 1 }   // L_q index
-		for q := 0; q < p; q++ {
-			cf := parts[q]
-			// F_q row.
-			r := fi(q)
-			mat[r*n+fi(q)] += 1
-			mat[r*n+li(q-1)] -= cf[1]
-			mat[r*n+fi(q+1)] -= cf[2]
-			rhs[r] = cf[0]
-			// L_q row.
-			r = li(q)
-			mat[r*n+li(q)] += 1
-			mat[r*n+li(q-1)] -= cf[4]
-			mat[r*n+fi(q+1)] -= cf[5]
-			rhs[r] = cf[3]
-		}
-		if err := DenseSolve(mat, rhs); err != nil {
-			return fmt.Errorf("solver: reduced system: %w", err)
-		}
-		c.Proc().Compute(float64(n * n * n / 3))
-		iface = rhs
-	}
-	iface = c.BcastInto(0, iface)
-
-	// Reconstruct: x_i = u_i + v_i*L_{p-1} + w_i*F_{p+1}.
-	prevLast := iface[2*((c.Rank()-1+p)%p)+1]
-	nextFirst := iface[2*((c.Rank()+1)%p)]
-	for i := 0; i < m; i++ {
-		x[i] = u[i] + v[i]*prevLast + w[i]*nextFirst
-	}
-	c.Proc().Compute(4 * float64(m))
-	return nil
-}
-
 // localUVW computes the substructuring representation x = u + v*xPrev +
 // w*xNext for one local block.
 func localUVW(a, b, cc, d []float64) (u, v, w []float64, err error) {
@@ -266,12 +188,27 @@ func localUVW(a, b, cc, d []float64) (u, v, w []float64, err error) {
 }
 
 // DistributedPeriodicTridiagBatch solves L independent periodic tridiagonal
-// systems that share one block distribution over the ranks of c: a[l], b[l],
-// cc[l], d[l] and x[l] are the local slices of system l.  The interface
-// coefficients of all systems travel in a single gather/broadcast pair, so
-// the collective cost is amortized over the batch — the pattern the polar
-// implicit-diffusion filter needs, with one system per (variable, row,
-// layer) line.
+// systems that share one block distribution over the ranks of c in
+// comm-rank order: a[l], b[l], cc[l], d[l] and x[l] are this rank's local
+// slices of system l (all of equal length >= 1; each global size must be
+// >= 3), and the solution for the local rows is written into x[l].  The
+// interface coefficients of all systems travel in a single gather/broadcast
+// pair, so the collective cost is amortized over the batch — the pattern
+// the polar implicit-diffusion filter needs, with one system per
+// (variable, row, layer) line.  Collective over c.
+//
+// Algorithm (substructuring): express each system's local unknowns as
+// x = u + v*xPrev + w*xNext, where xPrev is the last unknown of the
+// previous rank and xNext the first of the next rank, via three local
+// Thomas solves; gather the six interface coefficients per rank onto rank
+// 0; solve the 2P x 2P reduced system over the interface unknowns F_q (the
+// first unknown of rank q) and L_q (its last; F == L for single-row
+// blocks),
+//
+//	F_q - v_first*L_{q-1} - w_first*F_{q+1} = u_first
+//	L_q - v_last *L_{q-1} - w_last *F_{q+1} = u_last
+//
+// broadcast the interface values; reconstruct locally.
 //
 // Virtual time for the rank-0 reduced solves is charged at the cost of a
 // cyclic banded elimination, O(P) per system; the in-memory reference
@@ -302,6 +239,9 @@ func DistributedPeriodicTridiagBatch(c *comm.Comm, a, b, cc, d, x [][]float64) e
 		m := len(b[l])
 		if len(a[l]) != m || len(cc[l]) != m || len(d[l]) != m || len(x[l]) != m {
 			return fmt.Errorf("solver: system %d slice mismatch", l)
+		}
+		if m < 1 {
+			return fmt.Errorf("solver: system %d: empty local block", l)
 		}
 		u, v, w, err := localUVW(a[l], b[l], cc[l], d[l])
 		if err != nil {

@@ -165,9 +165,15 @@ func TestDenseSolveSingular(t *testing.T) {
 	}
 }
 
+// solveOne solves one distributed system as a batch of one.
+func solveOne(c *comm.Comm, a, b, cc, d, x []float64) error {
+	return DistributedPeriodicTridiagBatch(c,
+		[][]float64{a}, [][]float64{b}, [][]float64{cc}, [][]float64{d}, [][]float64{x})
+}
+
 func TestDistributedPeriodicTridiagMatchesSerial(t *testing.T) {
-	// Property: the distributed solve over any rank count equals the
-	// serial periodic solve of the same global system.
+	// Property: the distributed solve of a batch of one system over any
+	// rank count equals the serial periodic solve of the same global system.
 	for _, tc := range []struct{ n, p int }{
 		{12, 1}, {12, 2}, {12, 3}, {12, 4}, {30, 5}, {31, 4}, {8, 8}, {144, 8},
 	} {
@@ -181,8 +187,7 @@ func TestDistributedPeriodicTridiagMatchesSerial(t *testing.T) {
 				lo := world.Rank() * tc.n / tc.p
 				hi := (world.Rank() + 1) * tc.n / tc.p
 				x := make([]float64, hi-lo)
-				err := DistributedPeriodicTridiag(world,
-					a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x)
+				err := solveOne(world, a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x)
 				if err != nil {
 					return err
 				}
@@ -278,6 +283,12 @@ func TestDistributedBatchEmptyAndMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("slice mismatch accepted")
 	}
+	_, err = m.Run(func(proc *sim.Proc) error {
+		return solveOne(comm.World(proc), nil, nil, nil, nil, nil)
+	})
+	if err == nil {
+		t.Fatal("empty local block accepted")
+	}
 }
 
 func TestDistributedSolveChargesTime(t *testing.T) {
@@ -287,7 +298,7 @@ func TestDistributedSolveChargesTime(t *testing.T) {
 		world := comm.World(proc)
 		lo, hi := world.Rank()*16, world.Rank()*16+16
 		x := make([]float64, 16)
-		return DistributedPeriodicTridiag(world, a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x)
+		return solveOne(world, a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +315,7 @@ func TestDistributedLengthMismatch(t *testing.T) {
 	m := sim.New(2, machine.Paragon())
 	_, err := m.Run(func(proc *sim.Proc) error {
 		world := comm.World(proc)
-		return DistributedPeriodicTridiag(world,
+		return solveOne(world,
 			make([]float64, 3), make([]float64, 4), make([]float64, 4),
 			make([]float64, 4), make([]float64, 4))
 	})

@@ -52,9 +52,11 @@ func TransfersFromEvents(events [][]sim.Event) []Transfer {
 type LinkContention struct {
 	Link int    `json:"link"`
 	Name string `json:"name"`
-	// Transfers is the number of messages that crossed the link.
-	Transfers int `json:"transfers"`
-	// BusySeconds is the total time the link spent moving bytes.
+	// Transfers and Bytes count the messages that crossed the link.
+	Transfers int   `json:"transfers"`
+	Bytes     int64 `json:"bytes"`
+	// BusySeconds is the total time the link spent moving bytes: divided
+	// by the run's virtual duration it is the link's utilization.
 	BusySeconds float64 `json:"busySeconds"`
 	// StallSeconds is the total time transfers waited for this link while
 	// it was busy with earlier traffic — the congestion the free-running
@@ -147,6 +149,7 @@ func (n *Network) Contend(transfers []Transfer) (*ContentionReport, error) {
 		for _, l := range path {
 			lc := &rep.Links[l]
 			lc.Transfers++
+			lc.Bytes += int64(t.Bytes)
 			lc.BusySeconds += ser
 			lc.StallSeconds += stall
 			busyUntil[l] = end

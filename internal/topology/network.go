@@ -51,15 +51,16 @@ type srcState struct {
 // Network is a deterministic route-aware interconnect model: it implements
 // sim.RouteModel by expanding every message into its dimension-ordered link
 // path under a placement, charging hop latency and injection-port
-// pipelining, and recording per-link byte and busy-time counters.
+// pipelining.  It keeps no per-link ledger: Contend replays the run's
+// message log and is the one source of per-link traffic, busy time and
+// stall time.
 //
 // The in-flight time it returns is congestion-free between senders (each
 // message sees empty links); cross-sender link contention is resolved
-// afterwards, deterministically, by Contend over the run's message log.
-// Modelling shared-link queueing online would require reading state written
-// concurrently by other ranks' goroutines, making virtual time depend on
-// the host scheduler — exactly what the simulator's bit-reproducibility
-// guarantee forbids.
+// afterwards, deterministically, by that replay.  Modelling shared-link
+// queueing online would require reading state written concurrently by other
+// ranks' goroutines, making virtual time depend on the host scheduler —
+// exactly what the simulator's bit-reproducibility guarantee forbids.
 type Network struct {
 	topo   Topology
 	place  Placement
@@ -67,12 +68,6 @@ type Network struct {
 	ranks  int
 	nlinks int
 	src    []srcState
-	// Per-link counters sharded by source rank: shard src owns the block
-	// [src*nlinks, (src+1)*nlinks).  Totals are reduced in fixed source
-	// order, so even the float sums are bit-deterministic.
-	linkBytes []int64
-	linkBusy  []float64
-	linkMsgs  []int64
 }
 
 // NewNetwork builds a route model for a machine of ranks == topo.Nodes()
@@ -112,15 +107,12 @@ func NewNetworkParams(topo Topology, place Placement, par Params) (*Network, err
 		seen[nd] = true
 	}
 	return &Network{
-		topo:      topo,
-		place:     place,
-		par:       par,
-		ranks:     n,
-		nlinks:    topo.NumLinks(),
-		src:       make([]srcState, n),
-		linkBytes: make([]int64, n*topo.NumLinks()),
-		linkBusy:  make([]float64, n*topo.NumLinks()),
-		linkMsgs:  make([]int64, n*topo.NumLinks()),
+		topo:   topo,
+		place:  place,
+		par:    par,
+		ranks:  n,
+		nlinks: topo.NumLinks(),
+		src:    make([]srcState, n),
 	}, nil
 }
 
@@ -130,17 +122,14 @@ func (n *Network) Topology() Topology { return n.topo }
 // Placement returns the rank layout.
 func (n *Network) Placement() Placement { return n.place }
 
-// Parameters returns the calibration in use.
-func (n *Network) Parameters() Params { return n.par }
-
 // RouteSeconds implements sim.RouteModel: the in-flight time of a message
 // injected by world rank src at virtual time now.  It is called concurrently
-// from every rank's goroutine but touches only the src shard, so results are
-// independent of goroutine interleaving.
+// from every rank's goroutine but writes only n.src[src] — the source's NIC
+// clock and route scratch — so results are independent of goroutine
+// interleaving.
 func (n *Network) RouteSeconds(src, dst, bytes int, now float64) float64 {
 	s := &n.src[src]
 	s.path = n.topo.Route(n.place.Node(src), n.place.Node(dst), s.path[:0])
-	ser := float64(bytes) / n.par.LinkBytesPerSec
 	inj := float64(bytes) / n.par.InjectBytesPerSec
 
 	// Injection pipelining: eager sends are free for the sender's CPU, but
@@ -154,93 +143,11 @@ func (n *Network) RouteSeconds(src, dst, bytes int, now float64) float64 {
 	s.nicFreeAt = start + inj
 	queue := start - now
 
-	wire := queue + n.par.BaseSeconds + float64(len(s.path))*n.par.HopSeconds + ser
-
-	base := src * n.nlinks
-	for _, l := range s.path {
-		n.linkBytes[base+l] += int64(bytes)
-		n.linkBusy[base+l] += ser
-		n.linkMsgs[base+l]++
-	}
-	return wire
-}
-
-// FreeSeconds returns the congestion- and queue-free in-flight time between
-// two ranks: the base latency, the route's hop delays and one link
-// serialization.  It is the pure-function core of RouteSeconds, usable for
-// analysis without touching any per-source state.
-func (n *Network) FreeSeconds(src, dst, bytes int) float64 {
-	return n.par.BaseSeconds + float64(n.Hops(src, dst))*n.par.HopSeconds +
+	return queue + n.par.BaseSeconds + float64(len(s.path))*n.par.HopSeconds +
 		float64(bytes)/n.par.LinkBytesPerSec
 }
 
 // Hops returns the number of links on the route between two ranks' nodes.
 func (n *Network) Hops(src, dst int) int {
 	return len(n.topo.Route(n.place.Node(src), n.place.Node(dst), nil))
-}
-
-// MeanHops returns the average route length over all ordered rank pairs —
-// the placement-sensitive distance summary reported by the experiments.
-func (n *Network) MeanHops() float64 {
-	if n.ranks < 2 {
-		return 0
-	}
-	var total int
-	var buf []int
-	for a := 0; a < n.ranks; a++ {
-		for b := 0; b < n.ranks; b++ {
-			if a == b {
-				continue
-			}
-			buf = n.topo.Route(n.place.Node(a), n.place.Node(b), buf[:0])
-			total += len(buf)
-		}
-	}
-	return float64(total) / float64(n.ranks*(n.ranks-1))
-}
-
-// LinkStat summarizes the traffic one directed link carried over a run.
-type LinkStat struct {
-	Link int    `json:"link"`
-	Name string `json:"name"`
-	// Msgs and Bytes count the messages routed across the link.
-	Msgs  int64 `json:"msgs"`
-	Bytes int64 `json:"bytes"`
-	// BusySeconds is the cumulative serialization time of the link's
-	// traffic: divided by the run's virtual duration it is the link's
-	// utilization.
-	BusySeconds float64 `json:"busySeconds"`
-}
-
-// LinkStats reduces the per-source shards into one LinkStat per link, in
-// link-id order.  Call it only after sim.Machine.Run returns (the run's
-// WaitGroup establishes the happens-before edge with the rank goroutines).
-func (n *Network) LinkStats() []LinkStat {
-	out := make([]LinkStat, n.nlinks)
-	for l := range out {
-		out[l] = LinkStat{Link: l, Name: n.topo.LinkName(l)}
-	}
-	// Reduce in fixed (source, link) order so float sums are reproducible.
-	for src := 0; src < n.ranks; src++ {
-		base := src * n.nlinks
-		for l := 0; l < n.nlinks; l++ {
-			out[l].Msgs += n.linkMsgs[base+l]
-			out[l].Bytes += n.linkBytes[base+l]
-			out[l].BusySeconds += n.linkBusy[base+l]
-		}
-	}
-	return out
-}
-
-// ResetStats zeroes the per-link counters and injection clocks, so a caller
-// can exclude warmup traffic from a report.
-func (n *Network) ResetStats() {
-	for i := range n.linkBytes {
-		n.linkBytes[i] = 0
-		n.linkBusy[i] = 0
-		n.linkMsgs[i] = 0
-	}
-	for i := range n.src {
-		n.src[i].nicFreeAt = 0
-	}
 }

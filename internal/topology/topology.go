@@ -9,9 +9,10 @@
 // physical nodes, so the same logical process mesh can be laid out
 // differently on the hardware.  A Network combines the two with a machine
 // model into a sim.RouteModel: per-message in-flight times that depend on
-// hop count and injection-port pipelining, plus per-link byte and busy-time
-// accounting.  A separate replay arbiter (Contend) serializes the logged
-// transfers on shared links in virtual time with deterministic tie-breaking.
+// hop count and injection-port pipelining.  A separate replay arbiter
+// (Contend) serializes the logged transfers on shared links in virtual time
+// with deterministic tie-breaking; its report is the one per-link ledger of
+// transfers, bytes, busy time and stall time.
 //
 // Determinism: every method here is either a pure function of its arguments
 // or touches only per-source-rank state from that rank's own goroutine, so
@@ -71,8 +72,8 @@ func ByName(name, machineName string, nodes int) (Topology, error) {
 		if _, err := fmt.Sscanf(name[len("mesh:"):], "%dx%d", &x, &y); err != nil {
 			return nil, fmt.Errorf("topology: invalid mesh extents %q (want mesh:XxY)", name)
 		}
-		if x*y != nodes {
-			return nil, fmt.Errorf("topology: mesh %dx%d has %d nodes, need %d", x, y, x*y, nodes)
+		if !fills(nodes, x, y) {
+			return nil, fmt.Errorf("topology: mesh %dx%d does not have %d nodes", x, y, nodes)
 		}
 		return NewMesh2D(x, y)
 	case strings.HasPrefix(name, "torus:"):
@@ -80,12 +81,25 @@ func ByName(name, machineName string, nodes int) (Topology, error) {
 		if _, err := fmt.Sscanf(name[len("torus:"):], "%dx%dx%d", &x, &y, &z); err != nil {
 			return nil, fmt.Errorf("topology: invalid torus extents %q (want torus:XxYxZ)", name)
 		}
-		if x*y*z != nodes {
-			return nil, fmt.Errorf("topology: torus %dx%dx%d has %d nodes, need %d", x, y, z, x*y*z, nodes)
+		if !fills(nodes, x, y, z) {
+			return nil, fmt.Errorf("topology: torus %dx%dx%d does not have %d nodes", x, y, z, nodes)
 		}
 		return NewTorus3D(x, y, z)
 	}
 	return nil, fmt.Errorf("topology: unknown topology %q (none, auto, mesh[:XxY], torus[:XxYxZ], switch)", name)
+}
+
+// fills reports whether the extents, each at least 1, multiply to exactly
+// nodes.  It divides instead of multiplying, so extents whose product
+// overflows int cannot wrap around to nodes.
+func fills(nodes int, extents ...int) bool {
+	for _, e := range extents {
+		if e < 1 || nodes%e != 0 {
+			return false
+		}
+		nodes /= e
+	}
+	return nodes == 1
 }
 
 // Auto picks the historically accurate topology for a machine model name:

@@ -44,6 +44,14 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("warp", "", 8); err == nil {
 		t.Fatal("unknown topology should fail")
 	}
+	if topo, err := ByName("torus:2x1x4", "", 8); err != nil || topo.Nodes() != 8 {
+		t.Fatalf("ByName(torus:2x1x4) = %v, %v", topo, err)
+	}
+	for _, name := range []string{"mesh:-2x-4", "mesh:0x8", "torus:2x2x3", "torus:-1x-8x1"} {
+		if _, err := ByName(name, "", 8); err == nil {
+			t.Errorf("%s for 8 nodes should fail", name)
+		}
+	}
 	for name, want := range map[string]string{
 		"Intel Paragon": "2-D mesh",
 		"Cray T3D":      "3-D torus",
@@ -79,6 +87,21 @@ func checkRouteIDs(t *testing.T, topo Topology) {
 					t.Fatalf("%s: Route(%d,%d) uses invalid link %d", topo.Name(), a, b, l)
 				}
 			}
+		}
+	}
+}
+
+// TestByNameRejectsOverflowingExtents: 274177 * 67280421310721 = 2^64 + 1,
+// which wraps to 1 in int arithmetic.  The extents must be refused for a
+// one-node machine instead of building a mesh of 1.8e19 nodes.
+func TestByNameRejectsOverflowingExtents(t *testing.T) {
+	for _, name := range []string{
+		"mesh:274177x67280421310721",
+		"torus:274177x67280421310721x1",
+		"torus:1x274177x67280421310721",
+	} {
+		if topo, err := ByName(name, "", 1); err == nil {
+			t.Errorf("ByName(%q, 1 node) = %s, want an error", name, topo.Name())
 		}
 	}
 }
@@ -286,9 +309,6 @@ func TestNetworkRouteSeconds(t *testing.T) {
 	if math.Abs(got-want) > 1e-15 {
 		t.Fatalf("RouteSeconds = %g, want %g", got, want)
 	}
-	if fs := n.FreeSeconds(0, 3, 1000); fs != want {
-		t.Fatalf("FreeSeconds = %g, want %g", fs, want)
-	}
 	// Second send at the same instant queues behind the first's injection:
 	// the NIC is busy for 100 us.
 	got2 := n.RouteSeconds(0, 7, 1000, 0)
@@ -303,21 +323,24 @@ func TestNetworkRouteSeconds(t *testing.T) {
 		t.Fatalf("idle RouteSeconds = %g, want %g", got3, want3)
 	}
 
-	stats := n.LinkStats()
-	var msgs, bytes int64
-	for _, s := range stats {
-		msgs += s.Msgs
-		bytes += s.Bytes
-	}
+	// The replay of the same three messages is the link ledger:
 	// 3 + 4 + 1 link crossings, 1000 bytes each.
-	if msgs != 8 || bytes != 8000 {
-		t.Fatalf("link stats total %d msgs %d bytes, want 8 msgs 8000 bytes", msgs, bytes)
+	rep, err := n.Contend([]Transfer{
+		{Src: 0, Dst: 3, Bytes: 1000, Start: 0, Seq: 1},
+		{Src: 0, Dst: 7, Bytes: 1000, Start: 0, Seq: 2},
+		{Src: 0, Dst: 1, Bytes: 1000, Start: 1.0, Seq: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	n.ResetStats()
-	for _, s := range n.LinkStats() {
-		if s.Msgs != 0 || s.Bytes != 0 || s.BusySeconds != 0 {
-			t.Fatalf("ResetStats left %+v", s)
-		}
+	var msgs int
+	var bytes int64
+	for _, l := range rep.Links {
+		msgs += l.Transfers
+		bytes += l.Bytes
+	}
+	if msgs != 8 || bytes != 8000 {
+		t.Fatalf("replay links total %d msgs %d bytes, want 8 msgs 8000 bytes", msgs, bytes)
 	}
 }
 
@@ -338,21 +361,41 @@ func TestNetworkValidation(t *testing.T) {
 	if n.Placement().Name() != "row-major" {
 		t.Fatal("nil placement should default to row-major")
 	}
-	p := n.Parameters()
-	if p.BaseSeconds != mod.Latency || p.LinkBytesPerSec != mod.Bandwidth {
-		t.Fatalf("DefaultParams not derived from model: %+v", p)
+	// DefaultParams: the flat latency is the startup, an eighth of it the
+	// per-hop delay, and the flat bandwidth drives the link.
+	got := n.RouteSeconds(0, 1, 1000, 0)
+	if want := mod.Latency + mod.Latency/8 + 1000/mod.Bandwidth; got != want {
+		t.Fatalf("one-hop RouteSeconds = %g, want %g from the model's latency and bandwidth", got, want)
 	}
 }
 
-func TestMeanHops(t *testing.T) {
+func TestHops(t *testing.T) {
 	m, _ := NewMesh2D(2, 2)
 	n, err := NewNetwork(m, RowMajor(), machine.Paragon())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2x2 mesh: 8 ordered pairs at 1 hop, 4 at 2 hops -> mean 4/3.
-	if got, want := n.MeanHops(), 4.0/3.0; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("MeanHops = %g, want %g", got, want)
+	// 2x2 mesh: 8 ordered pairs at 1 hop, 4 at 2 hops.
+	var hist [3]int
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			if a != b {
+				hist[n.Hops(a, b)]++
+			}
+		}
+	}
+	if hist != [3]int{0, 8, 4} {
+		t.Fatalf("hop histogram %v, want [0 8 4]", hist)
+	}
+	// Hops follows the placement: ranks 0 and 3 are the far corners under
+	// row-major and neighbours under a permutation that swaps nodes 2 and 3.
+	swap, _ := NewPermutation("swap", []int{0, 1, 3, 2})
+	ns, err := NewNetwork(m, swap, machine.Paragon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Hops(0, 3) != 2 || ns.Hops(0, 3) != 1 {
+		t.Fatalf("Hops(0,3) = %d row-major, %d swapped; want 2, 1", n.Hops(0, 3), ns.Hops(0, 3))
 	}
 }
 

@@ -94,31 +94,43 @@ func TestLinkUtilizationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.RouteSeconds(0, 3, 1000, 0)
-	n.RouteSeconds(1, 0, 500, 0)
-
+	// 0 -> 3 crosses two links with 1000 bytes, 1 -> 0 one with 500, and
+	// 3 -> 2 one with 1000: a byte tie the table breaks by link id.
 	rep, err := n.Contend([]topology.Transfer{
 		{Src: 0, Dst: 3, Bytes: 1000, Start: 0, Seq: 1},
 		{Src: 1, Dst: 0, Bytes: 500, Start: 0, Seq: 1},
+		{Src: 3, Dst: 2, Bytes: 1000, Start: 0, Seq: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	out := LinkUtilizationTable(n.LinkStats(), rep, 1.0, 4)
-	if !strings.Contains(out, "carried traffic") || !strings.Contains(out, "stall ms") {
+	out := LinkUtilizationTable(rep, 1.0, 3)
+	if !strings.Contains(out, "links: 8 total, 4 carried traffic") || !strings.Contains(out, "stall ms") {
 		t.Fatalf("table missing columns:\n%s", out)
 	}
-	if !strings.Contains(out, "contention replay: 2 transfers") {
+	if !strings.Contains(out, "contention replay: 3 transfers") {
 		t.Fatalf("table missing replay summary:\n%s", out)
 	}
-	// Without a replay the stall column disappears.
-	plain := LinkUtilizationTable(n.LinkStats(), nil, 1.0, 4)
-	if strings.Contains(plain, "stall") {
-		t.Fatalf("nil replay still shows stalls:\n%s", plain)
+	if !strings.Contains(out, "... (3 of 4 active links shown)") {
+		t.Fatalf("table does not report the hidden link:\n%s", out)
+	}
+	// Rows: the three 1000-byte links in link-id order; the 500-byte link
+	// is the one cut off.
+	var want []string
+	for _, l := range rep.Links {
+		if l.Bytes == 1000 {
+			want = append(want, l.Name)
+		}
+	}
+	rows := strings.Split(out, "\n")[2:5]
+	for i, row := range rows {
+		if len(want) != 3 || !strings.HasPrefix(row, want[i]+" ") {
+			t.Fatalf("row %d = %q, want link %v[%d] first\n%s", i, row, want, i, out)
+		}
 	}
 	// Deterministic: same inputs, same rendering.
-	if again := LinkUtilizationTable(n.LinkStats(), rep, 1.0, 4); again != out {
+	if again := LinkUtilizationTable(rep, 1.0, 3); again != out {
 		t.Fatal("table not deterministic")
 	}
 }
