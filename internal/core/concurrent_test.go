@@ -2,39 +2,14 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"agcm/internal/physics"
 	"agcm/internal/sim"
 )
-
-// fingerprint serializes everything a Report derives from the virtual
-// machine.  Floats go through encoding/json's shortest-round-trip formatting,
-// which maps distinct float64 bit patterns to distinct strings, so equal
-// fingerprints mean bit-identical results.
-func fingerprint(t *testing.T, rep *Report) string {
-	t.Helper()
-	raw, err := json.Marshal(struct {
-		Filter, FD, Comm, Dyn, Phys, Total float64
-		Msgs, Bytes, Wait, MaxAbsH         float64
-		PhysicsLoads, FilterLoads          []float64
-		Clocks                             []float64
-		Accounts                           map[string][]float64
-		MessagesSent, BytesSent            []int64
-	}{
-		rep.FilterTime, rep.FDTime, rep.CommTime, rep.Dynamics, rep.PhysicsTime, rep.Total,
-		rep.MessagesPerStep, rep.BytesPerStep, rep.MaxWaitShare, rep.MaxAbsH,
-		rep.PhysicsLoads, rep.FilterLoads,
-		rep.Raw.Clocks, rep.Raw.Accounts, rep.Raw.MessagesSent, rep.Raw.BytesSent,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(raw)
-}
 
 // TestConcurrentRunsBitIdentical is the concurrency audit behind the agcmd
 // worker pool: many core.Run virtual machines in one process — the same
@@ -57,7 +32,7 @@ func TestConcurrentRunsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = fingerprint(t, rep)
+		want[i] = reportBits(t, rep)
 	}
 
 	// Two concurrent machines per config, all in flight at once.
@@ -74,7 +49,7 @@ func TestConcurrentRunsBitIdentical(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			got[i] = fingerprint(t, rep)
+			got[i] = reportBits(t, rep)
 		}(i)
 	}
 	wg.Wait()
@@ -86,6 +61,57 @@ func TestConcurrentRunsBitIdentical(t *testing.T) {
 	for i, g := range got {
 		if w := want[i%len(configs)]; g != w {
 			t.Errorf("concurrent run %d diverged from its solo run:\n got  %s\n want %s", i, g, w)
+		}
+	}
+}
+
+// TestKitConcurrentSameShape is the shared-pool case: four goroutines run
+// one 4x4 shape at once, over and over, with different winds and schemes —
+// two of them share a scheme, so they share kits too — through the process
+// pool.  Every report must equal its config's fresh sequential run, bit for
+// bit, however the kits were checked out and returned.
+func TestKitConcurrentSameShape(t *testing.T) {
+	const workers, rounds, steps = 4, 3, 2
+	schemes := [workers]physics.Scheme{physics.Pairwise, physics.Pairwise, physics.None, physics.Greedy}
+	configs := make([]Config, workers)
+	want := make([]string, workers)
+	for i := range configs {
+		configs[i] = testConfig(4, 4, FilterFFTBalanced)
+		configs[i].PhysicsScheme = schemes[i]
+		configs[i].InitWind = 18 + 3*float64(i)
+		rep, err := newTestPool().run(context.Background(), configs[i], steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = reportBits(t, rep)
+	}
+	got := make([][rounds]string, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range configs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				rep, err := Run(configs[i], steps)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got[i][r] = reportBits(t, rep)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range configs {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		for r, g := range got[i] {
+			if g != want[i] {
+				t.Errorf("worker %d (%v, wind %g) round %d diverged from its fresh sequential run",
+					i, schemes[i], configs[i].InitWind, r)
+			}
 		}
 	}
 }

@@ -202,8 +202,11 @@ func (c Config) StepsPerDay() int {
 	if err != nil {
 		return 0
 	}
-	return int(math.Ceil(86400 / cfg.Dt))
+	return stepsPerDay(cfg.Dt)
 }
+
+// stepsPerDay is the number of steps of length dt in one simulated day.
+func stepsPerDay(dt float64) int { return int(math.Ceil(86400 / dt)) }
 
 // Report holds the timing results of a run, in the paper's unit of
 // seconds per simulated day of the slowest rank (the critical path).
@@ -282,7 +285,7 @@ func Imbalance(loads []float64) float64 {
 }
 
 // timing categories
-var categories = []string{"filter", "dynamics-fd", "dynamics-comm", "physics"}
+var categories = [...]string{"filter", "dynamics-fd", "dynamics-comm", "physics"}
 
 // Run integrates the model for measuredSteps time steps (after warmup) on
 // the simulated machine and returns per-component timings extrapolated to
@@ -298,7 +301,16 @@ func Run(cfg Config, measuredSteps int) (*Report, error) {
 // context.Canceled / context.DeadlineExceeded).  As with an injected crash,
 // the partial Report still carries any checkpoints that completed before the
 // cancellation, so a timed-out run can be resumed rather than redone.
+//
+// The machine comes from a process-wide pool of warm kits (see kit.go): the
+// first run of a shape builds it, later runs of the shape reset it in place.
+// Either way the Report is bit for bit the same.
 func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, error) {
+	return kits.run(ctx, cfg, measuredSteps)
+}
+
+// run is RunContext on a kit from pool.
+func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -311,11 +323,11 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 		return nil, err
 	}
 	ranks := cfg.MeshPy * cfg.MeshPx
-	stepsPerDay := int(math.Ceil(86400 / cfg.Dt))
+	stepsPerDay := stepsPerDay(cfg.Dt)
 
 	type snapshot struct {
 		clock    float64
-		accounts map[string]float64
+		accounts [len(categories)]float64
 		messages int64
 		bytes    int64
 		wait     float64
@@ -327,21 +339,10 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 	// only rank 0 holds the file itself.
 	restoreAny := cfg.InitialState != nil
 
-	var m *sim.Machine
-	if cfg.DegradeRank >= 0 {
-		models := make([]sim.CostModel, ranks)
-		for i := range models {
-			models[i] = cfg.Machine
-		}
-		models[cfg.DegradeRank] = machine.Degraded(cfg.Machine, cfg.DegradeFactor)
-		m = sim.NewHeterogeneous(models)
-	} else {
-		m = sim.New(ranks, cfg.Machine)
-	}
-	if cfg.EventLog {
-		m.EnableEventLog()
-	}
+	// The route model and the fault hook are this run's own; a nil pointer
+	// must reach the machine as a nil interface.
 	var network *topology.Network
+	var route sim.RouteModel
 	if cfg.Topology != "" && cfg.Topology != "none" {
 		topo, err := topology.ByName(cfg.Topology, cfg.Machine.Name, ranks)
 		if err != nil {
@@ -355,24 +356,32 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 		if err != nil {
 			return nil, err
 		}
-		m.SetRouteModel(network)
+		route = network
 	} else if cfg.Placement != "" {
 		return nil, fmt.Errorf("core: placement %q needs a topology", cfg.Placement)
 	}
+	var hook sim.FaultHook
 	if !cfg.Fault.Empty() {
-		m.SetFaultHook(fault.NewInjector(cfg.Fault))
+		hook = fault.NewInjector(cfg.Fault)
 	}
+
+	k := pool.checkout(keyOf(cfg), d)
+	m := k.m
+	m.SetEventLog(cfg.EventLog)
+	m.SetRouteModel(route)
+	m.SetFaultHook(hook)
 	// Only rank 0's goroutine appends; the main goroutine reads after the
 	// machine's WaitGroup establishes the happens-before edge.
 	var checkpoints []*history.File
 	res, err := m.RunContext(ctx, func(p *sim.Proc) error {
-		world := comm.World(p)
-		cart := comm.NewCart2D(world, cfg.MeshPy, cfg.MeshPx)
-		local := grid.NewLocal(d, cart.MyRow, cart.MyCol)
-
-		state := dynamics.NewState(local)
+		rk, err := k.rank(p, d)
+		if err != nil {
+			return err
+		}
+		cart, state, dyn, phys := rk.cart, rk.state, rk.dyn, rk.phys
+		world := cart.World
 		dynamics.InitSolidBody(state, cfg.InitWind, 4)
-		if cfg.InitialState != nil || restoreAny {
+		if restoreAny {
 			var file *history.File
 			if world.Rank() == 0 {
 				file = cfg.InitialState
@@ -381,32 +390,6 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 				return err
 			}
 		}
-
-		var flt filter.Parallel
-		switch cfg.Filter {
-		case FilterConvolutionRing:
-			flt = filter.NewConvolution(cart, cfg.Spec, local, filter.Ring)
-		case FilterConvolutionTree:
-			flt = filter.NewConvolution(cart, cfg.Spec, local, filter.Tree)
-		case FilterFFT:
-			flt = filter.NewFFT(cart, cfg.Spec, local, false)
-		case FilterFFTBalanced:
-			flt = filter.NewFFT(cart, cfg.Spec, local, true)
-		case FilterNone:
-			flt = nil
-		case FilterPolarDiffusion:
-			flt = filter.NewPolarDiffusion(cart, cfg.Spec, local)
-		case FilterFFTRowwise:
-			flt = filter.NewRowwiseFFT(cart, cfg.Spec, local)
-		default:
-			return fmt.Errorf("core: unknown filter variant %d", cfg.Filter)
-		}
-		dyn := dynamics.New(cart, cfg.Spec, local, cfg.Dt, flt)
-		if cfg.VerticalDiffusion > 0 {
-			dyn.SetVerticalDiffusion(cfg.VerticalDiffusion)
-		}
-		phys := physics.NewRunner(world, cart, local,
-			physics.NewModel(cfg.Spec, stepsPerDay), cfg.PhysicsScheme, cfg.PhysicsRounds)
 
 		// The physics phase index is the state's own step counter rather
 		// than a run-local loop index, so a run continued from a restored
@@ -422,13 +405,12 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 		}
 		snap := snapshot{
 			clock:    p.Clock(),
-			accounts: make(map[string]float64),
 			messages: p.MessagesSent(),
 			bytes:    p.BytesSent(),
 			wait:     p.WaitSeconds(),
 		}
-		for _, cat := range categories {
-			snap.accounts[cat] = p.Accounted(cat)
+		for c, cat := range categories {
+			snap.accounts[c] = p.Accounted(cat)
 		}
 		warm[world.Rank()] = snap
 		for n := 0; n < measuredSteps; n++ {
@@ -450,7 +432,9 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 	if err != nil {
 		// A failed run (e.g. an injected crash) still surfaces whatever
 		// checkpoints completed, so the caller can restart from the last
-		// one; the timing fields are meaningless and stay zero.
+		// one; the timing fields are meaningless and stay zero.  Its kit
+		// is dropped, not returned: whatever state the failure left behind
+		// goes with it.
 		return &Report{
 			Config:      cfg,
 			Raw:         res,
@@ -460,16 +444,17 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 			Network:     network,
 		}, err
 	}
+	pool.put(k)
 
 	// Scale measured virtual times to seconds/simulated-day.
 	scale := float64(stepsPerDay) / float64(measuredSteps)
-	perRank := func(cat string) []float64 {
+	perRank := func(c int) []float64 {
 		out := make([]float64, ranks)
 		// A category nothing timed (e.g. "filter" under FilterNone) has no
 		// accounts entry; its per-rank load is zero, not a panic.
-		acct := res.Accounts[cat]
+		acct := res.Accounts[categories[c]]
 		for r := 0; r < ranks && r < len(acct); r++ {
-			out[r] = (acct[r] - warm[r].accounts[cat]) * scale
+			out[r] = (acct[r] - warm[r].accounts[c]) * scale
 		}
 		return out
 	}
@@ -482,10 +467,10 @@ func RunContext(ctx context.Context, cfg Config, measuredSteps int) (*Report, er
 		}
 		return max
 	}
-	filterLoads := perRank("filter")
-	fd := perRank("dynamics-fd")
-	cm := perRank("dynamics-comm")
-	physLoads := perRank("physics")
+	filterLoads := perRank(0)
+	fd := perRank(1)
+	cm := perRank(2)
+	physLoads := perRank(3)
 
 	// Per-rank Dynamics time, then critical path across ranks.
 	dynLoads := make([]float64, ranks)
@@ -545,7 +530,6 @@ func Snapshot(cfg Config, steps int) (*history.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	stepsPerDay := int(math.Ceil(86400 / cfg.Dt))
 	file := &history.File{Spec: cfg.Spec, Step: steps}
 	m := sim.New(1, cfg.Machine)
 	if _, err := m.Run(func(p *sim.Proc) error {
@@ -557,7 +541,7 @@ func Snapshot(cfg Config, steps int) (*history.File, error) {
 		flt := filter.NewFFT(cart, cfg.Spec, local, true)
 		dyn := dynamics.New(cart, cfg.Spec, local, cfg.Dt, flt)
 		phys := physics.NewRunner(world, cart, local,
-			physics.NewModel(cfg.Spec, stepsPerDay), physics.None, 1)
+			physics.NewModel(cfg.Spec, stepsPerDay(cfg.Dt)), physics.None, 1)
 		for n := 0; n < steps; n++ {
 			dyn.Step(state)
 			phys.Step(state.T, state.Q, n)

@@ -18,7 +18,7 @@ func (commModel) NetworkSeconds(bytes int) float64      { return 1e-4 + float64(
 
 func TestCommMatrixTable(t *testing.T) {
 	m := sim.New(3, commModel{})
-	m.EnableEventLog()
+	m.SetEventLog(true)
 	res, err := m.Run(func(p *sim.Proc) error {
 		if p.Rank() == 0 {
 			p.SendFloatsCopy(1, 1, []float64{1}, 8000)

@@ -61,34 +61,60 @@ func NewState(l grid.Local) *State {
 // sqrt(g*MeanDepth) ~ 157 m/s controls the CFL limit.
 const MeanDepth = 2500
 
+// Reset zeroes every field, halos included, and the step counter: the state
+// NewState returns, in the same storage.
+func (s *State) Reset() {
+	for _, f := range []*grid.Field{s.U, s.V, s.H, s.T, s.Q, s.PrevU, s.PrevV, s.PrevH} {
+		f.Fill(0)
+	}
+	s.Steps = 0
+}
+
 // InitSolidBody initializes a geostrophically balanced solid-body zonal
 // flow of peak speed u0 (m/s) with a small wavenumber-w perturbation, plus
 // smooth temperature and moisture distributions.  The same formula is used
 // on every decomposition, so differently decomposed runs start from the
 // identical global state.
+//
+// Every factor is computed once where it varies — latitude terms per row,
+// the perturbation's zonal wave per column, the layer profiles per layer —
+// and each point's value is the same product, in the same order, as the
+// formula evaluated point by point.
 func InitSolidBody(s *State, u0 float64, w int) {
 	l := s.U.Local()
 	spec := l.Decomp.Spec
 	a := grid.EarthRadius
+	nlon, nl := l.Nlon(), l.Nlayers()
+	// One table of nlon+2*nl factors, on the stack for the usual subdomain.
+	var stack [64]float64
+	tab := stack[:]
+	if need := nlon + 2*nl; need > len(stack) {
+		tab = make([]float64, need)
+	}
+	wave, lf, decay := tab[:nlon], tab[nlon:nlon+nl], tab[nlon+nl:nlon+2*nl]
+	for i := range wave {
+		wave[i] = math.Cos(float64(w) * spec.LonCenter(l.GlobalLon(i)))
+	}
+	for k := range lf {
+		lf[k] = 1 + 0.02*float64(k)
+		decay[k] = math.Exp(-0.4 * float64(k))
+	}
 	for j := 0; j < l.Nlat(); j++ {
-		gj := l.GlobalLat(j)
-		lat := spec.LatCenter(gj)
-		for i := 0; i < l.Nlon(); i++ {
-			gi := l.GlobalLon(i)
-			lon := spec.LonCenter(gi)
-			// Geostrophic thickness for u = u0*cos(lat):
-			// g*dh/dphi = -(f*u + u^2*tan(lat)/a)*a  integrates to
-			// h = H - (a*Omega*u0 + u0^2/2) * sin^2(lat)/g.
-			hb := MeanDepth - (a*grid.Omega*u0+0.5*u0*u0)*
-				math.Sin(lat)*math.Sin(lat)/grid.Gravity
-			pert := 1 + 0.01*math.Cos(float64(w)*lon)*math.Cos(lat)*math.Cos(lat)
-			for k := 0; k < l.Nlayers(); k++ {
-				lf := 1 + 0.02*float64(k)
-				s.U.Set(j, i, k, u0*math.Cos(lat)*lf)
+		lat := spec.LatCenter(l.GlobalLat(j))
+		sin, cos := math.Sin(lat), math.Cos(lat)
+		// Geostrophic thickness for u = u0*cos(lat):
+		// g*dh/dphi = -(f*u + u^2*tan(lat)/a)*a  integrates to
+		// h = H - (a*Omega*u0 + u0^2/2) * sin^2(lat)/g.
+		hb := MeanDepth - (a*grid.Omega*u0+0.5*u0*u0)*sin*sin/grid.Gravity
+		uc, t0, qc := u0*cos, 288-60*sin*sin, 0.015*cos
+		for i := 0; i < nlon; i++ {
+			h := hb * (1 + 0.01*wave[i]*cos*cos)
+			for k := 0; k < nl; k++ {
+				s.U.Set(j, i, k, uc*lf[k])
 				s.V.Set(j, i, k, 0)
-				s.H.Set(j, i, k, hb*pert)
-				s.T.Set(j, i, k, 288-60*math.Sin(lat)*math.Sin(lat)-6*float64(k))
-				s.Q.Set(j, i, k, 0.015*math.Cos(lat)*math.Exp(-0.4*float64(k)))
+				s.H.Set(j, i, k, h)
+				s.T.Set(j, i, k, t0-6*float64(k))
+				s.Q.Set(j, i, k, qc*decay[k])
 			}
 		}
 	}

@@ -380,7 +380,7 @@ func runFilterProgram(spec grid.Spec, py, px int, seq [][]Kind,
 	}
 	bits := make([][]uint64, py*px)
 	m := sim.New(py*px, machine.Paragon())
-	m.EnableEventLog()
+	m.SetEventLog(true)
 	res, err := m.Run(func(p *sim.Proc) error {
 		cart := comm.NewCart2D(comm.World(p), py, px)
 		l := grid.NewLocal(d, cart.MyRow, cart.MyCol)

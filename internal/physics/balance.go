@@ -147,6 +147,13 @@ func (r *Runner) initBalancing() {
 	r.fromOrigin = make([]int, n)
 }
 
+// Reset forgets the load estimate, so the next Step runs every column at
+// home as a new Runner's first Step does.  Everything else a Runner holds is
+// staging that each Step refreshes before it reads it.
+func (r *Runner) Reset() {
+	r.myPrevFlops, r.haveEstimate = 0, false
+}
+
 // Scheme returns the configured balancing scheme.
 func (r *Runner) Scheme() Scheme { return r.scheme }
 

@@ -34,9 +34,9 @@ type Event struct {
 	Seq int64
 }
 
-// EnableEventLog turns on event recording for the next Run.  The log costs
-// one slice append per span and per message.
-func (m *Machine) EnableEventLog() { m.logEvents = true }
+// SetEventLog turns event recording on or off for every later Run.  The log
+// costs one slice append per span and per message.
+func (m *Machine) SetEventLog(on bool) { m.logEvents = on }
 
 func (p *Proc) logSpan(name string, start, end float64) {
 	if !p.machine.logEvents {

@@ -39,7 +39,7 @@ func (f FlatRoute) RouteSeconds(src, dst, bytes int, now float64) float64 {
 }
 
 // SetRouteModel installs a route-aware network model consulted for every
-// off-rank message of the next Run in place of the per-rank
+// off-rank message of every later Run in place of the per-rank
 // CostModel.NetworkSeconds.  Pass nil to restore flat costs.  Overheads,
 // fault injection and event logging are unaffected.
 func (m *Machine) SetRouteModel(rm RouteModel) { m.routes = rm }

@@ -314,11 +314,14 @@ func (mb *mailbox) reset() {
 }
 
 // Machine is a simulated distributed-memory computer with a fixed number of
-// ranks, each with its own CostModel (normally all the same).
+// ranks, each with its own CostModel (normally all the same).  Its Procs live
+// as long as it does, and every Run starts them afresh, so a value bound to a
+// Proc (a comm.Comm, say) stays valid from one Run to the next.
 type Machine struct {
 	n         int
 	models    []CostModel
 	boxes     []*mailbox
+	procs     []*Proc
 	logEvents bool
 	fault     FaultHook
 	routes    RouteModel
@@ -355,8 +358,10 @@ func NewHeterogeneous(models []CostModel) *Machine {
 	m := &Machine{n: len(models), models: models}
 	m.wd = &watchdog{machine: m}
 	m.boxes = make([]*mailbox, m.n)
+	m.procs = make([]*Proc, m.n)
 	for i := range m.boxes {
 		m.boxes[i] = newMailbox(m.wd)
+		m.procs[i] = &Proc{rank: i, machine: m, accounts: make(map[string]float64)}
 	}
 	return m
 }
@@ -365,7 +370,7 @@ func NewHeterogeneous(models []CostModel) *Machine {
 func (m *Machine) Ranks() int { return m.n }
 
 // SetFaultHook installs a fault injector consulted on compute, send and
-// receive paths of the next Run.  Pass nil to remove it.
+// receive paths of every later Run.  Pass nil to remove it.
 func (m *Machine) SetFaultHook(h FaultHook) { m.fault = h }
 
 // closeAll closes every mailbox, waking any parked rank.  Idempotent.
@@ -376,7 +381,8 @@ func (m *Machine) closeAll() {
 }
 
 // Result captures the outcome of one Run: the final virtual clock of each
-// rank, per-category accounted time, and communication statistics.
+// rank, per-category accounted time, and communication statistics.  It owns
+// all of its memory: a later Run on the same Machine leaves it alone.
 type Result struct {
 	// Clocks holds each rank's virtual clock at program exit, in seconds.
 	Clocks []float64
@@ -392,8 +398,8 @@ type Result struct {
 	// waiting for messages that had not yet arrived: the sum of
 	// communication latency and load-imbalance idling.
 	WaitSeconds []float64
-	// Events holds each rank's event log when EnableEventLog was set
-	// before Run (nil otherwise).
+	// Events holds each rank's event log when the event log was on for
+	// the Run (nil otherwise).
 	Events [][]Event
 }
 
@@ -486,7 +492,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Cause: err}
 	}
-	procs := make([]*Proc, m.n)
+	procs := m.procs
 	errs := make([]error, m.n)
 	m.wd.reset()
 	defer m.wd.closers.Wait() // nobody still closing mailboxes may outlive this Run
@@ -509,15 +515,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < m.n; r++ {
-		procs[r] = &Proc{
-			rank:     r,
-			machine:  m,
-			accounts: make(map[string]float64),
-			crashAt:  math.Inf(1),
-		}
-		if m.fault != nil {
-			procs[r].crashAt = m.fault.CrashTime(r)
-		}
+		procs[r].reset()
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -570,7 +568,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 		res.BytesSent[r] = p.bytesSent
 		res.WaitSeconds[r] = p.waitSeconds
 		if m.logEvents {
-			res.Events[r] = p.events
+			res.Events[r], p.events = p.events, nil
 		}
 		//lint:allow nondeterm each iteration writes Accounts[cat][r] for its own ranged key only; order is unobservable
 		for cat, t := range p.accounts {
@@ -627,6 +625,18 @@ type Proc struct {
 	bytesSent    int64
 	waitSeconds  float64
 	events       []Event
+}
+
+// reset starts the rank afresh for a Run: zero clock and counters, no
+// accounts, and the crash time of the installed fault hook.  The last Run's
+// events went to its Result.
+func (p *Proc) reset() {
+	p.clock, p.messagesSent, p.bytesSent, p.waitSeconds = 0, 0, 0, 0
+	clear(p.accounts)
+	p.crashAt = math.Inf(1)
+	if f := p.machine.fault; f != nil {
+		p.crashAt = f.CrashTime(p.rank)
+	}
 }
 
 // WaitSeconds returns the virtual time this rank has spent blocked on

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -319,4 +321,87 @@ func TestZeroFaultHookFree(t *testing.T) {
 			t.Fatalf("rank %d: clock %v with no-op hook, want %v", r, b.Clocks[r], a.Clocks[r])
 		}
 	}
+}
+
+// TestMachineReuseLeavesResultAlone: a Machine keeps its Procs from one Run
+// to the next, so a Result must own everything it holds.  Run A logs events
+// and accounts two categories; Run B, on the same Machine, runs a different
+// program.  A's Result must still equal the deep copy taken before B, and B's
+// must equal the same program's on a new Machine.  Then a crashed Run, and a
+// Run with the log off after it, must leave no trace on the next one.
+func TestMachineReuseLeavesResultAlone(t *testing.T) {
+	progA := func(p *Proc) error {
+		p.Timed("a", func() { p.Compute(float64(100 * (p.Rank() + 1))) })
+		p.Timed("shared", func() {
+			p.SendFloatsCopy(1-p.Rank(), 3, []float64{1, 2}, 16)
+			p.RecvFloatsInto(1-p.Rank(), 3, nil)
+		})
+		return nil
+	}
+	progB := func(p *Proc) error {
+		for i := 0; i < 5; i++ {
+			p.Timed("shared", func() {
+				p.SendFloatsCopy(1-p.Rank(), 4, []float64{float64(i)}, 8)
+				p.RecvFloatsInto(1-p.Rank(), 4, nil)
+			})
+			p.Timed("b", func() { p.Compute(float64(7 + i)) })
+		}
+		return nil
+	}
+	newMachine := func(events bool) *Machine {
+		m := New(2, newTestModel())
+		m.SetEventLog(events)
+		return m
+	}
+	m := newMachine(true)
+	a, err := m.Run(progA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cloneResult(a)
+	b, err := m.Run(progB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("Run B on the same Machine changed Run A's Result:\n got  %+v\n want %+v", a, want)
+	}
+	if fresh, err := newMachine(true).Run(progB); err != nil || !reflect.DeepEqual(b, fresh) {
+		t.Errorf("Run B on a reused Machine: err %v\n got  %+v\n want %+v (new Machine)", err, b, fresh)
+	}
+
+	// A crash time belongs to the Run whose hook set it, and an event log to
+	// the Runs it was on for.
+	m.SetFaultHook(&stubFault{crashAt: map[int]float64{1: 0}})
+	var ce *CrashError
+	if _, err := m.Run(progB); !errors.As(err, &ce) {
+		t.Fatalf("crashing Run: err = %v, want *CrashError", err)
+	}
+	m.SetFaultHook(nil)
+	m.SetEventLog(false)
+	again, err := m.Run(progB)
+	if fresh, ferr := newMachine(false).Run(progB); err != nil || ferr != nil || !reflect.DeepEqual(again, fresh) {
+		t.Errorf("Run after a crashed Run: err %v\n got  %+v\n want %+v (new Machine)", err, again, fresh)
+	}
+}
+
+// cloneResult deep-copies r.
+func cloneResult(r *Result) *Result {
+	c := &Result{
+		Clocks:       slices.Clone(r.Clocks),
+		Accounts:     make(map[string][]float64, len(r.Accounts)),
+		MessagesSent: slices.Clone(r.MessagesSent),
+		BytesSent:    slices.Clone(r.BytesSent),
+		WaitSeconds:  slices.Clone(r.WaitSeconds),
+	}
+	for cat, v := range r.Accounts {
+		c.Accounts[cat] = slices.Clone(v)
+	}
+	if r.Events != nil {
+		c.Events = make([][]Event, len(r.Events))
+		for i, ev := range r.Events {
+			c.Events[i] = slices.Clone(ev)
+		}
+	}
+	return c
 }

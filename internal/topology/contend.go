@@ -30,7 +30,7 @@ type Transfer struct {
 }
 
 // TransfersFromEvents extracts the off-rank message traffic from a run's
-// event log (sim.Machine.EnableEventLog before Run).  Self-sends never touch
+// event log (sim.Machine.SetEventLog(true) before Run).  Self-sends never touch
 // the wire and are excluded.
 func TransfersFromEvents(events [][]sim.Event) []Transfer {
 	var out []Transfer

@@ -26,10 +26,10 @@ type chromeEvent struct {
 // ExportChromeTrace writes the run's event log as a Chrome trace-event JSON
 // array: one timeline row per rank, named spans for the Timed categories,
 // and flow arrows connecting each send to its receive.  The run must have
-// been executed with Machine.EnableEventLog.
+// been executed with Machine.SetEventLog(true).
 func ExportChromeTrace(w io.Writer, res *sim.Result) error {
 	if res.Events == nil {
-		return fmt.Errorf("trace: run has no event log (call Machine.EnableEventLog before Run)")
+		return fmt.Errorf("trace: run has no event log (call Machine.SetEventLog(true) before Run)")
 	}
 	us := func(seconds float64) float64 { return seconds * 1e6 }
 	var out []chromeEvent

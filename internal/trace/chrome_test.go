@@ -12,7 +12,7 @@ import (
 func eventResult(t *testing.T) *sim.Result {
 	t.Helper()
 	m := sim.New(2, flatModel{})
-	m.EnableEventLog()
+	m.SetEventLog(true)
 	res, err := m.Run(func(p *sim.Proc) error {
 		p.Timed("work", func() { p.Compute(1000) })
 		if p.Rank() == 0 {
@@ -83,6 +83,6 @@ func TestExportChromeTraceRequiresLog(t *testing.T) {
 func TestEventLogDisabledByDefault(t *testing.T) {
 	res := demoResult(t)
 	if res.Events != nil {
-		t.Fatal("events recorded without EnableEventLog")
+		t.Fatal("events recorded with the event log off")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // CommMatrix is the rank-by-rank communication matrix of a run: who sent how
 // much to whom.  It is collected from the simulator's event log, so it works
 // on any machine — flat or topology-modelled — at the cost of enabling
-// sim.Machine.EnableEventLog before Run.
+// sim.Machine.SetEventLog(true) before Run.
 type CommMatrix struct {
 	// Ranks is the world size; Msgs and Bytes are Ranks*Ranks row-major
 	// (sender-major) counters.  Self-sends land on the diagonal.

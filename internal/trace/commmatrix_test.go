@@ -13,7 +13,7 @@ import (
 func loggedResult(t *testing.T) *sim.Result {
 	t.Helper()
 	m := sim.New(4, flatModel{})
-	m.EnableEventLog()
+	m.SetEventLog(true)
 	res, err := m.Run(func(p *sim.Proc) error {
 		n := p.Ranks()
 		next := (p.Rank() + 1) % n
