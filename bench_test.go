@@ -163,8 +163,8 @@ func BenchmarkTable11FilterT3D15(b *testing.B) {
 func BenchmarkBlockArrayLaplace(b *testing.B) {
 	var p, c singlenode.LayoutResult
 	for i := 0; i < b.N; i++ {
-		p = singlenode.ModelLaplaceLayout(machine.Paragon(), 32, 12)
-		c = singlenode.ModelLaplaceLayout(machine.CrayT3D(), 32, 12)
+		p = singlenode.ModelLaplaceLayout(singlenode.Paragon(), 32, 12)
+		c = singlenode.ModelLaplaceLayout(singlenode.CrayT3D(), 32, 12)
 	}
 	b.ReportMetric(p.Speedup, "paragon-speedup")
 	b.ReportMetric(c.Speedup, "t3d-speedup")
@@ -175,7 +175,7 @@ func BenchmarkBlockArrayLaplace(b *testing.B) {
 func BenchmarkAdvectionOptimization(b *testing.B) {
 	var r singlenode.AdvectionResult
 	for i := 0; i < b.N; i++ {
-		r = singlenode.ModelAdvection(machine.CrayT3D(), 90, 144, 9)
+		r = singlenode.ModelAdvection(singlenode.CrayT3D(), 90, 144, 9)
 	}
 	b.ReportMetric(r.Reduction*100, "t3d-reduction-pct")
 }

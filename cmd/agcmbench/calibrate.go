@@ -13,8 +13,8 @@ package main
 // appear only on multi-rank meshes).
 //
 // Calibrate: the efficiencies are fitted by the deterministic least squares
-// in internal/roofline, yielding a host Calib that is canonical JSON — the
-// file `agcmd -calib` reads.
+// in internal/roofline, yielding a host machine.Model whose canonical JSON
+// is the file `agcmd -calib` reads.
 //
 // Predict: the fitted calibration re-prices every observation, and the
 // rendered table carries the resulting MAPE and Spearman rank correlation.
@@ -134,13 +134,13 @@ func measureWallSeconds(cfg core.Config) (float64, error) {
 }
 
 // calibrateHost runs the loop — micro ceilings, phase benchmarks,
-// deterministic fit, in-loop prediction error — and returns the fitted
-// calibration with its predicted-vs-measured rendering.
-func calibrateHost() (*experiments.Output, roofline.Calib, error) {
-	calib := roofline.DefaultHost()
-	calib.FlopsPerSec = measureFlopsCeiling()
-	calib.BytesPerSec = measureBytesCeiling()
-	calib.NetBytesPerSec = calib.BytesPerSec / 2 // messages are memcpy through channels
+// deterministic fit, in-loop prediction error — and returns the fitted host
+// model with its predicted-vs-measured rendering.
+func calibrateHost() (*experiments.Output, *machine.Model, error) {
+	calib := machine.Host()
+	calib.FlopRate = measureFlopsCeiling()
+	calib.MemBandwidth = measureBytesCeiling()
+	calib.Bandwidth = calib.MemBandwidth / 2 // messages are memcpy through channels
 
 	phases := hostPhases()
 	samples := make([]roofline.Sample, 0, len(phases))
@@ -160,7 +160,7 @@ func calibrateHost() (*experiments.Output, roofline.Calib, error) {
 
 	// Unit Base: a class the data cannot determine is charged the raw
 	// roofline bound, not a stale efficiency from a previous fit — the
-	// baked-in DefaultHost numbers must never steer their own refit.
+	// baked-in machine.Host numbers must never steer their own refit.
 	fit, err := roofline.Fit(samples, roofline.FitOptions{})
 	if err != nil {
 		return nil, calib, fmt.Errorf("calibrate: fitting host calib: %w", err)
@@ -195,7 +195,7 @@ func calibrateHost() (*experiments.Output, roofline.Calib, error) {
 	notes := []string{
 		"Wall-clock: comparable only on the same host, and not gated.",
 		fmt.Sprintf("Ceilings (one core, scalar Go): %.3g flop/s, %.3g byte/s memory, %.3g byte/s network.",
-			calib.FlopsPerSec, calib.BytesPerSec, calib.NetBytesPerSec),
+			calib.FlopRate, calib.MemBandwidth, calib.Bandwidth),
 		fmt.Sprintf("Fitted efficiencies: dyn %.2f phys %.2f conv %.2f fft %.2f net %.2f.",
 			eff.Dynamics, eff.Physics, eff.FilterConv, eff.FilterFFT, eff.Network),
 		fmt.Sprintf("MAPE %.1f%%, Spearman rank correlation %.3f over %d phases; calib sha256 %s.",

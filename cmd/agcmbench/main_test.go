@@ -83,7 +83,7 @@ func TestCommittedResultsCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"scheduling", "blockarray", "advection",
-		"table1", "table2", "table3", "crash-recovery"} {
+		"table1", "table2", "table3", "crash-recovery", "roofline"} {
 		code, out, errs := bench("-experiment", id)
 		if code != 0 {
 			t.Fatalf("%s: exit %d: %s", id, code, errs)

@@ -45,11 +45,11 @@ func loadOracle(path string) (core.CostOracle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading calibration %q: %w", path, err)
 	}
-	calib, err := roofline.ParseCalib(data)
+	model, err := roofline.ParseCalib(data)
 	if err != nil {
 		return nil, err
 	}
-	return roofline.NewMachine(calib)
+	return roofline.NewMachine(model)
 }
 
 func main() {

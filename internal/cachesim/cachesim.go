@@ -3,7 +3,8 @@
 // that 1990s hardware exposed brutally — separate field arrays conflicting
 // in a small direct-mapped cache versus a block-interleaved array — and this
 // simulator lets the repository reproduce those measurements from the
-// machine models' cache geometry rather than from the host CPU.
+// paper nodes' cache geometry (singlenode.Node) rather than from the host
+// CPU.
 package cachesim
 
 import "fmt"

@@ -80,8 +80,9 @@ type canonicalConfig struct {
 // CanonicalJSON returns the canonical encoding of the config: defaults
 // applied, fields in fixed order, enums by name.  It fails on configs that
 // cannot be represented on the wire — an in-memory InitialState checkpoint,
-// a machine model (e.g. a Degraded copy) whose name does not round-trip
-// through machine.ByName — and on configs withDefaults rejects.
+// a machine model (e.g. a Degraded copy, or a host model fitted elsewhere)
+// that is not exactly the model machine.ByName returns for its name — and
+// on configs withDefaults rejects.
 func (c Config) CanonicalJSON() ([]byte, error) {
 	cfg, err := c.withDefaults()
 	if err != nil {
@@ -90,8 +91,12 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 	if cfg.InitialState != nil {
 		return nil, fmt.Errorf("core: config with an in-memory InitialState has no canonical form")
 	}
-	if _, err := machine.ByName(cfg.Machine.Name); err != nil {
+	named, err := machine.ByName(cfg.Machine.Name)
+	if err != nil {
 		return nil, fmt.Errorf("core: machine %q has no canonical form: %w", cfg.Machine.Name, err)
+	}
+	if *named != *cfg.Machine {
+		return nil, fmt.Errorf("core: machine %q differs from the model of that name, so it has no canonical form", cfg.Machine.Name)
 	}
 	if _, err := FilterVariantByName(cfg.Filter.String()); err != nil {
 		return nil, err

@@ -207,6 +207,15 @@ func TestCanonicalRejectsUnrepresentable(t *testing.T) {
 	if _, err := cfg.CanonicalJSON(); err == nil {
 		t.Error("non-round-tripping machine name accepted")
 	}
+	// The wire names the machine, so a model that keeps a name but not its
+	// numbers (a host fitted elsewhere) would share the named model's key.
+	fitted := machine.Host()
+	fitted.Eff.Physics *= 2
+	cfg = testConfig(1, 1, FilterFFT)
+	cfg.Machine = fitted
+	if _, err := cfg.CanonicalJSON(); err == nil {
+		t.Error("a model differing from its name's accepted")
+	}
 }
 
 // TestCanonicalFaultRoundTrip checks the fault clause syntax survives the

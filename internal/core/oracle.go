@@ -3,9 +3,10 @@ package core
 import "fmt"
 
 // CostOracle prices a job for admission scheduling without running it.  The
-// one analytic implementation is internal/roofline's Machine — a calibration
-// of the host or of a paper machine; the interface exists so tests can
-// substitute fakes, and lives here so core does not depend on roofline.
+// one analytic implementation is internal/roofline's Machine — the roofline
+// over a machine.Model of the host or of a paper machine; the interface
+// exists so tests can substitute fakes, and lives here so core does not
+// depend on roofline.
 //
 // PredictSeconds must be a pure function of the canonicalized config and the
 // step count — equal ConfigKeys must predict equal costs — because the sjf

@@ -20,21 +20,25 @@ func predictConfig(nlon, nlat, nlayers, py, px int) core.Config {
 	}
 }
 
-// forEachOracle runs fn once per real oracle: the roofline model under the
-// built-in host calibration and under each paper machine's.  The properties
-// below are what admission relies on, so they must hold for every
-// calibration a daemon or a what-if can be given.
+// forEachOracle runs fn once per real oracle: the roofline predictor on the
+// built-in host model and on each paper machine's.  The properties below are
+// what admission relies on, so they must hold for every model a daemon or a
+// what-if can be given.
 func forEachOracle(t *testing.T, fn func(t *testing.T, price func(core.Config, int) float64)) {
-	calibs := []roofline.Calib{roofline.DefaultHost()}
-	for _, m := range machine.All() {
-		calibs = append(calibs, roofline.FromModel(m))
+	type named struct {
+		name  string
+		model *machine.Model
 	}
-	for _, calib := range calibs {
-		oracle, err := roofline.NewMachine(calib)
+	models := []named{{"host", machine.Host()}}
+	for _, m := range machine.All() {
+		models = append(models, named{m.Name, m})
+	}
+	for _, nm := range models {
+		oracle, err := roofline.NewMachine(nm.model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(calib.Name, func(t *testing.T) {
+		t.Run(nm.name, func(t *testing.T) {
 			fn(t, func(cfg core.Config, steps int) float64 {
 				t.Helper()
 				s, err := core.PredictCostWith(oracle, cfg, steps)
@@ -81,7 +85,7 @@ func TestPredictCostMonotone(t *testing.T) {
 // (every rank's work lands on one clock, plus the messages), so sjf under the
 // default calibration must not rank a 4x4 job ahead of its 1x1 twin.
 func TestPredictCostHostRanksMeshesAsTheHostDoes(t *testing.T) {
-	host, err := roofline.NewMachine(roofline.DefaultHost())
+	host, err := roofline.NewMachine(machine.Host())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestPredictCostDegenerateConfigs(t *testing.T) {
 
 // TestPredictCostRejectsBadInput: the real oracles sit behind the same guard.
 func TestPredictCostRejectsBadInput(t *testing.T) {
-	host, err := roofline.NewMachine(roofline.DefaultHost())
+	host, err := roofline.NewMachine(machine.Host())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,9 +314,9 @@ func BlockArray(opt Options) (*Output, error) {
 		Title:  "Section 3.4: 7-point Laplace on m=12 fields of 32^3, separate vs block arrays",
 		Header: []string{"Machine", "Separate (s)", "Block (s)", "Sep miss rate", "Block miss rate", "Speed-up"},
 	}
-	for _, mach := range machine.All() {
-		r := singlenode.ModelLaplaceLayout(mach, 32, 12)
-		tbl.AddRow(mach.Name,
+	for _, node := range singlenode.Nodes() {
+		r := singlenode.ModelLaplaceLayout(node, 32, 12)
+		tbl.AddRow(node.Name,
 			fmt.Sprintf("%.3f", r.SeparateSeconds),
 			fmt.Sprintf("%.3f", r.BlockSeconds),
 			stats.Percent(r.SeparateMissRate),
@@ -334,9 +334,9 @@ func Advection(opt Options) (*Output, error) {
 		Title:  "Section 3.4: advection routine, original vs optimized, 144x90x9",
 		Header: []string{"Machine", "Original (s)", "Optimized (s)", "Reduction"},
 	}
-	for _, mach := range machine.All() {
-		r := singlenode.ModelAdvection(mach, 90, 144, 9)
-		tbl.AddRow(mach.Name,
+	for _, node := range singlenode.Nodes() {
+		r := singlenode.ModelAdvection(node, 90, 144, 9)
+		tbl.AddRow(node.Name,
 			fmt.Sprintf("%.3f", r.OriginalSeconds),
 			fmt.Sprintf("%.3f", r.OptimizedSeconds),
 			stats.Percent(r.Reduction))

@@ -12,23 +12,27 @@ import (
 // opt's step count — one sample per point, in the paper's unit, seconds per
 // simulated day — and fits the per-kernel-class compute efficiencies against
 // the simulated timings by the deterministic least squares (network
-// constants are derived from the machine model, not fitted).
-func fitMachineGrid(m *machine.Model, opt Options) (roofline.Efficiencies, []roofline.Sample, error) {
-	calib := roofline.FromModel(m)
+// constants are the machine model's, not fitted).
+func fitMachineGrid(m *machine.Model, opt Options) (machine.Efficiencies, []roofline.Sample, error) {
+	// Simulated time is the critical path at the model's own rates: the
+	// simulator gives every rank a node of its own and charges unit
+	// efficiency, whatever the model says about pricing the host.
+	simulated := *m
+	simulated.Aggregate, simulated.Eff = machine.AggregateMaxRank, machine.Unit
 	var samples []roofline.Sample
 	for _, cp := range roofline.MachineCalibPoints(m) {
 		rep, err := run(cp.Cfg, opt)
 		if err != nil {
-			return calib.Eff, nil, fmt.Errorf("simulating %s %s: %w", m.Name, cp.Label, err)
+			return simulated.Eff, nil, fmt.Errorf("simulating %s %s: %w", m.Name, cp.Label, err)
 		}
-		raw, err := roofline.RawSeconds(calib, cp.Cfg, opt.steps())
+		raw, err := roofline.RawSeconds(&simulated, cp.Cfg, opt.steps())
 		if err != nil {
-			return calib.Eff, nil, fmt.Errorf("counting %s %s: %w", m.Name, cp.Label, err)
+			return simulated.Eff, nil, fmt.Errorf("counting %s %s: %w", m.Name, cp.Label, err)
 		}
 		// Scale raw charged-step seconds to seconds per simulated day.
 		norm, err := cp.Cfg.Normalized()
 		if err != nil {
-			return calib.Eff, nil, err
+			return simulated.Eff, nil, err
 		}
 		perDay := float64(cp.Cfg.StepsPerDay()) / float64(opt.steps()+max(norm.WarmupSteps, 0))
 		for j := range raw {
@@ -39,11 +43,11 @@ func fitMachineGrid(m *machine.Model, opt Options) (roofline.Efficiencies, []roo
 		})
 	}
 	fitted, err := roofline.Fit(samples, roofline.FitOptions{
-		Base:    calib.Eff,
+		Base:    simulated.Eff,
 		Classes: roofline.ComputeClasses,
 	})
 	if err != nil {
-		return calib.Eff, nil, fmt.Errorf("fitting %s: %w", m.Name, err)
+		return simulated.Eff, nil, fmt.Errorf("fitting %s: %w", m.Name, err)
 	}
 	return fitted.Eff, samples, nil
 }
@@ -52,8 +56,8 @@ func fitMachineGrid(m *machine.Model, opt Options) (roofline.Efficiencies, []roo
 // each modelled machine — the paper trio plus a cluster of host-CPU nodes —
 // it simulates the calibration grid (roofline.MachineCalibPoints: the
 // standard 2x2.5x9 run across processor meshes, plus the convolution-filter
-// and layer-count points that decorrelate the kernel classes), derives a
-// roofline calibration from the machine model, fits the per-kernel-class
+// and layer-count points that decorrelate the kernel classes), prices it on
+// the machine model at unit efficiency, fits the per-kernel-class
 // efficiencies against the simulated timings by the deterministic least
 // squares, and tabulates predicted against measured seconds per simulated
 // day.  The wall-clock half of the loop (real host benchmarks feeding the

@@ -41,7 +41,7 @@ type SchedulerComparison struct {
 // templates name — so every latency is in that machine's virtual seconds and
 // the result is the same on every host.
 func CompareSchedulers() (*SchedulerComparison, error) {
-	oracle, err := roofline.NewMachine(roofline.FromModel(machine.Paragon()))
+	oracle, err := roofline.NewMachine(machine.Paragon())
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,11 @@ func TestAllModelsValidate(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
 		}
+		// A paper machine's rates are the simulation's ground truth: the
+		// roofline prices them on the critical path at unit efficiency.
+		if m.Aggregate != AggregateMaxRank || m.Eff != Unit {
+			t.Errorf("%s: priced as %q at %+v, want the simulator's own view", m.Name, m.Aggregate, m.Eff)
+		}
 	}
 }
 
@@ -23,8 +28,10 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"zero net bandwidth", func(m *Model) { m.Bandwidth = 0 }},
 		{"negative latency", func(m *Model) { m.Latency = -1 }},
 		{"negative send overhead", func(m *Model) { m.SendOverhead = -1 }},
-		{"zero cache", func(m *Model) { m.CacheBytes = 0 }},
-		{"indivisible cache", func(m *Model) { m.CacheBytes = 1000; m.CacheLineBytes = 32; m.CacheWays = 1 }},
+		{"empty name", func(m *Model) { m.Name = "" }},
+		{"unknown aggregate", func(m *Model) { m.Aggregate = "mean" }},
+		{"zero efficiency", func(m *Model) { m.Eff.Physics = 0 }},
+		{"NaN efficiency", func(m *Model) { m.Eff.Network = math.NaN() }},
 	}
 	for _, tc := range cases {
 		m := Paragon()
@@ -38,7 +45,6 @@ func TestValidateCatchesBadFields(t *testing.T) {
 func TestCostFunctions(t *testing.T) {
 	m := &Model{
 		Name: "test", FlopRate: 1e6, MemBandwidth: 1e7,
-		CacheBytes: 1024, CacheLineBytes: 32, CacheWays: 1,
 		SendOverhead: 1e-5, RecvOverhead: 2e-5,
 		Latency: 1e-4, Bandwidth: 1e8,
 	}
@@ -54,8 +60,6 @@ func TestCostFunctions(t *testing.T) {
 	if got := m.RecvOverheadSeconds(100); got != 2e-5 {
 		t.Errorf("RecvOverheadSeconds = %g, want 2e-5", got)
 	}
-	want := 1e-4 + 1e8/1e8*1e-8*1e8 // latency + bytes/bandwidth with bytes=1e8? keep explicit below
-	_ = want
 	if got := m.NetworkSeconds(1000); math.Abs(got-(1e-4+1000/1e8)) > 1e-15 {
 		t.Errorf("NetworkSeconds(1000) = %g, want %g", got, 1e-4+1000/1e8)
 	}
@@ -109,6 +113,10 @@ func TestHostModel(t *testing.T) {
 			t.Fatal("Host leaked into All()")
 		}
 	}
+	// Priced, the host is this process: every rank's work on one clock.
+	if h.Aggregate != AggregateSum {
+		t.Fatalf("host must aggregate total work, got %q", h.Aggregate)
+	}
 	// Thirty years on, the host outruns every 1996 node.
 	for _, m := range All() {
 		if h.FlopRate <= m.FlopRate || h.MemBandwidth <= m.MemBandwidth {
@@ -126,8 +134,8 @@ func TestByNameRoundTripsModelName(t *testing.T) {
 			t.Errorf("ByName(%q): %v", m.Name, err)
 			continue
 		}
-		if got.Name != m.Name {
-			t.Errorf("ByName(%q).Name = %q", m.Name, got.Name)
+		if *got != *m {
+			t.Errorf("ByName(%q) = %+v, want %+v", m.Name, got, m)
 		}
 	}
 }
@@ -135,7 +143,7 @@ func TestByNameRoundTripsModelName(t *testing.T) {
 func TestDegraded(t *testing.T) {
 	base := CrayT3D()
 	d := Degraded(base, 2)
-	if d.FlopRate != base.FlopRate/2 || d.KernelFlopRate != base.KernelFlopRate/2 {
+	if d.FlopRate != base.FlopRate/2 || d.MemBandwidth != base.MemBandwidth/2 {
 		t.Errorf("processor rates not halved")
 	}
 	if d.Latency != base.Latency || d.Bandwidth != base.Bandwidth {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"agcm/internal/machine"
 )
 
 // Sample is one calibration observation: a configuration's raw per-class
@@ -24,7 +26,7 @@ type FitOptions struct {
 	// Base supplies the efficiency for classes not being fitted (because
 	// they are excluded by Classes, have no work in any sample, or come
 	// out non-positive).  The zero value means unit efficiency throughout.
-	Base Efficiencies
+	Base machine.Efficiencies
 	// Classes, when non-nil, restricts the fit to the named classes; the
 	// others keep Base and have their Base-efficiency time subtracted from
 	// the observations first.  Nil fits every class with work.
@@ -34,7 +36,7 @@ type FitOptions struct {
 // FitResult is the fitted calibration's efficiency block plus which classes
 // the data actually determined.
 type FitResult struct {
-	Eff Efficiencies
+	Eff machine.Efficiencies
 	// FittedClasses lists the classes estimated from the data, canonical
 	// order; the rest kept their Base value.
 	FittedClasses []string
@@ -64,8 +66,8 @@ func Fit(samples []Sample, opt FitOptions) (FitResult, error) {
 		return FitResult{}, fmt.Errorf("roofline: fit needs at least one sample")
 	}
 	base := opt.Base
-	if base == (Efficiencies{}) {
-		base = Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}
+	if base == (machine.Efficiencies{}) {
+		base = machine.Unit
 	}
 
 	// Canonical sample order: the determinism anchor.
@@ -125,7 +127,7 @@ func Fit(samples []Sample, opt FitOptions) (FitResult, error) {
 		if len(next) == len(cols) {
 			res := FitResult{Eff: base}
 			for r, j := range cols {
-				res.Eff = res.Eff.withClass(Classes[j], 1/beta[r])
+				res.Eff = withEfficiency(res.Eff, Classes[j], 1/beta[r])
 				res.FittedClasses = append(res.FittedClasses, Classes[j])
 			}
 			return res, nil
@@ -138,14 +140,14 @@ func Fit(samples []Sample, opt FitOptions) (FitResult, error) {
 // fitOnce solves the unconstrained normal equations for the given active
 // columns, with every inactive class charged at Base and subtracted from the
 // observations.
-func fitOnce(ss []Sample, cols []int, base Efficiencies) ([]float64, error) {
+func fitOnce(ss []Sample, cols []int, base machine.Efficiencies) ([]float64, error) {
 	// Residual observations: subtract the unfitted classes' Base time.
 	y := make([]float64, len(ss))
 	for i, s := range ss {
 		y[i] = s.Measured
 		for j, class := range Classes {
 			if !containsInt(cols, j) && s.Raw[j] != 0 {
-				y[i] -= s.Raw[j] / base.ByClass(class)
+				y[i] -= s.Raw[j] / efficiency(base, class)
 			}
 		}
 	}
@@ -173,11 +175,11 @@ func fitOnce(ss []Sample, cols []int, base Efficiencies) ([]float64, error) {
 }
 
 // PredictSample returns the fitted model's seconds for one sample row.
-func PredictSample(eff Efficiencies, raw [NumClasses]float64) float64 {
+func PredictSample(eff machine.Efficiencies, raw [NumClasses]float64) float64 {
 	var t float64
 	for j, class := range Classes {
 		if raw[j] != 0 {
-			t += raw[j] / eff.ByClass(class)
+			t += raw[j] / efficiency(eff, class)
 		}
 	}
 	return t

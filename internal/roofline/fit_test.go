@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"agcm/internal/machine"
 )
 
 // synthSamples builds an overdetermined sample set whose measurements are
 // generated exactly by trueEff, with machine/label variety so the canonical
 // sort has real work to do.  The raw rows come from a tiny deterministic
 // LCG — no global randomness, per the package's own determinism contract.
-func synthSamples(trueEff Efficiencies, n int) []Sample {
+func synthSamples(trueEff machine.Efficiencies, n int) []Sample {
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func() float64 {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -34,7 +36,7 @@ func synthSamples(trueEff Efficiencies, n int) []Sample {
 // calibration loop: the same observation multiset must produce bit-identical
 // coefficients no matter how it was assembled.  Run under -race in CI.
 func TestFitInsertionOrderBitIdentical(t *testing.T) {
-	trueEff := Efficiencies{Dynamics: 0.47, Physics: 0.031, FilterConv: 0.8, FilterFFT: 0.12, Network: 0.66}
+	trueEff := machine.Efficiencies{Dynamics: 0.47, Physics: 0.031, FilterConv: 0.8, FilterFFT: 0.12, Network: 0.66}
 	base := synthSamples(trueEff, 12)
 
 	ref, err := Fit(base, FitOptions{})
@@ -79,7 +81,7 @@ func TestFitInsertionOrderBitIdentical(t *testing.T) {
 }
 
 func TestFitRecoversSyntheticEfficiencies(t *testing.T) {
-	trueEff := Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
+	trueEff := machine.Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
 	res, err := Fit(synthSamples(trueEff, 20), FitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +90,7 @@ func TestFitRecoversSyntheticEfficiencies(t *testing.T) {
 		t.Fatalf("expected all %d classes fitted, got %v", NumClasses, res.FittedClasses)
 	}
 	for _, class := range Classes {
-		got, want := res.Eff.ByClass(class), trueEff.ByClass(class)
+		got, want := efficiency(res.Eff, class), efficiency(trueEff, class)
 		if math.Abs(got-want) > 1e-9*want {
 			t.Fatalf("class %s: fitted %g, want %g", class, got, want)
 		}
@@ -96,13 +98,13 @@ func TestFitRecoversSyntheticEfficiencies(t *testing.T) {
 }
 
 func TestFitZeroColumnKeepsBase(t *testing.T) {
-	trueEff := Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
+	trueEff := machine.Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
 	samples := synthSamples(trueEff, 15)
 	for i := range samples {
 		samples[i].Measured -= samples[i].Raw[NumClasses-1] / trueEff.Network
 		samples[i].Raw[NumClasses-1] = 0 // no network work anywhere
 	}
-	base := Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 0.123}
+	base := machine.Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 0.123}
 	res, err := Fit(samples, FitOptions{Base: base})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +120,7 @@ func TestFitZeroColumnKeepsBase(t *testing.T) {
 }
 
 func TestFitSubsetClassesSubtractsBase(t *testing.T) {
-	trueEff := Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
+	trueEff := machine.Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
 	samples := synthSamples(trueEff, 15)
 	// Fit only dynamics; supply the true efficiencies of everything else as
 	// Base so the residual is exactly the dynamics term.
@@ -156,7 +158,7 @@ func TestFitSingularAndDegenerate(t *testing.T) {
 		t.Fatal("Fit accepted collinear samples")
 	}
 	// More fitted columns than samples.
-	few := synthSamples(Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}, 3)
+	few := synthSamples(machine.Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}, 3)
 	if _, err := Fit(few, FitOptions{}); err == nil {
 		t.Fatal("Fit accepted fewer samples than coefficients")
 	}
@@ -169,7 +171,7 @@ func TestFitNonPositiveCoefficientFallsBack(t *testing.T) {
 		{Label: "a", Raw: [NumClasses]float64{1, 0, 0, 0, 0}, Measured: -1},
 		{Label: "b", Raw: [NumClasses]float64{2, 0, 0, 0, 0}, Measured: -2},
 	}
-	base := Efficiencies{Dynamics: 0.33, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}
+	base := machine.Efficiencies{Dynamics: 0.33, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}
 	res, err := Fit(samples, FitOptions{Base: base})
 	if err != nil {
 		t.Fatal(err)

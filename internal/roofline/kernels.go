@@ -34,7 +34,7 @@ type Kernel struct {
 
 // Intensity returns the kernel's arithmetic intensity in flop/byte on the
 // critical path — the roofline x-axis.  Kernels left of the machine's ridge
-// point (FlopsPerSec/BytesPerSec) are bandwidth-bound; right of it,
+// point (FlopRate/MemBandwidth) are bandwidth-bound; right of it,
 // compute-bound.
 func (k Kernel) Intensity() float64 {
 	if k.CPBytes == 0 {

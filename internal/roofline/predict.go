@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"agcm/internal/core"
+	"agcm/internal/machine"
 )
 
 // PhaseTime is one kernel's predicted time and which ceiling bound it.
@@ -28,67 +29,65 @@ type Prediction struct {
 	Seconds     float64     `json:"seconds"` // StepSeconds * Steps
 }
 
-// Machine predicts run times from a calibration.  It implements
+// Machine predicts run times from a machine model.  It implements
 // core.CostOracle, so it can drive the sjf scheduler and the workload
 // simulator directly.
-type Machine struct{ calib Calib }
+type Machine struct{ model machine.Model }
 
-// NewMachine validates the calibration and returns its predictor.
-func NewMachine(c Calib) (*Machine, error) {
-	if err := c.Validate(); err != nil {
+// NewMachine validates the model and returns its predictor, which keeps its
+// own copy.
+func NewMachine(m *machine.Model) (*Machine, error) {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{calib: c}, nil
+	return &Machine{model: *m}, nil
 }
 
-// Calib returns the machine's calibration.
-func (m *Machine) Calib() Calib { return m.calib }
-
 // Name implements core.CostOracle.
-func (m *Machine) Name() string { return "roofline:" + m.calib.Name }
+func (m *Machine) Name() string { return "roofline:" + m.model.Name }
 
 // Predict returns the per-phase and end-to-end predicted time of running cfg
 // for measuredSteps measured steps on this machine: each compute kernel is
-// charged max(flops/peak, bytes/bandwidth), the network kernel is charged
-// messages*(latency+overhead) + bytes/injection, and each charge is divided
-// by the fitted efficiency of its class.
+// charged max(flops/FlopRate, bytes/MemBandwidth), the network kernel is
+// charged messages*(Latency+SendOverhead+RecvOverhead) + bytes/Bandwidth,
+// and each charge is divided by the model's efficiency for its class.
 func (m *Machine) Predict(cfg core.Config, measuredSteps int) (*Prediction, error) {
 	counts, err := CountKernels(cfg, measuredSteps)
 	if err != nil {
 		return nil, err
 	}
-	c := m.calib
+	c := &m.model
 	// A degraded rank is the critical path of a machine that runs at its
 	// slowest rank's pace.  A machine that sums all ranks' work on one clock
 	// (the host) pays the same real time for a degraded simulation as for a
 	// healthy one.
 	degrade := 1.0
-	if c.Aggregate == AggregateMaxRank {
+	if c.Aggregate == machine.AggregateMaxRank {
 		degrade = counts.Degrade
 	}
 	pred := &Prediction{Machine: c.Name, Steps: counts.Steps}
 	for _, k := range counts.Kernels {
 		flops, bytes := k.CPFlops, k.CPBytes
 		msgs, netBytes := k.CPMsgs, k.CPNetBytes
-		if c.Aggregate == AggregateSum {
+		if c.Aggregate == machine.AggregateSum {
 			flops, bytes = k.TotalFlops, k.TotalBytes
 			msgs, netBytes = k.TotalMsgs, k.TotalNetBytes
 		}
 		var t float64
 		var bound string
 		if k.Class == ClassNetwork {
-			t = msgs*(c.NetLatencySec+c.MsgOverheadSec) + netBytes/c.NetBytesPerSec
+			t = msgs*(c.Latency+(c.SendOverhead+c.RecvOverhead)) + netBytes/c.Bandwidth
 			bound = "network"
 		} else {
-			ft := flops / c.FlopsPerSec
-			bt := bytes / c.BytesPerSec
+			ft := flops / c.FlopRate
+			bt := bytes / c.MemBandwidth
 			if ft >= bt {
 				t, bound = ft, "flops"
 			} else {
 				t, bound = bt, "memory"
 			}
 		}
-		t = t / c.Eff.ByClass(k.Class) * degrade
+		t = t / efficiency(c.Eff, k.Class) * degrade
 		pred.Phases = append(pred.Phases, PhaseTime{
 			Name: k.Name, Class: k.Class, Seconds: t, Bound: bound,
 			Intensity: intensityOrZero(k),
@@ -113,7 +112,7 @@ func (m *Machine) PredictSeconds(cfg core.Config, measuredSteps int) (float64, e
 		return 0, err
 	}
 	if p.Seconds <= 0 {
-		return 0, fmt.Errorf("roofline: non-positive prediction for %q", m.calib.Name)
+		return 0, fmt.Errorf("roofline: non-positive prediction for %q", m.model.Name)
 	}
 	return p.Seconds, nil
 }
@@ -122,11 +121,11 @@ func (m *Machine) PredictSeconds(cfg core.Config, measuredSteps int) (float64, e
 // the fit's design-matrix row for one configuration: the observed time is
 // modelled as sum over classes of raw[class]/eff[class].  Indexed in
 // canonical Classes order.
-func RawSeconds(c Calib, cfg core.Config, measuredSteps int) ([NumClasses]float64, error) {
+func RawSeconds(model *machine.Model, cfg core.Config, measuredSteps int) ([NumClasses]float64, error) {
 	var raw [NumClasses]float64
-	unit := c
-	unit.Eff = Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}
-	m, err := NewMachine(unit)
+	unit := *model
+	unit.Eff = machine.Unit
+	m, err := NewMachine(&unit)
 	if err != nil {
 		return raw, err
 	}

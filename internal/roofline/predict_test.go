@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agcm/internal/core"
+	"agcm/internal/machine"
 )
 
 func TestNewMachineValidates(t *testing.T) {
@@ -15,11 +16,24 @@ func TestNewMachineValidates(t *testing.T) {
 	if m.Name() != "roofline:test" {
 		t.Fatalf("oracle name %q", m.Name())
 	}
-	if m.Calib() != validCalib() {
-		t.Fatal("Calib() does not round-trip")
+	// The predictor keeps its own copy: editing the model afterwards does
+	// not move its prices.
+	in := validCalib()
+	own, err := NewMachine(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewMachine(Calib{}); err == nil {
-		t.Fatal("NewMachine accepted the zero calib")
+	cfg := testConfig(2, 2, core.FilterFFT)
+	before, err := own.PredictSeconds(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.FlopRate *= 10
+	if after, _ := own.PredictSeconds(cfg, 2); after != before {
+		t.Fatalf("prediction moved from %g to %g with the caller's model", before, after)
+	}
+	if _, err := NewMachine(&machine.Model{}); err == nil {
+		t.Fatal("NewMachine accepted the zero model")
 	}
 }
 
@@ -66,13 +80,13 @@ func TestPredictBreakdown(t *testing.T) {
 
 func TestPredictAggregateSumChargesTotalWork(t *testing.T) {
 	cp := validCalib()
-	sum := cp
-	sum.Aggregate = AggregateSum
+	sum := *cp
+	sum.Aggregate = machine.AggregateSum
 	mcp, err := NewMachine(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msum, err := NewMachine(sum)
+	msum, err := NewMachine(&sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +118,8 @@ func TestPredictDegradeFactor(t *testing.T) {
 		aggregate string
 		want      float64
 	}{
-		{AggregateMaxRank, 2.5},
-		{AggregateSum, 1},
+		{machine.AggregateMaxRank, 2.5},
+		{machine.AggregateSum, 1},
 	} {
 		calib := validCalib()
 		calib.Aggregate = tc.aggregate

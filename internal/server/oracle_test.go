@@ -147,11 +147,11 @@ func TestServerConsultsCustomOracle(t *testing.T) {
 }
 
 // TestServerDefaultOracleIsHostRoofline: a nil Options.CostOracle is the
-// roofline model under the built-in host calibration, not a second predictor.
+// roofline predictor on the built-in host model, not a second predictor.
 func TestServerDefaultOracleIsHostRoofline(t *testing.T) {
 	s := mustNew(t, Options{Scheduler: "sjf"})
 	defer s.Drain(context.Background())
-	if got := s.opt.CostOracle.Name(); got != "roofline:host" {
-		t.Fatalf("default oracle %q, want roofline:host", got)
+	if got := s.opt.CostOracle.Name(); got != "roofline:Host CPU" {
+		t.Fatalf("default oracle %q, want roofline:Host CPU", got)
 	}
 }

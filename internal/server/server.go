@@ -34,6 +34,7 @@ import (
 
 	"agcm/internal/core"
 	"agcm/internal/frame"
+	"agcm/internal/machine"
 	"agcm/internal/roofline"
 	"agcm/internal/sim"
 )
@@ -78,9 +79,9 @@ type Options struct {
 	// substitute blockers and counters.
 	Runner Runner
 	// CostOracle prices jobs for the sjf scheduler, the only policy that
-	// orders on cost; nil means the roofline model under its built-in host
-	// calibration (roofline.DefaultHost).  `agcmd -calib` installs the
-	// same model under a calibration fitted on this host.
+	// orders on cost; nil means the roofline predictor on the built-in host
+	// model (machine.Host).  `agcmd -calib` installs the predictor on a
+	// model fitted on this host.
 	CostOracle core.CostOracle
 }
 
@@ -148,7 +149,7 @@ func New(opt Options) (*Server, error) {
 		return nil, err
 	}
 	if opt.CostOracle == nil {
-		if opt.CostOracle, err = roofline.NewMachine(roofline.DefaultHost()); err != nil {
+		if opt.CostOracle, err = roofline.NewMachine(machine.Host()); err != nil {
 			return nil, err
 		}
 	}

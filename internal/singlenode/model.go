@@ -1,9 +1,57 @@
 package singlenode
 
-import (
-	"agcm/internal/cachesim"
-	"agcm/internal/machine"
-)
+import "agcm/internal/cachesim"
+
+// Node is one paper machine's processor as the Section 3.4 single-node
+// experiments see it: the data-cache geometry the address traces replay
+// through, and the rates that turn flops and misses into seconds.  These
+// describe a cache-resident kernel, not the whole application, so they are
+// kept apart from machine.Model's sustained rates.
+type Node struct {
+	// Name matches the machine.Model of the same computer.
+	Name string
+	// CacheBytes, CacheLineBytes and CacheWays describe the data cache.
+	CacheBytes, CacheLineBytes, CacheWays int
+	// KernelFlopRate is the flop rate of a simple, cache-resident inner
+	// loop (far above the whole-application FlopRate), and MissPenalty is
+	// the stall per cache-line miss.
+	KernelFlopRate, MissPenalty float64
+}
+
+// Paragon is an i860 XP at 50 MHz with its 16 KB 4-way data cache.
+func Paragon() Node {
+	return Node{
+		Name:       "Intel Paragon",
+		CacheBytes: 16384, CacheLineBytes: 32, CacheWays: 4,
+		KernelFlopRate: 30e6,    // dual-operation pipelined loops out of cache
+		MissPenalty:    0.70e-6, // ~35 cycles at 50 MHz
+	}
+}
+
+// CrayT3D is a 150 MHz Alpha 21064 with its 8 KB direct-mapped data cache
+// and no board cache.
+func CrayT3D() Node {
+	return Node{
+		Name:       "Cray T3D",
+		CacheBytes: 8192, CacheLineBytes: 32, CacheWays: 1,
+		KernelFlopRate: 25e6,    // EV4 simple loops out of cache
+		MissPenalty:    0.16e-6, // ~24 cycles at 150 MHz (no board cache)
+	}
+}
+
+// IBMSP2 is a 66 MHz POWER2 thin node with its 64 KB 4-way data cache.
+func IBMSP2() Node {
+	return Node{
+		Name:       "IBM SP-2",
+		CacheBytes: 65536, CacheLineBytes: 64, CacheWays: 4,
+		KernelFlopRate: 60e6,
+		MissPenalty:    0.15e-6,
+	}
+}
+
+// Nodes returns the three paper machines' nodes in paper order, the order
+// of machine.All.
+func Nodes() []Node { return []Node{Paragon(), CrayT3D(), IBMSP2()} }
 
 // divFlops is the cost of one floating-point division relative to a
 // multiply-add on the paper's microprocessors (no pipelined divide).
@@ -34,11 +82,11 @@ type LayoutResult struct {
 }
 
 // ModelLaplaceLayout replays the Laplace kernel's exact address streams
-// through the machine's cache geometry and converts flops and misses into
+// through the node's cache geometry and converts flops and misses into
 // time.  The separate arrays sit at their natural n^3-aligned bases (as
 // Fortran COMMON placed them), which is what produces the pathological
 // conflict behaviour the paper observed.
-func ModelLaplaceLayout(mach *machine.Model, n, m int) LayoutResult {
+func ModelLaplaceLayout(mach Node, n, m int) LayoutResult {
 	arrayBytes := int64(n*n*n) * wordBytes
 	points := (n - 2) * (n - 2) * (n - 2)
 	flops := float64(points) * float64(m) * 8 // 1 mul + 7 adds per field
@@ -118,7 +166,7 @@ type AdvectionResult struct {
 // per point and walks the arrays layer-outermost (poor line reuse when the
 // vertical index is innermost in memory); the optimized form hoists
 // reciprocals, multiplies instead of divides, and fuses the layer loop.
-func ModelAdvection(mach *machine.Model, nlat, nlon, nl int) AdvectionResult {
+func ModelAdvection(mach Node, nlat, nlon, nl int) AdvectionResult {
 	points := float64((nlat - 2) * nlon * nl)
 	at := func(j, i, k int) int64 { return (int64(j)*int64(nlon)+int64(i))*int64(nl) + int64(k) }
 	fBase := int64(0)

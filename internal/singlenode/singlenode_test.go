@@ -122,11 +122,11 @@ func TestModelLaplaceLayoutReproducesPaper(t *testing.T) {
 	// Section 3.4: "a speed-up a factor of 5 over the use of separate
 	// arrays on the Intel Paragon, and a speed-up factor of 2.6 ... on
 	// Cray T3D" for 32^3 arrays.
-	p := ModelLaplaceLayout(machine.Paragon(), 32, 12)
+	p := ModelLaplaceLayout(Paragon(), 32, 12)
 	if p.Speedup < 4.0 || p.Speedup > 6.5 {
 		t.Errorf("Paragon block-array speedup %.2f outside [4, 6.5] (paper: 5.0)", p.Speedup)
 	}
-	c := ModelLaplaceLayout(machine.CrayT3D(), 32, 12)
+	c := ModelLaplaceLayout(CrayT3D(), 32, 12)
 	if c.Speedup < 2.0 || c.Speedup > 3.6 {
 		t.Errorf("T3D block-array speedup %.2f outside [2, 3.6] (paper: 2.6)", c.Speedup)
 	}
@@ -143,7 +143,7 @@ func TestModelLaplaceLayoutReproducesPaper(t *testing.T) {
 func TestModelAdvectionReproducesPaper(t *testing.T) {
 	// "we were able to reduce its execution time on a single Cray T3D
 	// node by about 35%".
-	r := ModelAdvection(machine.CrayT3D(), 90, 144, 9)
+	r := ModelAdvection(CrayT3D(), 90, 144, 9)
 	if r.Reduction < 0.22 || r.Reduction > 0.45 {
 		t.Errorf("T3D advection reduction %.1f%% outside [22%%, 45%%] (paper: 35%%)",
 			r.Reduction*100)
@@ -151,15 +151,15 @@ func TestModelAdvectionReproducesPaper(t *testing.T) {
 	if r.OptimizedSeconds >= r.OriginalSeconds {
 		t.Errorf("optimization did not help")
 	}
-	p := ModelAdvection(machine.Paragon(), 90, 144, 9)
+	p := ModelAdvection(Paragon(), 90, 144, 9)
 	if p.Reduction <= 0 {
 		t.Errorf("Paragon advection reduction non-positive")
 	}
 }
 
 func TestModelDeterministic(t *testing.T) {
-	a := ModelLaplaceLayout(machine.CrayT3D(), 16, 6)
-	b := ModelLaplaceLayout(machine.CrayT3D(), 16, 6)
+	a := ModelLaplaceLayout(CrayT3D(), 16, 6)
+	b := ModelLaplaceLayout(CrayT3D(), 16, 6)
 	if a != b {
 		t.Fatal("ModelLaplaceLayout not deterministic")
 	}
@@ -261,5 +261,27 @@ func BenchmarkDaxpyUnrolled4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DaxpyUnrolled4(1.0001, x, y)
+	}
+}
+
+// TestNodesMatchPaperMachines: the Section 3.4 tables list the nodes under
+// the paper machines' names, in paper order, and every geometry must be one
+// the cache simulator accepts.
+func TestNodesMatchPaperMachines(t *testing.T) {
+	nodes, models := Nodes(), machine.All()
+	if len(nodes) != len(models) {
+		t.Fatalf("%d nodes for %d paper machines", len(nodes), len(models))
+	}
+	for i, n := range nodes {
+		if n.Name != models[i].Name {
+			t.Errorf("node %d is %q, machine %d is %q", i, n.Name, i, models[i].Name)
+		}
+		if n.CacheBytes%(n.CacheLineBytes*n.CacheWays) != 0 || n.KernelFlopRate <= 0 || n.MissPenalty <= 0 {
+			t.Errorf("%s: bad node %+v", n.Name, n)
+		}
+		// A cache-resident kernel outruns the whole application.
+		if n.KernelFlopRate <= models[i].FlopRate {
+			t.Errorf("%s: kernel rate %g not above the sustained %g", n.Name, n.KernelFlopRate, models[i].FlopRate)
+		}
 	}
 }

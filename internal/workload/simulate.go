@@ -3,8 +3,8 @@ package workload
 // Simulate: a deterministic virtual-time queueing model of the serving
 // daemon's admission queue and worker pool.  It runs a schedule through a
 // scheduling policy — the live server's own Scheduler, imported rather than
-// mirrored — with service demands from a core.CostOracle (a roofline
-// calibration of whichever machine the what-if is about), and reports
+// mirrored — with service demands from a core.CostOracle (the roofline
+// predictor on whichever machine model the what-if is about), and reports
 // per-class latency and fairness.  Everything is integer microseconds and
 // fixed-order iteration, so the same (schedule, options) always produces
 // the same result: the scheduling experiment's comparison is a committable

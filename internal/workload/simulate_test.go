@@ -13,7 +13,7 @@ import (
 // model of the machine the scheduling spec's templates name.
 func paragon(t *testing.T) *roofline.Machine {
 	t.Helper()
-	m, err := roofline.NewMachine(roofline.FromModel(machine.Paragon()))
+	m, err := roofline.NewMachine(machine.Paragon())
 	if err != nil {
 		t.Fatal(err)
 	}
