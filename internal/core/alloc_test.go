@@ -39,9 +39,10 @@ func runMallocs(t *testing.T, pool *kitPool, py, px, steps int) uint64 {
 // two measured steps, on a new kit.  Building the 240-rank machine is most
 // of it — what sim's mailboxes and comm's collectives cost to bring up; it
 // read 128k while every message, queue and payload was its own allocation,
-// 45k once they were carved from per-mailbox chunks, and reads 42.7k now
-// that the 240 ranks' FFT plans share one set of tables.  The budget is
-// that plus 10 %.
+// 45k once they were carved from per-mailbox chunks, and 42.7k once the
+// 240 ranks' FFT plans shared one set of tables; the budget is that plus
+// 10 %.  It reads 36.2k with each machine building its own filter tables
+// and plan board.
 func TestMeshRunAllocBudget(t *testing.T) {
 	const budget = 47000
 	if n := runMallocs(t, newTestPool(), 8, 30, 2); n > budget {

@@ -7,11 +7,12 @@ package core
 // built once per shape and kept between runs: a run checks a kit out of a
 // bounded process-wide pool, resets its state in place, runs, and returns it.
 //
-// A kit is mutable and exclusive: one run at a time owns it.  That is the
-// difference from the fill-only caches (package fillcache), whose values are
-// read-only and shared by every rank of every run.  A run that fails — an
-// error, a cancellation, an injected crash — drops its kit rather than
-// return it, so no half-run state can reach a later run.
+// A kit is mutable and exclusive: one run at a time owns it.  What its ranks
+// build once and then only read — the filter's line tables and responses,
+// the physics plan board — lives in its machine's store (sim.Shared), so it
+// lives and goes with the kit.  A run that fails — an error, a
+// cancellation, an injected crash — drops its kit rather than return it, so
+// no half-run state can reach a later run.
 
 import (
 	"fmt"
@@ -133,11 +134,12 @@ func (k *kit) rank(p *sim.Proc, d grid.Decomp) (*rankKit, error) {
 // kitBytes estimates what a built kit of decomposition d holds: three times
 // its ranks' eight halo-padded state fields and three halo-free tendency
 // fields, for the fields themselves, the filter's staging and the rest, plus
-// 64 KiB per rank for the mailboxes' warm buffers and the per-rank objects.
-// It is above the measured size of the benchmark's shapes: 58.6 MiB against
-// 50.6 for the 8x30 balanced-FFT kit, 58.6 against 24.0 for the 8x30
-// convolution kit, 30.2 against 12.9 for the one-rank kit and 4.9 against
-// 2.8 for a 2x2 serving kit of the 72x46x5 grid.
+// 64 KiB per rank for the mailboxes' warm buffers, the per-rank objects and
+// the machine's shared tables.  It is above the measured size of the
+// benchmark's shapes: 58.6 MiB against 51.5 for the 8x30 balanced-FFT kit,
+// 58.6 against 24.8 for the 8x30 convolution kit, 30.2 against 13.2 for the
+// one-rank kit and 4.9 against 2.9 for a 2x2 serving kit of the 72x46x5
+// grid.
 func kitBytes(d grid.Decomp) int64 {
 	var floats int64
 	for row := 0; row < d.Py; row++ {
@@ -153,7 +155,7 @@ func kitBytes(d grid.Decomp) int64 {
 
 // kitBudget bounds the estimated bytes of the idle kits a process keeps:
 // room for the benchmark's three model kits at once (147 MiB estimated,
-// 88 MiB measured), or for 32 serving kits of its 2x2 shape.  Past it
+// 89.5 MiB measured), or for 32 serving kits of its 2x2 shape.  Past it
 // the least recently returned kits go.
 const kitBudget = 160 << 20
 

@@ -19,7 +19,7 @@ func TestFlopsAllocFree(t *testing.T) {
 // TestNewPlanAllocsOnSharedTables pins what a plan costs once its length's
 // tables exist: the struct and one scratch allocation, on every kernel.
 func TestNewPlanAllocsOnSharedTables(t *testing.T) {
-	shared.Reset()
+	clear(shared)
 	for _, n := range []int{128, 144, 97} { // radix-2, mixed radix, Bluestein
 		NewPlan(n)
 		if a := testing.AllocsPerRun(20, func() { NewPlan(n) }); a > 2 {
@@ -36,9 +36,9 @@ func TestNewPlanAllocsOnSharedTables(t *testing.T) {
 // holds, and one longer than it admits: it must stop growing, and the plans
 // that did not fit must still transform correctly on tables of their own.
 func TestSharedTablesAreBounded(t *testing.T) {
-	shared.Reset()
+	clear(shared)
 	NewPlan(2 * maxSharedLen)
-	if shared.Len() != 0 {
+	if len(shared) != 0 {
 		t.Errorf("cache admitted length %d; the limit is %d", 2*maxSharedLen, maxSharedLen)
 	}
 	for n := 3; n < 3+4*maxSharedTables; n++ {
@@ -49,8 +49,8 @@ func TestSharedTablesAreBounded(t *testing.T) {
 			t.Fatalf("n=%d: plan differs from the naive DFT by %g", n, d)
 		}
 	}
-	if shared.Len() != maxSharedTables {
+	if len(shared) != maxSharedTables {
 		t.Errorf("cache holds %d lengths after %d distinct ones; capacity is %d",
-			shared.Len(), 4*maxSharedTables, maxSharedTables)
+			len(shared), 4*maxSharedTables, maxSharedTables)
 	}
 }

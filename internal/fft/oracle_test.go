@@ -400,7 +400,7 @@ func TestStageStreamsOmitUnitTerm(t *testing.T) {
 // it also proves nobody writes the tables they share.
 func TestSharedTablesConcurrentPlans(t *testing.T) {
 	const ranks, n = 240, 72
-	shared.Reset()
+	clear(shared)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {

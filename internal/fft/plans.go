@@ -1,20 +1,37 @@
 package fft
 
-import "agcm/internal/fillcache"
+import "sync"
 
-// Tables are shared through a fill-only cache of at most maxSharedTables
-// lengths of at most maxSharedLen points.  A length that does not fit gets
-// tables of its own, private to the one plan.
+// Tables are shared process-wide, since plans are also built outside any
+// simulated machine: a map of at most maxSharedTables lengths of at most
+// maxSharedLen points.  A length that does not fit gets tables of its own,
+// private to the one plan.
 const (
 	maxSharedTables = 16
 	maxSharedLen    = 1 << 12
 )
 
-var shared = fillcache.New[int, *tables](maxSharedTables)
+var (
+	sharedMu sync.Mutex
+	shared   = make(map[int]*tables, maxSharedTables) // guarded by sharedMu
+)
 
-// tablesFor returns the tables for length n.
+// tablesFor returns the tables for length n, building them under the lock
+// on first use so that plans starting together build them once.
 func tablesFor(n int) *tables {
-	return shared.Get(n, n <= maxSharedLen, func(bool) *tables { return newTables(n) })
+	if n > maxSharedLen {
+		return newTables(n)
+	}
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	t := shared[n]
+	if t == nil {
+		t = newTables(n)
+		if len(shared) < maxSharedTables {
+			shared[n] = t
+		}
+	}
+	return t
 }
 
 // GetPlan, PutPlan, GetRealPlan and PutRealPlan are what is left of a plan

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"agcm/internal/comm"
-	"agcm/internal/fillcache"
 	"agcm/internal/grid"
 	"agcm/internal/machine"
 	"agcm/internal/sim"
@@ -495,65 +494,52 @@ func TestFFTFilterRelayoutMatchesOracle(t *testing.T) {
 	}
 }
 
-// withEmptyTableCache runs the rest of a test against an empty table cache
-// and empties it again afterwards, so later tests do not inherit its tables.
-func withEmptyTableCache(t *testing.T) { withEmptyCache(t, sharedTables) }
-
-// withEmptyCache does the same for any shared cache.
-func withEmptyCache[K comparable, V any](t *testing.T, c *fillcache.Cache[K, V]) {
-	c.Reset()
-	t.Cleanup(c.Reset)
-}
-
-// TestFFTFilterSharedTablesConcurrent runs two machines at once whose meshes
-// differ but have the same number of processor rows, so all their ranks
-// read one table; under -race this is the check that sharing it is safe.
+// TestFFTFilterSharedTablesConcurrent runs two machines of one shape at
+// once: every rank of a machine reads the one line table its machine's
+// store holds, the other machine builds its own, and both filter exactly as
+// the oracle does (run under -race in CI).
 func TestFFTFilterSharedTablesConcurrent(t *testing.T) {
-	withEmptyTableCache(t)
-	d24, _ := grid.NewDecomp(oracleSpec, 2, 4)
-	d23, _ := grid.NewDecomp(oracleSpec, 2, 3)
-	if tableFor(d24, sw, true) != tableFor(d23, sw, true) {
-		t.Fatal("2x4 and 2x3 meshes do not share a table")
+	const py, px = 2, 4
+	seq := [][]Kind{sw}
+	want, err := runFilterProgram(oracleSpec, py, px, seq, func(c *comm.Cart2D, l grid.Local) Parallel {
+		return newOracleFFT(c, oracleSpec, l, true)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	filters := make([][]*FFTFilter, 2)
+	errs := make([]error, len(filters))
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, px := range []int{4, 3} {
+	for m := range filters {
+		filters[m] = make([]*FFTFilter, py*px)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = againstOracle(oracleSpec, 2, px, true, [][]Kind{sw, sss})
+			got, err := runFilterProgram(oracleSpec, py, px, seq, func(c *comm.Cart2D, l grid.Local) Parallel {
+				f := NewFFT(c, oracleSpec, l, true)
+				filters[m][c.World.Rank()] = f
+				return f
+			})
+			if err == nil {
+				err = sameRun(got, want)
+			}
+			errs[m] = err
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for m, err := range errs {
 		if err != nil {
-			t.Error(err)
+			t.Fatalf("machine %d: %v", m, err)
 		}
 	}
-}
-
-// TestFFTFilterPastCacheBound fills the table cache, then checks that a
-// layout it cannot hold — and one too large to share — gets a private table
-// each time, and that a filter on such a table is still identical to the
-// oracle.
-func TestFFTFilterPastCacheBound(t *testing.T) {
-	withEmptyTableCache(t)
-	for n := 1; n <= maxSharedLayouts; n++ {
-		d, _ := grid.NewDecomp(grid.Spec{Nlon: 8, Nlat: 8, Nlayers: n}, 2, 1)
-		tableFor(d, sw, true)
-	}
-	if n := sharedTables.Len(); n != maxSharedLayouts {
-		t.Fatalf("cache holds %d tables after %d distinct layouts, want %d", n, maxSharedLayouts, maxSharedLayouts)
-	}
-	d, _ := grid.NewDecomp(oracleSpec, 2, 4)
-	big, _ := grid.NewDecomp(grid.Spec{Nlon: 8, Nlat: 8, Nlayers: maxSharedLines}, 2, 1)
-	for _, d := range []grid.Decomp{d, big} {
-		if tableFor(d, sw, true) == tableFor(d, sw, true) {
-			t.Fatalf("%+v: layout past the bound was shared", d.Spec)
+	for m, fs := range filters {
+		for r, f := range fs {
+			if f.tab != fs[0].tab {
+				t.Fatalf("machine %d: rank %d reads a line table of its own", m, r)
+			}
 		}
 	}
-	if n := sharedTables.Len(); n != maxSharedLayouts {
-		t.Fatalf("cache grew to %d tables past its bound", n)
+	if filters[0][0].tab == filters[1][0].tab {
+		t.Fatal("two machines of one shape share a line table")
 	}
-	checkAgainstOracle(t, oracleSpec, 2, 4, true, [][]Kind{sw})
 }

@@ -335,20 +335,21 @@ type Variable struct {
 
 // Sequential applies the filter to every variable on a single-subdomain
 // (1x1 decomposition) field set; it is the correctness oracle for the
-// parallel variants.
+// parallel variants, so it builds its own damping rows with DampingRow
+// rather than read the response tables they share.
 func Sequential(spec grid.Spec, vars []Variable) {
 	rf := newRowFilter(spec.Nlon)
 	row := make([]float64, spec.Nlon)
-	resp := responses(spec)
 	for _, v := range vars {
 		l := v.Field.Local()
 		if l.Nlat() != spec.Nlat || l.Nlon() != spec.Nlon {
 			panic("filter: Sequential requires an undecomposed field")
 		}
 		for _, j := range Rows(spec, v.Kind) {
+			damp := DampingRow(spec.Nlon, spec.LatCenter(j), v.Kind.CritLat())
 			for k := 0; k < spec.Nlayers; k++ {
 				v.Field.RowSlice(j, k, row)
-				rf.apply(resp[v.Kind].damp[j], row)
+				rf.apply(damp, row)
 				v.Field.SetRowSlice(j, k, row)
 			}
 		}

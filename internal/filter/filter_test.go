@@ -1,6 +1,8 @@
 package filter
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +10,8 @@ import (
 
 	"agcm/internal/fft"
 	"agcm/internal/grid"
+	"agcm/internal/machine"
+	"agcm/internal/sim"
 )
 
 func TestKindString(t *testing.T) {
@@ -281,37 +285,57 @@ func TestApplyRowFFTPanicsOnMismatch(t *testing.T) {
 }
 
 // TestResponsesShared checks the per-(grid, kind) response table every
-// filter reads: filtered rows hold exactly DampingRow and its Coefficients,
-// the others nil; a second lookup on any grid with the same horizontal size
-// returns the same table; a grid too large to share gets a private one.
+// filter of a machine reads: filtered rows hold exactly DampingRow and its
+// Coefficients, the others nil; a second lookup on the machine for any grid
+// with the same horizontal size returns the same table, and so does the
+// line table's build, which reads its damping rows from it; another machine
+// builds its own.
 func TestResponsesShared(t *testing.T) {
-	withEmptyCache(t, sharedResponses)
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
-	r := responses(spec)
-	for k, resp := range r {
-		kind := Kind(k)
-		for j := 0; j < spec.Nlat; j++ {
-			if !IsFiltered(spec, kind, j) {
-				if resp.damp[j] != nil || resp.kernel[j] != nil {
-					t.Fatalf("%v row %d is not filtered but has a response", kind, j)
+	var first [2]*response
+	for m := range 2 {
+		_, err := sim.New(1, machine.Paragon()).Run(func(p *sim.Proc) error {
+			r := responses(p, spec)
+			if m == 1 {
+				if r == first {
+					return errors.New("a second machine read the first one's tables")
 				}
-				continue
+				return nil
 			}
-			damp := DampingRow(spec.Nlon, spec.LatCenter(j), kind.CritLat())
-			kernel := Coefficients(damp)
-			for s := range damp {
-				if math.Float64bits(resp.damp[j][s]) != math.Float64bits(damp[s]) ||
-					math.Float64bits(resp.kernel[j][s]) != math.Float64bits(kernel[s]) {
-					t.Fatalf("%v row %d entry %d differs from DampingRow/Coefficients", kind, j, s)
+			first = r
+			for k, resp := range r {
+				kind := Kind(k)
+				for j := 0; j < spec.Nlat; j++ {
+					if !IsFiltered(spec, kind, j) {
+						if resp.damp[j] != nil || resp.kernel[j] != nil {
+							return fmt.Errorf("%v row %d is not filtered but has a response", kind, j)
+						}
+						continue
+					}
+					damp := DampingRow(spec.Nlon, spec.LatCenter(j), kind.CritLat())
+					kernel := Coefficients(damp)
+					for s := range damp {
+						if math.Float64bits(resp.damp[j][s]) != math.Float64bits(damp[s]) ||
+							math.Float64bits(resp.kernel[j][s]) != math.Float64bits(kernel[s]) {
+							return fmt.Errorf("%v row %d entry %d differs from DampingRow/Coefficients", kind, j, s)
+						}
+					}
 				}
 			}
+			if again := responses(p, grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 9}); again != r {
+				return errors.New("a grid with the same horizontal size did not share the tables")
+			}
+			kinds := []Kind{Strong, Weak}
+			tab := tableFor(p, grid.Decomp{Spec: spec, Py: 1, Px: 1}, kinds, true)
+			for l, ln := range tab.lines {
+				if &tab.damp[l][0] != &r[kinds[ln.v]].damp[ln.j][0] {
+					return fmt.Errorf("line %d's damping row is not the machine's response", l)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if again := responses(grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 9}); again != r {
-		t.Error("a grid with the same horizontal size did not share the tables")
-	}
-	big := grid.Spec{Nlon: 512, Nlat: maxSharedPoints/512 + 1, Nlayers: 1}
-	if responses(big) == responses(big) {
-		t.Error("a grid past the size bound shared its tables")
 	}
 }

@@ -2,14 +2,14 @@ package filter
 
 import (
 	"agcm/internal/fft"
-	"agcm/internal/fillcache"
 	"agcm/internal/grid"
+	"agcm/internal/sim"
 )
 
 // lineTable is the FFT filter's line layout: which lines exist, which
 // processor row holds each before and after balancing, and every row's part
 // of that.  It depends only on the grid, the number of processor rows, the
-// variable kinds and whether the filter balances, so every rank of every run
+// variable kinds and whether the filter balances, so every rank of a machine
 // with the same four shares one read-only table.
 type lineTable struct {
 	lines                 []line      // every line, in canonical order
@@ -28,22 +28,12 @@ type rowLines struct {
 // response is one grid's filter response for one kind, indexed by global
 // latitude row and nil on the rows the kind leaves alone: the damping row,
 // and the physical-space convolution kernel equivalent to it.  Every filter
-// on the grid reads the same read-only copy.
+// on the grid on one machine reads the same read-only copy.
 type response struct {
 	damp, kernel [][]float64
 }
 
-// Both tables are shared through fill-only caches, as fft shares its twiddle
-// tables.  The layout cache shares tables for grids of at most
-// maxSharedLines (variable, row, layer) lines; the response cache for grids
-// of at most maxSharedPoints horizontal points.
-const (
-	maxSharedLayouts   = 16
-	maxSharedLines     = 1 << 16
-	maxSharedResponses = 16
-	maxSharedPoints    = 1 << 16
-)
-
+// Both tables are kept in the machine's store (sim.Shared) under these keys.
 type tableKey struct {
 	spec     grid.Spec
 	py       int
@@ -53,27 +43,21 @@ type tableKey struct {
 
 type responseKey struct{ nlon, nlat, kind int }
 
-var (
-	sharedTables    = fillcache.New[tableKey, *lineTable](maxSharedLayouts)
-	sharedResponses = fillcache.New[responseKey, *response](maxSharedResponses)
-)
-
 // tableFor returns the layout for the variable kinds on decomposition d.
-func tableFor(d grid.Decomp, kinds []Kind, balanced bool) *lineTable {
+func tableFor(p *sim.Proc, d grid.Decomp, kinds []Kind, balanced bool) *lineTable {
 	b := make([]byte, len(kinds))
 	for i, k := range kinds {
 		b[i] = byte(k)
 	}
-	share := len(kinds)*d.Spec.Nlat*d.Spec.Nlayers <= maxSharedLines
-	return sharedTables.Get(tableKey{d.Spec, d.Py, string(b), balanced}, share,
-		func(bool) *lineTable { return newLineTable(d, kinds, balanced) })
+	return sim.Shared(p, tableKey{d.Spec, d.Py, string(b), balanced},
+		func() *lineTable { return newLineTable(p, d, kinds, balanced) })
 }
 
 // responses returns the grid's response of each kind, indexed by kind.
-func responses(spec grid.Spec) (r [2]*response) {
+func responses(p *sim.Proc, spec grid.Spec) (r [2]*response) {
 	for k := range r {
-		r[k] = sharedResponses.Get(responseKey{spec.Nlon, spec.Nlat, k}, spec.Nlon*spec.Nlat <= maxSharedPoints,
-			func(bool) *response { return newResponse(spec, Kind(k)) })
+		r[k] = sim.Shared(p, responseKey{spec.Nlon, spec.Nlat, k},
+			func() *response { return newResponse(spec, Kind(k)) })
 	}
 	return r
 }
@@ -90,12 +74,12 @@ func newResponse(spec grid.Spec, k Kind) *response {
 
 // newLineTable lays out the lines of the variable kinds on d's processor
 // rows.  Balancing hands them out in contiguous Eq. (3) blocks.
-func newLineTable(d grid.Decomp, kinds []Kind, balanced bool) *lineTable {
+func newLineTable(p *sim.Proc, d grid.Decomp, kinds []Kind, balanced bool) *lineTable {
 	spec, py := d.Spec, d.Py
 	lines := buildLines(spec, kinds)
 	n := len(lines)
 	t := &lineTable{lines: lines, initOwner: make([]int, n), damp: make([][]float64, n), rows: make([]rowLines, py)}
-	resp := responses(spec)
+	resp := responses(p, spec)
 	for l, ln := range lines {
 		t.initOwner[l] = d.RowOfLat(ln.j)
 		t.damp[l] = resp[kinds[ln.v]].damp[ln.j]

@@ -74,7 +74,7 @@ func lonSegments(d grid.Decomp, px int) (widths, offs []int) {
 
 // NewConvolution builds the original filter for this rank's subdomain.
 func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) *Convolution {
-	c := &Convolution{cart: cart, spec: spec, local: local, topo: topo, resp: responses(spec)}
+	c := &Convolution{cart: cart, spec: spec, local: local, topo: topo, resp: responses(cart.World.Proc(), spec)}
 	c.widths, c.offs = lonSegments(local.Decomp, cart.Px)
 	// full carries convPad wraparound values past the circle so the
 	// convolution kernel runs without modulo indexing.
@@ -156,9 +156,10 @@ func (c *Convolution) applySlab(v Variable, k int) {
 //
 // Which lines exist, who owns them before and after balancing and how many
 // values every message carries depend only on the kinds of the variables:
-// the filter keeps its processor row's part of a table every rank shares
-// (see tableFor) and stages every Apply through buffers cut to those exact
-// sizes, so a rank's host work scales with its own lines, not the grid's.
+// the filter keeps its processor row's part of a table every rank of the
+// machine shares (see tableFor) and stages every Apply through buffers cut
+// to those exact sizes, so a rank's host work scales with its own lines,
+// not the grid's.
 type FFTFilter struct {
 	cart     *comm.Cart2D
 	spec     grid.Spec
@@ -260,7 +261,7 @@ func (f *FFTFilter) layout(vars []Variable) {
 	w, n := f.local.Nlon(), f.spec.Nlon
 
 	f.kinds = kindsOf(vars)
-	f.tab = tableFor(f.local.Decomp, f.kinds, f.balanced)
+	f.tab = tableFor(f.cart.World.Proc(), f.local.Decomp, f.kinds, f.balanced)
 	f.row = &f.tab.rows[f.cart.MyRow]
 	nHome, nWork := len(f.row.home), len(f.row.work)
 

@@ -33,7 +33,7 @@ type RowwiseFFT struct {
 func NewRowwiseFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *RowwiseFFT {
 	f := &RowwiseFFT{
 		cart: cart, spec: spec, local: local,
-		rf: newRowFilter(spec.Nlon), resp: responses(spec),
+		rf: newRowFilter(spec.Nlon), resp: responses(cart.World.Proc(), spec),
 	}
 	f.full = make([]float64, spec.Nlon)
 	f.widths, f.offs = lonSegments(local.Decomp, cart.Px)

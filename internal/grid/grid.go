@@ -39,10 +39,15 @@ func TwoByTwoPointFive(layers int) Spec {
 	return Spec{Nlon: 144, Nlat: 90, Nlayers: layers}
 }
 
-// Validate reports an error for degenerate specs.
+// Validate reports an error for degenerate specs and for specs whose point
+// count overflows int.  It divides instead of multiplying, so extents whose
+// product wraps around cannot pass.
 func (s Spec) Validate() error {
 	if s.Nlon < 4 || s.Nlat < 4 || s.Nlayers < 1 {
 		return fmt.Errorf("grid: degenerate spec %+v", s)
+	}
+	if s.Nlat > math.MaxInt/s.Nlon || s.Nlayers > math.MaxInt/(s.Nlon*s.Nlat) {
+		return fmt.Errorf("grid: spec %+v has more points than an int holds", s)
 	}
 	return nil
 }

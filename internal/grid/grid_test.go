@@ -19,6 +19,21 @@ func TestTwoByTwoPointFive(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOverflowingPoints: extents whose point count overflows
+// int are refused, including 2^32 x 2^32 x 1, whose product wraps to 0, and
+// the largest spec that fits is accepted.
+func TestValidateRejectsOverflowingPoints(t *testing.T) {
+	bad := []Spec{{1 << 32, 1 << 32, 1}, {1 << 31, 1 << 31, 4}, {4, 4, math.MaxInt/16 + 1}, {math.MaxInt, 4, 1}}
+	for _, s := range bad {
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil with Points() = %d, want error", s, s.Points())
+		}
+	}
+	if s := (Spec{4, 4, math.MaxInt / 16}); s.Validate() != nil || s.Points() <= 0 {
+		t.Errorf("Validate(%+v) = %v, Points() = %d", s, s.Validate(), s.Points())
+	}
+}
+
 func TestValidateRejectsDegenerate(t *testing.T) {
 	bad := []Spec{{0, 90, 9}, {144, 0, 9}, {144, 90, 0}, {2, 2, 1}}
 	for _, s := range bad {

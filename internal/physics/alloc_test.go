@@ -80,44 +80,13 @@ func TestRunnerStepAllocFree(t *testing.T) {
 // The budget is 5 % of the old figure.
 func TestRunnerStepAllocBudget(t *testing.T) {
 	const budgetPerRankStep = 0.05 * 49.9
-	perRankStep, _ := balancedStepAllocs(t)
-	if perRankStep > budgetPerRankStep {
-		t.Fatalf("balanced Step allocated %.2f times per rank-step; budget %.2f", perRankStep, budgetPerRankStep)
-	}
-	t.Logf("balanced Step: %.2f allocations per rank-step", perRankStep)
-}
-
-// TestRunnerStepPastBoundAllocBudget is the same machine once the plan-board
-// cache is full: every Runner gets a private board and freezes its plan into
-// the same reused storage each step, so it allocates what a planner per rank
-// did — sim's 0.50 per rank-step, measured 0.50 — and nothing for the plan.
-func TestRunnerStepPastBoundAllocBudget(t *testing.T) {
-	const budgetPerRankStep = 0.75
-	boards.Reset()
-	t.Cleanup(boards.Reset)
-	for i := range maxSharedBoards {
-		boardFor(grid.Decomp{Spec: grid.Spec{Nlon: 100 + i, Nlat: 2, Nlayers: 1}, Py: 1, Px: 1}, Pairwise, 2)
-	}
-	perRankStep, private := balancedStepAllocs(t)
-	if !private {
-		t.Fatal("a Runner past the cache's bound shares a board")
-	}
-	if perRankStep > budgetPerRankStep {
-		t.Fatalf("balanced Step with private boards allocated %.2f times per rank-step; budget %.2f", perRankStep, budgetPerRankStep)
-	}
-	t.Logf("balanced Step with private boards: %.2f allocations per rank-step", perRankStep)
-}
-
-// balancedStepAllocs returns the steady-state allocations per rank-step of
-// a pairwise, two-round physics step on a 2x4 mesh, and whether rank 0's
-// plan board is private.
-func balancedStepAllocs(t *testing.T) (perRankStep float64, private bool) {
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
 	const py, px, warm, runs = 2, 4, 12, 24
 	d, err := grid.NewDecomp(spec, py, px)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var perRankStep float64
 	m := sim.New(py*px, machine.CrayT3D())
 	_, err = m.Run(func(p *sim.Proc) error {
 		world := comm.World(p)
@@ -135,7 +104,6 @@ func balancedStepAllocs(t *testing.T) (perRankStep float64, private bool) {
 		}
 		if world.Rank() == 0 {
 			perRankStep = testing.AllocsPerRun(runs, round) / (py * px)
-			private = r.board.own != nil
 			return nil
 		}
 		for i := 0; i < runs+1; i++ {
@@ -146,5 +114,8 @@ func balancedStepAllocs(t *testing.T) (perRankStep float64, private bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return perRankStep, private
+	if perRankStep > budgetPerRankStep {
+		t.Fatalf("balanced Step allocated %.2f times per rank-step; budget %.2f", perRankStep, budgetPerRankStep)
+	}
+	t.Logf("balanced Step: %.2f allocations per rank-step", perRankStep)
 }

@@ -136,7 +136,7 @@ func NewRunner(world *comm.Comm, cart *comm.Cart2D, local grid.Local,
 // stack.
 func (r *Runner) initBalancing() {
 	n := r.world.Size()
-	r.board = boardFor(r.local.Decomp, r.scheme, r.rounds)
+	r.board = boardFor(r.world.Proc(), r.local.Decomp, r.scheme, r.rounds)
 	r.loads = make([]float64, n+1)
 	r.loads, r.loadBuf = r.loads[:n], r.loads[n:]
 	r.gOut = make([][]float64, n)

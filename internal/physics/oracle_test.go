@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"agcm/internal/grid"
@@ -261,9 +260,8 @@ func TestBlockMatchesColumnOracle(t *testing.T) {
 
 // TestTablesMatchDirectCalls checks every table entry, and the cached hour
 // angle, against the math expression the per-column code evaluated, bit for
-// bit, and that Models of one grid share one set of tables.
+// bit.
 func TestTablesMatchDirectCalls(t *testing.T) {
-	shared.Reset()
 	same := func(what string, idx int, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -271,12 +269,9 @@ func TestTablesMatchDirectCalls(t *testing.T) {
 		}
 	}
 	for _, spec := range []grid.Spec{grid.TwoByTwoPointFive(9), grid.TwoByTwoPointFive(15),
-		{Nlon: 24, Nlat: 16, Nlayers: 4}, {Nlon: 8, Nlat: maxSharedRows, Nlayers: 2}} {
+		{Nlon: 24, Nlat: 16, Nlayers: 4}, {Nlon: 8, Nlat: 1 << 12, Nlayers: 2}} {
 		m := NewModel(spec, stepsPerDay)
-		tab := m.tab
-		if shared := NewModel(spec, 2*stepsPerDay).tab; (shared == tab) != (spec.Nlat+spec.Nlayers <= maxSharedRows) {
-			t.Fatalf("%+v: tables shared = %v", spec, shared == tab)
-		}
+		tab := &m.tab
 		for j := 0; j < spec.Nlat; j++ {
 			lat := spec.LatCenter(j)
 			same("cosLat", j, tab.cosLat[j], math.Cos(lat))
@@ -298,49 +293,6 @@ func TestTablesMatchDirectCalls(t *testing.T) {
 				c := &Column{J: spec.Nlat / 3, I: i}
 				same("CosZenith", i, m.CosZenith(c, step), oracle.CosZenith(c, step))
 			}
-		}
-	}
-}
-
-// TestSharedTablesAreBounded fills the cache past its capacity: it stops
-// growing, and a Model whose grid did not fit computes the same bits from
-// tables of its own.
-func TestSharedTablesAreBounded(t *testing.T) {
-	shared.Reset()
-	defer shared.Reset()
-	for n := 0; n < 4*maxSharedTables; n++ {
-		spec := grid.Spec{Nlon: 12, Nlat: 8 + n, Nlayers: 5}
-		c := testColumn(spec, spec.Nlat/2, 3)
-		c.T[0] += 25
-		want := cloneColumn(c)
-		wantFlops := (&oracleModel{Spec: spec, StepsPerDay: stepsPerDay}).Compute(&want, 2)
-		sameBits(t, c, &want, NewModel(spec, stepsPerDay).Compute(c, 2), wantFlops, "grid %d", n)
-	}
-	if shared.Len() != maxSharedTables {
-		t.Errorf("cache holds %d grids after %d distinct ones; capacity is %d",
-			shared.Len(), 4*maxSharedTables, maxSharedTables)
-	}
-}
-
-// TestSharedTablesConcurrentModels starts the ranks of a mesh at once on a
-// cold cache: every Model gets the same tables (run under -race in CI).
-func TestSharedTablesConcurrentModels(t *testing.T) {
-	shared.Reset()
-	spec := grid.Spec{Nlon: 20, Nlat: 14, Nlayers: 6}
-	const ranks = 64
-	tabs := make([]*tables, ranks)
-	var wg sync.WaitGroup
-	for r := range tabs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tabs[r] = NewModel(spec, stepsPerDay).tab
-		}()
-	}
-	wg.Wait()
-	for r, tab := range tabs {
-		if tab != tabs[0] {
-			t.Fatalf("rank %d built tables of its own", r)
 		}
 	}
 }

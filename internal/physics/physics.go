@@ -68,7 +68,7 @@ type Model struct {
 	Spec        grid.Spec
 	StepsPerDay int
 
-	tab *tables
+	tab tables
 
 	// One carve.  hourCos[i] is cos(hour) at longitude i for the step phase
 	// recorded in hourStamp[i] (phase+StepsPerDay, positive for any step, so
@@ -84,7 +84,7 @@ func NewModel(spec grid.Spec, stepsPerDay int) *Model {
 		panic("physics: StepsPerDay must be positive")
 	}
 	carve := make([]float64, 2*spec.Nlon+blockWidth*spec.Nlayers)
-	return &Model{Spec: spec, StepsPerDay: stepsPerDay, tab: tablesFor(spec),
+	return &Model{Spec: spec, StepsPerDay: stepsPerDay, tab: newTables(spec),
 		hourCos: carve[:spec.Nlon], hourStamp: carve[spec.Nlon : 2*spec.Nlon], t4: carve[2*spec.Nlon:]}
 }
 
@@ -175,7 +175,7 @@ func heatLayer(T, p []float64, k1 int, heat float64) {
 // storing each column's flop count in flops.  Every column goes through
 // exactly the operations, in exactly the order, it would go through alone.
 func (m *Model) computeBlock(cols []Column, step int, flops []float64) {
-	tab := m.tab
+	tab := &m.tab
 	k := len(cols[0].T)
 	layer1, six, expk := tab.layer1[:k], tab.six[:k], tab.expk[:k]
 

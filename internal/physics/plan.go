@@ -6,9 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"agcm/internal/fillcache"
 	"agcm/internal/grid"
 	"agcm/internal/loadbalance"
+	"agcm/internal/sim"
 )
 
 // segment is a run of columns sharing one origin, used to mirror every
@@ -254,57 +254,38 @@ func (pl *planner) freeze(f *frozenPlan, loads []float64) {
 }
 
 // planBoard shares the plans of one shape — grid, mesh, scheme, rounds —
-// between every Runner of that shape.  After the load allgather every rank
-// of a machine holds the same loads bit for bit, and a plan is a pure
-// function of the shape and the loads, so the first rank to ask builds the
-// plan and every other rank reads it: a hit requires every load to be
+// between every Runner of that shape on one machine.  After the load
+// allgather every rank holds the same loads bit for bit, and a plan is a
+// pure function of the shape and the loads, so the first rank to ask builds
+// the plan and every other rank reads it: a hit requires every load to be
 // bit-equal, so it returns exactly the plan the rank would have built.
 // Nothing a virtual machine sees changes.
 //
-// A board publishes one plan, the latest.  That serves a machine whole: a
-// rank asks for step s+1's plan only after every rank has sent its step-s+1
-// load, which each does after it has finished reading step s's plan.
-// Machines of one shape that run at once, with different loads, replace
-// each other's plan and build theirs again; they are never handed a wrong
-// one.
+// A board publishes one plan, the latest, and each plan is fresh and never
+// written again, so a rank still reading the last one is never disturbed.
+// That serves a machine whole: a rank asks for step s+1's plan only after
+// every rank has sent its step-s+1 load, which each does after it has
+// finished reading step s's plan.
 type planBoard struct {
 	last atomic.Pointer[frozenPlan]
 
 	mu sync.Mutex
 	pl *planner // builds every plan of the shape; guarded by mu
-	// own is the one plan a private board — one Runner's, past the cache's
-	// bound — freezes every step into, reused because its one reader has
-	// finished with the last plan when it asks for the next; nil on a shared
-	// board, whose plans are fresh and never written again.
-	own *frozenPlan
 }
 
-// planShape keys the board cache: everything a plan depends on besides the
-// loads.  The plan reads only the column counts of the mesh, so the number
-// of layers is not part of it.
+// planShape keys a machine's boards: everything a plan depends on besides
+// the loads.  The plan reads only the column counts of the mesh, so the
+// number of layers is not part of it.
 type planShape struct {
 	nlon, nlat, py, px int
 	scheme             Scheme
 	rounds             int
 }
 
-// Boards are shared through a fill-only cache; a shape past its bound gets a
-// private board per Runner, which then plans for itself, in its own reused
-// storage, as every rank once did.
-const maxSharedBoards = 16
-
-var boards = fillcache.New[planShape, *planBoard](maxSharedBoards)
-
-// boardFor returns the board of the shape.
-func boardFor(d grid.Decomp, scheme Scheme, rounds int) *planBoard {
+// boardFor returns the board of the shape on p's machine.
+func boardFor(p *sim.Proc, d grid.Decomp, scheme Scheme, rounds int) *planBoard {
 	key := planShape{d.Spec.Nlon, d.Spec.Nlat, d.Py, d.Px, scheme, rounds}
-	return boards.Get(key, true, func(shared bool) *planBoard {
-		b := &planBoard{pl: newPlanner(d, scheme, rounds)}
-		if !shared {
-			b.own = new(frozenPlan)
-		}
-		return b
-	})
+	return sim.Shared(p, key, func() *planBoard { return &planBoard{pl: newPlanner(d, scheme, rounds)} })
 }
 
 // planFor returns the plan for loads: the published one if it was planned
@@ -319,10 +300,7 @@ func (b *planBoard) planFor(loads []float64) *frozenPlan {
 	if f := b.last.Load(); f != nil && bitsEqual(f.loads, loads) {
 		return f
 	}
-	f := b.own
-	if f == nil {
-		f = new(frozenPlan)
-	}
+	f := new(frozenPlan)
 	b.pl.plan(loads)
 	b.pl.freeze(f, loads)
 	b.last.Store(f)

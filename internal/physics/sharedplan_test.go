@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"agcm/internal/comm"
 	"agcm/internal/grid"
+	"agcm/internal/machine"
+	"agcm/internal/sim"
 )
 
 // maxRounds is MaxRounds under the name plan_oracle_test.go was written
@@ -51,40 +54,93 @@ func samePlan(f *frozenPlan, d grid.Decomp, scheme Scheme, rounds int, loads []f
 // TestSharedPlanMatchesPrivate is the differential check of the plan board:
 // for every scheme, round count, mesh and load map, the plan planFor returns
 // — built or found published — equals what a fresh planner builds.  Every
-// board comes from the cache, so a cache key that loses a field hands one
-// shape's plans to another; the first 16 shapes share theirs, the rest get
-// private boards that rewrite one plan in place.
+// board comes from one machine's store, so a key that loses a field hands
+// one shape's plans to another.
 func TestSharedPlanMatchesPrivate(t *testing.T) {
-	boards.Reset()
-	t.Cleanup(boards.Reset)
 	spec := grid.TwoByTwoPointFive(9)
 	rng := rand.New(rand.NewSource(29))
-	for _, mesh := range [][2]int{{2, 2}, {2, 4}, {3, 5}, {8, 8}, {8, 30}} {
-		d := grid.Decomp{Spec: spec, Py: mesh[0], Px: mesh[1]}
-		cases := planLoadCases(d.Py*d.Px, rng)
-		for rounds := 1; rounds <= 3; rounds++ {
-			for _, scheme := range []Scheme{Shuffle, Greedy, Pairwise} {
-				b := boardFor(d, scheme, rounds)
-				for _, lc := range cases {
-					id := fmt.Sprintf("%dx%d/%s/rounds%d/%s", d.Py, d.Px, scheme, rounds, lc.name)
-					built := b.planFor(lc.loads)
-					if err := samePlan(built, d, scheme, rounds, lc.loads); err != nil {
-						t.Fatalf("%s: %v", id, err)
-					}
-					if found := b.planFor(slices.Clone(lc.loads)); found != built {
-						t.Fatalf("%s: the same loads again missed the published plan", id)
+	_, err := sim.New(1, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+		for _, mesh := range [][2]int{{2, 2}, {2, 4}, {3, 5}, {8, 8}, {8, 30}} {
+			d := grid.Decomp{Spec: spec, Py: mesh[0], Px: mesh[1]}
+			cases := planLoadCases(d.Py*d.Px, rng)
+			for rounds := 1; rounds <= 3; rounds++ {
+				for _, scheme := range []Scheme{Shuffle, Greedy, Pairwise} {
+					b := boardFor(p, d, scheme, rounds)
+					for _, lc := range cases {
+						id := fmt.Sprintf("%dx%d/%s/rounds%d/%s", d.Py, d.Px, scheme, rounds, lc.name)
+						built := b.planFor(lc.loads)
+						if err := samePlan(built, d, scheme, rounds, lc.loads); err != nil {
+							return fmt.Errorf("%s: %v", id, err)
+						}
+						if found := b.planFor(slices.Clone(lc.loads)); found != built {
+							return fmt.Errorf("%s: the same loads again missed the published plan", id)
+						}
 					}
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestSharedPlanConcurrentShapes runs machines of one shape at once, each
-// with loads of its own, every rank of each asking for its machine's plan
-// step after step, so they keep replacing each other's published plan:
-// every rank gets its own machine's plan (run under -race in CI).  Loads
-// one ULP or one sign of zero apart must miss.
+// TestSharedBoardPerMachine runs two machines of one shape at once, each
+// for two Runs of balanced steps: every rank of a machine, in either Run,
+// reads the one board its machine's store holds, and the other machine
+// builds its own (run under -race in CI).
+func TestSharedBoardPerMachine(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
+	const py, px = 2, 4
+	d, err := grid.NewDecomp(spec, py, px)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := make([][]*planBoard, 2)
+	var wg sync.WaitGroup
+	for m := range boards {
+		boards[m] = make([]*planBoard, 2*py*px)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mach := sim.New(py*px, machine.CrayT3D())
+			for run := range 2 {
+				if _, err := mach.Run(func(p *sim.Proc) error {
+					world := comm.World(p)
+					cart := comm.NewCart2D(world, py, px)
+					l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+					T, Q := testFields(spec, l)
+					r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), Pairwise, 2)
+					for step := range 3 {
+						r.Step(T, Q, step)
+					}
+					boards[m][run*py*px+p.Rank()] = r.board
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for m, bs := range boards {
+		for i, b := range bs {
+			if b == nil || b != bs[0] {
+				t.Fatalf("machine %d: run %d rank %d read board %p, rank 0 of run 0 read %p", m, i/(py*px), i%(py*px), b, bs[0])
+			}
+		}
+	}
+	if boards[0][0] == boards[1][0] {
+		t.Fatal("two machines of one shape share a board")
+	}
+}
+
+// TestSharedPlanConcurrentShapes has groups of ranks ask one board at once
+// for plans of loads of their own, step after step, so they keep replacing
+// each other's published plan: every rank gets the plan of its own loads
+// (run under -race in CI).  Loads one ULP or one sign of zero apart must
+// miss.
 func TestSharedPlanConcurrentShapes(t *testing.T) {
 	d := grid.Decomp{Spec: grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 2}, Py: 2, Px: 4}
 	const machines, steps = 5, 4

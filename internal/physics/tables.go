@@ -3,15 +3,14 @@ package physics
 import (
 	"math"
 
-	"agcm/internal/fillcache"
 	"agcm/internal/grid"
 )
 
 // tables holds every term of the column physics that depends only on the
 // latitude row or on the layer index.  Each entry is built from the
 // expression the kernel used to evaluate per column, so reading the table
-// gives the same bits; a table is immutable once built and shared by every
-// Model of its grid.
+// gives the same bits.  Each Model builds its own: they are a few rows and
+// layers long.
 type tables struct {
 	// By latitude row: cos(lat), and the relaxation targets
 	// 288 - 60 sin²(lat) and 0.015 cos(lat).
@@ -25,7 +24,7 @@ type tables struct {
 	wpair []float64
 }
 
-func newTables(spec grid.Spec) *tables {
+func newTables(spec grid.Spec) tables {
 	nlat, nl := spec.Nlat, spec.Nlayers
 	carve := make([]float64, 3*nlat+5*nl-1)
 	next := func(n int) []float64 {
@@ -33,7 +32,7 @@ func newTables(spec grid.Spec) *tables {
 		carve = carve[n:]
 		return s
 	}
-	t := &tables{cosLat: next(nlat), teq: next(nlat), qeq: next(nlat),
+	t := tables{cosLat: next(nlat), teq: next(nlat), qeq: next(nlat),
 		layer1: next(nl), six: next(nl), expk: next(nl), wpair: next(2*nl - 1)}
 	for j := 0; j < nlat; j++ {
 		lat := spec.LatCenter(j)
@@ -49,19 +48,4 @@ func newTables(spec grid.Spec) *tables {
 		t.expk[k] = math.Exp(-0.4 * float64(k))
 	}
 	return t
-}
-
-// Tables are shared through a fill-only cache of at most maxSharedTables
-// grids of at most maxSharedRows rows plus layers.  A grid that does not fit
-// gets tables of its own.
-const (
-	maxSharedTables = 16
-	maxSharedRows   = 1 << 12
-)
-
-var shared = fillcache.New[grid.Spec, *tables](maxSharedTables)
-
-// tablesFor returns the tables of the grid.
-func tablesFor(spec grid.Spec) *tables {
-	return shared.Get(spec, spec.Nlat+spec.Nlayers <= maxSharedRows, func(bool) *tables { return newTables(spec) })
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // FuzzDecodeRequest: the one /v1/run decoder never panics on outside bytes,
-// and whatever it accepts is self-consistent — the key is JobKeyFor of the
-// decoded config, which is still sha256(ConfigKey ":" steps), and the
-// canonical form re-decodes to the same key and class.
+// and whatever it accepts is self-consistent — its grid has a positive
+// point count, the key is JobKeyFor of the decoded config, which is still
+// sha256(ConfigKey ":" steps), and the canonical form re-decodes to the same
+// key and class.
 func FuzzDecodeRequest(f *testing.F) {
 	const cfg = `{"config":{"nlon":36,"nlat":24,"nlayers":3,"machine":"paragon","mesh_py":1,"mesh_px":1,"filter":"fft"}`
 	for _, seed := range []struct{ body, header string }{
@@ -26,6 +27,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{cfg + `,"timeout_ms":-5}`, ""},                                 // negative timeout
 		{cfg + `,"slo":"bulk"}`, "batch"},                               // bad slo
 		{`{"steps":1}`, ""},                                             // missing config
+		{`{"config":{"nlon":4294967296,"nlat":4294967296,"nlayers":1,"machine":"paragon","mesh_py":1,"mesh_px":1,"filter":"fft"}}`, ""}, // points overflow int
 	} {
 		f.Add([]byte(seed.body), seed.header)
 	}
@@ -38,6 +40,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if req.Steps < 1 {
 			t.Fatalf("accepted steps %d", req.Steps)
+		}
+		if n := req.Config.Spec.Points(); n <= 0 {
+			t.Fatalf("accepted %+v with %d points", req.Config.Spec, n)
 		}
 		key, err := JobKeyFor(req.Config, req.Steps)
 		if err != nil || key != req.Key {

@@ -636,6 +636,27 @@ func TestOverflowingTopologyFailsPromptly(t *testing.T) {
 	}
 }
 
+// TestOverflowingGridIsBadRequest: a grid whose point count overflows int
+// (2^32 x 2^32 x 1 wraps to 0 points) is refused by DecodeRequest, so the
+// server answers 400 without running anything.
+func TestOverflowingGridIsBadRequest(t *testing.T) {
+	body := `{"config":{"nlon":4294967296,"nlat":4294967296,"nlayers":1,"machine":"paragon",` +
+		`"mesh_py":1,"mesh_px":1,"filter":"fft"}}`
+	if req, err := DecodeRequest(strings.NewReader(body), http.Header{}); err == nil {
+		t.Fatalf("DecodeRequest accepted a grid of %d points", req.Config.Spec.Points())
+	}
+	s := mustNew(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+	if st, _, b := postRun(t, ts.URL, body); st != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", st, b)
+	}
+	if s.Runs() != 0 {
+		t.Error("a refused request ran a simulation")
+	}
+}
+
 // TestCachePeekAndBackendID: GET /v1/cache/{key} replays a cached body
 // without running anything, responses carry the configured backend ID, and
 // the peek path keeps answering during a drain (the gateway's degraded-mode

@@ -326,6 +326,8 @@ type Machine struct {
 	fault     FaultHook
 	routes    RouteModel
 	wd        *watchdog
+	sharedMu  sync.Mutex
+	shared    map[any]*sharedValue // read-only values by key: see Shared
 }
 
 // New creates a machine with n identical ranks.  It panics if n < 1 or
@@ -355,7 +357,7 @@ func NewHeterogeneous(models []CostModel) *Machine {
 			panic(fmt.Sprintf("sim: nil cost model for rank %d", i))
 		}
 	}
-	m := &Machine{n: len(models), models: models}
+	m := &Machine{n: len(models), models: models, shared: make(map[any]*sharedValue)}
 	m.wd = &watchdog{machine: m}
 	m.boxes = make([]*mailbox, m.n)
 	m.procs = make([]*Proc, m.n)
@@ -372,6 +374,34 @@ func (m *Machine) Ranks() int { return m.n }
 // SetFaultHook installs a fault injector consulted on compute, send and
 // receive paths of every later Run.  Pass nil to remove it.
 func (m *Machine) SetFaultHook(h FaultHook) { m.fault = h }
+
+// sharedValue is one entry of a machine's store; mu is held while it builds.
+type sharedValue struct {
+	mu    sync.Mutex
+	built bool
+	v     any
+}
+
+// Shared returns the machine's read-only value for key, built once per key
+// and machine by the first rank to ask and kept across Runs.  build runs
+// outside the store's lock, so it may ask for another key; it must neither
+// charge virtual time nor communicate.  A build that panics stores nothing.
+func Shared[K comparable, V any](p *Proc, key K, build func() V) V {
+	m := p.machine
+	m.sharedMu.Lock()
+	e := m.shared[key]
+	if e == nil {
+		e = new(sharedValue)
+		m.shared[key] = e
+	}
+	m.sharedMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.built {
+		e.v, e.built = build(), true
+	}
+	return e.v.(V)
+}
 
 // closeAll closes every mailbox, waking any parked rank.  Idempotent.
 func (m *Machine) closeAll() {
