@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -159,4 +160,28 @@ func TestScattervWithPendingHighTag(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestLargestTagDeadlockReportsExactTag: the largest machine-level tag comm
+// produces is the barrier tag of the last column context of a 1024-wide mesh
+// (NewCart2D).  A barrier one rank skips on that communicator deadlocks, and
+// the watchdog must name that tag exactly: sim packs it into 32 bits of the
+// key the parked rank publishes.
+func TestLargestTagDeadlockReportsExactTag(t *testing.T) {
+	const want = (cartCtxBase+2*maxMeshDim)*tagSpace + tagBarrier
+	_, err := sim.New(2, flatModel{}).Run(func(p *sim.Proc) error {
+		last := []int{maxMeshDim - 1, maxMeshDim - 1} // the last column's color
+		col := World(p).Split(last, []int{0, 1}, cartCtxBase+maxMeshDim)
+		if got := col.tag(tagBarrier); got != want {
+			return fmt.Errorf("last column's barrier tag is %d, want %d", got, want)
+		}
+		if p.Rank() == 0 {
+			col.Barrier()
+		}
+		return nil
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != (sim.BlockedRank{Rank: 0, Src: 1, Tag: want}) {
+		t.Fatalf("err = %v, want a deadlock of rank 0 on (src 1, tag %d)", err, want)
+	}
 }

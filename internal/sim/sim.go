@@ -75,8 +75,8 @@ type FaultHook interface {
 // message is an in-flight point-to-point message: a private copy of the
 // sender's floats plus what the receiver needs to charge for it.  Messages are
 // intrusive list nodes: next links one into its queue while in flight and into
-// a free list while idle.  floats is the mailbox's own buffer and never leaves
-// the message, so a message stays in its length class for life.
+// that queue's free list while idle.  floats is the mailbox's own buffer and
+// never leaves the message; a post reslices it within its capacity.
 type message struct {
 	next   *message
 	floats []float64
@@ -85,9 +85,12 @@ type message struct {
 	seq    int64   // per-sender sequence number, for event logging
 }
 
-// qkey packs a (source, tag) pair into one word: the queue map takes the
-// runtime's fast integer-key path and a parked rank publishes its pair in one
-// atomic store.  Ranks fit in 32 bits and tags are small ints: it is injective.
+// maxTag bounds the tags a message may carry: [0, maxTag).  In that range
+// qkey is injective and the watchdog decodes a published tag exactly.
+const maxTag = 1 << 31
+
+// qkey packs a (source, tag) pair into one word, so a parked rank publishes
+// its pair in one atomic store.  Ranks and tags both fit in 31 bits.
 func qkey(source, tag int) uint64 {
 	return uint64(uint32(source))<<32 | uint64(uint32(tag))
 }
@@ -96,21 +99,31 @@ func qkey(source, tag int) uint64 {
 // is no valid rank, so no post matches it.
 const noWait = ^uint64(0)
 
-// msgQueue is the FIFO of in-flight messages of one (source, tag) key, linked
-// through message.next and empty when head is nil: a list has nothing to grow
-// however far a sender runs ahead of its receiver.
+// msgQueue is the FIFO of in-flight messages of one (source, tag) stream,
+// linked through message.next and empty when head is nil: a list has nothing
+// to grow however far a sender runs ahead of its receiver.  free holds the
+// stream's idle messages, so a post reuses what an earlier take returned.
 type msgQueue struct {
 	head, tail *message
+	free       *message
+	tag        int
+	sib        *msgQueue // next queue of the same source
 	link       *msgQueue // next in the mailbox's list of all its queues
 }
 
-// Slab sizes.  A cold mailbox needs tens of messages, queues and tiny payloads:
-// chunks this small make that a handful of allocations, under 2 KiB unused.
+// queuePage holds the queue chains of 64 consecutive sources.
+type queuePage [pageSize]*msgQueue
+
+// Slab and table sizes.  A cold mailbox needs tens of messages, queues and
+// tiny payloads: chunks this small make that a handful of allocations, under
+// 2 KiB unused.
 const (
 	msgChunk    = 16  // messages per chunk
 	queueChunk  = 16  // queues per chunk
 	floatChunk  = 128 // floats per payload chunk
 	carveFloats = 32  // longest payload carved from a chunk; longer ones are made whole
+	pageBits    = 6
+	pageSize    = 1 << pageBits // sources per queue page
 )
 
 // carve returns the next zeroed element of *slab, starting a new chunk when
@@ -127,20 +140,21 @@ func carve[T any](slab *[]T, chunk int) *T {
 // mailbox is the receive side of one rank.  Any rank may post into it, so mu
 // guards every field; only the owning rank waits on cond.
 //
-// Idle messages sit on per-length free lists: free[n] is a sentinel (so push
-// and pop never write the map) heading the messages whose buffer holds exactly
-// n floats, free[0] the bufferless tokens.  post copies the sender's floats
-// into the buffer, take copies them out into the receiver's under the same
-// lock and the message goes back on free[n], so the steady-state transport
-// allocates nothing and no slice is ever shared between ranks.  Everything
-// carved lives as long as the Machine; reset returns undelivered messages to
-// the free lists, so a second Run starts warm.
+// The queue of (source, tag) is found by index: pages[source/64] is allocated
+// on the first post or take from its 64 sources, and its slot for source
+// chains that source's queues, one per tag (a source uses one to three).  So
+// the table is linear in the ranks that talk to this one, never quadratic in
+// the machine.  Idle messages sit on their stream's free list: post copies the
+// sender's floats into one, take copies them out into the receiver's under the
+// same lock and the message goes back where it came from, so the steady-state
+// transport allocates nothing and no slice is ever shared between ranks.
+// Everything carved lives as long as the Machine; reset returns undelivered
+// messages to their free lists, so a second Run starts warm.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues map[uint64]*msgQueue
-	all    *msgQueue        // every queue, through msgQueue.link
-	free   map[int]*message // free-list sentinels by buffer length
+	pages  []*queuePage
+	all    *msgQueue // every queue, through msgQueue.link
 	closed bool
 	wd     *watchdog
 
@@ -151,62 +165,41 @@ type mailbox struct {
 	msgSlab   []message
 	queueSlab []msgQueue
 	floatSlab []float64
-
-	// Single-entry lookup caches: steady-state traffic revisits the same
-	// queue run after run, so most posts and takes skip the map.
-	lastPostKey, lastTakeKey uint64
-	lastPostQ, lastTakeQ     *msgQueue
 }
 
-func newMailbox(wd *watchdog) *mailbox {
-	mb := &mailbox{
-		queues: make(map[uint64]*msgQueue),
-		free:   make(map[int]*message),
-		wd:     wd,
+// queue returns the FIFO of (source, tag), creating it on first use.
+func (mb *mailbox) queue(source, tag int) *msgQueue {
+	pg := mb.pages[source>>pageBits]
+	if pg == nil {
+		pg = new(queuePage)
+		mb.pages[source>>pageBits] = pg
 	}
-	mb.cond = sync.NewCond(&mb.mu)
-	mb.waiting.Store(noWait)
-	return mb
-}
-
-// freeList returns the sentinel of the n-float class, created on first use.
-func (mb *mailbox) freeList(n int) *message {
-	h := mb.free[n]
-	if h == nil {
-		h = carve(&mb.msgSlab, msgChunk)
-		mb.free[n] = h
+	slot := &pg[source&(pageSize-1)]
+	for q := *slot; q != nil; q = q.sib {
+		if q.tag == tag {
+			return q
+		}
 	}
-	return h
-}
-
-// queue returns the FIFO for k, creating it on first use.
-func (mb *mailbox) queue(k uint64) *msgQueue {
-	q := mb.queues[k]
-	if q == nil {
-		q = carve(&mb.queueSlab, queueChunk)
-		q.link, mb.all = mb.all, q
-		mb.queues[k] = q
-	}
+	q := carve(&mb.queueSlab, queueChunk)
+	q.tag = tag
+	q.sib, *slot = *slot, q
+	q.link, mb.all = mb.all, q
 	return q
 }
 
-// newFloats returns an n-float buffer: carved when short, made whole otherwise.
+// newFloats returns an n-float buffer, n > 0: carved when short, made whole
+// otherwise.  A carved buffer's capacity ends at its length, so refilling it
+// up to its capacity never reaches the next payload of the chunk.
 func (mb *mailbox) newFloats(n int) []float64 {
-	if n == 0 || n > carveFloats {
+	if n > carveFloats {
 		return make([]float64, n)
 	}
 	if len(mb.floatSlab) < n {
 		mb.floatSlab = make([]float64, floatChunk)
 	}
-	buf := mb.floatSlab[:n]
+	buf := mb.floatSlab[:n:n]
 	mb.floatSlab = mb.floatSlab[n:]
 	return buf
-}
-
-// recycle puts a dequeued message on the free list of its length class.
-func (mb *mailbox) recycle(mp *message) {
-	h := mb.freeList(len(mp.floats))
-	mp.next, h.next = h.next, mp
 }
 
 // unpark un-publishes k and takes the owner out of the watchdog's count if it
@@ -220,38 +213,35 @@ func (mb *mailbox) unpark(k uint64) bool {
 	return true
 }
 
-// post enqueues a private copy of floats under one lock acquisition, filling a
-// free-list message of that length in place (the fields are arguments so no
-// intermediate message is copied on the hot path).  If the owner is parked on
-// exactly this key, post unparks it under the lock that published the key,
-// then wakes it; a post on any other key wakes nobody and touches no shared
-// state.
+// post enqueues a private copy of floats under one lock acquisition, filling an
+// idle message of the stream in place (its buffer is replaced only when too
+// short; the fields are arguments so no intermediate message is copied on the
+// hot path).  If the owner is parked on exactly this stream, post unparks it
+// under the lock that published the key, then wakes it; a post on any other
+// stream wakes nobody and touches no shared state.
 func (mb *mailbox) post(source, tag int, floats []float64, bytes int, arrive float64, seq int64) {
 	n := len(floats)
 	mb.mu.Lock()
-	h := mb.freeList(n)
-	mp := h.next
+	q := mb.queue(source, tag)
+	mp := q.free
 	if mp != nil {
-		h.next, mp.next = mp.next, nil
+		q.free, mp.next = mp.next, nil
 	} else {
 		mp = carve(&mb.msgSlab, msgChunk)
+	}
+	if cap(mp.floats) < n {
 		mp.floats = mb.newFloats(n)
 	}
+	mp.floats = mp.floats[:n]
 	copy(mp.floats, floats)
 	mp.bytes, mp.arrive, mp.seq = bytes, arrive, seq
-	k := qkey(source, tag)
-	q := mb.lastPostQ
-	if q == nil || mb.lastPostKey != k {
-		q = mb.queue(k)
-		mb.lastPostKey, mb.lastPostQ = k, q
-	}
 	if q.head == nil {
 		q.head = mp
 	} else {
 		q.tail.next = mp
 	}
 	q.tail = mp
-	wake := mb.unpark(k)
+	wake := mb.unpark(qkey(source, tag))
 	mb.mu.Unlock()
 	if wake {
 		mb.cond.Signal()
@@ -263,20 +253,16 @@ func (mb *mailbox) post(source, tag int, floats []float64, bytes int, arrive flo
 // into buf (grown as needed from buf[:0]) under the same lock acquisition and
 // returned as out; m carries the message's cost fields only.
 func (mb *mailbox) take(source, tag int, buf []float64) (out []float64, m message, ok bool) {
-	k := qkey(source, tag)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	q := mb.lastTakeQ
-	if q == nil || mb.lastTakeKey != k {
-		q = mb.queue(k)
-		mb.lastTakeKey, mb.lastTakeQ = k, q
-	}
+	q := mb.queue(source, tag)
 	for q.head == nil {
 		if mb.closed {
 			return buf, message{}, false
 		}
 		// Publishing under mu orders the registration against every post: an
 		// earlier one is in the queue already, a later one sees the key.
+		k := qkey(source, tag)
 		mb.waiting.Store(k)
 		mb.wd.add()
 		mb.cond.Wait()
@@ -286,7 +272,7 @@ func (mb *mailbox) take(source, tag int, buf []float64) (out []float64, m messag
 	q.head = mp.next
 	out = append(buf[:0], mp.floats...)
 	m = message{bytes: mp.bytes, arrive: mp.arrive, seq: mp.seq}
-	mb.recycle(mp)
+	mp.next, q.free = q.free, mp
 	return out, m, true
 }
 
@@ -299,13 +285,13 @@ func (mb *mailbox) close() {
 }
 
 // reset reopens the mailbox for a new Run; what the previous Run left
-// undelivered goes to the free lists, not to the new Run's receivers.
+// undelivered goes to its stream's free list, not to the new Run's receivers.
 func (mb *mailbox) reset() {
 	mb.mu.Lock()
 	for q := mb.all; q != nil; q = q.link {
 		for mp := q.head; mp != nil; mp = q.head {
 			q.head = mp.next
-			mb.recycle(mp)
+			mp.next, q.free = q.free, mp
 		}
 	}
 	mb.closed = false
@@ -361,8 +347,13 @@ func NewHeterogeneous(models []CostModel) *Machine {
 	m.wd = &watchdog{machine: m}
 	m.boxes = make([]*mailbox, m.n)
 	m.procs = make([]*Proc, m.n)
+	np := (m.n + pageSize - 1) / pageSize
+	pages := make([]*queuePage, m.n*np) // every mailbox's page table, in one allocation
 	for i := range m.boxes {
-		m.boxes[i] = newMailbox(m.wd)
+		mb := &mailbox{pages: pages[i*np : (i+1)*np : (i+1)*np], wd: m.wd}
+		mb.cond = sync.NewCond(&mb.mu)
+		mb.waiting.Store(noWait)
+		m.boxes[i] = mb
 		m.procs[i] = &Proc{rank: i, machine: m, accounts: make(map[string]float64)}
 	}
 	return m
@@ -748,10 +739,14 @@ func (p *Proc) crash() {
 // it costs the sender only the send overhead, and the sender keeps data and may
 // reuse it immediately.  The copy lives in a buffer of the destination's
 // mailbox that RecvFloatsInto recycles, so at steady state the exchange is both
-// safe against aliasing and allocation-free.
+// safe against aliasing and allocation-free.  Tags lie in [0, 2^31); a tag or
+// rank outside its range panics.
 func (p *Proc) SendFloatsCopy(dst, tag int, data []float64, bytes int) {
 	if dst < 0 || dst >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d send to invalid rank %d", p.rank, dst))
+	}
+	if uint(tag) >= maxTag {
+		panic(fmt.Sprintf("sim: rank %d send with invalid tag %d", p.rank, tag))
 	}
 	p.messagesSent++
 	p.bytesSent += int64(bytes)
@@ -794,10 +789,14 @@ func (p *Proc) SendFloats(dst, tag int, data []float64, bytes int) {
 // RecvFloatsInto blocks until a message from rank src with the given tag
 // arrives, copies its payload into buf (grown as needed from buf[:0]) and
 // returns the filled slice, which the caller owns.  The local clock advances
-// to at least the message's arrival time plus the receive overhead.
+// to at least the message's arrival time plus the receive overhead.  src and
+// tag are checked as in SendFloatsCopy.
 func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
 	if src < 0 || src >= p.machine.n {
 		panic(fmt.Sprintf("sim: rank %d recv from invalid rank %d", p.rank, src))
+	}
+	if uint(tag) >= maxTag {
+		panic(fmt.Sprintf("sim: rank %d recv with invalid tag %d", p.rank, tag))
 	}
 	buf, m, ok := p.machine.boxes[p.rank].take(src, tag, buf)
 	if !ok {

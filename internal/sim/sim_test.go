@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -196,6 +197,45 @@ func TestSendInvalidRankPanicsIntoError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatalf("send to invalid rank did not produce an error")
+	}
+}
+
+// TestTagOutsideRangePanicsIntoError: a tag the published wait key cannot
+// hold exactly aborts the run at the send or receive that names it, and the
+// largest tag in range still travels and is reported exactly in a deadlock.
+func TestTagOutsideRangePanicsIntoError(t *testing.T) {
+	for _, tag := range []int{-1, maxTag, math.MinInt, math.MaxInt} {
+		for _, recv := range []bool{false, true} {
+			_, err := New(2, newTestModel()).Run(func(p *Proc) error {
+				switch {
+				case p.Rank() == 1:
+				case recv:
+					p.RecvFloatsInto(1, tag, nil)
+				default:
+					p.SendFloatsCopy(1, tag, nil, 0)
+				}
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("invalid tag %d", tag)) {
+				t.Errorf("tag %d (recv %v): err = %v, want an invalid-tag panic", tag, recv, err)
+			}
+		}
+	}
+	const top = maxTag - 1
+	_, err := New(2, newTestModel()).Run(func(p *Proc) error {
+		if p.Rank() == 0 {
+			p.SendFloatsCopy(1, top, []float64{1}, 8)
+			p.RecvFloatsInto(1, top, nil) // never sent
+			return nil
+		}
+		if got := p.RecvFloatsInto(0, top, nil); len(got) != 1 || got[0] != 1 {
+			return fmt.Errorf("tag %d delivered %v, want [1]", top, got)
+		}
+		return nil
+	})
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != (BlockedRank{Rank: 0, Src: 1, Tag: top}) {
+		t.Fatalf("err = %v, want a deadlock of rank 0 on (src 1, tag %d)", err, top)
 	}
 }
 

@@ -258,3 +258,59 @@ func TestColdRunAllocBudget(t *testing.T) {
 		t.Logf("cold 240-rank run: %.1f mallocs per rank (budget %d)", perRank, budget)
 	}
 }
+
+// TestNewMachineMemory pins what a large machine costs before it runs: a
+// 4096-rank sim.New retains at most 4 MiB of heap.  Each mailbox's page table
+// is one pointer per 64 sources and pages come on first use; a flat table of
+// one queue pointer per source would retain about 130 MiB here.
+func TestNewMachineMemory(t *testing.T) {
+	const ranks, budget = 4096, 4 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New(ranks, newTestModel())
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if kept > budget {
+		t.Fatalf("sim.New(%d) retained %.2f MiB; budget %d MiB", ranks, float64(kept)/(1<<20), budget>>20)
+	}
+	t.Logf("sim.New(%d) retained %.2f MiB (budget %d MiB)", ranks, float64(kept)/(1<<20), budget>>20)
+}
+
+// BenchmarkTransportAlternating measures the per-message cost of a rank
+// alternating partners, the pattern of every transpose and all-to-all: one op
+// is a round of 30 ranks each sending 25 floats to the 29 others on one tag,
+// then one float around a ring on another.  ns/msg divides by the 900
+// messages of a round.
+func BenchmarkTransportAlternating(b *testing.B) {
+	const ranks, block = 30, 25
+	m := New(ranks, newTestModel())
+	body := func(rounds int) func(p *Proc) error {
+		return func(p *Proc) error {
+			me := p.Rank()
+			data, buf, one := make([]float64, block), make([]float64, block), make([]float64, 1)
+			for r := 0; r < rounds; r++ {
+				for i := 1; i < ranks; i++ {
+					p.SendFloatsCopy((me+i)%ranks, 1, data, 8*block)
+				}
+				for i := 1; i < ranks; i++ {
+					buf = p.RecvFloatsInto((me+ranks-i)%ranks, 1, buf)
+				}
+				p.SendFloatsCopy((me+1)%ranks, 2, one, 8)
+				one = p.RecvFloatsInto((me+ranks-1)%ranks, 2, one)
+			}
+			return nil
+		}
+	}
+	if _, err := m.Run(body(2)); err != nil { // warm every mailbox
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := m.Run(body(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranks*ranks), "ns/msg")
+}
