@@ -62,11 +62,67 @@ const _ = uint64(tagGatherData - maxUserTag - 1)
 // Comm is a communicator: an ordered group of world ranks with a private tag
 // context, analogous to an MPI communicator.
 type Comm struct {
-	p     *sim.Proc
-	world []int // members' world ranks, in comm rank order
-	me    int   // this process's rank within the comm
-	ctx   int   // context id isolating this comm's traffic
-	scr   *scratch
+	p      *sim.Proc
+	world  []int // members' world ranks, in comm rank order
+	me     int   // this process's rank within the comm
+	ctx    int   // context id isolating this comm's traffic
+	scr    *scratch
+	boards [nBoards]*sim.Board // see replay
+	steps  [nBoards][]sim.Step
+}
+
+// The complete collectives: no member can finish before every member has
+// arrived, so each call runs as one replay on the communicator's board for it
+// (sim.Board).  The other collectives stay on the mailboxes.
+const (
+	boardRing = iota // AllgathervInto
+	boardAlltoall
+	boardBarrier
+	nBoards
+)
+
+// boardKey names a board: a communicator's context, first world rank and size
+// identify its traffic as (source, tag) matching would.
+type boardKey struct{ ctx, first, size, kind int }
+
+// replay runs this member's program for kind on the communicator's board.  The
+// Comm caches both: boxing the key into the machine's store allocates.
+func (c *Comm) replay(kind int, send, recv [][]float64) {
+	if c.boards[kind] == nil {
+		c.boards[kind] = sim.BoardFor(c.p, boardKey{c.ctx, c.world[0], len(c.world), kind}, c.world)
+		c.steps[kind] = c.program(kind)
+	}
+	c.boards[kind].Run(c.me, c.steps[kind], send, recv)
+}
+
+// program is this member's steps in the collective kind.
+func (c *Comm) program(kind int) []sim.Step {
+	n, me := len(c.world), c.me
+	var steps []sim.Step
+	step := func(k sim.StepKind, peer, buf, tag int) {
+		steps = append(steps, sim.Step{Kind: k, Peer: int32(peer), Buf: int32(buf), Tag: int32(c.tag(tag))})
+	}
+	switch kind {
+	case boardRing: // at step s: the chunk got at s-1 (its own first) to me+1, chunk me-s from me-1
+		for s := 1; s < n; s++ {
+			step(sim.StepSend, (me+1)%n, (me-s+1+n)%n, tagShift)
+			step(sim.StepRecv, (me-1+n)%n, (me-s+n)%n, tagShift)
+		}
+	case boardAlltoall: // parts[me+k] to me+k, the local copy, out[me-k] from me-k
+		for k := 1; k < n; k++ {
+			step(sim.StepSend, (me+k)%n, (me+k)%n, tagAlltoall)
+		}
+		step(sim.StepCopy, me, me, tagAlltoall)
+		for k := 1; k < n; k++ {
+			step(sim.StepRecv, (me-k+n)%n, (me-k+n)%n, tagAlltoall)
+		}
+	case boardBarrier: // in the round at distance d: a token to me+d, one from me-d
+		for d := 1; d < n; d *= 2 {
+			step(sim.StepSend, (me+d)%n, -1, tagBarrier)
+			step(sim.StepRecv, (me-d+n)%n, -1, tagBarrier)
+		}
+	}
+	return steps
 }
 
 // scratch holds per-communicator reusable buffers for the internal stages of
@@ -207,12 +263,8 @@ func (c *Comm) SendrecvInto(dst, sendTag int, data []float64, src, recvTag int, 
 // Barrier blocks until every rank in the communicator has entered it, using
 // a dissemination pattern with ceil(log2 P) rounds.
 func (c *Comm) Barrier() {
-	n := len(c.world)
-	for dist := 1; dist < n; dist *= 2 {
-		dst := (c.me + dist) % n
-		src := (c.me - dist + n) % n
-		c.p.SendFloatsCopy(c.WorldRank(dst), c.tag(tagBarrier), nil, 0)
-		c.p.RecvFloatsInto(c.WorldRank(src), c.tag(tagBarrier), nil)
+	if len(c.world) > 1 {
+		c.replay(boardBarrier, nil, nil)
 	}
 }
 
@@ -374,8 +426,8 @@ func (c *Comm) ScattervInto(root int, parts [][]float64, buf []float64) []float6
 // AlltoallvInto sends parts[i] to comm rank i — the data-transpose primitive
 // of the FFT filtering module.  out[src] (grown from out[src][:0]) receives
 // rank src's part, the local part is copied into out[me], and the caller may
-// reuse every parts[i] immediately.  With persistent buffers the steady state
-// allocates nothing.
+// reuse every parts[i] immediately; out may be parts itself.  With persistent
+// buffers the steady state allocates nothing.
 func (c *Comm) AlltoallvInto(parts, out [][]float64) [][]float64 {
 	n := len(c.world)
 	if len(parts) != n {
@@ -384,15 +436,11 @@ func (c *Comm) AlltoallvInto(parts, out [][]float64) [][]float64 {
 	if len(out) != n {
 		panic(fmt.Sprintf("comm: AlltoallvInto needs %d out buffers, got %d", n, len(out)))
 	}
-	for off := 1; off < n; off++ {
-		dst := (c.me + off) % n
-		c.p.SendFloatsCopy(c.WorldRank(dst), c.tag(tagAlltoall), parts[dst], len(parts[dst])*bytesPerFloat)
+	if n == 1 {
+		out[0] = append(out[0][:0], parts[0]...)
+		return out
 	}
-	out[c.me] = append(out[c.me][:0], parts[c.me]...)
-	for off := 1; off < n; off++ {
-		src := (c.me - off + n) % n
-		out[src] = c.p.RecvFloatsInto(c.WorldRank(src), c.tag(tagAlltoall), out[src])
-	}
+	c.replay(boardAlltoall, parts, out)
 	return out
 }
 
@@ -400,23 +448,16 @@ func (c *Comm) AlltoallvInto(parts, out [][]float64) [][]float64 {
 // ring pipeline of P-1 steps, matching the original AGCM's ring filtering
 // data motion: rank r's contribution lands in out[r] (grown from
 // out[r][:0]), with out[me] receiving a copy of data, and the caller may
-// reuse data immediately.  Each ring hop forwards a pooled copy, so with
-// persistent buffers the steady state allocates nothing.
+// reuse data immediately.  With persistent buffers the steady state
+// allocates nothing.
 func (c *Comm) AllgathervInto(data []float64, out [][]float64) [][]float64 {
 	n := len(c.world)
 	if len(out) != n {
 		panic(fmt.Sprintf("comm: AllgathervInto needs %d out buffers, got %d", n, len(out)))
 	}
-	next := (c.me + 1) % n
-	prev := (c.me - 1 + n) % n
 	out[c.me] = append(out[c.me][:0], data...)
-	cur := data
-	curSrc := c.me
-	for step := 1; step < n; step++ {
-		c.p.SendFloatsCopy(c.WorldRank(next), c.tag(tagShift), cur, len(cur)*bytesPerFloat)
-		curSrc = (curSrc - 1 + n) % n
-		out[curSrc] = c.p.RecvFloatsInto(c.WorldRank(prev), c.tag(tagShift), out[curSrc])
-		cur = out[curSrc]
+	if n > 1 {
+		c.replay(boardRing, out, out)
 	}
 	return out
 }

@@ -158,6 +158,8 @@ type mailbox struct {
 	closed bool
 	wd     *watchdog
 
+	released bool // the owner's steps at a board are done: see Board
+
 	// waiting is the qkey the owner is parked on with no matching message
 	// pending, else noWait: written under mu, read by the watchdog unlocked.
 	waiting atomic.Uint64
@@ -284,6 +286,32 @@ func (mb *mailbox) close() {
 	mb.cond.Signal()
 }
 
+// awaitRelease parks the owner, counted stuck by a board, until the board
+// releases it, and reports false if the mailbox was closed first.
+func (mb *mailbox) awaitRelease() bool {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	for !mb.released {
+		if mb.closed {
+			return false
+		}
+		mb.cond.Wait()
+	}
+	mb.released = false
+	return true
+}
+
+// release wakes the owner parked at a board and un-counts it, as a matching
+// post would.
+func (mb *mailbox) release() {
+	mb.mu.Lock()
+	mb.released = true
+	mb.waiting.Store(noWait)
+	mb.wd.stuck.Add(-1)
+	mb.mu.Unlock()
+	mb.cond.Signal()
+}
+
 // reset reopens the mailbox for a new Run; what the previous Run left
 // undelivered goes to its stream's free list, not to the new Run's receivers.
 func (mb *mailbox) reset() {
@@ -294,7 +322,7 @@ func (mb *mailbox) reset() {
 			mp.next, q.free = q.free, mp
 		}
 	}
-	mb.closed = false
+	mb.closed, mb.released = false, false
 	mb.waiting.Store(noWait)
 	mb.mu.Unlock()
 }
@@ -314,6 +342,7 @@ type Machine struct {
 	wd        *watchdog
 	sharedMu  sync.Mutex
 	shared    map[any]*sharedValue // read-only values by key: see Shared
+	boards    []*Board             // every collective board, appended under sharedMu
 }
 
 // New creates a machine with n identical ranks.  It panics if n < 1 or
@@ -685,24 +714,14 @@ func (p *Proc) Clock() float64 { return p.clock }
 
 // Compute advances the clock by the cost of flops floating point operations.
 func (p *Proc) Compute(flops float64) {
-	dt := p.machine.models[p.rank].FlopSeconds(flops)
-	if p.machine.fault != nil {
-		p.faultyAdvance(dt)
-		return
-	}
-	p.clock += dt
+	p.advance(p.machine.models[p.rank].FlopSeconds(flops))
 }
 
 // ComputeMem advances the clock by the cost of flops operations plus
 // memBytes of memory traffic.  Use this for kernels whose cost is dominated
 // by cache behaviour rather than arithmetic.
 func (p *Proc) ComputeMem(flops, memBytes float64) {
-	dt := p.machine.models[p.rank].FlopSeconds(flops) + p.machine.models[p.rank].MemSeconds(memBytes)
-	if p.machine.fault != nil {
-		p.faultyAdvance(dt)
-		return
-	}
-	p.clock += dt
+	p.advance(p.machine.models[p.rank].FlopSeconds(flops) + p.machine.models[p.rank].MemSeconds(memBytes))
 }
 
 // Elapse advances the clock by a raw number of virtual seconds.
@@ -710,28 +729,29 @@ func (p *Proc) Elapse(seconds float64) {
 	if seconds < 0 {
 		panic(fmt.Sprintf("sim: rank %d elapsed negative time %g", p.rank, seconds))
 	}
-	if p.machine.fault != nil {
-		p.faultyAdvance(seconds)
-		return
-	}
-	p.clock += seconds
+	p.advance(seconds)
 }
 
-// faultyAdvance advances the clock by dt seconds of CPU occupancy under an
-// installed fault hook: the hook may stretch the interval (slowdown onset)
-// and the rank dies the instant its clock reaches the injected crash time.
-func (p *Proc) faultyAdvance(dt float64) {
+// advance is occupy raising the crash as a panic, which Run recovers.
+func (p *Proc) advance(dt float64) {
+	if err := p.occupy(dt); err != nil {
+		panic(err)
+	}
+}
+
+// occupy advances the clock by dt seconds of CPU occupancy, which a fault hook
+// may stretch (slowdown onset); it returns the *CrashError if the rank dies.
+func (p *Proc) occupy(dt float64) error {
+	if p.machine.fault == nil {
+		p.clock += dt
+		return nil
+	}
 	p.clock += p.machine.fault.ComputeSeconds(p.rank, p.clock, dt)
 	if p.clock >= p.crashAt {
-		p.crash()
+		p.clock = p.crashAt
+		return &CrashError{Rank: p.rank, At: p.crashAt}
 	}
-}
-
-// crash stops the rank at its injected crash time.  The panic is recovered
-// by Run and surfaced as a *CrashError.
-func (p *Proc) crash() {
-	p.clock = p.crashAt
-	panic(&CrashError{Rank: p.rank, At: p.crashAt})
+	return nil
 }
 
 // SendFloatsCopy transmits a copy of data to rank dst with the given tag;
@@ -748,15 +768,22 @@ func (p *Proc) SendFloatsCopy(dst, tag int, data []float64, bytes int) {
 	if uint(tag) >= maxTag {
 		panic(fmt.Sprintf("sim: rank %d send with invalid tag %d", p.rank, tag))
 	}
+	arrive, seq, err := p.chargeSend(dst, tag, bytes)
+	if err != nil {
+		panic(err)
+	}
+	p.machine.boxes[dst].post(p.rank, tag, data, bytes, arrive, seq)
+}
+
+// chargeSend charges p for a send, for SendFloatsCopy and the boards alike,
+// and returns the arrival time and sequence number or the failure to raise.
+func (p *Proc) chargeSend(dst, tag, bytes int) (arrive float64, seq int64, err error) {
 	p.messagesSent++
 	p.bytesSent += int64(bytes)
-	seq := p.messagesSent
+	seq = p.messagesSent
 	fault := p.machine.fault
-	overhead := p.machine.models[p.rank].SendOverheadSeconds(bytes)
-	if fault != nil {
-		p.faultyAdvance(overhead)
-	} else {
-		p.clock += overhead
+	if err := p.occupy(p.machine.models[p.rank].SendOverheadSeconds(bytes)); err != nil {
+		return 0, seq, err
 	}
 	wire := 0.0
 	if dst != p.rank {
@@ -771,13 +798,13 @@ func (p *Proc) SendFloatsCopy(dst, tag int, data []float64, bytes int) {
 		if fault != nil {
 			extra, err := fault.SendDelay(p.rank, dst, tag, seq, p.clock)
 			if err != nil {
-				panic(fmt.Errorf("sim: rank %d send to rank %d (tag %d): %w", p.rank, dst, tag, err))
+				return 0, seq, fmt.Errorf("sim: rank %d send to rank %d (tag %d): %w", p.rank, dst, tag, err)
 			}
 			wire += extra
 		}
 	}
 	p.logSend(dst, bytes, p.clock, seq)
-	p.machine.boxes[dst].post(p.rank, tag, data, bytes, p.clock+wire, seq)
+	return p.clock + wire, seq, nil
 }
 
 // SendFloats is SendFloatsCopy under the name the frozen benchmark/probes.go
@@ -802,26 +829,33 @@ func (p *Proc) RecvFloatsInto(src, tag int, buf []float64) []float64 {
 	if !ok {
 		panic(&abortedError{rank: p.rank})
 	}
+	if err := p.chargeRecv(src, m.bytes, m.arrive, m.seq); err != nil {
+		panic(err)
+	}
+	return buf
+}
+
+// chargeRecv charges p for a receive, for RecvFloatsInto and the boards
+// alike, and returns the crash to raise, one while p still waits included.
+func (p *Proc) chargeRecv(src, bytes int, arrive float64, seq int64) error {
 	waitedFrom := p.clock
-	if m.arrive > p.clock {
-		if m.arrive >= p.crashAt {
+	if arrive > p.clock {
+		if arrive >= p.crashAt {
 			// The rank dies while still waiting for this message.
 			if p.crashAt > p.clock {
 				p.waitSeconds += p.crashAt - p.clock
 			}
-			p.crash()
+			p.clock = p.crashAt
+			return &CrashError{Rank: p.rank, At: p.crashAt}
 		}
-		p.waitSeconds += m.arrive - p.clock
-		p.clock = m.arrive
+		p.waitSeconds += arrive - p.clock
+		p.clock = arrive
 	}
-	overhead := p.machine.models[p.rank].RecvOverheadSeconds(m.bytes)
-	if p.machine.fault != nil {
-		p.faultyAdvance(overhead)
-	} else {
-		p.clock += overhead
+	if err := p.occupy(p.machine.models[p.rank].RecvOverheadSeconds(bytes)); err != nil {
+		return err
 	}
-	p.logRecv(src, m.bytes, waitedFrom, p.clock, m.seq)
-	return buf
+	p.logRecv(src, bytes, waitedFrom, p.clock, seq)
+	return nil
 }
 
 // Account attributes seconds of already-elapsed virtual time to a named

@@ -116,7 +116,7 @@ type watchdog struct {
 	err     *DeadlockError
 }
 
-// reset clears per-Run state and reopens every mailbox.
+// reset clears per-Run state, reopens every mailbox and empties every board.
 func (w *watchdog) reset() {
 	w.mu.Lock()
 	w.stuck.Store(0)
@@ -125,6 +125,9 @@ func (w *watchdog) reset() {
 	w.err = nil
 	w.mu.Unlock()
 	for _, b := range w.machine.boxes {
+		b.reset()
+	}
+	for _, b := range w.machine.boards { // no rank runs: none is appending
 		b.reset()
 	}
 }
