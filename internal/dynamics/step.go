@@ -134,31 +134,23 @@ func (d *Dynamics) horizontalSmoothing(s *State) {
 	}
 }
 
-// applyPolarBC fills the pole-side halo rows: zero-gradient for u and h,
-// and zero meridional velocity at (and beyond) the poles.
+// applyPolarBC fills the pole-side halo rows, i = -1 .. Nlon of the state's
+// halo-1 padded rows: zero-gradient for u and h, and zero meridional
+// velocity at (and beyond) the poles.
 func (d *Dynamics) applyPolarBC(s *State) {
 	l := d.local
-	nl := l.Nlayers()
 	if l.Lat0 == 0 { // my subdomain touches the south pole
-		for i := -1; i <= l.Nlon(); i++ {
-			for k := 0; k < nl; k++ {
-				s.U.Set(-1, i, k, s.U.At(0, i, k))
-				s.H.Set(-1, i, k, s.H.At(0, i, k))
-				s.V.Set(-1, i, k, 0)
-			}
-		}
+		copy(s.U.RowData(-1), s.U.RowData(0))
+		copy(s.H.RowData(-1), s.H.RowData(0))
+		clear(s.V.RowData(-1))
 	}
 	if l.Lat1 == d.spec.Nlat { // touches the north pole
 		jn := l.Nlat()
-		for i := -1; i <= l.Nlon(); i++ {
-			for k := 0; k < nl; k++ {
-				s.U.Set(jn, i, k, s.U.At(jn-1, i, k))
-				s.H.Set(jn, i, k, s.H.At(jn-1, i, k))
-				s.V.Set(jn, i, k, 0)
-				// The northernmost interior v row is the pole face.
-				s.V.Set(jn-1, i, k, 0)
-			}
-		}
+		copy(s.U.RowData(jn), s.U.RowData(jn-1))
+		copy(s.H.RowData(jn), s.H.RowData(jn-1))
+		clear(s.V.RowData(jn))
+		// The northernmost interior v row is the pole face.
+		clear(s.V.RowData(jn - 1))
 	}
 }
 

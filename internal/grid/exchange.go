@@ -16,17 +16,19 @@ const (
 	tagScatter
 )
 
-// Exchanger owns the reusable pack/unpack buffers for one rank's halo
-// exchanges and gather/scatter participation, so the per-step communication
-// of a long run is allocation-free at steady state.  Sends are pooled copies
-// (comm.SendCopy) and receives land in persistent scratch (comm.RecvInto),
-// which also removes any aliasing hazard from buffer reuse.  An Exchanger is
-// bound to one rank's cart and must only be used from that rank's goroutine.
+// Exchanger holds one rank's staging for the halo messages that cannot be
+// the field's own storage: the east-west columns, and the interior packs
+// and the root's per-rank parts of gather and scatter.  The north-south
+// rows need none; they are sent from and received into the field itself.
+// Sends are pooled copies (comm.SendCopy), so a buffer or row is reusable as
+// soon as the send returns, and every receive is checked for its exact
+// length.  An Exchanger is bound to one rank's cart and must only be used
+// from that rank's goroutine.
 type Exchanger struct {
 	cart *comm.Cart2D
-	pack []float64   // staging for outgoing halo slabs and interior packs
-	recv []float64   // staging for incoming halo slabs
-	out  [][]float64 // per-rank receive buffers for GathervInto on the root
+	pack []float64   // staging for outgoing east-west columns and interior packs
+	recv []float64   // staging for incoming east-west columns and scatter shares
+	out  [][]float64 // per-rank buffers for the root's gather and scatter
 }
 
 // NewExchanger creates an exchanger for this rank.  Buffers grow on first
@@ -44,6 +46,17 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// recvExact receives the message from c's rank src under tag into buf,
+// which must be exactly the message's length.  RecvInto would silently
+// grow a short buf elsewhere, and a receive in place would then leave a
+// stale halo, so any other length panics.
+func recvExact(c *comm.Comm, src, tag int, buf []float64) {
+	if got := c.RecvInto(src, tag, buf[:0]); len(got) != len(buf) {
+		panic(fmt.Sprintf("grid: halo message from rank %d (tag %d) has %d floats, want %d",
+			c.WorldRank(src), tag, len(got), len(buf)))
+	}
+}
+
 // Exchange fills the ghost cells of every given field from the
 // neighbouring subdomains: periodically in longitude, and up to the mesh
 // edges in latitude (pole-side halos are left untouched for the dynamics'
@@ -55,8 +68,7 @@ func growFloats(buf []float64, n int) []float64 {
 //
 // The exchange posts all sends before any receive, so it is deadlock-free
 // on any mesh, including meshes of width or height 1 (where the east/west
-// exchange degenerates into a local periodic copy).  All packing and
-// unpacking is staged in the Exchanger's persistent buffers.
+// exchange degenerates into a local periodic copy).
 func (ex *Exchanger) Exchange(fields ...*Field) {
 	for _, f := range fields {
 		if f.halo == 0 {
@@ -67,6 +79,10 @@ func (ex *Exchanger) Exchange(fields ...*Field) {
 	}
 }
 
+// exchangeEastWest ships h interior columns each way.  A message is the h
+// columns one after another, each as nlat Nlayers-float grid columns: a
+// grid column is contiguous in the field but a longitude column is not, so
+// the message is packed and unpacked one grid-column copy at a time.
 func (ex *Exchanger) exchangeEastWest(f *Field) {
 	cart := ex.cart
 	h, nlat, nlon, nl := f.halo, f.local.Nlat(), f.local.Nlon(), f.nl
@@ -74,10 +90,8 @@ func (ex *Exchanger) exchangeEastWest(f *Field) {
 		// Periodic wrap within the single subdomain.
 		for j := 0; j < nlat; j++ {
 			for g := 0; g < h; g++ {
-				for k := 0; k < nl; k++ {
-					f.Set(j, -1-g, k, f.At(j, nlon-1-g, k))
-					f.Set(j, nlon+g, k, f.At(j, g, k))
-				}
+				copy(f.cols(j, -1-g, 1), f.cols(j, nlon-1-g, 1))
+				copy(f.cols(j, nlon+g, 1), f.cols(j, g, 1))
 			}
 		}
 		return
@@ -90,82 +104,51 @@ func (ex *Exchanger) exchangeEastWest(f *Field) {
 		p := 0
 		for g := 0; g < h; g++ {
 			for j := 0; j < nlat; j++ {
-				for k := 0; k < nl; k++ {
-					ex.pack[p] = f.At(j, i0+g, k)
-					p++
-				}
+				p += copy(ex.pack[p:], f.cols(j, i0+g, 1))
 			}
 		}
 		return ex.pack
 	}
-	unpack := func(i0 int, buf []float64) {
+	unpack := func(src, tag, i0 int) {
+		ex.recv = growFloats(ex.recv, h*nlat*nl)
+		recvExact(row, src, tag, ex.recv)
 		p := 0
 		for g := 0; g < h; g++ {
 			for j := 0; j < nlat; j++ {
-				for k := 0; k < nl; k++ {
-					f.Set(j, i0+g, k, buf[p])
-					p++
-				}
+				p += copy(f.cols(j, i0+g, 1), ex.recv[p:])
 			}
 		}
 	}
 	// Send my eastmost interior columns east, westmost west.  SendCopy
-	// stages a pooled copy, so the single pack buffer is reusable at once.
+	// stages a pooled copy, so the one pack buffer is reusable at once.
 	row.SendCopy(east, tagEast, pack(nlon-h))
 	row.SendCopy(west, tagWest, pack(0))
 	// West neighbour's east edge fills my west halo, and vice versa.
-	ex.recv = row.RecvInto(west, tagEast, ex.recv)
-	unpack(-h, ex.recv)
-	ex.recv = row.RecvInto(east, tagWest, ex.recv)
-	unpack(nlon, ex.recv)
+	unpack(west, tagEast, -h)
+	unpack(east, tagWest, nlon)
 }
 
+// exchangeNorthSouth ships h rows each way at full padded width (-h ..
+// nlon+h), so that corner ghost cells carry the diagonal neighbours'
+// values.  Those h rows are contiguous in the field: each message is sent
+// straight from them and received straight into the halo rows.
 func (ex *Exchanger) exchangeNorthSouth(f *Field) {
 	cart := ex.cart
-	h, nlat, nlon, nl := f.halo, f.local.Nlat(), f.local.Nlon(), f.nl
+	h, nlat := f.halo, f.local.Nlat()
 	col := cart.Col
 	north := cart.MyRow + 1
 	south := cart.MyRow - 1
-	// Rows travel at full padded width (-h .. nlon+h) so that corner
-	// ghost cells carry the diagonal neighbours' values.
-	width := nlon + 2*h
-	pack := func(j0 int) []float64 {
-		ex.pack = growFloats(ex.pack, h*width*nl)
-		p := 0
-		for g := 0; g < h; g++ {
-			for i := -h; i < nlon+h; i++ {
-				for k := 0; k < nl; k++ {
-					ex.pack[p] = f.At(j0+g, i, k)
-					p++
-				}
-			}
-		}
-		return ex.pack
-	}
-	unpack := func(j0 int, buf []float64) {
-		p := 0
-		for g := 0; g < h; g++ {
-			for i := -h; i < nlon+h; i++ {
-				for k := 0; k < nl; k++ {
-					f.Set(j0+g, i, k, buf[p])
-					p++
-				}
-			}
-		}
-	}
 	if north < cart.Py {
-		col.SendCopy(north, tagNorth, pack(nlat-h))
+		col.SendCopy(north, tagNorth, f.rows(nlat-h, h))
 	}
 	if south >= 0 {
-		col.SendCopy(south, tagSouth, pack(0))
+		col.SendCopy(south, tagSouth, f.rows(0, h))
 	}
 	if south >= 0 {
-		ex.recv = col.RecvInto(south, tagNorth, ex.recv)
-		unpack(-h, ex.recv)
+		recvExact(col, south, tagNorth, f.rows(-h, h))
 	}
 	if north < cart.Py {
-		ex.recv = col.RecvInto(north, tagSouth, ex.recv)
-		unpack(nlat, ex.recv)
+		recvExact(col, north, tagSouth, f.rows(nlat, h))
 	}
 }
 
@@ -181,16 +164,9 @@ func Gather(world *comm.Comm, cart *comm.Cart2D, f *Field) []float64 {
 // persistent buffers, so only the returned global array is allocated per
 // call (and only on the root).
 func (ex *Exchanger) Gather(world *comm.Comm, f *Field) []float64 {
-	d := f.local.Decomp
 	ex.pack = growFloats(ex.pack, f.local.Points())
-	p := 0
-	for j := 0; j < f.local.Nlat(); j++ {
-		for i := 0; i < f.local.Nlon(); i++ {
-			for k := 0; k < f.nl; k++ {
-				ex.pack[p] = f.At(j, i, k)
-				p++
-			}
-		}
+	for j, p := 0, 0; j < f.local.Nlat(); j++ {
+		p += copy(ex.pack[p:], f.cols(j, 0, f.local.Nlon()))
 	}
 	if world.Rank() == 0 && ex.out == nil {
 		ex.out = make([][]float64, world.Size())
@@ -199,20 +175,13 @@ func (ex *Exchanger) Gather(world *comm.Comm, f *Field) []float64 {
 	if parts == nil {
 		return nil
 	}
-	spec := d.Spec
-	global := make([]float64, spec.Points())
+	d := f.local.Decomp
+	global := make([]float64, d.Spec.Points())
 	for r, part := range parts {
-		row, col := r/d.Px, r%d.Px
-		lat0, lat1 := d.LatRange(row)
-		lon0, lon1 := d.LonRange(col)
-		q := 0
-		for j := lat0; j < lat1; j++ {
-			for i := lon0; i < lon1; i++ {
-				for k := 0; k < spec.Nlayers; k++ {
-					global[(j*spec.Nlon+i)*spec.Nlayers+k] = part[q]
-					q++
-				}
-			}
+		l := NewLocal(d, r/d.Px, r%d.Px)
+		w := l.Nlon() * l.Nlayers()
+		for j := l.Lat0; j < l.Lat1; j++ {
+			part = part[copy(global[(j*d.Spec.Nlon+l.Lon0)*l.Nlayers():][:w], part):]
 		}
 	}
 	return global
@@ -228,42 +197,27 @@ func Scatter(world *comm.Comm, cart *comm.Cart2D, global []float64, f *Field) {
 // root's per-rank parts and each rank's share in persistent buffers.
 func (ex *Exchanger) Scatter(world *comm.Comm, global []float64, f *Field) {
 	d := f.local.Decomp
-	spec := d.Spec
 	var parts [][]float64
 	if world.Rank() == 0 {
-		if len(global) != spec.Points() {
-			panic(fmt.Sprintf("grid: Scatter global size %d, want %d", len(global), spec.Points()))
+		if len(global) != d.Spec.Points() {
+			panic(fmt.Sprintf("grid: Scatter global size %d, want %d", len(global), d.Spec.Points()))
 		}
 		if ex.out == nil {
 			ex.out = make([][]float64, world.Size())
 		}
 		parts = ex.out
 		for r := range parts {
-			row, col := r/d.Px, r%d.Px
-			lat0, lat1 := d.LatRange(row)
-			lon0, lon1 := d.LonRange(col)
-			parts[r] = growFloats(parts[r], (lat1-lat0)*(lon1-lon0)*spec.Nlayers)
-			part := parts[r]
-			q := 0
-			for j := lat0; j < lat1; j++ {
-				for i := lon0; i < lon1; i++ {
-					for k := 0; k < spec.Nlayers; k++ {
-						part[q] = global[(j*spec.Nlon+i)*spec.Nlayers+k]
-						q++
-					}
-				}
+			l := NewLocal(d, r/d.Px, r%d.Px)
+			w := l.Nlon() * l.Nlayers()
+			parts[r] = parts[r][:0]
+			for j := l.Lat0; j < l.Lat1; j++ {
+				parts[r] = append(parts[r], global[(j*d.Spec.Nlon+l.Lon0)*l.Nlayers():][:w]...)
 			}
 		}
 	}
 	ex.recv = world.ScattervInto(0, parts, ex.recv)
-	mine := ex.recv
-	p := 0
+	w := f.local.Nlon() * f.nl
 	for j := 0; j < f.local.Nlat(); j++ {
-		for i := 0; i < f.local.Nlon(); i++ {
-			for k := 0; k < f.nl; k++ {
-				f.Set(j, i, k, mine[p])
-				p++
-			}
-		}
+		copy(f.cols(j, 0, f.local.Nlon()), ex.recv[j*w:])
 	}
 }

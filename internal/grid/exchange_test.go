@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"agcm/internal/comm"
@@ -238,5 +239,48 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestExchangeRejectsWrongLengthHalo: a neighbour whose halo message is one
+// float too long makes the receiving rank panic, naming the source, the tag
+// and both lengths, in either direction.  Without the check the receive
+// would grow its buffer elsewhere and leave a stale halo.
+func TestExchangeRejectsWrongLengthHalo(t *testing.T) {
+	spec := Spec{Nlon: 8, Nlat: 8, Nlayers: 2}
+	for _, c := range []struct {
+		name   string
+		py, px int
+		tag    int
+		floats int // the right length: h*(Nlon+2h)*Nlayers or h*Nlat*Nlayers
+	}{
+		{"north-south", 2, 1, tagSouth, 1 * (8 + 2) * 2},
+		{"east-west", 1, 2, tagEast, 1 * 8 * 2},
+	} {
+		d, err := NewDecomp(spec, c.py, c.px)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sim.New(2, flatModel{}).Run(func(p *sim.Proc) error {
+			world := comm.World(p)
+			cart := comm.NewCart2D(world, c.py, c.px)
+			if world.Rank() == 0 {
+				NewExchanger(cart).Exchange(NewField(NewLocal(d, cart.MyRow, cart.MyCol), 1))
+				return nil
+			}
+			// Rank 1 is rank 0's only neighbour; it sends the long message
+			// and, east-west, a right one for rank 0's second receive.
+			peer := cart.Col
+			if c.px == 2 {
+				peer = cart.Row
+				peer.SendCopy(0, tagWest, make([]float64, c.floats))
+			}
+			peer.SendCopy(0, c.tag, make([]float64, c.floats+1))
+			return nil
+		})
+		want := fmt.Sprintf("grid: halo message from rank 1 (tag %d) has %d floats, want %d", c.tag, c.floats+1, c.floats)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run error %v, want a panic containing %q", c.name, err, want)
+		}
 	}
 }

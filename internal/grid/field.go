@@ -52,19 +52,30 @@ func (f *Field) Add(j, i, k int, v float64) { f.data[f.index(j, i, k)] += v }
 
 // Column returns the contiguous vertical column at (j, i) as a mutable
 // slice of length Nlayers.
-func (f *Field) Column(j, i int) []float64 {
-	base := f.index(j, i, 0)
-	return f.data[base : base+f.nl]
-}
+func (f *Field) Column(j, i int) []float64 { return f.cols(j, i, 1) }
 
 // RowData returns the padded storage of latitude row j (halo columns
 // included) as one contiguous mutable slice: element (i, k) of the row lives
 // at offset (i+halo)*Nlayers + k, halo being the width the field was made
 // with.  Stencil loops use it to index rows directly instead of paying At's
 // offset arithmetic per point.
-func (f *Field) RowData(j int) []float64 {
-	base := (j + f.halo) * f.nlonP * f.nl
-	return f.data[base : base+f.nlonP*f.nl]
+func (f *Field) RowData(j int) []float64 { return f.rows(j, 1) }
+
+// rows returns the n padded latitude rows from j, halo columns included:
+// one contiguous span, capped at its length so an append into it cannot
+// run on into the next row.
+func (f *Field) rows(j, n int) []float64 {
+	lo := (j + f.halo) * f.nlonP * f.nl
+	hi := lo + n*f.nlonP*f.nl
+	return f.data[lo:hi:hi]
+}
+
+// cols returns the n grid columns of latitude row j from longitude i, each
+// Nlayers floats: one contiguous span, capped at its length.
+func (f *Field) cols(j, i, n int) []float64 {
+	lo := f.index(j, i, 0)
+	hi := lo + n*f.nl
+	return f.data[lo:hi:hi]
 }
 
 // Fill sets every interior and halo cell to v.
@@ -109,25 +120,31 @@ func (f *Field) InteriorEqual(g *Field, tol float64) bool {
 	return true
 }
 
-// RowSlice copies interior latitude row j, layer k into dst (length Nlon)
-// and returns it; dst may be nil.
+// RowSlice copies interior latitude row j, layer k into dst and returns
+// dst[:Nlon]; a dst with less capacity than Nlon (nil included) is replaced
+// by a new one.
 func (f *Field) RowSlice(j, k int, dst []float64) []float64 {
 	n := f.local.Nlon()
-	if dst == nil {
+	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
-	row := f.data[f.index(j, 0, k):]
-	for i := range dst[:n] {
-		dst[i] = row[i*f.nl]
+	dst = dst[:n]
+	row := f.cols(j, 0, n)
+	for i := range dst {
+		dst[i] = row[i*f.nl+k]
 	}
 	return dst
 }
 
-// SetRowSlice writes src (length Nlon) into interior latitude row j, layer k.
+// SetRowSlice writes src, which must have length Nlon, into interior
+// latitude row j, layer k.
 func (f *Field) SetRowSlice(j, k int, src []float64) {
-	row := f.data[f.index(j, 0, k):]
+	if len(src) != f.local.Nlon() {
+		panic(fmt.Sprintf("grid: SetRowSlice of %d values into a row of %d", len(src), f.local.Nlon()))
+	}
+	row := f.cols(j, 0, len(src))
 	for i, v := range src {
-		row[i*f.nl] = v
+		row[i*f.nl+k] = v
 	}
 }
 

@@ -222,6 +222,39 @@ func TestFieldRowSlice(t *testing.T) {
 	if f.At(2, 0, 0) != 0 {
 		t.Fatalf("layer 0 polluted")
 	}
+	// Whatever dst's length, the row comes back at length Nlon: a short
+	// dst with the capacity is filled in place, a long one loses its
+	// stale tail, and one without the capacity is replaced.
+	for _, dst := range [][]float64{make([]float64, 2, 5), {9, 9, 9, 9, 9, 9, 9}, make([]float64, 3)} {
+		got := f.RowSlice(2, 1, dst)
+		if len(got) != len(want) {
+			t.Fatalf("RowSlice into len %d cap %d: got %v", len(dst), cap(dst), got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("RowSlice into len %d cap %d = %v", len(dst), cap(dst), got)
+			}
+		}
+		if cap(dst) >= len(want) && &got[0] != &dst[0] {
+			t.Fatalf("RowSlice into len %d cap %d did not fill dst", len(dst), cap(dst))
+		}
+	}
+	// A src of any other length than Nlon is refused, not written into
+	// the east halo or half a row.
+	g := NewField(NewLocal(d, 0, 0), 1)
+	for _, src := range [][]float64{{1, 2, 3, 4, 5, 6}, {1, 2, 3, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRowSlice of %d values did not panic", len(src))
+				}
+			}()
+			g.SetRowSlice(2, 1, src)
+		}()
+		if g.MaxAbs() != 0 || g.At(2, 5, 1) != 0 {
+			t.Fatalf("SetRowSlice of %d values wrote into the field", len(src))
+		}
+	}
 }
 
 func TestFieldCloneAndEqual(t *testing.T) {

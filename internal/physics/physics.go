@@ -35,6 +35,17 @@ const (
 	MaxConvectionIters = 6
 )
 
+// MeanColumnFlops is the mean operation count of one column with the given
+// number of layers: the base and longwave-pair work, and the per-layer work
+// at a nominal daylight fraction of 0.5, cloudiness of 0.3 and one
+// convective adjustment iteration.  The roofline's physics kernel is priced
+// from it.
+func MeanColumnFlops(layers int) float64 {
+	const layerFlops = 0.5*(swLayerFlops+0.3*cloudLayerFlops) + pblLayerFlops + cuIterLayerFlops
+	k := float64(layers)
+	return baseFlops + lwPairFlops*k*(k+1)/2 + layerFlops*k
+}
+
 // Column is one grid column's physics state, self-contained so it can be
 // shipped to another processor, computed there, and returned.
 type Column struct {

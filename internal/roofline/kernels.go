@@ -57,20 +57,16 @@ type Counts struct {
 	Degrade float64
 }
 
-// Analytic constants averaging the simulation's data-dependent terms
-// (daylight fraction, cloud fraction, convection iterations); the dynamics
-// and FFT-filter counts are the charges the simulation itself makes
-// (dynamics.FlopsPerPoint, dynamics.BytesPerPoint, filter.LineFlops).
+// Analytic constants for what the simulation does not charge per kernel;
+// the flop counts are the charges the simulation itself makes
+// (dynamics.FlopsPerPoint, dynamics.BytesPerPoint, filter.LineFlops), with
+// the physics column's data-dependent terms at their mean
+// (physics.MeanColumnFlops).
 // Absolute accuracy is the fitted efficiencies' job; what these must get
 // right is the *shape* — how each kernel's work scales with grid dimensions
 // — so the fit can tell the classes apart.
 const (
-	// Physics column model, from internal/physics: base + longwave pairs +
-	// k-linear terms with nominal daylight 0.5, cloudiness 0.3 and one
-	// convective adjustment iteration on average.
-	physBaseFlops   = 950
-	physLWPairFlops = 63
-	physLayerFlops  = 0.5*(256+0.3*162) + 52 + 104 // sw + cloud + pbl + cu
+	// Physics column bytes; its flops are physics.MeanColumnFlops.
 	physBytesPerCol = 200
 	physBytesPerLay = 64   // T and Q, ~4 passes of 8 bytes each
 	physImbalNone   = 1.35 // critical-path concentration, unbalanced
@@ -123,7 +119,7 @@ func CountKernels(cfg core.Config, measuredSteps int) (Counts, error) {
 	// path carries the paper's Section 3.4 imbalance: day/night and
 	// convective columns concentrate on some ranks unless a balancing
 	// scheme spreads them.
-	colFlops := physBaseFlops + physLWPairFlops*k*(k+1)/2 + physLayerFlops*k
+	colFlops := physics.MeanColumnFlops(c.Spec.Nlayers)
 	colBytes := physBytesPerCol + physBytesPerLay*k
 	cols := float64(nlat * nlon)
 	colsCP := rowsMax * colsMax
