@@ -21,6 +21,7 @@ import (
 	"agcm/internal/history"
 	"agcm/internal/machine"
 	"agcm/internal/physics"
+	"agcm/internal/sim"
 	"agcm/internal/stats"
 	"agcm/internal/topology"
 	"agcm/internal/trace"
@@ -217,7 +218,7 @@ func main() {
 		fmt.Println("\nMachine-wide summary (whole run, including warmup):")
 		fmt.Print(trace.Summary(rep.Raw))
 		fmt.Println("\nPer-rank utilization (virtual seconds):")
-		fmt.Print(trace.UtilizationTable(rep.Raw, "physics", 12))
+		fmt.Print(trace.UtilizationTable(rep.Raw, sim.Physics, 12))
 		fmt.Println("\nUtilization shares (not chronological):")
 		fmt.Print(trace.Gantt(rep.Raw, 72))
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"os/exec"
@@ -148,5 +150,56 @@ func TestRoutedLinkTableReadsReplay(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("summary line\n got %q\nwant %q", got, want)
+	}
+}
+
+// profileTraceSHA256 is the SHA-256 of the -tracefile JSON of the first run
+// in TestProfileGolden.
+const profileTraceSHA256 = "f04419a75a600d8c23e3559b336634590f29762490bc52d1d89ffaadab3ade01"
+
+// TestProfileGolden pins the -profile views byte for byte — the summary,
+// the utilization table and the Gantt bars — for a filtered run and for a
+// run with no filter, where the filter and sync phases are absent; and the
+// Chrome trace of the filtered run by its hash.  Regenerate a golden with
+// the command in its case only when a change moves the output on purpose.
+// The test binary re-executes itself as the CLI.
+func TestProfileGolden(t *testing.T) {
+	if args := os.Getenv("AGCM_TEST_PROFILE"); args != "" {
+		os.Args = append([]string{"agcm"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0) // no test-framework output after the CLI's
+	}
+	agcm := func(args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestProfileGolden$")
+		cmd.Env = append(os.Environ(), "AGCM_TEST_PROFILE="+strings.Join(args, "\n"))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("agcm %s: %v", strings.Join(args, " "), err)
+		}
+		return out
+	}
+	for _, c := range []struct{ filter, golden string }{
+		{"fft-lb", "profile.golden"},
+		{"none", "profile-nofilter.golden"},
+	} {
+		// agcm -mesh 2x2 -filter <filter> -physics pairwise -steps 1 -profile > testdata/<golden>
+		got := agcm("-mesh", "2x2", "-filter", c.filter, "-physics", "pairwise", "-steps", "1", "-profile")
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-filter %s: output differs from testdata/%s:\n got:\n%s\nwant:\n%s", c.filter, c.golden, got, want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	agcm("-mesh", "2x2", "-filter", "fft-lb", "-physics", "pairwise", "-steps", "1", "-profile", "-tracefile", path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != profileTraceSHA256 {
+		t.Errorf("-tracefile JSON hashes to %x, want %s", sum, profileTraceSHA256)
 	}
 }

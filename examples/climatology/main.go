@@ -58,7 +58,7 @@ func main() {
 				}
 			}
 			dy.Step(s)
-			p.Timed("physics", func() { phys.Step(s.T, s.Q, n) })
+			p.Account(sim.Physics, func() { phys.Step(s.T, s.Q, n) })
 		}
 		// Checkpoint mid-run (round-trips through serialized bytes).
 		file := dynamics.SaveState(world, cart, s)

@@ -93,7 +93,7 @@ func main() {
 			case "fft-load-balanced":
 				flt = filter.NewFFT(cart, spec, l, true)
 			}
-			p.Timed("filter", func() { flt.Apply(vars) })
+			p.Account(sim.Filter, func() { flt.Apply(vars) })
 			g := grid.Gather(world, cart, u)
 			if world.Rank() == 0 {
 				gathered = g
@@ -104,16 +104,8 @@ func main() {
 			log.Fatal(err)
 		}
 		results[name] = gathered
-		times[name] = res.MaxAccount("filter")
-		loads := res.Accounts["filter"]
-		sum, max := 0.0, 0.0
-		for _, x := range loads {
-			sum += x
-			if x > max {
-				max = x
-			}
-		}
-		imb[name] = (max - sum/float64(len(loads))) / (sum / float64(len(loads)))
+		times[name] = res.MaxAccount(sim.Filter)
+		imb[name] = loadbalance.Imbalance(res.Accounts[sim.Filter])
 	}
 
 	// Equivalence check against the first variant.

@@ -160,7 +160,7 @@ func (bc *boardCase) run(t *testing.T, ref bool) boardRun {
 	return boardRun{res, err, digest}
 }
 
-// body is one rank's program.  Board collectives run inside a "coll" span,
+// body is one rank's program.  Board collectives run inside a sim.Sync span,
 // which places the crash of the faulty scenarios inside one.
 func (bc *boardCase) body(ref bool, digest []uint64) func(p *sim.Proc) error {
 	return func(p *sim.Proc) error {
@@ -194,7 +194,7 @@ func (bc *boardCase) body(ref bool, digest []uint64) func(p *sim.Proc) error {
 				h = hashFloats(h, bcast)
 			case opRing:
 				data := opPayload(op.seed, me, -1, maxLen)
-				p.Timed("coll", func() {
+				p.Account(sim.Sync, func() {
 					if ref {
 						refAllgathervInto(c, data, out)
 					} else {
@@ -206,7 +206,7 @@ func (bc *boardCase) body(ref bool, digest []uint64) func(p *sim.Proc) error {
 				for d := range in {
 					in[d] = opPayload(op.seed, me, d, maxLen)
 				}
-				p.Timed("coll", func() {
+				p.Account(sim.Sync, func() {
 					if ref {
 						refAlltoallvInto(c, in, out)
 					} else {
@@ -214,7 +214,7 @@ func (bc *boardCase) body(ref bool, digest []uint64) func(p *sim.Proc) error {
 					}
 				})
 			case opBarrier:
-				p.Timed("coll", func() {
+				p.Account(sim.Sync, func() {
 					if ref {
 						refBarrier(c)
 					} else {
@@ -278,11 +278,11 @@ func sameResult(got, want *sim.Result) error {
 	if !reflect.DeepEqual(got.MessagesSent, want.MessagesSent) || !reflect.DeepEqual(got.BytesSent, want.BytesSent) {
 		return fmt.Errorf("traffic %v / %v, want %v / %v", got.MessagesSent, got.BytesSent, want.MessagesSent, want.BytesSent)
 	}
-	if len(got.Accounts) != len(want.Accounts) {
-		return fmt.Errorf("accounts %v, want %v", got.Categories(), want.Categories())
+	if !reflect.DeepEqual(got.Phases(), want.Phases()) {
+		return fmt.Errorf("accounts %v, want %v", got.Phases(), want.Phases())
 	}
-	for cat, w := range want.Accounts {
-		if err := bits("Accounts["+cat+"]", got.Accounts[cat], w); err != nil {
+	for ph, w := range want.Accounts {
+		if err := bits("Accounts["+sim.Phase(ph).String()+"]", got.Accounts[ph], w); err != nil {
 			return err
 		}
 	}
@@ -325,12 +325,12 @@ func compareRuns(t *testing.T, name string, got, want boardRun, errorOnly bool) 
 }
 
 // crashInside returns a crash of a random rank at the middle of one of its
-// "coll" spans in res, or false when no span has length.
+// sync spans in res, or false when no span has length.
 func crashInside(rng *rand.Rand, res *sim.Result) (fault.Crash, bool) {
 	r := rng.Intn(len(res.Events))
 	var spans []sim.Event
 	for _, e := range res.Events[r] {
-		if e.Kind == sim.EventSpan && e.Name == "coll" && e.End > e.Start {
+		if e.Kind == sim.EventSpan && e.Name == sim.Sync.String() && e.End > e.Start {
 			spans = append(spans, e)
 		}
 	}

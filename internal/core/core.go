@@ -17,6 +17,7 @@ import (
 	"agcm/internal/filter"
 	"agcm/internal/grid"
 	"agcm/internal/history"
+	"agcm/internal/loadbalance"
 	"agcm/internal/machine"
 	"agcm/internal/physics"
 	"agcm/internal/sim"
@@ -266,26 +267,7 @@ type Report struct {
 }
 
 // Imbalance returns (max-avg)/avg of a load vector (paper's definition).
-func Imbalance(loads []float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	sum, max := 0.0, 0.0
-	for _, v := range loads {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	avg := sum / float64(len(loads))
-	if avg == 0 {
-		return 0
-	}
-	return (max - avg) / avg
-}
-
-// timing categories
-var categories = [...]string{"filter", "dynamics-fd", "dynamics-comm", "physics"}
+func Imbalance(loads []float64) float64 { return loadbalance.Imbalance(loads) }
 
 // Run integrates the model for measuredSteps time steps (after warmup) on
 // the simulated machine and returns per-component timings extrapolated to
@@ -324,15 +306,19 @@ func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*R
 	}
 	ranks := cfg.MeshPy * cfg.MeshPx
 	stepsPerDay := stepsPerDay(cfg.Dt)
+	// Measured virtual times scale to seconds/simulated-day.
+	scale := float64(stepsPerDay) / float64(measuredSteps)
 
 	type snapshot struct {
 		clock    float64
-		accounts [len(categories)]float64
 		messages int64
 		bytes    int64
 		wait     float64
 	}
 	warm := make([]snapshot, ranks)
+	// Each rank's measured time per reported phase, scaled.
+	filterLoads, fd := make([]float64, ranks), make([]float64, ranks)
+	cm, physLoads := make([]float64, ranks), make([]float64, ranks)
 	maxAbsH := make([]float64, ranks)
 	var finalState *history.File
 	// All ranks must agree on whether to run the LoadState collective;
@@ -398,21 +384,21 @@ func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*R
 		// loop index on a fresh start, leaving healthy runs bit-identical).
 		step := func() {
 			dyn.Step(state)
-			p.Timed("physics", func() { phys.Step(state.T, state.Q, state.Steps-1) })
+			p.Account(sim.Physics, func() { phys.Step(state.T, state.Q, state.Steps-1) })
 		}
 		for n := 0; n < cfg.WarmupSteps; n++ {
 			step()
 		}
-		snap := snapshot{
+		warm[world.Rank()] = snapshot{
 			clock:    p.Clock(),
 			messages: p.MessagesSent(),
 			bytes:    p.BytesSent(),
 			wait:     p.WaitSeconds(),
 		}
-		for c, cat := range categories {
-			snap.accounts[c] = p.Accounted(cat)
+		var warmAccounts [sim.NumPhases]float64
+		for ph := range warmAccounts {
+			warmAccounts[ph] = p.Accounted(sim.Phase(ph))
 		}
-		warm[world.Rank()] = snap
 		for n := 0; n < measuredSteps; n++ {
 			step()
 			if cfg.CheckpointEvery > 0 && (n+1)%cfg.CheckpointEvery == 0 {
@@ -421,7 +407,13 @@ func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*R
 				}
 			}
 		}
-		maxAbsH[world.Rank()] = state.H.MaxAbs()
+		// A phase nothing accounted to (e.g. Filter under FilterNone)
+		// reads zero.
+		measured := func(ph sim.Phase) float64 { return (p.Accounted(ph) - warmAccounts[ph]) * scale }
+		r := world.Rank()
+		filterLoads[r], fd[r] = measured(sim.Filter), measured(sim.DynamicsFD)
+		cm[r], physLoads[r] = measured(sim.DynamicsComm), measured(sim.Physics)
+		maxAbsH[r] = state.H.MaxAbs()
 		if cfg.CaptureState {
 			if f := dynamics.SaveState(world, cart, state); world.Rank() == 0 {
 				finalState = f
@@ -446,18 +438,6 @@ func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*R
 	}
 	pool.put(k)
 
-	// Scale measured virtual times to seconds/simulated-day.
-	scale := float64(stepsPerDay) / float64(measuredSteps)
-	perRank := func(c int) []float64 {
-		out := make([]float64, ranks)
-		// A category nothing timed (e.g. "filter" under FilterNone) has no
-		// accounts entry; its per-rank load is zero, not a panic.
-		acct := res.Accounts[categories[c]]
-		for r := 0; r < ranks && r < len(acct); r++ {
-			out[r] = (acct[r] - warm[r].accounts[c]) * scale
-		}
-		return out
-	}
 	maxOf := func(v []float64) float64 {
 		max := 0.0
 		for _, x := range v {
@@ -467,11 +447,6 @@ func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*R
 		}
 		return max
 	}
-	filterLoads := perRank(0)
-	fd := perRank(1)
-	cm := perRank(2)
-	physLoads := perRank(3)
-
 	// Per-rank Dynamics time, then critical path across ranks.
 	dynLoads := make([]float64, ranks)
 	totalLoads := make([]float64, ranks)

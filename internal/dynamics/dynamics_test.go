@@ -201,13 +201,13 @@ func TestPolarDiffusionAlsoStabilizes(t *testing.T) {
 func TestStepAccountsTime(t *testing.T) {
 	dt := 0.5 * CFLTimeStep(testSpec, filter.Strong.CritLat())
 	_, res := runModel(t, testSpec, 2, 2, 4, dt, true)
-	if res.MaxAccount("dynamics-fd") <= 0 {
+	if res.MaxAccount(sim.DynamicsFD) <= 0 {
 		t.Errorf("no finite-difference time accounted")
 	}
-	if res.MaxAccount("filter") <= 0 {
+	if res.MaxAccount(sim.Filter) <= 0 {
 		t.Errorf("no filter time accounted")
 	}
-	if res.MaxAccount("dynamics-comm") <= 0 {
+	if res.MaxAccount(sim.DynamicsComm) <= 0 {
 		t.Errorf("no ghost-exchange time accounted")
 	}
 }

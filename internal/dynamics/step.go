@@ -3,6 +3,7 @@ package dynamics
 import (
 	"agcm/internal/filter"
 	"agcm/internal/grid"
+	"agcm/internal/sim"
 )
 
 // Step advances the state one time step: spectral filtering of the
@@ -10,10 +11,10 @@ import (
 // procedures), ghost exchange, tendency evaluation, leapfrog update with a
 // Robert-Asselin filter, and polar boundary enforcement.
 //
-// Virtual time is charged in two categories on the rank's clock accounts:
-// the caller wraps Step in its own Timed sections; Step itself charges the
-// calibrated finite-difference flop count and lets the comm layer charge
-// message costs.
+// Step accounts its virtual time to four phases on the rank's clock:
+// sim.Sync and sim.Filter (only with a filter), sim.DynamicsComm and
+// sim.DynamicsFD.  It charges the calibrated finite-difference flop count
+// itself and lets the comm layer charge message costs.
 func (d *Dynamics) Step(s *State) {
 	p := d.cart.World.Proc()
 
@@ -29,20 +30,20 @@ func (d *Dynamics) Step(s *State) {
 		// Synchronize before the filter so that skew left over from the
 		// previous step's physics is accounted as synchronization wait,
 		// not as filtering cost.
-		p.Timed("sync", func() { d.cart.World.Barrier() })
-		p.Timed("filter", func() { d.filter.Apply(d.vars) })
+		p.Account(sim.Sync, func() { d.cart.World.Barrier() })
+		p.Account(sim.Filter, func() { d.filter.Apply(d.vars) })
 	}
 
-	p.Timed("dynamics-comm", func() {
+	p.Account(sim.DynamicsComm, func() {
 		// T and Q ride along: the full model advects its tracers, so
 		// their ghost points are part of the per-step exchange volume.
 		d.ex.Exchange(s.U, s.V, s.H, s.T, s.Q)
 		d.applyPolarBC(s)
 	})
 
-	p.Timed("dynamics-fd", func() { d.horizontalSmoothing(s) })
+	p.Account(sim.DynamicsFD, func() { d.horizontalSmoothing(s) })
 
-	p.Timed("dynamics-comm", func() {
+	p.Account(sim.DynamicsComm, func() {
 		// The smoothing moved the interior; refresh the ghost points it
 		// invalidated so the tendency stencils see one consistent state
 		// on every decomposition.
@@ -50,7 +51,7 @@ func (d *Dynamics) Step(s *State) {
 		d.applyPolarBC(s)
 	})
 
-	p.Timed("dynamics-fd", func() {
+	p.Account(sim.DynamicsFD, func() {
 		d.computeTendencies(s)
 		d.advance(s)
 		d.verticalDiffusion(s)

@@ -83,7 +83,7 @@ func runParallelFilter(t *testing.T, spec grid.Spec, py, px int,
 		l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
 		vars := newVars(l)
 		flt := mk(cart, l)
-		p.Timed("filter", func() { flt.Apply(vars) })
+		p.Account(sim.Filter, func() { flt.Apply(vars) })
 		for vi, v := range vars {
 			g := grid.Gather(world, cart, v.Field)
 			if world.Rank() == 0 {
@@ -163,7 +163,7 @@ func TestFFTFilterFasterThanConvolutionAtScale(t *testing.T) {
 	times := map[string]float64{}
 	for _, name := range []string{"convolution-ring", "fft", "fft-load-balanced"} {
 		_, res := runParallelFilter(t, spec, 8, 8, makers[name])
-		times[name] = res.MaxAccount("filter")
+		times[name] = res.MaxAccount(sim.Filter)
 	}
 	if !(times["fft"] < times["convolution-ring"]) {
 		t.Errorf("fft (%g s) not faster than convolution (%g s) on 8x8",
@@ -182,7 +182,7 @@ func TestLoadBalanceEvensFilterTime(t *testing.T) {
 	makers := variantMakers(spec)
 	imbalance := func(name string) float64 {
 		_, res := runParallelFilter(t, spec, 8, 2, makers[name])
-		loads := res.Accounts["filter"]
+		loads := res.Accounts[sim.Filter]
 		sum, max := 0.0, 0.0
 		for _, v := range loads {
 			sum += v
@@ -210,7 +210,7 @@ func TestTreeConvolutionUsesFewerMessagesWorthOfTimeOnWideMesh(t *testing.T) {
 	makers := variantMakers(spec)
 	for _, name := range []string{"convolution-ring", "convolution-tree"} {
 		_, res := runParallelFilter(t, spec, 2, 4, makers[name])
-		if res.MaxAccount("filter") <= 0 {
+		if res.MaxAccount(sim.Filter) <= 0 {
 			t.Errorf("%s: no filter time accounted", name)
 		}
 	}

@@ -579,8 +579,12 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class ser
 	return res
 }
 
-// retryAfterDuration parses a Retry-After header in seconds, returning
-// fallback when absent or unparseable.
+// maxRetryAfter caps a backend's Retry-After.  Uncapped, a huge value
+// overflows the cooldown's nanosecond deadline and ends the cooldown at once.
+const maxRetryAfter = time.Hour
+
+// retryAfterDuration parses a Retry-After header in seconds, capped at
+// maxRetryAfter, returning fallback when absent or unparseable.
 func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
@@ -590,7 +594,7 @@ func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 	if err != nil || secs < 0 {
 		return fallback
 	}
-	return time.Duration(secs) * time.Second
+	return time.Duration(min(secs, int(maxRetryAfter/time.Second))) * time.Second
 }
 
 // hedged races two shards for an interactive request: the policy's primary

@@ -249,6 +249,31 @@ func TestSaturationCooldown(t *testing.T) {
 	}
 }
 
+// TestHugeRetryAfterKeepsCooldown: a Retry-After too large for a
+// time.Duration still keeps the saturated backend out of routing; uncapped,
+// the cooldown's deadline wrapped into the past and ended at once.
+func TestHugeRetryAfterKeepsCooldown(t *testing.T) {
+	busy := newStubBackend(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "99999999999")
+		http.Error(w, "queue full", http.StatusTooManyRequests)
+	})
+	good := newStubBackend(ok200(`{"ok":true}` + "\n"))
+	defer busy.ts.Close()
+	defer good.ts.Close()
+	g := newTestGateway(t, Options{Policy: "round-robin"}, busy, good)
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+
+	if st, _, _ := postGW(t, ts.URL, reqJSON(1, "fft", 1)); st != 200 || busy.runs.Load() != 1 {
+		t.Fatalf("first request: status %d, busy backend saw %d requests, want 200 and 1", st, busy.runs.Load())
+	}
+	st, h, _ := postGW(t, ts.URL, reqJSON(2, "fft", 1))
+	if st != 200 || h.Get("X-Agcmgw-Attempts") != "1" || busy.runs.Load() != 1 {
+		t.Fatalf("cooldown not honored: status %d attempts %s, busy backend saw %d requests",
+			st, h.Get("X-Agcmgw-Attempts"), busy.runs.Load())
+	}
+}
+
 // TestRetryBudgetBoundsAmplification: with every backend failing, the
 // token bucket caps total retries no matter how many requests arrive.
 func TestRetryBudgetBoundsAmplification(t *testing.T) {

@@ -203,7 +203,7 @@ func runPhysicsTQ(t *testing.T, spec grid.Spec, py, px, steps int,
 		T, Q := testFields(spec, l)
 		r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, rounds)
 		for n := 0; n < steps; n++ {
-			p.Timed("physics", func() { r.Step(T, Q, n) })
+			p.Account(sim.Physics, func() { r.Step(T, Q, n) })
 		}
 		gT, gQ := grid.Gather(world, cart, T), grid.Gather(world, cart, Q)
 		if world.Rank() == 0 {
@@ -248,7 +248,7 @@ func TestUnbalancedPhysicsIsImbalanced(t *testing.T) {
 	// The paper measures 35-48% imbalance in the unbalanced Physics.
 	spec := grid.TwoByTwoPointFive(9)
 	_, res := runPhysics(t, spec, 4, 4, 2, None, 1)
-	loads := res.Accounts["physics"]
+	loads := res.Accounts[sim.Physics]
 	max, sum := 0.0, 0.0
 	for _, v := range loads {
 		sum += v
@@ -268,8 +268,8 @@ func TestPairwiseBalancingReducesCriticalPath(t *testing.T) {
 	const steps = 4
 	_, resNone := runPhysics(t, spec, 4, 4, steps, None, 1)
 	_, resBal := runPhysics(t, spec, 4, 4, steps, Pairwise, 2)
-	tNone := resNone.MaxAccount("physics")
-	tBal := resBal.MaxAccount("physics")
+	tNone := resNone.MaxAccount(sim.Physics)
+	tBal := resBal.MaxAccount(sim.Physics)
 	if tBal >= tNone {
 		t.Fatalf("pairwise balancing did not help: %.3f s vs %.3f s", tBal, tNone)
 	}
@@ -320,7 +320,7 @@ func TestPairwiseAbsorbsDegradedNode(t *testing.T) {
 			}
 			r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, 2)
 			for n := 0; n < steps; n++ {
-				p.Timed("physics", func() { r.Step(T, Q, n) })
+				p.Account(sim.Physics, func() { r.Step(T, Q, n) })
 			}
 			return nil
 		})
@@ -329,8 +329,8 @@ func TestPairwiseAbsorbsDegradedNode(t *testing.T) {
 		}
 		return res
 	}
-	unbal := run(None).MaxAccount("physics")
-	bal := run(Pairwise).MaxAccount("physics")
+	unbal := run(None).MaxAccount(sim.Physics)
+	bal := run(Pairwise).MaxAccount(sim.Physics)
 	if bal >= 0.85*unbal {
 		t.Fatalf("balancer did not absorb the slow node: %.4f s vs %.4f s unbalanced", bal, unbal)
 	}

@@ -44,7 +44,7 @@ func ringOnBoard(p *Proc, n int) [][]float64 {
 // every rank with rank-varying compute between them.
 func boardProgram(p *Proc) error {
 	for i := 0; i < 3; i++ {
-		p.Timed("compute", func() { p.Compute(float64(1000 * (1 + p.Rank()*i))) })
+		p.Account(Physics, func() { p.Compute(float64(1000 * (1 + p.Rank()*i))) })
 		out := ringOnBoard(p, p.Ranks())
 		for r, o := range out {
 			if len(o) != 2 || o[0] != float64(r) {

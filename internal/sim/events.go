@@ -8,7 +8,7 @@ package sim
 type EventKind int
 
 const (
-	// EventSpan is a named interval from Proc.Timed.
+	// EventSpan is a phase's interval from Proc.Account.
 	EventSpan EventKind = iota
 	// EventSend marks a message leaving a rank (Start = send time).
 	EventSend
@@ -20,7 +20,7 @@ const (
 // Event is one logged record on one rank's timeline.
 type Event struct {
 	Kind EventKind
-	// Name is the span category, or "send"/"recv" for messages.
+	// Name is the span's phase name, or "send"/"recv" for messages.
 	Name string
 	// Start and End are virtual times in seconds (End == Start for
 	// instantaneous events).
@@ -38,12 +38,12 @@ type Event struct {
 // costs one slice append per span and per message.
 func (m *Machine) SetEventLog(on bool) { m.logEvents = on }
 
-func (p *Proc) logSpan(name string, start, end float64) {
+func (p *Proc) logSpan(ph Phase, start, end float64) {
 	if !p.machine.logEvents {
 		return
 	}
 	p.events = append(p.events, Event{
-		Kind: EventSpan, Name: name, Start: start, End: end,
+		Kind: EventSpan, Name: ph.String(), Start: start, End: end,
 	})
 }
 

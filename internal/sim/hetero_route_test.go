@@ -45,7 +45,7 @@ func routedDegradedRun(t *testing.T) *sim.Result {
 	res, err := m.Run(func(p *sim.Proc) error {
 		n := p.Ranks()
 		for step := 0; step < 3; step++ {
-			p.Timed("compute", func() { p.Compute(float64(1000 * (1 + p.Rank()))) })
+			p.Account(sim.Physics, func() { p.Compute(float64(1000 * (1 + p.Rank()))) })
 			// Ring exchange.
 			p.SendFloatsCopy((p.Rank()+1)%n, 1, []float64{float64(step)}, 64)
 			p.RecvFloatsInto((p.Rank()+n-1)%n, 1, nil)
@@ -91,7 +91,7 @@ func TestDegradedComposesWithRoutes(t *testing.T) {
 	// The degraded rank's compute runs 3x slower than its homogeneous
 	// neighbours'; with rank-proportional work, rank 5's accounted compute
 	// must exceed every healthy rank's.
-	compute := res.Accounts["compute"]
+	compute := res.Accounts[sim.Physics]
 	for r, v := range compute {
 		if r != 5 && compute[5] <= v {
 			t.Fatalf("degraded rank 5 compute %v not above rank %d's %v", compute[5], r, v)
@@ -108,7 +108,7 @@ func TestFlatRouteMatchesNoRouteModel(t *testing.T) {
 		}
 		res, err := m.Run(func(p *sim.Proc) error {
 			n := p.Ranks()
-			p.Timed("work", func() { p.Compute(500) })
+			p.Account(sim.Physics, func() { p.Compute(500) })
 			p.SendFloatsCopy((p.Rank()+1)%n, 1, []float64{1}, 128)
 			p.RecvFloatsInto((p.Rank()+n-1)%n, 1, nil)
 			p.SendFloatsCopy((p.Rank()+2)%n, 2, []float64{1}, 4096)

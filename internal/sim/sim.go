@@ -27,7 +27,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -383,7 +383,7 @@ func NewHeterogeneous(models []CostModel) *Machine {
 		mb.cond = sync.NewCond(&mb.mu)
 		mb.waiting.Store(noWait)
 		m.boxes[i] = mb
-		m.procs[i] = &Proc{rank: i, machine: m, accounts: make(map[string]float64)}
+		m.procs[i] = &Proc{rank: i, machine: m}
 	}
 	return m
 }
@@ -431,14 +431,14 @@ func (m *Machine) closeAll() {
 }
 
 // Result captures the outcome of one Run: the final virtual clock of each
-// rank, per-category accounted time, and communication statistics.  It owns
+// rank, per-phase accounted time, and communication statistics.  It owns
 // all of its memory: a later Run on the same Machine leaves it alone.
 type Result struct {
 	// Clocks holds each rank's virtual clock at program exit, in seconds.
 	Clocks []float64
-	// Accounts maps a timing category (e.g. "filter", "physics") to the
-	// per-rank virtual seconds accounted to that category.
-	Accounts map[string][]float64
+	// Accounts holds, per phase, each rank's virtual seconds accounted to
+	// it; nil for a phase no rank accounted to.
+	Accounts [NumPhases][]float64
 	// MessagesSent and BytesSent hold each rank's point-to-point
 	// traffic — the quantities the paper's algorithm analysis counts
 	// (P*logP messages for the ring, O(N*P) volume, and so on).
@@ -482,12 +482,12 @@ func (r *Result) MaxClock() float64 {
 	return max
 }
 
-// MaxAccount returns the maximum per-rank time accounted to category, which
-// is the category's contribution to the critical path under a bulk-
-// synchronous execution.
-func (r *Result) MaxAccount(category string) float64 {
+// MaxAccount returns the maximum per-rank time accounted to ph, which is
+// the phase's contribution to the critical path under a bulk-synchronous
+// execution.
+func (r *Result) MaxAccount(ph Phase) float64 {
 	max := 0.0
-	for _, c := range r.Accounts[category] {
+	for _, c := range r.Accounts[ph] {
 		if c > max {
 			max = c
 		}
@@ -495,23 +495,15 @@ func (r *Result) MaxAccount(category string) float64 {
 	return max
 }
 
-// SumAccount returns the total time across ranks accounted to category.
-func (r *Result) SumAccount(category string) float64 {
-	sum := 0.0
-	for _, c := range r.Accounts[category] {
-		sum += c
+// Phases returns the phases some rank accounted to, in constant order.
+func (r *Result) Phases() []Phase {
+	var out []Phase
+	for ph, acct := range r.Accounts {
+		if acct != nil {
+			out = append(out, Phase(ph))
+		}
 	}
-	return sum
-}
-
-// Categories returns the sorted list of accounted categories.
-func (r *Result) Categories() []string {
-	cats := make([]string, 0, len(r.Accounts))
-	for c := range r.Accounts {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	return cats
+	return out
 }
 
 // Run executes body once per rank, each in its own goroutine, and blocks
@@ -604,13 +596,25 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 	wg.Wait()
 	res := &Result{
 		Clocks:       make([]float64, m.n),
-		Accounts:     make(map[string][]float64),
 		MessagesSent: make([]int64, m.n),
 		BytesSent:    make([]int64, m.n),
 		WaitSeconds:  make([]float64, m.n),
 	}
 	if m.logEvents {
 		res.Events = make([][]Event, m.n)
+	}
+	var timed uint8
+	for _, p := range procs {
+		timed |= p.timed
+	}
+	acct := make([]float64, bits.OnesCount8(timed)*m.n) // every present phase's slice, in one allocation
+	for ph := range res.Accounts {
+		if timed&(1<<ph) != 0 {
+			res.Accounts[ph], acct = acct[:m.n:m.n], acct[m.n:]
+			for r, p := range procs {
+				res.Accounts[ph][r] = p.accounts[ph]
+			}
+		}
 	}
 	for r, p := range procs {
 		res.Clocks[r] = p.clock
@@ -619,13 +623,6 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 		res.WaitSeconds[r] = p.waitSeconds
 		if m.logEvents {
 			res.Events[r], p.events = p.events, nil
-		}
-		//lint:allow nondeterm each iteration writes Accounts[cat][r] for its own ranged key only; order is unobservable
-		for cat, t := range p.accounts {
-			if _, ok := res.Accounts[cat]; !ok {
-				res.Accounts[cat] = make([]float64, m.n)
-			}
-			res.Accounts[cat][r] = t
 		}
 	}
 	// Injected crashes are the root cause of everything downstream of them.
@@ -670,7 +667,8 @@ type Proc struct {
 	machine      *Machine
 	clock        float64
 	crashAt      float64 // injected crash time (+Inf when healthy)
-	accounts     map[string]float64
+	accounts     [NumPhases]float64
+	timed        uint8 // bit ph set once the Run accounted to ph, even zero seconds
 	messagesSent int64
 	bytesSent    int64
 	waitSeconds  float64
@@ -682,7 +680,7 @@ type Proc struct {
 // events went to its Result.
 func (p *Proc) reset() {
 	p.clock, p.messagesSent, p.bytesSent, p.waitSeconds = 0, 0, 0, 0
-	clear(p.accounts)
+	p.accounts, p.timed = [NumPhases]float64{}, 0
 	p.crashAt = math.Inf(1)
 	if f := p.machine.fault; f != nil {
 		p.crashAt = f.CrashTime(p.rank)
@@ -858,22 +856,19 @@ func (p *Proc) chargeRecv(src, bytes int, arrive float64, seq int64) error {
 	return nil
 }
 
-// Account attributes seconds of already-elapsed virtual time to a named
-// category for later reporting.  Accounting is bookkeeping only; it does not
-// advance the clock.
-func (p *Proc) Account(category string, seconds float64) {
-	p.accounts[category] += seconds
-}
-
-// Timed runs fn and accounts the virtual time it consumed to category.
-func (p *Proc) Timed(category string, fn func()) {
+// Account runs fn and accounts the virtual time it consumed to ph.
+// Accounting itself charges no virtual time.
+func (p *Proc) Account(ph Phase, fn func()) {
 	start := p.clock
 	fn()
-	p.accounts[category] += p.clock - start
-	p.logSpan(category, start, p.clock)
+	p.accounts[ph] += p.clock - start
+	p.timed |= 1 << ph
+	p.logSpan(ph, start, p.clock)
 }
 
-// Accounted returns the virtual seconds accounted so far to category.
-func (p *Proc) Accounted(category string) float64 {
-	return p.accounts[category]
-}
+// Timed is Account(Misc, fn); the name is ignored.  It is kept only for
+// callers outside this module and goes with the other shims.
+func (p *Proc) Timed(_ string, fn func()) { p.Account(Misc, fn) }
+
+// Accounted returns the virtual seconds accounted so far to ph.
+func (p *Proc) Accounted(ph Phase) float64 { return p.accounts[ph] }

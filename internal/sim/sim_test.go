@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -296,29 +297,27 @@ func TestDeterministicClocksAcrossRuns(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	m := New(2, newTestModel())
 	res, err := m.Run(func(p *Proc) error {
-		p.Timed("dynamics", func() { p.Compute(1000) })
-		p.Timed("physics", func() { p.Compute(float64(2000 * (p.Rank() + 1))) })
-		p.Account("extra", 0.5)
+		p.Account(DynamicsFD, func() { p.Compute(1000) })
+		p.Account(Physics, func() { p.Compute(float64(2000 * (p.Rank() + 1))) })
+		if got, want := p.Clock(), float64(1000+2000*(p.Rank()+1))*1e-6; math.Abs(got-want) > 1e-15 {
+			return fmt.Errorf("clock %g after accounting, want %g", got, want)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Accounts["dynamics"][0], 1000*1e-6; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("dynamics[0] = %g, want %g", got, want)
+	if got, want := res.Accounts[DynamicsFD][0], 1000*1e-6; math.Abs(got-want) > 1e-15 {
+		t.Fatalf("dynamics-fd[0] = %g, want %g", got, want)
 	}
-	if got, want := res.MaxAccount("physics"), 4000*1e-6; math.Abs(got-want) > 1e-15 {
+	if got, want := res.MaxAccount(Physics), 4000*1e-6; math.Abs(got-want) > 1e-15 {
 		t.Fatalf("MaxAccount(physics) = %g, want %g", got, want)
 	}
-	if got, want := res.SumAccount("physics"), 6000*1e-6; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("SumAccount(physics) = %g, want %g", got, want)
+	if got := res.Accounts[Physics]; len(got) != 2 || math.Abs(got[0]-2000e-6) > 1e-15 || math.Abs(got[1]-4000e-6) > 1e-15 {
+		t.Fatalf("Accounts[physics] = %v, want [0.002 0.004]", got)
 	}
-	if got, want := res.SumAccount("extra"), 1.0; got != want {
-		t.Fatalf("SumAccount(extra) = %g, want %g", got, want)
-	}
-	cats := res.Categories()
-	if len(cats) != 3 || cats[0] != "dynamics" || cats[1] != "extra" || cats[2] != "physics" {
-		t.Fatalf("Categories() = %v, want sorted [dynamics extra physics]", cats)
+	if got := res.Phases(); !reflect.DeepEqual(got, []Phase{DynamicsFD, Physics}) {
+		t.Fatalf("Phases() = %v, want [dynamics-fd physics]", got)
 	}
 }
 
@@ -371,12 +370,12 @@ func TestMessageStatistics(t *testing.T) {
 func TestAccountedGetter(t *testing.T) {
 	m := New(1, newTestModel())
 	_, err := m.Run(func(p *Proc) error {
-		p.Timed("x", func() { p.Compute(100) })
-		if got := p.Accounted("x"); math.Abs(got-100e-6) > 1e-15 {
-			return fmt.Errorf("Accounted(x) = %g, want 1e-4", got)
+		p.Account(Filter, func() { p.Compute(100) })
+		if got := p.Accounted(Filter); math.Abs(got-100e-6) > 1e-15 {
+			return fmt.Errorf("Accounted(filter) = %g, want 1e-4", got)
 		}
-		if got := p.Accounted("missing"); got != 0 {
-			return fmt.Errorf("Accounted(missing) = %g, want 0", got)
+		if got := p.Accounted(Physics); got != 0 {
+			return fmt.Errorf("Accounted(physics) = %g, want 0", got)
 		}
 		return nil
 	})

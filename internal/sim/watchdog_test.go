@@ -325,14 +325,14 @@ func TestZeroFaultHookFree(t *testing.T) {
 
 // TestMachineReuseLeavesResultAlone: a Machine keeps its Procs from one Run
 // to the next, so a Result must own everything it holds.  Run A logs events
-// and accounts two categories; Run B, on the same Machine, runs a different
+// and accounts two phases; Run B, on the same Machine, runs a different
 // program.  A's Result must still equal the deep copy taken before B, and B's
 // must equal the same program's on a new Machine.  Then a crashed Run, and a
 // Run with the log off after it, must leave no trace on the next one.
 func TestMachineReuseLeavesResultAlone(t *testing.T) {
 	progA := func(p *Proc) error {
-		p.Timed("a", func() { p.Compute(float64(100 * (p.Rank() + 1))) })
-		p.Timed("shared", func() {
+		p.Account(Physics, func() { p.Compute(float64(100 * (p.Rank() + 1))) })
+		p.Account(DynamicsComm, func() {
 			p.SendFloatsCopy(1-p.Rank(), 3, []float64{1, 2}, 16)
 			p.RecvFloatsInto(1-p.Rank(), 3, nil)
 		})
@@ -340,11 +340,11 @@ func TestMachineReuseLeavesResultAlone(t *testing.T) {
 	}
 	progB := func(p *Proc) error {
 		for i := 0; i < 5; i++ {
-			p.Timed("shared", func() {
+			p.Account(DynamicsComm, func() {
 				p.SendFloatsCopy(1-p.Rank(), 4, []float64{float64(i)}, 8)
 				p.RecvFloatsInto(1-p.Rank(), 4, nil)
 			})
-			p.Timed("b", func() { p.Compute(float64(7 + i)) })
+			p.Account(Filter, func() { p.Compute(float64(7 + i)) })
 		}
 		return nil
 	}
@@ -389,13 +389,12 @@ func TestMachineReuseLeavesResultAlone(t *testing.T) {
 func cloneResult(r *Result) *Result {
 	c := &Result{
 		Clocks:       slices.Clone(r.Clocks),
-		Accounts:     make(map[string][]float64, len(r.Accounts)),
 		MessagesSent: slices.Clone(r.MessagesSent),
 		BytesSent:    slices.Clone(r.BytesSent),
 		WaitSeconds:  slices.Clone(r.WaitSeconds),
 	}
-	for cat, v := range r.Accounts {
-		c.Accounts[cat] = slices.Clone(v)
+	for ph, v := range r.Accounts {
+		c.Accounts[ph] = slices.Clone(v)
 	}
 	if r.Events != nil {
 		c.Events = make([][]Event, len(r.Events))

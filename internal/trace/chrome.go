@@ -24,7 +24,7 @@ type chromeEvent struct {
 }
 
 // ExportChromeTrace writes the run's event log as a Chrome trace-event JSON
-// array: one timeline row per rank, named spans for the Timed categories,
+// array: one timeline row per rank, named spans for the accounted phases,
 // and flow arrows connecting each send to its receive.  The run must have
 // been executed with Machine.SetEventLog(true).
 func ExportChromeTrace(w io.Writer, res *sim.Result) error {

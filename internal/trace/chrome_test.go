@@ -14,11 +14,11 @@ func eventResult(t *testing.T) *sim.Result {
 	m := sim.New(2, flatModel{})
 	m.SetEventLog(true)
 	res, err := m.Run(func(p *sim.Proc) error {
-		p.Timed("work", func() { p.Compute(1000) })
+		p.Account(sim.Physics, func() { p.Compute(1000) })
 		if p.Rank() == 0 {
 			p.SendFloatsCopy(1, 0, []float64{1, 2}, 16)
 		} else {
-			p.Timed("recv", func() { p.RecvFloatsInto(0, 0, nil) })
+			p.Account(sim.DynamicsComm, func() { p.RecvFloatsInto(0, 0, nil) })
 		}
 		return nil
 	})
@@ -58,7 +58,7 @@ func TestExportChromeTrace(t *testing.T) {
 	if metas != 2 {
 		t.Errorf("expected 2 thread_name records, got %d", metas)
 	}
-	if spans != 3 { // work on both ranks + recv span on rank 1
+	if spans != 3 { // physics on both ranks + dynamics-comm span on rank 1
 		t.Errorf("expected 3 spans, got %d", spans)
 	}
 	if sends != 1 || flows != 1 {

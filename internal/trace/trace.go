@@ -1,7 +1,7 @@
 // Package trace renders performance-analysis views of a simulated run:
 // per-rank utilization profiles and an ASCII timeline in the spirit of the
 // tools the paper's authors used to find the filtering bottleneck.  It
-// consumes the per-category accounts and communication counters the sim
+// consumes the per-phase accounts and communication counters the sim
 // package collects, so tracing costs nothing extra at run time.
 package trace
 
@@ -16,8 +16,8 @@ import (
 // Profile summarizes one rank's time breakdown over a run.
 type Profile struct {
 	Rank int
-	// Busy maps category to accounted seconds.
-	Busy map[string]float64
+	// Busy holds the seconds accounted to each phase.
+	Busy [sim.NumPhases]float64
 	// Wait is the time blocked on unarrived messages.
 	Wait float64
 	// Clock is the rank's final virtual time.
@@ -27,20 +27,12 @@ type Profile struct {
 	Bytes    int64
 }
 
-// Other returns clock time not covered by accounted categories or waiting:
-// untimed compute and send/recv overheads outside Timed sections.
+// Other returns clock time not covered by accounted phases or waiting:
+// untimed compute and send/recv overheads outside accounted sections.
 func (p Profile) Other() float64 {
-	// Subtract in sorted category order: float subtraction is not
-	// associative, so ranging the map directly would make the result depend
-	// on iteration order and differ bit-for-bit between runs.
 	t := p.Clock - p.Wait
-	cats := make([]string, 0, len(p.Busy))
-	for c := range p.Busy {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	for _, c := range cats {
-		t -= p.Busy[c]
+	for _, busy := range p.Busy { // in phase order: float subtraction is not associative
+		t -= busy
 	}
 	if t < 0 {
 		return 0
@@ -50,27 +42,26 @@ func (p Profile) Other() float64 {
 
 // Profiles extracts one Profile per rank from a sim result.
 //
-// Note: the per-category accounts include any wait time spent inside their
-// Timed sections, so Wait (measured at Recv) can overlap them; Other
-// therefore underestimates when categories wait internally.  For the AGCM
+// Note: the per-phase accounts include any wait time spent inside their
+// accounted sections, so Wait (measured at Recv) can overlap them; Other
+// therefore underestimates when phases wait internally.  For the AGCM
 // the step structure puts almost all waiting inside accounted sections,
 // which is exactly what the utilization view should show.
 func Profiles(res *sim.Result) []Profile {
 	n := len(res.Clocks)
 	out := make([]Profile, n)
 	for r := 0; r < n; r++ {
-		busy := make(map[string]float64)
-		//lint:allow nondeterm each iteration writes busy[cat] for its own ranged key only, so the result is iteration-order independent
-		for cat, perRank := range res.Accounts {
-			busy[cat] = perRank[r]
-		}
 		out[r] = Profile{
 			Rank:     r,
-			Busy:     busy,
 			Wait:     res.WaitSeconds[r],
 			Clock:    res.Clocks[r],
 			Messages: res.MessagesSent[r],
 			Bytes:    res.BytesSent[r],
+		}
+		for ph, acct := range res.Accounts {
+			if acct != nil {
+				out[r].Busy[ph] = acct[r]
+			}
 		}
 	}
 	return out
@@ -78,34 +69,34 @@ func Profiles(res *sim.Result) []Profile {
 
 // UtilizationTable renders a fixed-width per-rank breakdown.  With more
 // than maxRows ranks it shows the first few, the most and least loaded for
-// the given category, and machine-wide totals.
-func UtilizationTable(res *sim.Result, category string, maxRows int) string {
+// the given phase, and machine-wide totals.
+func UtilizationTable(res *sim.Result, ph sim.Phase, maxRows int) string {
 	profiles := Profiles(res)
 	if maxRows < 3 {
 		maxRows = 3
 	}
-	cats := res.Categories()
+	phases := res.Phases()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s", "rank")
-	for _, c := range cats {
-		fmt.Fprintf(&b, "  %12s", c)
+	for _, col := range phases {
+		fmt.Fprintf(&b, "  %12s", col)
 	}
 	fmt.Fprintf(&b, "  %12s  %12s  %10s\n", "wait", "clock", "msgs")
 
 	writeRow := func(p Profile) {
 		fmt.Fprintf(&b, "%-6d", p.Rank)
-		for _, c := range cats {
-			fmt.Fprintf(&b, "  %12.4f", p.Busy[c])
+		for _, col := range phases {
+			fmt.Fprintf(&b, "  %12.4f", p.Busy[col])
 		}
 		fmt.Fprintf(&b, "  %12.4f  %12.4f  %10d\n", p.Wait, p.Clock, p.Messages)
 	}
 
 	show := profiles
 	if len(profiles) > maxRows {
-		// First rows plus extremes of the chosen category.
+		// First rows plus extremes of the chosen phase.
 		sorted := append([]Profile(nil), profiles...)
 		sort.Slice(sorted, func(i, j int) bool {
-			return sorted[i].Busy[category] > sorted[j].Busy[category]
+			return sorted[i].Busy[ph] > sorted[j].Busy[ph]
 		})
 		seen := map[int]bool{}
 		show = nil
@@ -128,10 +119,10 @@ func UtilizationTable(res *sim.Result, category string, maxRows int) string {
 }
 
 // Gantt renders an ASCII utilization bar per rank: each bar divides the
-// rank's clock into its category shares (first letter of each category)
+// rank's clock into its phase shares (one letter per phase, see symbols)
 // plus waiting ('.') and other ('-').  width is the bar length in cells.
 // It is a share view, not an event timeline: segment order within the bar
-// is alphabetical, not chronological.
+// is the phases' (alphabetical) order, not chronological.
 func Gantt(res *sim.Result, width int) string {
 	if width < 10 {
 		width = 10
@@ -141,12 +132,11 @@ func Gantt(res *sim.Result, width int) string {
 	if maxClock == 0 {
 		return ""
 	}
-	cats := res.Categories()
-	symbols := assignSymbols(cats)
+	phases := res.Phases()
 	var b strings.Builder
 	fmt.Fprintf(&b, "one cell = %.4g s; ", maxClock/float64(width))
-	for i, c := range cats {
-		fmt.Fprintf(&b, "%c=%s ", symbols[i], c)
+	for _, ph := range phases {
+		fmt.Fprintf(&b, "%c=%s ", symbols[ph], ph)
 	}
 	b.WriteString(".=wait -=other\n")
 	for _, p := range profiles {
@@ -160,8 +150,8 @@ func Gantt(res *sim.Result, width int) string {
 				cells++
 			}
 		}
-		for i, c := range cats {
-			emit(symbols[i], p.Busy[c])
+		for _, ph := range phases {
+			emit(symbols[ph], p.Busy[ph])
 		}
 		emit('.', p.Wait)
 		for cells < total {
@@ -173,51 +163,24 @@ func Gantt(res *sim.Result, width int) string {
 	return b.String()
 }
 
-// assignSymbols gives each category a unique bar character: the first
-// letter of its name not already taken, else a digit.
-func assignSymbols(cats []string) []byte {
-	taken := map[byte]bool{'.': true, '-': true, '|': true}
-	out := make([]byte, len(cats))
-	for i, c := range cats {
-		sym := byte('?')
-		for k := 0; k < len(c); k++ {
-			ch := c[k]
-			if ch != '-' && !taken[ch] {
-				sym = ch
-				break
-			}
-		}
-		if sym == '?' {
-			for d := byte('0'); d <= '9'; d++ {
-				if !taken[d] {
-					sym = d
-					break
-				}
-			}
-		}
-		taken[sym] = true
-		out[i] = sym
-	}
-	return out
-}
+// symbols is each phase's bar character.
+var symbols = [sim.NumPhases]byte{sim.DynamicsComm: 'd', sim.DynamicsFD: 'y', sim.Filter: 'f',
+	sim.Misc: 'm', sim.Physics: 'p', sim.Sync: 's'}
 
-// Summary renders machine-wide aggregates: total busy share per category,
+// Summary renders machine-wide aggregates: total busy share per phase,
 // aggregate wait share, and traffic.
 func Summary(res *sim.Result) string {
 	profiles := Profiles(res)
 	var clockSum, waitSum float64
 	var msgs, bytes int64
-	busy := map[string]float64{}
+	var busy [sim.NumPhases]float64
 	for _, p := range profiles {
 		clockSum += p.Clock
 		waitSum += p.Wait
 		msgs += p.Messages
 		bytes += p.Bytes
-		// Each key appears once per profile, so for a fixed category the
-		// additions happen in the deterministic profiles slice order.
-		//lint:allow nondeterm per-key accumulation order follows the profiles slice, not the map
-		for c, v := range p.Busy {
-			busy[c] += v
+		for ph, v := range p.Busy {
+			busy[ph] += v
 		}
 	}
 	if clockSum == 0 {
@@ -225,9 +188,8 @@ func Summary(res *sim.Result) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "ranks %d, critical path %.4f s\n", len(profiles), res.MaxClock())
-	cats := res.Categories()
-	for _, c := range cats {
-		fmt.Fprintf(&b, "  %-16s %6.1f%% of aggregate time\n", c, 100*busy[c]/clockSum)
+	for _, ph := range res.Phases() {
+		fmt.Fprintf(&b, "  %-16s %6.1f%% of aggregate time\n", ph, 100*busy[ph]/clockSum)
 	}
 	fmt.Fprintf(&b, "  %-16s %6.1f%% of aggregate time\n", "wait", 100*waitSum/clockSum)
 	fmt.Fprintf(&b, "  traffic: %d messages, %.2f MB\n", msgs, float64(bytes)/1e6)

@@ -20,13 +20,13 @@ func demoResult(t *testing.T) *sim.Result {
 	t.Helper()
 	m := sim.New(4, flatModel{})
 	res, err := m.Run(func(p *sim.Proc) error {
-		p.Timed("compute", func() { p.Compute(float64(1000 * (p.Rank() + 1))) })
+		p.Account(sim.Physics, func() { p.Compute(float64(1000 * (p.Rank() + 1))) })
 		// Rank 0 waits for the slowest rank's message.
 		if p.Rank() == 3 {
 			p.SendFloatsCopy(0, 1, []float64{1}, 8)
 		}
 		if p.Rank() == 0 {
-			p.Timed("recv", func() { p.RecvFloatsInto(3, 1, nil) })
+			p.Account(sim.DynamicsComm, func() { p.RecvFloatsInto(3, 1, nil) })
 		}
 		return nil
 	})
@@ -43,9 +43,9 @@ func TestProfiles(t *testing.T) {
 		t.Fatalf("%d profiles", len(profiles))
 	}
 	// Rank 3 computed 4x rank 0's work.
-	if profiles[3].Busy["compute"] <= 3*profiles[0].Busy["compute"] {
-		t.Errorf("compute shares wrong: %v vs %v",
-			profiles[3].Busy["compute"], profiles[0].Busy["compute"])
+	if profiles[3].Busy[sim.Physics] <= 3*profiles[0].Busy[sim.Physics] {
+		t.Errorf("physics shares wrong: %v vs %v",
+			profiles[3].Busy[sim.Physics], profiles[0].Busy[sim.Physics])
 	}
 	// Rank 0 waited for rank 3.
 	if profiles[0].Wait <= 0 {
@@ -65,32 +65,24 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
-// TestOtherIsBitDeterministic pins the fix for a reproducibility bug the
-// nondeterm analyzer found: Other subtracted Busy values in map iteration
-// order, and float subtraction is not associative, so the result could
-// differ bit-for-bit between calls.  The category values below are chosen
-// so that any two subtraction orders disagree in the last place.
+// TestOtherIsBitDeterministic pins Other's subtraction order: float
+// subtraction is not associative, so Other subtracts the Busy values in
+// phase order, which is the sorted order of their names.  The values below
+// are chosen so that the reverse order disagrees in the last place.
 func TestOtherIsBitDeterministic(t *testing.T) {
-	p := Profile{
-		Clock: 1e16 + 4,
-		Wait:  1,
-		Busy: map[string]float64{
-			"a": 1e16,
-			"b": 1,
-			"c": 0.5,
-			"d": 0.25,
-		},
+	p := Profile{Clock: 1e16 + 4, Wait: 1}
+	p.Busy[sim.DynamicsComm] = 1e16
+	p.Busy[sim.DynamicsFD] = 1
+	p.Busy[sim.Filter] = 0.5
+	p.Busy[sim.Misc] = 0.25
+	want, reverse := p.Clock-p.Wait, p.Clock-p.Wait
+	for ph := sim.Phase(0); ph < sim.NumPhases; ph++ {
+		want -= p.Busy[ph]
+		reverse -= p.Busy[sim.NumPhases-1-ph]
 	}
-	// Reference: sorted category order, the documented semantics.
-	want := p.Clock - p.Wait
-	for _, c := range []string{"a", "b", "c", "d"} {
-		want -= p.Busy[c]
+	if want == reverse {
+		t.Fatalf("the values do not tell the orders apart: both give %v", want)
 	}
-	if want < 0 {
-		want = 0
-	}
-	// Go randomizes map iteration per range statement, so repeated calls
-	// exercise different orders; all must agree bitwise.
 	for i := 0; i < 100; i++ {
 		if got := p.Other(); got != want {
 			t.Fatalf("call %d: Other() = %v, want %v", i, got, want)
@@ -100,8 +92,8 @@ func TestOtherIsBitDeterministic(t *testing.T) {
 
 func TestUtilizationTable(t *testing.T) {
 	res := demoResult(t)
-	out := UtilizationTable(res, "compute", 10)
-	if !strings.Contains(out, "compute") || !strings.Contains(out, "wait") {
+	out := UtilizationTable(res, sim.Physics, 10)
+	if !strings.Contains(out, "physics") || !strings.Contains(out, "wait") {
 		t.Fatalf("missing columns:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -113,13 +105,13 @@ func TestUtilizationTable(t *testing.T) {
 func TestUtilizationTableTruncates(t *testing.T) {
 	m := sim.New(20, flatModel{})
 	res, err := m.Run(func(p *sim.Proc) error {
-		p.Timed("w", func() { p.Compute(float64(100 * (p.Rank() + 1))) })
+		p.Account(sim.Physics, func() { p.Compute(float64(100 * (p.Rank() + 1))) })
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := UtilizationTable(res, "w", 6)
+	out := UtilizationTable(res, sim.Physics, 6)
 	if !strings.Contains(out, "of 20 ranks shown") {
 		t.Fatalf("no truncation notice:\n%s", out)
 	}
@@ -141,7 +133,7 @@ func TestUtilizationTableTruncates(t *testing.T) {
 func TestGantt(t *testing.T) {
 	res := demoResult(t)
 	out := Gantt(res, 40)
-	if !strings.Contains(out, "c=compute") {
+	if !strings.Contains(out, "p=physics") {
 		t.Fatalf("legend missing:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -166,9 +158,29 @@ func TestGantt(t *testing.T) {
 func TestSummary(t *testing.T) {
 	res := demoResult(t)
 	out := Summary(res)
-	for _, want := range []string{"ranks 4", "compute", "wait", "traffic: 1 messages"} {
+	for _, want := range []string{"ranks 4", "physics", "wait", "traffic: 1 messages"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestGanttSymbols: every phase has its own bar symbol, and the legend lists
+// the accounted phases in phase order.
+func TestGanttSymbols(t *testing.T) {
+	m := sim.New(1, flatModel{})
+	res, err := m.Run(func(p *sim.Proc) error {
+		for ph := sim.NumPhases; ph > 0; ph-- {
+			p.Account(ph-1, func() { p.Compute(100) })
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legend, _, _ := strings.Cut(Gantt(res, 60), "\n")
+	want := "d=dynamics-comm y=dynamics-fd f=filter m=misc p=physics s=sync .=wait -=other"
+	if !strings.HasSuffix(legend, want) {
+		t.Fatalf("legend %q, want it to end %q", legend, want)
 	}
 }
