@@ -20,6 +20,7 @@ import (
 	"agcm/internal/comm"
 	"agcm/internal/filter"
 	"agcm/internal/grid"
+	"agcm/internal/solver"
 )
 
 // FlopsPerPoint is the calibrated per-gridpoint-per-step operation count of
@@ -139,7 +140,10 @@ type Dynamics struct {
 	tend   tendencies
 	filter filter.Parallel
 	vars   []filter.Variable
-	kv     float64 // implicit vertical diffusion number (0 = off)
+	mix    *solver.Thomas // implicit vertical diffusion; nil = off
+
+	// cur is the state the running row loop works on (see smoothLoop).
+	cur *State
 
 	// ex owns the persistent halo-exchange staging buffers, keeping the
 	// twice-per-step ghost updates allocation-free.
@@ -149,6 +153,17 @@ type Dynamics struct {
 type tendencies struct {
 	du, dv, dh *grid.Field
 }
+
+// The step's row loops, each a sim.Loop over the Dynamics that the rank
+// splits over its share of the host's cores (sim.Fan).  Every row's
+// arithmetic is the serial loop's, and a loop writes only its own rows.
+type (
+	smoothLoop      Dynamics // horizontal smoothing increments
+	smoothApplyLoop Dynamics // adding them to the fields
+	tendencyLoop    Dynamics // tendencies
+	advanceLoop     Dynamics // leapfrog update
+	mixLoop         Dynamics // implicit vertical diffusion
+)
 
 // New builds the Dynamics component for one rank.  flt may be nil to run
 // unfiltered (which is numerically unstable at polar-CFL-violating time

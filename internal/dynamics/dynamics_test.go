@@ -3,6 +3,9 @@ package dynamics
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"agcm/internal/comm"
@@ -241,6 +244,59 @@ func TestDeterministicDynamics(t *testing.T) {
 	for r := range ra.Clocks {
 		if ra.Clocks[r] != rb.Clocks[r] {
 			t.Fatalf("virtual clocks differ across identical runs")
+		}
+	}
+}
+
+// TestStepFanMatchesInline steps the filtered, vertically diffused model on
+// one and two ranks with each rank's row loops inline (GOMAXPROCS 1) and
+// split (GOMAXPROCS 3 and 6: three ways on one rank's 25 rows, which do not
+// split evenly): the same u, v and h bits, clocks and phase accounts.
+func TestStepFanMatchesInline(t *testing.T) {
+	spec := grid.Spec{Nlon: 36, Nlat: 25, Nlayers: 3}
+	dt := 0.5 * CFLTimeStep(spec, filter.Strong.CritLat())
+	run := func(procs, px int) (bits []uint64, res *sim.Result) {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d, err := grid.NewDecomp(spec, 1, px)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = sim.New(px, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+			world := comm.World(p)
+			cart := comm.NewCart2D(world, 1, px)
+			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+			s := NewState(l)
+			InitSolidBody(s, 20, 4)
+			dy := New(cart, spec, l, dt, filter.NewFFT(cart, spec, l, true))
+			dy.SetVerticalDiffusion(0.2)
+			for n := 0; n < 6; n++ {
+				dy.Step(s)
+			}
+			for _, f := range []*grid.Field{s.U, s.V, s.H} {
+				if g := grid.Gather(world, cart, f); world.Rank() == 0 {
+					for _, v := range g {
+						bits = append(bits, math.Float64bits(v))
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bits, res
+	}
+	for _, px := range []int{1, 2} {
+		wantBits, want := run(1, px)
+		for _, procs := range []int{3, 6} {
+			bits, got := run(procs, px)
+			if !slices.Equal(bits, wantBits) {
+				t.Fatalf("%d ranks, GOMAXPROCS %d: fields differ from the inline run", px, procs)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d ranks, GOMAXPROCS %d: result %+v, inline %+v", px, procs, got, want)
+			}
 		}
 	}
 }

@@ -76,26 +76,38 @@ const DiffusionKappa = 0.02
 // horizontal diffusion to the prognostic fields, using the just-exchanged
 // halos.  The meridional term is in flux form with cos(lat) face weights,
 // so the height field's mass integral is conserved exactly (pole faces
-// carry zero weight).
+// carry zero weight).  Every row's increment reads its neighbour rows' old
+// values, so all increments are computed before any is applied.
 func (d *Dynamics) horizontalSmoothing(s *State) {
-	l := d.local
-	nlat, nlon, nl := l.Nlat(), l.Nlon(), l.Nlayers()
+	p := d.cart.World.Proc()
+	d.cur = s
+	p.Fan((*smoothLoop)(d), d.local.Nlat())
+	p.Fan((*smoothApplyLoop)(d), d.local.Nlat())
+}
+
+// smoothed returns u, v and h of s, each with the tendency field that
+// holds its smoothing increment.
+func (d *Dynamics) smoothed(s *State) (fields, incs [3]*grid.Field) {
+	return [3]*grid.Field{s.U, s.V, s.H}, [3]*grid.Field{d.tend.du, d.tend.dv, d.tend.dh}
+}
+
+// Run computes the smoothing increments of rows [lo, hi).
+func (l *smoothLoop) Run(_, lo, hi int) {
+	d := (*Dynamics)(l)
+	nlon, nl := d.local.Nlon(), d.local.Nlayers()
 	dlam := d.spec.DLon()
 	dphi := d.spec.DLat()
-	for fi, f := range []*grid.Field{s.U, s.V, s.H} {
-		scratch := []*grid.Field{d.tend.du, d.tend.dv, d.tend.dh}[fi]
+	fields, incs := d.smoothed(d.cur)
+	for fi, f := range fields {
+		scratch := incs[fi]
 		isV := fi == 1
-		for j := 0; j < nlat; j++ {
+		for j := lo; j < hi; j++ {
 			cosC := d.cosC[j+1]
 			cosN := d.cosN[j+1]
 			cosS := d.cosN[j]
 			if isV && d.local.GlobalLat(j) == d.spec.Nlat-1 {
 				// The pole face: v stays exactly zero.
-				for i := 0; i < nlon; i++ {
-					for k := 0; k < nl; k++ {
-						scratch.Set(j, i, k, 0)
-					}
-				}
+				clear(scratch.RowData(j))
 				continue
 			}
 			// The meridional diffusivity lives on the faces —
@@ -121,9 +133,18 @@ func (d *Dynamics) horizontalSmoothing(s *State) {
 				}
 			}
 		}
-		for j := 0; j < nlat; j++ {
+	}
+}
+
+// Run adds the smoothing increments of rows [lo, hi) to the fields.
+func (l *smoothApplyLoop) Run(_, lo, hi int) {
+	d := (*Dynamics)(l)
+	nlon, nl := d.local.Nlon(), d.local.Nlayers()
+	fields, incs := d.smoothed(d.cur)
+	for fi, f := range fields {
+		for j := lo; j < hi; j++ {
 			fRow := f.RowData(j)
-			sc := scratch.RowData(j)
+			sc := incs[fi].RowData(j)
 			for i := 0; i < nlon; i++ {
 				c := (i + 1) * nl
 				t := i * nl
@@ -158,15 +179,23 @@ func (d *Dynamics) applyPolarBC(s *State) {
 // computeTendencies evaluates the C-grid shallow-water tendencies du, dv,
 // dh on the interior using 5-point stencils over the exchanged halos.
 func (d *Dynamics) computeTendencies(s *State) {
+	d.cur = s
+	d.cart.World.Proc().Fan((*tendencyLoop)(d), d.local.Nlat())
+}
+
+// Run evaluates the tendencies of rows [lo, hi).
+func (tl *tendencyLoop) Run(_, lo, hi int) {
+	d := (*Dynamics)(tl)
+	s := d.cur
 	l := d.local
 	spec := d.spec
 	a := grid.EarthRadius
 	g := grid.Gravity
 	dlam := spec.DLon()
 	dphi := spec.DLat()
-	nlat, nlon, nl := l.Nlat(), l.Nlon(), l.Nlayers()
+	nlon, nl := l.Nlon(), l.Nlayers()
 
-	for j := 0; j < nlat; j++ {
+	for j := lo; j < hi; j++ {
 		cosC := d.cosC[j+1]
 		cosN := d.cosN[j+1]
 		cosS := d.cosN[j] // southern edge of row j = northern edge of row j-1
@@ -227,13 +256,20 @@ func (d *Dynamics) computeTendencies(s *State) {
 // advance applies the leapfrog update with a Robert-Asselin filter, or
 // forward Euler on the first step.
 func (d *Dynamics) advance(s *State) {
-	l := d.local
-	nlat, nlon, nl := l.Nlat(), l.Nlon(), l.Nlayers()
+	d.cur = s
+	d.cart.World.Proc().Fan((*advanceLoop)(d), d.local.Nlat())
+}
+
+// Run advances rows [lo, hi) of u, v and h.
+func (l *advanceLoop) Run(_, lo, hi int) {
+	d := (*Dynamics)(l)
+	s := d.cur
+	nlon, nl := d.local.Nlon(), d.local.Nlayers()
 	dt := d.dt
 	first := s.Steps == 0
 
 	update := func(cur, prev, tend *grid.Field) {
-		for j := 0; j < nlat; j++ {
+		for j := lo; j < hi; j++ {
 			cR, pR := cur.RowData(j), prev.RowData(j)
 			tR := tend.RowData(j)
 			for i := 0; i < nlon; i++ {

@@ -3,6 +3,7 @@ package filter
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"agcm/internal/comm"
@@ -55,56 +56,73 @@ func TestRowwiseFFTApplyAllocs(t *testing.T) {
 	}
 }
 
+// withProcs runs f with GOMAXPROCS set to procs and restores it after.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestFFTFilterApplyAllocFree pins the transpose FFT filter, balanced and
-// not, at zero allocations per Apply on a 2x4 mesh once the warm-up calls
-// have laid the filter out and filled the transport pools.  AllocsPerRun
-// counts mallocs process-wide, so every rank must run allocation-free; it
-// invokes the measured function runs+1 times, so the partner ranks loop
-// exactly runs+1 calls to stay matched.  Under the race detector that
-// process-wide count is not exact (the pin has flaked there), so it runs
-// only on plain builds, as CI's allocation step does; the oracle tests
-// cover Apply under -race.
+// not, at zero allocations per Apply on one rank and on a 2x4 mesh once the
+// warm-up calls have laid the filter out and filled the transport pools.
+// GOMAXPROCS is two per rank, so every rank splits its circles over a
+// helper goroutine (sim.Fan), and rank 0 reads runtime.MemStats around the
+// measured rounds itself: testing.AllocsPerRun forces GOMAXPROCS 1, which
+// runs every loop inline.  The count is process-wide, so every rank must run
+// allocation-free; every rank loops the same number of rounds.
+// Under the race detector that process-wide count is not exact (the pin has
+// flaked there), so it runs only on plain builds, as CI's allocation step
+// does; the oracle tests cover Apply under -race.
 func TestFFTFilterApplyAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("process-wide allocation counts are not exact under -race")
 	}
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
-	const py, px, warm, runs = 2, 4, 5, 20
-	d, err := grid.NewDecomp(spec, py, px)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, balanced := range []bool{true, false} {
-		m := sim.New(py*px, machine.Paragon())
-		_, err := m.Run(func(p *sim.Proc) error {
-			world := comm.World(p)
-			cart := comm.NewCart2D(world, py, px)
-			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
-			vars := newVars(l)
-			flt := NewFFT(cart, spec, l, balanced)
-			// The unbalanced filter never talks across mesh rows; the
-			// barrier keeps them in step, so no rank finishes (and frees
-			// its goroutine's state) inside the measured window.
-			round := func() {
-				flt.Apply(vars)
-				world.Barrier()
-			}
-			for i := 0; i < warm; i++ {
-				round()
-			}
-			if world.Rank() == 0 {
-				if n := testing.AllocsPerRun(runs, round); n != 0 {
-					return fmt.Errorf("balanced=%v: Apply allocated %.1f times per call; want 0", balanced, n)
-				}
-				return nil
-			}
-			for i := 0; i < runs+1; i++ {
-				round()
-			}
-			return nil
-		})
+	const warm, runs = 5, 20
+	for _, mesh := range [][2]int{{1, 1}, {2, 4}} {
+		py, px := mesh[0], mesh[1]
+		d, err := grid.NewDecomp(spec, py, px)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, balanced := range []bool{true, false} {
+			m := sim.New(py*px, machine.Paragon())
+			withProcs(2*py*px, func() {
+				_, err = m.Run(func(p *sim.Proc) error {
+					world := comm.World(p)
+					cart := comm.NewCart2D(world, py, px)
+					l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+					vars := newVars(l)
+					flt := NewFFT(cart, spec, l, balanced)
+					// The unbalanced filter never talks across mesh rows; the
+					// barrier keeps them in step, so no rank finishes (and
+					// frees its goroutine's state) inside the measured window.
+					round := func() {
+						flt.Apply(vars)
+						world.Barrier()
+					}
+					for i := 0; i < warm; i++ {
+						round()
+					}
+					var before, after runtime.MemStats
+					if world.Rank() == 0 {
+						runtime.ReadMemStats(&before)
+					}
+					for i := 0; i < runs; i++ {
+						round()
+					}
+					if world.Rank() == 0 {
+						runtime.ReadMemStats(&after)
+						if n := (after.Mallocs - before.Mallocs) / runs; n != 0 {
+							return fmt.Errorf("%dx%d balanced=%v: Apply allocated %d times per call; want 0", py, px, balanced, n)
+						}
+					}
+					return nil
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package filter
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -541,5 +542,18 @@ func TestFFTFilterSharedTablesConcurrent(t *testing.T) {
 	}
 	if filters[0][0].tab == filters[1][0].tab {
 		t.Fatal("two machines of one shape share a line table")
+	}
+}
+
+// TestFFTFilterFanMatchesOracle runs the filter with GOMAXPROCS 8, so every
+// rank of a machine of up to four ranks splits its circles (sim.Fan) two to
+// eight ways, against the oracle, which filters them one by one: the same
+// field bits, clocks, traffic and event logs, through a relayout.
+func TestFFTFilterFanMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, mesh := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {1, 3}} {
+		for _, balanced := range []bool{true, false} {
+			checkAgainstOracle(t, oracleSpec, mesh[0], mesh[1], balanced, [][]Kind{sss, sw, ww})
+		}
 	}
 }

@@ -165,7 +165,10 @@ type FFTFilter struct {
 	spec     grid.Spec
 	local    grid.Local
 	balanced bool
-	rf       *rowFilter
+
+	// rfs[w] is worker w's row filter for phase 4's circles (see
+	// circleLoop); a rank that does not split the phase has only rfs[0].
+	rfs []*rowFilter
 
 	// lineFlops is the virtual cost of filtering one line, LineFlops.
 	lineFlops float64
@@ -209,7 +212,7 @@ type FFTFilter struct {
 func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) *FFTFilter {
 	f := &FFTFilter{
 		cart: cart, spec: spec, local: local, balanced: balanced,
-		rf:        newRowFilter(spec.Nlon),
+		rfs:       []*rowFilter{newRowFilter(spec.Nlon)},
 		lineFlops: LineFlops(spec.Nlon),
 	}
 	px := cart.Px
@@ -325,7 +328,7 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	}
 	px := f.cart.Px
 	w := f.local.Nlon()
-	lines, home, work := f.tab.lines, f.row.home, f.row.work
+	lines, home := f.tab.lines, f.row.home
 
 	// Phase 1: extract the local longitude segments of my lines into the
 	// segment arena.
@@ -378,10 +381,12 @@ func (f *FFTFilter) Apply(vars []Variable) {
 		}
 	}
 
-	// Phase 4: local FFT filtering of complete circles.
-	for bi, l := range work[f.colStart[myCol]:f.colStart[myCol+1]] {
-		f.rf.apply(f.tab.damp[l], full[bi])
-		f.cart.World.Proc().Compute(f.lineFlops)
+	// Phase 4: local FFT filtering of complete circles, charged line by
+	// line once all are filtered.
+	p := f.cart.World.Proc()
+	p.Fan((*circleLoop)(f), len(full))
+	for range full {
+		p.Compute(f.lineFlops)
 	}
 
 	// Phase 5: reverse transpose; this rank's own segments are rebound to
@@ -418,6 +423,27 @@ func (f *FFTFilter) Apply(vars []Variable) {
 	for i, l := range home {
 		ln := lines[l]
 		vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, f.homeSegs[i])
+	}
+}
+
+// circleLoop is phase 4 as a sim.Loop: the complete circles of this rank's
+// sub-block, each filtered by its worker's row filter.
+type circleLoop FFTFilter
+
+// Run filters circles [lo, hi) with worker w's row filter.
+func (c *circleLoop) Run(w, lo, hi int) {
+	f := (*FFTFilter)(c)
+	rf := f.rfs[w]
+	work := f.row.work[f.colStart[f.cart.MyCol]:]
+	for bi := lo; bi < hi; bi++ {
+		rf.apply(f.tab.damp[work[bi]], f.full[bi])
+	}
+}
+
+// Grow gives workers up to k-1 their own row filter.
+func (c *circleLoop) Grow(k int) {
+	for len(c.rfs) < k {
+		c.rfs = append(c.rfs, newRowFilter(c.spec.Nlon))
 	}
 }
 

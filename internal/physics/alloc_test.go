@@ -3,6 +3,7 @@ package physics
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"agcm/internal/comm"
@@ -36,28 +37,47 @@ func TestPlanAllocFree(t *testing.T) {
 	}
 }
 
+// withProcs runs f with GOMAXPROCS set to procs and restores it after.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestRunnerStepAllocFree pins the unbalanced physics step on one rank at
 // zero allocations: the columns are computed in place in the fields, block
-// by block, and the block's headers and flop counts live on Step's stack.
+// by block, the block's headers live on the stack and the flop counts in
+// the Runner.  It runs under GOMAXPROCS 2 at least, so the blocks are split
+// over a helper goroutine (sim.Fan), and reads runtime.MemStats around the
+// steps itself: testing.AllocsPerRun forces GOMAXPROCS 1, which runs every
+// loop inline.
 func TestRunnerStepAllocFree(t *testing.T) {
+	const runs = 10
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
 	d, err := grid.NewDecomp(spec, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.New(1, machine.CrayT3D()).Run(func(p *sim.Proc) error {
-		world := comm.World(p)
-		cart := comm.NewCart2D(world, 1, 1)
-		l := grid.NewLocal(d, 0, 0)
-		T, Q := testFields(spec, l)
-		for _, scheme := range []Scheme{None, Pairwise} {
-			r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, 2)
-			step := 0
-			if a := testing.AllocsPerRun(10, func() { r.Step(T, Q, step); step++ }); a != 0 {
-				return fmt.Errorf("%s: one-rank Step allocated %.1f times per call; want 0", scheme, a)
+	withProcs(max(2, runtime.GOMAXPROCS(0)), func() {
+		_, err = sim.New(1, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+			world := comm.World(p)
+			cart := comm.NewCart2D(world, 1, 1)
+			l := grid.NewLocal(d, 0, 0)
+			T, Q := testFields(spec, l)
+			for _, scheme := range []Scheme{None, Pairwise} {
+				r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, 2)
+				r.Step(T, Q, 0)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for step := 1; step <= runs; step++ {
+					r.Step(T, Q, step)
+				}
+				runtime.ReadMemStats(&after)
+				if a := (after.Mallocs - before.Mallocs) / runs; a != 0 {
+					return fmt.Errorf("%s: one-rank Step allocated %d times per call; want 0", scheme, a)
+				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

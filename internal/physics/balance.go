@@ -86,6 +86,15 @@ type Runner struct {
 	myPrevFlops  float64
 	haveEstimate bool
 
+	// The unbalanced step's blocks of own columns (see homeLoop): each
+	// column's flops land in colFlops, which the rank charges in column
+	// order after the loop.  Worker w computes with models[w]; models[0] is
+	// Model, and a rank that does not split the loop has only it.
+	colFlops []float64
+	models   []*Model
+	fields   [2]*grid.Field // T and Q of the running step
+	step     int
+
 	// held lists the columns this rank holds during a balanced step, in the
 	// order they are computed: ref >= 0 is the rank's own column of that
 	// Index, ref < 0 is foreign[^ref].
@@ -126,7 +135,7 @@ func NewRunner(world *comm.Comm, cart *comm.Cart2D, local grid.Local,
 		rounds = 1
 	}
 	return &Runner{Model: model, world: world, cart: cart, local: local,
-		scheme: scheme, rounds: rounds}
+		scheme: scheme, rounds: rounds, models: []*Model{model}}
 }
 
 // initBalancing finds the plan board and builds the per-rank tables of the
@@ -187,6 +196,33 @@ func (r *Runner) computeBlock(blk []Column, step int, flops []float64) {
 	}
 }
 
+// homeLoop is the unbalanced step's loop over blocks of the rank's own
+// columns as a sim.Loop.
+type homeLoop Runner
+
+// Run computes blocks [lo, hi) with worker w's model.
+func (h *homeLoop) Run(w, lo, hi int) {
+	r := (*Runner)(h)
+	m := r.models[w]
+	T, Q := r.fields[0], r.fields[1]
+	ncols := len(r.colFlops)
+	var blk [blockWidth]Column
+	for at := lo * blockWidth; at < min(hi*blockWidth, ncols); at += blockWidth {
+		n := min(blockWidth, ncols-at)
+		for l := range blk[:n] {
+			r.column(&blk[l], T, Q, at+l)
+		}
+		m.computeBlock(blk[:n], r.step, r.colFlops[at:at+n])
+	}
+}
+
+// Grow gives workers up to k-1 their own model.
+func (h *homeLoop) Grow(k int) {
+	for len(h.models) < k {
+		h.models = append(h.models, h.Model.worker())
+	}
+}
+
 // Step runs one physics step over the T and Q fields, balancing per the
 // configured scheme.  Collective: all ranks call it each step.
 func (r *Runner) Step(T, Q *grid.Field, step int) {
@@ -196,16 +232,15 @@ func (r *Runner) Step(T, Q *grid.Field, step int) {
 	var flops [blockWidth]float64
 
 	if r.scheme == None || !r.haveEstimate || r.world.Size() == 1 {
+		if r.colFlops == nil {
+			r.colFlops = make([]float64, ncols)
+		}
+		r.fields, r.step = [2]*grid.Field{T, Q}, step
+		p.Fan((*homeLoop)(r), (ncols+blockWidth-1)/blockWidth)
 		total := 0.0
-		for at := 0; at < ncols; at += blockWidth {
-			n := min(blockWidth, ncols-at)
-			for l := range blk[:n] {
-				r.column(&blk[l], T, Q, at+l)
-			}
-			r.computeBlock(blk[:n], step, flops[:n])
-			for _, f := range flops[:n] {
-				total += f
-			}
+		for _, f := range r.colFlops {
+			p.Compute(f)
+			total += f
 		}
 		r.myPrevFlops = total
 		r.haveEstimate = true

@@ -94,10 +94,19 @@ func NewModel(spec grid.Spec, stepsPerDay int) *Model {
 	if stepsPerDay < 1 {
 		panic("physics: StepsPerDay must be positive")
 	}
+	return newModel(spec, stepsPerDay, newTables(spec))
+}
+
+// newModel returns a model over the given tables with its own scratch.
+func newModel(spec grid.Spec, stepsPerDay int, tab tables) *Model {
 	carve := make([]float64, 2*spec.Nlon+blockWidth*spec.Nlayers)
-	return &Model{Spec: spec, StepsPerDay: stepsPerDay, tab: newTables(spec),
+	return &Model{Spec: spec, StepsPerDay: stepsPerDay, tab: tab,
 		hourCos: carve[:spec.Nlon], hourStamp: carve[spec.Nlon : 2*spec.Nlon], t4: carve[2*spec.Nlon:]}
 }
+
+// worker returns a model for another worker of the same rank: m's tables,
+// which no kernel writes, and scratch of its own.
+func (m *Model) worker() *Model { return newModel(m.Spec, m.StepsPerDay, m.tab) }
 
 // noise01 is a deterministic hash of (j, i, epoch) to [0, 1): the
 // unpredictable-but-reproducible cloud field.

@@ -3,6 +3,7 @@ package physics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"agcm/internal/comm"
@@ -391,5 +392,61 @@ func TestColumnPackUnpackRoundTrip(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunnerFanMatchesInline steps one rank's physics with its column
+// blocks inline (GOMAXPROCS 1) and split two and four ways (sim.Fan), on a
+// grid whose 13*11 columns fill no whole number of blocks per worker: the
+// same T and Q bits, clock and load estimate after every step.
+func TestRunnerFanMatchesInline(t *testing.T) {
+	spec := grid.Spec{Nlon: 13, Nlat: 11, Nlayers: 5}
+	d, err := grid.NewDecomp(spec, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		bits   []uint64
+		clocks []float64
+		loads  []float64
+	}
+	run := func(procs int, scheme Scheme) (st state) {
+		t.Helper()
+		withProcs(procs, func() {
+			_, err = sim.New(1, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+				world := comm.World(p)
+				l := grid.NewLocal(d, 0, 0)
+				T, Q := testFields(spec, l)
+				r := NewRunner(world, comm.NewCart2D(world, 1, 1), l, NewModel(spec, stepsPerDay), scheme, 2)
+				for step := 0; step < 30; step++ {
+					r.Step(T, Q, step)
+					st.clocks = append(st.clocks, p.Clock())
+					st.loads = append(st.loads, r.PrevLoadSeconds())
+				}
+				for _, f := range []*grid.Field{T, Q} {
+					for j := 0; j < l.Nlat(); j++ {
+						for i := 0; i < l.Nlon(); i++ {
+							for _, v := range f.Column(j, i) {
+								st.bits = append(st.bits, math.Float64bits(v))
+							}
+						}
+					}
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, scheme := range []Scheme{None, Pairwise} {
+		want := run(1, scheme)
+		for _, procs := range []int{2, 4} {
+			got := run(procs, scheme)
+			if !slices.Equal(got.bits, want.bits) || !slices.Equal(got.clocks, want.clocks) || !slices.Equal(got.loads, want.loads) {
+				t.Fatalf("%v: GOMAXPROCS %d differs from the inline run", scheme, procs)
+			}
+		}
 	}
 }

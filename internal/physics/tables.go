@@ -9,8 +9,8 @@ import (
 // tables holds every term of the column physics that depends only on the
 // latitude row or on the layer index.  Each entry is built from the
 // expression the kernel used to evaluate per column, so reading the table
-// gives the same bits.  Each Model builds its own: they are a few rows and
-// layers long.
+// gives the same bits.  Each rank's Model builds its own, and the models of
+// its other workers read them: they are a few rows and layers long.
 type tables struct {
 	// By latitude row: cos(lat), and the relaxation targets
 	// 288 - 60 sin²(lat) and 0.015 cos(lat).

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -340,6 +341,7 @@ type Machine struct {
 	fault     FaultHook
 	routes    RouteModel
 	wd        *watchdog
+	cores     int // GOMAXPROCS when the Run started: see Fan
 	sharedMu  sync.Mutex
 	shared    map[any]*sharedValue // read-only values by key: see Shared
 	boards    []*Board             // every collective board, appended under sharedMu
@@ -537,6 +539,7 @@ func (m *Machine) RunContext(ctx context.Context, body func(p *Proc) error) (*Re
 	procs := m.procs
 	errs := make([]error, m.n)
 	m.wd.reset()
+	m.cores = runtime.GOMAXPROCS(0)
 	defer m.wd.closers.Wait() // nobody still closing mailboxes may outlive this Run
 	var canceled atomic.Bool
 	if ctx.Done() != nil {
@@ -673,6 +676,7 @@ type Proc struct {
 	bytesSent    int64
 	waitSeconds  float64
 	events       []Event
+	fan          fanState // see Fan
 }
 
 // reset starts the rank afresh for a Run: zero clock and counters, no

@@ -32,32 +32,65 @@ import (
 // diagonally dominant systems.
 func Tridiag(a, b, c, d, x []float64) error {
 	n := len(b)
-	if len(a) != n || len(c) != n || len(d) != n || len(x) != n {
+	if len(d) != n || len(x) != n {
 		return fmt.Errorf("solver: tridiag length mismatch")
 	}
-	if n == 0 {
-		return nil
+	t, err := NewThomas(a, b, c)
+	if err != nil {
+		return err
 	}
-	cp := make([]float64, n)
-	dp := make([]float64, n)
-	if b[0] == 0 {
-		return fmt.Errorf("solver: zero pivot at row 0")
-	}
-	cp[0] = c[0] / b[0]
-	dp[0] = d[0] / b[0]
-	for i := 1; i < n; i++ {
-		den := b[i] - a[i]*cp[i-1]
-		if den == 0 {
-			return fmt.Errorf("solver: zero pivot at row %d", i)
-		}
-		cp[i] = c[i] / den
-		dp[i] = (d[i] - a[i]*dp[i-1]) / den
-	}
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
-	}
+	copy(x, d)
+	t.Solve(x)
 	return nil
+}
+
+// Thomas is the Thomas algorithm's elimination of one tridiagonal matrix,
+// done once so that any number of right-hand sides are solved in place
+// without allocating.  Solve gives the bits Tridiag gives.
+type Thomas struct {
+	a       []float64 // the sub-diagonal, as given
+	cp, den []float64 // the eliminated super-diagonal and the pivots
+}
+
+// NewThomas eliminates the matrix with sub-diagonal a, diagonal b and
+// super-diagonal c (a[0] and c[n-1] ignored).  It keeps a, so the caller
+// must not change it afterwards.
+func NewThomas(a, b, c []float64) (*Thomas, error) {
+	n := len(b)
+	if len(a) != n || len(c) != n {
+		return nil, fmt.Errorf("solver: tridiag length mismatch")
+	}
+	buf := make([]float64, 2*n)
+	t := &Thomas{a: a, cp: buf[:n:n], den: buf[n:]}
+	for i := 0; i < n; i++ {
+		den := b[i]
+		if i > 0 {
+			den = b[i] - a[i]*t.cp[i-1]
+		}
+		if den == 0 {
+			return nil, fmt.Errorf("solver: zero pivot at row %d", i)
+		}
+		t.cp[i], t.den[i] = c[i]/den, den
+	}
+	return t, nil
+}
+
+// Solve overwrites d with the solution of the system whose right-hand side
+// it holds.  len(d) must be the matrix's order.
+func (t *Thomas) Solve(d []float64) {
+	n := len(t.den)
+	if n == 0 {
+		return
+	}
+	a, cp, den := t.a[:n], t.cp[:n], t.den[:n]
+	d = d[:n]
+	d[0] /= den[0]
+	for i := 1; i < n; i++ {
+		d[i] = (d[i] - a[i]*d[i-1]) / den[i]
+	}
+	for i := n - 2; i >= 0; i-- {
+		d[i] -= cp[i] * d[i+1]
+	}
 }
 
 // PeriodicTridiag solves the cyclic tridiagonal system

@@ -345,3 +345,52 @@ func BenchmarkPeriodicTridiag144(b *testing.B) {
 		}
 	}
 }
+
+// referenceTridiag is the Thomas algorithm as Tridiag computed it before
+// the elimination was split from the solve: the reference for their bits.
+func referenceTridiag(a, b, c, d, x []float64) {
+	n := len(b)
+	cp := make([]float64, n)
+	dp := make([]float64, n)
+	cp[0] = c[0] / b[0]
+	dp[0] = d[0] / b[0]
+	for i := 1; i < n; i++ {
+		den := b[i] - a[i]*cp[i-1]
+		cp[i] = c[i] / den
+		dp[i] = (d[i] - a[i]*dp[i-1]) / den
+	}
+	x[n-1] = dp[n-1]
+	for i := n - 2; i >= 0; i-- {
+		x[i] = dp[i] - cp[i]*x[i+1]
+	}
+}
+
+// TestThomasMatchesReference: one elimination solves many right-hand sides
+// in place, and Tridiag, bit for bit as the one-shot algorithm did.
+func TestThomasMatchesReference(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		a, b, c, _, _ := randSystem(n, false, int64(n))
+		th, err := NewThomas(a, b, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rhs := 0; rhs < 5; rhs++ {
+			_, _, _, _, d := randSystem(n, false, int64(1000*n+rhs))
+			want := make([]float64, n)
+			referenceTridiag(a, b, c, d, want)
+			got := append([]float64(nil), d...)
+			th.Solve(got)
+			viaTridiag := make([]float64, n)
+			if err := Tridiag(a, b, c, d, viaTridiag); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+					math.Float64bits(viaTridiag[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d rhs %d: x[%d] = %v (Solve), %v (Tridiag), reference %v",
+						n, rhs, i, got[i], viaTridiag[i], want[i])
+				}
+			}
+		}
+	}
+}
