@@ -463,9 +463,10 @@ func (c *Comm) AllgathervInto(data []float64, out [][]float64) [][]float64 {
 }
 
 // AllgathervTree gathers every rank's contribution on every rank via a
-// gather to rank 0 followed by a tree broadcast — the paper's "binary tree"
-// alternative to the ring for the convolution filter's data motion: O(2P)
-// messages moving O(N*P + N*logP) data.  The result is freshly allocated and
+// gather to rank 0 followed by two binomial-tree broadcasts, the lengths and
+// then the values — the paper's "binary tree" alternative to the ring for
+// the convolution filter's data motion: 3(P-1) messages moving
+// O(N*P + N*logP) data.  The result is freshly allocated and
 // data is reusable immediately.
 func (c *Comm) AllgathervTree(data []float64) [][]float64 {
 	n := len(c.world)

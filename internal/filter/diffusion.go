@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math"
+	"slices"
 
 	"agcm/internal/comm"
 	"agcm/internal/grid"
@@ -28,6 +29,13 @@ type PolarDiffusion struct {
 	cart  *comm.Cart2D
 	spec  grid.Spec
 	local grid.Local
+
+	// The unbalanced line table for the variable kinds in kinds, shared
+	// with every filter of the machine (see tableFor), and the lines homed
+	// on this processor row, ascending in canonical order.
+	kinds []Kind
+	tab   *lineTable
+	home  []int
 }
 
 // NewPolarDiffusion builds the implicit-diffusion polar treatment.
@@ -53,52 +61,38 @@ func Strength(lat, critLat float64) float64 {
 // tridiagonal system; all lines are solved in one batched distributed call
 // per Apply, so the collective cost is paid once.
 func (f *PolarDiffusion) Apply(vars []Variable) {
-	lines := buildLines(f.spec, kindsOf(vars))
-	if len(lines) == 0 {
-		return
-	}
-	me := f.cart.MyRow
-	w := f.local.Nlon()
-
-	// My lines: the ones whose latitude row this processor row owns.
-	var mine []line
-	for _, ln := range lines {
-		if f.local.Decomp.RowOfLat(ln.j) == me {
-			mine = append(mine, ln)
-		}
+	if !slices.EqualFunc(f.kinds, vars, func(k Kind, v Variable) bool { return k == v.Kind }) {
+		f.kinds = kindsOf(vars)
+		f.tab = tableFor(f.cart.World.Proc(), f.local.Decomp, f.kinds, false)
+		f.home = f.tab.rows[f.cart.MyRow].home
 	}
 	// Processor rows with no polar rows still participate in nothing —
 	// the same load imbalance as the unbalanced FFT filter; the batch
 	// solver is collective only over the mesh row, which is uniform.
-	if len(mine) == 0 {
+	if len(f.home) == 0 {
 		return
 	}
-
-	L := len(mine)
+	w, L := f.local.Nlon(), len(f.home)
 	as := make([][]float64, L)
 	bs := make([][]float64, L)
 	cs := make([][]float64, L)
 	ds := make([][]float64, L)
 	xs := make([][]float64, L)
-	for li, ln := range mine {
+	for li, l := range f.home {
+		ln := f.tab.lines[l]
 		k := Strength(f.spec.LatCenter(ln.j), vars[ln.v].Kind.CritLat())
-		row := vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, nil)
-		av := make([]float64, w)
-		bv := make([]float64, w)
-		cv := make([]float64, w)
+		as[li], bs[li], cs[li] = make([]float64, w), make([]float64, w), make([]float64, w)
 		for i := 0; i < w; i++ {
-			av[i] = -k
-			bv[i] = 1 + 2*k
-			cv[i] = -k
+			as[li][i], bs[li][i], cs[li][i] = -k, 1+2*k, -k
 		}
-		as[li], bs[li], cs[li] = av, bv, cv
-		ds[li] = row
+		ds[li] = vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, nil)
 		xs[li] = make([]float64, w)
 	}
 	if err := solver.DistributedPeriodicTridiagBatch(f.cart.Row, as, bs, cs, ds, xs); err != nil {
 		panic("filter: polar diffusion solve failed: " + err.Error())
 	}
-	for li, ln := range mine {
+	for li, l := range f.home {
+		ln := f.tab.lines[l]
 		vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, xs[li])
 	}
 }

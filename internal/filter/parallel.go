@@ -14,15 +14,17 @@ const (
 	tagBalanceBack
 )
 
-// Topology selects the data motion of the convolution filter's row
-// gathering, matching the two implementations in the original parallel AGCM.
+// Topology selects the data motion of the convolution filter's circle
+// gather (see circleGather), matching the two implementations in the
+// original parallel AGCM.
 type Topology int
 
 const (
 	// Ring circulates segments around the processor ring in the
-	// longitudinal direction: P*logP-ish message behaviour, N*P volume.
+	// longitudinal direction: P-1 steps, P(P-1) messages, N*P volume.
 	Ring Topology = iota
-	// Tree gathers and rebroadcasts along binary trees: O(2P) messages.
+	// Tree gathers to one rank and rebroadcasts along binomial trees:
+	// 3(P-1) messages.
 	Tree
 )
 
@@ -35,6 +37,86 @@ type Parallel interface {
 	Apply(vars []Variable)
 }
 
+// --- Circle gather (the convolution and row-wise FFT filters) ------------
+
+// circleGather assembles complete latitude circles on every rank of a mesh
+// row: each rank packs its longitude segments of the same lines into one
+// buffer, the buffers are allgathered along the row, and each line's circle
+// is put back together from the gathered segments.  On the Ring topology
+// the allgather is comm.AllgathervInto, a P-1 step ring pipeline into
+// persistent receive buffers; on the Tree topology it is
+// comm.AllgathervTree, a gather to the row's rank 0 plus two binomial
+// broadcasts (the lengths, then the values) — 3(P-1) messages, with a
+// result allocated per call.
+type circleGather struct {
+	row          *comm.Comm
+	topo         Topology
+	spec         grid.Spec
+	local        grid.Local
+	widths, offs []int       // each mesh column's longitude segment and its offset in a circle
+	rows         []int       // the local rows the last variable filters
+	buf, seg     []float64   // the pack buffer; one segment as read
+	recv         [][]float64 // Ring receive buffers, one per mesh column
+	parts        [][]float64 // the last gather's buffers, one per mesh column
+}
+
+// lonSegments returns the width of every mesh column's longitude segment and
+// its offset in a full latitude circle: the mesh-row geometry.
+func lonSegments(d grid.Decomp) (widths, offs []int) {
+	widths, offs = make([]int, d.Px), make([]int, d.Px)
+	for col := range widths {
+		lo, hi := d.LonRange(col)
+		widths[col], offs[col] = hi-lo, lo
+	}
+	return widths, offs
+}
+
+// newCircleGather builds the circle gather of this rank's mesh row.
+func newCircleGather(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) circleGather {
+	widths, offs := lonSegments(local.Decomp)
+	return circleGather{row: cart.Row, topo: topo, spec: spec, local: local, widths: widths, offs: offs,
+		seg: make([]float64, local.Nlon()), recv: make([][]float64, cart.Px)}
+}
+
+// filter sets rows to the local latitude rows filtered for kind and
+// reports whether there are any.  They are the same on the whole mesh row,
+// so its ranks join the same gathers; equatorial mesh rows stay idle — the
+// load imbalance the paper measures.
+func (g *circleGather) filter(kind Kind) bool {
+	g.rows = g.rows[:0]
+	for localJ := 0; localJ < g.local.Nlat(); localJ++ {
+		if IsFiltered(g.spec, kind, g.local.GlobalLat(localJ)) {
+			g.rows = append(g.rows, localJ)
+		}
+	}
+	return len(g.rows) > 0
+}
+
+// gather packs this rank's segments of layers [k0, k1) of f on every row in
+// rows, row by row, and allgathers the packs along the mesh row.  Gathered
+// line i is row rows[i/(k1-k0)] at layer k0+i%(k1-k0).
+func (g *circleGather) gather(f *grid.Field, k0, k1 int) {
+	g.buf = g.buf[:0]
+	for _, localJ := range g.rows {
+		for k := k0; k < k1; k++ {
+			g.seg = f.RowSlice(localJ, k, g.seg)
+			g.buf = append(g.buf, g.seg...)
+		}
+	}
+	if g.topo == Ring {
+		g.parts = g.row.AllgathervInto(g.buf, g.recv)
+	} else {
+		g.parts = g.row.AllgathervTree(g.buf)
+	}
+}
+
+// circle puts gathered line i back together in full[:Nlon].
+func (g *circleGather) circle(i int, full []float64) {
+	for col, w := range g.widths {
+		copy(full[g.offs[col]:g.offs[col]+w], g.parts[col][i*w:(i+1)*w])
+	}
+}
+
 // --- Convolution filter (the original code) ------------------------------
 
 // Convolution is the original AGCM's physical-space filter: each filtered
@@ -43,105 +125,48 @@ type Parallel interface {
 // line at a time.  Only polar mesh rows have work: the severe load
 // imbalance the paper measures is inherent.
 type Convolution struct {
-	cart  *comm.Cart2D
-	spec  grid.Spec
-	local grid.Local
-	topo  Topology
-	resp  [2]*response // the grid's shared kernels, by kind
+	cart *comm.Cart2D
+	g    circleGather
+	resp [2]*response // the grid's shared kernels, by kind
 
-	// Persistent per-step scratch: the slab loop reuses these across calls
-	// so a steady-state Apply allocates nothing on the ring topology.
-	full, dst, buf []float64
-	row            []float64
-	lines          [][2]int
-	widths, offs   []int
-	gather         [][]float64 // AllgathervInto receive buffers, one per column
-}
-
-// lonSegments returns the width of every mesh column's longitude segment and
-// its offset in a full latitude circle — the mesh-row geometry, fixed for
-// the lifetime of a filter.
-func lonSegments(d grid.Decomp, px int) (widths, offs []int) {
-	widths, offs = make([]int, px), make([]int, px)
-	pos := 0
-	for col := range widths {
-		a, b := d.LonRange(col)
-		widths[col], offs[col] = b-a, pos
-		pos += b - a
-	}
-	return widths, offs
+	// full carries convPad wraparound values past the circle so the
+	// convolution kernel runs without modulo indexing.  With this scratch
+	// a steady-state Apply allocates nothing on the ring topology.
+	full, dst []float64
 }
 
 // NewConvolution builds the original filter for this rank's subdomain.
 func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) *Convolution {
-	c := &Convolution{cart: cart, spec: spec, local: local, topo: topo, resp: responses(cart.World.Proc(), spec)}
-	c.widths, c.offs = lonSegments(local.Decomp, cart.Px)
-	// full carries convPad wraparound values past the circle so the
-	// convolution kernel runs without modulo indexing.
-	c.full = make([]float64, spec.Nlon+convPad)
-	c.dst = make([]float64, local.Nlon())
-	c.row = make([]float64, local.Nlon())
-	c.gather = make([][]float64, cart.Px)
-	return c
+	return &Convolution{cart: cart, g: newCircleGather(cart, spec, local, topo),
+		resp: responses(cart.World.Proc(), spec),
+		full: make([]float64, spec.Nlon+convPad), dst: make([]float64, local.Nlon())}
 }
 
 // Apply implements Parallel.  As in the original code, variables are
-// processed one at a time, layer by layer (the F77 code's 2-D slabs): for
-// each (variable, layer), every rank in a mesh row packs its segments of
-// the locally filtered rows into one buffer, the buffers circulate around
-// the ring (or through the tree), and each rank convolves its own longitude
-// segment of every reassembled line.
+// processed one at a time, layer by layer (the F77 code's 2-D slabs): each
+// (variable, layer) slab is one circle gather, and each rank convolves its
+// own longitude segment of every reassembled line.
 func (c *Convolution) Apply(vars []Variable) {
+	g, p := &c.g, c.cart.World.Proc()
+	n, w, lo := g.spec.Nlon, g.local.Nlon(), g.offs[c.cart.MyCol]
 	for _, v := range vars {
-		for k := 0; k < c.spec.Nlayers; k++ {
-			c.applySlab(v, k)
+		if !g.filter(v.Kind) {
+			continue
 		}
-	}
-}
-
-// applySlab filters one variable's layer-k slab.  All staging lives in the
-// filter's persistent scratch; on the ring topology the steady state
-// allocates nothing.
-func (c *Convolution) applySlab(v Variable, k int) {
-	n := c.spec.Nlon
-	w := c.local.Nlon()
-	lo, _ := c.local.Decomp.LonRange(c.cart.MyCol)
-
-	// The filtered (localJ, k) lines; identical across the mesh row, so
-	// the collective participation is consistent.
-	c.lines = c.lines[:0]
-	for localJ := 0; localJ < c.local.Nlat(); localJ++ {
-		if IsFiltered(c.spec, v.Kind, c.local.GlobalLat(localJ)) {
-			c.lines = append(c.lines, [2]int{localJ, k})
+		kernel := c.resp[v.Kind].kernel
+		for k := 0; k < g.spec.Nlayers; k++ {
+			g.gather(v.Field, k, k+1)
+			for i, localJ := range g.rows {
+				g.circle(i, c.full)
+				for q := 0; q < convPad; q++ {
+					c.full[n+q] = c.full[q%n]
+				}
+				convolveExt(kernel[g.local.GlobalLat(localJ)], c.full, c.dst, lo)
+				// The physical-space sum costs 2*N flops per point.
+				p.Compute(float64(2 * n * w))
+				v.Field.SetRowSlice(localJ, k, c.dst)
+			}
 		}
-	}
-	if len(c.lines) == 0 {
-		return // equatorial mesh rows idle: the load imbalance
-	}
-	// Pack this slab's segments into one buffer per rank.
-	c.buf = c.buf[:0]
-	for _, ln := range c.lines {
-		c.row = v.Field.RowSlice(ln[0], ln[1], c.row)
-		c.buf = append(c.buf, c.row...)
-	}
-	var parts [][]float64
-	if c.topo == Ring {
-		parts = c.cart.Row.AllgathervInto(c.buf, c.gather)
-	} else {
-		parts = c.cart.Row.AllgathervTree(c.buf)
-	}
-	for li, ln := range c.lines {
-		for col := 0; col < c.cart.Px; col++ {
-			copy(c.full[c.offs[col]:c.offs[col]+c.widths[col]],
-				parts[col][li*c.widths[col]:(li+1)*c.widths[col]])
-		}
-		for q := 0; q < convPad; q++ {
-			c.full[n+q] = c.full[q%n]
-		}
-		convolveExt(c.resp[v.Kind].kernel[c.local.GlobalLat(ln[0])], c.full, c.dst, lo)
-		// The physical-space sum costs 2*N flops per point.
-		c.cart.World.Proc().Compute(float64(2 * n * w))
-		v.Field.SetRowSlice(ln[0], ln[1], c.dst)
 	}
 }
 
@@ -210,19 +235,13 @@ type FFTFilter struct {
 // mesh first; with balanced=false the polar processors keep all the work
 // (the middle column of the paper's Tables 8-11).
 func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) *FFTFilter {
-	f := &FFTFilter{
+	widths, lonOff := lonSegments(local.Decomp)
+	return &FFTFilter{
 		cart: cart, spec: spec, local: local, balanced: balanced,
 		rfs:       []*rowFilter{newRowFilter(spec.Nlon)},
 		lineFlops: LineFlops(spec.Nlon),
+		widths:    widths, lonOff: lonOff,
 	}
-	px := cart.Px
-	f.widths = make([]int, px)
-	f.lonOff = make([]int, px)
-	for c := 0; c < px; c++ {
-		lo, hi := local.Decomp.LonRange(c)
-		f.widths[c], f.lonOff[c] = hi-lo, lo
-	}
-	return f
 }
 
 // blockOwners assigns n items to p owners in contiguous blocks sized by the

@@ -8,82 +8,51 @@ import (
 // RowwiseFFT implements the first of the two FFT parallelizations Section
 // 3.2 considers — "develop a parallel one dimensional FFT procedure for
 // processors on the same rows" — the approach the authors analysed and
-// rejected in favour of the data transpose.  Each mesh row assembles its
-// filtered slab with a recursive-doubling allgather (the O(log P)-message,
-// larger-volume pattern of the paper's analysis) and every processor then
-// transforms the full latitude circles redundantly, keeping only its own
-// longitude segment.  Fewer, larger messages than the transpose; duplicate
-// arithmetic and no load balancing — the measured communication ablation
-// shows why the paper chose the other route.
+// rejected in favour of the data transpose.  Each mesh row assembles a
+// variable's filtered slab, every layer at once, with one tree circle
+// gather (see circleGather), and every processor then transforms the full
+// latitude circles redundantly, keeping only its own longitude segment.
+// Fewer, larger messages than the transpose; duplicate arithmetic and no
+// load balancing — the measured communication ablation shows why the paper
+// chose the other route.
 type RowwiseFFT struct {
-	cart  *comm.Cart2D
-	spec  grid.Spec
-	local grid.Local
-	rf    *rowFilter
-	resp  [2]*response // the grid's shared damping rows, by kind
+	cart *comm.Cart2D
+	g    circleGather
+	rf   *rowFilter
+	resp [2]*response // the grid's shared damping rows, by kind
 
-	// Persistent scratch, as in Convolution: a steady-state Apply allocates
-	// only what AllgathervTree returns.
-	full, buf, row []float64
-	rows           []int
-	widths, offs   []int // the mesh row's longitude segments
+	// One complete circle: a steady-state Apply allocates only what the
+	// tree gather returns.
+	full []float64
 }
 
 // NewRowwiseFFT builds the rejected-alternative filter for this rank.
 func NewRowwiseFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *RowwiseFFT {
-	f := &RowwiseFFT{
-		cart: cart, spec: spec, local: local,
+	return &RowwiseFFT{cart: cart, g: newCircleGather(cart, spec, local, Tree),
 		rf: newRowFilter(spec.Nlon), resp: responses(cart.World.Proc(), spec),
-	}
-	f.full = make([]float64, spec.Nlon)
-	f.widths, f.offs = lonSegments(local.Decomp, cart.Px)
-	return f
+		full: make([]float64, spec.Nlon)}
 }
 
-// Apply implements Parallel: one allgather per variable slab, redundant
+// Apply implements Parallel: one gather per variable slab, redundant
 // full-row FFTs, write back own segments.
 func (f *RowwiseFFT) Apply(vars []Variable) {
-	n := f.spec.Nlon
-	w := f.local.Nlon()
-	lo, _ := f.local.Decomp.LonRange(f.cart.MyCol)
-	full, widths, offs := f.full, f.widths, f.offs
-	lineFlops := LineFlops(n)
-
+	g, p := &f.g, f.cart.World.Proc()
+	nl, w, lo := g.spec.Nlayers, g.local.Nlon(), g.offs[f.cart.MyCol]
+	lineFlops := LineFlops(g.spec.Nlon)
 	for _, v := range vars {
-		// Local filtered rows of this variable (same on the whole mesh
-		// row); equatorial mesh rows stay idle.
-		f.rows = f.rows[:0]
-		for localJ := 0; localJ < f.local.Nlat(); localJ++ {
-			if IsFiltered(f.spec, v.Kind, f.local.GlobalLat(localJ)) {
-				f.rows = append(f.rows, localJ)
-			}
-		}
-		if len(f.rows) == 0 {
+		if !g.filter(v.Kind) {
 			continue
 		}
-		// Pack all (row, layer) segments, gather the slab once.
-		f.buf = f.buf[:0]
-		for _, localJ := range f.rows {
-			for k := 0; k < f.spec.Nlayers; k++ {
-				f.row = v.Field.RowSlice(localJ, k, f.row)
-				f.buf = append(f.buf, f.row...)
-			}
-		}
-		parts := f.cart.Row.AllgathervTree(f.buf)
-		// Transform every line redundantly; keep my segment.
-		for li, localJ := range f.rows {
-			damp := f.resp[v.Kind].damp[f.local.GlobalLat(localJ)]
-			for k := 0; k < f.spec.Nlayers; k++ {
-				line := li*f.spec.Nlayers + k
-				for col := 0; col < f.cart.Px; col++ {
-					copy(full[offs[col]:offs[col]+widths[col]],
-						parts[col][line*widths[col]:(line+1)*widths[col]])
-				}
-				f.rf.apply(damp, full)
+		g.gather(v.Field, 0, nl)
+		for li, localJ := range g.rows {
+			damp := f.resp[v.Kind].damp[g.local.GlobalLat(localJ)]
+			for k := 0; k < nl; k++ {
+				g.circle(li*nl+k, f.full)
+				f.rf.apply(damp, f.full)
 				// Redundant arithmetic: every rank pays the full-row
 				// transform cost.
-				f.cart.World.Proc().Compute(lineFlops)
-				v.Field.SetRowSlice(localJ, k, full[lo:lo+w])
+				p.Compute(lineFlops)
+				v.Field.SetRowSlice(localJ, k, f.full[lo:lo+w])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"agcm/internal/comm"
@@ -98,8 +99,9 @@ func TestRunnerStepAllocFree(t *testing.T) {
 // dominate); with a planner per rank it measured 0.50, all of it sim's, and
 // with the shared plan it measures 1.00 — sim's 0.50 plus 4/8 for the plan.
 // The budget is 5 % of the old figure.
+const budgetPerRankStep = 0.05 * 49.9
+
 func TestRunnerStepAllocBudget(t *testing.T) {
-	const budgetPerRankStep = 0.05 * 49.9
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
 	const py, px, warm, runs = 2, 4, 12, 24
 	d, err := grid.NewDecomp(spec, py, px)
@@ -138,4 +140,59 @@ func TestRunnerStepAllocBudget(t *testing.T) {
 		t.Fatalf("balanced Step allocated %.2f times per rank-step; budget %.2f", perRankStep, budgetPerRankStep)
 	}
 	t.Logf("balanced Step: %.2f allocations per rank-step", perRankStep)
+}
+
+// TestRunnerFannedStepAllocBudget holds the balanced step to
+// TestRunnerStepAllocBudget's budget when its columns are split: pairwise,
+// two rounds, 1x2 mesh under GOMAXPROCS 4 at least, so each rank fans its
+// held columns two ways or more.  It reads runtime.MemStats around the
+// steps itself, as TestRunnerStepAllocFree does; the figure is per step
+// over both ranks.  Two ranks share each step's four frozen-plan
+// allocations, 2 per rank-step, so the run warms up for 300 steps, until
+// sim's payload pools hold every message length (see
+// TestRunnerStepAllocBudget) and measures 1.96: the split adds nothing.
+func TestRunnerFannedStepAllocBudget(t *testing.T) {
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 4}
+	const py, px, warm, runs = 1, 2, 300, 24
+	d, err := grid.NewDecomp(spec, py, px)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perRankStep float64
+	workers := make([]int, py*px)
+	withProcs(max(4, runtime.GOMAXPROCS(0)), func() {
+		_, err = sim.New(py*px, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+			world := comm.World(p)
+			cart := comm.NewCart2D(world, py, px)
+			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+			T, Q := testFields(spec, l)
+			r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), Pairwise, 2)
+			for step := 0; step < warm; step++ {
+				r.Step(T, Q, step)
+			}
+			var before, after runtime.MemStats
+			if world.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			for step := warm; step < warm+runs; step++ {
+				r.Step(T, Q, step)
+			}
+			if world.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+				perRankStep = float64(after.Mallocs-before.Mallocs) / runs / (py * px)
+			}
+			workers[world.Rank()] = len(r.models)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("fanned balanced Step: %.2f allocations per rank-step, workers per rank %v", perRankStep, workers)
+	if slices.Min(workers) < 2 {
+		t.Fatalf("workers per rank %v: the balanced steps were not split", workers)
+	}
+	if perRankStep > budgetPerRankStep {
+		t.Fatalf("fanned balanced Step allocated %.2f times per rank-step; budget %.2f", perRankStep, budgetPerRankStep)
+	}
 }

@@ -76,9 +76,7 @@ const packBookkeepingFlops = 24
 // still can allocate is the receiver's payload pool in sim, when a message
 // has a length that rank has not seen before.
 type Runner struct {
-	Model  *Model
 	world  *comm.Comm
-	cart   *comm.Cart2D
 	local  grid.Local
 	scheme Scheme
 	rounds int
@@ -86,19 +84,20 @@ type Runner struct {
 	myPrevFlops  float64
 	haveEstimate bool
 
-	// The unbalanced step's blocks of own columns (see homeLoop): each
-	// column's flops land in colFlops, which the rank charges in column
-	// order after the loop.  Worker w computes with models[w]; models[0] is
-	// Model, and a rank that does not split the loop has only it.
+	// held lists the columns this rank holds during a step, in the order
+	// they are computed: ref >= 0 is the rank's own column of that Index,
+	// ref < 0 is foreign[^ref].  A step that does not balance holds the
+	// rank's own columns in column order.
+	held []int
+
+	// The step's blocks of held columns (see heldLoop): held[i]'s flops land
+	// in colFlops[i], which the rank charges in held order after the loop.
+	// Worker w computes with models[w]; a rank that does not split the loop
+	// has only models[0].
 	colFlops []float64
 	models   []*Model
 	fields   [2]*grid.Field // T and Q of the running step
 	step     int
-
-	// held lists the columns this rank holds during a balanced step, in the
-	// order they are computed: ref >= 0 is the rank's own column of that
-	// Index, ref < 0 is foreign[^ref].
-	held []int
 
 	// Columns received from other ranks are rebuilt in these arenas, sized
 	// once per step from the plan.
@@ -122,7 +121,8 @@ type Runner struct {
 
 // NewRunner builds a physics runner.  rounds is the number of balancing
 // rounds per step (the paper applies scheme 3 twice); it is ignored by
-// None, Shuffle and Greedy.
+// None, Shuffle and Greedy.  The runner reads its layout from local and
+// moves columns over world; it keeps no reference to cart.
 func NewRunner(world *comm.Comm, cart *comm.Cart2D, local grid.Local,
 	model *Model, scheme Scheme, rounds int) *Runner {
 	if rounds < 1 {
@@ -134,7 +134,7 @@ func NewRunner(world *comm.Comm, cart *comm.Cart2D, local grid.Local,
 	if scheme != Pairwise {
 		rounds = 1
 	}
-	return &Runner{Model: model, world: world, cart: cart, local: local,
+	return &Runner{world: world, local: local,
 		scheme: scheme, rounds: rounds, models: []*Model{model}}
 }
 
@@ -163,9 +163,6 @@ func (r *Runner) Reset() {
 	r.myPrevFlops, r.haveEstimate = 0, false
 }
 
-// Scheme returns the configured balancing scheme.
-func (r *Runner) Scheme() Scheme { return r.scheme }
-
 // PrevLoadSeconds returns the virtual seconds this rank's own columns cost
 // during the previous step — the load estimate the balancer works from.
 func (r *Runner) PrevLoadSeconds() float64 {
@@ -186,148 +183,129 @@ func (r *Runner) column(c *Column, T, Q *grid.Field, ref int) {
 	c.T, c.Q = T.Column(j, i), Q.Column(j, i)
 }
 
-// computeBlock runs the model over one block of columns and charges each
-// column's flops to the virtual clock, one column at a time in block order.
-func (r *Runner) computeBlock(blk []Column, step int, flops []float64) {
-	r.Model.computeBlock(blk, step, flops)
-	p := r.world.Proc()
-	for _, f := range flops {
-		p.Compute(f)
-	}
-}
-
-// homeLoop is the unbalanced step's loop over blocks of the rank's own
-// columns as a sim.Loop.
-type homeLoop Runner
+// heldLoop is the step's loop over blocks of held columns as a sim.Loop.
+type heldLoop Runner
 
 // Run computes blocks [lo, hi) with worker w's model.
-func (h *homeLoop) Run(w, lo, hi int) {
+func (h *heldLoop) Run(w, lo, hi int) {
 	r := (*Runner)(h)
 	m := r.models[w]
 	T, Q := r.fields[0], r.fields[1]
-	ncols := len(r.colFlops)
+	n := len(r.held)
 	var blk [blockWidth]Column
-	for at := lo * blockWidth; at < min(hi*blockWidth, ncols); at += blockWidth {
-		n := min(blockWidth, ncols-at)
-		for l := range blk[:n] {
-			r.column(&blk[l], T, Q, at+l)
+	for at := lo * blockWidth; at < min(hi*blockWidth, n); at += blockWidth {
+		nb := min(blockWidth, n-at)
+		for l, ref := range r.held[at : at+nb] {
+			r.column(&blk[l], T, Q, ref)
 		}
-		m.computeBlock(blk[:n], r.step, r.colFlops[at:at+n])
+		m.computeBlock(blk[:nb], r.step, r.colFlops[at:at+nb])
 	}
 }
 
 // Grow gives workers up to k-1 their own model.
-func (h *homeLoop) Grow(k int) {
+func (h *heldLoop) Grow(k int) {
 	for len(h.models) < k {
-		h.models = append(h.models, h.Model.worker())
+		h.models = append(h.models, h.models[0].worker())
 	}
 }
 
 // Step runs one physics step over the T and Q fields, balancing per the
 // configured scheme.  Collective: all ranks call it each step.
+//
+// A step that does not balance — scheme None, a first step without a load
+// estimate, a single rank — is a step with an empty plan: the rank holds
+// its own columns and computes them, and nothing moves.
 func (r *Runner) Step(T, Q *grid.Field, step int) {
 	p := r.world.Proc()
-	ncols := r.local.Nlat() * r.local.Nlon()
-	var blk [blockWidth]Column
-	var flops [blockWidth]float64
-
-	if r.scheme == None || !r.haveEstimate || r.world.Size() == 1 {
-		if r.colFlops == nil {
-			r.colFlops = make([]float64, ncols)
-		}
-		r.fields, r.step = [2]*grid.Field{T, Q}, step
-		p.Fan((*homeLoop)(r), (ncols+blockWidth-1)/blockWidth)
-		total := 0.0
-		for _, f := range r.colFlops {
-			p.Compute(f)
-			total += f
-		}
-		r.myPrevFlops = total
-		r.haveEstimate = true
-		return
-	}
-
-	// --- 1. Share the previous-pass load estimates. ---
-	if r.board == nil {
-		r.initBalancing()
-	}
-	r.loadBuf[0] = r.PrevLoadSeconds()
-	r.world.AllgathervInto(r.loadBuf, r.gOut)
-
-	// --- 2. Read the step's plan, built once for every rank. ---
-	plan := r.board.planFor(r.loads)
-
-	// --- 3. Execute the column movements round by round. ---
 	me := r.world.Rank()
-	incoming := 0
-	for _, t := range plan.transfers {
-		if t.dst == me {
-			incoming += t.count
-		}
-	}
-	r.resetForeign(incoming)
+	ncols := r.local.Nlat() * r.local.Nlon()
 	held := slices.Grow(r.held[:0], ncols)
 	for idx := 0; idx < ncols; idx++ {
 		held = append(held, idx)
 	}
-	for _, t := range plan.transfers {
-		tag := tagColumns + t.round
-		switch me {
-		case t.src:
-			nk := len(held) - t.count
-			r.packInputs(T, Q, held[nk:])
-			held = held[:nk]
-			r.world.SendCopy(t.dst, tag, r.packBuf)
-			p.Compute(packBookkeepingFlops * float64(t.count))
-		case t.dst:
-			r.recvBuf = r.world.RecvInto(t.src, tag, r.recvBuf)
-			before := len(held)
-			held = r.unpackInputs(T, Q, held, r.recvBuf)
-			p.Compute(packBookkeepingFlops * float64(len(held)-before))
+
+	var plan *frozenPlan
+	if r.scheme != None && r.haveEstimate && r.world.Size() > 1 {
+		// --- 1. Share the previous-pass load estimates. ---
+		if r.board == nil {
+			r.initBalancing()
 		}
+		r.loadBuf[0] = r.PrevLoadSeconds()
+		r.world.AllgathervInto(r.loadBuf, r.gOut)
+
+		// --- 2. Read the step's plan, built once for every rank. ---
+		plan = r.board.planFor(r.loads)
+
+		// --- 3. Execute the column movements round by round. ---
+		incoming := 0
+		for _, t := range plan.transfers {
+			if t.dst == me {
+				incoming += t.count
+			}
+		}
+		r.resetForeign(incoming)
+		for _, t := range plan.transfers {
+			tag := tagColumns + t.round
+			switch me {
+			case t.src:
+				nk := len(held) - t.count
+				r.packInputs(T, Q, held[nk:])
+				held = held[:nk]
+				r.world.SendCopy(t.dst, tag, r.packBuf)
+				p.Compute(packBookkeepingFlops * float64(t.count))
+			case t.dst:
+				r.recvBuf = r.world.RecvInto(t.src, tag, r.recvBuf)
+				before := len(held)
+				held = r.unpackInputs(T, Q, held, r.recvBuf)
+				p.Compute(packBookkeepingFlops * float64(len(held)-before))
+			}
+		}
+		clear(r.flopsByOrigin)
+		clear(r.fromOrigin)
 	}
 	r.held = held // retain the grown backing array for the next step
 
-	// --- 4. Compute every held column where it landed. ---
-	flopsByOrigin, fromOrigin := r.flopsByOrigin, r.fromOrigin
-	for i := range flopsByOrigin {
-		flopsByOrigin[i], fromOrigin[i] = 0, 0
-	}
-	for at := 0; at < len(held); at += blockWidth {
-		n := min(blockWidth, len(held)-at)
-		for l, ref := range held[at : at+n] {
-			r.column(&blk[l], T, Q, ref)
-		}
-		r.computeBlock(blk[:n], step, flops[:n])
-		for l, f := range flops[:n] {
-			origin := blk[l].Origin
-			flopsByOrigin[origin] += f
-			if origin != me {
-				fromOrigin[origin]++
-			}
+	// --- 4. Compute every held column where it landed, then charge each
+	// column's flops in held order: the rank's own columns make up its load
+	// estimate, foreign ones are tallied by origin for the trip home. ---
+	r.colFlops = slices.Grow(r.colFlops[:0], len(held))[:len(held)]
+	r.fields, r.step = [2]*grid.Field{T, Q}, step
+	p.Fan((*heldLoop)(r), (len(held)+blockWidth-1)/blockWidth)
+	myFlops := 0.0
+	for i, f := range r.colFlops {
+		p.Compute(f)
+		if ref := held[i]; ref >= 0 {
+			myFlops += f
+		} else {
+			origin := r.foreign[^ref].Origin
+			r.flopsByOrigin[origin] += f
+			r.fromOrigin[origin]++
 		}
 	}
 
 	// --- 5. Return results to their home subdomains. ---
-	for origin, count := range fromOrigin {
-		if count == 0 {
-			continue
+	if plan != nil {
+		for origin, count := range r.fromOrigin {
+			if count == 0 {
+				continue
+			}
+			r.packResults(held, origin)
+			r.packBuf = append(r.packBuf, r.flopsByOrigin[origin])
+			r.world.SendCopy(origin, tagResults, r.packBuf)
+			p.Compute(packBookkeepingFlops * float64(count))
 		}
-		r.packResults(held, origin)
-		r.packBuf = append(r.packBuf, flopsByOrigin[origin])
-		r.world.SendCopy(origin, tagResults, r.packBuf)
-		p.Compute(packBookkeepingFlops * float64(count))
-	}
-	// Who holds my columns now?  The plan lists them, ascending.  Columns
-	// computed here, own or foreign, were mutated where they live.
-	myFlops := flopsByOrigin[me]
-	for _, holder := range plan.holdersOf(me) {
-		r.recvBuf = r.world.RecvInto(holder, tagResults, r.recvBuf)
-		buf := r.recvBuf
-		myFlops += buf[len(buf)-1]
-		r.unpackResults(T, Q, buf[:len(buf)-1])
+		// Who holds my columns now?  The plan lists them, ascending.
+		// Columns computed here, own or foreign, were mutated where they
+		// live.
+		for _, holder := range plan.holdersOf(me) {
+			r.recvBuf = r.world.RecvInto(holder, tagResults, r.recvBuf)
+			buf := r.recvBuf
+			myFlops += buf[len(buf)-1]
+			r.unpackResults(T, Q, buf[:len(buf)-1])
+		}
 	}
 	r.myPrevFlops = myFlops
+	r.haveEstimate = true
 }
 
 // packInputs serializes the held columns refs for shipment into packBuf:

@@ -395,41 +395,48 @@ func TestColumnPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunnerFanMatchesInline steps one rank's physics with its column
-// blocks inline (GOMAXPROCS 1) and split two and four ways (sim.Fan), on a
-// grid whose 13*11 columns fill no whole number of blocks per worker: the
-// same T and Q bits, clock and load estimate after every step.
+// TestRunnerFanMatchesInline steps the physics with the column blocks inline
+// (GOMAXPROCS 1) and split over the cores a machine leaves each rank
+// (sim.Fan), on a grid whose 13*11 columns fill no whole number of blocks
+// per worker: the same T and Q bits, clocks and load estimates after every
+// step.  One rank splits two and four ways at GOMAXPROCS 2 and 4 with or
+// without a scheme; two ranks split two ways at GOMAXPROCS 4, which fans the
+// balanced steps, whose held columns include foreign ones.
 func TestRunnerFanMatchesInline(t *testing.T) {
 	spec := grid.Spec{Nlon: 13, Nlat: 11, Nlayers: 5}
-	d, err := grid.NewDecomp(spec, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type state struct {
-		bits   []uint64
-		clocks []float64
-		loads  []float64
+		bits          []uint64
+		clocks, loads []float64 // per rank, step after step
+		moved         bool      // some balanced step held a foreign column
 	}
-	run := func(procs int, scheme Scheme) (st state) {
+	run := func(procs, py, px int, scheme Scheme) (st state) {
 		t.Helper()
+		d, err := grid.NewDecomp(spec, py, px)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const steps = 30
+		n := py * px
+		st.clocks, st.loads = make([]float64, n*steps), make([]float64, n*steps)
+		moved := make([]bool, n)
 		withProcs(procs, func() {
-			_, err = sim.New(1, machine.CrayT3D()).Run(func(p *sim.Proc) error {
+			_, err = sim.New(n, machine.CrayT3D()).Run(func(p *sim.Proc) error {
 				world := comm.World(p)
-				l := grid.NewLocal(d, 0, 0)
+				cart := comm.NewCart2D(world, py, px)
+				l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
 				T, Q := testFields(spec, l)
-				r := NewRunner(world, comm.NewCart2D(world, 1, 1), l, NewModel(spec, stepsPerDay), scheme, 2)
-				for step := 0; step < 30; step++ {
+				r := NewRunner(world, cart, l, NewModel(spec, stepsPerDay), scheme, 2)
+				me := world.Rank()
+				for step := 0; step < steps; step++ {
 					r.Step(T, Q, step)
-					st.clocks = append(st.clocks, p.Clock())
-					st.loads = append(st.loads, r.PrevLoadSeconds())
+					st.clocks[me*steps+step] = p.Clock()
+					st.loads[me*steps+step] = r.PrevLoadSeconds()
+					moved[me] = moved[me] || slices.ContainsFunc(r.held, func(ref int) bool { return ref < 0 })
 				}
-				for _, f := range []*grid.Field{T, Q} {
-					for j := 0; j < l.Nlat(); j++ {
-						for i := 0; i < l.Nlon(); i++ {
-							for _, v := range f.Column(j, i) {
-								st.bits = append(st.bits, math.Float64bits(v))
-							}
-						}
+				gT, gQ := grid.Gather(world, cart, T), grid.Gather(world, cart, Q)
+				if me == 0 {
+					for _, v := range slices.Concat(gT, gQ) {
+						st.bits = append(st.bits, math.Float64bits(v))
 					}
 				}
 				return nil
@@ -438,14 +445,26 @@ func TestRunnerFanMatchesInline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.moved = slices.Contains(moved, true)
 		return st
 	}
-	for _, scheme := range []Scheme{None, Pairwise} {
-		want := run(1, scheme)
-		for _, procs := range []int{2, 4} {
-			got := run(procs, scheme)
+	for _, tc := range []struct {
+		scheme Scheme
+		py, px int
+		procs  []int
+	}{
+		{None, 1, 1, []int{2, 4}}, {Pairwise, 1, 1, []int{2, 4}},
+		{Shuffle, 1, 2, []int{4}}, {Greedy, 1, 2, []int{4}}, {Pairwise, 1, 2, []int{4}},
+		{Shuffle, 2, 1, []int{4}}, {Greedy, 2, 1, []int{4}}, {Pairwise, 2, 1, []int{4}},
+	} {
+		want := run(1, tc.py, tc.px, tc.scheme)
+		if tc.py*tc.px > 1 && !want.moved {
+			t.Fatalf("%v %dx%d: no step moved a column", tc.scheme, tc.py, tc.px)
+		}
+		for _, procs := range tc.procs {
+			got := run(procs, tc.py, tc.px, tc.scheme)
 			if !slices.Equal(got.bits, want.bits) || !slices.Equal(got.clocks, want.clocks) || !slices.Equal(got.loads, want.loads) {
-				t.Fatalf("%v: GOMAXPROCS %d differs from the inline run", scheme, procs)
+				t.Fatalf("%v %dx%d: GOMAXPROCS %d differs from the inline run", tc.scheme, tc.py, tc.px, procs)
 			}
 		}
 	}

@@ -726,14 +726,6 @@ func (p *Proc) ComputeMem(flops, memBytes float64) {
 	p.advance(p.machine.models[p.rank].FlopSeconds(flops) + p.machine.models[p.rank].MemSeconds(memBytes))
 }
 
-// Elapse advances the clock by a raw number of virtual seconds.
-func (p *Proc) Elapse(seconds float64) {
-	if seconds < 0 {
-		panic(fmt.Sprintf("sim: rank %d elapsed negative time %g", p.rank, seconds))
-	}
-	p.advance(seconds)
-}
-
 // advance is occupy raising the crash as a panic, which Run recovers.
 func (p *Proc) advance(dt float64) {
 	if err := p.occupy(dt); err != nil {

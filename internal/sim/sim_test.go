@@ -77,17 +77,6 @@ func TestComputeMemAddsBothTerms(t *testing.T) {
 	}
 }
 
-func TestElapseNegativePanics(t *testing.T) {
-	m := New(1, newTestModel())
-	_, err := m.Run(func(p *Proc) error {
-		p.Elapse(-1)
-		return nil
-	})
-	if err == nil {
-		t.Fatalf("Elapse(-1) did not produce an error")
-	}
-}
-
 func TestSendRecvClockPropagation(t *testing.T) {
 	model := newTestModel()
 	m := New(2, model)
