@@ -91,11 +91,11 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 	if cfg.InitialState != nil {
 		return nil, fmt.Errorf("core: config with an in-memory InitialState has no canonical form")
 	}
-	named, err := machine.ByName(cfg.Machine.Name)
+	named, err := machine.Lookup(cfg.Machine.Name)
 	if err != nil {
 		return nil, fmt.Errorf("core: machine %q has no canonical form: %w", cfg.Machine.Name, err)
 	}
-	if *named != *cfg.Machine {
+	if named != *cfg.Machine {
 		return nil, fmt.Errorf("core: machine %q differs from the model of that name, so it has no canonical form", cfg.Machine.Name)
 	}
 	if _, err := FilterVariantByName(cfg.Filter.String()); err != nil {

@@ -12,8 +12,9 @@ type backend struct {
 	// id is the stable identity used in metrics, events, and rendezvous
 	// hashing.  It is the configured base URL, so every gateway given the
 	// same backend list ranks keys identically.
-	id  string
-	url string // base URL without trailing slash
+	id     string
+	url    string // base URL without trailing slash
+	runURL string // url + "/v1/run"
 
 	breaker  *breaker
 	inflight atomic.Int64
@@ -28,7 +29,7 @@ type backend struct {
 }
 
 func newBackend(id, url string, br *breaker) *backend {
-	b := &backend{id: id, url: url, breaker: br}
+	b := &backend{id: id, url: url, runURL: url + "/v1/run", breaker: br}
 	b.ready.Store(true)
 	return b
 }

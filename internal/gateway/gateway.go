@@ -26,20 +26,22 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"agcm/internal/metrics"
 	"agcm/internal/server"
 )
 
@@ -81,7 +83,7 @@ type Options struct {
 	HedgeDelay time.Duration
 	// Seed feeds the deterministic backoff jitter (default 1).
 	Seed int64
-	// MaxBodyBytes bounds a request body (default 1<<20).
+	// MaxBodyBytes bounds a request body (default server.MaxBodyBytes).
 	MaxBodyBytes int64
 	// Transport overrides the HTTP transport (tests inject fakes).
 	Transport http.RoundTripper
@@ -128,7 +130,7 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
+		o.MaxBodyBytes = server.MaxBodyBytes
 	}
 	if o.Transport == nil {
 		o.Transport = &http.Transport{MaxIdleConnsPerHost: 32}
@@ -148,6 +150,7 @@ type Gateway struct {
 	client   *http.Client
 	events   *eventLog
 	lat      *latencyRing
+	memo     *server.Memo
 
 	// rootCtx is the gateway's lifecycle context: probes and hedge attempts
 	// derive from it, so rootCancel in Close kills every in-flight request
@@ -180,6 +183,7 @@ func New(opt Options) (*Gateway, error) {
 		client:     &http.Client{Transport: opt.Transport},
 		events:     &eventLog{w: opt.Events},
 		lat:        &latencyRing{},
+		memo:       server.NewMemo(),
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
 		stop:       make(chan struct{}),
@@ -316,17 +320,39 @@ func (g *Gateway) hedgeDelay() time.Duration {
 	return g.opt.HedgeDelay
 }
 
-func errorBody(msg string) []byte {
-	raw, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	return append(raw, '\n')
+// Header values shared by every request and response that carries them; an
+// append to one copies, since each slice has len == cap.  upstreamHeaders
+// are the attempts' headers per class for a client that sent no Accept.
+var (
+	jsonValue       = []string{"application/json"}
+	sloKey          = http.CanonicalHeaderKey(server.SLOHeader)
+	attemptValues   = [...][]string{{"0"}, {"1"}, {"2"}, {"3"}, {"4"}, {"5"}, {"6"}, {"7"}}
+	upstreamHeaders = [...]http.Header{
+		server.Interactive: {"Content-Type": jsonValue, sloKey: {server.Interactive.String()}},
+		server.Batch:       {"Content-Type": jsonValue, sloKey: {server.Batch.String()}},
+	}
+)
+
+// upstreamHeader is the header every attempt of one request carries: the
+// body's type, the resolved class (so the backend's scheduler and per-class
+// metrics see it even when the body has no explicit slo field) and the
+// client's Accept.  The attempts share it: a RoundTripper does not modify
+// its request.
+func upstreamHeader(class server.SLOClass, accept []string) http.Header {
+	h := upstreamHeaders[class]
+	if accept != nil {
+		h = maps.Clone(h)
+		h["Accept"] = accept
+	}
+	return h
 }
 
-func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
+// attemptsValue is the X-Agcmgw-Attempts value for n attempts.
+func attemptsValue(n int) []string {
+	if n < len(attemptValues) {
+		return attemptValues[n]
+	}
+	return []string{strconv.Itoa(n)}
 }
 
 // attemptResult is the outcome of one proxied attempt (or of the degraded
@@ -334,9 +360,9 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 type attemptResult struct {
 	status   int
 	header   http.Header
-	body     []byte
-	err      error // transport-level failure
-	canceled bool  // abandoned by the gateway itself: no health verdict
+	buf      *server.Body // the body; relay releases it
+	err      error        // transport-level failure
+	canceled bool         // abandoned by the gateway itself: no health verdict
 }
 
 // relayable reports whether the result is a final answer for the client
@@ -358,31 +384,26 @@ func (a *attemptResult) relayable() bool {
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		g.metrics.Requests.Inc("rejected")
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody("POST only"))
-		return
-	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, g.opt.MaxBodyBytes))
-	if err != nil {
-		g.metrics.Requests.Inc("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody("reading body: "+err.Error()))
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// Validate up front: garbage is rejected at the edge, and the job key
 	// (the routing and cache address) exists before any backend is touched.
-	req, err := server.DecodeRequest(bytes.NewReader(raw), r.Header)
+	// The attempts send raw, the body as an immutable string.
+	req, raw, err := g.memo.Read(r.Body, g.opt.MaxBodyBytes, r.Header)
 	if err != nil {
 		g.metrics.Requests.Inc("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
+		server.Reject(w, err)
 		return
 	}
 	key, class := req.Key, req.Class
 	g.metrics.ClassRequests.Inc(class.String())
 	// The client's Accept travels with every backend request below, so a
 	// frame client gets the frame whichever path answers.
-	accept := r.Header.Get("Accept")
+	hdr := upstreamHeader(class, r.Header["Accept"])
 
 	g.budget.Deposit()
-	res, attempts := g.proxyWithRetries(r.Context(), key, class, accept, raw)
+	res, attempts := g.proxyWithRetries(r.Context(), key, class, hdr, raw)
 	if res != nil && res.relayable() {
 		g.relay(w, res, attempts, "")
 		label := "ok"
@@ -399,7 +420,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Graceful degradation: before shedding, serve the cached bytes from
 	// any backend that has them — content addressing makes any copy THE
 	// answer.
-	if peek := g.degradedPeek(r.Context(), key, accept); peek != nil {
+	if peek := g.degradedPeek(r.Context(), key, hdr["Accept"]); peek != nil {
 		g.events.Emit("degraded", "", key)
 		g.metrics.Requests.Inc("degraded")
 		g.relay(w, peek, attempts, "degraded")
@@ -414,34 +435,38 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	w.Header().Set("X-Agcmgw-Attempts", strconv.Itoa(attempts))
-	writeJSON(w, http.StatusServiceUnavailable, errorBody("no backend available"))
+	w.Header()["X-Agcmgw-Attempts"] = attemptsValue(attempts)
+	server.WriteError(w, http.StatusServiceUnavailable, "no backend available")
 }
 
 // relay writes an attempt's response to the client, forwarding the headers
-// that matter and stamping the gateway's own.
+// that matter and stamping the gateway's own, and releases its buffer.  The
+// forwarded values are the upstream's own slices: a response's Header is the
+// client's once Do returns, and textproto caps each slice at its length.
 func (g *Gateway) relay(w http.ResponseWriter, res *attemptResult, attempts int, mode string) {
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Agcmd-Cache", "X-Agcmd-Backend"} {
-		if v := res.header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	h := w.Header()
+	for _, k := range [...]string{"Content-Type", "Retry-After", "X-Agcmd-Cache", "X-Agcmd-Backend"} {
+		if v := res.header[k]; len(v) > 0 && v[0] != "" {
+			h[k] = v
 		}
 	}
-	if w.Header().Get("Content-Type") == "" {
-		w.Header().Set("Content-Type", "application/json")
+	if len(h["Content-Type"]) == 0 {
+		h["Content-Type"] = jsonValue
 	}
-	w.Header().Set("X-Agcmgw-Attempts", strconv.Itoa(attempts))
+	h["X-Agcmgw-Attempts"] = attemptsValue(attempts)
 	if mode != "" {
-		w.Header().Set("X-Agcmgw-Degraded", "1")
+		h["X-Agcmgw-Degraded"] = []string{"1"}
 	}
 	w.WriteHeader(res.status)
-	w.Write(res.body)
+	w.Write(res.buf.Bytes())
+	res.buf.Release()
 }
 
 // proxyWithRetries drives the attempt loop: pick a backend by policy,
 // attempt, classify, and either relay, retry elsewhere (budget and backoff
 // permitting), or give up.  It returns the last result (nil if no attempt
 // ran) and the attempt count.
-func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server.SLOClass, accept string, body []byte) (*attemptResult, int) {
+func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server.SLOClass, hdr http.Header, body string) (*attemptResult, int) {
 	var last *attemptResult
 	attempts := 0
 	lastIdx := -1
@@ -463,13 +488,13 @@ func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server
 		var idx int
 		// Only interactive requests are worth a second shard.
 		if retry == 0 && class == server.Interactive && g.opt.HedgeDelay > 0 {
-			res, idx = g.hedged(ctx, key, class, accept, body)
+			res, idx = g.hedged(ctx, key, hdr, body)
 		} else {
 			b, probe, i := g.pick(key, lastIdx)
 			if b == nil {
 				break
 			}
-			res, idx = g.attempt(ctx, b, probe, class, accept, body), i
+			res, idx = g.attempt(ctx, b, probe, hdr, body), i
 		}
 		if res == nil {
 			break
@@ -516,31 +541,25 @@ func (g *Gateway) pick(key string, exclude int) (b *backend, probe bool, idx int
 	return nil, false, -1
 }
 
-// attempt proxies one POST /v1/run to one backend under the client's Accept
-// (none when empty), reads the full response, classifies it, and feeds the
-// breaker, cooldowns, metrics, and the latency ring.
-func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class server.SLOClass, accept string, body []byte) *attemptResult {
+// attempt proxies one POST /v1/run to one backend under the request's
+// upstreamHeader, reads the full response into a pooled buffer, classifies
+// it, and feeds the breaker, cooldowns, metrics, and the latency ring.
+func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, hdr http.Header, body string) *attemptResult {
 	actx, cancel := context.WithTimeout(ctx, g.opt.AttemptTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, b.url+"/v1/run", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, b.runURL, strings.NewReader(body))
 	if err != nil {
 		b.breaker.Forgive(probe)
 		return &attemptResult{err: err}
 	}
-	req.Header.Set("Content-Type", "application/json")
-	// Propagate the resolved class so the backend's scheduler and per-class
-	// metrics see it even when the body has no explicit slo field.
-	req.Header.Set(server.SLOHeader, class.String())
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
+	req.Header = hdr
 
 	b.inflight.Add(1)
 	start := time.Now()
 	resp, err := g.client.Do(req)
-	var raw []byte
+	var buf *server.Body
 	if err == nil {
-		raw, err = io.ReadAll(resp.Body)
+		buf, err = server.ReadBody(resp.Body, -1)
 		resp.Body.Close()
 	}
 	elapsed := time.Since(start)
@@ -559,8 +578,8 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, class ser
 		return &attemptResult{err: err}
 	}
 
-	g.metrics.BackendResponses.Inc(b.id, strconv.Itoa(resp.StatusCode))
-	res := &attemptResult{status: resp.StatusCode, header: resp.Header, body: raw}
+	g.metrics.BackendResponses.Inc(b.id, metrics.StatusLabel(resp.StatusCode))
+	res := &attemptResult{status: resp.StatusCode, header: resp.Header, buf: buf}
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
 		// Saturation is not ill health: the breaker sees success, and the
@@ -602,7 +621,7 @@ func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
 // next-ranked backend, budget permitting.  The first full response wins and
 // the loser is canceled via context.  Returns the winning result and its
 // backend index.
-func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass, accept string, body []byte) (*attemptResult, int) {
+func (g *Gateway) hedged(ctx context.Context, key string, hdr http.Header, body string) (*attemptResult, int) {
 	b1, probe1, idx1 := g.pick(key, -1)
 	if b1 == nil {
 		return nil, -1
@@ -618,14 +637,25 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 		res *attemptResult
 		idx int
 	}
-	// Two slots: one per attempt, so neither send can block after this
-	// function stops receiving.
-	ch := make(chan outcome, 2)
-	g.stopped.Add(1)
-	go func() {
-		defer g.stopped.Done()
-		ch <- outcome{g.attempt(hctx, b1, probe1, class, accept, body), idx1}
-	}()
+	// The first attempt to finish is the answer.  One that finishes later
+	// with a full response counts as a lost hedge (its backend counted it,
+	// so reconciliation must subtract it); each attempt settles that
+	// itself, so nothing outlives the attempts for Close to join.
+	var settled atomic.Bool
+	ch := make(chan outcome, 1)
+	launch := func(b *backend, probe bool, idx int) {
+		g.stopped.Add(1)
+		go func() {
+			defer g.stopped.Done()
+			res := g.attempt(hctx, b, probe, hdr, body)
+			if settled.CompareAndSwap(false, true) {
+				ch <- outcome{res, idx}
+			} else if !res.canceled && res.err == nil {
+				g.metrics.Hedges.Inc("lost")
+			}
+		}()
+	}
+	launch(b1, probe1, idx1)
 
 	timer := time.NewTimer(g.hedgeDelay())
 	defer timer.Stop()
@@ -646,11 +676,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 	}
 	g.metrics.Hedges.Inc("launched")
 	g.events.Emit("hedge", b2.id, key)
-	g.stopped.Add(1)
-	go func() {
-		defer g.stopped.Done()
-		ch <- outcome{g.attempt(hctx, b2, probe2, class, accept, body), idx2}
-	}()
+	launch(b2, probe2, idx2)
 
 	//lint:allow ctxflow bounded wait: both attempts are deadline-bound by AttemptTimeout and canceled through hctx on both caller cancel and Close
 	out := <-ch
@@ -658,24 +684,6 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 	if out.idx == idx2 {
 		g.metrics.Hedges.Inc("won")
 	}
-	// Reap the loser off the buffered channel; completed-but-discarded
-	// responses count as lost hedges (they appear in the backend's own
-	// counters, which reconciliation must subtract).  The reaper is joined
-	// by Close: without the g.stop case it would linger until the loser's
-	// attempt timed out on its own, touching metrics after Close returned.
-	g.stopped.Add(1)
-	go func() {
-		defer g.stopped.Done()
-		select {
-		case lost := <-ch:
-			if lost.res != nil && !lost.res.canceled && lost.res.err == nil {
-				g.metrics.Hedges.Inc("lost")
-			}
-		case <-g.stop:
-			// Close is joining us; the loser is being canceled via rootCtx
-			// and its discarded verdict no longer matters.
-		}
-	}()
 	return out.res, out.idx
 }
 
@@ -683,7 +691,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, class server.SLOClass,
 // health, whether it has the key's bytes cached (GET /v1/cache/{key}, in the
 // encoding the client's Accept negotiates).  A dying or draining backend can
 // still answer — content addressing makes any copy authoritative.
-func (g *Gateway) degradedPeek(ctx context.Context, key, accept string) *attemptResult {
+func (g *Gateway) degradedPeek(ctx context.Context, key string, accept []string) *attemptResult {
 	timeout := 2 * time.Second
 	if g.opt.AttemptTimeout < timeout {
 		timeout = g.opt.AttemptTimeout
@@ -696,21 +704,20 @@ func (g *Gateway) degradedPeek(ctx context.Context, key, accept string) *attempt
 			cancel()
 			continue
 		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
+		req.Header["Accept"] = accept
 		resp, err := g.client.Do(req)
 		if err != nil {
 			cancel()
 			continue
 		}
-		raw, err := io.ReadAll(resp.Body)
+		buf, err := server.ReadBody(resp.Body, -1)
 		resp.Body.Close()
 		cancel()
 		if err != nil || resp.StatusCode != http.StatusOK {
+			buf.Release()
 			continue
 		}
-		return &attemptResult{status: http.StatusOK, header: resp.Header, body: raw}
+		return &attemptResult{status: http.StatusOK, header: resp.Header, buf: buf}
 	}
 	return nil
 }

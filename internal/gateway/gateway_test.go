@@ -572,6 +572,41 @@ func TestGatewayRejectsGarbageAtTheEdge(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body over the limit is answered 413 naming the
+// limit at both daemons — not cut at the limit and then rejected as
+// malformed JSON — and never reaches a backend; a body of exactly the limit
+// is served.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv, err := server.New(server.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	agcmd := httptest.NewServer(srv.Handler())
+	defer agcmd.Close()
+	b := newStubBackend(ok200(`{"ok":true}` + "\n"))
+	defer b.ts.Close()
+	g := newTestGateway(t, Options{}, b)
+	agcmgw := httptest.NewServer(g.Handler())
+	defer agcmgw.Close()
+
+	valid := reqJSON(1, "fft", 1)
+	atLimit := valid + strings.Repeat(" ", server.MaxBodyBytes-len(valid))
+	oversized := valid + strings.Repeat(" ", 2*server.MaxBodyBytes)
+	for edge, url := range map[string]string{"agcmd": agcmd.URL, "agcmgw": agcmgw.URL} {
+		st, _, raw := postGW(t, url, oversized)
+		if st != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), fmt.Sprint(server.MaxBodyBytes)) {
+			t.Errorf("2 MiB body at %s: %d %s, want 413 naming the %d-byte limit", edge, st, raw, server.MaxBodyBytes)
+		}
+		if st, _, raw := postGW(t, url, atLimit); st != http.StatusOK {
+			t.Errorf("body of exactly the limit at %s: %d %s, want 200", edge, st, raw)
+		}
+	}
+	if got := b.runs.Load(); got != 1 {
+		t.Errorf("backend saw %d requests, want the one at the limit", got)
+	}
+}
+
 // fixedBackends builds three backends in distinct states — a open, not ready,
 // one request in flight; b closed and idle; c half-open with two in flight —
 // given out of ID order, since emission must sort them.

@@ -1,7 +1,8 @@
 package gateway
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
@@ -57,21 +58,12 @@ type leastInflight struct{}
 func (p *leastInflight) Name() string { return "least-inflight" }
 
 func (p *leastInflight) Order(key string, backends []*backend) []int {
-	type load struct{ idx, inflight int }
-	loads := make([]load, len(backends))
+	order := make([]int, len(backends))
+	loads := make([]int64, len(backends))
 	for i, b := range backends {
-		loads[i] = load{idx: i, inflight: int(b.inflight.Load())}
+		order[i], loads[i] = i, b.inflight.Load()
 	}
-	sort.SliceStable(loads, func(i, j int) bool {
-		if loads[i].inflight != loads[j].inflight {
-			return loads[i].inflight < loads[j].inflight
-		}
-		return loads[i].idx < loads[j].idx
-	})
-	order := make([]int, len(loads))
-	for i, l := range loads {
-		order[i] = l.idx
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[a], loads[b]) })
 	return order
 }
 
@@ -85,25 +77,15 @@ type keyAffinity struct{}
 
 func (p *keyAffinity) Name() string { return "key-affinity" }
 
+// Order ranks by descending score; the stable sort keeps equal scores in
+// index order.
 func (p *keyAffinity) Order(key string, backends []*backend) []int {
-	type scored struct {
-		idx   int
-		score uint64
-	}
-	scores := make([]scored, len(backends))
+	order := make([]int, len(backends))
+	scores := make([]uint64, len(backends))
 	for i, b := range backends {
-		scores[i] = scored{idx: i, score: rendezvousScore(b.id, key)}
+		order[i], scores[i] = i, rendezvousScore(b.id, key)
 	}
-	sort.SliceStable(scores, func(i, j int) bool {
-		if scores[i].score != scores[j].score {
-			return scores[i].score > scores[j].score
-		}
-		return scores[i].idx < scores[j].idx
-	})
-	order := make([]int, len(scores))
-	for i, s := range scores {
-		order[i] = s.idx
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(scores[b], scores[a]) })
 	return order
 }
 

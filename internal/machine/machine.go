@@ -272,35 +272,59 @@ func All() []*Model {
 // ignoring spaces and dashes.  Both the short names used on command lines
 // ("paragon", "t3d", "sp2", "host") and every Model.Name round-trip:
 // ByName(m.Name) returns a model equal to m for each m in All() and Host().
+// The model is fresh: the caller may change it.
 func ByName(name string) (*Model, error) {
-	switch canonicalName(name) {
-	case "paragon", "intelparagon":
-		return Paragon(), nil
-	case "t3d", "crayt3d":
-		return CrayT3D(), nil
-	case "sp2", "ibmsp2":
-		return IBMSP2(), nil
-	case "host", "hostcpu":
-		return Host(), nil
+	m, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf(
+	return &m, nil
+}
+
+// Lookup is ByName by value: it matches the name without allocating, so a
+// caller that only compares against the named model (core's canonical
+// encoding) builds none on the heap.
+func Lookup(name string) (Model, error) {
+	for _, n := range named {
+		for _, alias := range n.aliases {
+			if sameName(name, alias) {
+				return n.model, nil
+			}
+		}
+	}
+	return Model{}, fmt.Errorf(
 		"machine: unknown machine %q (want paragon/\"Intel Paragon\", t3d/\"Cray T3D\", sp2/\"IBM SP-2\" or host/\"Host CPU\", any case)",
 		name)
 }
 
-// canonicalName lower-cases a machine name and strips spaces and dashes, so
-// "IBM SP-2" and "ibmsp2" compare equal.
-func canonicalName(name string) string {
-	out := make([]byte, 0, len(name))
+// named lists each model under its names as sameName compares them: lower
+// case, without spaces, dashes or underscores.  Lookup hands out copies.
+var named = [...]struct {
+	aliases [2]string
+	model   Model
+}{
+	{[2]string{"paragon", "intelparagon"}, *Paragon()},
+	{[2]string{"t3d", "crayt3d"}, *CrayT3D()},
+	{[2]string{"sp2", "ibmsp2"}, *IBMSP2()},
+	{[2]string{"host", "hostcpu"}, *Host()},
+}
+
+// sameName reports whether name, lower-cased with its spaces, dashes and
+// underscores dropped, is alias — so "IBM SP-2" and "ibmsp2" compare equal.
+func sameName(name, alias string) bool {
+	j := 0
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		switch {
-		case c >= 'A' && c <= 'Z':
-			out = append(out, c+'a'-'A')
 		case c == ' ' || c == '-' || c == '_':
-		default:
-			out = append(out, c)
+			continue
+		case c >= 'A' && c <= 'Z':
+			c += 'a' - 'A'
 		}
+		if j == len(alias) || alias[j] != c {
+			return false
+		}
+		j++
 	}
-	return string(out)
+	return j == len(alias)
 }

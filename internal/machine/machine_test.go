@@ -170,3 +170,36 @@ func TestStringReturnsName(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+var sink *Model
+
+// TestLookupAllocFree: names match without building a string, Lookup
+// returns a value, and ByName's one allocation is its fresh model — a
+// caller changing it changes no later lookup.  Near-misses of the aliases
+// (a letter short, a letter over, a stray character) still fail.
+func TestLookupAllocFree(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { Lookup("IBM SP-2") }); allocs != 0 {
+		t.Fatalf("Lookup allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink, _ = ByName("Intel Paragon") }); allocs != 1 {
+		t.Fatalf("ByName allocates %v times, want 1", allocs)
+	}
+	m, err := ByName("paragon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FlopRate = 1
+	if again, _ := Lookup("paragon"); again != *Paragon() {
+		t.Fatal("changing ByName's model changed the next lookup")
+	}
+	for _, name := range []string{"paragonx", "aragon", "t3", "t3dd", "sp22", "ibm sp", "hostcp", "paragon!", "cray_t3d2"} {
+		if _, err := Lookup(name); err == nil {
+			t.Errorf("Lookup(%q) matched", name)
+		}
+	}
+	for _, name := range []string{"Cray T3D ", "-paragon-", "IBM_SP_2", "host CPU"} {
+		if _, err := Lookup(name); err != nil {
+			t.Errorf("Lookup(%q): %v", name, err)
+		}
+	}
+}

@@ -195,6 +195,22 @@ func (r *Registry) FloatFunc(name, help string, fn func() float64) {
 	r.add(f)
 }
 
+// StatusLabel is an HTTP status code as a label value, read from a table
+// built once: labelling a response by its code does not allocate.
+func StatusLabel(code int) string {
+	if code >= 0 && code < len(statusLabels) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
+}
+
+var statusLabels = func() (t [600]string) {
+	for c := range t {
+		t[c] = strconv.Itoa(c)
+	}
+	return t
+}()
+
 func appendUint(b []byte, n uint64) []byte { return append(strconv.AppendUint(b, n, 10), '\n') }
 
 func appendFloat(b []byte, v float64) []byte {

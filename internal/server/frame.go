@@ -65,7 +65,7 @@ func JSONBody(frameBytes []byte) ([]byte, error) {
 // a hit.
 func writeNegotiated(w http.ResponseWriter, r *http.Request, status int, frameBytes []byte) {
 	if wantsFrame(r) {
-		w.Header().Set("Content-Type", FrameContentType)
+		w.Header()["Content-Type"] = frameContentType
 		w.WriteHeader(status)
 		w.Write(frameBytes)
 		return

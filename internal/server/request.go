@@ -17,6 +17,11 @@ import (
 // gateway and backends.
 const SLOHeader = "X-Agcm-SLO"
 
+// sloKey is SLOHeader in canonical form: indexing a header map with it
+// skips the per-call canonicalization Header.Get does for a key that is
+// not canonical already.
+var sloKey = http.CanonicalHeaderKey(SLOHeader)
+
 // envelope is the POST /v1/run body — the one struct in the repository that
 // knows the wire format.  Unknown fields are rejected at both levels: here
 // and inside the canonical config.
@@ -47,6 +52,9 @@ type Request struct {
 	TimeoutMS int
 	// Key is the result-cache and routing address: JobKeyFor(Config, Steps).
 	Key string
+	// bodySLO is the body's own slo field, "" when the header decided the
+	// class: a Memo hit resolves it against that hit's header.
+	bodySLO string
 }
 
 // DecodeRequest reads one POST /v1/run body, both daemons' single decoder:
@@ -71,20 +79,15 @@ func DecodeRequest(body io.Reader, header http.Header) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{Config: cfg, Steps: env.Steps, TimeoutMS: env.TimeoutMS}
+	req := &Request{Config: cfg, Steps: env.Steps, TimeoutMS: env.TimeoutMS, bodySLO: env.SLO}
 	if req.Steps == 0 {
 		req.Steps = 1
 	}
 	if req.Steps < 0 {
 		return nil, fmt.Errorf("steps %d out of range", req.Steps)
 	}
-	slo := env.SLO
-	if slo == "" {
-		slo = header.Get(SLOHeader)
-	}
-	var ok bool
-	if req.Class, ok = ClassByName(slo); !ok {
-		return nil, fmt.Errorf("unknown slo class %q", slo)
+	if req.Class, err = classFor(env.SLO, header); err != nil {
+		return nil, err
 	}
 	// Canonicalize once: validates the config, yields the echoed form and
 	// the cache address.
@@ -93,6 +96,22 @@ func DecodeRequest(body io.Reader, header http.Header) (*Request, error) {
 	}
 	req.Key = jobKey(req.Canonical, req.Steps)
 	return req, nil
+}
+
+// classFor resolves a request's SLO class: the body's slo field, or the
+// SLOHeader fallback when the body leaves it empty.
+func classFor(bodySLO string, header http.Header) (SLOClass, error) {
+	slo := bodySLO
+	if slo == "" {
+		if v := header[sloKey]; len(v) > 0 {
+			slo = v[0]
+		}
+	}
+	c, ok := ClassByName(slo)
+	if !ok {
+		return 0, fmt.Errorf("unknown slo class %q", slo)
+	}
+	return c, nil
 }
 
 // JobKeyFor derives the cache key for a config and step count: the config's
@@ -105,10 +124,17 @@ func JobKeyFor(cfg core.Config, steps int) (string, error) {
 	return jobKey(canonical, steps), nil
 }
 
-// jobKey is JobKeyFor over an already-canonical config: the inner hash is
-// core.Config.ConfigKey.
+// jobKey is JobKeyFor over an already-canonical config: the hex SHA-256 of
+// "ConfigKey:steps", where ConfigKey (core.Config.ConfigKey) is the hex
+// SHA-256 of the canonical bytes.  Both digests are hex-encoded into stack
+// arrays, so the returned string is the one allocation.
 func jobKey(canonical []byte, steps int) string {
 	ck := sha256.Sum256(canonical)
-	sum := sha256.Sum256([]byte(hex.EncodeToString(ck[:]) + ":" + strconv.Itoa(steps)))
-	return hex.EncodeToString(sum[:])
+	var in [2*sha256.Size + 1 + 20]byte // hex ConfigKey, ':', a signed 64-bit integer
+	hex.Encode(in[:], ck[:])
+	in[2*sha256.Size] = ':'
+	sum := sha256.Sum256(strconv.AppendInt(in[:2*sha256.Size+1], int64(steps), 10))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }

@@ -127,6 +127,7 @@ type Server struct {
 	opt     Options
 	queue   *Scheduler
 	cache   *cache
+	memo    *Memo
 	store   *frame.Store // disk tier; nil when Options.CacheDir is empty
 	metrics *serverMetrics
 
@@ -157,6 +158,7 @@ func New(opt Options) (*Server, error) {
 		opt:     opt,
 		queue:   sched,
 		cache:   newCache(opt.CacheEntries),
+		memo:    NewMemo(),
 		flights: make(map[string]*flight),
 	}
 	p := probes{
@@ -207,8 +209,9 @@ func (s *Server) Handler() http.Handler {
 	if s.opt.BackendID == "" {
 		return mux
 	}
+	id := []string{s.opt.BackendID}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Agcmd-Backend", s.opt.BackendID)
+		w.Header()["X-Agcmd-Backend"] = id
 		mux.ServeHTTP(w, r)
 	})
 }
@@ -246,8 +249,44 @@ func errorBody(msg string) []byte {
 	return append(raw, '\n')
 }
 
+// WriteError writes the daemons' JSON error envelope.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, errorBody(msg))
+}
+
+// Reject answers a request ReadBody or the decoder refused: 413 for a body
+// over its limit, 400 for every other client error.
+func Reject(w http.ResponseWriter, err error) {
+	WriteError(w, rejectStatus(err), err.Error())
+}
+
+func rejectStatus(err error) int {
+	var tl *TooLargeError
+	if errors.As(err, &tl) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// Header value slices shared by every response that sets them.  net/http
+// only reads a handler's header values, and each slice has len == cap, so a
+// middleware's Header.Add copies instead of appending in place.
+var (
+	jsonContentType  = []string{"application/json"}
+	frameContentType = []string{FrameContentType}
+	cacheValues      = map[string][]string{
+		"hit": {"hit"}, "disk-hit": {"disk-hit"}, "miss": {"miss"},
+		"coalesced": {"coalesced"}, "peek": {"peek"}, "peek-disk": {"peek-disk"},
+	}
+)
+
+// setCache stamps the X-Agcmd-Cache disposition, one of cacheValues' keys.
+func setCache(w http.ResponseWriter, disposition string) {
+	w.Header()["X-Agcmd-Cache"] = cacheValues[disposition]
+}
+
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }
@@ -327,13 +366,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody("draining"))
 		return
 	}
-	req, err := DecodeRequest(io.LimitReader(r.Body, 1<<20), r.Header)
+	req, _, err := s.memo.Read(r.Body, MaxBodyBytes, r.Header)
 	if err == nil && s.opt.MaxSteps > 0 && req.Steps > s.opt.MaxSteps {
 		err = fmt.Errorf("steps %d out of range", req.Steps)
 	}
 	if err != nil {
 		s.metrics.requests.Inc("rejected")
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
+		Reject(w, err)
 		return
 	}
 	key := req.Key
@@ -355,7 +394,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if body, ok := s.cache.Get(key); ok {
 		s.flightMu.Unlock()
 		s.metrics.requests.Inc("hit")
-		w.Header().Set("X-Agcmd-Cache", "hit")
+		setCache(w, "hit")
 		writeNegotiated(w, r, http.StatusOK, body)
 		return
 	}
@@ -380,7 +419,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.cache.Put(key, fb)
 			s.finishFlight(key, f, http.StatusOK, fb, true, 0)
 			s.metrics.requests.Inc("disk_hit")
-			w.Header().Set("X-Agcmd-Cache", "disk-hit")
+			setCache(w, "disk-hit")
 			writeNegotiated(w, r, http.StatusOK, fb)
 			return
 		}
@@ -449,7 +488,7 @@ func (s *Server) finishFlight(key string, f *flight, status int, body []byte, is
 func (s *Server) await(w http.ResponseWriter, r *http.Request, f *flight, disposition string) {
 	select {
 	case <-f.done:
-		w.Header().Set("X-Agcmd-Cache", disposition)
+		setCache(w, disposition)
 		if f.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(f.retryAfter))
 		}
@@ -574,7 +613,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	}
 	if body, ok := s.cache.Get(key); ok {
 		s.metrics.requests.Inc("peek_hit")
-		w.Header().Set("X-Agcmd-Cache", "peek")
+		setCache(w, "peek")
 		writeNegotiated(w, r, http.StatusOK, body)
 		return
 	}
@@ -584,7 +623,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 		if fb, ok := s.store.Get(key); ok {
 			s.cache.Put(key, fb)
 			s.metrics.requests.Inc("peek_disk_hit")
-			w.Header().Set("X-Agcmd-Cache", "peek-disk")
+			setCache(w, "peek-disk")
 			writeNegotiated(w, r, http.StatusOK, fb)
 			return
 		}
