@@ -125,22 +125,9 @@ func parseAllows(fset *token.FileSet, file *ast.File, report func(Diagnostic)) [
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		// The analyzers check non-test code only: tests legitimately use
-		// wall clocks, randomness, and deliberately-invalid protocol calls
-		// (e.g. sending a reserved tag to assert the panic).  The
-		// standalone loader never reads _test.go files, but under `go vet`
-		// cmd/go includes them in the unit, so filter here to keep the two
-		// modes consistent.
-		files := pkg.Files[:0:0]
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Package).Filename
-			if !strings.HasSuffix(name, "_test.go") {
-				files = append(files, f)
-			}
-		}
 		// allowed[line] lists analyzers suppressed on that line.
 		allowed := make(map[int][]string)
-		for _, f := range files {
+		for _, f := range pkg.Files {
 			for _, d := range parseAllows(pkg.Fset, f, func(d Diagnostic) { all = append(all, d) }) {
 				allowed[d.Line] = append(allowed[d.Line], d.Analyzer)
 				allowed[d.Line+1] = append(allowed[d.Line+1], d.Analyzer)
@@ -150,7 +137,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
-				Files:     files,
+				Files:     pkg.Files,
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.TypesInfo,
 			}

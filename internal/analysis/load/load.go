@@ -2,8 +2,10 @@
 // golang.org/x/tools/go/packages: it shells out to `go list -deps -export`
 // for the build graph and compiler export data, parses the target packages'
 // sources, and type-checks them with the standard library's gc importer.
-// This is the same division of labour `go vet` uses, minus the per-package
-// .cfg plumbing (which cmd/agcmlint also speaks, for -vettool mode).
+//
+// Only a package's GoFiles are read, so _test.go files are never analyzed:
+// tests legitimately use wall clocks, randomness, and deliberately-invalid
+// protocol calls (e.g. sending a reserved tag to assert the panic).
 package load
 
 import (

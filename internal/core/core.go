@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"agcm/internal/comm"
 	"agcm/internal/dynamics"
 	"agcm/internal/fault"
 	"agcm/internal/filter"
@@ -492,46 +491,28 @@ func (pool *kitPool) run(ctx context.Context, cfg Config, measuredSteps int) (*R
 	return rep, nil
 }
 
-// Snapshot runs the model for `steps` steps on a 1x1 mesh and returns a
-// history file of the prognostic fields — a convenience for examples and
-// round-trip tests of the history IO.
+// Snapshot runs the model for `steps` (at least one) steps on a 1x1 mesh and
+// returns a history file of the prognostic fields — a convenience for examples
+// and round-trip tests of the history IO.  Of cfg it reads the grid, the
+// machine, dt and the initial wind; the run itself is the balanced FFT
+// filter without physics balancing or warmup, on a kit of its own that no
+// later run reuses.
 func Snapshot(cfg Config, steps int) (*history.File, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	cfg.MeshPy, cfg.MeshPx = 1, 1
-	d, err := grid.NewDecomp(cfg.Spec, 1, 1)
+	//lint:allow ctxflow Snapshot is deadline-free like Run
+	rep, err := (&kitPool{}).run(context.Background(), Config{
+		Spec: cfg.Spec, Machine: cfg.Machine, MeshPy: 1, MeshPx: 1,
+		Filter: FilterFFTBalanced, PhysicsScheme: physics.None, PhysicsRounds: 1,
+		Dt: cfg.Dt, InitWind: cfg.InitWind, WarmupSteps: -1, CaptureState: true,
+	}, steps)
 	if err != nil {
 		return nil, err
 	}
-	file := &history.File{Spec: cfg.Spec, Step: steps}
-	m := sim.New(1, cfg.Machine)
-	if _, err := m.Run(func(p *sim.Proc) error {
-		world := comm.World(p)
-		cart := comm.NewCart2D(world, 1, 1)
-		local := grid.NewLocal(d, 0, 0)
-		state := dynamics.NewState(local)
-		dynamics.InitSolidBody(state, cfg.InitWind, 4)
-		flt := filter.NewFFT(cart, cfg.Spec, local, true)
-		dyn := dynamics.New(cart, cfg.Spec, local, cfg.Dt, flt)
-		phys := physics.NewRunner(world, cart, local,
-			physics.NewModel(cfg.Spec, stepsPerDay(cfg.Dt)), physics.None, 1)
-		for n := 0; n < steps; n++ {
-			dyn.Step(state)
-			phys.Step(state.T, state.Q, n)
-		}
-		for _, v := range []struct {
-			name string
-			f    *grid.Field
-		}{{"u", state.U}, {"v", state.V}, {"h", state.H}, {"T", state.T}, {"q", state.Q}} {
-			if err := file.AddVariable(v.name, grid.Gather(world, cart, v.f)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	file := rep.FinalState
+	clear(file.Data[5:])                                  // the leapfrog's previous level goes with the run
+	file.Names, file.Data = file.Names[:5], file.Data[:5] // u, v, h, T, q
 	return file, nil
 }

@@ -317,6 +317,64 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsCaptureState pins Snapshot to the first five variables of a
+// CaptureState run of the 1x1 balanced-FFT model without physics balancing or
+// warmup, bit for bit, whatever else the given config asks for; and Snapshot's
+// kit must not stay in the process pool.
+func TestSnapshotIsCaptureState(t *testing.T) {
+	cfg := testConfig(2, 2, FilterConvolutionRing)
+	cfg.PhysicsScheme, cfg.VerticalDiffusion, cfg.InitWind = physics.Pairwise, 0.1, 15
+	forced := Config{
+		Spec: cfg.Spec, Machine: cfg.Machine, MeshPy: 1, MeshPx: 1,
+		Filter: FilterFFTBalanced, PhysicsScheme: physics.None, PhysicsRounds: 1,
+		InitWind: cfg.InitWind, WarmupSteps: -1, CaptureState: true,
+	}
+	def, err := forced.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := func() (n int) {
+		kits.mu.Lock()
+		defer kits.mu.Unlock()
+		for _, k := range kits.idle {
+			if k.key == keyOf(def) {
+				n++
+			}
+		}
+		return n
+	}
+	const steps = 3
+	before := pooled()
+	snap, err := Snapshot(cfg, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pooled() != before {
+		t.Error("Snapshot left its kit in the process pool")
+	}
+	rep, err := Run(forced, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.FinalState
+	if snap.Spec != want.Spec || snap.Step != want.Step || snap.Step != steps {
+		t.Fatalf("snapshot grid %+v step %d, want %+v step %d", snap.Spec, snap.Step, want.Spec, want.Step)
+	}
+	if len(snap.Names) != 5 {
+		t.Fatalf("snapshot variables %v, want the first five of %v", snap.Names, want.Names)
+	}
+	for i, name := range snap.Names {
+		if name != want.Names[i] {
+			t.Fatalf("snapshot variable %d is %q, want %q", i, name, want.Names[i])
+		}
+		for j, v := range snap.Data[i] {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i][j]) {
+				t.Fatalf("%s[%d] = %v, want %v", name, j, v, want.Data[i][j])
+			}
+		}
+	}
+}
+
 func TestCrashRecoveryRoundTrip(t *testing.T) {
 	// The end-to-end robustness scenario at test resolution: reference run,
 	// crashed run with periodic checkpoints, restart from the last

@@ -10,6 +10,7 @@ import (
 
 	"agcm/internal/comm"
 	"agcm/internal/grid"
+	"agcm/internal/loadbalance"
 	"agcm/internal/machine"
 	"agcm/internal/sim"
 )
@@ -88,10 +89,16 @@ func (f *oracleFFTFilter) damping(k Kind, j int) []float64 {
 	return d
 }
 
+// oracleBlockSize is owner's share of n items under Eq. (3).
+func oracleBlockSize(n, p, owner int) int {
+	lo, hi := loadbalance.Block(n, p, owner)
+	return hi - lo
+}
+
 func oracleBlockOwnersInto(dst []int, n, p int) []int {
 	dst = dst[:0]
 	for owner := 0; owner < p; owner++ {
-		for c := blockSize(n, p, owner); c > 0; c-- {
+		for c := oracleBlockSize(n, p, owner); c > 0; c-- {
 			dst = append(dst, owner)
 		}
 	}
@@ -142,10 +149,10 @@ func (f *oracleFFTFilter) layout(vars []Variable) {
 	nWork := mine
 	nFinal := 0
 	if f.balanced {
-		nWork = blockSize(nLines, py, me)
+		nWork = oracleBlockSize(nLines, py, me)
 		nFinal = nLines
 	}
-	nBlock := blockSize(nWork, px, myCol)
+	nBlock := oracleBlockSize(nWork, px, myCol)
 
 	ints := make([]int, nLines+nFinal+2*nWork+nBlock+3*py+px)
 	f.initOwner = cut(&ints, nLines)
@@ -193,7 +200,7 @@ func (f *oracleFFTFilter) layout(vars []Variable) {
 	f.parts, f.tOut = cut(&headers, px), cut(&headers, px)
 	f.back, f.gotOut = cut(&headers, px), cut(&headers, px)
 	for c := 0; c < px; c++ {
-		toCol := blockSize(nWork, px, c) * w // my lines that column c filters
+		toCol := oracleBlockSize(nWork, px, c) * w // my lines that column c filters
 		f.parts[c], f.gotOut[c] = cut(&values, toCol)[:0], cut(&values, toCol)[:0]
 		fromCol := nBlock * f.widths[c] // column c's segments of my circles
 		f.tOut[c], f.back[c] = cut(&values, fromCol)[:0], cut(&values, fromCol)[:0]

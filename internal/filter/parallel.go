@@ -6,6 +6,7 @@ import (
 
 	"agcm/internal/comm"
 	"agcm/internal/grid"
+	"agcm/internal/loadbalance"
 )
 
 // Tags for the filter's column-direction traffic (user tag range).
@@ -244,26 +245,17 @@ func NewFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) 
 	}
 }
 
-// blockOwners assigns n items to p owners in contiguous blocks sized by the
-// Eq. (3) targets, returning the owner of each item.
+// blockOwners assigns n items to p owners in the Eq. (3) blocks of
+// loadbalance.Block, returning the owner of each item.
 func blockOwners(n, p int) []int {
-	owners := make([]int, 0, n)
+	owners := make([]int, n)
 	for owner := 0; owner < p; owner++ {
-		for c := blockSize(n, p, owner); c > 0; c-- {
-			owners = append(owners, owner)
+		lo, hi := loadbalance.Block(n, p, owner)
+		for i := lo; i < hi; i++ {
+			owners[i] = owner
 		}
 	}
 	return owners
-}
-
-// blockSize is the number of items blockOwners gives to owner: the
-// loadbalance.Targets formula, floor(n/p) per owner, the first n%p owners
-// taking one extra.
-func blockSize(n, p, owner int) int {
-	if owner < n%p {
-		return n/p + 1
-	}
-	return n / p
 }
 
 // cut takes the next n elements off the front of arena as a slice that
@@ -290,9 +282,9 @@ func (f *FFTFilter) layout(vars []Variable) {
 	ints := make([]int, px+1+py)
 	f.colStart, f.rOffs = cut(&ints, px+1), cut(&ints, py)
 	for c := 0; c < px; c++ {
-		f.colStart[c+1] = f.colStart[c] + blockSize(nWork, px, c)
+		_, f.colStart[c+1] = loadbalance.Block(nWork, px, c)
 	}
-	nBlock := blockSize(nWork, px, myCol)
+	nBlock := f.colStart[myCol+1] - f.colStart[myCol]
 
 	// A processor row's balancing buffers serve both directions, so each is
 	// cut for the larger of the two.

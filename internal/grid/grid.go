@@ -13,6 +13,8 @@ package grid
 import (
 	"fmt"
 	"math"
+
+	"agcm/internal/loadbalance"
 )
 
 // EarthRadius is the planetary radius in metres used for metric terms.
@@ -125,25 +127,13 @@ func NewDecomp(spec Spec, py, px int) (Decomp, error) {
 	return Decomp{Spec: spec, Py: py, Px: px}, nil
 }
 
-// blockRange splits n cells over p blocks, spreading the remainder over the
-// leading blocks, and returns the half-open range of block b.
-func blockRange(n, p, b int) (lo, hi int) {
-	base, rem := n/p, n%p
-	lo = b*base + min(b, rem)
-	size := base
-	if b < rem {
-		size++
-	}
-	return lo, lo + size
-}
-
 // LatRange returns the half-open global latitude-row range owned by
 // processor row `row`.
 func (d Decomp) LatRange(row int) (lo, hi int) {
 	if row < 0 || row >= d.Py {
 		panic(fmt.Sprintf("grid: row %d out of mesh range", row))
 	}
-	return blockRange(d.Spec.Nlat, d.Py, row)
+	return loadbalance.Block(d.Spec.Nlat, d.Py, row)
 }
 
 // LonRange returns the half-open global longitude-column range owned by
@@ -152,7 +142,7 @@ func (d Decomp) LonRange(col int) (lo, hi int) {
 	if col < 0 || col >= d.Px {
 		panic(fmt.Sprintf("grid: col %d out of mesh range", col))
 	}
-	return blockRange(d.Spec.Nlon, d.Px, col)
+	return loadbalance.Block(d.Spec.Nlon, d.Px, col)
 }
 
 // RowOfLat returns the processor row owning global latitude row j.

@@ -104,8 +104,9 @@ func TestBlockRangePartitionProperty(t *testing.T) {
 		}
 		next := 0
 		minSize, maxSize := n+1, -1
+		d := Decomp{Spec: Spec{Nlat: n}, Py: p}
 		for b := 0; b < p; b++ {
-			lo, hi := blockRange(n, p, b)
+			lo, hi := d.LatRange(b)
 			if lo != next || hi < lo {
 				return false
 			}

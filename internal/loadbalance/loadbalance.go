@@ -104,9 +104,21 @@ func PlanCost(moves []Move) (messages int, volume float64) {
 
 // --- Generic integer row balancing (filter module, Eq. 3) ---------------
 
-// Targets splits total indivisible items over p processors as evenly as
-// possible: every processor receives floor(total/p) items and the first
-// total%p processors receive one extra — the paper's Eq. (3) allocation.
+// Block is the paper's Eq. (3) allocation of n indivisible items to p
+// owners, as contiguous blocks in owner order: every owner receives
+// floor(n/p) items and the first n%p owners one extra.  It returns the
+// half-open range of the items owner i receives.
+func Block(n, p, i int) (lo, hi int) {
+	base, rem := n/p, n%p
+	lo = i*base + min(i, rem)
+	hi = lo + base
+	if i < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// Targets returns each of p processors' share of total items under Block.
 func Targets(total, p int) []int {
 	if p <= 0 {
 		panic(fmt.Sprintf("loadbalance: invalid processor count %d", p))
@@ -114,13 +126,10 @@ func Targets(total, p int) []int {
 	if total < 0 {
 		panic(fmt.Sprintf("loadbalance: negative total %d", total))
 	}
-	base, rem := total/p, total%p
 	t := make([]int, p)
 	for i := range t {
-		t[i] = base
-		if i < rem {
-			t[i]++
-		}
+		lo, hi := Block(total, p, i)
+		t[i] = hi - lo
 	}
 	return t
 }

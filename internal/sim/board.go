@@ -90,6 +90,7 @@ func (b *Board) Run(me int, steps []Step, send, recv [][]float64) {
 		panic(fmt.Sprintf("sim: rank %d arrived twice at a board", mm.p.rank))
 	}
 	mm.steps, mm.send, mm.recv, mm.pc, mm.in, mm.fail = steps, send, recv, 0, true, nil
+	mm.sizeInbox()
 	b.arrived++
 	b.run = append(b.run, int32(me))
 	for len(b.run) > 0 {
@@ -110,6 +111,24 @@ func (b *Board) Run(me int, steps []Step, send, recv [][]float64) {
 	}
 	if mm.fail != nil {
 		panic(mm.fail)
+	}
+}
+
+// sizeInbox gives the arriving member's inbox room for every message of its
+// call: each one is matched by one of its receive steps, so the backlog never
+// passes their count, whatever the schedule, and the inbox never grows again.
+func (mm *boardMember) sizeInbox() {
+	n := 0
+	for _, s := range mm.steps {
+		if s.Kind == StepRecv {
+			n++
+		}
+	}
+	if cap(mm.inbox) < n {
+		mm.inbox = append(make([]boardMsg, 0, n), mm.inbox...)
+	}
+	if cap(mm.from) < n {
+		mm.from = append(make([]int32, 0, n), mm.from...)
 	}
 }
 
