@@ -13,9 +13,10 @@
 //	GET  /readyz   readiness: 200 while at least one backend is routable
 //	GET  /metrics  Prometheus text format (agcmgw_* families)
 //
-// Structured JSON event lines (breaker transitions, ejections,
-// readmissions, hedges, degraded serves) go to stderr by default; -events
-// redirects them to a file or discards them with "none".
+// Structured JSON event lines — breaker (a state transition), eject,
+// readmit, hedge, degraded (a cache-peek serve) and retry_budget_exhausted
+// — go to stderr by default; -events redirects them to a file or discards
+// them with "none".
 package main
 
 import (

@@ -22,7 +22,7 @@
 // Observability: /metrics (per-backend breaker state, responses by code,
 // retries, hedges, probes — emitted in sorted order) and a structured
 // JSON-lines event log (breaker transitions, ejections, readmissions,
-// hedges, degraded serves).
+// hedges, degraded serves, exhausted retry budgets).
 package gateway
 
 import (
@@ -34,7 +34,7 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -85,10 +85,12 @@ type Options struct {
 	Seed int64
 	// MaxBodyBytes bounds a request body (default server.MaxBodyBytes).
 	MaxBodyBytes int64
-	// Transport overrides the HTTP transport (tests inject fakes).
+	// Transport carries every backend request — attempts, cache peeks and
+	// probes — with no redirect following (tests inject fakes).
 	Transport http.RoundTripper
-	// Events, when set, receives one JSON line per gateway event (breaker
-	// transitions, ejections, readmissions, hedges, degraded serves).
+	// Events, when set, receives one JSON line per gateway event: breaker
+	// (a state transition), eject, readmit, hedge, degraded (a cache-peek
+	// serve) and retry_budget_exhausted.
 	Events io.Writer
 }
 
@@ -147,7 +149,6 @@ type Gateway struct {
 	budget   *retryBudget
 	backoff  *backoff
 	metrics  *gatewayMetrics
-	client   *http.Client
 	events   *eventLog
 	lat      *latencyRing
 	memo     *server.Memo
@@ -180,7 +181,6 @@ func New(opt Options) (*Gateway, error) {
 		policy:     pol,
 		budget:     newRetryBudget(opt.RetryRatio, opt.RetryBurst),
 		backoff:    newBackoff(opt.BackoffBase, opt.BackoffCap, opt.Seed),
-		client:     &http.Client{Transport: opt.Transport},
 		events:     &eventLog{w: opt.Events},
 		lat:        &latencyRing{},
 		memo:       server.NewMemo(),
@@ -200,11 +200,10 @@ func New(opt Options) (*Gateway, error) {
 		}
 		seen[id] = true
 		br := newBreaker(opt.FailThreshold, opt.OpenFor, nil)
-		backendID := id
 		br.onTransition = func(from, to BreakerState) {
 			transition := from.String() + "->" + to.String()
-			g.metrics.BreakerTransitions.Inc(backendID, transition)
-			g.events.Emit("breaker", backendID, transition)
+			g.metrics.BreakerTransitions.Inc(id, transition)
+			g.events.Emit("breaker", id, transition)
 		}
 		g.backends = append(g.backends, newBackend(id, id, br))
 	}
@@ -276,7 +275,8 @@ func (l *eventLog) Emit(event, backend, detail string) {
 type latencyRing struct {
 	mu      sync.Mutex
 	samples [128]float64
-	n       int // total observed
+	sorted  [128]float64 // P95's scratch, so a hedged request sorts in place
+	n       int          // total observed
 }
 
 func (r *latencyRing) Observe(seconds float64) {
@@ -293,13 +293,10 @@ func (r *latencyRing) P95() float64 {
 	if r.n < 16 {
 		return 0
 	}
-	k := r.n
-	if k > len(r.samples) {
-		k = len(r.samples)
-	}
-	buf := make([]float64, k)
+	k := min(r.n, len(r.samples))
+	buf := r.sorted[:k]
 	copy(buf, r.samples[:k])
-	sort.Float64s(buf)
+	slices.Sort(buf)
 	return buf[int(0.95*float64(k-1))]
 }
 
@@ -309,13 +306,7 @@ func (r *latencyRing) P95() float64 {
 func (g *Gateway) hedgeDelay() time.Duration {
 	if p95 := g.lat.P95(); p95 > 0 {
 		d := time.Duration(p95 * float64(time.Second))
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		if max := g.opt.AttemptTimeout / 2; d > max {
-			d = max
-		}
-		return d
+		return min(max(d, time.Millisecond), g.opt.AttemptTimeout/2)
 	}
 	return g.opt.HedgeDelay
 }
@@ -358,27 +349,36 @@ func attemptsValue(n int) []string {
 // attemptResult is the outcome of one proxied attempt (or of the degraded
 // cache-peek path).
 type attemptResult struct {
-	status   int
-	header   http.Header
-	buf      *server.Body // the body; relay releases it
-	err      error        // transport-level failure
-	canceled bool         // abandoned by the gateway itself: no health verdict
+	status int
+	header http.Header
+	buf    *server.Body // the body; relay releases it
+	err    error        // transport-level failure or abandoned attempt
 }
 
-// relayable reports whether the result is a final answer for the client
-// rather than something the retry layer should mask.  429 (saturated), 502
-// and 503 (transport-ish) are retried elsewhere; everything else — 200,
-// client errors, and deterministic simulation errors (500, 504) — is the
-// backend doing its job.
-func (a *attemptResult) relayable() bool {
-	if a == nil || a.err != nil || a.canceled {
-		return false
-	}
-	switch a.status {
+// masked is the retry rule: the backend statuses the retry layer masks
+// rather than relays.  429 (saturated), 502 and 503 (transport-ish) are
+// retried elsewhere; everything else — 200, client errors, and
+// deterministic simulation errors (500, 504) — is the backend doing its job.
+func masked(status int) bool {
+	switch status {
 	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable:
-		return false
+		return true
 	}
-	return true
+	return false
+}
+
+// relayable reports whether the result is a final answer for the client: a
+// response the retry layer does not mask.  A transport failure or an
+// abandoned attempt never is.
+func (a *attemptResult) relayable() bool {
+	return a.err == nil && !masked(a.status)
+}
+
+// release returns the result's buffer to the pool; nil is a no-op.
+func (a *attemptResult) release() {
+	if a != nil {
+		a.buf.Release()
+	}
 }
 
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -421,6 +421,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	// any backend that has them — content addressing makes any copy THE
 	// answer.
 	if peek := g.degradedPeek(r.Context(), key, hdr["Accept"]); peek != nil {
+		res.release()
 		g.events.Emit("degraded", "", key)
 		g.metrics.Requests.Inc("degraded")
 		g.relay(w, peek, attempts, "degraded")
@@ -430,7 +431,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Shed.  Relay a backend's own 429/503 verbatim (its Retry-After is the
 	// best available estimate); otherwise synthesize a 503.
 	g.metrics.Requests.Inc("shed")
-	if res != nil && res.err == nil && !res.canceled {
+	if res != nil && masked(res.status) {
 		g.relay(w, res, attempts, "")
 		return
 	}
@@ -442,7 +443,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 // relay writes an attempt's response to the client, forwarding the headers
 // that matter and stamping the gateway's own, and releases its buffer.  The
 // forwarded values are the upstream's own slices: a response's Header is the
-// client's once Do returns, and textproto caps each slice at its length.
+// caller's once RoundTrip returns, and textproto caps each slice at its length.
 func (g *Gateway) relay(w http.ResponseWriter, res *attemptResult, attempts int, mode string) {
 	h := w.Header()
 	for _, k := range [...]string{"Content-Type", "Retry-After", "X-Agcmd-Cache", "X-Agcmd-Backend"} {
@@ -462,14 +463,16 @@ func (g *Gateway) relay(w http.ResponseWriter, res *attemptResult, attempts int,
 	res.buf.Release()
 }
 
-// proxyWithRetries drives the attempt loop: pick a backend by policy,
-// attempt, classify, and either relay, retry elsewhere (budget and backoff
-// permitting), or give up.  It returns the last result (nil if no attempt
-// ran) and the attempt count.
+// proxyWithRetries drives the attempt loop: every round picks a backend by
+// policy, attempts it (round 0 of an interactive request races a hedge),
+// classifies, and either relays, retries elsewhere (budget and backoff
+// permitting), or gives up.  It returns the last result (nil if no attempt
+// ran), having released every earlier one, and the attempt count.
 func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server.SLOClass, hdr http.Header, body string) (*attemptResult, int) {
 	var last *attemptResult
-	attempts := 0
-	lastIdx := -1
+	attempts, lastIdx := 0, -1
+	// Only interactive requests are worth a second shard.
+	hedge := class == server.Interactive && g.opt.HedgeDelay > 0
 	for retry := 0; retry <= g.opt.RetryMax; retry++ {
 		if retry > 0 {
 			if !g.budget.Take() {
@@ -484,52 +487,41 @@ func (g *Gateway) proxyWithRetries(ctx context.Context, key string, class server
 				return last, attempts
 			}
 		}
-		var res *attemptResult
-		var idx int
-		// Only interactive requests are worth a second shard.
-		if retry == 0 && class == server.Interactive && g.opt.HedgeDelay > 0 {
-			res, idx = g.hedged(ctx, key, hdr, body)
-		} else {
-			b, probe, i := g.pick(key, lastIdx)
-			if b == nil {
-				break
-			}
-			res, idx = g.attempt(ctx, b, probe, hdr, body), i
-		}
-		if res == nil {
+		b, probe, idx := g.pick(key, lastIdx)
+		if b == nil {
 			break
 		}
-		attempts++
-		last, lastIdx = res, idx
-		if res.relayable() {
-			return res, attempts
+		var res *attemptResult
+		if retry == 0 && hedge {
+			res, idx = g.hedged(ctx, key, b, probe, idx, hdr, body)
+		} else {
+			res = g.attempt(ctx, b, probe, hdr, body)
 		}
-		if ctx.Err() != nil {
-			return last, attempts
+		attempts++
+		last.release()
+		last, lastIdx = res, idx
+		if res.relayable() || ctx.Err() != nil {
+			return res, attempts
 		}
 	}
 	return last, attempts
 }
 
-// pick selects the next backend: first pass honors readiness, cooldowns,
-// and breakers and skips the backend that just failed; the relaxed second
-// pass only requires the breaker to admit (so a half-open probe or a
-// cooling-down backend is still reachable when it is the only hope).  probe
-// reports that the breaker's half-open slot was claimed and must be
-// resolved via Record or Forgive.
+// pick selects the next backend: the first pass takes only eligible
+// backends (the rule /readyz reports) and skips the one that just failed;
+// the relaxed second pass only requires the breaker to admit (so a half-open
+// probe or a cooling-down backend is still reachable when it is the only
+// hope).  probe reports that the breaker's half-open slot was claimed and
+// must be resolved via Record or Forgive.
 func (g *Gateway) pick(key string, exclude int) (b *backend, probe bool, idx int) {
 	order := g.policy.Order(key, g.backends)
 	now := time.Now()
 	for _, i := range order {
-		if i == exclude && len(g.backends) > 1 {
-			continue
-		}
-		cand := g.backends[i]
-		if !cand.ready.Load() || cand.inCooldown(now) {
-			continue
-		}
-		if ok, pr := cand.breaker.Allow(); ok {
-			return cand, pr, i
+		skip := i == exclude && len(g.backends) > 1
+		if cand := g.backends[i]; !skip && cand.eligible(now) {
+			if ok, pr := cand.breaker.Allow(); ok {
+				return cand, pr, i
+			}
 		}
 	}
 	for _, i := range order {
@@ -556,12 +548,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, hdr http.
 
 	b.inflight.Add(1)
 	start := time.Now()
-	resp, err := g.client.Do(req)
-	var buf *server.Body
-	if err == nil {
-		buf, err = server.ReadBody(resp.Body, -1)
-		resp.Body.Close()
-	}
+	resp, buf, err := g.send(req)
 	elapsed := time.Since(start)
 	b.inflight.Add(-1)
 
@@ -571,31 +558,42 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, probe bool, hdr http.
 		if ctx.Err() == context.Canceled {
 			g.metrics.BackendCanceled.Inc(b.id)
 			b.breaker.Forgive(probe)
-			return &attemptResult{err: err, canceled: true}
+		} else {
+			g.metrics.BackendErrors.Inc(b.id)
+			b.breaker.Record(false, probe)
 		}
-		g.metrics.BackendErrors.Inc(b.id)
-		b.breaker.Record(false, probe)
 		return &attemptResult{err: err}
 	}
 
 	g.metrics.BackendResponses.Inc(b.id, metrics.StatusLabel(resp.StatusCode))
-	res := &attemptResult{status: resp.StatusCode, header: resp.Header, buf: buf}
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests:
-		// Saturation is not ill health: the breaker sees success, and the
-		// backend's own Retry-After becomes its routing cooldown.
-		b.breaker.Record(true, probe)
-		b.coolDown(time.Now(), retryAfterDuration(resp.Header, time.Second))
-	case http.StatusBadGateway, http.StatusServiceUnavailable:
-		b.breaker.Record(false, probe)
-		b.coolDown(time.Now(), retryAfterDuration(resp.Header, 0))
-	default:
+	switch {
+	case !masked(resp.StatusCode):
 		b.breaker.Record(true, probe)
 		if resp.StatusCode == http.StatusOK {
 			g.lat.Observe(elapsed.Seconds())
 		}
+	case resp.StatusCode == http.StatusTooManyRequests:
+		// Saturation is not ill health: the breaker sees success, and the
+		// backend's own Retry-After becomes its routing cooldown.
+		b.breaker.Record(true, probe)
+		b.coolDown(time.Now(), retryAfterDuration(resp.Header, time.Second))
+	default:
+		b.breaker.Record(false, probe)
+		b.coolDown(time.Now(), retryAfterDuration(resp.Header, 0))
 	}
-	return res
+	return &attemptResult{status: resp.StatusCode, header: resp.Header, buf: buf}
+}
+
+// send issues req through the transport and reads the whole response into
+// a pooled buffer the caller releases; on an error there is no buffer.
+func (g *Gateway) send(req *http.Request) (*http.Response, *server.Body, error) {
+	resp, err := g.opt.Transport.RoundTrip(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	buf, err := server.ReadBody(resp.Body, -1)
+	resp.Body.Close()
+	return resp, buf, err
 }
 
 // maxRetryAfter caps a backend's Retry-After.  Uncapped, a huge value
@@ -605,27 +603,19 @@ const maxRetryAfter = time.Hour
 // retryAfterDuration parses a Retry-After header in seconds, capped at
 // maxRetryAfter, returning fallback when absent or unparseable.
 func retryAfterDuration(h http.Header, fallback time.Duration) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return fallback
-	}
-	secs, err := strconv.Atoi(v)
+	secs, err := strconv.Atoi(h.Get("Retry-After"))
 	if err != nil || secs < 0 {
 		return fallback
 	}
 	return time.Duration(min(secs, int(maxRetryAfter/time.Second))) * time.Second
 }
 
-// hedged races two shards for an interactive request: the policy's primary
-// immediately, and — if it has not answered within the hedge delay — the
-// next-ranked backend, budget permitting.  The first full response wins and
-// the loser is canceled via context.  Returns the winning result and its
-// backend index.
-func (g *Gateway) hedged(ctx context.Context, key string, hdr http.Header, body string) (*attemptResult, int) {
-	b1, probe1, idx1 := g.pick(key, -1)
-	if b1 == nil {
-		return nil, -1
-	}
+// hedged races two shards for an interactive request: the primary b1 that
+// the retry loop picked, immediately, and — if it has not answered within
+// the hedge delay — the next-ranked backend, budget permitting.  The first
+// full response wins and the loser is canceled via context.  Returns the
+// winning result and its backend index.
+func (g *Gateway) hedged(ctx context.Context, key string, b1 *backend, probe1 bool, idx1 int, hdr http.Header, body string) (*attemptResult, int) {
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	// Tie the hedge to the gateway's lifecycle: Close cancels rootCtx, which
@@ -633,25 +623,25 @@ func (g *Gateway) hedged(ctx context.Context, key string, hdr http.Header, body 
 	// g.stopped — exit promptly and Close's Wait can join them.
 	unbind := context.AfterFunc(g.rootCtx, hcancel)
 	defer unbind()
-	type outcome struct {
-		res *attemptResult
-		idx int
-	}
-	// The first attempt to finish is the answer.  One that finishes later
-	// with a full response counts as a lost hedge (its backend counted it,
-	// so reconciliation must subtract it); each attempt settles that
-	// itself, so nothing outlives the attempts for Close to join.
+	// The first attempt to finish is the answer (winner is set before the
+	// send).  One that finishes later with a full response is a lost hedge
+	// (its backend counted it, so reconciliation must subtract it) and
+	// releases its body; each attempt settles that itself, so nothing
+	// outlives the attempts for Close to join.
 	var settled atomic.Bool
-	ch := make(chan outcome, 1)
+	winner := -1
+	ch := make(chan *attemptResult, 1)
 	launch := func(b *backend, probe bool, idx int) {
 		g.stopped.Add(1)
 		go func() {
 			defer g.stopped.Done()
 			res := g.attempt(hctx, b, probe, hdr, body)
 			if settled.CompareAndSwap(false, true) {
-				ch <- outcome{res, idx}
-			} else if !res.canceled && res.err == nil {
+				winner = idx
+				ch <- res
+			} else if res.err == nil {
 				g.metrics.Hedges.Inc("lost")
+				res.release()
 			}
 		}()
 	}
@@ -660,31 +650,28 @@ func (g *Gateway) hedged(ctx context.Context, key string, hdr http.Header, body 
 	timer := time.NewTimer(g.hedgeDelay())
 	defer timer.Stop()
 	select {
-	case out := <-ch:
-		return out.res, out.idx
+	case res := <-ch:
+		return res, winner
 	case <-timer.C:
 	}
 
 	b2, probe2, idx2 := g.pick(key, idx1)
-	if b2 == nil || idx2 == idx1 || !g.budget.Take() {
-		if b2 != nil {
-			b2.breaker.Forgive(probe2)
-		}
-		//lint:allow ctxflow bounded wait: the attempt is deadline-bound by AttemptTimeout and canceled through hctx on both caller cancel and Close
-		out := <-ch
-		return out.res, out.idx
+	raced := b2 != nil && idx2 != idx1 && g.budget.Take()
+	if raced {
+		g.metrics.Hedges.Inc("launched")
+		g.events.Emit("hedge", b2.id, key)
+		launch(b2, probe2, idx2)
+	} else if b2 != nil {
+		b2.breaker.Forgive(probe2)
 	}
-	g.metrics.Hedges.Inc("launched")
-	g.events.Emit("hedge", b2.id, key)
-	launch(b2, probe2, idx2)
 
-	//lint:allow ctxflow bounded wait: both attempts are deadline-bound by AttemptTimeout and canceled through hctx on both caller cancel and Close
-	out := <-ch
+	//lint:allow ctxflow bounded wait: every launched attempt is deadline-bound by AttemptTimeout and canceled through hctx on both caller cancel and Close
+	res := <-ch
 	hcancel() // the loser's attempt sees context.Canceled and is forgiven
-	if out.idx == idx2 {
+	if raced && winner == idx2 {
 		g.metrics.Hedges.Inc("won")
 	}
-	return out.res, out.idx
+	return res, winner
 }
 
 // degradedPeek asks every backend, in policy order and regardless of
@@ -692,10 +679,7 @@ func (g *Gateway) hedged(ctx context.Context, key string, hdr http.Header, body 
 // encoding the client's Accept negotiates).  A dying or draining backend can
 // still answer — content addressing makes any copy authoritative.
 func (g *Gateway) degradedPeek(ctx context.Context, key string, accept []string) *attemptResult {
-	timeout := 2 * time.Second
-	if g.opt.AttemptTimeout < timeout {
-		timeout = g.opt.AttemptTimeout
-	}
+	timeout := min(2*time.Second, g.opt.AttemptTimeout)
 	for _, i := range g.policy.Order(key, g.backends) {
 		b := g.backends[i]
 		pctx, cancel := context.WithTimeout(ctx, timeout)
@@ -705,13 +689,7 @@ func (g *Gateway) degradedPeek(ctx context.Context, key string, accept []string)
 			continue
 		}
 		req.Header["Accept"] = accept
-		resp, err := g.client.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		buf, err := server.ReadBody(resp.Body, -1)
-		resp.Body.Close()
+		resp, buf, err := g.send(req)
 		cancel()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			buf.Release()
@@ -752,7 +730,8 @@ func (g *Gateway) probeOne(b *backend) {
 	ok := false
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/readyz", nil)
 	if err == nil {
-		resp, err := g.client.Do(req)
+		// The body is drained, never buffered: /readyz has no size bound.
+		resp, err := g.opt.Transport.RoundTrip(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -776,18 +755,12 @@ func (g *Gateway) probeOne(b *backend) {
 			g.events.Emit("eject", b.id, "readyz failed")
 		}
 	}
-	if ok {
-		// A healthy probe drives half-open recovery, but must not reset the
-		// closed breaker's consecutive-failure count: /readyz succeeding
-		// says nothing about /v1/run succeeding.
-		if allowed, isProbe := b.breaker.Allow(); allowed && isProbe {
-			b.breaker.Record(true, true)
-		}
-		return
-	}
+	// In half-open the probe's verdict decides recovery.  Otherwise only a
+	// failure counts: /readyz succeeding says nothing about /v1/run
+	// succeeding, so it must not reset the closed breaker's failure count.
 	if allowed, isProbe := b.breaker.Allow(); allowed && isProbe {
-		b.breaker.Record(false, true)
-	} else if b.breaker.State() == BreakerClosed {
+		b.breaker.Record(ok, true)
+	} else if !ok && b.breaker.State() == BreakerClosed {
 		b.breaker.Record(false, false)
 	}
 }
