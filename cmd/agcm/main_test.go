@@ -203,3 +203,35 @@ func TestProfileGolden(t *testing.T) {
 		t.Errorf("-tracefile JSON hashes to %x, want %s", sum, profileTraceSHA256)
 	}
 }
+
+// TestRoutedOutputSHA256 pins the stdout of two routed runs byte for byte
+// by its hash: one Paragon mesh under snake placement, one T3D torus under
+// blocked placement.  Link-id ties order the link table, so a change that
+// renumbers links moves these bytes even when every row's totals hold.
+// The test binary re-executes itself as the CLI.
+func TestRoutedOutputSHA256(t *testing.T) {
+	if args := os.Getenv("AGCM_TEST_ROUTED_SHA"); args != "" {
+		os.Args = append([]string{"agcm"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0) // no test-framework output after the CLI's
+	}
+	for _, c := range []struct {
+		args []string
+		sum  string
+	}{
+		{[]string{"-machine", "paragon", "-mesh", "4x8", "-filter", "fft", "-topology", "auto", "-placement", "snake"},
+			"d329fe2cc72be79ffbec29d5e99b702a143cfdfb5e1676192b382f194d0df45d"},
+		{[]string{"-machine", "t3d", "-mesh", "4x8", "-filter", "fft", "-topology", "torus:4x4x2", "-placement", "blocked"},
+			"0211de01389603d375f0bb4e76c599b5f4d4fd24c2b3effe25d007599455bf89"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRoutedOutputSHA256$")
+		cmd.Env = append(os.Environ(), "AGCM_TEST_ROUTED_SHA="+strings.Join(c.args, "\n"))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("agcm %s: %v", strings.Join(c.args, " "), err)
+		}
+		if sum := sha256.Sum256(out); hex.EncodeToString(sum[:]) != c.sum {
+			t.Errorf("agcm %s: stdout hashes to %x, want %s:\n%s", strings.Join(c.args, " "), sum, c.sum, out)
+		}
+	}
+}
