@@ -1,0 +1,108 @@
+package agcm
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// docName matches a backticked span that names tests, benchmarks or fuzz
+// targets, optionally qualified by its package: `TestPlanRows*`,
+// `BenchmarkTable{4,5}AGCM*`, `sim.TestFanPanicIsRankPanic`.
+var docName = regexp.MustCompile("`(?:[a-z]+\\.)?((?:Test|Benchmark|Fuzz)[A-Za-z0-9_*{},]*)`")
+
+// TestDocsNameRealTests: every test, benchmark and fuzz target the prose
+// docs name in backticks — `{a,b}` sets expanded, `*` globbing as in
+// path.Match — matches a function defined in a _test.go file of the module,
+// so a renamed or deleted test cannot leave a doc pointing at nothing.
+func TestDocsNameRealTests(t *testing.T) {
+	defined := testFuncs(t)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docName.FindAllStringSubmatch(string(raw), -1) {
+			for _, pattern := range expandBraces(m[1]) {
+				if !matchesAny(t, pattern, defined) {
+					t.Errorf("%s names `%s`, but no test function matches %s", doc, m[1], pattern)
+				}
+			}
+		}
+	}
+}
+
+// testFuncs returns the names of the top-level functions of every _test.go
+// file in the module, skipping testdata and nested modules.
+func testFuncs(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil ||
+				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// expandBraces expands every {a,b,...} set in s, left to right.
+func expandBraces(s string) []string {
+	open := strings.IndexByte(s, '{')
+	shut := strings.IndexByte(s, '}')
+	if open < 0 || shut < open {
+		return []string{s}
+	}
+	var out []string
+	for _, alt := range strings.Split(s[open+1:shut], ",") {
+		out = append(out, expandBraces(s[:open]+alt+s[shut+1:])...)
+	}
+	return out
+}
+
+func matchesAny(t *testing.T, pattern string, names []string) bool {
+	t.Helper()
+	for _, name := range names {
+		ok, err := path.Match(pattern, name)
+		if err != nil {
+			t.Fatalf("bad pattern %q: %v", pattern, err)
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}

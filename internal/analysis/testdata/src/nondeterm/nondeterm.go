@@ -88,8 +88,8 @@ func AllowOnLineAbove(m map[int]int) map[int]int {
 	return doubled
 }
 
-// linkRegistry mirrors the topology package's packed-pair link index: a map
-// for O(1) lookup plus an ordered slice as the source of truth.  Its
+// linkRegistry is a packed-pair link index: a map for O(1) lookup plus an
+// ordered slice as the source of truth.  Its
 // consistency check may range the map with an annotation (each iteration
 // only cross-checks its own entry), but routing or reporting must never
 // derive results from map order.

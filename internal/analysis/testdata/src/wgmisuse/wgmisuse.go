@@ -1,6 +1,5 @@
 // Package wgmisuse is the analysistest fixture for the wgmisuse analyzer:
-// WaitGroup.Add inside the spawned goroutine, Done not deferred, and
-// WaitGroups copied by value.
+// WaitGroup.Add inside the spawned goroutine and Done not deferred.
 package wgmisuse
 
 import "sync"
@@ -31,25 +30,6 @@ func Correct(wg *sync.WaitGroup) {
 		defer wg.Done()
 		work()
 	}()
-}
-
-// ByValueParam receives a copy: Add/Done here never reach the caller's Wait.
-func ByValueParam(wg sync.WaitGroup) { // want `parameter receives a sync\.WaitGroup by value`
-	wg.Wait()
-}
-
-// ByValueCall passes the copy in.
-func ByValueCall() {
-	var wg sync.WaitGroup
-	ByValueParam(wg) // want `call passes a sync\.WaitGroup by value`
-	wg.Wait()
-}
-
-// ByValueAssign copies via assignment.
-func ByValueAssign() {
-	var wg sync.WaitGroup
-	wg2 := wg // want `assignment copies a sync\.WaitGroup`
-	wg2.Wait()
 }
 
 // AllowedDone is a documented phase barrier: Done deliberately marks a

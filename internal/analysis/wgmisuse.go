@@ -1,40 +1,27 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
-// Wgmisuse flags the three sync.WaitGroup mistakes that turn a clean
+// Wgmisuse flags the two sync.WaitGroup mistakes that turn a clean
 // drain/Close into a race or a hang.  The server's Drain and the gateway's
 // Close both join goroutines through WaitGroups, so the protocol — Add
-// before `go`, Done deferred inside, never copy the WaitGroup — is part of
-// the shutdown contract:
+// before `go`, Done deferred inside — is part of the shutdown contract:
 //
 //   - Add called inside the spawned goroutine races Wait: the waiter can
 //     observe the counter before the goroutine ran Add and return early;
 //   - Done not deferred: a panic (or an early return added later) between
-//     the goroutine's start and its Done leaves Wait stuck forever;
-//   - a WaitGroup passed or assigned by value: Add/Done act on the copy and
-//     are invisible to Wait on the original.
+//     the goroutine's start and its Done leaves Wait stuck forever.
+//
+// A WaitGroup copied by value is go vet's copylocks finding, so it is not
+// repeated here.
 var Wgmisuse = &Analyzer{
 	Name: "wgmisuse",
-	Doc: `flag WaitGroup.Add inside the spawned goroutine, non-deferred Done, and copies
+	Doc: `flag WaitGroup.Add inside the spawned goroutine and non-deferred Done
 
-Add must happen before the go statement, Done must be deferred first thing
-inside the goroutine, and WaitGroups must be passed by pointer.  Suppress
-with //lint:allow wgmisuse <reason>.`,
+Add must happen before the go statement and Done must be deferred first
+thing inside the goroutine.  WaitGroup copies are go vet's copylocks check.
+Suppress with //lint:allow wgmisuse <reason>.`,
 	Run: runWgmisuse,
-}
-
-func isWaitGroup(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Name() == "sync" && obj.Name() == "WaitGroup"
 }
 
 func runWgmisuse(pass *Pass) error {
@@ -42,7 +29,6 @@ func runWgmisuse(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		checkWgCopies(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -80,57 +66,4 @@ func checkSpawnedWgBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-// checkWgCopies flags sync.WaitGroup values passed by value: as parameters,
-// as call arguments, or via assignment.
-func checkWgCopies(pass *Pass, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			checkWgParams(pass, n.Type)
-		case *ast.FuncLit:
-			checkWgParams(pass, n.Type)
-		case *ast.AssignStmt:
-			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if _, isComposite := rhs.(*ast.CompositeLit); isComposite {
-					continue // wg := sync.WaitGroup{} constructs, not copies
-				}
-				if t := pass.TypesInfo.TypeOf(rhs); t != nil && isWaitGroup(t) {
-					pass.Reportf(rhs.Pos(),
-						"assignment copies a sync.WaitGroup: Add/Done on the copy are invisible to Wait on the original; use a pointer")
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				if _, isComposite := arg.(*ast.CompositeLit); isComposite {
-					continue
-				}
-				if t := pass.TypesInfo.TypeOf(arg); t != nil && isWaitGroup(t) {
-					pass.Reportf(arg.Pos(),
-						"call passes a sync.WaitGroup by value: Add/Done in the callee act on a copy; pass &%s",
-						types.ExprString(arg))
-				}
-			}
-		}
-		return true
-	})
-}
-
-func checkWgParams(pass *Pass, ftype *ast.FuncType) {
-	if ftype.Params == nil {
-		return
-	}
-	for _, field := range ftype.Params.List {
-		if t := pass.TypesInfo.TypeOf(field.Type); t != nil && isWaitGroup(t) {
-			pass.Reportf(field.Pos(),
-				"parameter receives a sync.WaitGroup by value: Add/Done here act on a copy invisible to the caller's Wait; take *sync.WaitGroup")
-		}
-	}
 }

@@ -123,7 +123,7 @@ func (bc *boardCase) newMachine(t *testing.T) *sim.Machine {
 	m := sim.NewHeterogeneous(bc.models)
 	m.SetEventLog(true)
 	if bc.route {
-		topo, err := topology.NewMesh2D(bc.px, bc.py)
+		topo, err := topology.NewGrid(false, bc.px, bc.py)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func routedDegradedRun(t *testing.T) *sim.Result {
 	models[5] = machine.Degraded(base, 3)
 	m := sim.NewHeterogeneous(models)
 
-	topo, err := topology.NewMesh2D(4, 2)
+	topo, err := topology.NewGrid(false, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,36 +95,6 @@ func TestDegradedComposesWithRoutes(t *testing.T) {
 	for r, v := range compute {
 		if r != 5 && compute[5] <= v {
 			t.Fatalf("degraded rank 5 compute %v not above rank %d's %v", compute[5], r, v)
-		}
-	}
-}
-
-func TestFlatRouteMatchesNoRouteModel(t *testing.T) {
-	run := func(install bool) *sim.Result {
-		base := machine.CrayT3D()
-		m := sim.New(4, base)
-		if install {
-			m.SetRouteModel(sim.FlatRoute{Model: base})
-		}
-		res, err := m.Run(func(p *sim.Proc) error {
-			n := p.Ranks()
-			p.Account(sim.Physics, func() { p.Compute(500) })
-			p.SendFloatsCopy((p.Rank()+1)%n, 1, []float64{1}, 128)
-			p.RecvFloatsInto((p.Rank()+n-1)%n, 1, nil)
-			p.SendFloatsCopy((p.Rank()+2)%n, 2, []float64{1}, 4096)
-			p.RecvFloatsInto((p.Rank()+2)%n, 2, nil)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	flat, routed := run(false), run(true)
-	for r := range flat.Clocks {
-		if flat.Clocks[r] != routed.Clocks[r] {
-			t.Fatalf("FlatRoute changed rank %d clock: %v != %v",
-				r, routed.Clocks[r], flat.Clocks[r])
 		}
 	}
 }

@@ -4,9 +4,7 @@ package sim
 // that lets the in-flight time of a message depend on *where* the endpoints
 // live — which interconnect links the route crosses, how many hops it takes,
 // and what the sender's injection port is already busy with.  Package
-// topology provides the real implementation (mesh/torus/switch link models);
-// FlatRoute adapts any CostModel so existing machines satisfy the new
-// interface unchanged.
+// topology provides the implementation (grid and switch link models).
 //
 // Determinism contract: RouteSeconds is called concurrently from every
 // rank's goroutine, so an implementation may keep mutable state only if that
@@ -24,22 +22,9 @@ type RouteModel interface {
 	RouteSeconds(src, dst, bytes int, now float64) float64
 }
 
-// FlatRoute adapts a position-independent CostModel to the RouteModel
-// interface: every pair of distinct ranks is one wire of the model's latency
-// and bandwidth, exactly like a machine without topology modelling.  A
-// Machine with FlatRoute{m} installed produces bit-identical clocks to one
-// with no route model at all.
-type FlatRoute struct {
-	Model CostModel
-}
-
-// RouteSeconds implements RouteModel.
-func (f FlatRoute) RouteSeconds(src, dst, bytes int, now float64) float64 {
-	return f.Model.NetworkSeconds(bytes)
-}
-
 // SetRouteModel installs a route-aware network model consulted for every
 // off-rank message of every later Run in place of the per-rank
-// CostModel.NetworkSeconds.  Pass nil to restore flat costs.  Overheads,
-// fault injection and event logging are unaffected.
+// CostModel.NetworkSeconds.  Nil means flat: every message costs its
+// sender's CostModel.NetworkSeconds, as on a machine with no topology.
+// Overheads, fault injection and event logging are unaffected.
 func (m *Machine) SetRouteModel(rm RouteModel) { m.routes = rm }

@@ -117,23 +117,23 @@ func (n *Network) Contend(transfers []Transfer) (*ContentionReport, error) {
 
 	rep := &ContentionReport{
 		Transfers: len(sorted),
-		Links:     make([]LinkContention, n.nlinks),
+		Links:     make([]LinkContention, n.topo.NumLinks()),
 	}
 	for l := range rep.Links {
 		rep.Links[l] = LinkContention{Link: l, Name: n.topo.LinkName(l)}
 	}
 
-	busyUntil := make([]float64, n.nlinks)
+	busyUntil := make([]float64, n.topo.NumLinks())
 	var path []int
 	for _, t := range sorted {
-		if t.Src < 0 || t.Src >= n.ranks || t.Dst < 0 || t.Dst >= n.ranks {
-			return nil, fmt.Errorf("topology: transfer %d->%d outside %d ranks", t.Src, t.Dst, n.ranks)
+		if ranks := len(n.src); t.Src < 0 || t.Src >= ranks || t.Dst < 0 || t.Dst >= ranks {
+			return nil, fmt.Errorf("topology: transfer %d->%d outside %d ranks", t.Src, t.Dst, ranks)
 		}
 		path = n.topo.Route(n.place.Node(t.Src), n.place.Node(t.Dst), path[:0])
 		if len(path) == 0 {
 			continue
 		}
-		ser := float64(t.Bytes) / n.par.LinkBytesPerSec
+		ser := float64(t.Bytes) / n.bw
 
 		// The wormhole path is held end to end: the transfer starts when
 		// the last of its links frees, and every link is busy until the

@@ -6,39 +6,6 @@ import (
 	"agcm/internal/machine"
 )
 
-// Params calibrate the routed network model against a flat machine model.
-// The flat model charges Latency + bytes/Bandwidth per message regardless of
-// distance; the routed model splits the same quantities into a startup term,
-// a per-hop router delay, link serialization, and injection-port pipelining.
-type Params struct {
-	// BaseSeconds is the distance-independent per-message startup
-	// (message-passing software, packetization).
-	BaseSeconds float64
-	// HopSeconds is the routing delay per traversed link: switch
-	// arbitration plus channel setup for the wormhole head flit.
-	HopSeconds float64
-	// LinkBytesPerSec is the bandwidth of one link.
-	LinkBytesPerSec float64
-	// InjectBytesPerSec is the node-to-network injection bandwidth: a
-	// node's back-to-back sends serialize at this rate even when their
-	// routes never share a link.
-	InjectBytesPerSec float64
-}
-
-// DefaultParams derives routed-network parameters from a flat machine
-// model: the flat latency becomes the startup term, one eighth of it the
-// per-hop delay (so a route across a 240-node Paragon mesh roughly doubles
-// the base latency, matching the era's hop-dominated long routes), and the
-// flat bandwidth is used for both the links and the injection port.
-func DefaultParams(m *machine.Model) Params {
-	return Params{
-		BaseSeconds:       m.Latency,
-		HopSeconds:        m.Latency / 8,
-		LinkBytesPerSec:   m.Bandwidth,
-		InjectBytesPerSec: m.Bandwidth,
-	}
-}
-
 // srcState is the per-source-rank mutable state of a Network.  Each srcState
 // is touched exclusively by the goroutine simulating that rank, which is
 // what keeps the concurrent route model deterministic and race-free.
@@ -62,34 +29,32 @@ type srcState struct {
 // ranks' goroutines, making virtual time depend on the host scheduler —
 // exactly what the simulator's bit-reproducibility guarantee forbids.
 type Network struct {
-	topo   Topology
-	place  Placement
-	par    Params
-	ranks  int
-	nlinks int
-	src    []srcState
+	topo  Topology
+	place Placement
+	// base is the distance-independent per-message startup, hop the
+	// routing delay per traversed link, and bw the bandwidth of one link
+	// and of a node's injection port.
+	base, hop, bw float64
+	src           []srcState // per source rank
 }
 
 // NewNetwork builds a route model for a machine of ranks == topo.Nodes()
-// processes placed by place, with parameters derived from m (see
-// DefaultParams).  Use NewNetworkParams for explicit calibration.
+// processes placed by place (nil is row-major).  It splits the flat
+// machine model's per-message cost into a startup, a per-hop delay, link
+// serialization and injection-port pipelining: the flat latency becomes
+// the startup, one eighth of it the per-hop delay (so a route across a
+// 240-node Paragon mesh roughly doubles the base latency, matching the
+// era's hop-dominated long routes), and the flat bandwidth drives both the
+// links and the injection port.
 func NewNetwork(topo Topology, place Placement, m *machine.Model) (*Network, error) {
-	return NewNetworkParams(topo, place, DefaultParams(m))
-}
-
-// NewNetworkParams builds a route model with explicit parameters.
-func NewNetworkParams(topo Topology, place Placement, par Params) (*Network, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("topology: nil topology")
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	if place == nil {
 		place = RowMajor()
-	}
-	if par.LinkBytesPerSec <= 0 || par.InjectBytesPerSec <= 0 {
-		return nil, fmt.Errorf("topology: link and injection bandwidth must be positive")
-	}
-	if par.BaseSeconds < 0 || par.HopSeconds < 0 {
-		return nil, fmt.Errorf("topology: latencies must be non-negative")
 	}
 	n := topo.Nodes()
 	// The placement must be a bijection of [0, n): walk it once.
@@ -107,12 +72,12 @@ func NewNetworkParams(topo Topology, place Placement, par Params) (*Network, err
 		seen[nd] = true
 	}
 	return &Network{
-		topo:   topo,
-		place:  place,
-		par:    par,
-		ranks:  n,
-		nlinks: topo.NumLinks(),
-		src:    make([]srcState, n),
+		topo:  topo,
+		place: place,
+		base:  m.Latency,
+		hop:   m.Latency / 8,
+		bw:    m.Bandwidth,
+		src:   make([]srcState, n),
 	}, nil
 }
 
@@ -130,7 +95,7 @@ func (n *Network) Placement() Placement { return n.place }
 func (n *Network) RouteSeconds(src, dst, bytes int, now float64) float64 {
 	s := &n.src[src]
 	s.path = n.topo.Route(n.place.Node(src), n.place.Node(dst), s.path[:0])
-	inj := float64(bytes) / n.par.InjectBytesPerSec
+	inj := float64(bytes) / n.bw
 
 	// Injection pipelining: eager sends are free for the sender's CPU, but
 	// the node's network port pushes them out one at a time.  A burst of
@@ -143,8 +108,7 @@ func (n *Network) RouteSeconds(src, dst, bytes int, now float64) float64 {
 	s.nicFreeAt = start + inj
 	queue := start - now
 
-	return queue + n.par.BaseSeconds + float64(len(s.path))*n.par.HopSeconds +
-		float64(bytes)/n.par.LinkBytesPerSec
+	return queue + n.base + float64(len(s.path))*n.hop + inj
 }
 
 // Hops returns the number of links on the route between two ranks' nodes.

@@ -61,86 +61,27 @@ func NewPermutation(name string, nodes []int) (Placement, error) {
 // Snake places consecutive ranks along a boustrophedon walk of the machine:
 // odd rows (and planes) are traversed backwards, so rank r and rank r+1 are
 // always physically adjacent — locality for neighbour exchange at the cost
-// of folding distant ranks onto shared rows.  On a multistage switch every
-// placement is distance-equivalent, so Snake degenerates to row-major.
-func Snake(t Topology) (Placement, error) {
-	switch m := t.(type) {
-	case *Mesh2D:
-		nodes := make([]int, 0, m.Nodes())
-		for y := 0; y < m.NY; y++ {
-			for i := 0; i < m.NX; i++ {
-				x := i
-				if y%2 == 1 {
-					x = m.NX - 1 - i
-				}
-				nodes = append(nodes, m.node(x, y))
-			}
-		}
-		return NewPermutation("snake", nodes)
-	case *Torus3D:
-		nodes := make([]int, 0, m.Nodes())
-		for z := 0; z < m.NZ; z++ {
-			for j := 0; j < m.NY; j++ {
-				y := j
-				if z%2 == 1 {
-					y = m.NY - 1 - j
-				}
-				for i := 0; i < m.NX; i++ {
-					x := i
-					if (j+z)%2 == 1 {
-						x = m.NX - 1 - i
-					}
-					nodes = append(nodes, m.node(x, y, z))
-				}
-			}
-		}
-		return NewPermutation("snake", nodes)
-	case *Multistage:
-		return &permutation{name: "snake", nodes: identity(t.Nodes())}, nil
-	}
-	return nil, fmt.Errorf("topology: no snake placement for %s", t.Name())
-}
+// of folding distant ranks onto shared rows.
+func Snake(t Topology) (Placement, error) { return walk(t, "snake", (*Grid).snake) }
 
-// Blocked tiles the machine into 2x2 (mesh) or 2x2x2 (torus) blocks and
-// fills one block before moving to the next — the Hilbert-ish clustered
-// layout: groups of four (eight) consecutive ranks share a corner of the
-// machine, shortening their mutual routes while stretching block-to-block
-// ones.  Odd extents leave ragged blocks, which are filled in the same
-// order.  On a multistage switch it degenerates to row-major.
-func Blocked(t Topology) (Placement, error) {
-	switch m := t.(type) {
-	case *Mesh2D:
-		nodes := make([]int, 0, m.Nodes())
-		for by := 0; by < m.NY; by += 2 {
-			for bx := 0; bx < m.NX; bx += 2 {
-				for y := by; y < by+2 && y < m.NY; y++ {
-					for x := bx; x < bx+2 && x < m.NX; x++ {
-						nodes = append(nodes, m.node(x, y))
-					}
-				}
-			}
-		}
-		return NewPermutation("blocked", nodes)
-	case *Torus3D:
-		nodes := make([]int, 0, m.Nodes())
-		for bz := 0; bz < m.NZ; bz += 2 {
-			for by := 0; by < m.NY; by += 2 {
-				for bx := 0; bx < m.NX; bx += 2 {
-					for z := bz; z < bz+2 && z < m.NZ; z++ {
-						for y := by; y < by+2 && y < m.NY; y++ {
-							for x := bx; x < bx+2 && x < m.NX; x++ {
-								nodes = append(nodes, m.node(x, y, z))
-							}
-						}
-					}
-				}
-			}
-		}
-		return NewPermutation("blocked", nodes)
+// Blocked tiles the machine into blocks 2 wide in every dimension — 2x2 on
+// a mesh, 2x2x2 on a torus — and fills one block before moving to the next:
+// the Hilbert-ish clustered layout, where groups of four (eight)
+// consecutive ranks share a corner of the machine, shortening their mutual
+// routes while stretching block-to-block ones.  Odd extents leave ragged
+// blocks, which are filled in the same order.
+func Blocked(t Topology) (Placement, error) { return walk(t, "blocked", (*Grid).blocked) }
+
+// walk places ranks along a grid's walk.  On a multistage switch every
+// placement is distance-equivalent, so it degenerates to row-major.
+func walk(t Topology, name string, order func(*Grid) []int) (Placement, error) {
+	switch g := t.(type) {
+	case *Grid:
+		return &permutation{name: name, nodes: order(g)}, nil
 	case *Multistage:
-		return &permutation{name: "blocked", nodes: identity(t.Nodes())}, nil
+		return &permutation{name: name, nodes: identity(t.Nodes())}, nil
 	}
-	return nil, fmt.Errorf("topology: no blocked placement for %s", t.Name())
+	return nil, fmt.Errorf("topology: no %s placement for %s", name, t.Name())
 }
 
 func identity(n int) []int {

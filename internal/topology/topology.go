@@ -22,6 +22,7 @@ package topology
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -55,36 +56,38 @@ type Topology interface {
 // Explicit extents are accepted as mesh:XxY and torus:XxYxZ.
 func ByName(name, machineName string, nodes int) (Topology, error) {
 	name = strings.ToLower(strings.TrimSpace(name))
-	switch {
-	case name == "" || name == "none":
+	switch name {
+	case "", "none":
 		return nil, nil
-	case name == "auto":
+	case "auto":
 		return Auto(machineName, nodes)
-	case name == "mesh":
-		return NewMesh2D(factor2(nodes))
-	case name == "torus":
-		x, y, z := factor3(nodes)
-		return NewTorus3D(x, y, z)
-	case name == "switch":
+	case "switch":
 		return NewMultistage(nodes, 8)
-	case strings.HasPrefix(name, "mesh:"):
-		var x, y int
-		if _, err := fmt.Sscanf(name[len("mesh:"):], "%dx%d", &x, &y); err != nil {
-			return nil, fmt.Errorf("topology: invalid mesh extents %q (want mesh:XxY)", name)
+	}
+	for _, kind := range [...]struct {
+		name string
+		dims int
+		wrap bool
+	}{{"mesh", 2, false}, {"torus", 3, true}} {
+		if name == kind.name {
+			return NewGrid(kind.wrap, factor(nodes, kind.dims)...)
 		}
-		if !fills(nodes, x, y) {
-			return nil, fmt.Errorf("topology: mesh %dx%d does not have %d nodes", x, y, nodes)
+		spec, ok := strings.CutPrefix(name, kind.name+":")
+		if !ok {
+			continue
 		}
-		return NewMesh2D(x, y)
-	case strings.HasPrefix(name, "torus:"):
-		var x, y, z int
-		if _, err := fmt.Sscanf(name[len("torus:"):], "%dx%dx%d", &x, &y, &z); err != nil {
-			return nil, fmt.Errorf("topology: invalid torus extents %q (want torus:XxYxZ)", name)
+		ext, args := make([]int, kind.dims), make([]any, kind.dims)
+		for d := range ext {
+			args[d] = &ext[d]
 		}
-		if !fills(nodes, x, y, z) {
-			return nil, fmt.Errorf("topology: torus %dx%dx%d does not have %d nodes", x, y, z, nodes)
+		if _, err := fmt.Sscanf(spec, strings.Repeat("%dx", kind.dims-1)+"%d", args...); err != nil {
+			return nil, fmt.Errorf("topology: invalid %s extents %q (want %s:%s)",
+				kind.name, name, kind.name, "XxYxZ"[:2*kind.dims-1])
 		}
-		return NewTorus3D(x, y, z)
+		if !fills(nodes, ext...) {
+			return nil, fmt.Errorf("topology: %s %s does not have %d nodes", kind.name, join(ext, "x"), nodes)
+		}
+		return NewGrid(kind.wrap, ext...)
 	}
 	return nil, fmt.Errorf("topology: unknown topology %q (none, auto, mesh[:XxY], torus[:XxYxZ], switch)", name)
 }
@@ -102,47 +105,47 @@ func fills(nodes int, extents ...int) bool {
 	return nodes == 1
 }
 
-// Auto picks the historically accurate topology for a machine model name:
-// mesh for the Paragon, torus for the T3D, switch for the SP-2.
+// autoTopology names each machine's historical interconnect, found by a
+// substring of the lower-cased machine name: mesh for the Paragon, torus
+// for the T3D, switch for the SP-2.
+var autoTopology = [...]struct{ machine, topology string }{
+	{"paragon", "mesh"}, {"t3d", "torus"}, {"sp-2", "switch"}, {"sp2", "switch"},
+}
+
+// Auto picks the historically accurate topology for a machine model name
+// (see autoTopology).
 func Auto(machineName string, nodes int) (Topology, error) {
 	n := strings.ToLower(machineName)
-	switch {
-	case strings.Contains(n, "paragon"):
-		return NewMesh2D(factor2(nodes))
-	case strings.Contains(n, "t3d"):
-		x, y, z := factor3(nodes)
-		return NewTorus3D(x, y, z)
-	case strings.Contains(n, "sp-2"), strings.Contains(n, "sp2"):
-		return NewMultistage(nodes, 8)
+	for _, a := range autoTopology {
+		if strings.Contains(n, a.machine) {
+			return ByName(a.topology, "", nodes)
+		}
 	}
 	return nil, fmt.Errorf("topology: no default topology for machine %q (use mesh, torus or switch explicitly)", machineName)
 }
 
-// factor2 splits n into the most square X x Y factorization with X >= Y.
-func factor2(n int) (x, y int) {
-	y = 1
-	for d := 2; d*d <= n; d++ {
+// factor splits n into k extents, largest first, as near equal as n's
+// divisors allow: one extent is n's largest divisor f with f^k <= n, and
+// the other k-1 factor n/f the same way.
+func factor(n, k int) []int {
+	if k == 1 {
+		return []int{n}
+	}
+	f := 1
+	for d := 2; pow(d, k) <= n; d++ {
 		if n%d == 0 {
-			y = d
+			f = d
 		}
 	}
-	return n / y, y
+	ext := append(factor(n/f, k-1), f)
+	sort.Sort(sort.Reverse(sort.IntSlice(ext)))
+	return ext
 }
 
-// factor3 splits n into a near-cubic X x Y x Z factorization (X >= Y >= Z).
-func factor3(n int) (x, y, z int) {
-	z = 1
-	for d := 2; d*d*d <= n; d++ {
-		if n%d == 0 {
-			z = d
-		}
+func pow(d, k int) int {
+	p := 1
+	for ; k > 0; k-- {
+		p *= d
 	}
-	x, y = factor2(n / z)
-	if y < z {
-		y, z = z, y
-	}
-	if x < y {
-		x, y = y, x
-	}
-	return x, y, z
+	return p
 }

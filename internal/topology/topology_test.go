@@ -13,16 +13,16 @@ func TestFactorizations(t *testing.T) {
 		{1, 1, 1}, {2, 2, 1}, {12, 4, 3}, {16, 4, 4}, {32, 8, 4}, {240, 16, 15}, {7, 7, 1},
 	}
 	for _, c := range cases {
-		if x, y := factor2(c.n); x != c.x || y != c.y {
-			t.Errorf("factor2(%d) = %dx%d, want %dx%d", c.n, x, y, c.x, c.y)
+		if got := factor(c.n, 2); !reflect.DeepEqual(got, []int{c.x, c.y}) {
+			t.Errorf("factor(%d, 2) = %v, want %dx%d", c.n, got, c.x, c.y)
 		}
 	}
 	cases3 := []struct{ n, x, y, z int }{
 		{8, 2, 2, 2}, {64, 4, 4, 4}, {24, 4, 3, 2}, {30, 5, 3, 2}, {7, 7, 1, 1},
 	}
 	for _, c := range cases3 {
-		if x, y, z := factor3(c.n); x != c.x || y != c.y || z != c.z {
-			t.Errorf("factor3(%d) = %dx%dx%d, want %dx%dx%d", c.n, x, y, z, c.x, c.y, c.z)
+		if got := factor(c.n, 3); !reflect.DeepEqual(got, []int{c.x, c.y, c.z}) {
+			t.Errorf("factor(%d, 3) = %v, want %dx%dx%d", c.n, got, c.x, c.y, c.z)
 		}
 	}
 }
@@ -35,7 +35,7 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := topo.(*Mesh2D); !ok || m.NX != 4 || m.NY != 2 {
+	if topo.Name() != "2-D mesh 4x2" {
 		t.Fatalf("ByName(mesh:4x2) = %v", topo)
 	}
 	if _, err := ByName("mesh:3x2", "", 8); err == nil {
@@ -106,32 +106,51 @@ func TestByNameRejectsOverflowingExtents(t *testing.T) {
 	}
 }
 
-func TestMeshRouting(t *testing.T) {
-	m, err := NewMesh2D(4, 3)
+// linkID returns the id of g's directed link from -> to.
+func linkID(t *testing.T, g *Grid, from, to int) int {
+	t.Helper()
+	for id, e := range g.ends {
+		if e == [2]int{from, to} {
+			return id
+		}
+	}
+	t.Fatalf("%s: no link %d->%d", g.Name(), from, to)
+	return -1
+}
+
+func grid(t *testing.T, wrap bool, extents ...int) *Grid {
+	t.Helper()
+	g, err := NewGrid(wrap, extents...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func TestMeshRouting(t *testing.T) {
+	m := grid(t, false, 4, 3)
+	node := func(x, y int) int { return y*4 + x }
 	// 2*((NX-1)*NY + NX*(NY-1)) directed links.
 	if got, want := m.NumLinks(), 2*(3*3+4*2); got != want {
 		t.Fatalf("NumLinks = %d, want %d", got, want)
 	}
 	checkRouteIDs(t, m)
 	// Manhattan distance, X first: (0,0) -> (3,2) is 3 X-hops then 2 Y-hops.
-	path := m.Route(m.node(0, 0), m.node(3, 2), nil)
+	path := m.Route(node(0, 0), node(3, 2), nil)
 	if len(path) != 5 {
 		t.Fatalf("route length %d, want 5", len(path))
 	}
-	// The first three links are the +x row links registered first.
+	// The first three links are the +x row links numbered first.
 	wantPrefix := []int{
-		m.reg.lookup(m.node(0, 0), m.node(1, 0)),
-		m.reg.lookup(m.node(1, 0), m.node(2, 0)),
-		m.reg.lookup(m.node(2, 0), m.node(3, 0)),
+		linkID(t, m, node(0, 0), node(1, 0)),
+		linkID(t, m, node(1, 0), node(2, 0)),
+		linkID(t, m, node(2, 0), node(3, 0)),
 	}
 	if !reflect.DeepEqual(path[:3], wantPrefix) {
 		t.Fatalf("X-first prefix = %v, want %v", path[:3], wantPrefix)
 	}
 	// Reverse direction uses the opposite directed links: disjoint ids.
-	rev := m.Route(m.node(3, 2), m.node(0, 0), nil)
+	rev := m.Route(node(3, 2), node(0, 0), nil)
 	for _, l := range rev {
 		for _, f := range path {
 			if l == f {
@@ -139,42 +158,55 @@ func TestMeshRouting(t *testing.T) {
 			}
 		}
 	}
+	if _, err := NewGrid(false, 4, 0); err == nil {
+		t.Fatal("a zero extent should fail")
+	}
+	if _, err := NewGrid(true); err == nil {
+		t.Fatal("a grid of no dimensions should fail")
+	}
 }
 
 func TestTorusRouting(t *testing.T) {
-	to, err := NewTorus3D(4, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	to := grid(t, true, 4, 3, 2)
+	node := func(x, y, z int) int { return (z*3+y)*4 + x }
 	checkRouteIDs(t, to)
 	// Wraparound: x=0 -> x=3 on a 4-ring is one -x hop, not three +x hops.
-	if got := to.Route(to.node(0, 0, 0), to.node(3, 0, 0), nil); len(got) != 1 {
+	if got := to.Route(node(0, 0, 0), node(3, 0, 0), nil); len(got) != 1 {
 		t.Fatalf("wrap route length %d, want 1", len(got))
 	}
 	// Tie on an even ring goes the positive way: 0 -> 2 on a 4-ring.
-	path := to.Route(to.node(0, 0, 0), to.node(2, 0, 0), nil)
+	path := to.Route(node(0, 0, 0), node(2, 0, 0), nil)
 	if len(path) != 2 {
 		t.Fatalf("tie route length %d, want 2", len(path))
 	}
-	if want := to.reg.lookup(to.node(0, 0, 0), to.node(1, 0, 0)); path[0] != want {
+	if want := linkID(t, to, node(0, 0, 0), node(1, 0, 0)); path[0] != want {
 		t.Fatalf("tie should break +x: first link %d, want %d", path[0], want)
 	}
-	// Extent-2 Z dimension: one hop either way.
-	if got := to.Route(to.node(0, 0, 0), to.node(0, 0, 1), nil); len(got) != 1 {
+	// Extent-2 Z dimension: one hop either way, over the one link each way.
+	if got := to.Route(node(0, 0, 0), node(0, 0, 1), nil); len(got) != 1 {
 		t.Fatalf("z route length %d, want 1", len(got))
 	}
 	// Dimension order X, Y, Z: (1,2,1) from origin = 1 + 1 + 1 hops.
-	if got := to.Route(to.node(0, 0, 0), to.node(1, 2, 1), nil); len(got) != 3 {
+	if got := to.Route(node(0, 0, 0), node(1, 2, 1), nil); len(got) != 3 {
 		t.Fatalf("diagonal route length %d, want 3", len(got))
+	}
+	// Two links per node along each of x and y, one along the extent-2 z
+	// ring.
+	if got, want := to.NumLinks(), 24*5; got != want {
+		t.Fatalf("NumLinks = %d, want %d", got, want)
 	}
 }
 
+// TestRingStep: a torus steps each ring the shorter way round, ties going
+// the + way.
 func TestRingStep(t *testing.T) {
-	if ringStep(0, 1, 4) != 1 || ringStep(0, 3, 4) != -1 || ringStep(0, 2, 4) != 1 {
-		t.Fatal("ringStep direction wrong")
-	}
-	if ringStep(2, 0, 5) != -1 || ringStep(0, 2, 5) != 1 {
-		t.Fatal("ringStep on odd ring wrong")
+	for _, c := range []struct{ n, a, b, first int }{
+		{4, 0, 1, 1}, {4, 0, 3, 3}, {4, 0, 2, 1}, {5, 2, 0, 1}, {5, 0, 2, 1},
+	} {
+		ring := grid(t, true, c.n)
+		if got := ring.Route(c.a, c.b, nil); ring.ends[got[0]][1] != c.first {
+			t.Errorf("%d-ring %d->%d steps to %d first, want %d", c.n, c.a, c.b, ring.ends[got[0]][1], c.first)
+		}
 	}
 }
 
@@ -220,8 +252,7 @@ func checkBijection(t *testing.T, p Placement, n int) {
 }
 
 func TestPlacements(t *testing.T) {
-	m, _ := NewMesh2D(4, 3)
-	to, _ := NewTorus3D(4, 3, 2)
+	m, to := grid(t, false, 4, 3), grid(t, true, 4, 3, 2)
 	s, _ := NewMultistage(12, 4)
 	for _, topo := range []Topology{m, to, s} {
 		for _, mk := range []func(Topology) (Placement, error){Snake, Blocked} {
@@ -241,7 +272,7 @@ func TestPlacements(t *testing.T) {
 	}
 	// Blocked on a 4x3 mesh: ranks 0-3 fill the 2x2 corner block.
 	blocked, _ := Blocked(m)
-	want := []int{m.node(0, 0), m.node(1, 0), m.node(0, 1), m.node(1, 1)}
+	want := []int{0, 1, 4, 5}
 	for r, nd := range want {
 		if blocked.Node(r) != nd {
 			t.Fatalf("blocked rank %d on node %d, want %d", r, blocked.Node(r), nd)
@@ -255,7 +286,7 @@ func TestPlacements(t *testing.T) {
 		t.Fatal("out-of-range node should fail")
 	}
 
-	p, err := PlacementByName("perm:3,2,1,0", m4(t, 2, 2))
+	p, err := PlacementByName("perm:3,2,1,0", grid(t, false, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,27 +304,13 @@ func TestPlacements(t *testing.T) {
 	}
 }
 
-func m4(t *testing.T, nx, ny int) *Mesh2D {
-	t.Helper()
-	m, err := NewMesh2D(nx, ny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
+// testNetwork is a row-major 4x2 mesh of 80 us startup, 10 us per hop and
+// 10 MB/s links.
 func testNetwork(t *testing.T) *Network {
 	t.Helper()
-	m, err := NewMesh2D(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNetworkParams(m, RowMajor(), Params{
-		BaseSeconds:       100e-6,
-		HopSeconds:        10e-6,
-		LinkBytesPerSec:   10e6,
-		InjectBytesPerSec: 10e6,
-	})
+	mod := *machine.Paragon()
+	mod.Latency, mod.Bandwidth = 80e-6, 10e6
+	n, err := NewNetwork(grid(t, false, 4, 2), RowMajor(), &mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,20 +322,20 @@ func TestNetworkRouteSeconds(t *testing.T) {
 	// First send from an idle NIC: no queueing.
 	// 0 -> 3 is 3 hops; 1000 bytes at 10 MB/s = 100 us serialization.
 	got := n.RouteSeconds(0, 3, 1000, 0)
-	want := 100e-6 + 3*10e-6 + 100e-6
+	want := 80e-6 + 3*10e-6 + 100e-6
 	if math.Abs(got-want) > 1e-15 {
 		t.Fatalf("RouteSeconds = %g, want %g", got, want)
 	}
 	// Second send at the same instant queues behind the first's injection:
 	// the NIC is busy for 100 us.
 	got2 := n.RouteSeconds(0, 7, 1000, 0)
-	want2 := 100e-6 + (100e-6 + 4*10e-6 + 100e-6)
+	want2 := 100e-6 + (80e-6 + 4*10e-6 + 100e-6)
 	if math.Abs(got2-want2) > 1e-15 {
 		t.Fatalf("queued RouteSeconds = %g, want %g", got2, want2)
 	}
 	// A send after the NIC drained sees no queue.
 	got3 := n.RouteSeconds(0, 1, 1000, 1.0)
-	want3 := 100e-6 + 1*10e-6 + 100e-6
+	want3 := 80e-6 + 1*10e-6 + 100e-6
 	if math.Abs(got3-want3) > 1e-15 {
 		t.Fatalf("idle RouteSeconds = %g, want %g", got3, want3)
 	}
@@ -345,15 +362,20 @@ func TestNetworkRouteSeconds(t *testing.T) {
 }
 
 func TestNetworkValidation(t *testing.T) {
-	m, _ := NewMesh2D(2, 2)
-	if _, err := NewNetworkParams(m, RowMajor(), Params{}); err == nil {
+	m := grid(t, false, 2, 2)
+	mod := machine.Paragon()
+	zero := *mod
+	zero.Bandwidth = 0
+	if _, err := NewNetwork(m, RowMajor(), &zero); err == nil {
 		t.Fatal("zero bandwidth should fail")
 	}
 	bad, _ := NewPermutation("bad-size", []int{0, 1})
-	if _, err := NewNetworkParams(m, bad, Params{LinkBytesPerSec: 1, InjectBytesPerSec: 1}); err == nil {
+	if _, err := NewNetwork(m, bad, mod); err == nil {
 		t.Fatal("undersized placement should fail")
 	}
-	mod := machine.Paragon()
+	if _, err := NewNetwork(m, &permutation{name: "dup", nodes: []int{0, 1, 1, 3}}, mod); err == nil {
+		t.Fatal("a placement that is not a bijection should fail")
+	}
 	n, err := NewNetwork(m, nil, mod)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +383,7 @@ func TestNetworkValidation(t *testing.T) {
 	if n.Placement().Name() != "row-major" {
 		t.Fatal("nil placement should default to row-major")
 	}
-	// DefaultParams: the flat latency is the startup, an eighth of it the
+	// The flat latency is the startup, an eighth of it the
 	// per-hop delay, and the flat bandwidth drives the link.
 	got := n.RouteSeconds(0, 1, 1000, 0)
 	if want := mod.Latency + mod.Latency/8 + 1000/mod.Bandwidth; got != want {
@@ -370,7 +392,7 @@ func TestNetworkValidation(t *testing.T) {
 }
 
 func TestHops(t *testing.T) {
-	m, _ := NewMesh2D(2, 2)
+	m := grid(t, false, 2, 2)
 	n, err := NewNetwork(m, RowMajor(), machine.Paragon())
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"agcm/internal/machine"
 	"agcm/internal/sim"
 	"agcm/internal/topology"
 )
@@ -84,13 +85,13 @@ func TestCommMatrix(t *testing.T) {
 }
 
 func TestLinkUtilizationTable(t *testing.T) {
-	topo, err := topology.NewMesh2D(2, 2)
+	topo, err := topology.NewGrid(false, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := topology.NewNetworkParams(topo, topology.RowMajor(), topology.Params{
-		BaseSeconds: 1e-4, HopSeconds: 1e-5, LinkBytesPerSec: 1e7, InjectBytesPerSec: 1e7,
-	})
+	mod := *machine.Paragon()
+	mod.Bandwidth = 1e7
+	n, err := topology.NewNetwork(topo, topology.RowMajor(), &mod)
 	if err != nil {
 		t.Fatal(err)
 	}
