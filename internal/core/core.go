@@ -148,6 +148,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Machine == nil {
 		return c, fmt.Errorf("core: nil machine model")
 	}
+	if err := c.Machine.Validate(); err != nil {
+		return c, err
+	}
 	if c.MeshPy < 1 || c.MeshPx < 1 {
 		return c, fmt.Errorf("core: invalid mesh %dx%d", c.MeshPy, c.MeshPx)
 	}

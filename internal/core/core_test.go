@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"agcm/internal/fault"
@@ -79,6 +80,13 @@ func TestRunValidation(t *testing.T) {
 	bad.Spec = grid.Spec{}
 	if _, err := Run(bad, 1); err == nil {
 		t.Error("invalid spec accepted")
+	}
+	// A model that fails its own validation is refused with its own error
+	// on the flat network too, before any rank runs on it.
+	bad = testConfig(2, 2, FilterFFT)
+	bad.Machine.Bandwidth = 0
+	if _, err := Run(bad, 1); err == nil || !strings.Contains(err.Error(), "Bandwidth must be positive") {
+		t.Errorf("zero-bandwidth machine: %v; want the model's validation error", err)
 	}
 }
 

@@ -215,3 +215,56 @@ func TestFFTFilterRelayout(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConvolutionApplyAllocFree pins the ring convolution filter at zero
+// allocations per Apply on one rank and on a 2x4 mesh once warm: the pack
+// buffer has grown, the ring allgather receives into the gather's own
+// buffers, and the kernel reads the segments through the filter's walk.
+// As in TestFFTFilterApplyAllocFree, rank 0 reads runtime.MemStats around
+// the measured rounds, a barrier ends every round, and the pin runs only
+// without the race detector.
+func TestConvolutionApplyAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("process-wide allocation counts are not exact under -race")
+	}
+	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
+	const warm, runs = 5, 20
+	for _, mesh := range [][2]int{{1, 1}, {2, 4}} {
+		py, px := mesh[0], mesh[1]
+		d, err := grid.NewDecomp(spec, py, px)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sim.New(py*px, machine.Paragon()).Run(func(p *sim.Proc) error {
+			world := comm.World(p)
+			cart := comm.NewCart2D(world, py, px)
+			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
+			vars := newVars(l)
+			flt := NewConvolution(cart, spec, l, Ring)
+			round := func() {
+				flt.Apply(vars)
+				world.Barrier()
+			}
+			for i := 0; i < warm; i++ {
+				round()
+			}
+			var before, after runtime.MemStats
+			if world.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			for i := 0; i < runs; i++ {
+				round()
+			}
+			if world.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+				if n := (after.Mallocs - before.Mallocs) / runs; n != 0 {
+					return fmt.Errorf("%dx%d: Apply allocated %d times per call; want 0", py, px, n)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

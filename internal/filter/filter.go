@@ -128,7 +128,7 @@ func Coefficients(damp []float64) []float64 {
 // coefficients is Coefficients on a caller-owned plan and imaginary scratch,
 // both of length len(damp).
 func coefficients(plan *fft.Plan, damp, im []float64) []float64 {
-	re := append([]float64(nil), damp...)
+	re := append(make([]float64, 0, len(damp)+kernelPad), damp...)
 	for i := range im {
 		im[i] = 0
 	}
@@ -211,117 +211,125 @@ func (rf *rowFilter) apply(damp, row []float64) {
 }
 
 // ApplyRowConvolution filters the points dst[i0:i0+len(dst)] of one full
-// latitude circle `row` through the physical-space route:
-// f'(i) = sum_n c[n] f((i-n) mod N) — the original code's O(N) per point.
+// latitude circle `row`, wrapping past its end, through the physical-space
+// route: f'(i) = sum_n c[n] f((i-n) mod N) — the original code's O(N) per
+// point.
 func ApplyRowConvolution(coeffs, row, dst []float64, i0 int) {
 	n := len(row)
 	if len(coeffs) != n {
 		panic("filter: ApplyRowConvolution length mismatch")
 	}
-	ext := make([]float64, n+convPad)
-	copy(ext, row)
-	for q := 0; q < convPad; q++ {
-		ext[n+q] = row[q%n]
+	walk := make([][]float64, 2)
+	for len(dst) > 0 {
+		m := min(len(dst), n-i0)
+		convolveSegments(coeffs, row, i0, walk, dst[:m])
+		dst, i0 = dst[m:], 0
 	}
-	convolveExt(coeffs, ext, dst, i0)
 }
 
-// convPad is the wraparound padding convolveExt needs beyond the circle:
-// the widest output group reads seven points past its base index.
-const convPad = 7
+// kernelPad is how far convolveSegments reads past a kernel row's last
+// coefficient, into its capacity: a group narrower than its body leaves the
+// body's top lanes unused.  Coefficients builds rows with that capacity.
+const kernelPad = 7
 
-// convolveExt is the convolution kernel on a padded circle: ext holds the
-// n = len(coeffs) row values followed by convPad wraparound copies of its
-// start, so no index ever needs a modulo.  Outputs are computed eight at a
-// time with independent accumulators to hide the add latency of the serial
-// sum; each accumulator still adds its terms in ascending-d order, so every
-// output is bit-identical to the textbook one-point-at-a-time loop.
-func convolveExt(coeffs, ext, dst []float64, i0 int) {
-	n := len(coeffs)
-	if len(ext) < n+convPad {
-		panic("filter: convolveExt needs a padded row")
+// convolveSegments is the convolution kernel on a circle split into
+// segments; no circle is assembled.  It sets dst[t] to sum_d c[d]
+// f((o-d) mod n), d ascending, at the point o held in own[lo+t], where
+// n = len(c), walk[1:len(walk)-1] are the other segments from the one below
+// own down round to the one above it, and walk's ends are scratch.
+//
+// Groups of up to eight adjacent outputs o..o+G-1 are summed point-major:
+// the body reads each point f[m] once, m descending round the circle, and
+// adds c[o+g-m] f[m] to accumulator g.  Every accumulator still adds its
+// terms in ascending d, the textbook order, so no output's bits depend on
+// the grouping.  The body walks the n-G+1 points every accumulator reads,
+// own[:o+1], the other segments and own[o+G:]; the terms of the G-1 points
+// above o are summed before and after it (tri) from a copy of those points
+// between zeros: c[d]*0 is ±0, which changes no partial sum, since a sum
+// begun at +0 is never -0.
+func convolveSegments(c, own []float64, lo int, walk [][]float64, dst []float64) {
+	n, last := len(c), len(walk)-1
+	if cap(c) < n+kernelPad {
+		c = append(make([]float64, 0, n+kernelPad), c...)
 	}
-	m := len(dst)
-	t0 := 0
-	for ; t0+8 <= m; t0 += 8 {
-		i := i0 + t0
-		if i >= n {
-			i -= n
+	c = c[:n+kernelPad]
+	for t := 0; t < len(dst); {
+		o, G := lo+t, min(8, len(dst)-t)
+		var z [23]float64
+		copy(z[8:], own[o+1:o+G])
+		s0, s1, s2, s3, s4, s5, s6, s7 := tri(c[:G-1], z[9-G:], 0, 0, 0, 0, 0, 0, 0, 0)
+		walk[0], walk[last] = own[:o+1], own[o+G:]
+		if G > 5 {
+			s0, s1, s2, s3, s4, s5, s6, s7 = walk8(c, walk, s0, s1, s2, s3, s4, s5, s6, s7)
+		} else {
+			s0, s1, s2, s3, s4 = walk5(c, walk, s0, s1, s2, s3, s4)
 		}
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		// d ascends 0..n-1 as k = (i-d) mod n walks i..0 then n-1..i+1.
-		for k := i; k >= 0; k-- {
-			c := coeffs[i-k]
-			s0 += c * ext[k]
-			s1 += c * ext[k+1]
-			s2 += c * ext[k+2]
-			s3 += c * ext[k+3]
-			s4 += c * ext[k+4]
-			s5 += c * ext[k+5]
-			s6 += c * ext[k+6]
-			s7 += c * ext[k+7]
-		}
-		for k := n - 1; k > i; k-- {
-			c := coeffs[i-k+n]
-			s0 += c * ext[k]
-			s1 += c * ext[k+1]
-			s2 += c * ext[k+2]
-			s3 += c * ext[k+3]
-			s4 += c * ext[k+4]
-			s5 += c * ext[k+5]
-			s6 += c * ext[k+6]
-			s7 += c * ext[k+7]
-		}
-		dst[t0] = s0
-		dst[t0+1] = s1
-		dst[t0+2] = s2
-		dst[t0+3] = s3
-		dst[t0+4] = s4
-		dst[t0+5] = s5
-		dst[t0+6] = s6
-		dst[t0+7] = s7
+		s0, s1, s2, s3, s4, s5, s6, s7 = tri(c[n-G+1:n], z[8:], s0, s1, s2, s3, s4, s5, s6, s7)
+		t += copy(dst[t:], []float64{s0, s1, s2, s3, s4, s5, s6, s7}[:G])
 	}
-	// Narrow subdomains (wide meshes) rarely reach the 8-wide block, so
-	// the tail runs a 4-wide group before falling back to single outputs.
-	for ; t0+4 <= m; t0 += 4 {
-		i := i0 + t0
-		if i >= n {
-			i -= n
-		}
-		var s0, s1, s2, s3 float64
-		for k := i; k >= 0; k-- {
-			c := coeffs[i-k]
-			s0 += c * ext[k]
-			s1 += c * ext[k+1]
-			s2 += c * ext[k+2]
-			s3 += c * ext[k+3]
-		}
-		for k := n - 1; k > i; k-- {
-			c := coeffs[i-k+n]
-			s0 += c * ext[k]
-			s1 += c * ext[k+1]
-			s2 += c * ext[k+2]
-			s3 += c * ext[k+3]
-		}
-		dst[t0] = s0
-		dst[t0+1] = s1
-		dst[t0+2] = s2
-		dst[t0+3] = s3
+}
+
+// tri adds c[d]*z[len(c)-1-d+g] to accumulator g, d ascending: the
+// triangles of terms convolveSegments sums apart from the walk.
+func tri(c, z []float64, s0, s1, s2, s3, s4, s5, s6, s7 float64) (float64, float64, float64, float64, float64, float64, float64, float64) {
+	for d, cd := range c {
+		p := z[len(c)-1-d:][:8]
+		s0 += cd * p[0]
+		s1 += cd * p[1]
+		s2 += cd * p[2]
+		s3 += cd * p[3]
+		s4 += cd * p[4]
+		s5 += cd * p[5]
+		s6 += cd * p[6]
+		s7 += cd * p[7]
 	}
-	for ; t0 < m; t0++ {
-		i := i0 + t0
-		if i >= n {
-			i -= n
+	return s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// walk8 is convolveSegments' body: it adds c[k+g]*x to accumulator g for
+// the k-th point x of walk, every run read from its end down.
+func walk8(c []float64, walk [][]float64, s0, s1, s2, s3, s4, s5, s6, s7 float64) (float64, float64, float64, float64, float64, float64, float64, float64) {
+	k := 0
+	for _, run := range walk {
+		w := c[k:]
+		k += len(run)
+		for q := len(run) - 1; q >= 0; q-- {
+			x := run[q]
+			_ = w[7]
+			s0 += w[0] * x
+			s1 += w[1] * x
+			s2 += w[2] * x
+			s3 += w[3] * x
+			s4 += w[4] * x
+			s5 += w[5] * x
+			s6 += w[6] * x
+			s7 += w[7] * x
+			w = w[1:]
 		}
-		var s float64
-		for k := i; k >= 0; k-- {
-			s += coeffs[i-k] * ext[k]
-		}
-		for k := n - 1; k > i; k-- {
-			s += coeffs[i-k+n] * ext[k]
-		}
-		dst[t0] = s
 	}
+	return s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// walk5 is walk8 on five accumulators, for groups of five or fewer: the 4-
+// and 5-wide subdomains of the 8x30 mesh take one pass each, not a 4-wide
+// one plus a 1-wide chain of dependent adds.
+func walk5(c []float64, walk [][]float64, s0, s1, s2, s3, s4 float64) (float64, float64, float64, float64, float64) {
+	k := 0
+	for _, run := range walk {
+		w := c[k:]
+		k += len(run)
+		for q := len(run) - 1; q >= 0; q-- {
+			x := run[q]
+			_ = w[4]
+			s0 += w[0] * x
+			s1 += w[1] * x
+			s2 += w[2] * x
+			s3 += w[3] * x
+			s4 += w[4] * x
+			w = w[1:]
+		}
+	}
+	return s0, s1, s2, s3, s4
 }
 
 // Variable binds a field to the filter strength it receives.  In the AGCM,

@@ -40,15 +40,16 @@ type Parallel interface {
 
 // --- Circle gather (the convolution and row-wise FFT filters) ------------
 
-// circleGather assembles complete latitude circles on every rank of a mesh
-// row: each rank packs its longitude segments of the same lines into one
-// buffer, the buffers are allgathered along the row, and each line's circle
-// is put back together from the gathered segments.  On the Ring topology
-// the allgather is comm.AllgathervInto, a P-1 step ring pipeline into
-// persistent receive buffers; on the Tree topology it is
-// comm.AllgathervTree, a gather to the row's rank 0 plus two binomial
-// broadcasts (the lengths, then the values) — 3(P-1) messages, with a
-// result allocated per call.
+// circleGather gives every rank of a mesh row the complete latitude circles
+// of the same lines: each rank packs its longitude segments of the lines
+// into one buffer and the buffers are allgathered along the row.  The
+// convolution filter reads each line's segments where they landed (walk);
+// only the row-wise FFT, whose transform needs a contiguous circle, puts one
+// back together (circle).  On the Ring topology the allgather is
+// comm.AllgathervInto, a P-1 step ring pipeline into persistent receive
+// buffers; on the Tree topology it is comm.AllgathervTree, a gather to the
+// row's rank 0 plus two binomial broadcasts (the lengths, then the values)
+// — 3(P-1) messages, with a result allocated per call.
 type circleGather struct {
 	row          *comm.Comm
 	topo         Topology
@@ -56,7 +57,7 @@ type circleGather struct {
 	local        grid.Local
 	widths, offs []int       // each mesh column's longitude segment and its offset in a circle
 	rows         []int       // the local rows the last variable filters
-	buf, seg     []float64   // the pack buffer; one segment as read
+	buf          []float64   // the pack buffer
 	recv         [][]float64 // Ring receive buffers, one per mesh column
 	parts        [][]float64 // the last gather's buffers, one per mesh column
 }
@@ -76,7 +77,7 @@ func lonSegments(d grid.Decomp) (widths, offs []int) {
 func newCircleGather(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) circleGather {
 	widths, offs := lonSegments(local.Decomp)
 	return circleGather{row: cart.Row, topo: topo, spec: spec, local: local, widths: widths, offs: offs,
-		seg: make([]float64, local.Nlon()), recv: make([][]float64, cart.Px)}
+		recv: make([][]float64, cart.Px)}
 }
 
 // filter sets rows to the local latitude rows filtered for kind and
@@ -97,11 +98,12 @@ func (g *circleGather) filter(kind Kind) bool {
 // rows, row by row, and allgathers the packs along the mesh row.  Gathered
 // line i is row rows[i/(k1-k0)] at layer k0+i%(k1-k0).
 func (g *circleGather) gather(f *grid.Field, k0, k1 int) {
-	g.buf = g.buf[:0]
+	w := g.local.Nlon()
+	g.buf = slices.Grow(g.buf[:0], len(g.rows)*(k1-k0)*w)
 	for _, localJ := range g.rows {
 		for k := k0; k < k1; k++ {
-			g.seg = f.RowSlice(localJ, k, g.seg)
-			g.buf = append(g.buf, g.seg...)
+			g.buf = g.buf[:len(g.buf)+w]
+			f.RowSlice(localJ, k, g.buf[len(g.buf)-w:])
 		}
 	}
 	if g.topo == Ring {
@@ -111,10 +113,28 @@ func (g *circleGather) gather(f *grid.Field, k0, k1 int) {
 	}
 }
 
+// segment returns gathered line i's segment of mesh column col.
+func (g *circleGather) segment(i, col int) []float64 {
+	w := g.widths[col]
+	return g.parts[col][i*w : (i+1)*w]
+}
+
 // circle puts gathered line i back together in full[:Nlon].
 func (g *circleGather) circle(i int, full []float64) {
-	for col, w := range g.widths {
-		copy(full[g.offs[col]:g.offs[col]+w], g.parts[col][i*w:(i+1)*w])
+	for col := range g.widths {
+		copy(full[g.offs[col]:], g.segment(i, col))
+	}
+}
+
+// walk sets walk[1:Px] to gathered line i's segments of the mesh columns
+// other than col in the order convolveSegments reads them: col-1 down to
+// 0, then Px-1 down to col+1.
+func (g *circleGather) walk(i, col int, walk [][]float64) {
+	for t := 1; t < len(g.widths); t++ {
+		if col--; col < 0 {
+			col = len(g.widths) - 1
+		}
+		walk[t] = g.segment(i, col)
 	}
 }
 
@@ -123,33 +143,34 @@ func (g *circleGather) circle(i int, full []float64) {
 // Convolution is the original AGCM's physical-space filter: each filtered
 // latitude circle is gathered onto every processor of its mesh row and the
 // O(N^2) circular convolution is evaluated pointwise, one variable and one
-// line at a time.  Only polar mesh rows have work: the severe load
-// imbalance the paper measures is inherent.
+// line at a time, read straight from the gathered segments (no circle is
+// reassembled).  Only polar mesh rows have work: the severe load imbalance
+// the paper measures is inherent.
 type Convolution struct {
 	cart *comm.Cart2D
 	g    circleGather
 	resp [2]*response // the grid's shared kernels, by kind
 
-	// full carries convPad wraparound values past the circle so the
-	// convolution kernel runs without modulo indexing.  With this scratch
-	// a steady-state Apply allocates nothing on the ring topology.
-	full, dst []float64
+	// The kernel's walk over a line's segments and its output: with this
+	// scratch a steady-state Apply allocates nothing on the ring topology.
+	walk [][]float64
+	dst  []float64
 }
 
 // NewConvolution builds the original filter for this rank's subdomain.
 func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) *Convolution {
 	return &Convolution{cart: cart, g: newCircleGather(cart, spec, local, topo),
 		resp: responses(cart.World.Proc(), spec),
-		full: make([]float64, spec.Nlon+convPad), dst: make([]float64, local.Nlon())}
+		walk: make([][]float64, cart.Px+1), dst: make([]float64, local.Nlon())}
 }
 
 // Apply implements Parallel.  As in the original code, variables are
 // processed one at a time, layer by layer (the F77 code's 2-D slabs): each
 // (variable, layer) slab is one circle gather, and each rank convolves its
-// own longitude segment of every reassembled line.
+// own longitude segment of every gathered line, read from the segments.
 func (c *Convolution) Apply(vars []Variable) {
-	g, p := &c.g, c.cart.World.Proc()
-	n, w, lo := g.spec.Nlon, g.local.Nlon(), g.offs[c.cart.MyCol]
+	g, p, col := &c.g, c.cart.World.Proc(), c.cart.MyCol
+	n, w := g.spec.Nlon, g.local.Nlon()
 	for _, v := range vars {
 		if !g.filter(v.Kind) {
 			continue
@@ -158,11 +179,8 @@ func (c *Convolution) Apply(vars []Variable) {
 		for k := 0; k < g.spec.Nlayers; k++ {
 			g.gather(v.Field, k, k+1)
 			for i, localJ := range g.rows {
-				g.circle(i, c.full)
-				for q := 0; q < convPad; q++ {
-					c.full[n+q] = c.full[q%n]
-				}
-				convolveExt(kernel[g.local.GlobalLat(localJ)], c.full, c.dst, lo)
+				g.walk(i, col, c.walk)
+				convolveSegments(kernel[g.local.GlobalLat(localJ)], g.segment(i, col), 0, c.walk, c.dst)
 				// The physical-space sum costs 2*N flops per point.
 				p.Compute(float64(2 * n * w))
 				v.Field.SetRowSlice(localJ, k, c.dst)
