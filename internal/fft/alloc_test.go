@@ -54,3 +54,29 @@ func TestSharedTablesAreBounded(t *testing.T) {
 			len(shared), 4*maxSharedTables, maxSharedTables)
 	}
 }
+
+// TestBatchAllocFree pins the batch transforms at zero allocations per call
+// on every kernel, complex and real, at a full batch and a shorter one.
+func TestBatchAllocFree(t *testing.T) {
+	const lines = 8
+	for _, n := range []int{64, 72, 97} { // radix-2, mixed radix, Bluestein
+		p, rp := NewBatchPlan(n, lines), NewRealBatchPlan(2*n, lines)
+		for _, L := range []int{lines, 3} {
+			re, im := randSignal(n*L, int64(n))
+			x := make([][]float64, L)
+			for l := range x {
+				x[l], _ = randSignal(2*n, int64(n+l))
+			}
+			sRe, sIm := make([]float64, (n+1)*L), make([]float64, (n+1)*L)
+			a := testing.AllocsPerRun(20, func() {
+				p.ForwardBatch(re, im)
+				p.InverseBatch(re, im)
+				rp.ForwardBatch(x, sRe, sIm)
+				rp.InverseBatch(sRe, sIm, x)
+			})
+			if a != 0 {
+				t.Errorf("n=%d L=%d: batch transforms allocated %.1f times per call; want 0", n, L, a)
+			}
+		}
+	}
+}

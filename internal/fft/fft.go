@@ -22,6 +22,18 @@
 // Simulated results are hashed, so the kernel may reorder loads and stores
 // but never the arithmetic.
 //
+// A plan built for lines > 1 also transforms a batch of up to that many
+// lines in one call (ForwardBatch, InverseBatch).  A batch of L complex
+// lines, and a real batch's spectra, are stored interleaved: point j of
+// line l at j*L + l, so each gather, stage and real pack or unpack runs over
+// a row of L values per twiddle.  The real plan takes its L real lines as
+// separate slices and packs them straight into that layout.  The bit
+// contract: each line gets the same expressions in the same order as a
+// call on that line alone, so a batch's bits are its lines' bits whatever
+// L and wherever a batch is cut.  A one-line call is a batch of one, so one
+// body per radix serves every L and a compiler that fuses multiply-adds
+// fuses every L alike.  Bluestein plans transform a batch line by line.
+//
 // The package also exposes the standard 5*n*log2(n) flop-count model, which
 // the simulator charges to the virtual clock when the parallel filter runs
 // FFTs.
@@ -54,6 +66,10 @@ type tables struct {
 	perm   []int   // digit-reversal gather: scratch[i] = x[perm[i]]
 	stages []stage // one per prime factor, innermost recursion level first
 
+	// slot[j] is where point j goes before run: the inverse of perm for
+	// the mixed-radix kernel, j itself for the others.
+	slot []int
+
 	// Bluestein state (used when n has a prime factor > maxMixedRadixFactor).
 	m       int       // power-of-two convolution length >= 2n-1
 	inner   *tables   // radix-2 tables of length m
@@ -77,11 +93,13 @@ type stage struct {
 	tw []float64
 }
 
-// Plan is a transform of one length: shared tables plus private scratch.
-// A Plan is not safe for concurrent use; create one per goroutine.
+// Plan is a transform of one length: shared tables plus private scratch
+// for up to lines interleaved lines.  A Plan is not safe for concurrent use;
+// create one per goroutine.
 type Plan struct {
 	*tables
-	sRe, sIm []float64 // n each (mixed radix) or m each (Bluestein)
+	lines    int
+	sRe, sIm []float64 // n*lines each (mixed radix) or m each (Bluestein)
 }
 
 const (
@@ -102,11 +120,12 @@ func (t *tables) kind() int {
 	}
 }
 
-// scratchLen is the number of floats a plan on these tables needs.
-func (t *tables) scratchLen() int {
+// scratchLen is the number of floats a plan on these tables needs to
+// transform lines lines at once.
+func (t *tables) scratchLen(lines int) int {
 	switch t.kind() {
 	case kindMixed:
-		return 2 * t.n
+		return 2 * t.n * lines
 	case kindBluestein:
 		return 2 * t.m
 	}
@@ -114,20 +133,25 @@ func (t *tables) scratchLen() int {
 }
 
 // NewPlan creates a transform plan for length n >= 1.
-func NewPlan(n int) *Plan {
-	if n < 1 {
-		panic(fmt.Sprintf("fft: invalid length %d", n))
+func NewPlan(n int) *Plan { return NewBatchPlan(n, 1) }
+
+// NewBatchPlan creates a plan for length n >= 1 whose batch calls
+// transform up to lines >= 1 lines at once.
+func NewBatchPlan(n, lines int) *Plan {
+	if n < 1 || lines < 1 {
+		panic(fmt.Sprintf("fft: invalid length %d or line count %d", n, lines))
 	}
 	t := tablesFor(n)
 	p := new(Plan)
-	p.bind(t, make([]float64, t.scratchLen()))
+	p.bind(t, lines, make([]float64, t.scratchLen(lines)))
 	return p
 }
 
-// bind points p at t and at its share of a caller-made scratch allocation.
-func (p *Plan) bind(t *tables, scratch []float64) {
-	h := t.scratchLen() / 2
-	p.tables, p.sRe, p.sIm = t, scratch[:h], scratch[h:2*h]
+// bind points p at t and at a caller-made scratch allocation, which it
+// splits into the real and imaginary halves.
+func (p *Plan) bind(t *tables, lines int, scratch []float64) {
+	h := len(scratch) / 2
+	p.tables, p.lines, p.sRe, p.sIm = t, lines, scratch[:h], scratch[h:2*h]
 }
 
 func newTables(n int) *tables {
@@ -144,6 +168,13 @@ func newTables(n int) *tables {
 		ang := -2 * math.Pi * float64(s) / float64(2*n)
 		t.unRe[s] = math.Cos(ang)
 		t.unIm[s] = math.Sin(ang)
+	}
+	t.slot = make([]int, n)
+	for i := range t.slot {
+		t.slot[i] = i
+	}
+	for i, j := range t.perm {
+		t.slot[j] = i
 	}
 	return t
 }
@@ -220,119 +251,147 @@ func (t *tables) initMixedRadix() {
 	}
 }
 
-// mixedRadix computes the forward DFT of (re, im), or of its conjugate, in
-// place: gather into the scratch, run the stages there, and let the last one
-// write the result back.
-func (p *Plan) mixedRadix(re, im []float64, conj bool) {
-	sRe, sIm := p.sRe, p.sIm
-	if conj {
-		for i, j := range p.perm {
-			sRe[i], sIm[i] = re[j], -im[j]
-		}
-	} else {
-		for i, j := range p.perm {
-			sRe[i], sIm[i] = re[j], im[j]
+// mixedRadix computes the forward DFT of the L interleaved lines in
+// (re, im), or of their conjugates: it gathers them into the scratch, runs
+// the stages there in place and returns the scratch.
+func (p *Plan) mixedRadix(re, im []float64, L int, conj bool) ([]float64, []float64) {
+	sRe, sIm := p.sRe[:p.n*L], p.sIm[:p.n*L]
+	for i, j := range p.perm {
+		j *= L
+		for o := i * L; o < (i+1)*L; o++ {
+			sRe[o], sIm[o] = re[j], im[j]
+			if conj {
+				sIm[o] = -im[j]
+			}
+			j++
 		}
 	}
-	p.runStages(re, im)
+	p.runStages(sRe, sIm, L)
+	return sRe, sIm
 }
 
-// runStages runs the stages over the gathered scratch; the last writes the
-// transform to (re, im).
-func (p *Plan) runStages(re, im []float64) {
-	sRe, sIm := p.sRe, p.sIm
-	dRe, dIm := sRe, sIm
-	for i := range p.stages {
-		if i == len(p.stages)-1 {
-			dRe, dIm = re, im
+// run computes the forward DFT of the L interleaved lines in (re, im) in
+// place, point j of each line already at its slot[j].
+func (p *Plan) run(re, im []float64, L int) {
+	switch p.kind() {
+	case kindMixed:
+		p.runStages(re, im, L)
+	case kindRadix2:
+		p.radix2(re, im, L)
+	default:
+		for l := 0; l < L; l++ {
+			p.bluestein(re[l:], im[l:], L)
 		}
+	}
+}
+
+// runStages runs the stages in place over L gathered lines.
+func (p *Plan) runStages(sRe, sIm []float64, L int) {
+	for i := range p.stages {
 		st := &p.stages[i]
 		switch st.f {
 		case 2:
-			st.radix2(dRe, dIm, sRe, sIm)
+			st.radix2(sRe, sIm, L)
 		case 3:
-			st.radix3(dRe, dIm, sRe, sIm)
+			st.radix3(sRe, sIm, L)
 		default:
-			st.generic(dRe, dIm, sRe, sIm)
+			st.generic(sRe, sIm, L)
 		}
 	}
 }
 
 // generic is the stage body for any prime f: with Y_r the r-th transform of
 // length m in a block, X[q + m*s] = sum_r W^{r*(q+m*s)} * Y_r[q].  For a
-// fixed q the writes land on the positions just read, so a q-row is buffered
-// and d may be s.  Each sum is y_0 + 0 plus its r >= 1 terms in order of r
-// — the arithmetic every simulated result is pinned to; radix2 and radix3
-// are this loop unrolled, statement for statement.
-func (st *stage) generic(dRe, dIm, sRe, sIm []float64) {
-	f, m := st.f, st.m
+// fixed q the writes land on the positions just read, so a q-row is
+// buffered.  Each sum is y_0 + 0 plus its r >= 1 terms in order of r — the
+// arithmetic every simulated result is pinned to; radix2 and radix3 are
+// this loop unrolled, statement for statement.  Point j of line l is at
+// j*L + l, so every line of a batch reads the twiddles of a q in turn.
+func (st *stage) generic(sRe, sIm []float64, L int) {
+	f, mL := st.f, st.m*L
 	var tr, ti [maxMixedRadixFactor]float64
-	for base := 0; base < len(sRe); base += f * m {
-		tw := st.tw
-		for q := base; q < base+m; q++ {
-			y0r, y0i := sRe[q]+0, sIm[q]+0
-			for s := 0; s < f; s++ {
-				sr, si := y0r, y0i
-				for r := 1; r < f; r++ {
-					yr, yi := sRe[q+r*m], sIm[q+r*m]
-					wr, wi := tw[2*r-2], tw[2*r-1]
-					sr += yr*wr - yi*wi
-					si += yr*wi + yi*wr
+	for base := 0; base < len(sRe); base += f * mL {
+		twq := st.tw
+		for q := base; q < base+mL; q += L {
+			for l := q; l < q+L; l++ {
+				tw := twq
+				y0r, y0i := sRe[l]+0, sIm[l]+0
+				for s := 0; s < f; s++ {
+					sr, si := y0r, y0i
+					for r := 1; r < f; r++ {
+						yr, yi := sRe[l+r*mL], sIm[l+r*mL]
+						wr, wi := tw[2*r-2], tw[2*r-1]
+						sr += yr*wr - yi*wi
+						si += yr*wi + yi*wr
+					}
+					tr[s], ti[s] = sr, si
+					tw = tw[2*(f-1):]
 				}
-				tr[s], ti[s] = sr, si
-				tw = tw[2*(f-1):]
+				for s := 0; s < f; s++ {
+					sRe[l+mL*s], sIm[l+mL*s] = tr[s], ti[s]
+				}
 			}
-			for s := 0; s < f; s++ {
-				dRe[q+m*s], dIm[q+m*s] = tr[s], ti[s]
-			}
+			twq = twq[2*f*(f-1):]
 		}
 	}
 }
 
-func (st *stage) radix2(dRe, dIm, sRe, sIm []float64) {
-	m := st.m
-	for base := 0; base < len(sRe); base += 2 * m {
+// radix2 and radix3 are generic unrolled for f = 2 and 3, statement for
+// statement.  Each butterfly runs over the row of L values of every point
+// it reads, one twiddle load for the row.
+func (st *stage) radix2(sRe, sIm []float64, L int) {
+	mL := st.m * L
+	for base := 0; base < len(sRe); base += 2 * mL {
 		tw := st.tw
-		for q := base; q < base+m; q++ {
+		for q := base; q < base+mL; q += L {
 			w := tw[:4]
 			tw = tw[4:]
-			y0r, y0i := sRe[q]+0, sIm[q]+0
-			y1r, y1i := sRe[q+m], sIm[q+m]
-			x0r := y0r + (y1r*w[0] - y1i*w[1])
-			x0i := y0i + (y1r*w[1] + y1i*w[0])
-			x1r := y0r + (y1r*w[2] - y1i*w[3])
-			x1i := y0i + (y1r*w[3] + y1i*w[2])
-			dRe[q], dIm[q] = x0r, x0i
-			dRe[q+m], dIm[q+m] = x1r, x1i
+			w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+			for a := q; a < q+L; a++ {
+				b := a + mL
+				y0r, y0i := sRe[a]+0, sIm[a]+0
+				y1r, y1i := sRe[b], sIm[b]
+				x0r := y0r + (y1r*w0 - y1i*w1)
+				x0i := y0i + (y1r*w1 + y1i*w0)
+				x1r := y0r + (y1r*w2 - y1i*w3)
+				x1i := y0i + (y1r*w3 + y1i*w2)
+				sRe[a], sIm[a] = x0r, x0i
+				sRe[b], sIm[b] = x1r, x1i
+			}
 		}
 	}
 }
 
-func (st *stage) radix3(dRe, dIm, sRe, sIm []float64) {
-	m := st.m
-	for base := 0; base < len(sRe); base += 3 * m {
+func (st *stage) radix3(sRe, sIm []float64, L int) {
+	mL := st.m * L
+	for base := 0; base < len(sRe); base += 3 * mL {
 		tw := st.tw
-		for q := base; q < base+m; q++ {
+		for q := base; q < base+mL; q += L {
 			w := tw[:12]
 			tw = tw[12:]
-			y0r, y0i := sRe[q]+0, sIm[q]+0
-			y1r, y1i := sRe[q+m], sIm[q+m]
-			y2r, y2i := sRe[q+2*m], sIm[q+2*m]
-			x0r := y0r + (y1r*w[0] - y1i*w[1])
-			x0i := y0i + (y1r*w[1] + y1i*w[0])
-			x0r += y2r*w[2] - y2i*w[3]
-			x0i += y2r*w[3] + y2i*w[2]
-			x1r := y0r + (y1r*w[4] - y1i*w[5])
-			x1i := y0i + (y1r*w[5] + y1i*w[4])
-			x1r += y2r*w[6] - y2i*w[7]
-			x1i += y2r*w[7] + y2i*w[6]
-			x2r := y0r + (y1r*w[8] - y1i*w[9])
-			x2i := y0i + (y1r*w[9] + y1i*w[8])
-			x2r += y2r*w[10] - y2i*w[11]
-			x2i += y2r*w[11] + y2i*w[10]
-			dRe[q], dIm[q] = x0r, x0i
-			dRe[q+m], dIm[q+m] = x1r, x1i
-			dRe[q+2*m], dIm[q+2*m] = x2r, x2i
+			w0, w1, w2, w3, w4, w5 := w[0], w[1], w[2], w[3], w[4], w[5]
+			w6, w7, w8, w9, w10, w11 := w[6], w[7], w[8], w[9], w[10], w[11]
+			for a := q; a < q+L; a++ {
+				b, c := a+mL, a+2*mL
+				y0r, y0i := sRe[a]+0, sIm[a]+0
+				y1r, y1i := sRe[b], sIm[b]
+				y2r, y2i := sRe[c], sIm[c]
+				x0r := y0r + (y1r*w0 - y1i*w1)
+				x0i := y0i + (y1r*w1 + y1i*w0)
+				x0r += y2r*w2 - y2i*w3
+				x0i += y2r*w3 + y2i*w2
+				x1r := y0r + (y1r*w4 - y1i*w5)
+				x1i := y0i + (y1r*w5 + y1i*w4)
+				x1r += y2r*w6 - y2i*w7
+				x1i += y2r*w7 + y2i*w6
+				x2r := y0r + (y1r*w8 - y1i*w9)
+				x2i := y0i + (y1r*w9 + y1i*w8)
+				x2r += y2r*w10 - y2i*w11
+				x2i += y2r*w11 + y2i*w10
+				sRe[a], sIm[a] = x0r, x0i
+				sRe[b], sIm[b] = x1r, x1i
+				sRe[c], sIm[c] = x2r, x2i
+			}
 		}
 	}
 }
@@ -390,7 +449,7 @@ func (t *tables) initBluestein() {
 			bIm[m-k] = -t.chirpIm[k]
 		}
 	}
-	t.inner.radix2(bRe, bIm)
+	t.inner.radix2(bRe, bIm, 1)
 	t.bFFTRe = bRe
 	t.bFFTIm = bIm
 }
@@ -399,86 +458,107 @@ func (t *tables) initBluestein() {
 // X_s = sum_k x_k exp(-2*pi*i*k*s/n).
 // re and im must each have length n.
 func (p *Plan) Forward(re, im []float64) {
-	p.checkLen(re, im)
-	p.transform(re, im, false)
+	p.checkLen(re, im, 1)
+	p.ForwardBatch(re, im)
 }
 
 // Inverse computes the in-place inverse DFT with 1/n normalization, so
 // Inverse(Forward(x)) == x.
 func (p *Plan) Inverse(re, im []float64) {
-	p.checkLen(re, im)
-	// Inverse via conjugation: IDFT(x) = conj(DFT(conj(x)))/n.
-	p.transform(re, im, true)
-	inv := 1 / float64(p.n)
-	for i := range re {
-		re[i] *= inv
-		im[i] *= -inv
+	p.checkLen(re, im, 1)
+	p.InverseBatch(re, im)
+}
+
+// ForwardBatch is Forward on L = len(re)/n interleaved lines, L at most
+// the plan's line count: point j of line l is re[j*L+l] + i*im[j*L+l].
+// Every line gets Forward's bits.
+func (p *Plan) ForwardBatch(re, im []float64) {
+	L := len(re) / p.n
+	p.checkLen(re, im, L)
+	if oRe, oIm := p.transform(re, im, L, false); p.kind() == kindMixed {
+		copy(re, oRe)
+		copy(im, oIm)
 	}
 }
 
-// transform computes the forward DFT of (re, im), or of its conjugate.
-func (p *Plan) transform(re, im []float64, conj bool) {
+// InverseBatch is Inverse on L interleaved lines, as ForwardBatch.
+func (p *Plan) InverseBatch(re, im []float64) {
+	L := len(re) / p.n
+	p.checkLen(re, im, L)
+	// Inverse via conjugation: IDFT(x) = conj(DFT(conj(x)))/n.
+	oRe, oIm := p.transform(re, im, L, true)
+	inv := 1 / float64(p.n)
+	for i := range re {
+		re[i] = oRe[i] * inv
+		im[i] = oIm[i] * -inv
+	}
+}
+
+// transform computes the forward DFT of the L interleaved lines in
+// (re, im), or of their conjugates, and returns where it left them: in
+// place, or in the scratch of the mixed-radix kernel.
+func (p *Plan) transform(re, im []float64, L int, conj bool) ([]float64, []float64) {
 	if p.kind() == kindMixed {
-		p.mixedRadix(re, im, conj) // conjugates as it gathers
-		return
+		return p.mixedRadix(re, im, L, conj) // conjugates as it gathers
 	}
 	if conj {
 		for i := range im {
 			im[i] = -im[i]
 		}
 	}
-	if p.kind() == kindRadix2 {
-		p.radix2(re, im)
-	} else {
-		p.bluestein(re, im)
+	p.run(re, im, L)
+	return re, im
+}
+
+func (p *Plan) checkLen(re, im []float64, L int) {
+	if L < 1 || L > p.lines || len(re) != L*p.n || len(im) != L*p.n {
+		panic(fmt.Sprintf("fft: plan length %d for up to %d lines, buffers %d/%d", p.n, p.lines, len(re), len(im)))
 	}
 }
 
-func (p *Plan) checkLen(re, im []float64) {
-	if len(re) != p.n || len(im) != p.n {
-		panic(fmt.Sprintf("fft: plan length %d, buffers %d/%d", p.n, len(re), len(im)))
-	}
-}
-
-// radix2 is the iterative Cooley-Tukey kernel; it needs no scratch.
-func (t *tables) radix2(re, im []float64) {
+// radix2 is the iterative Cooley-Tukey kernel on L interleaved lines; it
+// needs no scratch.
+func (t *tables) radix2(re, im []float64, L int) {
 	n := t.n
 	for i := 0; i < n; i++ {
 		j := t.rev[i]
-		if j > i {
-			re[i], re[j] = re[j], re[i]
-			im[i], im[j] = im[j], im[i]
+		for l := 0; l < L && j > i; l++ {
+			re[i*L+l], re[j*L+l] = re[j*L+l], re[i*L+l]
+			im[i*L+l], im[j*L+l] = im[j*L+l], im[i*L+l]
 		}
 	}
 	for h := 1; h < n; h *= 2 {
 		for base := 0; base < n; base += 2 * h {
 			for j := 0; j < h; j++ {
 				c, s := t.cosTab[h+j], t.sinTab[h+j]
-				a, b := base+j, base+j+h
-				tr := re[b]*c - im[b]*s
-				ti := re[b]*s + im[b]*c
-				re[b] = re[a] - tr
-				im[b] = im[a] - ti
-				re[a] += tr
-				im[a] += ti
+				for a := (base + j) * L; a < (base+j+1)*L; a++ {
+					b := a + h*L
+					tr := re[b]*c - im[b]*s
+					ti := re[b]*s + im[b]*c
+					re[b] = re[a] - tr
+					im[b] = im[a] - ti
+					re[a] += tr
+					im[a] += ti
+				}
 			}
 		}
 	}
 }
 
 // bluestein evaluates the DFT of arbitrary length as a convolution with a
-// chirp, using the inner power-of-two tables.
-func (p *Plan) bluestein(re, im []float64) {
+// chirp, using the inner power-of-two tables, on the line whose point k is
+// (re[k*L], im[k*L]).
+func (p *Plan) bluestein(re, im []float64, L int) {
 	n, m := p.n, p.m
 	aRe, aIm := p.sRe, p.sIm
 	for i := range aRe {
 		aRe[i], aIm[i] = 0, 0
 	}
 	for k := 0; k < n; k++ {
-		aRe[k] = re[k]*p.chirpRe[k] - im[k]*p.chirpIm[k]
-		aIm[k] = re[k]*p.chirpIm[k] + im[k]*p.chirpRe[k]
+		aRe[k] = re[k*L]*p.chirpRe[k] - im[k*L]*p.chirpIm[k]
+		aIm[k] = re[k*L]*p.chirpIm[k] + im[k*L]*p.chirpRe[k]
 	}
-	p.inner.radix2(aRe, aIm)
+	p.inner.radix2(aRe, aIm, 1)
 	for i := 0; i < m; i++ {
 		r := aRe[i]*p.bFFTRe[i] - aIm[i]*p.bFFTIm[i]
 		aIm[i] = aRe[i]*p.bFFTIm[i] + aIm[i]*p.bFFTRe[i]
@@ -488,13 +568,13 @@ func (p *Plan) bluestein(re, im []float64) {
 	for i := 0; i < m; i++ {
 		aIm[i] = -aIm[i]
 	}
-	p.inner.radix2(aRe, aIm)
+	p.inner.radix2(aRe, aIm, 1)
 	invM := 1 / float64(m)
 	for k := 0; k < n; k++ {
 		cr := aRe[k] * invM
 		ci := -aIm[k] * invM
-		re[k] = cr*p.chirpRe[k] - ci*p.chirpIm[k]
-		im[k] = cr*p.chirpIm[k] + ci*p.chirpRe[k]
+		re[k*L] = cr*p.chirpRe[k] - ci*p.chirpIm[k]
+		im[k*L] = cr*p.chirpIm[k] + ci*p.chirpRe[k]
 	}
 }
 

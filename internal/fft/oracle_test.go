@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -260,6 +261,7 @@ func TestCompiledMatchesRecursiveOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		re, im := make([]float64, n), make([]float64, n)
 		x := make([]float64, 2*n)
+		var ins [][]float64 // every trial's re, im and x, in turn
 		for trial := 0; trial < trials; trial++ {
 			signal(rng, trial, re, im)
 			if err := complexBits(p, o, re, im); err != nil {
@@ -269,8 +271,59 @@ func TestCompiledMatchesRecursiveOracle(t *testing.T) {
 			if err := realBits(rng, trial, rp, ro, x); err != nil {
 				t.Fatal(err)
 			}
+			ins = append(ins, slices.Clone(re), slices.Clone(im), slices.Clone(x))
+		}
+		if err := batchOracleBits(n, 9, ins, o, ro); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// batchOracleBits runs the trials' signals in ins through batch plans L
+// lines at a time — the last batch holds what is left — and compares every
+// line with the oracle: complex forward and inverse, real forward, and real
+// inverse of the real forward's spectra.
+func batchOracleBits(n, L int, ins [][]float64, o *oracle, ro *oracleReal) error {
+	p, rp := NewBatchPlan(n, L), NewRealBatchPlan(2*n, L)
+	for t0 := 0; t0 < len(ins); t0 += 3 * L {
+		var cRe, cIm, x [][]float64
+		for t := t0; t < min(len(ins), t0+3*L); t += 3 {
+			cRe, cIm, x = append(cRe, ins[t]), append(cIm, ins[t+1]), append(x, ins[t+2])
+		}
+		k := len(x)
+		fRe, fIm, iRe, iIm := interleave(cRe), interleave(cIm), interleave(cRe), interleave(cIm)
+		p.ForwardBatch(fRe, fIm)
+		p.InverseBatch(iRe, iIm)
+		sRe, sIm, bx := make([]float64, k*(n+1)), make([]float64, k*(n+1)), make([][]float64, k)
+		for l := range bx {
+			bx[l] = make([]float64, 2*n)
+		}
+		rp.ForwardBatch(x, sRe, sIm)
+		rp.InverseBatch(sRe, sIm, bx)
+		for l := 0; l < k; l++ {
+			wRe, wIm := slices.Clone(cRe[l]), slices.Clone(cIm[l])
+			vRe, vIm := slices.Clone(cRe[l]), slices.Clone(cIm[l])
+			o.Forward(wRe, wIm)
+			o.Inverse(vRe, vIm)
+			gRe, gIm, gx := make([]float64, n+1), make([]float64, n+1), make([]float64, 2*n)
+			ro.Forward(x[l], gRe, gIm)
+			ro.Inverse(line(sRe, k, l), line(sIm, k, l), gx)
+			for _, err := range []error{
+				sameBits("batch forward re", n, line(fRe, k, l), wRe),
+				sameBits("batch forward im", n, line(fIm, k, l), wIm),
+				sameBits("batch inverse re", n, line(iRe, k, l), vRe),
+				sameBits("batch inverse im", n, line(iIm, k, l), vIm),
+				sameBits("batch real forward re", 2*n, line(sRe, k, l), gRe),
+				sameBits("batch real forward im", 2*n, line(sIm, k, l), gIm),
+				sameBits("batch real inverse", 2*n, bx[l], gx),
+			} {
+				if err != nil {
+					return fmt.Errorf("batch of %d, line %d: %w", k, l, err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // FuzzMixedRadixBits lets the fuzzer pick the length and the raw bits of the

@@ -13,19 +13,58 @@ import (
 )
 
 // TestRowFilterAllocFree pins the FFT filter's per-row hot path — forward
-// real FFT, damping, inverse — at zero allocations, on the radix-2 kernel
-// (half length 32) and on the mixed-radix one the 144-point grid takes.
+// real FFT, damping, inverse — at zero allocations, one row and a batch of
+// rows, on the radix-2 kernel (half length 32) and on the mixed-radix one
+// the 144-point grid takes.
 func TestRowFilterAllocFree(t *testing.T) {
+	const lines = 8
 	for _, n := range []int{64, 144} {
-		rf := newRowFilter(n)
+		rf := newRowFilter(n, lines)
 		damp := DampingRow(n, 80*math.Pi/180, 45*math.Pi/180)
-		row := make([]float64, n)
-		for i := range row {
-			row[i] = math.Sin(2 * math.Pi * float64(i) / float64(n) * 3)
+		rows, damps := make([][]float64, lines), make([][]float64, lines)
+		for l := range rows {
+			rows[l], damps[l] = make([]float64, n), damp
+			for i := range rows[l] {
+				rows[l][i] = math.Sin(2 * math.Pi * float64(i) / float64(n) * float64(3+l))
+			}
 		}
-		if a := testing.AllocsPerRun(100, func() { rf.apply(damp, row) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { rf.apply(damp, rows[0]) }); a != 0 {
 			t.Fatalf("n=%d: rowFilter.apply allocated %.1f times per row; want 0", n, a)
 		}
+		if a := testing.AllocsPerRun(100, func() { rf.applyBatch(damps, rows) }); a != 0 {
+			t.Fatalf("n=%d: rowFilter.applyBatch allocated %.1f times per batch; want 0", n, a)
+		}
+	}
+}
+
+// BenchmarkRowFilterBatch times the row filter per circle of the 144-point
+// grid in batches of 1, 8 and 32, every circle reset from one source before
+// each batch: filtering a circle in place over and over would damp it into
+// denormals.
+func BenchmarkRowFilterBatch(b *testing.B) {
+	const n = 144
+	damp := DampingRow(n, 80*math.Pi/180, 45*math.Pi/180)
+	src := make([]float64, n)
+	for i := range src {
+		src[i] = math.Sin(float64(3*i)) + 0.5*math.Cos(float64(11*i))
+	}
+	for _, lines := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("L=%d", lines), func(b *testing.B) {
+			rf := newRowFilter(n, lines)
+			rows, damps := make([][]float64, lines), make([][]float64, lines)
+			for l := range rows {
+				rows[l], damps[l] = make([]float64, n), damp
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, row := range rows {
+					copy(row, src)
+				}
+				rf.applyBatch(damps, rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/circle")
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ type oracleFFTFilter struct {
 func newOracleFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local, balanced bool) *oracleFFTFilter {
 	f := &oracleFFTFilter{
 		cart: cart, spec: spec, local: local, balanced: balanced,
-		rf:        newRowFilter(spec.Nlon),
+		rf:        newRowFilter(spec.Nlon, 1),
 		lineFlops: LineFlops(spec.Nlon),
 	}
 	for k := range f.dampCache {
@@ -561,6 +561,26 @@ func TestFFTFilterFanMatchesOracle(t *testing.T) {
 	for _, mesh := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {1, 3}} {
 		for _, balanced := range []bool{true, false} {
 			checkAgainstOracle(t, oracleSpec, mesh[0], mesh[1], balanced, [][]Kind{sss, sw, ww})
+		}
+	}
+}
+
+// TestFFTFilterBatchBoundaries holds the pinned bits whatever the batch
+// the row filters take: one circle at a time, three, or batchLines, on
+// machines whose circles are split over one to eight workers.
+func TestFFTFilterBatchBoundaries(t *testing.T) {
+	spec := grid.TwoByTwoPointFive(2)
+	for _, batch := range []int{1, 3, batchLines} {
+		for _, procs := range []int{1, 2, 8} {
+			for _, mesh := range [][2]int{{1, 1}, {2, 2}, {4, 1}} {
+				var got string
+				withProcs(procs, func() {
+					got = fftFilterBits(t, spec, mesh[0], mesh[1], true, 3, func(f *FFTFilter) { f.rfs = []*rowFilter{newRowFilter(spec.Nlon, batch)} })
+				})
+				if got != fftPinnedHash {
+					t.Errorf("batch %d, procs %d, %dx%d: field bits hash to %s, want %s", batch, procs, mesh[0], mesh[1], got, fftPinnedHash)
+				}
+			}
 		}
 	}
 }

@@ -166,30 +166,34 @@ func applyRowFFTScratch(plan *fft.Plan, damp, row, im []float64) {
 // The filters charge it to the virtual clock and the roofline counts it.
 func LineFlops(n int) float64 { return 2*fft.Flops(n) + 4*float64(n) }
 
-// rowFilter owns the per-rank scratch for filtering real latitude circles
+// rowFilter owns one worker's scratch for filtering real latitude circles
 // through the half-complex route — the production inner loop, about twice
-// as fast natively as the complex path.  Odd lengths (never produced by
-// the standard grids) fall back to the complex plan.
+// as fast natively as the complex path — up to lines circles at once: the
+// batch's spectra are interleaved, so each FFT stage runs over all its
+// circles per twiddle (fft.RealPlan.ForwardBatch).  Odd lengths (never
+// produced by the standard grids) fall back to the complex plan, one
+// circle at a time.
 type rowFilter struct {
-	n      int
-	plan   *fft.RealPlan
-	re, im []float64
-	odd    *fft.Plan
-	oddIm  []float64 // imaginary scratch for the odd-length fallback
+	n, lines int
+	plan     *fft.RealPlan
+	re, im   []float64   // a batch's interleaved spectra
+	damps    [][]float64 // room for a caller's batch of damping rows
+	odd      *fft.Plan
+	oddIm    []float64 // imaginary scratch for the odd-length fallback
 }
 
-// newRowFilter builds the per-rank row-filtering state.  Plans share their
-// tables process-wide, so one per rank and per Sequential call is cheap.
-func newRowFilter(n int) *rowFilter {
+// newRowFilter builds one worker's row-filtering state for batches of up
+// to lines >= 1 circles.  Plans share their tables process-wide, so one
+// per worker and per Sequential call is cheap.
+func newRowFilter(n, lines int) *rowFilter {
+	rf := &rowFilter{n: n, lines: lines, damps: make([][]float64, lines)}
 	if n%2 != 0 {
-		return &rowFilter{n: n, odd: fft.NewPlan(n), oddIm: make([]float64, n)}
+		rf.odd, rf.oddIm = fft.NewPlan(n), make([]float64, n)
+		return rf
 	}
-	return &rowFilter{
-		n:    n,
-		plan: fft.NewRealPlan(n),
-		re:   make([]float64, n/2+1),
-		im:   make([]float64, n/2+1),
-	}
+	h := lines * (n/2 + 1)
+	rf.plan, rf.re, rf.im = fft.NewRealBatchPlan(n, lines), make([]float64, h), make([]float64, h)
+	return rf
 }
 
 // apply filters one real row in place; damp has length n and is symmetric,
@@ -202,12 +206,37 @@ func (rf *rowFilter) apply(damp, row []float64) {
 		applyRowFFTScratch(rf.odd, damp, row, rf.oddIm)
 		return
 	}
-	rf.plan.Forward(row, rf.re, rf.im)
-	for s := 0; s <= rf.n/2; s++ {
-		rf.re[s] *= damp[s]
-		rf.im[s] *= damp[s]
+	re, im := rf.re[:rf.n/2+1], rf.im[:rf.n/2+1]
+	rf.plan.Forward(row, re, im)
+	for s := range re {
+		re[s] *= damp[s]
+		im[s] *= damp[s]
 	}
-	rf.plan.Inverse(rf.re, rf.im, row)
+	rf.plan.Inverse(re, im, row)
+}
+
+// applyBatch filters rows[l] in place with damping damps[l], at most
+// rf.lines rows: every row gets apply's bits.
+func (rf *rowFilter) applyBatch(damps, rows [][]float64) {
+	L, h := len(rows), rf.n/2+1
+	if len(damps) != L {
+		panic("filter: rowFilter batch mismatch")
+	}
+	if rf.odd != nil {
+		for l, row := range rows {
+			rf.apply(damps[l], row)
+		}
+		return
+	}
+	re, im := rf.re[:L*h], rf.im[:L*h]
+	rf.plan.ForwardBatch(rows, re, im)
+	for l, damp := range damps {
+		for s, d := range damp[:h] {
+			re[s*L+l] *= d
+			im[s*L+l] *= d
+		}
+	}
+	rf.plan.InverseBatch(re, im, rows)
 }
 
 // ApplyRowConvolution filters the points dst[i0:i0+len(dst)] of one full
@@ -346,7 +375,7 @@ type Variable struct {
 // parallel variants, so it builds its own damping rows with DampingRow
 // rather than read the response tables they share.
 func Sequential(spec grid.Spec, vars []Variable) {
-	rf := newRowFilter(spec.Nlon)
+	rf := newRowFilter(spec.Nlon, 1)
 	row := make([]float64, spec.Nlon)
 	for _, v := range vars {
 		l := v.Field.Local()

@@ -21,16 +21,21 @@ type RowwiseFFT struct {
 	rf   *rowFilter
 	resp [2]*response // the grid's shared damping rows, by kind
 
-	// One complete circle: a steady-state Apply allocates only what the
-	// tree gather returns.
-	full []float64
+	// The complete circles of one gathered row, every layer, filtered as
+	// one batch: a steady-state Apply allocates only what the tree gather
+	// returns.
+	full [][]float64
 }
 
 // NewRowwiseFFT builds the rejected-alternative filter for this rank.
 func NewRowwiseFFT(cart *comm.Cart2D, spec grid.Spec, local grid.Local) *RowwiseFFT {
+	buf, full := make([]float64, spec.Nlayers*spec.Nlon), make([][]float64, spec.Nlayers)
+	for k := range full {
+		full[k] = buf[k*spec.Nlon : (k+1)*spec.Nlon]
+	}
 	return &RowwiseFFT{cart: cart, g: newCircleGather(cart, spec, local, Tree),
-		rf: newRowFilter(spec.Nlon), resp: responses(cart.World.Proc(), spec),
-		full: make([]float64, spec.Nlon)}
+		rf: newRowFilter(spec.Nlon, spec.Nlayers), resp: responses(cart.World.Proc(), spec),
+		full: full}
 }
 
 // Apply implements Parallel: one gather per variable slab, redundant
@@ -46,13 +51,16 @@ func (f *RowwiseFFT) Apply(vars []Variable) {
 		g.gather(v.Field, 0, nl)
 		for li, localJ := range g.rows {
 			damp := f.resp[v.Kind].damp[g.local.GlobalLat(localJ)]
-			for k := 0; k < nl; k++ {
-				g.circle(li*nl+k, f.full)
-				f.rf.apply(damp, f.full)
+			for k, full := range f.full {
+				g.circle(li*nl+k, full)
+				f.rf.damps[k] = damp
+			}
+			f.rf.applyBatch(f.rf.damps, f.full)
+			for k, full := range f.full {
 				// Redundant arithmetic: every rank pays the full-row
 				// transform cost.
 				p.Compute(lineFlops)
-				v.Field.SetRowSlice(localJ, k, f.full[lo:lo+w])
+				v.Field.SetRowSlice(localJ, k, full[lo:lo+w])
 			}
 		}
 	}
