@@ -63,10 +63,10 @@ const _ = uint64(tagGatherData - maxUserTag - 1)
 // context, analogous to an MPI communicator.
 type Comm struct {
 	p      *sim.Proc
-	world  []int // members' world ranks, in comm rank order
-	me     int   // this process's rank within the comm
-	ctx    int   // context id isolating this comm's traffic
-	scr    *scratch
+	world  []int               // members' world ranks, in comm rank order
+	me     int                 // this process's rank within the comm
+	ctx    int                 // context id isolating this comm's traffic
+	reduce []float64           // ReduceInto's tree-receive staging, reused call to call
 	boards [nBoards]*sim.Board // see replay
 	steps  [nBoards][]sim.Step
 }
@@ -123,22 +123,6 @@ func (c *Comm) program(kind int) []sim.Step {
 		}
 	}
 	return steps
-}
-
-// scratch holds per-communicator reusable buffers for the internal stages of
-// the collectives, so their steady state allocates nothing.  A Comm's methods
-// are only ever called from its own rank's goroutine, so no locking is
-// needed.
-type scratch struct {
-	reduce []float64 // tree-reduce receive staging
-}
-
-// scratchBufs lazily allocates the collective scratch space.
-func (c *Comm) scratchBufs() *scratch {
-	if c.scr == nil {
-		c.scr = &scratch{}
-	}
-	return c.scr
 }
 
 // World returns the communicator containing every rank of the machine.
@@ -348,7 +332,6 @@ func MinOp(dst, src []float64) {
 // with a persistent out the steady state allocates nothing.
 func (c *Comm) ReduceInto(root int, data, out []float64, op Op) []float64 {
 	n := len(c.world)
-	s := c.scratchBufs()
 	acc := append(out[:0], data...)
 	vrank := (c.me - root + n) % n
 	for dist := 1; dist < n; dist *= 2 {
@@ -360,8 +343,8 @@ func (c *Comm) ReduceInto(root int, data, out []float64, op Op) []float64 {
 		}
 		if vrank+dist < n {
 			src := (vrank + dist + root) % n
-			s.reduce = c.p.RecvFloatsInto(c.WorldRank(src), c.tag(tagReduce), s.reduce)
-			op(acc, s.reduce)
+			c.reduce = c.p.RecvFloatsInto(c.WorldRank(src), c.tag(tagReduce), c.reduce)
+			op(acc, c.reduce)
 			c.p.Compute(float64(len(acc)))
 		}
 	}

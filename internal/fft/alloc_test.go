@@ -6,7 +6,7 @@ import "testing"
 // kind: the filters charge it on their per-line path.
 func TestFlopsAllocFree(t *testing.T) {
 	var sink float64
-	for _, n := range []int{128, 144, 97} { // radix-2, mixed radix, Bluestein
+	for _, n := range []int{128, 144, 97} { // power of two, mixed radix, Bluestein
 		if a := testing.AllocsPerRun(100, func() { sink += Flops(n) }); a != 0 {
 			t.Errorf("Flops(%d) allocated %.1f times per call; want 0", n, a)
 		}
@@ -20,7 +20,7 @@ func TestFlopsAllocFree(t *testing.T) {
 // tables exist: the struct and one scratch allocation, on every kernel.
 func TestNewPlanAllocsOnSharedTables(t *testing.T) {
 	clear(shared)
-	for _, n := range []int{128, 144, 97} { // radix-2, mixed radix, Bluestein
+	for _, n := range []int{128, 144, 97} { // power of two, mixed radix, Bluestein
 		NewPlan(n)
 		if a := testing.AllocsPerRun(20, func() { NewPlan(n) }); a > 2 {
 			t.Errorf("a second NewPlan(%d) allocated %.1f times; want <= 2", n, a)
@@ -59,7 +59,7 @@ func TestSharedTablesAreBounded(t *testing.T) {
 // on every kernel, complex and real, at a full batch and a shorter one.
 func TestBatchAllocFree(t *testing.T) {
 	const lines = 8
-	for _, n := range []int{64, 72, 97} { // radix-2, mixed radix, Bluestein
+	for _, n := range []int{64, 72, 97} { // power of two, mixed radix, Bluestein
 		p, rp := NewBatchPlan(n, lines), NewRealBatchPlan(2*n, lines)
 		for _, L := range []int{lines, 3} {
 			re, im := randSignal(n*L, int64(n))

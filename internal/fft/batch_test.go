@@ -79,8 +79,8 @@ func batchBits(m, L int, vals []float64) error {
 	return nil
 }
 
-// batchHalves are half lengths of every kernel: radix-2, mixed radix with
-// and without a generic stage, and Bluestein.
+// batchHalves are half lengths of both kernels: mixed radix on powers of
+// two, on mixes with and without a generic stage, and Bluestein.
 var batchHalves = []int{1, 2, 8, 32, 3, 36, 72, 45, 74, 7 * 11, 97}
 
 // TestBatchMatchesSingleLine runs every kernel's batches of 1 to 64 lines
@@ -99,8 +99,8 @@ func TestBatchMatchesSingleLine(t *testing.T) {
 	}
 }
 
-// FuzzBatchBits lets the fuzzer pick the half length (1 to 128: radix-2,
-// mixed-radix and Bluestein lengths, each of whose lines stays cheap enough
+// FuzzBatchBits lets the fuzzer pick the half length (1 to 128: mixed-radix
+// and Bluestein lengths, each of whose lines stays cheap enough
 // to minimise), the line count (1 to 64) and the raw bits of every line's
 // inputs; values that could sum to infinities are skipped, as in
 // FuzzMixedRadixBits.

@@ -1,9 +1,10 @@
 // Package fft implements the fast Fourier transforms used by the spectral
-// filtering module.  The length picks one of three kernels: an iterative
-// radix-2 FFT for powers of two; a compiled mixed-radix FFT for lengths whose
-// prime factors are all at most 37 (the AGCM's 2°x2.5° grid has 144 = 2^4*3^2
-// longitudes, and its real rows transform at half that, 72 = 2^3*3^2); and
-// Bluestein's chirp-z algorithm over a radix-2 convolution for the rest.
+// filtering module.  The length picks one of two kernels: a compiled
+// mixed-radix FFT for lengths whose prime factors are all at most 37 (powers
+// of two among them; the AGCM's 2°x2.5° grid has 144 = 2^4*3^2 longitudes,
+// and its real rows transform at half that, 72 = 2^3*3^2); and Bluestein's
+// chirp-z algorithm over a power-of-two convolution, itself run on the
+// compiled stages, for the rest.
 //
 // A plan is two parts.  The tables (permutations, twiddle streams, chirp
 // spectra) depend only on the length, are built once per length per process
@@ -42,7 +43,6 @@ package fft
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // maxMixedRadixFactor is the largest prime factor handled by the mixed-radix
@@ -55,24 +55,19 @@ const maxMixedRadixFactor = 37
 type tables struct {
 	n int
 
-	// Radix-2 state (used when n is a power of two).
-	rev    []int     // bit-reversal permutation
-	cosTab []float64 // twiddle cosines, one per butterfly distance level
-	sinTab []float64
-
-	// Mixed-radix state (used for smooth composite lengths such as the
-	// AGCM's 144 longitudes = 2^4 * 3^2): the recursion over the prime
-	// factors, flattened.
+	// Mixed-radix state (used for smooth lengths such as the AGCM's 144
+	// longitudes = 2^4 * 3^2): the recursion over the prime factors,
+	// flattened.
 	perm   []int   // digit-reversal gather: scratch[i] = x[perm[i]]
 	stages []stage // one per prime factor, innermost recursion level first
 
 	// slot[j] is where point j goes before run: the inverse of perm for
-	// the mixed-radix kernel, j itself for the others.
+	// the mixed-radix kernel, j itself for Bluestein.
 	slot []int
 
 	// Bluestein state (used when n has a prime factor > maxMixedRadixFactor).
 	m       int       // power-of-two convolution length >= 2n-1
-	inner   *tables   // radix-2 tables of length m
+	inner   *tables   // mixed-radix tables of length m
 	chirpRe []float64 // chirp a_k = exp(-i*pi*k^2/n)
 	chirpIm []float64
 	bFFTRe  []float64 // FFT of the chirp filter b
@@ -99,37 +94,29 @@ type stage struct {
 type Plan struct {
 	*tables
 	lines    int
-	sRe, sIm []float64 // n*lines each (mixed radix) or m each (Bluestein)
+	sRe, sIm []float64 // n*lines each (mixed radix) or 2m each (Bluestein)
 }
 
 const (
-	kindRadix2 = iota
-	kindMixed
+	kindMixed = iota
 	kindBluestein
 )
 
 // kind reports which kernel the tables drive.
 func (t *tables) kind() int {
-	switch {
-	case t.rev != nil:
-		return kindRadix2
-	case t.stages != nil:
+	if t.stages != nil {
 		return kindMixed
-	default:
-		return kindBluestein
 	}
+	return kindBluestein
 }
 
 // scratchLen is the number of floats a plan on these tables needs to
 // transform lines lines at once.
 func (t *tables) scratchLen(lines int) int {
-	switch t.kind() {
-	case kindMixed:
+	if t.kind() == kindMixed {
 		return 2 * t.n * lines
-	case kindBluestein:
-		return 2 * t.m
 	}
-	return 0
+	return 4 * t.m
 }
 
 // NewPlan creates a transform plan for length n >= 1.
@@ -156,12 +143,9 @@ func (p *Plan) bind(t *tables, lines int, scratch []float64) {
 
 func newTables(n int) *tables {
 	t := &tables{n: n, unRe: make([]float64, n+1), unIm: make([]float64, n+1)}
-	switch {
-	case isPow2(n):
-		t.initRadix2()
-	case smooth(n):
+	if smooth(n) {
 		t.initMixedRadix()
-	default:
+	} else {
 		t.initBluestein()
 	}
 	for s := range t.unRe {
@@ -273,22 +257,19 @@ func (p *Plan) mixedRadix(re, im []float64, L int, conj bool) ([]float64, []floa
 // run computes the forward DFT of the L interleaved lines in (re, im) in
 // place, point j of each line already at its slot[j].
 func (p *Plan) run(re, im []float64, L int) {
-	switch p.kind() {
-	case kindMixed:
+	if p.kind() == kindMixed {
 		p.runStages(re, im, L)
-	case kindRadix2:
-		p.radix2(re, im, L)
-	default:
-		for l := 0; l < L; l++ {
-			p.bluestein(re[l:], im[l:], L)
-		}
+		return
+	}
+	for l := 0; l < L; l++ {
+		p.bluestein(re[l:], im[l:], L)
 	}
 }
 
 // runStages runs the stages in place over L gathered lines.
-func (p *Plan) runStages(sRe, sIm []float64, L int) {
-	for i := range p.stages {
-		st := &p.stages[i]
+func (t *tables) runStages(sRe, sIm []float64, L int) {
+	for i := range t.stages {
+		st := &t.stages[i]
 		switch st.f {
 		case 2:
 			st.radix2(sRe, sIm, L)
@@ -399,28 +380,6 @@ func (st *stage) radix3(sRe, sIm []float64, L int) {
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
 
-func isPow2(n int) bool { return n&(n-1) == 0 }
-
-func (t *tables) initRadix2() {
-	n := t.n
-	t.rev = make([]int, n)
-	logN := bits.TrailingZeros(uint(n))
-	for i := 0; i < n; i++ {
-		t.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
-	}
-	// Twiddles for each level: w_len^j for len = 2,4,...,n.
-	t.cosTab = make([]float64, n)
-	t.sinTab = make([]float64, n)
-	// Layout: level with half-size h stores its h twiddles at offset h.
-	for h := 1; h < n; h *= 2 {
-		for j := 0; j < h; j++ {
-			ang := -math.Pi * float64(j) / float64(h)
-			t.cosTab[h+j] = math.Cos(ang)
-			t.sinTab[h+j] = math.Sin(ang)
-		}
-	}
-}
-
 func (t *tables) initBluestein() {
 	n := t.n
 	m := 1
@@ -438,18 +397,20 @@ func (t *tables) initBluestein() {
 		t.chirpRe[k] = math.Cos(ang)
 		t.chirpIm[k] = math.Sin(ang)
 	}
-	// b_k = conj(chirp_k) for k in (-n, n), wrapped into length m.
+	// b_k = conj(chirp_k) for k in (-n, n), wrapped into length m and
+	// written to its inner slots.
 	bRe := make([]float64, m)
 	bIm := make([]float64, m)
+	slot := t.inner.slot
 	for k := 0; k < n; k++ {
-		bRe[k] = t.chirpRe[k]
-		bIm[k] = -t.chirpIm[k]
+		bRe[slot[k]] = t.chirpRe[k]
+		bIm[slot[k]] = -t.chirpIm[k]
 		if k > 0 {
-			bRe[m-k] = t.chirpRe[k]
-			bIm[m-k] = -t.chirpIm[k]
+			bRe[slot[m-k]] = t.chirpRe[k]
+			bIm[slot[m-k]] = -t.chirpIm[k]
 		}
 	}
-	t.inner.radix2(bRe, bIm, 1)
+	t.inner.runStages(bRe, bIm, 1)
 	t.bFFTRe = bRe
 	t.bFFTIm = bIm
 }
@@ -516,79 +477,49 @@ func (p *Plan) checkLen(re, im []float64, L int) {
 	}
 }
 
-// radix2 is the iterative Cooley-Tukey kernel on L interleaved lines; it
-// needs no scratch.
-func (t *tables) radix2(re, im []float64, L int) {
-	n := t.n
-	for i := 0; i < n; i++ {
-		j := t.rev[i]
-		for l := 0; l < L && j > i; l++ {
-			re[i*L+l], re[j*L+l] = re[j*L+l], re[i*L+l]
-			im[i*L+l], im[j*L+l] = im[j*L+l], im[i*L+l]
-		}
-	}
-	for h := 1; h < n; h *= 2 {
-		for base := 0; base < n; base += 2 * h {
-			for j := 0; j < h; j++ {
-				c, s := t.cosTab[h+j], t.sinTab[h+j]
-				for a := (base + j) * L; a < (base+j+1)*L; a++ {
-					b := a + h*L
-					tr := re[b]*c - im[b]*s
-					ti := re[b]*s + im[b]*c
-					re[b] = re[a] - tr
-					im[b] = im[a] - ti
-					re[a] += tr
-					im[a] += ti
-				}
-			}
-		}
-	}
-}
-
 // bluestein evaluates the DFT of arbitrary length as a convolution with a
-// chirp, using the inner power-of-two tables, on the line whose point k is
-// (re[k*L], im[k*L]).
+// chirp, on the line whose point k is (re[k*L], im[k*L]).  The two inner
+// power-of-two transforms run on the inner tables' stages, so their inputs
+// are written straight to the inner slots, each into its own half of the
+// scratch.
 func (p *Plan) bluestein(re, im []float64, L int) {
-	n, m := p.n, p.m
-	aRe, aIm := p.sRe, p.sIm
-	for i := range aRe {
-		aRe[i], aIm[i] = 0, 0
-	}
+	n, m, slot := p.n, p.m, p.inner.slot
+	aRe, aIm := p.sRe[:m], p.sIm[:m]
+	bRe, bIm := p.sRe[m:], p.sIm[m:]
+	clear(aRe)
+	clear(aIm)
 	for k := 0; k < n; k++ {
-		aRe[k] = re[k*L]*p.chirpRe[k] - im[k*L]*p.chirpIm[k]
-		aIm[k] = re[k*L]*p.chirpIm[k] + im[k*L]*p.chirpRe[k]
+		aRe[slot[k]] = re[k*L]*p.chirpRe[k] - im[k*L]*p.chirpIm[k]
+		aIm[slot[k]] = re[k*L]*p.chirpIm[k] + im[k*L]*p.chirpRe[k]
 	}
-	p.inner.radix2(aRe, aIm, 1)
-	for i := 0; i < m; i++ {
-		r := aRe[i]*p.bFFTRe[i] - aIm[i]*p.bFFTIm[i]
-		aIm[i] = aRe[i]*p.bFFTIm[i] + aIm[i]*p.bFFTRe[i]
-		aRe[i] = r
+	p.inner.runStages(aRe, aIm, 1)
+	// Multiply by the chirp filter's spectrum and conjugate, for the
+	// inverse inner transform via conjugation.
+	for i, j := range slot {
+		bRe[j] = aRe[i]*p.bFFTRe[i] - aIm[i]*p.bFFTIm[i]
+		bIm[j] = -(aRe[i]*p.bFFTIm[i] + aIm[i]*p.bFFTRe[i])
 	}
-	// Inverse inner transform via conjugation.
-	for i := 0; i < m; i++ {
-		aIm[i] = -aIm[i]
-	}
-	p.inner.radix2(aRe, aIm, 1)
+	p.inner.runStages(bRe, bIm, 1)
 	invM := 1 / float64(m)
 	for k := 0; k < n; k++ {
-		cr := aRe[k] * invM
-		ci := -aIm[k] * invM
+		cr := bRe[k] * invM
+		ci := -bIm[k] * invM
 		re[k*L] = cr*p.chirpRe[k] - ci*p.chirpIm[k]
 		im[k*L] = cr*p.chirpIm[k] + ci*p.chirpRe[k]
 	}
 }
 
 // Flops returns the operation-count model for one complex FFT of length n,
-// which the simulator charges to the virtual clock.  Power-of-two and
-// smooth composite lengths (every AGCM grid length, e.g. 144 = 2^4*3^2)
-// cost the standard 5*n*log2(n); lengths with a large prime factor cost the
-// Bluestein route (three FFTs of length m >= 2n-1 plus O(n+m) multiplies),
-// matching what the implementation actually does.
+// which the simulator charges to the virtual clock.  Smooth lengths (powers
+// of two and every AGCM grid length, e.g. 144 = 2^4*3^2) cost the standard
+// 5*n*log2(n); lengths with a large prime factor cost the Bluestein route
+// (three FFTs of length m >= 2n-1 plus O(n+m) multiplies), matching what the
+// implementation actually does.
 func Flops(n int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	if isPow2(n) || smooth(n) {
+	if smooth(n) {
 		return 5 * float64(n) * math.Log2(float64(n))
 	}
 	m := 1

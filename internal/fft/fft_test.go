@@ -257,8 +257,8 @@ func TestSmoothMatchesFactorization(t *testing.T) {
 }
 
 func TestPlanKindSelection(t *testing.T) {
-	if NewPlan(128).kind() != kindRadix2 {
-		t.Error("128 should use radix-2")
+	if NewPlan(128).kind() != kindMixed {
+		t.Error("128 should use mixed-radix")
 	}
 	if NewPlan(144).kind() != kindMixed {
 		t.Error("144 should use mixed-radix")

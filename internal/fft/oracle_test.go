@@ -158,10 +158,10 @@ func (p *oracleReal) Inverse(re, im, x []float64) {
 	}
 }
 
-// oracleLengths covers every smooth, non-power-of-two row length and half
-// length the repo's grids produce (5 … 288), each unrolled and generic
-// stage body on its own (3, 5, 7, 37), and mixes of them.
-var oracleLengths = []int{3, 5, 6, 7, 9, 12, 15, 18, 24, 36, 37, 48, 72, 74, 96, 111, 144, 210, 288, 360}
+// oracleLengths covers every smooth row length and half length the repo's
+// grids produce (5 … 288), each unrolled and generic stage body on its own
+// (2, 3, 5, 7, 37), the powers of two up to 256, and mixes of them.
+var oracleLengths = []int{2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 18, 24, 32, 36, 37, 48, 64, 72, 74, 96, 111, 128, 144, 210, 256, 288, 360}
 
 // awkward are the values a kernel that "simplifies" its arithmetic gets
 // wrong: a -0 added to a sum started from +0, products that underflow to a
@@ -344,7 +344,7 @@ func FuzzMixedRadixBits(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, length uint16, raw []byte) {
 		n := int(length)%360 + 2
-		if isPow2(n) || !smooth(n) {
+		if !smooth(n) {
 			t.Skip()
 		}
 		re, im := make([]float64, n), make([]float64, n)
@@ -378,7 +378,7 @@ func FuzzRealPlanBits(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, length uint16, raw []byte) {
 		m := int(length)%360 + 2
-		if isPow2(m) || !smooth(m) {
+		if !smooth(m) {
 			t.Skip()
 		}
 		n := 2 * m

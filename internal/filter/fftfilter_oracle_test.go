@@ -275,7 +275,8 @@ func (f *oracleFFTFilter) Apply(vars []Variable) {
 	// Phase 4: local FFT filtering of complete circles.
 	for bi, t := range myBlock {
 		ln := lines[myWork[t]]
-		f.rf.apply(f.damping(vars[ln.v].Kind, ln.j), full[bi])
+		f.rf.damps[0] = f.damping(vars[ln.v].Kind, ln.j)
+		f.rf.applyBatch(f.rf.damps, full[bi:bi+1])
 		f.cart.World.Proc().Compute(f.lineFlops)
 	}
 

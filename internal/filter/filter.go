@@ -196,35 +196,23 @@ func newRowFilter(n, lines int) *rowFilter {
 	return rf
 }
 
-// apply filters one real row in place; damp has length n and is symmetric,
-// so only its first half is consulted on the half-complex route.
-func (rf *rowFilter) apply(damp, row []float64) {
-	if len(row) != rf.n || len(damp) != rf.n {
-		panic("filter: rowFilter length mismatch")
-	}
-	if rf.odd != nil {
-		applyRowFFTScratch(rf.odd, damp, row, rf.oddIm)
-		return
-	}
-	re, im := rf.re[:rf.n/2+1], rf.im[:rf.n/2+1]
-	rf.plan.Forward(row, re, im)
-	for s := range re {
-		re[s] *= damp[s]
-		im[s] *= damp[s]
-	}
-	rf.plan.Inverse(re, im, row)
-}
-
 // applyBatch filters rows[l] in place with damping damps[l], at most
-// rf.lines rows: every row gets apply's bits.
+// rf.lines rows of length n.  Each damping row has length n and is
+// symmetric, so only its first half is consulted on the half-complex route.
+// Every row gets the bits of a batch of one, wherever a batch is cut.
 func (rf *rowFilter) applyBatch(damps, rows [][]float64) {
 	L, h := len(rows), rf.n/2+1
 	if len(damps) != L {
 		panic("filter: rowFilter batch mismatch")
 	}
+	for _, damp := range damps {
+		if len(damp) != rf.n {
+			panic("filter: rowFilter length mismatch")
+		}
+	}
 	if rf.odd != nil {
 		for l, row := range rows {
-			rf.apply(damps[l], row)
+			applyRowFFTScratch(rf.odd, damps[l], row, rf.oddIm)
 		}
 		return
 	}
@@ -376,18 +364,18 @@ type Variable struct {
 // rather than read the response tables they share.
 func Sequential(spec grid.Spec, vars []Variable) {
 	rf := newRowFilter(spec.Nlon, 1)
-	row := make([]float64, spec.Nlon)
+	damps, rows := rf.damps, [][]float64{make([]float64, spec.Nlon)}
 	for _, v := range vars {
 		l := v.Field.Local()
 		if l.Nlat() != spec.Nlat || l.Nlon() != spec.Nlon {
 			panic("filter: Sequential requires an undecomposed field")
 		}
 		for _, j := range Rows(spec, v.Kind) {
-			damp := DampingRow(spec.Nlon, spec.LatCenter(j), v.Kind.CritLat())
+			damps[0] = DampingRow(spec.Nlon, spec.LatCenter(j), v.Kind.CritLat())
 			for k := 0; k < spec.Nlayers; k++ {
-				v.Field.RowSlice(j, k, row)
-				rf.apply(damp, row)
-				v.Field.SetRowSlice(j, k, row)
+				v.Field.RowSlice(j, k, rows[0])
+				rf.applyBatch(damps, rows)
+				v.Field.SetRowSlice(j, k, rows[0])
 			}
 		}
 	}
