@@ -94,7 +94,7 @@ func (d *Dynamics) smoothed(s *State) (fields, incs [3]*grid.Field) {
 // Run computes the smoothing increments of rows [lo, hi).
 func (l *smoothLoop) Run(_, lo, hi int) {
 	d := (*Dynamics)(l)
-	nlon, nl := d.local.Nlon(), d.local.Nlayers()
+	nl := d.local.Nlayers()
 	dlam := d.spec.DLon()
 	dphi := d.spec.DLat()
 	fields, incs := d.smoothed(d.cur)
@@ -117,20 +117,19 @@ func (l *smoothLoop) Run(_, lo, hi int) {
 			// the zonal two-grid damping is kappa everywhere.
 			ratioN := (cosN * dlam / dphi) * (cosN * dlam / dphi)
 			ratioS := (cosS * dlam / dphi) * (cosS * dlam / dphi)
-			// Row-sliced stencil: fC/fN/fS are the halo-padded state rows
-			// (column i at offset (i+1)*nl), sc the halo-free scratch row.
-			fRow, fN_, fS_ := f.RowData(j), f.RowData(j+1), f.RowData(j-1)
-			sc := scratch.RowData(j)
-			for i := 0; i < nlon; i++ {
-				c := (i + 1) * nl
-				t := i * nl
-				for k := 0; k < nl; k++ {
-					q := fRow[c+k]
-					zon := fRow[c+nl+k] - 2*q + fRow[c-nl+k]
-					mer := (ratioN*cosN*(fN_[c+k]-q) -
-						ratioS*cosS*(q-fS_[c+k])) / cosC
-					sc[t+k] = DiffusionKappa * (zon + mer)
-				}
+			// Flat row stencil (see rowViews): point m of the row's
+			// centre qC has its east, west, north and south neighbours
+			// at m of qE, qW, qN and qS.
+			qC, qE, qW := rowViews(f, j, nl)
+			qN, _, _ := rowViews(f, j+1, nl)
+			qS, _, _ := rowViews(f, j-1, nl)
+			sc := scratch.RowData(j)[:len(qC)]
+			qE, qW, qN, qS = qE[:len(qC)], qW[:len(qC)], qN[:len(qC)], qS[:len(qC)]
+			for m, q := range qC {
+				zon := qE[m] - 2*q + qW[m]
+				mer := (ratioN*cosN*(qN[m]-q) -
+					ratioS*cosS*(q-qS[m])) / cosC
+				sc[m] = DiffusionKappa * (zon + mer)
 			}
 		}
 	}
@@ -139,21 +138,29 @@ func (l *smoothLoop) Run(_, lo, hi int) {
 // Run adds the smoothing increments of rows [lo, hi) to the fields.
 func (l *smoothApplyLoop) Run(_, lo, hi int) {
 	d := (*Dynamics)(l)
-	nlon, nl := d.local.Nlon(), d.local.Nlayers()
+	nl := d.local.Nlayers()
 	fields, incs := d.smoothed(d.cur)
 	for fi, f := range fields {
 		for j := lo; j < hi; j++ {
-			fRow := f.RowData(j)
-			sc := incs[fi].RowData(j)
-			for i := 0; i < nlon; i++ {
-				c := (i + 1) * nl
-				t := i * nl
-				for k := 0; k < nl; k++ {
-					fRow[c+k] += sc[t+k]
-				}
+			fC, _, _ := rowViews(f, j, nl)
+			sc := incs[fi].RowData(j)[:len(fC)]
+			for m := range fC {
+				fC[m] += sc[m]
 			}
 		}
 	}
+}
+
+// rowViews returns three views of latitude row j of a halo-1 state field
+// of nl layers, each nlon·nl floats long: the row's interior (centre), and
+// the same span shifted one column east and one column west.  The halo-0
+// tendency rows line up with the centre: their point m is RowData(j)[m].
+// So a stencil runs as one flat loop over m ∈ [0, nlon·nl), point m of the
+// centre having its east and west neighbours at m of the shifted views.
+func rowViews(f *grid.Field, j, nl int) (centre, east, west []float64) {
+	row := f.RowData(j)
+	n := len(row) - 2*nl
+	return row[nl : nl+n], row[2*nl : 2*nl+n], row[:n]
 }
 
 // applyPolarBC fills the pole-side halo rows, i = -1 .. Nlon of the state's
@@ -193,7 +200,7 @@ func (tl *tendencyLoop) Run(_, lo, hi int) {
 	g := grid.Gravity
 	dlam := spec.DLon()
 	dphi := spec.DLat()
-	nlon, nl := l.Nlon(), l.Nlayers()
+	nl := l.Nlayers()
 
 	for j := lo; j < hi; j++ {
 		cosC := d.cosC[j+1]
@@ -205,50 +212,55 @@ func (tl *tendencyLoop) Run(_, lo, hi int) {
 		rdy := 1 / (a * dphi)
 		northPole := l.GlobalLat(j) == spec.Nlat-1
 		rdxN := 1 / (a*cosN*dlam + 1e-30)
-		// Row-sliced stencil access: column i of the halo-1 state rows
-		// starts at (i+1)*nl; the halo-free tendency rows at i*nl.
-		uC, uN, uS := s.U.RowData(j), s.U.RowData(j+1), s.U.RowData(j-1)
-		vC, vN, vS := s.V.RowData(j), s.V.RowData(j+1), s.V.RowData(j-1)
-		hC, hN, hS := s.H.RowData(j), s.H.RowData(j+1), s.H.RowData(j-1)
-		duR, dvR, dhR := d.tend.du.RowData(j), d.tend.dv.RowData(j), d.tend.dh.RowData(j)
-		for i := 0; i < nlon; i++ {
-			c := (i + 1) * nl
-			t := i * nl
-			for k := 0; k < nl; k++ {
-				e := c + nl + k // east neighbour (i+1)
-				w := c - nl + k // west neighbour (i-1)
-				u := uC[c+k]
-				v := vC[c+k]
-				h := hC[c+k]
+		// Flat row stencil (see rowViews): point m of each centre view
+		// has its neighbours at m of the east (E) and west (W) views and
+		// of the rows north (N) and south (S); the tendency rows line up
+		// with the centres.
+		uC, uE, uW := rowViews(s.U, j, nl)
+		vC, vE, vW := rowViews(s.V, j, nl)
+		hC, hE, hW := rowViews(s.H, j, nl)
+		uN, _, uNW := rowViews(s.U, j+1, nl)
+		vN, _, _ := rowViews(s.V, j+1, nl)
+		hN, _, _ := rowViews(s.H, j+1, nl)
+		uS, _, _ := rowViews(s.U, j-1, nl)
+		vS, vSE, _ := rowViews(s.V, j-1, nl)
+		hS, _, _ := rowViews(s.H, j-1, nl)
+		n := len(uC)
+		// Equal lengths, stated, let the compiler drop the bounds checks.
+		uE, uW, uN, uS, uNW = uE[:n], uW[:n], uN[:n], uS[:n], uNW[:n]
+		vC, vE, vW, vN, vS, vSE = vC[:n], vE[:n], vW[:n], vN[:n], vS[:n], vSE[:n]
+		hC, hE, hW, hN, hS = hC[:n], hE[:n], hW[:n], hN[:n], hS[:n]
+		duR, dvR, dhR := d.tend.du.RowData(j)[:n], d.tend.dv.RowData(j)[:n], d.tend.dh.RowData(j)[:n]
+		for m, u := range uC {
+			v := vC[m]
+			h := hC[m]
 
-				// --- u momentum at the east face of (j,i) ---
-				vbar := 0.25 * (vC[c+k] + vC[e] + vS[c+k] + vS[e])
-				dudx := (uC[e] - uC[w]) * 0.5 * rdx
-				dudy := (uN[c+k] - uS[c+k]) * 0.5 * rdy
-				dhdx := (hC[e] - h) * rdx
-				duR[t+k] = fC*vbar - g*dhdx - u*dudx - vbar*dudy
+			// --- u momentum at the east face of (j,i) ---
+			vbar := 0.25 * (vC[m] + vE[m] + vS[m] + vSE[m])
+			dudx := (uE[m] - uW[m]) * 0.5 * rdx
+			dudy := (uN[m] - uS[m]) * 0.5 * rdy
+			dhdx := (hE[m] - h) * rdx
+			duR[m] = fC*vbar - g*dhdx - u*dudx - vbar*dudy
 
-				// --- v momentum at the north face of (j,i) ---
-				if northPole {
-					dvR[t+k] = 0 // pole face: v stays 0
-				} else {
-					ubar := 0.25 * (uC[c+k] + uC[w] + uN[c+k] + uN[w])
-					dvdx := (vC[e] - vC[w]) * 0.5 * rdxN
-					dvdy := (vN[c+k] - vS[c+k]) * 0.5 * rdy
-					dhdy := (hN[c+k] - h) * rdy
-					dvR[t+k] = -fN*ubar - g*dhdy - ubar*dvdx - v*dvdy
-				}
+			// --- v momentum at the north face of (j,i) ---
+			ubar := 0.25 * (uC[m] + uW[m] + uN[m] + uNW[m])
+			dvdx := (vE[m] - vW[m]) * 0.5 * rdxN
+			dvdy := (vN[m] - vS[m]) * 0.5 * rdy
+			dhdy := (hN[m] - h) * rdy
+			dvR[m] = -fN*ubar - g*dhdy - ubar*dvdx - v*dvdy
 
-				// --- continuity at the centre of (j,i), flux form ---
-				// Zonal mass fluxes through the east and west faces.
-				fe := 0.5 * (h + hC[e]) * u
-				fw := 0.5 * (hC[w] + h) * uC[w]
-				// Meridional fluxes through the north and south faces,
-				// weighted by cos(lat) at the face.
-				fn := 0.5 * (h + hN[c+k]) * cosN * v
-				fs := 0.5 * (hS[c+k] + h) * cosS * vS[c+k]
-				dhR[t+k] = -(fe-fw)*rdx - (fn-fs)*rdy/cosC
-			}
+			// --- continuity at the centre of (j,i), flux form ---
+			// Zonal mass fluxes through the east and west faces.
+			fe := 0.5 * (h + hE[m]) * u
+			fw := 0.5 * (hW[m] + h) * uW[m]
+			// Meridional fluxes through the north and south faces,
+			// weighted by cos(lat) at the face.
+			fn := 0.5 * (h + hN[m]) * cosN * v
+			fs := 0.5 * (hS[m] + h) * cosS * vS[m]
+			dhR[m] = -(fe-fw)*rdx - (fn-fs)*rdy/cosC
+		}
+		if northPole {
+			clear(dvR) // pole face: v stays 0
 		}
 	}
 }
@@ -264,30 +276,29 @@ func (d *Dynamics) advance(s *State) {
 func (l *advanceLoop) Run(_, lo, hi int) {
 	d := (*Dynamics)(l)
 	s := d.cur
-	nlon, nl := d.local.Nlon(), d.local.Nlayers()
+	nl := d.local.Nlayers()
 	dt := d.dt
 	first := s.Steps == 0
 
 	update := func(cur, prev, tend *grid.Field) {
 		for j := lo; j < hi; j++ {
-			cR, pR := cur.RowData(j), prev.RowData(j)
-			tR := tend.RowData(j)
-			for i := 0; i < nlon; i++ {
-				co := (i + 1) * nl
-				to := i * nl
-				for k := 0; k < nl; k++ {
-					c := cR[co+k]
-					var next float64
-					if first {
-						next = c + dt*tR[to+k]
-					} else {
-						next = pR[co+k] + 2*dt*tR[to+k]
-					}
-					// Robert-Asselin filter on the centre level.
-					filtered := c + RobertAlpha*(pR[co+k]-2*c+next)
-					pR[co+k] = filtered
-					cR[co+k] = next
+			cR, _, _ := rowViews(cur, j, nl)
+			pR, _, _ := rowViews(prev, j, nl)
+			pR, tR := pR[:len(cR)], tend.RowData(j)[:len(cR)]
+			// Forward Euler on the first step, leapfrog after; then the
+			// Robert-Asselin filter on the centre level.
+			if first {
+				for m, c := range cR {
+					next := c + dt*tR[m]
+					pR[m] = c + RobertAlpha*(pR[m]-2*c+next)
+					cR[m] = next
 				}
+				continue
+			}
+			for m, c := range cR {
+				next := pR[m] + 2*dt*tR[m]
+				pR[m] = c + RobertAlpha*(pR[m]-2*c+next)
+				cR[m] = next
 			}
 		}
 	}
