@@ -1,12 +1,16 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"agcm/internal/core"
+	"agcm/internal/grid"
 	"agcm/internal/machine"
+	"agcm/internal/roofline"
 )
 
 // TestLoadOracle drives -calib: no file is the server's built-in host model,
@@ -35,8 +39,26 @@ func TestLoadOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Name() != "roofline:Host CPU" {
-		t.Fatalf("oracle %q", o.Name())
+	// The file's model prices every job, bit for bit as a predictor built
+	// on it directly does, and not as the built-in host model does.
+	want, err := roofline.NewMachine(fitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin, err := roofline.NewMachine(machine.Host())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Spec: grid.TwoByTwoPointFive(9), Machine: machine.Host(), MeshPy: 2, MeshPx: 4, Filter: core.FilterFFTBalanced, DegradeRank: -1}
+	got, err := o.PredictSeconds(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := want.PredictSeconds(cfg, 3); math.Float64bits(got) != math.Float64bits(w) {
+		t.Fatalf("loaded oracle priced %v, the file's model %v", got, w)
+	}
+	if b, _ := builtin.PredictSeconds(cfg, 3); got == b {
+		t.Fatalf("loaded oracle priced %v, the same as the built-in host model", got)
 	}
 
 	retired := `{"name":"host","aggregate":"sum","flops_per_sec":3e9,"bytes_per_sec":1.9e10,` +
