@@ -158,14 +158,14 @@ func calibrateHost() (*experiments.Output, *machine.Model, error) {
 		})
 	}
 
-	// Unit Base: a class the data cannot determine is charged the raw
-	// roofline bound, not a stale efficiency from a previous fit — the
+	// A class the data cannot determine is charged the raw roofline bound
+	// (unit efficiency), not a stale efficiency from a previous fit — the
 	// baked-in machine.Host numbers must never steer their own refit.
-	fit, err := roofline.Fit(samples, roofline.FitOptions{})
+	eff, err := roofline.Fit(samples, nil)
 	if err != nil {
 		return nil, calib, fmt.Errorf("calibrate: fitting host calib: %w", err)
 	}
-	calib.Eff = fit.Eff
+	calib.Eff = eff
 	hash, err := calib.Hash()
 	if err != nil {
 		return nil, calib, err
@@ -191,7 +191,6 @@ func calibrateHost() (*experiments.Output, *machine.Model, error) {
 	if err != nil {
 		return nil, calib, err
 	}
-	eff := calib.Eff
 	notes := []string{
 		"Wall-clock: comparable only on the same host, and not gated.",
 		fmt.Sprintf("Ceilings (one core, scalar Go): %.3g flop/s, %.3g byte/s memory, %.3g byte/s network.",

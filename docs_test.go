@@ -39,6 +39,39 @@ func TestDocsNameRealTests(t *testing.T) {
 	}
 }
 
+// changesEntry matches the change number a CHANGES.md entry opens with:
+// "- PR 12 [perf_opt] …" or "- PR 12: …".
+var changesEntry = regexp.MustCompile(`^- PR (\d+)\b`)
+
+// TestChangesEntriesUnique: CHANGES.md has one entry per change number and
+// no bullet line twice, so a block pasted a second time cannot hide among
+// its long lines.
+func TestChangesEntriesUnique(t *testing.T) {
+	raw, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]int{} // change number -> first line
+	bullets := map[string]int{} // bullet text -> first line
+	for i, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, "- ") {
+			continue
+		}
+		if first, ok := bullets[line]; ok {
+			t.Errorf("CHANGES.md:%d repeats the bullet of line %d", i+1, first)
+		} else {
+			bullets[line] = i + 1
+		}
+		if m := changesEntry.FindStringSubmatch(line); m != nil {
+			if first, ok := entries[m[1]]; ok {
+				t.Errorf("CHANGES.md:%d is a second entry numbered %s (first on line %d)", i+1, m[1], first)
+			} else {
+				entries[m[1]] = i + 1
+			}
+		}
+	}
+}
+
 // testFuncs returns the names of the top-level functions of every _test.go
 // file in the module, skipping testdata and nested modules.
 func testFuncs(t *testing.T) []string {

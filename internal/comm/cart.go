@@ -55,32 +55,3 @@ func NewCart2D(world *Comm, py, px int) *Cart2D {
 		Col: world.Split(colColors, keys, cartCtxBase+maxMeshDim),
 	}
 }
-
-// North returns the world-comm rank of the neighbour one processor row
-// toward the north pole, or -1 at the northern mesh edge.
-func (c *Cart2D) North() int {
-	if c.MyRow == c.Py-1 {
-		return -1
-	}
-	return (c.MyRow+1)*c.Px + c.MyCol
-}
-
-// South returns the world-comm rank of the neighbour one processor row
-// toward the south pole, or -1 at the southern mesh edge.
-func (c *Cart2D) South() int {
-	if c.MyRow == 0 {
-		return -1
-	}
-	return (c.MyRow-1)*c.Px + c.MyCol
-}
-
-// East returns the world-comm rank of the eastern neighbour; the longitude
-// direction is periodic, so there is always one.
-func (c *Cart2D) East() int {
-	return c.MyRow*c.Px + (c.MyCol+1)%c.Px
-}
-
-// West returns the world-comm rank of the western neighbour (periodic).
-func (c *Cart2D) West() int {
-	return c.MyRow*c.Px + (c.MyCol-1+c.Px)%c.Px
-}

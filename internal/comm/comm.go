@@ -314,15 +314,6 @@ func MaxOp(dst, src []float64) {
 	}
 }
 
-// MinOp keeps the elementwise minimum in dst.
-func MinOp(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
 // ReduceInto combines every rank's data with op along a binomial tree rooted
 // at root, accumulating into the caller-owned buffer out (grown from out[:0]
 // as needed).  The root returns the combined vector, aliasing out's backing

@@ -13,8 +13,6 @@ import "fmt"
 // scheduler's ordering, and therefore the daemon's observable behaviour,
 // follows it.
 type CostOracle interface {
-	// Name identifies the oracle in logs and metrics, e.g. "roofline:host".
-	Name() string
 	// PredictSeconds estimates the seconds a run of cfg for measuredSteps
 	// measured steps will consume (including warmup), or an error for
 	// configs it cannot price.

@@ -184,8 +184,6 @@ type countingOracle struct {
 	calls   int
 }
 
-func (o *countingOracle) Name() string { return "counting" }
-
 func (o *countingOracle) PredictSeconds(cfg core.Config, steps int) (float64, error) {
 	o.calls++
 	if o.err != nil {

@@ -42,14 +42,11 @@ func fitMachineGrid(m *machine.Model, opt Options) (machine.Efficiencies, []roof
 			Machine: m.Name, Label: cp.Label, Raw: raw, Measured: rep.Total,
 		})
 	}
-	fitted, err := roofline.Fit(samples, roofline.FitOptions{
-		Base:    simulated.Eff,
-		Classes: roofline.ComputeClasses,
-	})
+	fitted, err := roofline.Fit(samples, roofline.ComputeClasses)
 	if err != nil {
 		return simulated.Eff, nil, fmt.Errorf("fitting %s: %w", m.Name, err)
 	}
-	return fitted.Eff, samples, nil
+	return fitted, samples, nil
 }
 
 // Roofline closes the observe-predict-calibrate loop in virtual time: for

@@ -1,8 +1,8 @@
-// Package roofline predicts per-phase and end-to-end AGCM run time on a
-// machine.Model — the same description the simulator charges — as the
-// roofline bound max(flops/FlopRate, bytes/MemBandwidth) per compute kernel
-// and the model's message terms for the network, each divided by the model's
-// efficiency for that kernel class.
+// Package roofline predicts end-to-end AGCM run time on a machine.Model —
+// the same description the simulator charges — as the roofline bound
+// max(flops/FlopRate, bytes/MemBandwidth) per compute kernel and the model's
+// message terms for the network, each divided by the model's efficiency for
+// that kernel's class.
 //
 // A model is observable on any machine, including the host CPU this process
 // runs on: run benchmarks, fit the efficiency coefficients by least squares
@@ -29,54 +29,34 @@ import (
 	"agcm/internal/machine"
 )
 
+// Class is a kernel class: which of a model's efficiencies divides a
+// kernel's roofline time, and the fit's coefficient index.
+type Class uint8
+
 // Kernel classes, in the canonical coefficient order used by the fit.
 const (
-	ClassDynamics   = "dynamics"
-	ClassPhysics    = "physics"
-	ClassFilterConv = "filter-conv"
-	ClassFilterFFT  = "filter-fft"
-	ClassNetwork    = "network"
+	ClassDynamics Class = iota
+	ClassPhysics
+	ClassFilterConv
+	ClassFilterFFT
+	ClassNetwork
+	NumClasses
 )
 
-// Classes lists the kernel classes in canonical (fit coefficient) order.
-var Classes = []string{ClassDynamics, ClassPhysics, ClassFilterConv, ClassFilterFFT, ClassNetwork}
+var classNames = [NumClasses]string{"dynamics", "physics", "filter-conv", "filter-fft", "network"}
 
-// NumClasses is len(Classes), the fit's coefficient count.
-const NumClasses = 5
-
-// efficiency returns the efficiency for a kernel class (1 for unknown
-// names, so an unclassified kernel is charged the raw roofline bound).
-func efficiency(e machine.Efficiencies, class string) float64 {
-	switch class {
-	case ClassDynamics:
-		return e.Dynamics
-	case ClassPhysics:
-		return e.Physics
-	case ClassFilterConv:
-		return e.FilterConv
-	case ClassFilterFFT:
-		return e.FilterFFT
-	case ClassNetwork:
-		return e.Network
+// String returns the class's name.
+func (c Class) String() string {
+	if c < NumClasses {
+		return classNames[c]
 	}
-	return 1
+	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// withEfficiency returns a copy with the named class's efficiency replaced.
-func withEfficiency(e machine.Efficiencies, class string, v float64) machine.Efficiencies {
-	switch class {
-	case ClassDynamics:
-		e.Dynamics = v
-	case ClassPhysics:
-		e.Physics = v
-	case ClassFilterConv:
-		e.FilterConv = v
-	case ClassFilterFFT:
-		e.FilterFFT = v
-	case ClassNetwork:
-		e.Network = v
-	}
-	return e
+// eff returns the field of e that holds the class's efficiency: the one
+// place a class meets machine.Efficiencies, for reading and for writing.
+func (c Class) eff(e *machine.Efficiencies) *float64 {
+	return [NumClasses]*float64{&e.Dynamics, &e.Physics, &e.FilterConv, &e.FilterFFT, &e.Network}[c]
 }
 
 // ParseCalib decodes a calibration file — a machine model in JSON, as

@@ -153,23 +153,23 @@ func TestParseCalibRejectsUnknownAndTrailing(t *testing.T) {
 
 func TestEfficienciesByClass(t *testing.T) {
 	e := machine.Efficiencies{Dynamics: 0.1, Physics: 0.2, FilterConv: 0.3, FilterFFT: 0.4, Network: 0.5}
-	want := map[string]float64{
-		ClassDynamics: 0.1, ClassPhysics: 0.2, ClassFilterConv: 0.3,
-		ClassFilterFFT: 0.4, ClassNetwork: 0.5,
-	}
-	for i, class := range Classes {
-		if got := efficiency(e, class); got != want[class] {
-			t.Fatalf("efficiency(%s) = %g, want %g", class, got, want[class])
+	want := [NumClasses]float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	names := [NumClasses]string{"dynamics", "physics", "filter-conv", "filter-fft", "network"}
+	for c := Class(0); c < NumClasses; c++ {
+		if got := *c.eff(&e); got != want[c] {
+			t.Fatalf("efficiency of %s = %g, want %g", c, got, want[c])
 		}
-		if got := efficiency(withEfficiency(e, class, float64(i)+10), class); got != float64(i)+10 {
-			t.Fatalf("withEfficiency(%s) did not stick", class)
+		*c.eff(&e) = float64(c) + 10
+		if c.String() != names[c] {
+			t.Fatalf("class %d named %q, want %q", c, c.String(), names[c])
 		}
 	}
-	if got := efficiency(e, "unclassified"); got != 1 {
-		t.Fatalf("unknown class must charge the raw bound, got eff %g", got)
+	// Each class writes its own field and no other.
+	if e != (machine.Efficiencies{Dynamics: 10, Physics: 11, FilterConv: 12, FilterFFT: 13, Network: 14}) {
+		t.Fatalf("writing every class through eff gave %+v", e)
 	}
-	if NumClasses != len(Classes) {
-		t.Fatalf("NumClasses %d != len(Classes) %d", NumClasses, len(Classes))
+	if got := NumClasses.String(); got != "class(5)" {
+		t.Fatalf("out-of-range class named %q", got)
 	}
 }
 

@@ -54,4 +54,4 @@ func MachineCalibPoints(m *machine.Model) []CalibPoint {
 // constants derive exactly from the machine model the simulation charges, so
 // the network efficiency stays at its derived unit value instead of
 // absorbing compute error.
-var ComputeClasses = []string{ClassDynamics, ClassPhysics, ClassFilterConv, ClassFilterFFT}
+var ComputeClasses = []Class{ClassDynamics, ClassPhysics, ClassFilterConv, ClassFilterFFT}

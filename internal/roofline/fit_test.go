@@ -39,7 +39,7 @@ func TestFitInsertionOrderBitIdentical(t *testing.T) {
 	trueEff := machine.Efficiencies{Dynamics: 0.47, Physics: 0.031, FilterConv: 0.8, FilterFFT: 0.12, Network: 0.66}
 	base := synthSamples(trueEff, 12)
 
-	ref, err := Fit(base, FitOptions{})
+	ref, err := Fit(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func TestFitInsertionOrderBitIdentical(t *testing.T) {
 	}
 	for name, perm := range perms {
 		t.Run(name, func(t *testing.T) {
-			got, err := Fit(perm(base), FitOptions{})
+			got, err := Fit(perm(base), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Bit-identical, not merely close: == on every coefficient.
-			if got.Eff != ref.Eff {
-				t.Fatalf("insertion order changed coefficients:\n  ref %+v\n  got %+v", ref.Eff, got.Eff)
+			if got != ref {
+				t.Fatalf("insertion order changed coefficients:\n  ref %+v\n  got %+v", ref, got)
 			}
 		})
 	}
@@ -82,17 +82,14 @@ func TestFitInsertionOrderBitIdentical(t *testing.T) {
 
 func TestFitRecoversSyntheticEfficiencies(t *testing.T) {
 	trueEff := machine.Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
-	res, err := Fit(synthSamples(trueEff, 20), FitOptions{})
+	eff, err := Fit(synthSamples(trueEff, 20), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.FittedClasses) != NumClasses {
-		t.Fatalf("expected all %d classes fitted, got %v", NumClasses, res.FittedClasses)
-	}
-	for _, class := range Classes {
-		got, want := efficiency(res.Eff, class), efficiency(trueEff, class)
+	for c := Class(0); c < NumClasses; c++ {
+		got, want := *c.eff(&eff), *c.eff(&trueEff)
 		if math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("class %s: fitted %g, want %g", class, got, want)
+			t.Fatalf("class %s: fitted %g, want %g", c, got, want)
 		}
 	}
 }
@@ -101,46 +98,41 @@ func TestFitZeroColumnKeepsBase(t *testing.T) {
 	trueEff := machine.Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
 	samples := synthSamples(trueEff, 15)
 	for i := range samples {
-		samples[i].Measured -= samples[i].Raw[NumClasses-1] / trueEff.Network
-		samples[i].Raw[NumClasses-1] = 0 // no network work anywhere
+		samples[i].Measured -= samples[i].Raw[ClassNetwork] / trueEff.Network
+		samples[i].Raw[ClassNetwork] = 0 // no network work anywhere
 	}
-	base := machine.Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 0.123}
-	res, err := Fit(samples, FitOptions{Base: base})
+	eff, err := Fit(samples, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Eff.Network != base.Network {
-		t.Fatalf("all-zero network column must keep Base, got %g", res.Eff.Network)
+	if eff.Network != 1 {
+		t.Fatalf("all-zero network column must keep unit efficiency, got %g", eff.Network)
 	}
-	for _, class := range res.FittedClasses {
-		if class == ClassNetwork {
-			t.Fatal("network reported as fitted despite an all-zero column")
-		}
+	if math.Abs(eff.Physics-trueEff.Physics) > 1e-9*trueEff.Physics {
+		t.Fatalf("physics eff %g, want %g", eff.Physics, trueEff.Physics)
 	}
 }
 
 func TestFitSubsetClassesSubtractsBase(t *testing.T) {
-	trueEff := machine.Efficiencies{Dynamics: 0.5, Physics: 0.04, FilterConv: 0.75, FilterFFT: 0.09, Network: 0.6}
+	// Every class but dynamics runs at unit efficiency, so the residual after
+	// subtracting their raw time is exactly the dynamics term.
+	trueEff := machine.Unit
+	trueEff.Dynamics = 0.5
 	samples := synthSamples(trueEff, 15)
-	// Fit only dynamics; supply the true efficiencies of everything else as
-	// Base so the residual is exactly the dynamics term.
-	res, err := Fit(samples, FitOptions{Base: trueEff, Classes: []string{ClassDynamics}})
+	eff, err := Fit(samples, []Class{ClassDynamics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.FittedClasses) != 1 || res.FittedClasses[0] != ClassDynamics {
-		t.Fatalf("expected only dynamics fitted, got %v", res.FittedClasses)
+	if math.Abs(eff.Dynamics-trueEff.Dynamics) > 1e-9 {
+		t.Fatalf("dynamics eff %g, want %g", eff.Dynamics, trueEff.Dynamics)
 	}
-	if math.Abs(res.Eff.Dynamics-trueEff.Dynamics) > 1e-9 {
-		t.Fatalf("dynamics eff %g, want %g", res.Eff.Dynamics, trueEff.Dynamics)
-	}
-	if res.Eff.Physics != trueEff.Physics || res.Eff.Network != trueEff.Network {
-		t.Fatal("unfitted classes must keep Base")
+	if eff.Physics != 1 || eff.FilterConv != 1 || eff.FilterFFT != 1 || eff.Network != 1 {
+		t.Fatalf("unfitted classes must keep unit efficiency, got %+v", eff)
 	}
 }
 
 func TestFitSingularAndDegenerate(t *testing.T) {
-	if _, err := Fit(nil, FitOptions{}); err == nil {
+	if _, err := Fit(nil, nil); err == nil {
 		t.Fatal("Fit accepted an empty sample set")
 	}
 	// Two collinear columns: dynamics and physics rows proportional in every
@@ -149,37 +141,33 @@ func TestFitSingularAndDegenerate(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		var s Sample
 		s.Label = fmt.Sprintf("c%d", i)
-		s.Raw[0] = float64(i + 1)
-		s.Raw[1] = 2 * float64(i+1)
-		s.Measured = s.Raw[0] + s.Raw[1]
+		s.Raw[ClassDynamics] = float64(i + 1)
+		s.Raw[ClassPhysics] = 2 * float64(i+1)
+		s.Measured = s.Raw[ClassDynamics] + s.Raw[ClassPhysics]
 		collinear = append(collinear, s)
 	}
-	if _, err := Fit(collinear, FitOptions{Classes: []string{ClassDynamics, ClassPhysics}}); err == nil {
+	if _, err := Fit(collinear, []Class{ClassDynamics, ClassPhysics}); err == nil {
 		t.Fatal("Fit accepted collinear samples")
 	}
 	// More fitted columns than samples.
-	few := synthSamples(machine.Efficiencies{Dynamics: 1, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}, 3)
-	if _, err := Fit(few, FitOptions{}); err == nil {
+	few := synthSamples(machine.Unit, 3)
+	if _, err := Fit(few, nil); err == nil {
 		t.Fatal("Fit accepted fewer samples than coefficients")
 	}
 }
 
 func TestFitNonPositiveCoefficientFallsBack(t *testing.T) {
 	// A negative correlation drives beta negative; the class must fall back
-	// to Base instead of emitting a negative efficiency.
+	// to unit efficiency instead of emitting a negative efficiency.
 	samples := []Sample{
 		{Label: "a", Raw: [NumClasses]float64{1, 0, 0, 0, 0}, Measured: -1},
 		{Label: "b", Raw: [NumClasses]float64{2, 0, 0, 0, 0}, Measured: -2},
 	}
-	base := machine.Efficiencies{Dynamics: 0.33, Physics: 1, FilterConv: 1, FilterFFT: 1, Network: 1}
-	res, err := Fit(samples, FitOptions{Base: base})
+	eff, err := Fit(samples, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Eff.Dynamics != base.Dynamics {
-		t.Fatalf("negative beta must keep Base, got %g", res.Eff.Dynamics)
-	}
-	if len(res.FittedClasses) != 0 {
-		t.Fatalf("no class should count as fitted, got %v", res.FittedClasses)
+	if eff != machine.Unit {
+		t.Fatalf("negative beta must keep unit efficiency, got %+v", eff)
 	}
 }

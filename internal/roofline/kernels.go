@@ -20,8 +20,8 @@ import (
 type Kernel struct {
 	// Name is the phase ("dynamics", "physics", "filter", "network").
 	Name string
-	// Class selects the fitted efficiency coefficient.
-	Class string
+	// Class selects the efficiency its time is divided by.
+	Class Class
 
 	// Per-step compute counts.
 	CPFlops, CPBytes       float64
@@ -30,17 +30,6 @@ type Kernel struct {
 	// Per-step communication counts (zero for pure-compute kernels).
 	CPMsgs, CPNetBytes       float64
 	TotalMsgs, TotalNetBytes float64
-}
-
-// Intensity returns the kernel's arithmetic intensity in flop/byte on the
-// critical path — the roofline x-axis.  Kernels left of the machine's ridge
-// point (FlopRate/MemBandwidth) are bandwidth-bound; right of it,
-// compute-bound.
-func (k Kernel) Intensity() float64 {
-	if k.CPBytes == 0 {
-		return math.Inf(1)
-	}
-	return k.CPFlops / k.CPBytes
 }
 
 // Counts is the full per-step operation inventory of one configuration.

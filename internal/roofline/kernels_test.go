@@ -66,10 +66,10 @@ func TestCountKernelsDegenerate(t *testing.T) {
 func TestCountKernelsFilterVariants(t *testing.T) {
 	cases := []struct {
 		filter    core.FilterVariant
-		class     string
+		class     Class
 		hasFilter bool
 	}{
-		{core.FilterNone, "", false},
+		{core.FilterNone, 0, false},
 		{core.FilterConvolutionRing, ClassFilterConv, true},
 		{core.FilterConvolutionTree, ClassFilterConv, true},
 		{core.FilterFFT, ClassFilterFFT, true},
@@ -156,16 +156,5 @@ func TestCountKernelsScaling(t *testing.T) {
 	if ds.TotalFlops != dw.TotalFlops {
 		t.Fatalf("total dynamics flops changed under decomposition: %g vs %g",
 			ds.TotalFlops, dw.TotalFlops)
-	}
-}
-
-func TestKernelIntensity(t *testing.T) {
-	k := Kernel{CPFlops: 700, CPBytes: 100}
-	if got := k.Intensity(); got != 7 {
-		t.Fatalf("intensity = %g, want 7", got)
-	}
-	pure := Kernel{CPFlops: 1}
-	if got := pure.Intensity(); !(got > 0 && got > 1e300) {
-		t.Fatalf("zero-byte kernel should be infinitely compute-bound, got %g", got)
 	}
 }

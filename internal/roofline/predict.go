@@ -7,28 +7,6 @@ import (
 	"agcm/internal/machine"
 )
 
-// PhaseTime is one kernel's predicted time and which ceiling bound it.
-type PhaseTime struct {
-	Name    string  `json:"name"`
-	Class   string  `json:"class"`
-	Seconds float64 `json:"seconds"` // per step, after efficiency scaling
-	// Bound is "flops", "memory" or "network" — which roofline ceiling the
-	// kernel hit.
-	Bound string `json:"bound"`
-	// Intensity is the kernel's arithmetic intensity in flop/byte (0 for
-	// the network kernel).
-	Intensity float64 `json:"intensity"`
-}
-
-// Prediction is a machine's predicted cost breakdown for one configuration.
-type Prediction struct {
-	Machine     string      `json:"machine"`
-	Steps       int         `json:"steps"` // charged steps (measured + warmup)
-	Phases      []PhaseTime `json:"phases"`
-	StepSeconds float64     `json:"step_seconds"`
-	Seconds     float64     `json:"seconds"` // StepSeconds * Steps
-}
-
 // Machine predicts run times from a machine model.  It implements
 // core.CostOracle, so it can drive the sjf scheduler and the workload
 // simulator directly.
@@ -43,19 +21,12 @@ func NewMachine(m *machine.Model) (*Machine, error) {
 	return &Machine{model: *m}, nil
 }
 
-// Name implements core.CostOracle.
-func (m *Machine) Name() string { return "roofline:" + m.model.Name }
-
-// Predict returns the per-phase and end-to-end predicted time of running cfg
-// for measuredSteps measured steps on this machine: each compute kernel is
-// charged max(flops/FlopRate, bytes/MemBandwidth), the network kernel is
-// charged messages*(Latency+SendOverhead+RecvOverhead) + bytes/Bandwidth,
-// and each charge is divided by the model's efficiency for its class.
-func (m *Machine) Predict(cfg core.Config, measuredSteps int) (*Prediction, error) {
-	counts, err := CountKernels(cfg, measuredSteps)
-	if err != nil {
-		return nil, err
-	}
+// price is the one pricing loop: it hands add each kernel's class and
+// seconds per charged step, in kernel order.  A compute kernel is charged
+// max(flops/FlopRate, bytes/MemBandwidth), the network kernel
+// messages*(Latency+SendOverhead+RecvOverhead) + bytes/Bandwidth, and each
+// charge is divided by the model's efficiency for the kernel's class.
+func (m *Machine) price(counts Counts, add func(Class, float64)) {
 	c := &m.model
 	// A degraded rank is the critical path of a machine that runs at its
 	// slowest rank's pace.  A machine that sums all ranks' work on one clock
@@ -65,7 +36,6 @@ func (m *Machine) Predict(cfg core.Config, measuredSteps int) (*Prediction, erro
 	if c.Aggregate == machine.AggregateMaxRank {
 		degrade = counts.Degrade
 	}
-	pred := &Prediction{Machine: c.Name, Steps: counts.Steps}
 	for _, k := range counts.Kernels {
 		flops, bytes := k.CPFlops, k.CPBytes
 		msgs, netBytes := k.CPMsgs, k.CPNetBytes
@@ -74,53 +44,37 @@ func (m *Machine) Predict(cfg core.Config, measuredSteps int) (*Prediction, erro
 			msgs, netBytes = k.TotalMsgs, k.TotalNetBytes
 		}
 		var t float64
-		var bound string
 		if k.Class == ClassNetwork {
 			t = msgs*(c.Latency+(c.SendOverhead+c.RecvOverhead)) + netBytes/c.Bandwidth
-			bound = "network"
+		} else if ft, bt := flops/c.FlopRate, bytes/c.MemBandwidth; ft >= bt {
+			t = ft
 		} else {
-			ft := flops / c.FlopRate
-			bt := bytes / c.MemBandwidth
-			if ft >= bt {
-				t, bound = ft, "flops"
-			} else {
-				t, bound = bt, "memory"
-			}
+			t = bt
 		}
-		t = t / efficiency(c.Eff, k.Class) * degrade
-		pred.Phases = append(pred.Phases, PhaseTime{
-			Name: k.Name, Class: k.Class, Seconds: t, Bound: bound,
-			Intensity: intensityOrZero(k),
-		})
-		pred.StepSeconds += t
+		add(k.Class, t / *k.Class.eff(&c.Eff) * degrade)
 	}
-	pred.Seconds = pred.StepSeconds * float64(pred.Steps)
-	return pred, nil
 }
 
-func intensityOrZero(k Kernel) float64 {
-	if k.Class == ClassNetwork || k.CPBytes == 0 {
-		return 0
-	}
-	return k.CPFlops / k.CPBytes
-}
-
-// PredictSeconds implements core.CostOracle.
+// PredictSeconds implements core.CostOracle: the kernels' seconds per
+// charged step, summed in kernel order, times the charged step count
+// (measured plus warmup).
 func (m *Machine) PredictSeconds(cfg core.Config, measuredSteps int) (float64, error) {
-	p, err := m.Predict(cfg, measuredSteps)
+	counts, err := CountKernels(cfg, measuredSteps)
 	if err != nil {
 		return 0, err
 	}
-	if p.Seconds <= 0 {
+	var step float64
+	m.price(counts, func(_ Class, t float64) { step += t })
+	s := step * float64(counts.Steps)
+	if s <= 0 {
 		return 0, fmt.Errorf("roofline: non-positive prediction for %q", m.model.Name)
 	}
-	return p.Seconds, nil
+	return s, nil
 }
 
-// RawSeconds returns the per-class predicted seconds at unit efficiency —
-// the fit's design-matrix row for one configuration: the observed time is
-// modelled as sum over classes of raw[class]/eff[class].  Indexed in
-// canonical Classes order.
+// RawSeconds returns the per-class predicted seconds over every charged step
+// at unit efficiency — the fit's design-matrix row for one configuration:
+// the observed time is modelled as sum over classes of raw[class]/eff[class].
 func RawSeconds(model *machine.Model, cfg core.Config, measuredSteps int) ([NumClasses]float64, error) {
 	var raw [NumClasses]float64
 	unit := *model
@@ -129,16 +83,11 @@ func RawSeconds(model *machine.Model, cfg core.Config, measuredSteps int) ([NumC
 	if err != nil {
 		return raw, err
 	}
-	p, err := m.Predict(cfg, measuredSteps)
+	counts, err := CountKernels(cfg, measuredSteps)
 	if err != nil {
 		return raw, err
 	}
-	for _, ph := range p.Phases {
-		for i, class := range Classes {
-			if ph.Class == class {
-				raw[i] += ph.Seconds * float64(p.Steps)
-			}
-		}
-	}
+	steps := float64(counts.Steps)
+	m.price(counts, func(c Class, t float64) { raw[c] += t * steps })
 	return raw, nil
 }

@@ -2,6 +2,7 @@ package roofline
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"agcm/internal/core"
@@ -9,12 +10,8 @@ import (
 )
 
 func TestNewMachineValidates(t *testing.T) {
-	m, err := NewMachine(validCalib())
-	if err != nil {
+	if _, err := NewMachine(validCalib()); err != nil {
 		t.Fatal(err)
-	}
-	if m.Name() != "roofline:test" {
-		t.Fatalf("oracle name %q", m.Name())
 	}
 	// The predictor keeps its own copy: editing the model afterwards does
 	// not move its prices.
@@ -37,44 +34,41 @@ func TestNewMachineValidates(t *testing.T) {
 	}
 }
 
+// TestPredictBreakdown: the pricing loop charges every kernel a positive
+// time under its own class, in kernel order, and PredictSeconds is their
+// per-step sum over every charged step.
 func TestPredictBreakdown(t *testing.T) {
 	m, err := NewMachine(validCalib())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2, 4, core.FilterFFTBalanced)
-	p, err := m.Predict(cfg, 3)
+	counts, err := CountKernels(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Steps != 5 {
-		t.Fatalf("charged steps = %d, want 5", p.Steps)
+	if counts.Steps != 5 {
+		t.Fatalf("charged steps = %d, want 5", counts.Steps)
 	}
-	var sum float64
-	for _, ph := range p.Phases {
-		if ph.Seconds <= 0 {
-			t.Fatalf("phase %s predicted non-positive time", ph.Name)
+	var classes []Class
+	var step float64
+	m.price(counts, func(c Class, s float64) {
+		if s <= 0 {
+			t.Fatalf("class %s predicted non-positive time", c)
 		}
-		switch ph.Class {
-		case ClassNetwork:
-			if ph.Bound != "network" {
-				t.Fatalf("network phase bound %q", ph.Bound)
-			}
-		default:
-			if ph.Bound != "flops" && ph.Bound != "memory" {
-				t.Fatalf("compute phase %s bound %q", ph.Name, ph.Bound)
-			}
-			if ph.Intensity <= 0 {
-				t.Fatalf("compute phase %s has no intensity", ph.Name)
-			}
-		}
-		sum += ph.Seconds
+		classes = append(classes, c)
+		step += s
+	})
+	want := []Class{ClassDynamics, ClassPhysics, ClassFilterFFT, ClassNetwork}
+	if !slices.Equal(classes, want) {
+		t.Fatalf("priced classes %v, want %v", classes, want)
 	}
-	if math.Abs(sum-p.StepSeconds) > 1e-12*p.StepSeconds {
-		t.Fatalf("phases sum %g != StepSeconds %g", sum, p.StepSeconds)
+	got, err := m.PredictSeconds(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(p.Seconds-p.StepSeconds*float64(p.Steps)) > 1e-12*p.Seconds {
-		t.Fatalf("Seconds %g != StepSeconds*Steps %g", p.Seconds, p.StepSeconds*float64(p.Steps))
+	if math.Abs(got-step*5) > 1e-12*got {
+		t.Fatalf("PredictSeconds %g != step seconds %g x 5", got, step)
 	}
 }
 
@@ -91,17 +85,17 @@ func TestPredictAggregateSumChargesTotalWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2, 4, core.FilterFFTBalanced)
-	pcp, err := mcp.Predict(cfg, 2)
+	pcp, err := mcp.PredictSeconds(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	psum, err := msum.Predict(cfg, 2)
+	psum, err := msum.PredictSeconds(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Eight ranks' total work on one clock must dominate the critical path.
-	if psum.Seconds <= pcp.Seconds {
-		t.Fatalf("sum aggregate %g not above max-rank %g", psum.Seconds, pcp.Seconds)
+	if psum <= pcp {
+		t.Fatalf("sum aggregate %g not above max-rank %g", psum, pcp)
 	}
 }
 
@@ -127,17 +121,17 @@ func TestPredictDegradeFactor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p0, err := m.Predict(base, 2)
+		p0, err := m.PredictSeconds(base, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1, err := m.Predict(deg, 2)
+		p1, err := m.PredictSeconds(deg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(p1.Seconds-tc.want*p0.Seconds) > 1e-9*p1.Seconds {
+		if math.Abs(p1-tc.want*p0) > 1e-9*p1 {
 			t.Errorf("%s: degraded prediction %g, want %g x healthy %g",
-				tc.aggregate, p1.Seconds, tc.want, p0.Seconds)
+				tc.aggregate, p1, tc.want, p0)
 		}
 	}
 }
@@ -177,13 +171,13 @@ func TestRawSecondsMatchesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := m.Predict(cfg, 2)
+	p, err := m.PredictSeconds(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := PredictSample(c.Eff, raw)
-	if math.Abs(got-p.Seconds) > 1e-9*p.Seconds {
-		t.Fatalf("PredictSample over RawSeconds %g != Predict %g", got, p.Seconds)
+	if math.Abs(got-p) > 1e-9*p {
+		t.Fatalf("PredictSample over RawSeconds %g != PredictSeconds %g", got, p)
 	}
 	// And with the degrade factor the identity must still hold.
 	deg := cfg
@@ -193,12 +187,12 @@ func TestRawSecondsMatchesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pDeg, err := m.Predict(deg, 2)
+	pDeg, err := m.PredictSeconds(deg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotDeg := PredictSample(c.Eff, rawDeg)
-	if math.Abs(gotDeg-pDeg.Seconds) > 1e-9*pDeg.Seconds {
-		t.Fatalf("degraded PredictSample %g != Predict %g", gotDeg, pDeg.Seconds)
+	if math.Abs(gotDeg-pDeg) > 1e-9*pDeg {
+		t.Fatalf("degraded PredictSample %g != PredictSeconds %g", gotDeg, pDeg)
 	}
 }

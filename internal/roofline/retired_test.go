@@ -43,12 +43,12 @@ var retiredDefaultHost = retiredCalib{
 
 // seconds is the retired predictor's arithmetic, operation for operation:
 // per-class seconds over every charged step, and their total.
-func (c retiredCalib) seconds(counts Counts) (map[string]float64, float64) {
+func (c retiredCalib) seconds(counts Counts) (map[Class]float64, float64) {
 	degrade := 1.0
 	if c.aggregate == machine.AggregateMaxRank {
 		degrade = counts.Degrade
 	}
-	byClass := map[string]float64{}
+	byClass := map[Class]float64{}
 	var step float64
 	for _, k := range counts.Kernels {
 		flops, bytes := k.CPFlops, k.CPBytes
@@ -65,7 +65,7 @@ func (c retiredCalib) seconds(counts Counts) (map[string]float64, float64) {
 		} else {
 			t = bt
 		}
-		t = t / efficiency(c.eff, k.Class) * degrade
+		t = t / *k.Class.eff(&c.eff) * degrade
 		byClass[k.Class] += t * float64(counts.Steps)
 		step += t
 	}
@@ -103,7 +103,7 @@ func TestPredictPaperMachinesMatchRetiredCalib(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range retiredSweep(m) {
-			p, err := oracle.Predict(cfg, 3)
+			got, err := oracle.PredictSeconds(cfg, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,8 +111,8 @@ func TestPredictPaperMachinesMatchRetiredCalib(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, want := retiredFromModel(m).seconds(counts); math.Float64bits(p.Seconds) != math.Float64bits(want) {
-				t.Fatalf("%s %dx%d %v: %v now, %v before", m.Name, cfg.MeshPy, cfg.MeshPx, cfg.Filter, p.Seconds, want)
+			if _, want := retiredFromModel(m).seconds(counts); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %dx%d %v: %v now, %v before", m.Name, cfg.MeshPy, cfg.MeshPx, cfg.Filter, got, want)
 			}
 		}
 	}
@@ -139,15 +139,13 @@ func TestHostPricesMatchRetiredDefaultHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := oracle.Predict(cfg, 3)
+		price, err := oracle.PredictSeconds(cfg, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		oldByClass, old := retiredDefaultHost.seconds(counts)
-		newByClass := map[string]float64{}
-		for _, ph := range p.Phases {
-			newByClass[ph.Class] += ph.Seconds * float64(p.Steps)
-		}
+		newByClass := map[Class]float64{}
+		oracle.price(counts, func(c Class, s float64) { newByClass[c] += s * float64(counts.Steps) })
 		for class, want := range oldByClass {
 			if class == ClassNetwork {
 				continue
@@ -156,8 +154,8 @@ func TestHostPricesMatchRetiredDefaultHost(t *testing.T) {
 				t.Errorf("%s: class %s priced %g, was %g (%.2g off)", label(cfg), class, newByClass[class], want, rel)
 			}
 		}
-		now[i], before[i] = p.Seconds, old
-		worst = math.Max(worst, math.Abs(p.Seconds/old-1))
+		now[i], before[i] = price, old
+		worst = math.Max(worst, math.Abs(price/old-1))
 	}
 	if worst > 0.06 {
 		t.Errorf("a host price moved %.1f%%", 100*worst)

@@ -139,22 +139,23 @@ func PeriodicTridiag(a, b, c, d, x []float64) error {
 
 // DenseSolve solves the n x n dense system A*x = rhs by Gaussian
 // elimination with partial pivoting, overwriting A and rhs; the solution is
-// returned in rhs.  A is row-major: A[i*n+j].
+// returned in rhs.  A is row-major: A[i*n+j].  The pivot is the largest
+// absolute value in its column, the earliest row on ties; a NaN never
+// pivots, so a column of zeros and NaNs is singular.
 func DenseSolve(a []float64, rhs []float64) error {
 	n := len(rhs)
 	if len(a) != n*n {
 		return fmt.Errorf("solver: dense system shape mismatch: %d vs %d", len(a), n*n)
 	}
 	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		best := math.Abs(a[col*n+col])
-		for r := col + 1; r < n; r++ {
+		// Partial pivot: the largest absolute value, earliest row on ties.
+		piv, best := -1, 0.0
+		for r := col; r < n; r++ {
 			if v := math.Abs(a[r*n+col]); v > best {
 				best, piv = v, r
 			}
 		}
-		if best == 0 {
+		if piv < 0 {
 			return fmt.Errorf("solver: singular dense system at column %d", col)
 		}
 		if piv != col {

@@ -163,6 +163,9 @@ func TestDenseSolveSingular(t *testing.T) {
 	if err := DenseSolve([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
 		t.Error("shape mismatch accepted")
 	}
+	if err := DenseSolve([]float64{math.NaN(), 1, math.NaN(), 1}, []float64{1, 2}); err == nil {
+		t.Error("all-NaN pivot column accepted")
+	}
 }
 
 // solveOne solves one distributed system as a batch of one.

@@ -15,8 +15,6 @@ import (
 // 0 — the live server's failed-prediction sentinel — occurs.
 type windOracle struct{}
 
-func (windOracle) Name() string { return "wind" }
-
 func (windOracle) PredictSeconds(cfg core.Config, steps int) (float64, error) {
 	idx := int(math.Round((cfg.InitWind - poolWind(0)) / (poolWind(1) - poolWind(0))))
 	return float64(idx % 4), nil

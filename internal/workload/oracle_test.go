@@ -14,8 +14,6 @@ type fixedOracle struct {
 	calls   int
 }
 
-func (o *fixedOracle) Name() string { return "fixed" }
-
 func (o *fixedOracle) PredictSeconds(cfg core.Config, steps int) (float64, error) {
 	o.calls++
 	if o.err != nil {
