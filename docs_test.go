@@ -72,6 +72,37 @@ func TestChangesEntriesUnique(t *testing.T) {
 	}
 }
 
+// simCommBudget is the most non-test lines internal/sim and internal/comm
+// may hold together (ROADMAP item 3): growth in the simulator's core must be
+// paid for by shrinking it elsewhere.
+const simCommBudget = 2171
+
+// TestSimCommLineBudget counts the lines of the non-test Go files of
+// internal/sim and internal/comm against simCommBudget.
+func TestSimCommLineBudget(t *testing.T) {
+	total := 0
+	for _, dir := range []string{"internal/sim", "internal/comm"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			raw, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += strings.Count(string(raw), "\n")
+		}
+	}
+	if total > simCommBudget {
+		t.Fatalf("internal/sim + internal/comm hold %d non-test lines, over the budget of %d", total, simCommBudget)
+	}
+	t.Logf("internal/sim + internal/comm: %d of %d non-test lines", total, simCommBudget)
+}
+
 // testFuncs returns the names of the top-level functions of every _test.go
 // file in the module, skipping testdata and nested modules.
 func testFuncs(t *testing.T) []string {

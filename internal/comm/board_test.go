@@ -1,10 +1,12 @@
 package comm
 
-// The board tests: Barrier, AlltoallvInto and AllgathervInto run as replays
-// on their communicators' boards, and must be indistinguishable from the
-// messages they replace (reference_test.go) — every clock, wait, counter,
+// The board tests: Barrier, AlltoallvInto and AllgathervInto run on their
+// communicators' boards — the compiled plan, or with a fault hook installed
+// their steps as messages — and must be indistinguishable from the message
+// bodies they replace (reference_test.go) — every clock, wait, counter,
 // account and event bit, every received payload bit and every error — on
-// seeded random programs over heterogeneous, routed and faulty machines.
+// seeded random programs over heterogeneous, routed and faulty machines, with
+// members arriving in seeded orders.
 
 import (
 	"errors"
@@ -12,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"agcm/internal/fault"
@@ -43,8 +46,19 @@ type boardCase struct {
 	models []sim.CostModel
 	route  bool
 	spec   *fault.Spec // nil: no fault hook
+	pass   bool        // with spec nil, install passHook: the generic path
 	prog   []boardOp
 }
+
+// passHook is a fault hook that changes nothing: installed, it sends every
+// board call down the generic path with every bit the same.
+type passHook struct{}
+
+func (passHook) ComputeSeconds(rank int, start, dt float64) float64 { return dt }
+func (passHook) SendDelay(src, dst, tag int, seq int64, now float64) (float64, error) {
+	return 0, nil
+}
+func (passHook) CrashTime(rank int) float64 { return math.Inf(1) }
 
 // mix64 is the splitmix64 finalizer: the payloads and flop counts of a
 // program are pure functions of (op seed, rank, peer).
@@ -139,6 +153,8 @@ func (bc *boardCase) newMachine(t *testing.T) *sim.Machine {
 	}
 	if bc.spec != nil {
 		m.SetFaultHook(fault.NewInjector(bc.spec))
+	} else if bc.pass {
+		m.SetFaultHook(passHook{})
 	}
 	return m
 }
@@ -176,6 +192,9 @@ func (bc *boardCase) body(ref bool, digest []uint64) func(p *sim.Proc) error {
 		for _, op := range bc.prog {
 			c := comms[op.comm]
 			n, me := c.Size(), c.Rank()
+			for k := mix64(op.seed^uint64(p.Rank())) % 48; k > 0; k-- {
+				runtime.Gosched() // a seeded stagger, so the members of a call arrive in varying orders
+			}
 			maxLen := 200
 			if n > 64 {
 				maxLen = 4 // a 240-member all-to-all moves n² payloads
@@ -367,11 +386,13 @@ func exhaustingSeed(spec fault.Spec, sent []int64) (uint64, bool) {
 
 // TestBoardDifferential runs seeded random programs — meshes of 1 to 64
 // ranks and the 240-rank 8x30 one, world, row and column communicators,
-// payloads of 0 to 200 floats, back-to-back calls — through the boards and
-// through the reference's messages, on heterogeneous machines, half of them
-// routed, with the event log on, in four fault scenarios: none; jitter,
-// recovered drops and a slowdown onset; those plus a crash inside a
-// collective; and a drop that exhausts its retry budget.
+// payloads of 0 to 200 floats, back-to-back calls, members staggered into
+// seeded arrival orders — through the boards and through the reference's
+// messages, on heterogeneous machines, half of them routed, with the event
+// log on, in four fault scenarios: none, where the compiled plan and the
+// generic path (a fault hook that changes nothing) must both equal the
+// messages; jitter, recovered drops and a slowdown onset; those plus a crash
+// inside a collective; and a drop that exhausts its retry budget.
 func TestBoardDifferential(t *testing.T) {
 	var crashes, exhausted int
 	for seed := int64(1); seed <= 12; seed++ {
@@ -379,7 +400,11 @@ func TestBoardDifferential(t *testing.T) {
 		bc := newBoardCase(rng, seed == 1)
 		name := fmt.Sprintf("seed %d (%dx%d, routed %v)", seed, bc.py, bc.px, bc.route)
 
-		compareRuns(t, name+", no faults", bc.run(t, false), bc.run(t, true), false)
+		ref := bc.run(t, true)
+		compareRuns(t, name+", no faults, compiled", bc.run(t, false), ref, false)
+		bc.pass = true
+		compareRuns(t, name+", no faults, generic", bc.run(t, false), ref, false)
+		bc.pass = false
 
 		n := bc.py * bc.px
 		bc.spec = &fault.Spec{

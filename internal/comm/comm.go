@@ -72,8 +72,8 @@ type Comm struct {
 }
 
 // The complete collectives: no member can finish before every member has
-// arrived, so each call runs as one replay on the communicator's board for it
-// (sim.Board).  The other collectives stay on the mailboxes.
+// arrived, so each call runs on the communicator's board for it (sim.Board),
+// which compiles the members' programs once.  The rest use the mailboxes.
 const (
 	boardRing = iota // AllgathervInto
 	boardAlltoall
@@ -108,11 +108,10 @@ func (c *Comm) program(kind int) []sim.Step {
 			step(sim.StepSend, (me+1)%n, (me-s+1+n)%n, tagShift)
 			step(sim.StepRecv, (me-1+n)%n, (me-s+n)%n, tagShift)
 		}
-	case boardAlltoall: // parts[me+k] to me+k, the local copy, out[me-k] from me-k
+	case boardAlltoall: // parts[me+k] to me+k, then out[me-k] from me-k
 		for k := 1; k < n; k++ {
 			step(sim.StepSend, (me+k)%n, (me+k)%n, tagAlltoall)
 		}
-		step(sim.StepCopy, me, me, tagAlltoall)
 		for k := 1; k < n; k++ {
 			step(sim.StepRecv, (me-k+n)%n, (me-k+n)%n, tagAlltoall)
 		}
@@ -264,7 +263,7 @@ func (c *Comm) BcastInto(root int, buf []float64) []float64 {
 	}
 	vrank := (c.me - root + n) % n
 	if vrank != 0 {
-		src := c.findBcastParent(vrank)
+		src := vrank & (vrank - 1) // the parent: vrank less its lowest set bit
 		buf = c.p.RecvFloatsInto(c.WorldRank((src+root)%n), c.tag(tagBcast), buf)
 	}
 	for dist := nextPow2(n); dist >= 1; dist /= 2 {
@@ -275,18 +274,8 @@ func (c *Comm) BcastInto(root int, buf []float64) []float64 {
 	return buf
 }
 
-// findBcastParent returns the virtual rank that sends to vrank in the
-// binomial broadcast tree.
-func (c *Comm) findBcastParent(vrank int) int {
-	dist := 1
-	for vrank%(2*dist) == 0 {
-		dist *= 2
-	}
-	return vrank - dist
-}
-
-// nextPow2 returns the largest power of two strictly below 2n that is >= n/1;
-// i.e. the highest tree distance used for n ranks.
+// nextPow2 returns half the smallest power of two >= n (n = 5 gives 4): the
+// highest distance of the broadcast tree over n ranks.
 func nextPow2(n int) int {
 	p := 1
 	for p < n {
@@ -410,11 +399,10 @@ func (c *Comm) AlltoallvInto(parts, out [][]float64) [][]float64 {
 	if len(out) != n {
 		panic(fmt.Sprintf("comm: AlltoallvInto needs %d out buffers, got %d", n, len(out)))
 	}
-	if n == 1 {
-		out[0] = append(out[0][:0], parts[0]...)
-		return out
+	out[c.me] = append(out[c.me][:0], parts[c.me]...) // parts[me] is never sent, out[me] never received into
+	if n > 1 {
+		c.replay(boardAlltoall, parts, out)
 	}
-	c.replay(boardAlltoall, parts, out)
 	return out
 }
 

@@ -159,7 +159,7 @@ type mailbox struct {
 	closed bool
 	wd     *watchdog
 
-	released bool // the owner's steps at a board are done: see Board
+	released bool // the owner's wait at a board is over: see Board
 
 	// waiting is the qkey the owner is parked on with no matching message
 	// pending, else noWait: written under mu, read by the watchdog unlocked.
@@ -267,7 +267,7 @@ func (mb *mailbox) take(source, tag int, buf []float64) (out []float64, m messag
 		// earlier one is in the queue already, a later one sees the key.
 		k := qkey(source, tag)
 		mb.waiting.Store(k)
-		mb.wd.add()
+		mb.wd.add() //lint:allow lockorder an add that fires settles the boards with every rank counted stuck: see Machine.settleBoards
 		mb.cond.Wait()
 		mb.unpark(k) // still published if close woke us, not a matching post
 	}

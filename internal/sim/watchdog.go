@@ -165,13 +165,17 @@ func (w *watchdog) shutdown() {
 
 // fire runs when every rank is counted stuck.  Nobody can post any more, so
 // unless a shutdown got in first (it sets aborted before it closes anything)
-// the published keys are frozen and readable without the mailbox locks.  If
-// nobody is parked every rank finished or died: nothing to report.
+// the published keys are frozen and readable without the mailbox locks, once
+// the boards' registered arrivals are settled into them.  If nobody is parked
+// every rank finished or died: nothing to report.
 func (w *watchdog) fire() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.aborted {
 		return
+	}
+	if w.machine.settleBoards(); w.stuck.Load() < int64(w.machine.n) {
+		return // settling handed calls back to members, who run on
 	}
 	var blocked []BlockedRank // in rank order, as DeadlockError promises
 	for rank, mb := range w.machine.boxes {
