@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"agcm/internal/fault"
 	"agcm/internal/machine"
@@ -166,13 +167,33 @@ type boardRun struct {
 	digest []uint64 // per rank, over every payload it got back, as far as it got
 }
 
+// runWithin runs m.Run(body) and fails the test if it has not returned in
+// 10 s: a board call that leaves members parked would otherwise hang the
+// package until go test's timeout.  Every Run of this package's tests goes
+// through it.
+func runWithin(t *testing.T, m *sim.Machine, body func(*sim.Proc) error) (*sim.Result, error) {
+	t.Helper()
+	done := make(chan boardRun, 1)
+	go func() {
+		res, err := m.Run(body)
+		done <- boardRun{res: res, err: err}
+	}()
+	select {
+	case r := <-done:
+		return r.res, r.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10s into the test: a board waiter was not released")
+		return nil, nil
+	}
+}
+
 // run plays the case's program on a fresh machine, through the boards or,
 // when ref, through the reference's messages.
 func (bc *boardCase) run(t *testing.T, ref bool) boardRun {
 	t.Helper()
 	m := bc.newMachine(t)
 	digest := make([]uint64, m.Ranks())
-	res, err := m.Run(bc.body(ref, digest))
+	res, err := runWithin(t, m, bc.body(ref, digest))
 	return boardRun{res, err, digest}
 }
 
@@ -469,7 +490,7 @@ func TestBoardAliasing(t *testing.T) {
 			m := sim.New(n, machine.Paragon())
 			m.SetEventLog(true)
 			digest := make([]uint64, n)
-			res, err := m.Run(func(p *sim.Proc) error {
+			res, err := runWithin(t, m, func(p *sim.Proc) error {
 				c := World(p)
 				me := c.Rank()
 				h := uint64(14695981039346656037)
@@ -515,7 +536,7 @@ func TestBoardSkippedCollectiveDeadlock(t *testing.T) {
 		for _, mesh := range [][2]int{{1, 5}, {2, 3}, {3, 4}} {
 			run := func(ref bool) boardRun {
 				m := sim.New(mesh[0]*mesh[1], machine.Paragon())
-				res, err := m.Run(func(p *sim.Proc) error {
+				res, err := runWithin(t, m, func(p *sim.Proc) error {
 					cart := NewCart2D(World(p), mesh[0], mesh[1])
 					c := cart.Row
 					p.Compute(float64(1000 * (p.Rank() + 1)))

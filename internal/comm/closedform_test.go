@@ -94,7 +94,7 @@ func TestCollectiveClocksClosedForm(t *testing.T) {
 				if generic {
 					mach.SetFaultHook(passHook{})
 				}
-				res, err := mach.Run(func(p *sim.Proc) error {
+				res, err := runWithin(t, mach, func(p *sim.Proc) error {
 					tc.op(World(p), []float64{1, 2, 3}, make([][]float64, n))
 					return nil
 				})

@@ -20,8 +20,7 @@ func (flatModel) NetworkSeconds(bytes int) float64      { return 1e-4 + float64(
 // runWorld executes body on an n-rank machine and fails the test on error.
 func runWorld(t *testing.T, n int, body func(c *Comm) error) *sim.Result {
 	t.Helper()
-	m := sim.New(n, flatModel{})
-	res, err := m.Run(func(p *sim.Proc) error {
+	res, err := runWithin(t, sim.New(n, flatModel{}), func(p *sim.Proc) error {
 		return body(World(p))
 	})
 	if err != nil {
@@ -302,7 +301,7 @@ func TestAllgathervTreeCheaperThanRingAtScale(t *testing.T) {
 	// start-ups on wide meshes.
 	timeOf := func(fn func(c *Comm)) float64 {
 		m := sim.New(30, flatModel{})
-		res, err := m.Run(func(p *sim.Proc) error {
+		res, err := runWithin(t, m, func(p *sim.Proc) error {
 			fn(World(p))
 			return nil
 		})
@@ -372,7 +371,7 @@ func TestSplitRowsAndColumns(t *testing.T) {
 
 func TestCartBadMeshPanics(t *testing.T) {
 	m := sim.New(4, flatModel{})
-	_, err := m.Run(func(p *sim.Proc) error {
+	_, err := runWithin(t, m, func(p *sim.Proc) error {
 		NewCart2D(World(p), 3, 2) // 6 != 4
 		return nil
 	})
@@ -462,7 +461,7 @@ func TestCollectiveCostsPinned(t *testing.T) {
 			roots = n
 		}
 		for root := 0; root < roots; root++ {
-			res, err := sim.New(n, machine.Paragon()).Run(func(p *sim.Proc) error {
+			res, err := runWithin(t, sim.New(n, machine.Paragon()), func(p *sim.Proc) error {
 				tc.run(World(p), root)
 				return nil
 			})
@@ -490,7 +489,7 @@ func TestReduceChargesComputeTime(t *testing.T) {
 
 func TestWorldRankOutOfRangePanics(t *testing.T) {
 	m := sim.New(2, flatModel{})
-	_, err := m.Run(func(p *sim.Proc) error {
+	_, err := runWithin(t, m, func(p *sim.Proc) error {
 		World(p).WorldRank(7)
 		return nil
 	})
@@ -504,7 +503,7 @@ func TestMessageComplexityFormulas(t *testing.T) {
 	// counts; the simulator's counters must match the closed forms.
 	count := func(n int, body func(c *Comm)) int64 {
 		m := sim.New(n, flatModel{})
-		res, err := m.Run(func(p *sim.Proc) error {
+		res, err := runWithin(t, m, func(p *sim.Proc) error {
 			body(World(p))
 			return nil
 		})

@@ -15,7 +15,7 @@ import (
 func TestReservedTagPanicsClearly(t *testing.T) {
 	for _, tag := range []int{maxUserTag, tagBarrier, -1} {
 		m := sim.New(2, flatModel{})
-		_, err := m.Run(func(p *sim.Proc) error {
+		_, err := runWithin(t, m, func(p *sim.Proc) error {
 			c := World(p)
 			if c.Rank() == 0 {
 				c.SendCopy(1, tag, []float64{1})
@@ -125,7 +125,7 @@ func TestSplitHighTagNoCollectiveCollision(t *testing.T) {
 // begins at maxUserTag in every context.
 func TestSplitReservedTagStillPanics(t *testing.T) {
 	m := sim.New(4, flatModel{})
-	_, err := m.Run(func(p *sim.Proc) error {
+	_, err := runWithin(t, m, func(p *sim.Proc) error {
 		c := World(p)
 		sub := c.Split([]int{0, 0, 1, 1}, []int{0, 1, 0, 1}, 3)
 		if sub.Rank() == 0 {
@@ -169,7 +169,7 @@ func TestScattervWithPendingHighTag(t *testing.T) {
 // key the parked rank publishes.
 func TestLargestTagDeadlockReportsExactTag(t *testing.T) {
 	const want = (cartCtxBase+2*maxMeshDim)*tagSpace + tagBarrier
-	_, err := sim.New(2, flatModel{}).Run(func(p *sim.Proc) error {
+	_, err := runWithin(t, sim.New(2, flatModel{}), func(p *sim.Proc) error {
 		last := []int{maxMeshDim - 1, maxMeshDim - 1} // the last column's color
 		col := World(p).Split(last, []int{0, 1}, cartCtxBase+maxMeshDim)
 		if got := col.tag(tagBarrier); got != want {

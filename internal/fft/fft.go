@@ -319,7 +319,8 @@ func (st *stage) generic(sRe, sIm []float64, L int) {
 
 // radix2 and radix3 are generic unrolled for f = 2 and 3, statement for
 // statement.  Each butterfly runs over the row of L values of every point
-// it reads, one twiddle load for the row.
+// it reads, one twiddle load for the row; the rows are resliced to one
+// length, so the loop over them has no bounds checks.
 func (st *stage) radix2(sRe, sIm []float64, L int) {
 	mL := st.m * L
 	for base := 0; base < len(sRe); base += 2 * mL {
@@ -328,16 +329,17 @@ func (st *stage) radix2(sRe, sIm []float64, L int) {
 			w := tw[:4]
 			tw = tw[4:]
 			w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-			for a := q; a < q+L; a++ {
-				b := a + mL
-				y0r, y0i := sRe[a]+0, sIm[a]+0
-				y1r, y1i := sRe[b], sIm[b]
+			ar := sRe[q : q+L]
+			ai, br, bi := sIm[q : q+L][:len(ar)], sRe[q+mL : q+mL+L][:len(ar)], sIm[q+mL : q+mL+L][:len(ar)]
+			for i := range ar {
+				y0r, y0i := ar[i]+0, ai[i]+0
+				y1r, y1i := br[i], bi[i]
 				x0r := y0r + (y1r*w0 - y1i*w1)
 				x0i := y0i + (y1r*w1 + y1i*w0)
 				x1r := y0r + (y1r*w2 - y1i*w3)
 				x1i := y0i + (y1r*w3 + y1i*w2)
-				sRe[a], sIm[a] = x0r, x0i
-				sRe[b], sIm[b] = x1r, x1i
+				ar[i], ai[i] = x0r, x0i
+				br[i], bi[i] = x1r, x1i
 			}
 		}
 	}
@@ -352,11 +354,14 @@ func (st *stage) radix3(sRe, sIm []float64, L int) {
 			tw = tw[12:]
 			w0, w1, w2, w3, w4, w5 := w[0], w[1], w[2], w[3], w[4], w[5]
 			w6, w7, w8, w9, w10, w11 := w[6], w[7], w[8], w[9], w[10], w[11]
-			for a := q; a < q+L; a++ {
-				b, c := a+mL, a+2*mL
-				y0r, y0i := sRe[a]+0, sIm[a]+0
-				y1r, y1i := sRe[b], sIm[b]
-				y2r, y2i := sRe[c], sIm[c]
+			b, c := q+mL, q+2*mL
+			ar := sRe[q : q+L]
+			ai, br, bi := sIm[q : q+L][:len(ar)], sRe[b : b+L][:len(ar)], sIm[b : b+L][:len(ar)]
+			cr, ci := sRe[c : c+L][:len(ar)], sIm[c : c+L][:len(ar)]
+			for i := range ar {
+				y0r, y0i := ar[i]+0, ai[i]+0
+				y1r, y1i := br[i], bi[i]
+				y2r, y2i := cr[i], ci[i]
 				x0r := y0r + (y1r*w0 - y1i*w1)
 				x0i := y0i + (y1r*w1 + y1i*w0)
 				x0r += y2r*w2 - y2i*w3
@@ -369,9 +374,9 @@ func (st *stage) radix3(sRe, sIm []float64, L int) {
 				x2i := y0i + (y1r*w9 + y1i*w8)
 				x2r += y2r*w10 - y2i*w11
 				x2i += y2r*w11 + y2i*w10
-				sRe[a], sIm[a] = x0r, x0i
-				sRe[b], sIm[b] = x1r, x1i
-				sRe[c], sIm[c] = x2r, x2i
+				ar[i], ai[i] = x0r, x0i
+				br[i], bi[i] = x1r, x1i
+				cr[i], ci[i] = x2r, x2i
 			}
 		}
 	}

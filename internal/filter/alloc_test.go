@@ -168,10 +168,16 @@ func TestFFTFilterApplyAllocFree(t *testing.T) {
 // TestLayoutStagesNoSelfTranspose pins what layout cuts on one-wide mesh
 // rows, where every line a rank filters is its own: no transpose staging at
 // all, so the values are the home segments, the circles and the balancing
-// buffers — nHome*w + nBlock*n on 1x1, where nothing moves.
+// buffers.  Where no line moves — 1x1, and any one-column mesh without
+// balancing — the rank takes the own-line path (ownLoop) and layout cuts
+// nothing at all.
 func TestLayoutStagesNoSelfTranspose(t *testing.T) {
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
-	for _, py := range []int{1, 4} {
+	for _, mesh := range []struct {
+		py       int
+		balanced bool
+	}{{1, true}, {4, true}, {4, false}} {
+		py := mesh.py
 		d, err := grid.NewDecomp(spec, py, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +185,7 @@ func TestLayoutStagesNoSelfTranspose(t *testing.T) {
 		_, err = sim.New(py, machine.Paragon()).Run(func(p *sim.Proc) error {
 			cart := comm.NewCart2D(comm.World(p), py, 1)
 			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
-			f := NewFFT(cart, spec, l, true)
+			f := NewFFT(cart, spec, l, mesh.balanced)
 			f.Apply(newVars(l))
 			nHome, nBlock := len(f.row.home), len(f.row.work)
 			staged, balancing := 0, 0
@@ -195,10 +201,14 @@ func TestLayoutStagesNoSelfTranspose(t *testing.T) {
 			for _, c := range f.full {
 				values += cap(c)
 			}
-			if py == 1 && (balancing != 0 || f.moves) {
-				return fmt.Errorf("1x1: %d balancing values, moves=%v", balancing, f.moves)
+			if f.own != (py == 1 || !mesh.balanced) {
+				return fmt.Errorf("%dx1 balanced=%v rank %d: own-line path %v", py, mesh.balanced, p.Rank(), f.own)
 			}
-			if want := nHome*spec.Nlon + nBlock*spec.Nlon + balancing; staged != 0 || values != want {
+			want := nHome*spec.Nlon + nBlock*spec.Nlon + balancing
+			if f.own {
+				want = 0
+			}
+			if staged != 0 || values != want {
 				return fmt.Errorf("%dx1 rank %d: %d transpose values staged, %d values in all; want 0 and %d",
 					py, p.Rank(), staged, values, want)
 			}

@@ -566,6 +566,27 @@ func TestFFTFilterFanMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestFFTFilterOwnLinesFanMatchesOracle runs the one-column meshes against
+// the oracle at GOMAXPROCS 1, 2 and 4, so each rank's loop runs inline, two
+// and four workers wide: 1x1 and unbalanced 2x1, where every rank filters
+// its own lines in one fanned loop (ownLoop), and balanced 2x1, whose lines
+// move and so take the general path (TestLayoutStagesNoSelfTranspose checks
+// which path a one-column mesh takes).
+func TestFFTFilterOwnLinesFanMatchesOracle(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(procs, func() {
+			for _, c := range []struct {
+				py       int
+				balanced bool
+			}{{1, true}, {2, false}, {2, true}} {
+				if err := againstOracle(oracleSpec, c.py, 1, c.balanced, [][]Kind{sss, sw, ww, sss}); err != nil {
+					t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+				}
+			}
+		})
+	}
+}
+
 // TestFFTFilterBatchBoundaries holds the pinned bits whatever the batch
 // the row filters take: one circle at a time, three, or batchLines, on
 // machines whose circles are split over one to eight workers.

@@ -178,6 +178,7 @@ type rowFilter struct {
 	plan     *fft.RealPlan
 	re, im   []float64   // a batch's interleaved spectra
 	damps    [][]float64 // room for a caller's batch of damping rows
+	circles  [][]float64 // room for a batch of whole circles: see circleRoom
 	odd      *fft.Plan
 	oddIm    []float64 // imaginary scratch for the odd-length fallback
 }
@@ -194,6 +195,19 @@ func newRowFilter(n, lines int) *rowFilter {
 	h := lines * (n/2 + 1)
 	rf.plan, rf.re, rf.im = fft.NewRealBatchPlan(n, lines), make([]float64, h), make([]float64, h)
 	return rf
+}
+
+// circleRoom returns room for rf.lines whole circles, made on first use: only
+// a caller that copies its lines out of the fields needs it.
+func (rf *rowFilter) circleRoom() [][]float64 {
+	if rf.circles == nil {
+		buf := make([]float64, rf.lines*rf.n)
+		rf.circles = make([][]float64, rf.lines)
+		for l := range rf.circles {
+			rf.circles[l] = buf[l*rf.n : (l+1)*rf.n : (l+1)*rf.n]
+		}
+	}
+	return rf.circles
 }
 
 // applyBatch filters rows[l] in place with damping damps[l], at most

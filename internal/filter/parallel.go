@@ -215,6 +215,13 @@ func (c *Convolution) Apply(vars []Variable) {
 // machine shares (see tableFor) and stages every Apply through buffers cut
 // to those exact sizes, so a rank's host work scales with its own lines,
 // not the grid's.
+//
+// A rank that filters every line it holds — one mesh column, and no line
+// moves: the 1×1 run, or unbalanced filtering on a one-column mesh — has
+// nothing to stage or send.  Its Apply is one fanned loop (ownLoop) in which
+// each worker copies a batch of lines out of the fields into its row
+// filter's circles, filters them and writes them back; the charges are the
+// general path's, one Compute(lineFlops) per line after the join.
 type FFTFilter struct {
 	cart     *comm.Cart2D
 	spec     grid.Spec
@@ -222,10 +229,10 @@ type FFTFilter struct {
 	balanced bool
 
 	// rfs[w] is worker w's row filter for phase 4's circles (see
-	// circleLoop), which takes them in batches of rfs[0].lines; a rank that
-	// does not split the phase has only rfs[0].  The first layout builds
-	// rfs[0] for batches of batchLines, or of all the rank's circles if
-	// fewer.
+	// circleLoop), or for the own-line loop's, which take them in batches
+	// of rfs[0].lines; a rank that does not split the loop has only rfs[0].
+	// The first layout builds rfs[0] for batches of batchLines, or of all
+	// the rank's circles if fewer.
 	rfs []*rowFilter
 
 	// lineFlops is the virtual cost of filtering one line, LineFlops.
@@ -242,6 +249,8 @@ type FFTFilter struct {
 	tab      *lineTable
 	row      *rowLines
 	moves    bool
+	own      bool       // one mesh column and no line moves: see ownLoop
+	vars     []Variable // the variables of the Apply in progress, for ownLoop
 	colStart []int
 	rOffs    []int // running offsets per processor row
 
@@ -316,6 +325,13 @@ func (f *FFTFilter) layout(vars []Variable) {
 		_, f.colStart[c+1] = loadbalance.Block(nWork, px, c)
 	}
 	nBlock := f.colStart[myCol+1] - f.colStart[myCol]
+	if len(f.rfs) == 0 {
+		f.rfs = append(f.rfs, newRowFilter(n, max(1, min(batchLines, nBlock))))
+	}
+	f.moves = len(f.row.stay) != nHome || len(f.row.stay) != nWork
+	if f.own = px == 1 && !f.moves; f.own {
+		return // no staging: see ownLoop
+	}
 
 	// A processor row's balancing buffers serve both directions, so each is
 	// cut for the larger of the two.
@@ -323,7 +339,6 @@ func (f *FFTFilter) layout(vars []Variable) {
 	for q := 0; q < py; q++ {
 		rTotal += max(f.row.to[q], f.row.from[q]) * w
 	}
-	f.moves = len(f.row.stay) != nHome || len(f.row.stay) != nWork
 	nSegs := nHome
 	if f.moves {
 		nSegs += nWork
@@ -356,9 +371,6 @@ func (f *FFTFilter) layout(vars []Variable) {
 		room := max(f.row.to[q], f.row.from[q]) * w
 		f.rSend[q], f.rRecv[q] = cut(&values, room)[:0], cut(&values, room)[:0]
 	}
-	if len(f.rfs) == 0 {
-		f.rfs = append(f.rfs, newRowFilter(n, max(1, min(batchLines, nBlock))))
-	}
 }
 
 // Apply implements Parallel.  All seven phases stage through the buffers
@@ -369,6 +381,16 @@ func (f *FFTFilter) Apply(vars []Variable) {
 		f.layout(vars)
 	}
 	if f.tab == nil || len(f.tab.lines) == 0 {
+		return
+	}
+	p := f.cart.World.Proc()
+	if f.own {
+		f.vars = vars
+		p.Fan((*ownLoop)(f), (len(f.row.home)+f.rfs[0].lines-1)/f.rfs[0].lines)
+		f.vars = nil
+		for range f.row.home {
+			p.Compute(f.lineFlops)
+		}
 		return
 	}
 	px := f.cart.Px
@@ -428,7 +450,6 @@ func (f *FFTFilter) Apply(vars []Variable) {
 
 	// Phase 4: local FFT filtering of complete circles, charged line by
 	// line once all are filtered.
-	p := f.cart.World.Proc()
 	p.Fan((*circleLoop)(f), len(full))
 	for range full {
 		p.Compute(f.lineFlops)
@@ -501,6 +522,39 @@ func (c *circleLoop) Grow(k int) {
 		c.rfs = append(c.rfs, newRowFilter(c.spec.Nlon, c.rfs[0].lines))
 	}
 }
+
+// ownLoop is the whole Apply of a rank that filters every line it holds, as
+// a sim.Loop over batches of rfs[0].lines home lines, so that every batch but
+// the last is full however Fan cuts the loop: each worker's row filter takes
+// a batch of lines from the fields into its circles, filters them and writes
+// them back.  The variables hold distinct fields, so the lines' (variable, row,
+// layer) triples name disjoint field elements for the workers to write.
+type ownLoop FFTFilter
+
+// Run filters batches [lo, hi) with worker w's row filter.
+func (o *ownLoop) Run(w, lo, hi int) {
+	f := (*FFTFilter)(o)
+	rf := f.rfs[w]
+	circles := rf.circleRoom()
+	home := f.row.home
+	for ; lo < hi; lo++ {
+		batch := home[lo*rf.lines : min(len(home), (lo+1)*rf.lines)]
+		damps, rows := rf.damps[:len(batch)], circles[:len(batch)]
+		for i, l := range batch {
+			ln := f.tab.lines[l]
+			f.vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, rows[i])
+			damps[i] = f.tab.damp[l]
+		}
+		rf.applyBatch(damps, rows)
+		for i, l := range batch {
+			ln := f.tab.lines[l]
+			f.vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, rows[i])
+		}
+	}
+}
+
+// Grow gives workers up to k-1 their own row filter.
+func (o *ownLoop) Grow(k int) { (*circleLoop)(o).Grow(k) }
 
 // redistribute moves each line's segment along the mesh column, one message
 // per (src, dst) pair, preserving the canonical line order inside every

@@ -9,14 +9,15 @@ import (
 // fewer ranks than the host has cores leaves cores idle; a one-rank run uses
 // one.  Fan lets a rank split a loop of independent iterations — latitude
 // rows, filter lines, physics columns — over the cores its machine leaves
-// it: k = min(n, max(1, GOMAXPROCS / ranks)) shares.  A machine with at
+// it: k = min(n, max(1, GOMAXPROCS / ranks)) workers.  A machine with at
 // least as many ranks as cores gets k = 1 and runs every loop inline.
 //
-// The shares run on process-wide helper goroutines, GOMAXPROCS-1 of them,
-// started on the first Fan that splits.  A share is handed to a helper only
-// if one is idle, by a non-blocking send on an unbuffered channel; otherwise
-// the rank runs it itself.  So concurrent runs never put more goroutines to
-// work than the host has cores.
+// The loop is cut into contiguous chunks that the rank and its helpers claim
+// from one counter.  The helpers are process-wide goroutines, GOMAXPROCS-1
+// of them, started on the first Fan that splits.  Worker w > 0 is handed to
+// a helper only if one is idle, by a non-blocking send on an unbuffered
+// channel; a busy or late helper just claims fewer chunks, and the rank the
+// rest.  So concurrent runs never put more goroutines to work than cores.
 //
 // Fan touches no virtual time.  A loop must not call Proc methods; the rank
 // charges the loop's cost after Fan returns, in the order the serial loop
@@ -28,7 +29,7 @@ import (
 // allocates nothing.
 type Loop interface {
 	// Run runs iterations [lo, hi) as worker w, where w < k and k is the
-	// width of the Fan call.  The shares of one call run concurrently, so
+	// width of the Fan call.  The chunks of one call run concurrently, so
 	// Run writes disjoint elements and keeps any scratch per worker.
 	Run(w, lo, hi int)
 }
@@ -40,43 +41,52 @@ type Scratch interface {
 	Grow(k int)
 }
 
-// fanState is a rank's part of its Fan calls: shares[w] is worker w's share
-// of the current call, and wg counts the shares out with helpers.
+// chunksPerWorker: on a 2-vCPU host, 1 and 4 chunks per worker left the rank
+// waiting longer at the join than 8; 16 waited less but ran the one-rank
+// benchmark 2 % slower.
+const chunksPerWorker = 8
+
+// fanState is a rank's part of its Fan calls: the current call's loop, its
+// chunk count, the next chunk to claim and the lowest chunk that panicked
+// (rec non-nil) so far; wg counts the workers out.
 type fanState struct {
-	shares []share
-	wg     sync.WaitGroup
+	loop              Loop
+	n, chunks, failed int
+	next              atomic.Int64
+	mu                sync.Mutex // guards failed and rec
+	rec               any
+	workers           []worker
+	wg                sync.WaitGroup
 }
 
-// share is one worker's part of a Fan call.  The rank writes loop, lo, hi
-// and helped before the handoff and reads failed and rec after the join.
-type share struct {
-	wg        *sync.WaitGroup
-	loop      Loop
-	w, lo, hi int
-	helped    bool // handed to a helper, not run by the rank
-	failed    bool // Run panicked with rec
-	rec       any
+// worker is worker w of its rank's Fan calls.
+type worker struct {
+	f *fanState
+	w int
 }
 
-// run runs the share's iterations and keeps a panic for the rank to raise.
-func (s *share) run() {
+// work claims and runs chunks until none is left or one panics.  Chunks are
+// claimed in ascending order, so every chunk below a panicking one has run.
+func (wk *worker) work() {
+	c, f := 0, wk.f
+	defer f.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			s.failed, s.rec = true, r
+			f.mu.Lock()
+			if f.rec == nil || c < f.failed {
+				f.failed, f.rec = c, r
+			}
+			f.mu.Unlock()
 		}
 	}()
-	s.loop.Run(s.w, s.lo, s.hi)
-}
-
-// help is run on a helper goroutine.
-func (s *share) help() {
-	defer s.wg.Done()
-	s.run()
+	for c = int(f.next.Add(1) - 1); c < f.chunks; c = int(f.next.Add(1) - 1) {
+		f.loop.Run(wk.w, c*f.n/f.chunks, (c+1)*f.n/f.chunks)
+	}
 }
 
 var (
 	// helperWork is unbuffered: a send succeeds only into an idle helper.
-	helperWork = make(chan *share)
+	helperWork = make(chan *worker)
 	helpersMu  sync.Mutex
 	helpers    atomic.Int32 // helper goroutines started
 )
@@ -94,19 +104,19 @@ func startHelpers(want int) {
 		go func() {
 			// helperWork is never closed: the helpers serve every machine
 			// of the process.
-			for s := range helperWork {
-				s.help()
+			for wk := range helperWork {
+				wk.work()
 			}
 		}()
 	}
 }
 
-// Fan runs loop over [0, n), split into k = min(n, max(1, GOMAXPROCS /
-// ranks)) contiguous shares, and returns when every share has.  GOMAXPROCS
-// is read when the Run starts, so k is fixed for the Run.  Share w is
-// [w*n/k, (w+1)*n/k).  A share that panics re-raises its panic on the
-// rank's goroutine after the join; if several do, the one with the lowest
-// iterations does, as the serial loop would.
+// Fan runs loop over [0, n) on k = min(n, max(1, GOMAXPROCS / ranks))
+// workers and returns when every chunk has run.  GOMAXPROCS is read when
+// the Run starts, so k is fixed for the Run.  Chunk c is [c*n/C, (c+1)*n/C)
+// of C = min(n, chunksPerWorker*k).  A chunk that panics re-raises its
+// panic on the rank's goroutine after the join; if several do, the lowest
+// chunk's does, as the serial loop would.
 func (p *Proc) Fan(loop Loop, n int) {
 	cores := p.machine.cores
 	k := min(n, max(1, cores/p.machine.n))
@@ -118,34 +128,24 @@ func (p *Proc) Fan(loop Loop, n int) {
 		g.Grow(k)
 	}
 	f := &p.fan
-	for len(f.shares) < k {
-		f.shares = append(f.shares, share{wg: &f.wg, w: len(f.shares)})
+	for len(f.workers) < k {
+		f.workers = append(f.workers, worker{f: f, w: len(f.workers)})
 	}
 	startHelpers(cores - 1)
-	shares := f.shares[:k]
-	for w := range shares {
-		s := &shares[w]
-		s.loop, s.lo, s.hi, s.helped, s.failed, s.rec = loop, w*n/k, (w+1)*n/k, w > 0, false, nil
-		if !s.helped {
-			continue
-		}
-		f.wg.Add(1)
+	f.loop, f.n, f.chunks = loop, n, min(n, chunksPerWorker*k)
+	f.next.Store(0)
+	f.wg.Add(k) // one Done per worker's work, or per handoff no helper took
+	for w := 1; w < k; w++ {
 		select {
-		case helperWork <- s:
+		case helperWork <- &f.workers[w]:
 		default:
-			s.helped = false
 			f.wg.Done()
 		}
 	}
-	for w := range shares {
-		if s := &shares[w]; !s.helped {
-			s.run()
-		}
-	}
+	f.workers[0].work()
 	f.wg.Wait()
-	for w := range shares {
-		if s := &shares[w]; s.failed {
-			panic(s.rec)
-		}
+	if rec := f.rec; rec != nil {
+		f.rec = nil
+		panic(rec)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // funcLoop is a Loop of a function.
@@ -26,46 +27,96 @@ func withProcs(procs int, f func()) {
 }
 
 // TestFanCoversEveryIteration runs Fan on machines of 1 to 8 ranks under
-// GOMAXPROCS 4 and checks that every rank's loop visits each iteration once,
-// with workers below min(n, max(1, 4 / ranks)), and that the rank's last
-// share is done when Fan returns.
+// GOMAXPROCS 3, 4 and the test's own (at least 2), and checks that every
+// rank's loop visits each iteration exactly once, on a worker below
+// min(n, max(1, GOMAXPROCS / ranks)), and that every chunk is done when Fan
+// returns.  Three Ps cut a one-rank loop of 33 or 100 iterations into 24
+// chunks of uneven size.
 func TestFanCoversEveryIteration(t *testing.T) {
-	withProcs(4, func() {
-		for _, ranks := range []int{1, 2, 3, 4, 8} {
-			for _, n := range []int{0, 1, 3, 4, 7, 100} {
-				width := min(n, max(1, 4/ranks))
-				_, err := New(ranks, newTestModel()).Run(func(p *Proc) error {
-					seen := make([]int, n)
-					worker := make([]int, n)
-					loop := funcLoop(func(w, lo, hi int) {
-						for i := lo; i < hi; i++ {
-							seen[i]++
-							worker[i] = w
+	for _, procs := range []int{max(2, runtime.GOMAXPROCS(0)), 3, 4} {
+		withProcs(procs, func() {
+			for _, ranks := range []int{1, 2, 3, 4, 8} {
+				for _, n := range []int{0, 1, 3, 4, 7, 33, 100} {
+					width := min(n, max(1, procs/ranks))
+					_, err := New(ranks, newTestModel()).Run(func(p *Proc) error {
+						seen := make([]int, n)
+						worker := make([]int, n)
+						loop := funcLoop(func(w, lo, hi int) {
+							for i := lo; i < hi; i++ {
+								seen[i]++
+								worker[i] = w
+							}
+						})
+						for round := 0; round < 3; round++ {
+							clear(seen)
+							p.Fan(loop, n)
+							for i, c := range seen {
+								if c != 1 {
+									return fmt.Errorf("n=%d: iteration %d ran %d times", n, i, c)
+								}
+								if w := worker[i]; w < 0 || w >= width {
+									return fmt.Errorf("n=%d: iteration %d ran as worker %d of %d", n, i, w, width)
+								}
+							}
 						}
+						return nil
 					})
-					for round := 0; round < 3; round++ {
-						clear(seen)
-						p.Fan(loop, n)
-						for i, c := range seen {
-							if c != 1 {
-								return fmt.Errorf("n=%d: iteration %d ran %d times", n, i, c)
-							}
-							if w := worker[i]; w >= width || i < w*n/width || i >= (w+1)*n/width {
-								return fmt.Errorf("n=%d: iteration %d ran as worker %d of %d", n, i, w, width)
-							}
-						}
+					if err != nil {
+						t.Fatalf("GOMAXPROCS %d, %d ranks: %v", procs, ranks, err)
 					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%d ranks: %v", ranks, err)
 				}
 			}
+		})
+	}
+}
+
+// TestFanBusyHelpers parks every helper in a blocked worker of another call,
+// so no handoff succeeds: the rank must claim every chunk itself, as worker
+// 0, and return without waiting for the helpers.
+func TestFanBusyHelpers(t *testing.T) {
+	withProcs(4, func() {
+		startHelpers(3)
+		release := make(chan struct{})
+		block := funcLoop(func(_, _, _ int) { <-release })
+		blocked := make([]fanState, helpers.Load())
+		for h := range blocked {
+			// One call of one chunk per helper: the send returns once a
+			// parked helper has taken it, and that helper stays in it.
+			blocked[h].loop, blocked[h].n, blocked[h].chunks = block, 1, 1
+			blocked[h].wg.Add(1)
+			helperWork <- &worker{f: &blocked[h], w: 1}
+		}
+		defer func() {
+			close(release)
+			for h := range blocked {
+				blocked[h].wg.Wait()
+			}
+		}()
+		const n = 100
+		_, err := New(1, newTestModel()).Run(func(p *Proc) error {
+			worker := make([]int, n)
+			for i := range worker {
+				worker[i] = -1
+			}
+			p.Fan(funcLoop(func(w, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					worker[i] = w
+				}
+			}), n)
+			for i, w := range worker {
+				if w != 0 {
+					return fmt.Errorf("iteration %d ran as worker %d with every helper busy", i, w)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
-// TestFanGrowsScratchBeforeUse checks that Grow(k) runs before the shares
+// TestFanGrowsScratchBeforeUse checks that Grow(k) runs before the chunks
 // of every call k > 1 wide.
 func TestFanGrowsScratchBeforeUse(t *testing.T) {
 	var grown []int
@@ -91,49 +142,55 @@ func TestFanGrowsScratchBeforeUse(t *testing.T) {
 	}
 }
 
-// TestFanPanicIsRankPanic makes two shares panic.  The run must return what
-// the serial loop would: the rank's panic at the lower iteration.  Fan must
-// join every share first and return, and the helpers must survive: their
-// count stays GOMAXPROCS-1 over repeated runs.
+// TestFanPanicIsRankPanic makes two chunks panic: far apart, and in
+// neighbouring chunks (iterations 10 and 12 of 32 two-iteration chunks).
+// Each iteration sleeps a little, so a helper joins in and the neighbours
+// often run on different workers, the higher one panicking first.  The run must
+// return what the serial loop would: the rank's panic at the lower
+// iteration.  Fan must join every chunk first and return, and the helpers
+// must survive: their count stays GOMAXPROCS-1 over repeated runs.
 func TestFanPanicIsRankPanic(t *testing.T) {
-	const n = 100
-	body := func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i == 30 || i == 80 {
-				panic(fmt.Sprintf("iteration %d", i))
+	const n = 64
+	for _, at := range [][2]int{{20, 50}, {10, 12}} {
+		body := func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				time.Sleep(20 * time.Microsecond)
+				if i == at[0] || i == at[1] {
+					panic(fmt.Sprintf("iteration %d", i))
+				}
 			}
 		}
-	}
-	serial := func(p *Proc) error {
-		body(0, 0, n)
-		return nil
-	}
-	_, want := New(1, newTestModel()).Run(serial)
-	if want == nil {
-		t.Fatal("the serial loop did not fail")
-	}
-	withProcs(4, func() {
-		m := New(1, newTestModel())
-		loop := funcLoop(body)
-		helpersBefore := int(helpers.Load())
-		for run := 0; run < 20; run++ {
-			res, err := m.Run(func(p *Proc) error {
-				p.Compute(5)
-				p.Fan(loop, n)
-				p.Compute(7)
-				return nil
-			})
-			if err == nil || err.Error() != want.Error() {
-				t.Fatalf("run %d: error %v, want %v", run, err, want)
-			}
-			if res.Clocks[0] != newTestModel().FlopSeconds(5) {
-				t.Fatalf("run %d: clock %g, want the charge before the panic alone", run, res.Clocks[0])
-			}
-			if got, want := int(helpers.Load()), max(3, helpersBefore); got != want {
-				t.Fatalf("run %d: %d helpers, want %d", run, got, want)
-			}
+		serial := func(p *Proc) error {
+			body(0, 0, n)
+			return nil
 		}
-	})
+		_, want := New(1, newTestModel()).Run(serial)
+		if want == nil {
+			t.Fatal("the serial loop did not fail")
+		}
+		withProcs(4, func() {
+			m := New(1, newTestModel())
+			loop := funcLoop(body)
+			helpersBefore := int(helpers.Load())
+			for run := 0; run < 20; run++ {
+				res, err := m.Run(func(p *Proc) error {
+					p.Compute(5)
+					p.Fan(loop, n)
+					p.Compute(7)
+					return nil
+				})
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("panics at %v, run %d: error %v, want %v", at, run, err, want)
+				}
+				if res.Clocks[0] != newTestModel().FlopSeconds(5) {
+					t.Fatalf("panics at %v, run %d: clock %g, want the charge before the panic alone", at, run, res.Clocks[0])
+				}
+				if got, want := int(helpers.Load()), max(3, helpersBefore); got != want {
+					t.Fatalf("panics at %v, run %d: %d helpers, want %d", at, run, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestFanAllocFree pins a Fan call that splits at zero allocations once the
