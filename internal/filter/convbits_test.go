@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,15 +57,27 @@ func convolutionBits(t *testing.T, spec grid.Spec, py, px int, topo Topology, ro
 // on 30 mesh columns, 20 and 21 on 7, 36 on 4 and 48 on 3: three rounds of
 // Apply, ring and tree, every variable's interior hashed.  Every output sums
 // its terms in one fixed order whatever the mesh, so all meshes give the same
-// bits; any change to that order moves the hash.
+// bits; any change to that order moves the hash.  It runs with the pair
+// kernel's assembly (where the host has AVX2) and with its Go form forced.
 func TestConvolutionBitsPinned(t *testing.T) {
 	const want = "ab615a64068454092e51c87ee9825a4b366eae29225e822b828efa7a2e44f402"
 	spec := grid.TwoByTwoPointFive(2)
-	for _, mesh := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {4, 7}, {2, 30}} {
-		for _, topo := range []Topology{Ring, Tree} {
-			if got := convolutionBits(t, spec, mesh[0], mesh[1], topo, 3); got != want {
-				t.Errorf("%dx%d topology %d: field bits hash to %s, want %s", mesh[0], mesh[1], topo, got, want)
-			}
+	for _, asm := range []bool{true, false} {
+		if asm && !pairAsm {
+			t.Log("no AVX2: the assembly half is skipped")
+			continue
 		}
+		t.Run(fmt.Sprintf("asm=%v", asm), func(t *testing.T) {
+			if !asm {
+				forcePairGo(t)
+			}
+			for _, mesh := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {4, 7}, {2, 30}} {
+				for _, topo := range []Topology{Ring, Tree} {
+					if got := convolutionBits(t, spec, mesh[0], mesh[1], topo, 3); got != want {
+						t.Errorf("%dx%d topology %d: field bits hash to %s, want %s", mesh[0], mesh[1], topo, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -279,25 +279,83 @@ const kernelPad = 7
 // between zeros: c[d]*0 is ±0, which changes no partial sum, since a sum
 // begun at +0 is never -0.
 func convolveSegments(c, own []float64, lo int, walk [][]float64, dst []float64) {
-	n, last := len(c), len(walk)-1
+	cw := padKernel(c)
+	for t := 0; t < len(dst); {
+		G := min(8, len(dst)-t)
+		var gr group
+		gr.head(c, own, lo+t, G, walk)
+		s := &gr.s
+		if G > 5 {
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = walk8(cw, walk, s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+		} else {
+			s[0], s[1], s[2], s[3], s[4] = walk5(cw, walk, s[0], s[1], s[2], s[3], s[4])
+		}
+		t += gr.tail(c, dst[t:t+G])
+	}
+}
+
+// convolvePair is convolveSegments on two lines that share the segment
+// geometry, as lines of one gather do: line l has its own kernel row c[l],
+// segment own[l], walk walk[l] and output dst[l], and every run of walk[0]
+// is as long as walk[1]'s.  The lines may be one and the same.  Groups of
+// five outputs or fewer take one walk5Pair for both lines; wider groups
+// take convolveSegments, line by line.  Either way each output gets
+// convolveSegments' bits.
+func convolvePair(c, own [2][]float64, lo int, walk [2][][]float64, dst [2][]float64) {
+	cw := [2][]float64{padKernel(c[0]), padKernel(c[1])}
+	for t := 0; t < len(dst[0]); t += 8 {
+		G := min(8, len(dst[0])-t)
+		if G > 5 {
+			for l := range c {
+				convolveSegments(c[l], own[l], lo+t, walk[l], dst[l][t:t+G])
+			}
+			continue
+		}
+		var gr [2]group
+		for l := range gr {
+			gr[l].head(c[l], own[l], lo+t, G, walk[l])
+		}
+		walk5Pair(cw, walk, &gr[0].s, &gr[1].s)
+		for l := range gr {
+			gr[l].tail(c[l], dst[l][t:t+G])
+		}
+	}
+}
+
+// padKernel returns kernel row c resliced to reach kernelPad values past its
+// end, copied first if its capacity is short: the walks read that far.
+func padKernel(c []float64) []float64 {
+	n := len(c)
 	if cap(c) < n+kernelPad {
 		c = append(make([]float64, 0, n+kernelPad), c...)
 	}
-	c = c[:n+kernelPad]
-	for t := 0; t < len(dst); {
-		o, G := lo+t, min(8, len(dst)-t)
-		var z [23]float64
-		copy(z[8:], own[o+1:o+G])
-		s0, s1, s2, s3, s4, s5, s6, s7 := tri(c[:G-1], z[9-G:], 0, 0, 0, 0, 0, 0, 0, 0)
-		walk[0], walk[last] = own[:o+1], own[o+G:]
-		if G > 5 {
-			s0, s1, s2, s3, s4, s5, s6, s7 = walk8(c, walk, s0, s1, s2, s3, s4, s5, s6, s7)
-		} else {
-			s0, s1, s2, s3, s4 = walk5(c, walk, s0, s1, s2, s3, s4)
-		}
-		s0, s1, s2, s3, s4, s5, s6, s7 = tri(c[n-G+1:n], z[8:], s0, s1, s2, s3, s4, s5, s6, s7)
-		t += copy(dst[t:], []float64{s0, s1, s2, s3, s4, s5, s6, s7}[:G])
-	}
+	return c[:n+kernelPad]
+}
+
+// group is one group of G <= 8 adjacent outputs o..o+G-1 of
+// convolveSegments: its accumulators, and the G-1 points above o between
+// zeros that tri reads.
+type group struct {
+	s [8]float64
+	z [23]float64
+}
+
+// head starts a group: it copies the points above o, adds their terms
+// before the walk and sets walk's ends to own's points the body reads.
+func (gr *group) head(c, own []float64, o, G int, walk [][]float64) {
+	copy(gr.z[8:], own[o+1:o+G])
+	s := &gr.s
+	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = tri(c[:G-1], gr.z[9-G:], 0, 0, 0, 0, 0, 0, 0, 0)
+	walk[0], walk[len(walk)-1] = own[:o+1], own[o+G:]
+}
+
+// tail ends a group after the walk: it adds the terms of the points above
+// o that follow it, stores the len(dst) outputs in dst and returns their
+// count.
+func (gr *group) tail(c, dst []float64) int {
+	G, s := len(dst), &gr.s
+	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = tri(c[len(c)-G+1:], gr.z[8:], s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+	return copy(dst, s[:G])
 }
 
 // tri adds c[d]*z[len(c)-1-d+g] to accumulator g, d ascending: the
@@ -361,6 +419,20 @@ func walk5(c []float64, walk [][]float64, s0, s1, s2, s3, s4 float64) (float64, 
 		}
 	}
 	return s0, s1, s2, s3, s4
+}
+
+// walk5Pair is walk5 on two lines at once: it adds c[l][k+g]*x to s[l][g],
+// g < 5, for the k-th point x of walk[l].  Every run of walk[0] must be as
+// long as walk[1]'s, and each c[l] must reach four values past the walk's
+// last point.  The AVX kernel (walk5PairAVX) runs it when pairAsm is set;
+// otherwise two walk5 calls do, the reference it must match bit for bit.
+func walk5Pair(c [2][]float64, walk [2][][]float64, s0, s1 *[8]float64) {
+	if pairAsm {
+		walk5PairAVX(c[0], c[1], walk[0], walk[1], s0, s1)
+		return
+	}
+	s0[0], s0[1], s0[2], s0[3], s0[4] = walk5(c[0], walk[0], s0[0], s0[1], s0[2], s0[3], s0[4])
+	s1[0], s1[1], s1[2], s1[3], s1[4] = walk5(c[1], walk[1], s1[0], s1[1], s1[2], s1[3], s1[4])
 }
 
 // Variable binds a field to the filter strength it receives.  In the AGCM,

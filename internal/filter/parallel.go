@@ -126,23 +126,23 @@ func (g *circleGather) circle(i int, full []float64) {
 	}
 }
 
-// walk sets walk[1:Px] to gathered line 0's segments of the mesh columns
+// walk sets walk[1:Px] to gathered line i's segments of the mesh columns
 // other than col in the order convolveSegments reads them: col-1 down to
 // 0, then Px-1 down to col+1.
-func (g *circleGather) walk(col int, walk [][]float64) {
+func (g *circleGather) walk(col, i int, walk [][]float64) {
 	for t := 1; t < len(g.widths); t++ {
 		if col--; col < 0 {
 			col = len(g.widths) - 1
 		}
-		walk[t] = g.segment(0, col)
+		walk[t] = g.segment(i, col)
 	}
 }
 
-// advance moves walk[1:len(walk)-1] on from one gathered line's segments
-// to the next line's: each column's lines lie one segment apart.
-func advance(walk [][]float64) {
+// advance moves walk[1:len(walk)-1] on by m gathered lines: each column's
+// lines lie one segment apart.
+func advance(walk [][]float64, m int) {
 	for t, seg := range walk[1 : len(walk)-1] {
-		walk[t+1] = seg[len(seg) : 2*len(seg)]
+		walk[t+1] = seg[m*len(seg) : (m+1)*len(seg)]
 	}
 }
 
@@ -159,23 +159,29 @@ type Convolution struct {
 	g    circleGather
 	resp [2]*response // the grid's shared kernels, by kind
 
-	// The kernel's walk over a line's segments and its output: with this
-	// scratch a steady-state Apply allocates nothing on the ring topology.
-	walk [][]float64
-	dst  []float64
+	// The kernel's walks over two lines' segments and their outputs: with
+	// this scratch a steady-state Apply allocates nothing on the ring
+	// topology.
+	walk [2][][]float64
+	dst  [2][]float64
 }
 
 // NewConvolution builds the original filter for this rank's subdomain.
 func NewConvolution(cart *comm.Cart2D, spec grid.Spec, local grid.Local, topo Topology) *Convolution {
-	return &Convolution{cart: cart, g: newCircleGather(cart, spec, local, topo),
-		resp: responses(cart.World.Proc(), spec),
-		walk: make([][]float64, cart.Px+1), dst: make([]float64, local.Nlon())}
+	c := &Convolution{cart: cart, g: newCircleGather(cart, spec, local, topo),
+		resp: responses(cart.World.Proc(), spec)}
+	for l := range c.walk {
+		c.walk[l], c.dst[l] = make([][]float64, cart.Px+1), make([]float64, local.Nlon())
+	}
+	return c
 }
 
 // Apply implements Parallel.  As in the original code, variables are
 // processed one at a time, layer by layer (the F77 code's 2-D slabs): each
 // (variable, layer) slab is one circle gather, and each rank convolves its
 // own longitude segment of every gathered line, read from the segments.
+// Lines are convolved two at a time (convolvePair), a lone last line
+// paired with itself; each line is charged and stored in line order.
 func (c *Convolution) Apply(vars []Variable) {
 	g, p, col := &c.g, c.cart.World.Proc(), c.cart.MyCol
 	n, w := g.spec.Nlon, g.local.Nlon()
@@ -183,18 +189,27 @@ func (c *Convolution) Apply(vars []Variable) {
 		if !g.filter(v.Kind) {
 			continue
 		}
-		kernel := c.resp[v.Kind].kernel
+		kernel, last := c.resp[v.Kind].kernel, len(g.rows)-1
 		for k := 0; k < g.spec.Nlayers; k++ {
 			g.gather(v.Field, k, k+1)
-			g.walk(col, c.walk)
-			for i, localJ := range g.rows {
+			g.walk(col, 0, c.walk[0])
+			g.walk(col, min(1, last), c.walk[1])
+			for i := 0; i <= last; i += 2 {
+				b := min(i+1, last)
 				if i > 0 {
-					advance(c.walk)
+					advance(c.walk[0], 2)
+					advance(c.walk[1], b-(i-1)) // to line i+1, or to i for a lone last line
 				}
-				convolveSegments(kernel[g.local.GlobalLat(localJ)], g.segment(i, col), 0, c.walk, c.dst)
+				ja, jb := g.rows[i], g.rows[b]
+				convolvePair([2][]float64{kernel[g.local.GlobalLat(ja)], kernel[g.local.GlobalLat(jb)]},
+					[2][]float64{g.segment(i, col), g.segment(b, col)}, 0, c.walk, c.dst)
 				// The physical-space sum costs 2*N flops per point.
 				p.Compute(float64(2 * n * w))
-				v.Field.SetRowSlice(localJ, k, c.dst)
+				v.Field.SetRowSlice(ja, k, c.dst[0])
+				if b > i {
+					p.Compute(float64(2 * n * w))
+					v.Field.SetRowSlice(jb, k, c.dst[1])
+				}
 			}
 		}
 	}

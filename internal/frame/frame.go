@@ -171,7 +171,7 @@ func (b *Builder) Bytes(p []byte) {
 // LenBytes appends a u32 length prefix followed by the bytes.
 func (b *Builder) LenBytes(p []byte) {
 	if b.open() {
-		if len(p) > math.MaxUint32 {
+		if uint64(len(p)) > math.MaxUint32 {
 			b.err = fmt.Errorf("frame: byte string of %d exceeds u32 length", len(p))
 			return
 		}
@@ -211,7 +211,7 @@ func (b *Builder) Finish(t Type) ([]byte, error) {
 	b.ends[len(b.ends)-1] = len(b.payload)
 	n := len(b.tags)
 	total := headerSize + entrySize*n + len(b.payload) + trailerSize
-	if total > MaxFrameBytes {
+	if int64(total) > MaxFrameBytes {
 		return nil, fmt.Errorf("frame: %d bytes exceeds MaxFrameBytes", total)
 	}
 	if cap(b.out) < total {
