@@ -101,13 +101,17 @@ func withProcs(procs int, f func()) {
 }
 
 // TestFFTFilterApplyAllocFree pins the transpose FFT filter, balanced and
-// not, at zero allocations per Apply on one rank and on a 2x4 mesh once the
-// warm-up calls have laid the filter out and filled the transport pools.
-// GOMAXPROCS is two per rank, so every rank splits its circles over a
-// helper goroutine (sim.Fan), and rank 0 reads runtime.MemStats around the
-// measured rounds itself: testing.AllocsPerRun forces GOMAXPROCS 1, which
-// runs every loop inline.  The count is process-wide, so every rank must run
-// allocation-free; every rank loops the same number of rounds.
+// not, at zero allocations per Apply on one rank, on 2x4 and 1x2 meshes and
+// on a one-column 4x1 mesh once the warm-up calls have laid the filter out
+// and filled the transport pools.  GOMAXPROCS is two per rank, so a rank
+// with more than one batch of circles splits them over a helper goroutine
+// (sim.Fan): the 1x1 rank, both 1x2 ranks, whose circles are assembled from
+// the transpose's segments, and on 4x1 every balanced rank and the
+// unbalanced polar ranks, whose lines never leave the fields.  Rank 0 reads
+// runtime.MemStats around the measured rounds itself: testing.AllocsPerRun
+// forces GOMAXPROCS 1, which runs every loop inline.  The count is
+// process-wide, so every rank must run allocation-free; every rank loops the
+// same number of rounds.
 // Under the race detector that process-wide count is not exact (the pin has
 // flaked there), so it runs only on plain builds, as CI's allocation step
 // does; the oracle tests cover Apply under -race.
@@ -117,7 +121,7 @@ func TestFFTFilterApplyAllocFree(t *testing.T) {
 	}
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
 	const warm, runs = 5, 20
-	for _, mesh := range [][2]int{{1, 1}, {2, 4}} {
+	for _, mesh := range [][2]int{{1, 1}, {2, 4}, {1, 2}, {4, 1}} {
 		py, px := mesh[0], mesh[1]
 		d, err := grid.NewDecomp(spec, py, px)
 		if err != nil {
@@ -166,11 +170,12 @@ func TestFFTFilterApplyAllocFree(t *testing.T) {
 }
 
 // TestLayoutStagesNoSelfTranspose pins what layout cuts on one-wide mesh
-// rows, where every line a rank filters is its own: no transpose staging at
-// all, so the values are the home segments, the circles and the balancing
-// buffers.  Where no line moves — 1x1, and any one-column mesh without
-// balancing — the rank takes the own-line path (ownLoop) and layout cuts
-// nothing at all.
+// rows, where every line a rank filters is its own: no transpose staging
+// and no circle arena (a circle exists only in a worker's room), so the
+// values are the balancing buffers and the segment arena, which holds only
+// the home lines that balancing sends to another processor row — the lines
+// that leave the rank's block.  Where no line moves — 1x1, and any
+// one-column mesh without balancing — layout cuts no values at all.
 func TestLayoutStagesNoSelfTranspose(t *testing.T) {
 	spec := grid.Spec{Nlon: 24, Nlat: 16, Nlayers: 3}
 	for _, mesh := range []struct {
@@ -187,9 +192,14 @@ func TestLayoutStagesNoSelfTranspose(t *testing.T) {
 			l := grid.NewLocal(d, cart.MyRow, cart.MyCol)
 			f := NewFFT(cart, spec, l, mesh.balanced)
 			f.Apply(newVars(l))
-			nHome, nBlock := len(f.row.home), len(f.row.work)
+			leaving := 0
+			for _, ln := range f.row.home {
+				if f.tab.finalOwner[ln] != cart.MyRow {
+					leaving++
+				}
+			}
 			staged, balancing := 0, 0
-			for _, bufs := range [][][]float64{f.parts, f.tOut, f.back, f.gotOut} {
+			for _, bufs := range [][][]float64{f.parts, f.tOut} {
 				for _, b := range bufs {
 					staged += cap(b)
 				}
@@ -197,20 +207,13 @@ func TestLayoutStagesNoSelfTranspose(t *testing.T) {
 			for q := range f.rSend {
 				balancing += cap(f.rSend[q]) + cap(f.rRecv[q])
 			}
-			values := cap(f.segArena) + balancing
-			for _, c := range f.full {
-				values += cap(c)
+			values := cap(f.segArena) + staged + balancing
+			if cap(f.segArena) != leaving*spec.Nlon || staged != 0 || values != leaving*spec.Nlon+balancing {
+				return fmt.Errorf("%dx1 balanced=%v rank %d: segment arena %d, %d transpose values staged, %d values in all; want %d, 0 and %d",
+					py, mesh.balanced, p.Rank(), cap(f.segArena), staged, values, leaving*spec.Nlon, leaving*spec.Nlon+balancing)
 			}
-			if f.own != (py == 1 || !mesh.balanced) {
-				return fmt.Errorf("%dx1 balanced=%v rank %d: own-line path %v", py, mesh.balanced, p.Rank(), f.own)
-			}
-			want := nHome*spec.Nlon + nBlock*spec.Nlon + balancing
-			if f.own {
-				want = 0
-			}
-			if staged != 0 || values != want {
-				return fmt.Errorf("%dx1 rank %d: %d transpose values staged, %d values in all; want 0 and %d",
-					py, p.Rank(), staged, values, want)
+			if moves := py > 1 && mesh.balanced; !moves && values != 0 {
+				return fmt.Errorf("%dx1 balanced=%v rank %d: no line moves, yet layout cut %d values", py, mesh.balanced, p.Rank(), values)
 			}
 			return nil
 		})

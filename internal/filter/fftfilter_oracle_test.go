@@ -554,9 +554,10 @@ func TestFFTFilterSharedTablesConcurrent(t *testing.T) {
 }
 
 // TestFFTFilterFanMatchesOracle runs the filter with GOMAXPROCS 8, so every
-// rank of a machine of up to four ranks splits its circles (sim.Fan) two to
-// eight ways, against the oracle, which filters them one by one: the same
-// field bits, clocks, traffic and event logs, through a relayout.
+// rank of a machine of up to four ranks with more than one batch of circles
+// splits its batches (sim.Fan) two to six ways, against the oracle, which
+// filters them one by one: the same field bits, clocks, traffic and event
+// logs, through a relayout.
 func TestFFTFilterFanMatchesOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, mesh := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {1, 3}} {
@@ -566,21 +567,22 @@ func TestFFTFilterFanMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFFTFilterOwnLinesFanMatchesOracle runs the one-column meshes against
-// the oracle at GOMAXPROCS 1, 2 and 4, so each rank's loop runs inline, two
-// and four workers wide: 1x1 and unbalanced 2x1, where every rank filters
-// its own lines in one fanned loop (ownLoop), and balanced 2x1, whose lines
-// move and so take the general path (TestLayoutStagesNoSelfTranspose checks
-// which path a one-column mesh takes).
-func TestFFTFilterOwnLinesFanMatchesOracle(t *testing.T) {
+// TestFFTFilterLoopFanMatchesOracle runs the filter against the oracle at
+// GOMAXPROCS 1, 2 and 4, so each rank's batch loop (circleLoop) runs inline
+// or up to four workers wide: 1x1 and unbalanced 2x1, where every circle is
+// the rank's own and is read from and written back to the fields; balanced
+// 2x1, whose moved lines are filtered in their redistribution buffers; and
+// 1x4 and 2x2, whose circles are assembled from the transpose's segments
+// (inline here: four ranks leave no spare P; TestFFTFilterFanMatchesOracle
+// splits them).
+func TestFFTFilterLoopFanMatchesOracle(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		withProcs(procs, func() {
-			for _, c := range []struct {
-				py       int
-				balanced bool
-			}{{1, true}, {2, false}, {2, true}} {
-				if err := againstOracle(oracleSpec, c.py, 1, c.balanced, [][]Kind{sss, sw, ww, sss}); err != nil {
-					t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			for _, mesh := range [][2]int{{1, 1}, {2, 1}, {1, 4}, {2, 2}} {
+				for _, balanced := range []bool{true, false} {
+					if err := againstOracle(oracleSpec, mesh[0], mesh[1], balanced, [][]Kind{sss, sw, ww, sss}); err != nil {
+						t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+					}
 				}
 			}
 		})

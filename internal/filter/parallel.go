@@ -231,23 +231,21 @@ func (c *Convolution) Apply(vars []Variable) {
 // to those exact sizes, so a rank's host work scales with its own lines,
 // not the grid's.
 //
-// A rank that filters every line it holds — one mesh column, and no line
-// moves: the 1×1 run, or unbalanced filtering on a one-column mesh — has
-// nothing to stage or send.  Its Apply is one fanned loop (ownLoop) in which
-// each worker copies a batch of lines out of the fields into its row
-// filter's circles, filters them and writes them back; the charges are the
-// general path's, one Compute(lineFlops) per line after the join.
+// A complete circle exists only in a worker's room while phase 4 filters
+// it (see circleLoop).  The rank's own segment of a line it both holds and
+// filters never leaves the field, so a rank that filters every line it
+// holds — the 1×1 run, or unbalanced filtering on a one-column mesh —
+// stages nothing: its phases 1–3 and 5–7 have no lines to move.
 type FFTFilter struct {
 	cart     *comm.Cart2D
 	spec     grid.Spec
 	local    grid.Local
 	balanced bool
 
-	// rfs[w] is worker w's row filter for phase 4's circles (see
-	// circleLoop), or for the own-line loop's, which take them in batches
-	// of rfs[0].lines; a rank that does not split the loop has only rfs[0].
-	// The first layout builds rfs[0] for batches of batchLines, or of all
-	// the rank's circles if fewer.
+	// rfs[w] is worker w's row filter for phase 4's circles, which it takes
+	// in batches of rfs[0].lines; a rank that does not split the loop has
+	// only rfs[0].  The first layout builds rfs[0] for batches of
+	// batchLines, or of all the rank's circles if fewer.
 	rfs []*rowFilter
 
 	// lineFlops is the virtual cost of filtering one line, LineFlops.
@@ -258,31 +256,30 @@ type FFTFilter struct {
 
 	// The layout for the variable kinds in kinds: the shared table, this
 	// processor row's part of it, whether balancing moves any of the row's
-	// lines, and the work positions each mesh column filters,
-	// [colStart[c], colStart[c+1]).
+	// lines, the work positions each mesh column filters,
+	// [colStart[c], colStart[c+1]), and the positions in row.home of the
+	// lines whose segment leaves this rank's block: every home line but
+	// those this rank filters itself.
 	kinds    []Kind
 	tab      *lineTable
 	row      *rowLines
 	moves    bool
-	own      bool       // one mesh column and no line moves: see ownLoop
-	vars     []Variable // the variables of the Apply in progress, for ownLoop
+	vars     []Variable // the variables of the Apply in progress, for circleLoop
 	colStart []int
+	leave    []int
 	rOffs    []int // running offsets per processor row
 
 	// Staging for Apply's seven phases, cut from one arena to the sizes the
 	// layout fixes: no buffer grows after layout.  Every send from them goes
 	// through the pooled-copy comm paths and every receive lands back here
 	// via *Into, so a laid-out Apply allocates nothing.  The transpose
-	// staging is empty for this rank's own column: its segments go straight
-	// into and out of full.
-	homeSegs [][]float64 // each home line's current segment, by position in row.home
+	// staging is empty for this rank's own column, whose segments phase 4
+	// reads where they are.
+	homeSegs [][]float64 // each leaving home line's current segment, by position in row.home
 	workSegs [][]float64 // each work line's, by position in row.work; homeSegs if none moves
-	segArena []float64
-	parts    [][]float64 // transpose send staging, per column
-	tOut     [][]float64 // transpose receive buffers
-	full     [][]float64 // complete latitude circles
-	back     [][]float64 // reverse-transpose send staging
-	gotOut   [][]float64 // reverse-transpose receive buffers
+	segArena []float64   // the leaving home lines' segments, in leave order
+	parts    [][]float64 // transpose send staging and reverse-transpose receive buffers, per column
+	tOut     [][]float64 // transpose receive buffers, filtered in place and sent back
 	rSend    [][]float64 // redistribution staging, per processor row
 	rRecv    [][]float64
 }
@@ -334,19 +331,28 @@ func (f *FFTFilter) layout(vars []Variable) {
 	f.row = &f.tab.rows[f.cart.MyRow]
 	nHome, nWork := len(f.row.home), len(f.row.work)
 
-	ints := make([]int, px+1+py)
-	f.colStart, f.rOffs = cut(&ints, px+1), cut(&ints, py)
+	// The home lines this rank filters itself are the stay pairs whose work
+	// position falls in its block; every other home line leaves it.
+	bLo, bHi := loadbalance.Block(nWork, px, myCol)
+	kept := make([]bool, nHome)
+	for _, s := range f.row.stay {
+		kept[s[0]] = bLo <= s[1] && s[1] < bHi
+	}
+	ints := make([]int, px+1+py+nHome)
+	f.colStart, f.rOffs, f.leave = cut(&ints, px+1), cut(&ints, py), ints[:0]
 	for c := 0; c < px; c++ {
 		_, f.colStart[c+1] = loadbalance.Block(nWork, px, c)
 	}
-	nBlock := f.colStart[myCol+1] - f.colStart[myCol]
+	for h, k := range kept {
+		if !k {
+			f.leave = append(f.leave, h)
+		}
+	}
+	nBlock := bHi - bLo
 	if len(f.rfs) == 0 {
 		f.rfs = append(f.rfs, newRowFilter(n, max(1, min(batchLines, nBlock))))
 	}
 	f.moves = len(f.row.stay) != nHome || len(f.row.stay) != nWork
-	if f.own = px == 1 && !f.moves; f.own {
-		return // no staging: see ownLoop
-	}
 
 	// A processor row's balancing buffers serve both directions, so each is
 	// cut for the larger of the two.
@@ -358,28 +364,20 @@ func (f *FFTFilter) layout(vars []Variable) {
 	if f.moves {
 		nSegs += nWork
 	}
-	values := make([]float64, nHome*w+nBlock*n+2*(nWork-nBlock)*w+2*nBlock*(n-w)+2*rTotal)
-	headers := make([][]float64, nSegs+4*px+2*py+nBlock)
+	values := make([]float64, len(f.leave)*w+(nWork-nBlock)*w+nBlock*(n-w)+2*rTotal)
+	headers := make([][]float64, nSegs+2*px+2*py)
 	f.homeSegs = cut(&headers, nHome)
 	f.workSegs = f.homeSegs
 	if f.moves {
 		f.workSegs = cut(&headers, nWork)
 	}
-	f.segArena = cut(&values, nHome*w)
+	f.segArena = cut(&values, len(f.leave)*w)
 	f.parts, f.tOut = cut(&headers, px), cut(&headers, px)
-	f.back, f.gotOut = cut(&headers, px), cut(&headers, px)
 	for c := 0; c < px; c++ {
-		if c == myCol {
-			continue
+		if c != myCol {
+			f.parts[c] = cut(&values, (f.colStart[c+1]-f.colStart[c])*w)[:0] // my lines that column c filters
+			f.tOut[c] = cut(&values, nBlock*f.widths[c])[:0]                 // column c's segments of my circles
 		}
-		toCol := (f.colStart[c+1] - f.colStart[c]) * w // my lines that column c filters
-		f.parts[c], f.gotOut[c] = cut(&values, toCol)[:0], cut(&values, toCol)[:0]
-		fromCol := nBlock * f.widths[c] // column c's segments of my circles
-		f.tOut[c], f.back[c] = cut(&values, fromCol)[:0], cut(&values, fromCol)[:0]
-	}
-	f.full = cut(&headers, nBlock)
-	for bi := range f.full {
-		f.full[bi] = cut(&values, n)
 	}
 	f.rSend, f.rRecv = cut(&headers, py), cut(&headers, py)
 	for q := 0; q < py; q++ {
@@ -399,24 +397,14 @@ func (f *FFTFilter) Apply(vars []Variable) {
 		return
 	}
 	p := f.cart.World.Proc()
-	if f.own {
-		f.vars = vars
-		p.Fan((*ownLoop)(f), (len(f.row.home)+f.rfs[0].lines-1)/f.rfs[0].lines)
-		f.vars = nil
-		for range f.row.home {
-			p.Compute(f.lineFlops)
-		}
-		return
-	}
-	px := f.cart.Px
-	w := f.local.Nlon()
+	w, myCol := f.local.Nlon(), f.cart.MyCol
 	lines, home := f.tab.lines, f.row.home
 
-	// Phase 1: extract the local longitude segments of my lines into the
-	// segment arena.
-	for i, l := range home {
-		ln := lines[l]
-		f.homeSegs[i] = vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, f.segArena[i*w:(i+1)*w])
+	// Phase 1: extract the local longitude segments of my lines that leave
+	// my block into the segment arena.
+	for a, i := range f.leave {
+		ln := lines[home[i]]
+		f.homeSegs[i] = vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, f.segArena[a*w:(a+1)*w])
 	}
 
 	// Phase 2: redistribute segments along the mesh column so each
@@ -427,10 +415,8 @@ func (f *FFTFilter) Apply(vars []Variable) {
 
 	// Phase 3: transpose within the mesh row (Figure 3): sub-block c of the
 	// work list — the lines this processor row filters, in canonical order —
-	// becomes complete latitude circles on mesh column c.  This rank's own
-	// sub-block is never staged: its segments are copied into the circles
-	// directly, and the transpose's self part is empty.
-	myCol := f.cart.MyCol
+	// goes to mesh column c.  This rank's own sub-block stays where it is,
+	// and the transpose's self part is empty.
 	for c := range f.parts {
 		if c == myCol {
 			continue
@@ -441,57 +427,33 @@ func (f *FFTFilter) Apply(vars []Variable) {
 		}
 		f.parts[c] = buf
 	}
-	recv := f.cart.Row.AlltoallvInto(f.parts, f.tOut)
-
-	full := f.full
-	mine := f.workSegs[f.colStart[myCol]:f.colStart[myCol+1]]
-	for c := 0; c < px; c++ {
-		lo, wc := f.lonOff[c], f.widths[c]
-		if c == myCol {
-			for bi, seg := range mine {
-				copy(full[bi][lo:lo+wc], seg)
-			}
-			continue
-		}
-		buf := recv[c]
-		if len(buf) != len(full)*wc {
+	f.cart.Row.AlltoallvInto(f.parts, f.tOut)
+	nBlock := f.colStart[myCol+1] - f.colStart[myCol]
+	for c, buf := range f.tOut {
+		if c != myCol && len(buf) != nBlock*f.widths[c] {
 			panic(fmt.Sprintf("filter: transpose recv from col %d has %d values, want %d",
-				c, len(buf), len(full)*wc))
-		}
-		for bi := range full {
-			copy(full[bi][lo:lo+wc], buf[bi*wc:(bi+1)*wc])
+				c, len(buf), nBlock*f.widths[c]))
 		}
 	}
 
 	// Phase 4: local FFT filtering of complete circles, charged line by
 	// line once all are filtered.
-	p.Fan((*circleLoop)(f), len(full))
-	for range full {
+	f.vars = vars
+	p.Fan((*circleLoop)(f), (nBlock+f.rfs[0].lines-1)/f.rfs[0].lines)
+	f.vars = nil
+	for range nBlock {
 		p.Compute(f.lineFlops)
 	}
 
-	// Phase 5: reverse transpose; this rank's own segments are rebound to
-	// their place in the circles.
-	for c := 0; c < px; c++ {
+	// Phase 5: reverse transpose: the filtered segments go back from where
+	// they arrived, and land in the transpose's send staging.
+	f.cart.Row.AlltoallvInto(f.tOut, f.parts)
+	for c, buf := range f.parts {
 		if c == myCol {
-			continue
-		}
-		buf := f.back[c][:0]
-		for bi := range full {
-			buf = append(buf, full[bi][f.lonOff[c]:f.lonOff[c]+f.widths[c]]...)
-		}
-		f.back[c] = buf
-	}
-	got := f.cart.Row.AlltoallvInto(f.back, f.gotOut)
-	for c := 0; c < px; c++ {
-		if c == myCol {
-			for bi := range mine {
-				mine[bi] = full[bi][f.lonOff[c] : f.lonOff[c]+w]
-			}
 			continue
 		}
 		for t, off := f.colStart[c], 0; t < f.colStart[c+1]; t, off = t+1, off+w {
-			f.workSegs[t] = got[c][off : off+w]
+			f.workSegs[t] = buf[off : off+w]
 		}
 	}
 
@@ -500,34 +462,47 @@ func (f *FFTFilter) Apply(vars []Variable) {
 		f.redistribute(false)
 	}
 
-	// Phase 7: write the filtered segments back into the fields.
-	for i, l := range home {
-		ln := lines[l]
+	// Phase 7: write the filtered segments that left my block back into
+	// the fields.
+	for _, i := range f.leave {
+		ln := lines[home[i]]
 		vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, f.homeSegs[i])
 	}
 }
 
 // batchLines is the most circles phase 4 hands a row filter at once.  On
 // the 144-point grid the batched filter's time per circle falls to about
-// 0.7 of the one-circle path's by 16 and stays there up to 48; its
-// scratch, about 2.3 KiB a circle, is 37 KiB at 16 and fits a 48 KiB L1.
+// 0.7 of the one-circle path's by 16 and stays there up to 48.  Its
+// scratch, about 2.3 KiB a circle, is 37 KiB at 16; with the circles
+// themselves in the worker's room, 1.1 KiB each, a batch touches about
+// 55 KiB, a little more than a 48 KiB L1.
 const batchLines = 16
 
-// circleLoop is phase 4 as a sim.Loop: the complete circles of this rank's
-// sub-block, filtered in batches by each worker's row filter.
+// circleLoop is phase 4 as a sim.Loop over batches of rfs[0].lines circles
+// of this rank's block, so that every batch but the last is full however
+// Fan cuts the loop.  Each worker assembles a batch in its row filter's
+// room (shuttle), filters it and scatters it back.  The lines' (variable,
+// row, layer) triples name disjoint field elements, and their segments
+// disjoint staging, for the workers to write.
 type circleLoop FFTFilter
 
-// Run filters circles [lo, hi) with worker w's row filter.
+// Run filters batches [lo, hi) with worker w's row filter.
 func (c *circleLoop) Run(w, lo, hi int) {
 	f := (*FFTFilter)(c)
 	rf := f.rfs[w]
-	work := f.row.work[f.colStart[f.cart.MyCol]:]
-	for ; lo < hi; lo += rf.lines {
-		damps := rf.damps[:min(rf.lines, hi-lo)]
-		for i := range damps {
-			damps[i] = f.tab.damp[work[lo+i]]
+	room, work := rf.circleRoom(), f.row.work[f.colStart[f.cart.MyCol]:f.colStart[f.cart.MyCol+1]]
+	for ; lo < hi; lo++ {
+		b0 := lo * rf.lines
+		circles := room[:min(rf.lines, len(work)-b0)]
+		damps := rf.damps[:len(circles)]
+		for i, circle := range circles {
+			damps[i] = f.tab.damp[work[b0+i]]
+			f.shuttle(b0+i, circle, true)
 		}
-		rf.applyBatch(damps, f.full[lo:lo+len(damps)])
+		rf.applyBatch(damps, circles)
+		for i, circle := range circles {
+			f.shuttle(b0+i, circle, false)
+		}
 	}
 }
 
@@ -538,38 +513,39 @@ func (c *circleLoop) Grow(k int) {
 	}
 }
 
-// ownLoop is the whole Apply of a rank that filters every line it holds, as
-// a sim.Loop over batches of rfs[0].lines home lines, so that every batch but
-// the last is full however Fan cuts the loop: each worker's row filter takes
-// a batch of lines from the fields into its circles, filters them and writes
-// them back.  The variables hold distinct fields, so the lines' (variable, row,
-// layer) triples name disjoint field elements for the workers to write.
-type ownLoop FFTFilter
-
-// Run filters batches [lo, hi) with worker w's row filter.
-func (o *ownLoop) Run(w, lo, hi int) {
-	f := (*FFTFilter)(o)
-	rf := f.rfs[w]
-	circles := rf.circleRoom()
-	home := f.row.home
-	for ; lo < hi; lo++ {
-		batch := home[lo*rf.lines : min(len(home), (lo+1)*rf.lines)]
-		damps, rows := rf.damps[:len(batch)], circles[:len(batch)]
-		for i, l := range batch {
+// shuttle copies circle bi of this rank's block into circle (in) or back
+// out of it (!in), segment by segment, from and to where each segment is
+// held: another column's in tOut[c] at index bi; this rank's own in the
+// field if the line is homed on this processor row, else in the
+// redistribution receive buffer workSegs points into.
+func (f *FFTFilter) shuttle(bi int, circle []float64, in bool) {
+	myCol := f.cart.MyCol
+	t := f.colStart[myCol] + bi
+	l := f.row.work[t]
+	for c, wc := range f.widths {
+		seg := circle[f.lonOff[c] : f.lonOff[c]+wc]
+		var held []float64
+		switch {
+		case c != myCol:
+			held = f.tOut[c][bi*wc : (bi+1)*wc]
+		case f.tab.initOwner[l] != f.cart.MyRow:
+			held = f.workSegs[t]
+		case in:
 			ln := f.tab.lines[l]
-			f.vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, rows[i])
-			damps[i] = f.tab.damp[l]
+			f.vars[ln.v].Field.RowSlice(ln.j-f.local.Lat0, ln.k, seg)
+			continue
+		default:
+			ln := f.tab.lines[l]
+			f.vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, seg)
+			continue
 		}
-		rf.applyBatch(damps, rows)
-		for i, l := range batch {
-			ln := f.tab.lines[l]
-			f.vars[ln.v].Field.SetRowSlice(ln.j-f.local.Lat0, ln.k, rows[i])
+		if in {
+			copy(seg, held)
+		} else {
+			copy(held, seg)
 		}
 	}
 }
-
-// Grow gives workers up to k-1 their own row filter.
-func (o *ownLoop) Grow(k int) { (*circleLoop)(o).Grow(k) }
 
 // redistribute moves each line's segment along the mesh column, one message
 // per (src, dst) pair, preserving the canonical line order inside every

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -20,10 +21,12 @@ func TestTwoByTwoPointFive(t *testing.T) {
 }
 
 // TestValidateRejectsOverflowingPoints: extents whose point count overflows
-// int are refused, including 2^32 x 2^32 x 1, whose product wraps to 0, and
-// the largest spec that fits is accepted.
+// int are refused, including h x h x 1 and h/2 x h/2 x 4 for h = 2^(IntSize/2)
+// (2^32 on 64-bit), whose products wrap to 0, and the largest spec that fits
+// is accepted.
 func TestValidateRejectsOverflowingPoints(t *testing.T) {
-	bad := []Spec{{1 << 32, 1 << 32, 1}, {1 << 31, 1 << 31, 4}, {4, 4, math.MaxInt/16 + 1}, {math.MaxInt, 4, 1}}
+	const h = 1 << (strconv.IntSize / 2)
+	bad := []Spec{{h, h, 1}, {h / 2, h / 2, 4}, {4, 4, math.MaxInt/16 + 1}, {math.MaxInt, 4, 1}}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil with Points() = %d, want error", s, s.Points())

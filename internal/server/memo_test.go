@@ -43,7 +43,7 @@ func TestJobKeyMatchesFormula(t *testing.T) {
 		}
 	}
 	canonicals = append(canonicals, nil, []byte("{}"))
-	steps := []int{math.MinInt64, -1, 0, 1, 2, 9, 10, 99, 100, 12345, 1 << 31, math.MaxInt64}
+	steps := []int{math.MinInt, -1, 0, 1, 2, 9, 10, 99, 100, 12345, 1 << (strconv.IntSize/2 - 1), math.MaxInt}
 	for _, c := range canonicals {
 		for _, n := range steps {
 			ck := sha256.Sum256(c)
@@ -53,7 +53,7 @@ func TestJobKeyMatchesFormula(t *testing.T) {
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { jobKey(canonicals[0], math.MinInt64) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(100, func() { jobKey(canonicals[0], math.MinInt) }); allocs != 1 {
 		t.Fatalf("jobKey allocates %v times, want 1", allocs)
 	}
 }
